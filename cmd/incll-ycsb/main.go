@@ -36,7 +36,6 @@ func main() {
 	scanLen := flag.Int("scanlen", ycsb.ScanLength, "YCSB-E scan length (the max when -scandist zipfian)")
 	scanDist := flag.String("scandist", "constant", "constant | zipfian scan-length distribution (workload E)")
 	reverse := flag.Bool("reverse", false, "run YCSB-E scans descending through the cursor (durable modes)")
-	scanAPI := flag.String("scanapi", "cursor", "cursor | callback: serve YCSB-E scans through the iterator or the legacy callback Scan")
 	interval := flag.Duration("interval", 64*time.Millisecond, "epoch interval")
 	fence := flag.Duration("fence", 0, "emulated NVM latency after each fence")
 	seed := flag.Int64("seed", 1, "workload seed")
@@ -70,13 +69,6 @@ func main() {
 		cfg.ScanDist = ycsb.SizeZipfian
 	default:
 		log.Fatalf("unknown scan-length distribution %q", *scanDist)
-	}
-	switch *scanAPI {
-	case "cursor":
-	case "callback":
-		cfg.LegacyScan = true
-	default:
-		log.Fatalf("unknown scan API %q", *scanAPI)
 	}
 	switch *txnMode {
 	case "none":
@@ -151,7 +143,7 @@ func main() {
 		if cfg.ScanReverse {
 			dir = "rev"
 		}
-		label += fmt.Sprintf(" scan=%s/%d/%s/%s", *scanAPI, cfg.ScanLen, cfg.ScanDist, dir)
+		label += fmt.Sprintf(" scan=%d/%s/%s", cfg.ScanLen, cfg.ScanDist, dir)
 	}
 	fmt.Printf("%s %s %s%s: %d ops in %v = %.3f Mops/s\n",
 		cfg.Mode, cfg.Workload, cfg.Dist, label, r.Ops, r.Elapsed.Round(time.Millisecond), r.Throughput/1e6)

@@ -25,7 +25,7 @@ type BenchRecord struct {
 	ValueDist  string  `json:"value_dist,omitempty"`
 	ScanLen    int     `json:"scan_len,omitempty"`
 	ScanDist   string  `json:"scan_dist,omitempty"`
-	ScanAPI    string  `json:"scan_api,omitempty"` // cursor | callback (YCSB-E only)
+	ScanAPI    string  `json:"scan_api,omitempty"` // "cursor" on YCSB-E rows (part of the row key)
 	Reverse    bool    `json:"reverse,omitempty"`
 	Threads    int     `json:"threads"`
 	TreeSize   uint64  `json:"tree_size"`
@@ -144,9 +144,6 @@ func record(r Result) BenchRecord {
 		rec.ScanLen = r.Config.ScanLen
 		rec.ScanDist = r.Config.ScanDist.String()
 		rec.ScanAPI = "cursor"
-		if r.Config.LegacyScan {
-			rec.ScanAPI = "callback"
-		}
 		rec.Reverse = r.Config.ScanReverse
 	}
 	if len(r.Phases) > 0 {
@@ -187,15 +184,8 @@ func BenchSuite(w io.Writer, p Params) []BenchRecord {
 		c.Workload = wl
 		cfgs = append(cfgs, c)
 	}
-	// YCSB-E rows: the cursor-vs-callback comparison at the default scan
-	// length (the acceptance gate: cursor within 10% of the legacy
-	// callback), then the spec-shaped zipfian-length mix forward, reverse,
-	// and sharded.
-	eLegacy := base
-	eLegacy.Workload = ycsb.E
-	eLegacy.LegacyScan = true
-	cfgs = append(cfgs, eLegacy)
-
+	// More YCSB-E rows: the spec-shaped zipfian-length mix forward,
+	// reverse, and sharded.
 	eZipf := base
 	eZipf.Workload = ycsb.E
 	eZipf.ScanLen = 50

@@ -131,12 +131,8 @@ type RunConfig struct {
 	// 1..ScanLen — the YCSB spec's short-scan-heavy shape.
 	ScanDist ycsb.SizeDist
 	// ScanReverse runs YCSB-E scans descending (SeekLT/Prev) instead of
-	// ascending (durable modes; requires the cursor API).
+	// ascending (durable modes).
 	ScanReverse bool
-	// LegacyScan serves YCSB-E through the callback Scan API instead of
-	// the cursor — the pre-iterator baseline the bench matrix compares
-	// against (durable modes).
-	LegacyScan bool
 
 	// EpochInterval is the checkpoint interval (default 64 ms).
 	EpochInterval time.Duration
@@ -259,9 +255,6 @@ type Result struct {
 // Run executes one measurement: build, preload, run, collect.
 func Run(cfg RunConfig) Result {
 	cfg.setDefaults()
-	if cfg.ScanReverse && cfg.LegacyScan {
-		panic("harness: reverse scans require the cursor API (LegacyScan serves ascending callbacks only)")
-	}
 	switch cfg.Mode {
 	case MT, MTPlus:
 		if cfg.ValueSize > 0 {
@@ -724,7 +717,6 @@ type kvHandle interface {
 	AppendGet(dst []byte, k []byte) ([]byte, bool)
 	NewIter(o core.IterOptions) core.Cursor
 	Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int
-	ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int
 }
 
 // workerIters lazily opens one long-lived cursor per worker — the cursor
@@ -806,10 +798,9 @@ func (wi *workerIters) scan(w int, op ycsb.Op, sumBytes bool) (bytes int64) {
 
 // durableOps builds the measured-phase op dispatcher over per-worker
 // handles (shared by the single-store and sharded durable runs). Scans go
-// through the cursor API (one re-seeked iterator per worker) unless
-// LegacyScan selects the callback path. With ValueSize > 0 it dispatches
-// the byte-valued mix and accumulates the payload bytes each worker moves
-// into bytesMoved[w].
+// through the cursor API (one re-seeked iterator per worker). With
+// ValueSize > 0 it dispatches the byte-valued mix and accumulates the
+// payload bytes each worker moves into bytesMoved[w].
 func durableOps(cfg RunConfig, handle func(w int) kvHandle, bytesMoved []int64) func(w int, op ycsb.Op, i int) {
 	iters := newWorkerIters(cfg, handle)
 	if cfg.ValueSize <= 0 {
@@ -821,10 +812,6 @@ func durableOps(cfg RunConfig, handle func(w int) kvHandle, bytesMoved []int64) 
 			case ycsb.OpGet:
 				h.Get(core.EncodeUint64(op.Key))
 			case ycsb.OpScan:
-				if cfg.LegacyScan {
-					h.Scan(core.EncodeUint64(op.Key), op.ScanLen, func([]byte, uint64) bool { return true })
-					return
-				}
 				iters.scan(w, op, false)
 			}
 		}
@@ -850,13 +837,6 @@ func durableOps(cfg RunConfig, handle func(w int) kvHandle, bytesMoved []int64) 
 				bytesMoved[w] += int64(len(v))
 			}
 		case ycsb.OpScan:
-			if cfg.LegacyScan {
-				h.ScanBytes(core.EncodeUint64(op.Key), op.ScanLen, func(_, v []byte) bool {
-					bytesMoved[w] += int64(len(v))
-					return true
-				})
-				return
-			}
 			bytesMoved[w] += iters.scan(w, op, true)
 		}
 	}
@@ -931,28 +911,39 @@ type progressSlot struct {
 }
 
 // sampleTimeline folds one interval into the series and returns the new
-// cumulative baseline.
+// cumulative baseline. A sample landing in the same millisecond as the
+// last point (the final partial interval, right on a tick) extends that
+// point instead of adding a zero-length one: MS stays strictly increasing
+// and every rate is taken over a real interval.
 func sampleTimeline(tl []TimelinePoint, start, now time.Time, prevOps int64, prevBins []int64,
 	progress []progressSlot, hists []latHist) ([]TimelinePoint, int64, []int64) {
 	var total int64
 	for i := range progress {
 		total += progress[i].n.Load()
 	}
-	var prevMS int64
-	if n := len(tl); n > 0 {
-		prevMS = tl[n-1].MS
-	}
 	ms := now.Sub(start).Milliseconds()
-	dt := float64(ms-prevMS) / 1000
-	if dt <= 0 {
-		dt = 1e-9
+	n := len(tl)
+	if n > 0 && ms <= tl[n-1].MS {
+		var baseMS, baseOps int64
+		if n > 1 {
+			baseMS, baseOps = tl[n-2].MS, tl[n-2].Ops
+		}
+		last := &tl[n-1]
+		last.Ops = total
+		last.OpsPerSec = float64(total-baseOps) / (float64(last.MS-baseMS) / 1000)
+		return tl, total, prevBins
+	}
+	var prevMS int64
+	if n > 0 {
+		prevMS = tl[n-1].MS
 	}
 	bins := mergedBins(hists)
 	delta := obs.BinsSub(bins, prevBins)
-	p := TimelinePoint{
-		MS:        ms,
-		Ops:       total,
-		OpsPerSec: float64(total-prevOps) / dt,
+	p := TimelinePoint{MS: ms, Ops: total}
+	// ms == prevMS only for the first point of a sub-millisecond run, which
+	// carries no rate.
+	if ms > prevMS {
+		p.OpsPerSec = float64(total-prevOps) / (float64(ms-prevMS) / 1000)
 	}
 	if obs.BinsCount(delta) > 0 {
 		p.P50Micros = float64(obs.BinsQuantile(delta, 0.50)) / 1000

@@ -133,3 +133,28 @@ func TestPhaseAttributionOverheadAB(t *testing.T) {
 		t.Fatalf("attribution overhead %.2f%% exceeds 5%% budget", 100*delta)
 	}
 }
+
+// TestTimelineFoldsSameMillisecondSample pins the sampler's final-interval
+// rule deterministically: a sample in the same millisecond as the last
+// point extends that point (its ops, and its rate over the real interval)
+// instead of appending a zero-length one with a rate over 1 ns.
+func TestTimelineFoldsSameMillisecondSample(t *testing.T) {
+	start := time.Now()
+	progress := make([]progressSlot, 1)
+	hists := make([]latHist, 1)
+	at := func(ms int) time.Time { return start.Add(time.Duration(ms) * time.Millisecond) }
+
+	progress[0].n.Store(100)
+	tl, ops, bins := sampleTimeline(nil, start, at(5), 0, nil, progress, hists)
+	progress[0].n.Store(300)
+	tl, ops, bins = sampleTimeline(tl, start, at(10), ops, bins, progress, hists)
+	progress[0].n.Store(340) // the final partial interval, right on the tick
+	tl, ops, _ = sampleTimeline(tl, start, at(10).Add(300*time.Microsecond), ops, bins, progress, hists)
+
+	if len(tl) != 2 || ops != 340 {
+		t.Fatalf("timeline = %+v (ops %d), want 2 points ending at 340 ops", tl, ops)
+	}
+	if last := tl[1]; last.MS != 10 || last.Ops != 340 || last.OpsPerSec != 240/0.005 {
+		t.Fatalf("folded point = %+v, want ms 10, 340 ops, %v ops/s", last, 240/0.005)
+	}
+}

@@ -361,17 +361,8 @@ func TestReplicaLosesStreamOnPrimaryCrash(t *testing.T) {
 	}
 	primary.SimulateCrash(0.5, 99)
 
-	waitErr := func() error {
-		deadline := time.Now().Add(5 * time.Second)
-		for time.Now().Before(deadline) {
-			if err := rep.Err(); err != nil {
-				return err
-			}
-			time.Sleep(time.Millisecond)
-		}
-		return nil
-	}
-	if err := waitErr(); !errors.Is(err, ErrStreamLost) {
+	rep.app.waitUntil(5*time.Second, func() bool { return rep.app.err != nil })
+	if err := rep.Err(); !errors.Is(err, ErrStreamLost) {
 		t.Fatalf("replica error after crash: %v, want ErrStreamLost", err)
 	}
 

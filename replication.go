@@ -21,7 +21,6 @@ package incll
 
 import (
 	"io"
-	"sync"
 	"time"
 
 	"incll/internal/core"
@@ -98,14 +97,6 @@ type ChangeStream struct {
 // per-shard journal appends after).
 func (db *DB) Changes() *ChangeStream {
 	return &ChangeStream{sub: db.hub().Subscribe()}
-}
-
-// changesPinned is Changes with a subscription the journal budget will
-// not cut (see repl.Hub.SubscribePinned): the replica bootstrap cannot
-// consume anything until the snapshot restore finishes, so for that
-// window lagging is by construction, not a fault.
-func (db *DB) changesPinned() *ChangeStream {
-	return &ChangeStream{sub: db.hub().SubscribePinned()}
 }
 
 // Next blocks until the next checkpoint commit releases more of the
@@ -203,21 +194,33 @@ func (db *DB) Snapshot(w io.Writer) (SnapshotInfo, error) {
 // ErrBadStream and never a silently wrong DB.
 func Restore(r io.Reader, opts Options) (*DB, SnapshotInfo, error) {
 	db, _ := Open(opts)
-	info, err := repl.Restore(r, repl.Target{
-		Put: func(k, v []byte) error {
-			_, err := db.PutBytes(k, v)
-			return err
-		},
-		Delete: func(k []byte) error {
-			db.Delete(k)
-			return nil
-		},
-		Checkpoint: func() { db.Checkpoint() },
-	})
+	info, err := repl.Restore(r, dbTarget(db).Target)
 	if err != nil {
 		return nil, info, err
 	}
 	return db, info, nil
+}
+
+// dbTarget lands restored and replicated records in a follower DB; each
+// committed batch shows up in the follower's own phase trace.
+func dbTarget(db *DB) applyTarget {
+	return applyTarget{
+		Target: repl.Target{
+			Put: func(k, v []byte) error {
+				_, err := db.PutBytes(k, v)
+				return err
+			},
+			Delete: func(k []byte) error {
+				db.Delete(k)
+				return nil
+			},
+			Checkpoint: func() { db.Checkpoint() },
+		},
+		batchDone: func(horizon uint64, took time.Duration, _ int, nb uint64) error {
+			db.trace.Record(obs.EvReplicaApply, -1, horizon, took, int64(nb))
+			return nil
+		},
+	}
 }
 
 // ReplicaLag quantifies how far a replica trails its primary.
@@ -237,17 +240,13 @@ type ReplicaLag struct {
 // loop; use CatchUp for a moment of equality with a given horizon, and
 // Promote to turn the follower into a standalone primary.
 type Replica struct {
-	mu   sync.Mutex
-	cond *sync.Cond
+	opts Options
+	app  *applier // the snapshot-then-tail protocol and its progress state
 
-	opts    Options
-	db      *DB
-	stream  *ChangeStream
-	anchor  uint64 // bootstrap anchor: entries at or below are baked in
-	applied uint64 // last fully applied released epoch
-	bytes   uint64 // change bytes applied since bootstrap
-	err     error  // terminal apply-loop error
-	done    chan struct{}
+	// Guarded by app.mu; swapped by each bootstrap together with the
+	// applier's progress reset.
+	db   *DB
+	done chan struct{} // closed when the generation's tail goroutine exits
 }
 
 // NewReplica bootstraps a follower of primary: it subscribes to the
@@ -256,160 +255,69 @@ type Replica struct {
 // bootstrap is complete (the replica is exact at the snapshot's anchor
 // epoch and catching up from there).
 func NewReplica(primary *DB, opts Options) (*Replica, error) {
-	r := &Replica{opts: opts}
-	r.cond = sync.NewCond(&r.mu)
+	r := &Replica{opts: opts, app: newApplier()}
 	if err := r.bootstrap(primary); err != nil {
 		return nil, err
 	}
 	return r, nil
 }
 
-// bootstrap subscribes, snapshots, restores, and starts the apply loop.
-// The subscription is pinned for the bootstrap window (it cannot consume
-// until the restore completes); the apply loop unpins it at its first
-// delivery.
-func (r *Replica) bootstrap(primary *DB) error {
-	stream := primary.changesPinned()
-	pr, pw := io.Pipe()
-	var (
-		expErr  error
-		expDone = make(chan struct{})
-	)
-	go func() {
-		defer close(expDone)
-		_, expErr = primary.Snapshot(pw)
-		pw.CloseWithError(expErr)
-	}()
-	db, info, err := Restore(pr, r.opts)
-	// Unblock the exporter before waiting for it: if the restore side
-	// failed first, the exporter may be mid-Write with no reader left.
-	pr.CloseWithError(err)
-	<-expDone
-	if err == nil {
-		err = expErr
-	}
+// bootstrap restores a fresh follower from src and starts tailing src's
+// change feed into it until the feed ends.
+func (r *Replica) bootstrap(src snapshotSource) error {
+	db, _ := Open(r.opts)
+	done := make(chan struct{})
+	// The follower is swapped in under the applier's lock: a monitoring
+	// goroutine may be reading Lag/AppliedEpoch/Err concurrently with a
+	// Resync.
+	info, err := r.app.bootstrap(src, dbTarget(db), func() error {
+		r.db, r.done = db, done
+		return nil
+	})
 	if err != nil {
-		stream.Close()
+		db.Close()
 		return err
 	}
-	done := make(chan struct{})
-	// Swap the follower in under the lock: a monitoring goroutine may be
-	// reading Lag/AppliedEpoch/Err concurrently with a Resync.
-	r.mu.Lock()
-	r.db = db
-	r.stream = stream
-	r.anchor = info.AnchorEpoch
-	r.applied = info.AnchorEpoch
-	r.err = nil
-	r.done = done
-	r.mu.Unlock()
 	// The bootstrap (and every Resync) shows up in the follower's own
 	// phase trace, and the follower serves its own lag gauges: a replica
 	// is scraped as its own process, not through the primary.
 	db.trace.Record(obs.EvReplicaResync, -1, info.AnchorEpoch, 0, int64(info.Keys))
 	db.registerReplicaGauges(r)
-	go r.applyLoop(db, stream, info.AnchorEpoch, done)
+	go func() {
+		defer close(done)
+		r.app.fail(r.app.tail(tailForever))
+	}()
 	return nil
-}
-
-// applyLoop drains the stream into the follower until the stream ends.
-// The follower and stream come in as parameters so the loop never reads
-// the swappable Replica fields.
-func (r *Replica) applyLoop(db *DB, stream *ChangeStream, anchor uint64, done chan struct{}) {
-	defer close(done)
-	for first := true; ; first = false {
-		b, err := stream.Next()
-		start := time.Now()
-		if first {
-			// The bootstrap window is over: from here on the replica is an
-			// active consumer and subject to the normal journal budget.
-			stream.sub.Unpin()
-		}
-		if err != nil {
-			r.mu.Lock()
-			r.err = err
-			r.cond.Broadcast()
-			r.mu.Unlock()
-			return
-		}
-		var nb uint64
-		for i := range b.Changes {
-			c := &b.Changes[i]
-			if c.Epoch <= anchor {
-				continue // baked into the bootstrap snapshot
-			}
-			if c.Op == ChangeDelete {
-				db.Delete(c.Key)
-			} else {
-				if _, err := db.PutBytes(c.Key, c.Value); err != nil {
-					r.mu.Lock()
-					r.err = err
-					r.cond.Broadcast()
-					r.mu.Unlock()
-					return
-				}
-			}
-			nb += uint64(len(c.Key) + len(c.Value))
-		}
-		// Commit the batch on the follower: the replica's durable state is
-		// always a whole released prefix of the primary's history.
-		db.Checkpoint()
-		db.trace.Record(obs.EvReplicaApply, -1, b.Epoch, time.Since(start), int64(nb))
-		r.mu.Lock()
-		r.applied = b.Epoch
-		r.bytes += nb
-		r.cond.Broadcast()
-		r.mu.Unlock()
-	}
 }
 
 // DB returns the follower store for reads. Writing to it (other than by
 // the apply loop) forfeits the equality guarantee; Promote first. The
 // identity changes across Resync.
 func (r *Replica) DB() *DB {
-	r.mu.Lock()
-	defer r.mu.Unlock()
+	r.app.mu.RLock()
+	defer r.app.mu.RUnlock()
 	return r.db
 }
 
 // AppliedEpoch returns the last released epoch the replica has fully
 // applied and committed: the replica's state equals the primary's at this
 // epoch's checkpoint commit.
-func (r *Replica) AppliedEpoch() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.applied
-}
+func (r *Replica) AppliedEpoch() uint64 { return r.app.state().applied }
 
 // AppliedBytes returns the change bytes applied since bootstrap.
-func (r *Replica) AppliedBytes() uint64 {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.bytes
-}
+func (r *Replica) AppliedBytes() uint64 { return r.app.state().bytes }
 
 // Err returns the apply loop's terminal error, if it has stopped:
 // ErrStreamClosed after a clean primary shutdown (fully drained),
 // ErrStreamLost after a primary crash or journal overrun (Resync to
 // recover), nil while running.
-func (r *Replica) Err() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	return r.err
-}
+func (r *Replica) Err() error { return r.app.state().err }
 
 // Lag reports how far the replica trails the primary's released horizon,
 // in epochs and change bytes.
 func (r *Replica) Lag() ReplicaLag {
-	r.mu.Lock()
-	stream, applied := r.stream, r.applied
-	r.mu.Unlock()
-	released := stream.Released()
-	lag := ReplicaLag{Bytes: stream.PendingBytes()}
-	if released > applied {
-		lag.Epochs = released - applied
-	}
-	return lag
+	st := r.app.state()
+	return ReplicaLag{Epochs: st.behind(st.feed.Released()), Bytes: st.feed.PendingBytes()}
 }
 
 // CatchUp blocks until the replica has applied everything the primary had
@@ -417,16 +325,7 @@ func (r *Replica) Lag() ReplicaLag {
 // Returns the stream's terminal error if it ends before reaching that
 // horizon.
 func (r *Replica) CatchUp() error {
-	r.mu.Lock()
-	defer r.mu.Unlock()
-	target := r.stream.Released() // hub lock nests inside r.mu, never reversed
-	for r.applied < target && r.err == nil {
-		r.cond.Wait()
-	}
-	if r.applied >= target {
-		return nil
-	}
-	return r.err
+	return r.app.wait(r.app.state().feed.Released(), waitForever)
 }
 
 // Promote turns the follower into a standalone primary: it applies
@@ -444,11 +343,11 @@ func (r *Replica) Promote() (*DB, error) {
 
 // detach stops the apply loop and takes ownership of the follower.
 func (r *Replica) detach() *DB {
-	r.mu.Lock()
-	stream, done, db := r.stream, r.done, r.db
+	r.app.mu.Lock()
+	feed, done, db := r.app.feed, r.done, r.db
 	r.db = nil
-	r.mu.Unlock()
-	stream.Close()
+	r.app.mu.Unlock()
+	feed.Close()
 	<-done
 	return db
 }

@@ -8,8 +8,8 @@ package incll
 //     lag bookkeeping.
 //   - FollowPrimary runs a networked follower: it dials the primary,
 //     restores the snapshot into a fresh local DB, applies the live
-//     stream (checkpointing at released-batch boundaries, exactly like
-//     the in-process Replica loop), and reconnects with jittered
+//     stream (checkpointing at released-batch boundaries — the same
+//     applier the in-process Replica runs), and reconnects with jittered
 //     exponential backoff — every reconnect is a full re-bootstrap,
 //     because the primary's change journal cannot replay from an
 //     arbitrary past epoch.
@@ -34,7 +34,6 @@ import (
 	"fmt"
 	"io"
 	"net"
-	"sync"
 	"sync/atomic"
 	"time"
 
@@ -114,15 +113,7 @@ func (db *DB) ServeReplication(lis net.Listener, o ReplServerOptions) (*ReplServ
 	}
 	rs := &ReplServer{db: db}
 	cfg := replnet.Config{
-		Bootstrap: func(w io.Writer) (replnet.BatchSource, uint64, error) {
-			stream := db.changesPinned()
-			info, err := db.Snapshot(w)
-			if err != nil {
-				stream.Close()
-				return nil, 0, err
-			}
-			return stream.sub, info.AnchorEpoch, nil
-		},
+		Bootstrap: func(w io.Writer) (replnet.BatchSource, uint64, error) { return exportPinned(db, w) },
 		Released:  func() uint64 { return db.hub().Released() },
 		Heartbeat: o.Heartbeat,
 		DeadAfter: o.DeadAfter,
@@ -402,34 +393,31 @@ func (r *storeRef) release() {
 
 // Follower is a networked replica: a local DB kept converging to a
 // remote primary over TCP. Its state is always the primary's at some
-// committed epoch boundary after each applied batch (the same loop
-// discipline as the in-process Replica); its applied watermark gates
-// reads for the read-your-writes contract. The follower DB's identity
-// changes across reconnects (every reconnect is a fresh snapshot
-// bootstrap) — read through GetBytes or pin a store for a longer
-// operation with View; both hold the current generation open for the
-// read's whole duration, so a concurrent re-bootstrap can never close
+// committed epoch boundary after each applied batch (it runs the same
+// applier as the in-process Replica, fed by the transport client); its
+// applied watermark gates reads for the read-your-writes contract. The
+// follower DB's identity changes across reconnects (every reconnect is a
+// fresh snapshot bootstrap) — read through GetBytes or pin a store for a
+// longer operation with View; both hold the current generation open for
+// the read's whole duration, so a concurrent re-bootstrap can never close
 // the store out from under it.
 type Follower struct {
 	addr string
 	o    FollowerOptions
 	cli  *replnet.Client
+	app  *applier // the snapshot-then-tail protocol and its progress state
 
-	mu       sync.RWMutex
+	// Guarded by app.mu: the store is swapped by each bootstrap together
+	// with the applier's progress reset, so a read never pairs a new store
+	// with the old watermark.
 	store    *storeRef
-	anchor   uint64
-	applied  uint64
-	bytes    uint64
-	bootInfo SnapshotInfo
 	promoted bool
 	closed   bool
 
-	// Recorder arming, replayed onto every bootstrap generation (each
-	// reconnect builds a fresh DB, which would otherwise come up with no
-	// /metrics/history).
-	recOn       bool
-	recInterval time.Duration
-	recCap      int
+	// rearm, once StartRecorder has set it, arms the metric recorder on
+	// every new bootstrap generation (each reconnect builds a fresh DB,
+	// which would otherwise come up with no /metrics/history).
+	rearm func(db *DB)
 }
 
 // StartRecorder arms the metric recorder (the backing store for
@@ -438,32 +426,27 @@ type Follower struct {
 // its history ring at each reconnect — incll-top's follower lag
 // sparkline reads it.
 func (f *Follower) StartRecorder(interval time.Duration, capacity int) {
-	f.mu.Lock()
-	f.recOn, f.recInterval, f.recCap = true, interval, capacity
-	st := f.store
-	if st != nil {
-		st.refs.Add(1)
-	}
-	f.mu.Unlock()
-	if st != nil {
-		st.db.StartRecorder(interval, capacity)
-		st.release()
-	}
+	arm := func(db *DB) { db.StartRecorder(interval, capacity) }
+	f.app.mu.Lock()
+	f.rearm = arm
+	f.app.mu.Unlock()
+	f.View(arm)
 }
 
-// pin acquires the current store generation for a read; release it when
-// done. Acquiring under the read lock is what makes it safe: the swap in
+// pin acquires the current store generation for a read, together with the
+// watermark that generation has reached; release it when done. Acquiring
+// under the read lock is what makes it safe: the swap in
 // netBootstrap drops the follower's own reference only after taking the
 // write lock, so a generation observed here still holds that reference
 // and cannot hit zero concurrently.
-func (f *Follower) pin() (*storeRef, bool) {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+func (f *Follower) pin() (st *storeRef, applied uint64, ok bool) {
+	f.app.mu.RLock()
+	defer f.app.mu.RUnlock()
 	if f.store == nil {
-		return nil, false
+		return nil, 0, false
 	}
 	f.store.refs.Add(1)
-	return f.store, true
+	return f.store, f.app.applied, true
 }
 
 // FollowPrimary starts a follower of the replication primary at addr
@@ -475,7 +458,7 @@ func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
 	if o.ReadyTimeout <= 0 {
 		o.ReadyTimeout = 30 * time.Second
 	}
-	f := &Follower{addr: addr, o: o}
+	f := &Follower{addr: addr, o: o, app: newApplier()}
 	f.cli = replnet.Dial(replnet.ClientConfig{
 		Addr:       addr,
 		ID:         o.ID,
@@ -498,28 +481,22 @@ func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
 // in as the follower's store. Called by the transport client on every
 // (re)connect.
 func (f *Follower) netBootstrap(r io.Reader) (uint64, error) {
-	f.mu.RLock()
-	done := f.closed || f.promoted
-	f.mu.RUnlock()
-	if done {
-		return 0, errFollowerDone
-	}
-	db, info, err := Restore(r, f.o.Options)
+	db, _ := Open(f.o.Options)
+	var (
+		old   *storeRef
+		rearm func(db *DB)
+	)
+	info, err := f.app.restore(r, dbTarget(db), func() error {
+		if f.closed || f.promoted {
+			return errFollowerDone
+		}
+		old, f.store, rearm = f.store, newStoreRef(db), f.rearm
+		return nil
+	})
 	if err != nil {
+		db.Close()
 		return 0, err
 	}
-	f.mu.Lock()
-	if f.closed || f.promoted {
-		f.mu.Unlock()
-		db.Close()
-		return 0, errFollowerDone
-	}
-	old := f.store
-	f.store = newStoreRef(db)
-	f.anchor = info.AnchorEpoch
-	f.applied = info.AnchorEpoch
-	f.bootInfo = info
-	f.mu.Unlock()
 	if old != nil {
 		// Drop the follower's reference; the old store closes once the
 		// last in-flight reader releases its pin.
@@ -527,48 +504,21 @@ func (f *Follower) netBootstrap(r io.Reader) (uint64, error) {
 	}
 	db.trace.Record(obs.EvNetFollowerConnect, -1, info.AnchorEpoch, 0, int64(info.Keys))
 	db.registerFollowerGauges(f)
-	f.mu.RLock()
-	recOn, ri, rc := f.recOn, f.recInterval, f.recCap
-	f.mu.RUnlock()
-	if recOn {
-		db.StartRecorder(ri, rc)
+	if rearm != nil {
+		rearm(db)
 	}
 	return info.AnchorEpoch, nil
 }
 
-// netApply applies one batch chunk (entries already filtered above the
-// session anchor by the transport) and, on final chunks, checkpoints and
-// advances the watermark — the follower's durable state only ever sits
-// at released-batch boundaries, mirroring Replica.applyLoop.
+// netApply hands one batch chunk from the transport to the applier,
+// holding the current store generation open while it lands.
 func (f *Follower) netApply(horizon uint64, final bool, ents []repl.Entry) error {
-	st, ok := f.pin()
+	st, _, ok := f.pin()
 	if !ok {
 		return errFollowerDone
 	}
 	defer st.release()
-	db := st.db
-	start := time.Now()
-	var nb uint64
-	for i := range ents {
-		e := &ents[i]
-		if e.Op == ChangeDelete {
-			db.Delete(e.Key)
-		} else {
-			if _, err := db.PutBytes(e.Key, e.Val); err != nil {
-				return err
-			}
-		}
-		nb += uint64(len(e.Key) + len(e.Val))
-	}
-	if final {
-		db.Checkpoint()
-		db.trace.Record(obs.EvReplicaApply, -1, horizon, time.Since(start), int64(nb))
-		f.mu.Lock()
-		f.applied = horizon
-		f.bytes += nb
-		f.mu.Unlock()
-	}
-	return nil
+	return f.app.apply(horizon, final, ents)
 }
 
 // DB returns the follower store for reads. The identity changes across
@@ -578,8 +528,8 @@ func (f *Follower) netApply(horizon uint64, final bool, ents []repl.Entry) error
 // also enforces the watermark rule) or View, both of which pin the
 // current generation open for the read's duration.
 func (f *Follower) DB() *DB {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
+	f.app.mu.RLock()
+	defer f.app.mu.RUnlock()
 	if f.store == nil {
 		return nil
 	}
@@ -592,7 +542,7 @@ func (f *Follower) DB() *DB {
 // is not closed until fn returns. Use for multi-read operations
 // (iteration, snapshot export, metrics collection) on a live follower.
 func (f *Follower) View(fn func(db *DB)) error {
-	st, ok := f.pin()
+	st, _, ok := f.pin()
 	if !ok {
 		return errFollowerDone
 	}
@@ -603,19 +553,11 @@ func (f *Follower) View(fn func(db *DB)) error {
 
 // AppliedEpoch returns the follower's applied watermark: its state
 // equals the primary's at this epoch's checkpoint commit.
-func (f *Follower) AppliedEpoch() uint64 {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.applied
-}
+func (f *Follower) AppliedEpoch() uint64 { return f.app.state().applied }
 
 // BootstrapInfo describes the snapshot the current session bootstrapped
 // from.
-func (f *Follower) BootstrapInfo() SnapshotInfo {
-	f.mu.RLock()
-	defer f.mu.RUnlock()
-	return f.bootInfo
-}
+func (f *Follower) BootstrapInfo() SnapshotInfo { return f.app.state().info }
 
 // PrimaryReleased returns the primary's released horizon as last heard.
 func (f *Follower) PrimaryReleased() uint64 { return f.cli.PrimaryReleased() }
@@ -636,15 +578,7 @@ func (f *Follower) Reconnects() int64 { return f.cli.Reconnects() }
 // Lag reports how far the follower trails the primary's last-heard
 // released horizon.
 func (f *Follower) Lag() ReplicaLag {
-	f.mu.RLock()
-	applied := f.applied
-	f.mu.RUnlock()
-	rel := f.cli.PrimaryReleased()
-	lag := ReplicaLag{}
-	if rel > applied {
-		lag.Epochs = rel - applied
-	}
-	return lag
+	return ReplicaLag{Epochs: f.app.state().behind(f.cli.PrimaryReleased())}
 }
 
 // GetBytes serves a watermark-gated read: if the follower has applied at
@@ -653,13 +587,8 @@ func (f *Follower) Lag() ReplicaLag {
 // retries, here or on a less-lagged follower. Pass minEpoch 0 for a
 // plain local read at whatever the follower has.
 func (f *Follower) GetBytes(k []byte, minEpoch uint64) ([]byte, bool, error) {
-	f.mu.RLock()
-	st, applied := f.store, f.applied
-	if st != nil {
-		st.refs.Add(1) // pin under the read lock; see Follower.pin
-	}
-	f.mu.RUnlock()
-	if st == nil {
+	st, applied, ok := f.pin()
+	if !ok {
 		return nil, false, errFollowerDone
 	}
 	defer st.release()
@@ -673,22 +602,7 @@ func (f *Follower) GetBytes(k []byte, minEpoch uint64) ([]byte, bool, error) {
 // WaitWatermark blocks until the applied watermark reaches epoch or the
 // timeout elapses (returning the would-be LagError on timeout).
 func (f *Follower) WaitWatermark(epoch uint64, timeout time.Duration) error {
-	deadline := time.Now().Add(timeout)
-	for {
-		f.mu.RLock()
-		applied, done := f.applied, f.closed || f.promoted
-		f.mu.RUnlock()
-		if applied >= epoch {
-			return nil
-		}
-		if done {
-			return errFollowerDone
-		}
-		if time.Now().After(deadline) {
-			return &LagError{Need: epoch, Have: applied}
-		}
-		time.Sleep(time.Millisecond)
-	}
+	return f.app.wait(epoch, timeout)
 }
 
 // Promote stops following and returns the follower store as a
@@ -701,8 +615,9 @@ func (f *Follower) WaitWatermark(epoch uint64, timeout time.Duration) error {
 // primary) resync to it.
 func (f *Follower) Promote() (*DB, error) {
 	f.cli.Close() // joins the apply loop: no write can land after this
-	f.mu.Lock()
-	defer f.mu.Unlock()
+	f.app.fail(errFollowerDone)
+	f.app.mu.Lock()
+	defer f.app.mu.Unlock()
 	if f.closed {
 		return nil, errFollowerDone
 	}
@@ -719,7 +634,7 @@ func (f *Follower) Promote() (*DB, error) {
 	// reference is deliberately never released, so draining readers can
 	// not close the promoted DB out from under its new owner.
 	db := st.db
-	db.trace.Record(obs.EvNetPromote, -1, f.applied, 0, 0)
+	db.trace.Record(obs.EvNetPromote, -1, f.app.applied, 0, 0)
 	return db, nil
 }
 
@@ -728,15 +643,16 @@ func (f *Follower) Promote() (*DB, error) {
 // is owned by the caller and left open.
 func (f *Follower) Close() {
 	f.cli.Close()
-	f.mu.Lock()
+	f.app.fail(errFollowerDone)
+	f.app.mu.Lock()
 	if f.closed || f.promoted {
-		f.mu.Unlock()
+		f.app.mu.Unlock()
 		return
 	}
 	f.closed = true
 	st := f.store
 	f.store = nil
-	f.mu.Unlock()
+	f.app.mu.Unlock()
 	if st != nil {
 		st.release()
 	}

@@ -209,13 +209,16 @@ func TestFollowerReadsSurviveRebootstrap(t *testing.T) {
 			lis2 = l
 			return true
 		})
-		before := f.Reconnects()
+		// No bootstrap can complete while nothing serves, so the generation
+		// sampled here is the pre-bounce one; Reconnects() counts session
+		// ends (failed dials included) and may already have stopped moving.
+		before := f.app.state().gen
 		if rs, err = db.ServeReplication(lis2, srvOpts); err != nil {
 			t.Fatalf("re-serve %d: %v", i, err)
 		}
-		waitCond(t, "follower re-bootstrapped", func() bool {
-			return f.Connected() && f.Reconnects() > before
-		})
+		if !f.app.waitUntil(15*time.Second, func() bool { return f.app.gen > before }) {
+			t.Fatalf("bounce %d: follower never re-bootstrapped (generation %d)", i, before)
+		}
 	}
 	close(stop)
 	wg.Wait()

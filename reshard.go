@@ -7,11 +7,12 @@ package incll
 //
 //  1. Build: open a fresh target shard set at topology version V+1, sized
 //     from the original Options with the new shard count.
-//  2. Snapshot copy: subscribe (pinned) to the donor's change stream,
-//     then stream an online snapshot into the target (internal/repl) —
-//     exact at an anchor epoch, concurrent with writers.
-//  3. Tail: apply the released change stream to the target until it has
-//     caught up with the donor's committed horizon.
+//  2. Snapshot copy: bootstrap the applier (applier.go) from the donor
+//     itself — a pinned change subscription, then an online snapshot
+//     restored into the target, exact at an anchor epoch, concurrent with
+//     writers.
+//  3. Tail: the applier lands the released change stream in the target
+//     until it has caught up with the donor's committed horizon.
 //  4. Cutover: under the transaction manager's exclusive commit guard,
 //     gate new writers, drain in-flight ones, run the donor's final
 //     checkpoint, drain the stream to that final horizon, commit the
@@ -26,7 +27,6 @@ package incll
 
 import (
 	"fmt"
-	"io"
 	"time"
 
 	"sync/atomic"
@@ -137,6 +137,38 @@ func (db *DB) fireReshard(point string) error {
 	return db.reshardHook(point)
 }
 
+// reshardTarget lands the donor's snapshot and change stream in the next
+// topology, keeping ReshardProgress current: puts during the snapshot
+// phase are the copy, later ones are the tail, counted per released batch
+// together with the "tail-batch" protocol point.
+func (db *DB) reshardTarget(target *shard.Store, app *applier) applyTarget {
+	s := &db.rstate
+	h := target.Handle(0)
+	return applyTarget{
+		Target: repl.Target{
+			Put: func(k, v []byte) error {
+				h.PutBytes(k, v)
+				if s.phase.Load() == reshardSnapshot {
+					s.copiedKeys.Add(1)
+					s.copiedBytes.Add(int64(len(k) + len(v)))
+				}
+				return nil
+			},
+			Delete: func(k []byte) error {
+				h.Delete(k)
+				return nil
+			},
+			Checkpoint: func() { target.Advance() },
+		},
+		batchDone: func(epoch uint64, took time.Duration, n int, _ uint64) error {
+			s.tailed.Add(int64(n))
+			s.lagEpochs.Store(int64(app.state().behind(app.feed.Released())))
+			db.trace.Record(obs.EvReshardTail, -1, epoch, took, int64(n))
+			return db.fireReshard("tail-batch")
+		},
+	}
+}
+
 // Reshard repartitions the DB's keyspace across newShards shards, online:
 // reads, writes, and transactions keep running throughout; writers are
 // gated only for the cutover pause. On success the DB serves the new
@@ -193,49 +225,16 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	topts.setDefaults()
 	nextVer := donor.topo.Version + 1
 	target, _ := shard.Open(shardConfig(topts, nextVer, db.trace, db.stw, db.phases))
-	tgtH := target.Handle(0)
 
-	// Snapshot copy: subscribe first (pinned — the tail cannot consume
-	// until the restore finishes, so lagging in this window is by
-	// construction), then stream a consistent online snapshot straight
-	// into the target. Mirrors Replica.bootstrap.
-	stream := db.changesPinned()
-	defer stream.Close()
-	pr, pw := io.Pipe()
-	var (
-		expErr  error
-		expDone = make(chan struct{})
-	)
-	go func() {
-		defer close(expDone)
-		_, expErr = db.Snapshot(pw)
-		pw.CloseWithError(expErr)
-	}()
-	info, err := repl.Restore(pr, repl.Target{
-		Put: func(k, v []byte) error {
-			tgtH.PutBytes(k, v)
-			s.copiedKeys.Add(1)
-			s.copiedBytes.Add(int64(len(k) + len(v)))
-			return nil
-		},
-		Delete: func(k []byte) error {
-			tgtH.Delete(k)
-			return nil
-		},
-		Checkpoint: func() { target.Advance() },
-	})
-	// Unblock the exporter before waiting for it: if the restore side
-	// failed first, the exporter may be mid-Write with no reader left.
-	pr.CloseWithError(err)
-	<-expDone
-	if err == nil {
-		err = expErr
-	}
+	// Snapshot copy, then tail, through the applier: the replication path
+	// pointed back at this process, with the next topology as its target.
+	app := newApplier()
+	info, err := app.bootstrap(db, db.reshardTarget(target, app), nil)
 	if err != nil {
 		return fail(err)
 	}
-	anchor := info.AnchorEpoch
-	db.trace.Record(obs.EvReshardSnapshot, -1, anchor, time.Since(start), s.copiedKeys.Load())
+	defer app.feed.Close()
+	db.trace.Record(obs.EvReshardSnapshot, -1, info.AnchorEpoch, time.Since(start), s.copiedKeys.Load())
 	if err := db.fireReshard("snapshot-done"); err != nil {
 		return fail(err)
 	}
@@ -245,50 +244,10 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	}
 
 	// Tail: apply released batches until the target has caught up with
-	// everything committed so far. Entries at or below the anchor are
-	// baked into the snapshot; later ones replay last-write-wins.
+	// everything committed so far.
 	s.phase.Store(reshardTail)
-	applied := anchor
-	unpinned := false
-	drainTo := func(horizon uint64) error {
-		for applied < horizon {
-			s.lagEpochs.Store(int64(horizon - applied))
-			b, err := stream.Next()
-			if err != nil {
-				return err
-			}
-			if !unpinned {
-				// The bootstrap window is over: the tail is an active
-				// consumer, subject to the normal journal budget.
-				stream.sub.Unpin()
-				unpinned = true
-			}
-			t0 := time.Now()
-			var n int64
-			for i := range b.Changes {
-				c := &b.Changes[i]
-				if c.Epoch <= anchor {
-					continue
-				}
-				if c.Op == ChangeDelete {
-					tgtH.Delete(c.Key)
-				} else {
-					tgtH.PutBytes(c.Key, c.Value)
-				}
-				n++
-			}
-			target.Advance() // the target is always a whole released prefix
-			applied = b.Epoch
-			s.tailed.Add(n)
-			db.trace.Record(obs.EvReshardTail, -1, b.Epoch, time.Since(t0), n)
-			if err := db.fireReshard("tail-batch"); err != nil {
-				return err
-			}
-		}
-		s.lagEpochs.Store(0)
-		return nil
-	}
-	if err := drainTo(stream.Released()); err != nil {
+	s.lagEpochs.Store(int64(app.state().behind(app.feed.Released())))
+	if err := app.tail(app.feed.Released()); err != nil {
 		return fail(err)
 	}
 	if err := db.fireReshard("pre-cutover"); err != nil {
@@ -322,7 +281,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 			unwind()
 			return false, err
 		}
-		if err := drainTo(stream.Released()); err != nil {
+		if err := app.tail(app.feed.Released()); err != nil {
 			unwind()
 			return false, err
 		}
