@@ -245,27 +245,36 @@ func (al *Allocator) spliceLimbo(newEpoch uint64) {
 			if limbo == 0 {
 				continue
 			}
-			// Walk to the limbo tail and hang the allocatable list off it.
-			// This runs in the *new* epoch, so every mutation below is
-			// InCLL-protected like any other epoch's first mutation.
-			tail := limbo
-			for {
-				next := al.loadNext(tail)
-				if next == 0 {
-					break
-				}
-				tail = next
-			}
-			head := a.Load(off + chHead)
-			if head != 0 {
+			// Hang the allocatable list off the limbo tail. This runs in the
+			// *new* epoch, so every mutation below is InCLL-protected like
+			// any other epoch's first mutation.
+			tail := al.limboTail(s, c, limbo)
+			if head := a.Load(off + chHead); head != 0 {
 				al.storeNext(tail, head, newEpoch)
 			}
 			al.logClassHeads(off, newEpoch)
 			a.Store(off+chHead, limbo)
 			a.Store(off+chLimbo, 0)
+			al.shards[s].tails[c] = 0
 		}
 	}
 	al.limbo.Store(0)
+}
+
+// limboTail returns the last block of shard s's class-c limbo list, whose
+// head is limbo: the tail freeTo recorded, or — when this Allocator did not
+// see the list begin, which is every list that survived a crash — the
+// result of walking it, which also lazily repairs the headers the failed
+// epoch tore.
+func (al *Allocator) limboTail(s, c int, limbo uint64) uint64 {
+	if tail := al.shards[s].tails[c]; tail != 0 {
+		return tail
+	}
+	tail := limbo
+	for next := al.loadNext(tail); next != 0; next = al.loadNext(tail) {
+		tail = next
+	}
+	return tail
 }
 
 // logClassHeads performs the InCLLp-style first-touch logging of a class
@@ -401,6 +410,15 @@ func (al *Allocator) refill(c int, cur uint64) uint64 {
 type Handle struct {
 	al    *Allocator
 	shard int
+
+	// tails[c] is the last block of the class-c limbo list — the first block
+	// freed into it while it was empty — or 0 when unknown. Volatile: it
+	// lets the boundary splice link tail → free list without walking the
+	// epoch's frees with the world stopped. Written by the owning worker in
+	// freeTo and by spliceLimbo; the epoch barrier orders the two.
+	tails [totalClasses]uint64
+
+	_ [8]byte // pad to two cache lines: handles sit side by side in Allocator.shards
 }
 
 // Alloc returns the payload offset of a fresh object able to hold
@@ -478,7 +496,11 @@ func (h *Handle) freeTo(c int, obj uint64) {
 	cur := al.mgr.Current()
 	off := al.classOff(h.shard, c)
 	al.logClassHeads(off, cur)
-	al.storeNext(obj, a.Load(off+chLimbo), cur)
+	limbo := a.Load(off + chLimbo)
+	if limbo == 0 {
+		h.tails[c] = obj
+	}
+	al.storeNext(obj, limbo, cur)
 	a.Store(off+chLimbo, obj)
 	al.limbo.Add(1)
 }

@@ -1,12 +1,17 @@
 package alloc
 
 import (
+	"fmt"
 	"math/rand"
+	"slices"
 	"testing"
 	"testing/quick"
+	"time"
+	"unsafe"
 
 	"incll/internal/epoch"
 	"incll/internal/nvm"
+	"incll/internal/obs"
 )
 
 type fixture struct {
@@ -443,5 +448,271 @@ func TestNodeAllocCrashRollback(t *testing.T) {
 		if !got[d] {
 			t.Fatalf("doomed node %d leaked (not allocatable after crash)", d)
 		}
+	}
+}
+
+// ---- the boundary splice: recorded tail vs the walk ----
+
+// Handles sit side by side in Allocator.shards and each worker writes its
+// own tails on every first free of an epoch: a handle must fill whole
+// cache lines or neighbours false-share.
+func TestHandleFillsWholeCacheLines(t *testing.T) {
+	if sz := unsafe.Sizeof(Handle{}); sz%nvm.LineBytes != 0 {
+		t.Fatalf("Handle is %d bytes, not a multiple of the %d-byte cache line: fix its padding", sz, nvm.LineBytes)
+	}
+}
+
+// forgetTails makes the next splice find every limbo tail by walking, as
+// every splice did before tails were recorded: the reference the O(1)
+// splice is compared with.
+func (al *Allocator) forgetTails() {
+	for s := range al.shards {
+		al.shards[s].tails = [totalClasses]uint64{}
+	}
+}
+
+func (f *fixture) freeList(s, c int) []uint64 {
+	var objs []uint64
+	for obj := f.arena.Load(f.al.classOff(s, c) + chHead); obj != 0; obj = f.al.loadNext(obj) {
+		objs = append(objs, obj)
+	}
+	return objs
+}
+
+func (f *fixture) allocClass(s, c int) uint64 {
+	if c == nodeClass {
+		return f.al.Handle(s).AllocNode()
+	}
+	return f.al.Handle(s).Alloc(ClassPayloadWords(c))
+}
+
+func (f *fixture) freeClass(s, c int, p uint64) {
+	if c == nodeClass {
+		f.al.Handle(s).FreeNode(p)
+		return
+	}
+	f.al.Handle(s).Free(p, ClassPayloadWords(c))
+}
+
+var spliceTestClasses = []int{0, 3, 5, 7, nodeClass}
+
+// classKey names one (shard, class) pair of free and limbo lists.
+type classKey struct{ s, c int }
+
+// sameFreeLists fails the test unless both fixtures hold the same free
+// lists, block for block, empty limbo lists, and want(k) free blocks.
+func sameFreeLists(t *testing.T, when string, fast, ref *fixture, want func(k classKey) int) {
+	t.Helper()
+	for s := 0; s < fast.al.Shards(); s++ {
+		for _, c := range spliceTestClasses {
+			if n := fast.al.LimboLen(s, c) + ref.al.LimboLen(s, c); n != 0 {
+				t.Fatalf("%s: shard %d class %d: %d blocks left in limbo", when, s, c, n)
+			}
+			got, refList := fast.freeList(s, c), ref.freeList(s, c)
+			if want := want(classKey{s, c}); len(got) != want {
+				t.Fatalf("%s: shard %d class %d: %d free blocks, want %d", when, s, c, len(got), want)
+			}
+			if !slices.Equal(got, refList) {
+				t.Fatalf("%s: shard %d class %d: free list %v, walking reference %v", when, s, c, got, refList)
+			}
+		}
+	}
+}
+
+// Randomized multi-epoch churn over two handles and several classes: after
+// every boundary the spliced free lists equal, block for block, those of a
+// twin allocator that walks to every tail, limbo is empty, and free + live
+// blocks account for everything carved.
+func TestSpliceTailMatchesWalk(t *testing.T) {
+	for seed := int64(0); seed < 5; seed++ {
+		fast, ref := newFixture(t, 2), newFixture(t, 2)
+		rng := rand.New(rand.NewSource(seed))
+		live, carved := map[classKey][]uint64{}, map[classKey]int{}
+		boundaries := 0
+		for step := 0; step < 4000; step++ {
+			k := classKey{rng.Intn(2), spliceTestClasses[rng.Intn(len(spliceTestClasses))]}
+			switch r := rng.Intn(40); {
+			case r == 0:
+				ref.al.forgetTails()
+				fast.mgr.Advance()
+				ref.mgr.Advance()
+				boundaries++
+				sameFreeLists(t, fmt.Sprintf("seed %d boundary %d", seed, boundaries), fast, ref,
+					func(k classKey) int { return carved[k] - len(live[k]) })
+			case r < 20 && len(live[k]) > 0:
+				i := rng.Intn(len(live[k]))
+				p := live[k][i]
+				live[k] = append(live[k][:i], live[k][i+1:]...)
+				fast.freeClass(k.s, k.c, p)
+				ref.freeClass(k.s, k.c, p)
+			default:
+				if fast.al.FreeListLen(k.s, k.c) == 0 {
+					carved[k] += int(refillCount(classSize(k.c)))
+				}
+				p, q := fast.allocClass(k.s, k.c), ref.allocClass(k.s, k.c)
+				if p == 0 || p != q {
+					t.Fatalf("seed %d step %d: alloc gave %d, walking reference %d", seed, step, p, q)
+				}
+				live[k] = append(live[k], p)
+			}
+		}
+		if boundaries < 20 {
+			t.Fatalf("seed %d: only %d boundaries", seed, boundaries)
+		}
+	}
+}
+
+// doomedSplice drives f through: 30 allocations and 10 frees per (shard,
+// class); a boundary; 10 more frees; a second boundary, whose splice runs
+// in the epoch that is about to fail; 5 doomed frees and a doomed
+// allocation. With walk set, every splice finds its tail by walking. It
+// returns, per (shard, class), the blocks live as of the last commit and
+// the number carved.
+func doomedSplice(f *fixture, walk bool) (live map[classKey][]uint64, carved map[classKey]int) {
+	live, carved = map[classKey][]uint64{}, map[classKey]int{}
+	advance := func() {
+		if walk {
+			f.al.forgetTails()
+		}
+		f.mgr.Advance()
+	}
+	each := func(do func(k classKey)) {
+		for s := 0; s < f.al.Shards(); s++ {
+			for _, c := range spliceTestClasses {
+				do(classKey{s, c})
+			}
+		}
+	}
+	free := func(k classKey, n int) {
+		for _, p := range live[k][:n] {
+			f.freeClass(k.s, k.c, p)
+		}
+		live[k] = live[k][n:]
+	}
+	each(func(k classKey) {
+		for i := 0; i < 30; i++ {
+			live[k] = append(live[k], f.allocClass(k.s, k.c))
+		}
+		carved[k] = f.al.FreeListLen(k.s, k.c) + 30
+		free(k, 10)
+	})
+	advance()
+	each(func(k classKey) { free(k, 10) })
+	advance()
+	each(func(k classKey) {
+		committed := live[k]
+		free(k, 5)
+		f.allocClass(k.s, k.c)
+		live[k] = committed
+	})
+	return live, carved
+}
+
+// A crash forgets every recorded tail. The limbo that survives it — the
+// frees of the last committed epoch, whose splice the failed epoch undoes,
+// the tail's header still carrying that epoch's link into the free list —
+// is spliced by New's walk, header repair included, onto the same free
+// lists whether the run before the crash spliced by tail or by walk.
+func TestCrashedLimboSplicesByWalk(t *testing.T) {
+	policies := map[string]func() nvm.Policy{
+		"all":     func() nvm.Policy { return nvm.PersistAll },
+		"none":    func() nvm.Policy { return nvm.PersistNone },
+		"evenodd": func() nvm.Policy { return nvm.EvenOddPolicy(0) },
+		"random1": func() nvm.Policy { return nvm.RandomPolicy(0.5, 1) },
+		"random2": func() nvm.Policy { return nvm.RandomPolicy(0.5, 2) },
+	}
+	for name, policy := range policies {
+		fast, ref := newFixture(t, 2), newFixture(t, 2)
+		live, carved := doomedSplice(fast, false)
+		doomedSplice(ref, true)
+		fast.arena.Crash(policy())
+		ref.arena.Crash(policy())
+		fast, ref = fast.rebuild(), ref.rebuild()
+		sameFreeLists(t, name+": after reopen", fast, ref,
+			func(k classKey) int { return carved[k] - len(live[k]) })
+
+		// The recovered allocator records tails again.
+		for k, ps := range live {
+			for _, p := range ps {
+				fast.freeClass(k.s, k.c, p)
+				ref.freeClass(k.s, k.c, p)
+			}
+		}
+		ref.al.forgetTails()
+		fast.mgr.Advance()
+		ref.mgr.Advance()
+		sameFreeLists(t, name+": after the next boundary", fast, ref,
+			func(k classKey) int { return carved[k] })
+	}
+}
+
+// The trace splits a checkpoint's stop-the-world window into the flush
+// (EvCheckpointPrepare's duration) and the boundary work — the OnAdvance
+// callbacks, this package's splice among them, and the commit hooks
+// (EvCheckpointCommit's argument). On a free-heavy run the two account for
+// the window.
+func TestCheckpointTraceSplitsTheWindow(t *testing.T) {
+	f := newFixture(t, 1)
+	tr := obs.NewTracer(0)
+	f.mgr.Instrument(tr, nil, 0)
+	h := f.al.Handle(0)
+	const epochs, blocks = 8, 6000
+	for e := 0; e < epochs; e++ {
+		ps := make([]uint64, blocks)
+		for i := range ps {
+			ps[i] = h.Alloc(ClassPayloadWords(1)) // one block per cache line
+		}
+		for _, p := range ps {
+			h.Free(p, ClassPayloadWords(1))
+		}
+		f.mgr.Advance()
+	}
+	var flush, parts, windows time.Duration
+	commits := 0
+	for _, ev := range tr.Events() {
+		switch ev.Kind {
+		case obs.EvCheckpointPrepare:
+			flush = ev.Dur
+		case obs.EvCheckpointCommit:
+			commits++
+			boundary := time.Duration(ev.Arg)
+			if boundary <= 0 || flush+boundary > ev.Dur {
+				t.Fatalf("epoch %d: flush %v + boundary %v, window %v", ev.Epoch, flush, boundary, ev.Dur)
+			}
+			parts += flush + boundary
+			windows += ev.Dur
+		}
+	}
+	if commits != epochs {
+		t.Fatalf("%d checkpoint commits traced, want %d", commits, epochs)
+	}
+	if parts < windows*9/10 {
+		t.Fatalf("flush + boundary = %v of %v stopped: less than 90%% of the window is attributed", parts, windows)
+	}
+}
+
+// The boundary splice costs the same however many blocks the epoch freed:
+// ns/splice is the splice alone (ns/op includes allocating and freeing the
+// blocks, which is linear).
+func BenchmarkSpliceLimbo(b *testing.B) {
+	for _, frees := range []int{16, 256, 4096} {
+		b.Run(fmt.Sprintf("frees=%d", frees), func(b *testing.B) {
+			f := newFixture(b, 1)
+			h := f.al.Handle(0)
+			ps := make([]uint64, frees)
+			var splice time.Duration
+			for i := 0; i < b.N; i++ {
+				for j := range ps {
+					ps[j] = h.Alloc(2)
+				}
+				for _, p := range ps {
+					h.Free(p, 2)
+				}
+				t0 := time.Now()
+				f.al.spliceLimbo(f.mgr.Current())
+				splice += time.Since(t0)
+			}
+			b.ReportMetric(float64(splice.Nanoseconds())/float64(b.N), "ns/splice")
+		})
 	}
 }

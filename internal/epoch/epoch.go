@@ -354,10 +354,12 @@ func (m *Manager) Commit() {
 	a.Fence()
 
 	m.current.Store(next)
+	t0 := time.Now()
 	for _, f := range m.onAdvance {
 		f(next)
 	}
 	m.fireCommit(cur)
+	boundary := time.Since(t0)
 	m.advances.Add(1)
 	if !m.prepStart.IsZero() {
 		window := time.Since(m.prepStart)
@@ -365,7 +367,7 @@ func (m *Manager) Commit() {
 		if m.stw != nil {
 			m.stw.Record(int64(window))
 		}
-		m.trace.Record(obs.EvCheckpointCommit, m.shard, cur, window, 0)
+		m.trace.Record(obs.EvCheckpointCommit, m.shard, cur, window, int64(boundary))
 	}
 	m.world.Unlock()
 }

@@ -25,8 +25,11 @@ package nvm
 
 import (
 	"fmt"
+	"iter"
+	"math"
 	"math/bits"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -46,6 +49,21 @@ const (
 	lineDirty    uint32 = 1 << 0 // written since last persist
 	linePending  uint32 = 1 << 1 // writeback issued, fence not yet executed
 	lineFlushing uint32 = 1 << 2 // background eviction in progress
+)
+
+const (
+	// sweepChunk is the unit of work of FlushAll's dirty-line sweep, in
+	// summary words: one claim covers 4096 lines (256 KiB of arena), large
+	// enough that the shared cursor is touched once per ~100 µs of copying
+	// and small enough that the last chunks balance across cores. One
+	// uint64 holds a bit per summary word of a chunk.
+	sweepChunk = 64
+
+	// flushAloneLines is how many lines FlushAll's caller persists by itself
+	// before it calls the other cores in. Waking an idle core costs a few
+	// tens of microseconds; below ~0.3 ms of copying that hand-off is not
+	// repaid, so small boundaries never leave the calling goroutine.
+	flushAloneLines = 8192
 )
 
 // Config describes a simulated memory subsystem.
@@ -80,12 +98,18 @@ type Config struct {
 // Arena is a simulated NVM region. All durable state of the system lives in
 // one Arena and is accessed with Load and Store at word granularity.
 //
-// Concurrency: Load and Store are safe for concurrent use. Writeback and
-// Fence must only be applied to lines the calling goroutine has exclusive
-// write access to (in this codebase they are used on per-thread log buffers
-// and on barrier-protected metadata, which satisfies that). FlushAll and
-// Crash require all mutators to be quiescent, which the epoch manager's
-// global barrier provides.
+// Concurrency: Load and Store are safe for concurrent use. Writeback must
+// only be applied to lines the calling goroutine has exclusive write access
+// to, and the owner must not store to such a line again until a Fence has
+// drained it: Fence persists every worker's pending lines, not just the
+// caller's (a real sfence is per core), and marks each clean after copying
+// it, so a store racing with another worker's Fence can land in a line
+// that is then marked clean — lost to dirty tracking until the line is
+// stored to again (ROADMAP item 2, per-worker fences). In this codebase
+// Writeback is used on per-thread log buffers and on barrier-protected
+// metadata, each fenced before its next store. FlushAll and Crash require
+// all mutators to be quiescent, which the epoch manager's global barrier
+// provides; FlushAll is internally parallel (see there).
 type Arena struct {
 	volatile []uint64        // the image mutators see (through the cache)
 	persist  []uint64        // the NVM image
@@ -102,6 +126,11 @@ type Arena struct {
 	mu       sync.Mutex // guards slow paths: Fence, FlushAll, Crash, eviction scan cursor
 	evictPos int
 	rng      *rand.Rand
+
+	// sweepNext is the first summary word no goroutine of the FlushAll in
+	// progress has claimed yet. FlushAll's caller holds mu for the whole
+	// sweep, so there is one sweep at a time.
+	sweepNext atomic.Int64
 
 	pendMu  sync.Mutex
 	pending []int // lines with an outstanding writeback
@@ -333,11 +362,15 @@ func (a *Arena) persistLineLocked(line int) {
 	for i := uint64(0); i < WordsPerLine; i++ {
 		a.persist[base+i] = atomic.LoadUint64(&a.volatile[base+i])
 	}
+	// Summary bit first, flags second: a store that re-dirties the line after
+	// the swap then sets both again, so a line with non-zero flags always has
+	// its summary bit set — what lets FlushAll and Crash visit summary-marked
+	// lines only.
+	a.clearSummary(line)
 	old := a.flags[line].Swap(0)
 	if old&lineDirty != 0 && a.evict {
 		a.dirtyCount.Add(-1)
 	}
-	a.clearSummary(line)
 	a.stats.LinesPersisted.Add(1)
 }
 
@@ -373,7 +406,7 @@ func (a *Arena) maybeEvict() {
 		if w == 0 {
 			continue
 		}
-		line := g<<6 + trailingZeros(w&(-w))
+		line := g<<6 + bits.TrailingZeros64(w)
 		if !a.flags[line].CompareAndSwap(lineDirty, lineFlushing) {
 			continue // pending or being rewritten; pick another victim
 		}
@@ -382,48 +415,72 @@ func (a *Arena) maybeEvict() {
 		for i := uint64(0); i < WordsPerLine; i++ {
 			buf[i] = atomic.LoadUint64(&a.volatile[base+i])
 		}
+		// Summary bit before flags, as in persistLineLocked.
+		a.clearSummary(line)
 		if a.flags[line].CompareAndSwap(lineFlushing, 0) {
 			// No store raced with the copy: buf is a consistent
 			// point-in-time snapshot of the line; persist it.
 			copy(a.persist[base:base+WordsPerLine], buf[:])
 			a.dirtyCount.Add(-1)
-			a.clearSummary(line)
 			a.stats.Evictions.Add(1)
 			a.stats.LinesPersisted.Add(1)
 		} else {
 			// A writer re-dirtied the line mid-copy; drop the torn copy.
+			orU64(&a.summary[line>>6], 1<<(uint(line)&63))
 			andU32(&a.flags[line], ^lineFlushing)
 		}
 		return
 	}
 }
 
+// dirty yields, in ascending order, every line among those of summary words
+// [lo, hi) that is not yet persistent (dirty, pending or mid-eviction). It
+// is the one dirty-set iterator: FlushAll's chunks, Crash and DirtyLines
+// all range over it. A group's summary word is read once, so the loop body
+// may clear the flags and summary bit of the line it was handed.
+func (a *Arena) dirty(lo, hi int) iter.Seq[int] {
+	return func(yield func(int) bool) {
+		for g := lo; g < hi; g++ {
+			for w := a.summary[g].Load(); w != 0; w &= w - 1 {
+				line := g<<6 + bits.TrailingZeros64(w)
+				if a.flags[line].Load() != 0 && !yield(line) {
+					return
+				}
+			}
+		}
+	}
+}
+
 // FlushAll persists every dirty or pending line (wbinvd at an epoch
 // boundary) and returns the number of lines persisted. All mutators must be
 // quiescent. Injects the configured flush cost model.
+//
+// wbinvd drains every core's cache at once, so the sweep uses every core:
+// the arena is cut into chunks of sweepChunk summary words which the caller
+// and, for a large flush, up to GOMAXPROCS-1 helper goroutines claim from a
+// shared cursor. The helpers are started only after the caller has itself
+// persisted flushAloneLines lines with chunks still unclaimed, and FlushAll
+// returns only after every one of them has finished: the caller's next
+// store (the epoch's commit record) is ordered after the last line copy.
 func (a *Arena) FlushAll() int {
 	a.mu.Lock()
-	n := 0
-	// Mutators are quiesced, so bulk-copy without per-line atomics: the
-	// hardware analogue is wbinvd streaming the whole dirty set.
-	for g := range a.summary {
-		w := a.summary[g].Load()
-		if w == 0 {
-			continue
+	a.sweepNext.Store(0)
+	n := a.flushChunks(flushAloneLines)
+	if int(a.sweepNext.Load()) < len(a.summary) {
+		var (
+			helpers sync.WaitGroup
+			helped  atomic.Int64
+		)
+		for i := runtime.GOMAXPROCS(0) - 1; i > 0; i-- {
+			helpers.Add(1)
+			go func() {
+				defer helpers.Done()
+				helped.Add(int64(a.flushChunks(math.MaxInt)))
+			}()
 		}
-		for bits := w; bits != 0; {
-			bit := bits & (-bits)
-			bits &^= bit
-			line := g<<6 + trailingZeros(bit)
-			if a.flags[line].Load() == 0 {
-				continue
-			}
-			base := uint64(line) * WordsPerLine
-			copy(a.persist[base:base+WordsPerLine], a.volatile[base:base+WordsPerLine])
-			a.flags[line].Store(0)
-			n++
-		}
-		a.summary[g].Store(0)
+		n += a.flushChunks(math.MaxInt)
+		helpers.Wait() // every helper's copies happen before the return
+		n += int(helped.Load())
 	}
 	if a.evict {
 		a.dirtyCount.Store(0)
@@ -435,30 +492,84 @@ func (a *Arena) FlushAll() int {
 	return n
 }
 
+// flushChunks claims chunks from the sweep cursor and persists their dirty
+// lines until no chunk is left or more than limit lines have been
+// persisted, and returns that number of lines.
+func (a *Arena) flushChunks(limit int) int {
+	n := 0
+	for n <= limit {
+		lo := int(a.sweepNext.Add(sweepChunk)) - sweepChunk
+		if lo >= len(a.summary) {
+			break
+		}
+		n += a.flushChunk(lo, min(lo+sweepChunk, len(a.summary)))
+	}
+	return n
+}
+
+// flushChunk persists the dirty lines of summary words [lo, hi), at most
+// sweepChunk of them, and marks them clean. Mutators are quiesced, so lines
+// are bulk-copied without per-line atomics, and all of a chunk's copies
+// come before any of its flag clears: an atomic store is a full barrier,
+// and one between every two copies would hold the core to a single
+// outstanding DRAM miss.
+func (a *Arena) flushChunk(lo, hi int) int {
+	n := 0
+	var groups uint64 // bit i: summary word lo+i has a dirty line
+	for line := range a.dirty(lo, hi) {
+		base := line * WordsPerLine
+		copy(a.persist[base:base+WordsPerLine], a.volatile[base:base+WordsPerLine])
+		groups |= 1 << uint(line>>6-lo)
+		n++
+	}
+	a.markClean(lo, groups)
+	return n
+}
+
+// markClean clears the flags of every dirty line of the summary words
+// lo+i whose bit i is set in groups, and those summary words.
+func (a *Arena) markClean(lo int, groups uint64) {
+	for ; groups != 0; groups &= groups - 1 {
+		g := lo + bits.TrailingZeros64(groups)
+		for line := range a.dirty(g, g+1) {
+			a.flags[line].Store(0)
+		}
+		a.summary[g].Store(0)
+	}
+}
+
 // Crash simulates a power failure: every line that is not yet persistent
 // (dirty, pending, or mid-eviction) is either persisted whole or dropped,
 // as decided by the policy; then the cache contents are lost and the
 // volatile image is reloaded from the persistent image. All mutators must
 // be quiescent. After Crash returns, the arena holds exactly the state a
 // recovering process would find in NVM.
+//
+// A clean line has the same contents in both images by construction, so
+// reloading means restoring just the lines the policy drops: the cost is
+// linear in the dirty set, not in the arena.
 func (a *Arena) Crash(p Policy) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
-	for line := 0; line < a.lines; line++ {
-		f := a.flags[line].Load()
-		if f != 0 {
+	var persisted, lost int64
+	for lo := 0; lo < len(a.summary); lo += sweepChunk {
+		var groups uint64
+		for line := range a.dirty(lo, min(lo+sweepChunk, len(a.summary))) {
+			base := line * WordsPerLine
+			vol, per := a.volatile[base:base+WordsPerLine], a.persist[base:base+WordsPerLine]
 			if p.Persist(line) {
-				base := uint64(line) * WordsPerLine
-				copy(a.persist[base:base+WordsPerLine], a.volatile[base:base+WordsPerLine])
-				a.stats.CrashLinesPersisted.Add(1)
+				copy(per, vol)
+				persisted++
 			} else {
-				a.stats.CrashLinesLost.Add(1)
+				copy(vol, per)
+				lost++
 			}
-			a.flags[line].Store(0)
-			a.clearSummary(line)
+			groups |= 1 << uint(line>>6-lo)
 		}
+		a.markClean(lo, groups)
 	}
-	copy(a.volatile, a.persist)
+	a.stats.CrashLinesPersisted.Add(persisted)
+	a.stats.CrashLinesLost.Add(lost)
 	a.dirtyCount.Store(0)
 	a.pendMu.Lock()
 	a.pending = nil
@@ -469,16 +580,8 @@ func (a *Arena) Crash(p Policy) {
 // DirtyLines returns the number of lines that are not yet persistent.
 func (a *Arena) DirtyLines() int {
 	n := 0
-	for g := range a.summary {
-		w := a.summary[g].Load()
-		for w != 0 {
-			bit := w & (-w)
-			w &^= bit
-			line := g<<6 + trailingZeros(bit)
-			if a.flags[line].Load() != 0 {
-				n++
-			}
-		}
+	for range a.dirty(0, len(a.summary)) {
+		n++
 	}
 	return n
 }
@@ -493,8 +596,6 @@ func (a *Arena) LoadPersisted(off uint64) uint64 {
 
 // Stats returns the arena's counters.
 func (a *Arena) Stats() *Stats { return &a.stats }
-
-func trailingZeros(x uint64) int { return bits.TrailingZeros64(x) }
 
 // spinWait busy-waits for roughly d. Sleeping is useless at the sub-
 // microsecond scale the latency model needs, so we spin like the paper's

@@ -2,6 +2,7 @@ package nvm
 
 import (
 	"math/rand"
+	"runtime"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -437,5 +438,167 @@ func TestPendingListSurvivesInterleavedStores(t *testing.T) {
 	}
 	if a.Load(16) != 0 {
 		t.Fatal("unfenced line persisted spuriously")
+	}
+}
+
+// imagesDiffer returns the first word at which the volatile and persistent
+// images differ, or -1.
+func imagesDiffer(a *Arena) int {
+	a.mu.Lock()
+	defer a.mu.Unlock()
+	for i := range a.volatile {
+		if a.volatile[i] != a.persist[i] {
+			return i
+		}
+	}
+	return -1
+}
+
+// dirtyRegions stores into random runs of up to lines lines in all: dense
+// runs touch every line, sparse runs one line in stride.
+func dirtyRegions(a *Arena, rng *rand.Rand, lines int) {
+	for lines > 0 {
+		run := 1 + rng.Intn(lines)
+		stride := 1
+		if rng.Intn(2) == 0 {
+			stride = 1 + rng.Intn(97) // sparse: at most one line per stride
+		}
+		start := 1 + rng.Intn(a.Lines()-1)
+		for i := 0; i < run; i++ {
+			line := (start + i*stride) % a.Lines()
+			if line == 0 {
+				continue // word 0's line is never handed out
+			}
+			a.Store(uint64(line)*WordsPerLine+uint64(rng.Intn(WordsPerLine)), rng.Uint64()|1)
+		}
+		lines -= run
+	}
+}
+
+// Property: whatever the dirty set — sparse or dense, on either side of
+// the size at which FlushAll calls helper goroutines in — the flush
+// persists exactly the dirty lines, once, and leaves the images equal.
+// Meant to run at -cpu 1,2,4 and under -race.
+func TestPropertyFlushAllSweep(t *testing.T) {
+	sizes := []int{0, 1, 63, flushAloneLines / 2, flushAloneLines, flushAloneLines + 1, 3 * flushAloneLines, 6 * flushAloneLines}
+	for _, capacity := range []int{0, 1 << 30} { // without and with dirty-set accounting
+		a := New(Config{Words: 8 * flushAloneLines * WordsPerLine, DirtyCapacity: capacity})
+		rng := rand.New(rand.NewSource(int64(capacity) + 1))
+		for round, size := range append(sizes, sizes...) {
+			dirtyRegions(a, rng, size)
+			// A pending-but-unfenced line is flushed like any dirty one.
+			pend := uint64(1+rng.Intn(a.Lines()-1)) * WordsPerLine
+			a.Store(pend, uint64(round)+2)
+			a.Writeback(pend)
+
+			want := a.DirtyLines()
+			before := a.Stats().LinesPersisted.Load()
+			got := a.FlushAll()
+			if got != want {
+				t.Fatalf("capacity %d size %d: FlushAll() = %d, DirtyLines() before = %d", capacity, size, got, want)
+			}
+			if d := a.Stats().LinesPersisted.Load() - before; d != int64(want) {
+				t.Fatalf("capacity %d size %d: LinesPersisted moved by %d, want %d", capacity, size, d, want)
+			}
+			if d := a.DirtyLines(); d != 0 {
+				t.Fatalf("capacity %d size %d: %d lines dirty after FlushAll", capacity, size, d)
+			}
+			if w := imagesDiffer(a); w >= 0 {
+				t.Fatalf("capacity %d size %d: images differ at word %d after FlushAll", capacity, size, w)
+			}
+			if a.LoadPersisted(pend) != uint64(round)+2 {
+				t.Fatalf("capacity %d size %d: pending line not flushed", capacity, size)
+			}
+			if c := a.dirtyCount.Load(); c != 0 {
+				t.Fatalf("capacity %d size %d: dirtyCount = %d after FlushAll", capacity, size, c)
+			}
+			a.Fence() // drains the stale pending entry; must persist nothing
+			if d := a.Stats().LinesPersisted.Load() - before; d != int64(want) {
+				t.Fatalf("capacity %d size %d: Fence after FlushAll persisted a line", capacity, size)
+			}
+		}
+	}
+}
+
+// A flush of at most flushAloneLines lines is the caller's alone, however
+// the lines are spread over the arena and however many cores are idle.
+func TestSmallFlushStartsNoGoroutine(t *testing.T) {
+	defer runtime.GOMAXPROCS(runtime.GOMAXPROCS(4))
+	a := New(Config{Words: 8 * flushAloneLines * WordsPerLine})
+	stride := a.Lines() / flushAloneLines
+	for round := 0; round < 50; round++ {
+		for i := 1; i <= flushAloneLines; i++ { // line 0 is never handed out
+			a.Store(uint64(i*stride-1)*WordsPerLine, uint64(round)+1)
+		}
+		before := runtime.NumGoroutine()
+		n := a.FlushAll()
+		if after := runtime.NumGoroutine(); after != before {
+			t.Fatalf("round %d: %d goroutines before a %d-line flush, %d after", round, before, n, after)
+		}
+		if n != flushAloneLines {
+			t.Fatalf("round %d: flushed %d lines, want %d", round, n, flushAloneLines)
+		}
+	}
+}
+
+// Crash restores only the lines its policy drops. Pin that this equals a
+// reload of the whole image: afterwards the two images agree word for
+// word, and they hold what a full scan of the line flags would have left.
+func TestCrashLeavesImagesEqual(t *testing.T) {
+	policies := map[string]func() Policy{
+		"all":     func() Policy { return PersistAll },
+		"none":    func() Policy { return PersistNone },
+		"random":  func() Policy { return RandomPolicy(0.5, 42) },
+		"evenodd": func() Policy { return EvenOddPolicy(1) },
+	}
+	for name, policy := range policies {
+		for _, capacity := range []int{0, 64} {
+			a := New(Config{Words: 1 << 15, DirtyCapacity: capacity, Seed: 3})
+			rng := rand.New(rand.NewSource(9))
+			for round := 0; round < 4; round++ {
+				dirtyRegions(a, rng, 600)
+				for i := 0; i < 20; i++ { // some lines pending, some fenced
+					off := uint64(1+rng.Intn(a.Lines()-1)) * WordsPerLine
+					a.Store(off, rng.Uint64()|1)
+					a.Writeback(off)
+					if i%4 == 0 {
+						a.Fence()
+					}
+				}
+				if round == 1 {
+					a.FlushAll() // crash right after a boundary, too
+				}
+				// Reference: the full scan over every line's flags.
+				want := append([]uint64(nil), a.persist...)
+				ref := policy()
+				lost := 0
+				for line := range a.flags {
+					if a.flags[line].Load() == 0 {
+						continue
+					}
+					if ref.Persist(line) {
+						copy(want[line*WordsPerLine:(line+1)*WordsPerLine], a.volatile[line*WordsPerLine:])
+					} else {
+						lost++
+					}
+				}
+				lostBefore := a.Stats().CrashLinesLost.Load()
+				a.Crash(policy())
+				if w := imagesDiffer(a); w >= 0 {
+					t.Fatalf("%s/capacity %d round %d: images differ at word %d after Crash", name, capacity, round, w)
+				}
+				for i, v := range want {
+					if a.persist[i] != v {
+						t.Fatalf("%s/capacity %d round %d: word %d = %#x after Crash, full-scan reference %#x", name, capacity, round, i, a.persist[i], v)
+					}
+				}
+				if d := a.Stats().CrashLinesLost.Load() - lostBefore; d != int64(lost) {
+					t.Fatalf("%s/capacity %d round %d: CrashLinesLost moved by %d, want %d", name, capacity, round, d, lost)
+				}
+				if d := a.DirtyLines(); d != 0 || a.dirtyCount.Load() != 0 {
+					t.Fatalf("%s/capacity %d round %d: DirtyLines %d, dirtyCount %d after Crash", name, capacity, round, d, a.dirtyCount.Load())
+				}
+			}
+		}
 	}
 }

@@ -17,7 +17,9 @@ const (
 	EvCheckpointPrepare EventKind = iota + 1
 	// EvCheckpointCommit: the store durably began the next epoch and
 	// resumed. Dur is the full stop-the-world window (Prepare lock to
-	// resume), Epoch the epoch just committed.
+	// resume), Epoch the epoch just committed, Arg the nanoseconds of that
+	// window spent in the boundary work (OnAdvance callbacks and commit
+	// hooks) — with EvCheckpointPrepare's Dur, the window's two parts.
 	EvCheckpointCommit
 	// EvCoordRecord: the sharding coordinator's single-line commit record
 	// was written back and fenced — the global commit point. Epoch is the
