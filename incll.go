@@ -52,9 +52,11 @@
 //	it.Close()
 //
 // Multi-key transactions (see internal/txn and DESIGN.md) are crash-atomic
-// and durable at commit: a fenced intent record plus the epoch machinery
-// guarantee that a power failure at any instruction of Commit leaves
-// either every write or none, even across shards.
+// and durable at commit: a checksummed intent record, fenced once, plus
+// the epoch machinery guarantee that a power failure at any instruction
+// of Commit leaves either every write or none, even across shards. A
+// commit waits only for commits that read or write one of its keys, or
+// that run on the same worker.
 //
 //	t := db.Begin()
 //	a, _ := t.Get(incll.Key(1))
@@ -1069,6 +1071,12 @@ var ErrConflict = txn.ErrConflict
 // (optimistic concurrency). A successful Commit is durable immediately —
 // unlike single-key operations, it does not wait for the next checkpoint.
 // A Txn belongs to the worker that began it; one live Txn per worker.
+//
+// Commits are ordered by key: two commits exclude each other only if one
+// reads or writes a key the other writes or reads — or if they run on the
+// same worker, whose log segments and allocator lists are single-writer.
+// Begin and Apply run on worker 0 whoever calls them, so their commits
+// serialize; give concurrent clients a worker each with BeginWorker.
 type Txn struct{ t *txn.Txn }
 
 // Begin starts a transaction on worker 0.

@@ -298,6 +298,9 @@ func (s *Store) RecoveredLogEntries() int { return s.recovered }
 // own handle (it owns a log writer segment and an allocator shard).
 func (s *Store) Handle(i int) Handle { return s.handles[i] }
 
+// Workers returns the number of worker handles (Config.Workers).
+func (s *Store) Workers() int { return len(s.handles) }
+
 // Arena returns the underlying simulated NVM.
 func (s *Store) Arena() *nvm.Arena { return s.arena }
 

@@ -30,9 +30,19 @@
 // write can never land on the wrong side of a cutover (see internal/txn
 // and DESIGN.md §13).
 //
-// The mark shares the header's cache line, so marking commits a record
-// with a single PCSO-atomic line write; its writeback+fence is the
-// transaction's durability point.
+// One fence per record. AppendIntent stores the record and issues the
+// content lines' writebacks but does not fence; MarkCommitted sets the
+// mark — which shares the header's cache line, so header and mark persist
+// as one PCSO-atomic line — writes the header back and fences once. That
+// fence is the transaction's durability point: it completes content,
+// header and mark together. Until it does, the lines of a record persist
+// in no particular order, so a crash can leave a marked header over
+// content lines that never reached NVM. The checksum is what makes that
+// harmless, and atomicity now *relies* on it: a marked header counts only
+// if every content word it was computed over is there too; anything less
+// fails the comparison and is ignored exactly like a torn record (the
+// transaction was never acknowledged, and the epoch rollback removes
+// whatever it had applied).
 package extlog
 
 import (
@@ -102,11 +112,11 @@ type IntentLog struct {
 
 	appended atomic.Int64
 
-	// Hook, when non-nil, is invoked at the two durability points inside
-	// AppendIntent and MarkCommitted ("intent-written", "mark-written"),
-	// after the writeback is issued but before the fence. Crash-injection
-	// tests panic out of it to stop the protocol exactly there. Never set
-	// outside tests.
+	// Hook, when non-nil, is invoked once the record is stored and its
+	// content written back, at the end of AppendIntent ("intent-written"),
+	// and between MarkCommitted's header writeback and its fence
+	// ("mark-written"). Crash-injection tests panic out of it to stop the
+	// protocol exactly there. Never set outside tests.
 	Hook func(point string)
 }
 
@@ -145,8 +155,9 @@ func (l *IntentLog) resetCursors() {
 	}
 }
 
-// Writer returns writer i's interface. Commits racing on one writer are
-// serialized by the transaction manager's per-shard commit locks.
+// Writer returns writer i's interface. A writer is not safe for concurrent
+// use: the transaction manager's per-worker commit lock keeps the commits
+// of one worker index — the only users of writer i — mutually exclusive.
 func (l *IntentLog) Writer(i int) *IntentWriter { return &l.writers[i] }
 
 // Appended returns the number of intents appended during this execution.
@@ -189,11 +200,14 @@ func (l *IntentLog) IntentFits(ops []IntentOp) bool {
 }
 
 // AppendIntent writes the intent record for a pending transaction — seq,
-// epoch, shard set and the full write set — and makes it durable
-// (writeback + fence) before returning. The record's commit mark is still
-// zero: the transaction is not yet committed. Returns the record's arena
-// offset, or ok=false if the segment is full (the caller must force an
-// epoch boundary, which resets the cursor, and retry).
+// epoch, shard set and the full write set — with a zero commit mark, and
+// issues the writebacks of its content lines. It does not fence and does
+// not write the header line back: MarkCommitted stores to that line again,
+// and a line must not be stored to between its writeback and its fence
+// (see nvm.Arena). Nothing is durable until MarkCommitted's fence. Returns
+// the record's arena offset, or ok=false if the segment is full (the
+// caller must force an epoch boundary, which resets the cursor, and
+// retry).
 func (w *IntentWriter) AppendIntent(seq, epochNum, shardSet, topoVer uint64, ops []IntentOp) (entry uint64, ok bool) {
 	l := w.log
 	a := l.arena
@@ -246,19 +260,23 @@ func (w *IntentWriter) AppendIntent(seq, epochNum, shardSet, topoVer uint64, ops
 	a.Store(e+iTopoVer, topoVer)
 	a.Store(e+iChecksum, sum)
 	a.Store(e+iSeq, seq)
-	a.WritebackRange(e, need)
+	if need > iContent {
+		a.WritebackRange(e+iContent, need-iContent)
+	}
 	if l.Hook != nil {
 		l.Hook("intent-written")
 	}
-	a.Fence()
 	w.cursor += need
 	l.appended.Add(1)
 	return e, true
 }
 
-// MarkCommitted durably sets the record's commit mark: the transaction's
-// single fenced commit point. The mark shares the header line, so the
-// write is PCSO-atomic with the rest of the header.
+// MarkCommitted sets the record's commit mark, writes the header line
+// back and fences: the record's one fence, which completes the content
+// writebacks AppendIntent issued along with the header, and so the
+// transaction's commit and durability point. The mark shares the header
+// line, so it is PCSO-atomic with the checksum that vouches for the
+// content.
 func (l *IntentLog) MarkCommitted(entry uint64) {
 	a := l.arena
 	a.Store(entry+iMark, a.Load(entry+iSeq))
@@ -305,7 +323,7 @@ func (l *IntentLog) ScanIntents() []IntentRecord {
 				sum = checksumStep(sum, a.Load(e+iContent+j))
 			}
 			if sum != a.Load(e+iChecksum) {
-				break // torn record: its transaction never reached its commit point
+				break // torn record: its transaction's one fence never completed
 			}
 			rec := IntentRecord{
 				Seq:       seq,

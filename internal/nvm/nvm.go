@@ -134,6 +134,7 @@ type Arena struct {
 
 	pendMu  sync.Mutex
 	pending []int // lines with an outstanding writeback
+	spare   []int // emptied pending buffer the next draining Fence swaps in
 
 	reserveOff uint64 // bump cursor for static region carving
 
@@ -338,9 +339,14 @@ func (a *Arena) Fence() {
 		t0 := time.Now()
 		defer func() { a.phases.Observe(obs.PhaseFence, time.Since(t0)) }()
 	}
+	// The drained list and a spare trade places, so in the steady state
+	// Writeback appends into a buffer that is already grown. pendMu and mu
+	// are never held together here (Crash nests mu → pendMu).
 	a.pendMu.Lock()
 	pend := a.pending
-	a.pending = nil
+	if len(pend) > 0 {
+		a.pending, a.spare = a.spare[:0], nil
+	}
 	a.pendMu.Unlock()
 	if len(pend) > 0 {
 		a.mu.Lock()
@@ -350,6 +356,11 @@ func (a *Arena) Fence() {
 			}
 		}
 		a.mu.Unlock()
+		a.pendMu.Lock()
+		if a.spare == nil {
+			a.spare = pend[:0]
+		}
+		a.pendMu.Unlock()
 	}
 	a.stats.Fences.Add(1)
 	spinWait(a.cfg.FenceDelay)
@@ -572,7 +583,7 @@ func (a *Arena) Crash(p Policy) {
 	a.stats.CrashLinesLost.Add(lost)
 	a.dirtyCount.Store(0)
 	a.pendMu.Lock()
-	a.pending = nil
+	a.pending = a.pending[:0]
 	a.pendMu.Unlock()
 	a.stats.Crashes.Add(1)
 }

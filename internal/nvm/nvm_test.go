@@ -602,3 +602,27 @@ func TestCrashLeavesImagesEqual(t *testing.T) {
 		}
 	}
 }
+
+// TestFenceReusesPendingBuffer: a Fence hands its drained writeback list
+// back instead of dropping it, so a steady writeback/fence cycle does not
+// regrow the list from nothing each time.
+func TestFenceReusesPendingBuffer(t *testing.T) {
+	a := New(Config{Words: 1 << 10})
+	cycle := func() {
+		for off := uint64(WordsPerLine); off < 9*WordsPerLine; off += WordsPerLine {
+			a.Store(off, a.Load(off)+1)
+			a.Writeback(off)
+		}
+		a.Fence()
+	}
+	before := a.Stats().LinesPersisted.Load()
+	if allocs := testing.AllocsPerRun(100, cycle); allocs != 0 {
+		t.Fatalf("%.0f allocations per writeback/fence cycle, want 0", allocs)
+	}
+	if got := a.Stats().LinesPersisted.Load() - before; got != 101*8 {
+		t.Fatalf("persisted %d lines over 101 cycles of 8, want %d", got, 101*8)
+	}
+	if a.DirtyLines() != 0 {
+		t.Fatalf("%d dirty lines after the last fence", a.DirtyLines())
+	}
+}

@@ -27,8 +27,9 @@ const (
 	// PhaseGuardHold is how long an advance holds the commit guard
 	// exclusively (the window during which no commit can start).
 	PhaseGuardHold
-	// PhaseCommitLockWait is time a commit spends taking its per-shard
-	// commit locks (plus the per-shard epoch guards behind them).
+	// PhaseCommitLockWait is time a commit spends taking its commit locks:
+	// its worker's lock, then the stripes of the keys it read or wrote
+	// (plus the per-shard epoch guards behind them).
 	PhaseCommitLockWait
 	// PhaseFence is the duration of a persist fence: draining pending
 	// writebacks plus the emulated NVM round trip (FenceDelay).

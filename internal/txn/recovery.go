@@ -10,9 +10,11 @@ import (
 //
 // Decision table, per intent record (see DESIGN.md for the full matrix):
 //
-//	checksum invalid / stale generation  → ignore: the commit never
-//	    finished writing the record, so nothing was applied (the protocol
-//	    orders intent-fence before the first apply).
+//	checksum invalid / stale generation  → ignore: the record's one
+//	    fence never completed, so the commit was never acknowledged. It
+//	    may have applied writes — even have a marked header in NVM over
+//	    missing content lines — but it ran in an epoch that cannot have
+//	    committed, so the epoch rollback already removed them.
 //	mark absent                          → ignore: the transaction never
 //	    reached its commit point; whatever it applied ran in an epoch that
 //	    cannot have committed (the commit guard pins the epoch for the
@@ -34,7 +36,7 @@ import (
 // single fenced line that decides the cluster checkpoint.
 //
 // Replay runs in commit-sequence order (conflicting transactions committed
-// under a shared lock, so seq order is their real order), then one cluster
+// under a shared key lock, so seq order is their real order), then one cluster
 // checkpoint commits the replay epoch — without it, a second crash would
 // roll the re-applied writes back while the retired intents could no
 // longer restore them — and finally the intent generation is retired so

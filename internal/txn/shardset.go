@@ -5,10 +5,10 @@ import "math/bits"
 // ShardSet is the set of shards a transaction touches. Clusters of up to
 // 64 shards — the common case by far — stay on a one-word inline
 // representation with zero heap allocation; larger clusters spill to a
-// []uint64 bitset sized at first use. The set preserves the commit
-// protocol's one hard requirement: ForEach visits shards in ascending
-// order, so per-shard commit locks are always acquired in a global order
-// and two overlapping transactions cannot deadlock.
+// []uint64 bitset sized at first use. The commit window uses it for the
+// per-shard epoch guards (Enter and Exit each touched shard once), the
+// home shard (Min) and the intent record's shard word. It orders no
+// locks: commits exclude each other by key (see commitlock.go).
 type ShardSet struct {
 	word uint64   // inline representation when wide == nil (shards 0..63)
 	wide []uint64 // spilled bitset when the cluster exceeds 64 shards
@@ -92,8 +92,7 @@ func (b *ShardSet) Min() int {
 	return -1
 }
 
-// ForEach calls f for every shard in the set in ascending order — the
-// lock-ordering guarantee the commit protocol is built on.
+// ForEach calls f for every shard in the set in ascending order.
 func (b *ShardSet) ForEach(f func(s int)) {
 	if b.wide == nil {
 		for w := b.word; w != 0; w &= w - 1 {

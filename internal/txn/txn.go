@@ -14,10 +14,15 @@
 //     undo side.
 //
 //   - Intent redo records. Before applying, Commit writes the full write
-//     set into a per-writer intent segment (extlog.IntentLog) and fences
-//     it; after applying, one fenced line write sets the record's commit
-//     mark. Recovery replays committed intents whose epoch failed, in
-//     commit-sequence order, re-running the writes the rollback undid.
+//     set into a per-writer intent segment (extlog.IntentLog) and issues
+//     its writebacks; after applying, it sets the record's commit mark and
+//     fences once — the transaction's only fence of its own — which makes
+//     content, header and mark durable together. A crash before that fence
+//     completes can persist any subset of the record's lines; the record's
+//     checksum (computed over header fields and content, stored beside the
+//     mark) tells a whole record from such a partial one, so atomicity
+//     relies on it. Recovery replays committed intents whose epoch failed,
+//     in commit-sequence order, re-running the writes the rollback undid.
 //
 // Cross-shard commits need no extra coordination: the shard coordinator's
 // fenced record (see internal/shard) already decides, for every shard at
@@ -34,12 +39,21 @@
 // they committed under, so recovery after a crash mid-reshard replays a
 // record only into the topology that is durably live (see DESIGN.md §13).
 //
-// Isolation: conflicting commits (overlapping shard sets) serialize on
-// per-shard commit locks, and Commit validates the transaction's read set
-// under those locks, returning ErrConflict when a read value changed since
-// the transaction observed it (optimistic concurrency; callers retry).
-// Non-transactional single-key operations remain unaffected and
-// uncoordinated — they become durable at the next checkpoint, as before.
+// Isolation is key-granular: a commit excludes exactly the commits that
+// read or write one of its keys. Every key of the read and write sets
+// hashes to one stripe of a fixed lock table (see commitlock.go) and
+// Commit takes its stripes in ascending order, so two commits that share
+// no key share no lock (a hash collision only adds exclusion) and
+// conflicting commits are totally ordered, in the order of their sequence
+// numbers. Commit validates the transaction's read set under those locks,
+// returning ErrConflict when a read value changed since the transaction
+// observed it (optimistic concurrency; callers retry). One more exclusion
+// has nothing to do with keys: commits on the same worker index are
+// mutually exclusive, because a worker's intent segment, undo-log segment
+// and allocator lists are single-writer and the façade's Begin and Apply
+// run every caller on worker 0. Non-transactional single-key operations
+// remain unaffected and uncoordinated — they become durable at the next
+// checkpoint, as before.
 package txn
 
 import (
@@ -116,7 +130,7 @@ type Stats struct {
 // recovery).
 type Manager struct {
 	// topo is the live topology: stores, router, advance, iterator
-	// factory, and the per-shard commit locks, all versioned together.
+	// factory, and the per-worker commit locks, all versioned together.
 	// Commit paths load it exactly once, after taking the commit guard
 	// shared — never before, or a reshard cutover (which swaps the pointer
 	// under the exclusive guard) could change the routing mid-commit and
@@ -130,14 +144,19 @@ type Manager struct {
 	// two-phase advance), advances and Cutover hold it exclusively.
 	guard sync.RWMutex
 
+	// stripes is the key-granular commit lock table. It belongs to the
+	// Manager, not the topology: a key's stripe does not depend on the
+	// shard count, and a cutover runs with no commit in flight.
+	stripes *[lockStripes]paddedMutex
+
 	seq   atomic.Uint64
 	stats Stats
 
 	// phases is the sampled latency-attribution timer (see obs.PhaseSet):
-	// commits charge their guard RLock wait to guard_wait and their
-	// ascending commit-lock walk to commit_lock_wait; advances record their
-	// exclusive guard wait and hold always (one per epoch, too rare to
-	// sample). nil disables.
+	// commits charge their guard RLock wait to guard_wait and the locks
+	// behind it (worker, key stripes, epoch guards) to commit_lock_wait;
+	// advances record their exclusive guard wait and hold always (one per
+	// epoch, too rare to sample). nil disables.
 	phases *obs.PhaseSet
 
 	hook func(point string) // crash-injection test hook; nil in production
@@ -155,11 +174,10 @@ type topoState struct {
 	advance func() int
 	iter    func(worker int, o core.IterOptions) core.Cursor
 
-	// commitMu[i] serializes commits that touch shard i. Locks are taken
-	// in ascending shard order, so conflicting commits — which share at
-	// least one shard — are totally ordered, and that order matches their
-	// commit sequence numbers (seq is drawn while the locks are held).
-	commitMu []sync.Mutex
+	// workerMu[w] keeps worker w's commits mutually exclusive for the
+	// commit window: the intent segment cursor, the undo-log segment and
+	// the allocator lists behind Handle(w) are single-writer per store.
+	workerMu []paddedMutex
 }
 
 func (st *topoState) shardOf(k []byte) int { return st.route(k) }
@@ -171,7 +189,7 @@ func newTopoState(cfg Config) *topoState {
 		route:    cfg.Route,
 		advance:  cfg.Advance,
 		iter:     cfg.NewIter,
-		commitMu: make([]sync.Mutex, len(cfg.Stores)),
+		workerMu: make([]paddedMutex, cfg.Stores[0].Workers()),
 	}
 	if st.version == 0 {
 		st.version = 1
@@ -202,7 +220,7 @@ func New(cfg Config) (*Manager, int) {
 	if len(cfg.Stores) == 0 {
 		panic("txn: no stores")
 	}
-	m := &Manager{}
+	m := &Manager{stripes: new([lockStripes]paddedMutex)}
 	m.topo.Store(newTopoState(cfg))
 	return m, m.recover()
 }
@@ -285,9 +303,19 @@ func (m *Manager) StartTicker(interval time.Duration) {
 // StopTicker stops the background ticker, if running.
 func (m *Manager) StopTicker() { m.ticker.Stop() }
 
-// readVal is one read-set observation (the full byte value, so validation
+// inlineKeys is how many read-set and write-set entries (each) a Txn holds
+// in its own storage; inlineBytes is the key and value bytes it holds the
+// same way (eight reads and eight writes of 8-byte keys and values).
+// Larger transactions spill to the heap and to map indexes.
+const (
+	inlineKeys  = 8
+	inlineBytes = 256
+)
+
+// readEnt is one read-set observation (the full byte value, so validation
 // catches any change, not just changes visible through the uint64 view).
-type readVal struct {
+type readEnt struct {
+	key   []byte
 	val   []byte
 	found bool
 }
@@ -295,37 +323,105 @@ type readVal struct {
 // Txn is one transaction: buffered writes, cached reads, one Commit or
 // Abort. A Txn belongs to the worker that began it and is not safe for
 // concurrent use.
+//
+// Read set, write set, their key and value bytes and the commit window's
+// bookkeeping start out in arrays inside the Txn, so a transaction of up
+// to inlineKeys reads and writes costs one allocation; do not copy a Txn.
 type Txn struct {
 	m      *Manager
 	worker int
 
-	reads  map[string]readVal
-	writes []extlog.IntentOp
-	windex map[string]int
-	done   bool
+	reads  []readEnt         // in first-read order
+	writes []extlog.IntentOp // in first-write order; one entry per key
+	// rindex and windex map a key to its position in reads and writes.
+	// nil while the set fits inlineKeys entries, which are scanned instead.
+	rindex, windex map[string]int
+	// data holds the bytes every key and value above points into. Growing
+	// it leaves earlier slices on the array they were cut from.
+	data []byte
+
+	done bool
 	// err is the sticky buffered-write error (oversized key or value):
 	// the offending write is dropped, the transaction is poisoned, and
 	// Commit reports the first failure — long before any durable intent
 	// could be written. errors.Is-compatible with core.ErrValueTooLarge /
 	// core.ErrKeyTooLarge.
 	err error
+
+	cw commitWindow
+
+	readBuf  [inlineKeys]readEnt
+	writeBuf [inlineKeys]extlog.IntentOp
+	dataBuf  [inlineBytes]byte
 }
 
 // Begin starts a transaction on worker index worker (the same index used
 // for Store handles; one live transaction per worker at a time).
 func (m *Manager) Begin(worker int) *Txn {
-	return &Txn{
-		m:      m,
-		worker: worker,
-		reads:  make(map[string]readVal),
-		windex: make(map[string]int),
-	}
+	t := &Txn{m: m, worker: worker}
+	t.reads, t.writes, t.data = t.readBuf[:0], t.writeBuf[:0], t.dataBuf[:0]
+	return t
 }
 
 func (t *Txn) check() {
 	if t.done {
 		panic("txn: use after Commit/Abort")
 	}
+}
+
+// keep copies b into the transaction's byte storage.
+func (t *Txn) keep(b []byte) []byte {
+	off := len(t.data)
+	t.data = append(t.data, b...)
+	return t.data[off:]
+}
+
+// indexKey records that k is about to take position n of a read or write
+// set. While the set fits inlineKeys entries it has no index (finds scan
+// it); the entry that outgrows that builds one over the n keys before it.
+func indexKey(idx *map[string]int, k []byte, n int, keyAt func(i int) []byte) {
+	if *idx == nil {
+		if n < inlineKeys {
+			return
+		}
+		*idx = make(map[string]int, 2*n)
+		for i := 0; i < n; i++ {
+			(*idx)[string(keyAt(i))] = i
+		}
+	}
+	(*idx)[string(k)] = n
+}
+
+// findRead returns k's position in the read set, or -1.
+func (t *Txn) findRead(k []byte) int {
+	if t.rindex != nil {
+		if i, ok := t.rindex[string(k)]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.reads {
+		if bytes.Equal(t.reads[i].key, k) {
+			return i
+		}
+	}
+	return -1
+}
+
+// findWrite returns k's position in the write set, or -1.
+func (t *Txn) findWrite(k []byte) int {
+	if t.windex != nil {
+		if i, ok := t.windex[string(k)]; ok {
+			return i
+		}
+		return -1
+	}
+	for i := range t.writes {
+		if bytes.Equal(t.writes[i].Key, k) {
+			return i
+		}
+	}
+	return -1
 }
 
 // Get reads the uint64 view of k: the transaction's own pending write if
@@ -350,34 +446,35 @@ func (t *Txn) GetBytes(k []byte) ([]byte, bool) {
 // retain or mutate it.
 func (t *Txn) getBytes(k []byte) ([]byte, bool) {
 	t.check()
-	if i, ok := t.windex[string(k)]; ok {
-		op := t.writes[i]
+	if i := t.findWrite(k); i >= 0 {
+		op := &t.writes[i]
 		if op.Delete {
 			return nil, false
 		}
 		return op.Val, true
 	}
-	if rv, ok := t.reads[string(k)]; ok {
-		return rv.val, rv.found
+	if i := t.findRead(k); i >= 0 {
+		return t.reads[i].val, t.reads[i].found
 	}
 	// Non-commit reads may route through a topology a concurrent cutover
 	// is about to retire — harmless: the frozen donor holds a committed
 	// snapshot, and Commit's validation re-reads under the *current*
 	// topology's locks, so any divergence surfaces as ErrConflict.
 	st := t.m.topo.Load()
-	v, ok := st.stores[st.shardOf(k)].Handle(t.worker).GetBytes(k)
-	t.reads[string(k)] = readVal{v, ok}
-	return v, ok
+	rd := readEnt{key: t.keep(k)}
+	off := len(t.data)
+	t.data, rd.found = st.stores[st.shardOf(k)].Handle(t.worker).AppendGet(t.data, k)
+	rd.val = t.data[off:]
+	indexKey(&t.rindex, k, len(t.reads), func(i int) []byte { return t.reads[i].key })
+	t.reads = append(t.reads, rd)
+	return rd.val, rd.found
 }
 
 // Put buffers a write of v under k (applied atomically at Commit), using
 // the canonical uint64 byte encoding.
 func (t *Txn) Put(k []byte, v uint64) {
-	t.check()
-	if !t.validate(k, nil) {
-		return
-	}
-	t.write(extlog.IntentOp{Key: append([]byte(nil), k...), Val: core.EncodeValue(v)})
+	var buf [8]byte
+	t.write(k, core.AppendValueUint64(buf[:0], v), false)
 }
 
 // PutBytes buffers a write of the byte value v under k (applied atomically
@@ -385,43 +482,33 @@ func (t *Txn) Put(k []byte, v uint64) {
 // the buffering site, never mid-commit with a durable intent already
 // written — and Commit returns an error errors.Is-compatible with
 // core.ErrValueTooLarge / core.ErrKeyTooLarge.
-func (t *Txn) PutBytes(k []byte, v []byte) {
-	t.check()
-	if !t.validate(k, v) {
-		return
-	}
-	t.write(extlog.IntentOp{Key: append([]byte(nil), k...), Val: append([]byte(nil), v...)})
-}
+func (t *Txn) PutBytes(k []byte, v []byte) { t.write(k, v, false) }
 
 // Delete buffers a deletion of k (applied atomically at Commit).
-func (t *Txn) Delete(k []byte) {
+func (t *Txn) Delete(k []byte) { t.write(k, nil, true) }
+
+// write size-checks and records one buffered write, collapsing repeated
+// writes to one key into the last. A failed check poisons the transaction
+// with the first failure.
+func (t *Txn) write(k, v []byte, del bool) {
 	t.check()
-	if !t.validate(k, nil) {
+	if err := core.ValidateKV(k, v); err != nil {
+		if t.err == nil {
+			t.err = fmt.Errorf("txn: %w", err)
+		}
 		return
 	}
-	t.write(extlog.IntentOp{Key: append([]byte(nil), k...), Delete: true})
-}
-
-// validate size-checks a buffered write, poisoning the transaction with
-// the first failure.
-func (t *Txn) validate(k, v []byte) bool {
-	err := core.ValidateKV(k, v)
-	if err == nil {
-		return true
+	op := extlog.IntentOp{Delete: del}
+	if !del {
+		op.Val = t.keep(v)
 	}
-	if t.err == nil {
-		t.err = fmt.Errorf("txn: %w", err)
-	}
-	return false
-}
-
-// write records op, collapsing repeated writes to one key into the last.
-func (t *Txn) write(op extlog.IntentOp) {
-	if i, ok := t.windex[string(op.Key)]; ok {
+	if i := t.findWrite(k); i >= 0 {
+		op.Key = t.writes[i].Key
 		t.writes[i] = op
 		return
 	}
-	t.windex[string(op.Key)] = len(t.writes)
+	op.Key = t.keep(k)
+	indexKey(&t.windex, k, len(t.writes), func(i int) []byte { return t.writes[i].Key })
 	t.writes = append(t.writes, op)
 }
 
@@ -467,73 +554,16 @@ func (m *Manager) commit(t *Txn) error {
 	return ErrLogFull
 }
 
-// commitLocks tracks what tryCommit holds so both the normal path and the
-// injected-crash unwind release exactly once, in reverse order.
-type commitLocks struct {
-	m        *Manager
-	st       *topoState
-	lockSet  ShardSet
-	released bool
-}
-
-func (cl *commitLocks) release() {
-	if cl.released {
-		return
-	}
-	cl.released = true
-	cl.lockSet.ForEach(func(i int) {
-		cl.st.stores[i].Epochs().Exit()
-		cl.st.commitMu[i].Unlock()
-	})
-	cl.m.guard.RUnlock()
-}
-
-// acquire takes the commit-window locks. Lock order: commit guard
-// (shared) → topology load → per-shard commit locks, ascending →
-// per-shard epoch guards. The topology is loaded only after the guard is
-// held — advances and reshard cutovers take the guard exclusively, so an
-// epoch boundary or a topology swap can never interleave with the window,
-// and the multi-shard Enter cannot deadlock against a coordinated
-// advance. sets computes which shards to lock from the topology the
-// window actually runs under.
-func (m *Manager) acquire(w int, sets func(st *topoState) ShardSet) (*commitLocks, *topoState) {
-	if m.phases.Sampled(w) {
-		// Sampled commit: split the entry latency into the shared-guard
-		// wait (blocked behind an epoch advance) and the per-shard
-		// commit-lock walk (blocked behind conflicting commits).
-		t0 := time.Now()
-		m.guard.RLock()
-		t1 := time.Now()
-		m.phases.Observe(obs.PhaseGuardWait, t1.Sub(t0))
-		st := m.topo.Load()
-		lockSet := sets(st)
-		m.lockShards(st, lockSet)
-		m.phases.Observe(obs.PhaseCommitLockWait, time.Since(t1))
-		return &commitLocks{m: m, st: st, lockSet: lockSet}, st
-	}
-	m.guard.RLock()
-	st := m.topo.Load()
-	lockSet := sets(st)
-	m.lockShards(st, lockSet)
-	return &commitLocks{m: m, st: st, lockSet: lockSet}, st
-}
-
-func (m *Manager) lockShards(st *topoState, lockSet ShardSet) {
-	lockSet.ForEach(func(i int) {
-		st.commitMu[i].Lock()
-		st.stores[i].Epochs().Enter()
-	})
-}
-
 // validateLocked re-reads the transaction's read set under the commit
 // locks and reports whether every observation still holds (full byte
 // comparison).
 func (m *Manager) validateLocked(t *Txn, st *topoState) bool {
-	var buf []byte
-	for k, rv := range t.reads {
-		kb := []byte(k)
-		cur, ok := st.stores[st.shardOf(kb)].Handle(t.worker).AppendGetLocked(buf[:0], kb)
-		if ok != rv.found || !bytes.Equal(cur, rv.val) {
+	var scratch [64]byte
+	buf := scratch[:0]
+	for i := range t.reads {
+		rd := &t.reads[i]
+		cur, ok := st.stores[st.shardOf(rd.key)].Handle(t.worker).AppendGetLocked(buf[:0], rd.key)
+		if ok != rd.found || !bytes.Equal(cur, rd.val) {
 			return false
 		}
 		buf = cur
@@ -542,18 +572,12 @@ func (m *Manager) validateLocked(t *Txn, st *topoState) bool {
 }
 
 // validateOnly certifies a read-only transaction: under the commit locks
-// of every read shard, every cached read must still hold — so the reads
+// of every key it read, every cached read must still hold — so the reads
 // together form one consistent committed snapshot.
 func (m *Manager) validateOnly(t *Txn) error {
-	cl, st := m.acquire(t.worker, func(st *topoState) ShardSet {
-		lockSet := NewShardSet(len(st.stores))
-		for k := range t.reads {
-			lockSet.Add(st.shardOf([]byte(k)))
-		}
-		return lockSet
-	})
+	st := m.acquire(t)
 	ok := m.validateLocked(t, st)
-	cl.release()
+	m.release(t)
 	if !ok {
 		m.stats.Conflicts.Add(1)
 		return ErrConflict
@@ -563,29 +587,15 @@ func (m *Manager) validateOnly(t *Txn) error {
 
 // tryCommit runs one attempt: validate, intent, apply, mark. done=false
 // (only) when the intent segment is full and the caller should advance the
-// epoch and retry. The write and lock sets are computed inside the commit
-// window, from the topology the window runs under.
+// epoch and retry.
 func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
-	var wset ShardSet
-	cl, st := m.acquire(t.worker, func(st *topoState) ShardSet {
-		wset = NewShardSet(len(st.stores))
-		lockSet := NewShardSet(len(st.stores))
-		for _, op := range t.writes {
-			s := st.shardOf(op.Key)
-			wset.Add(s)
-			lockSet.Add(s)
-		}
-		for k := range t.reads {
-			lockSet.Add(st.shardOf([]byte(k)))
-		}
-		return lockSet
-	})
+	st := m.acquire(t)
 	defer func() {
 		if r := recover(); r != nil {
 			if _, ok := r.(InjectedCrash); ok {
 				// Leave NVM exactly as the hook saw it; only release the
 				// volatile locks so the test can crash and reopen.
-				cl.release()
+				m.release(t)
 				done, err = true, ErrInjected
 				return
 			}
@@ -593,16 +603,16 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 		}
 	}()
 
-	home := wset.Min()
+	home := t.cw.wset.Min()
 	if !st.stores[home].Intents().IntentFits(t.writes) {
-		cl.release()
+		m.release(t)
 		return true, ErrTooLarge
 	}
 
 	// Validate the read set under the locks: conflicting commits are
 	// excluded, so a passing validation holds through the apply below.
 	if !m.validateLocked(t, st) {
-		cl.release()
+		m.release(t)
 		m.stats.Conflicts.Add(1)
 		return true, ErrConflict
 	}
@@ -613,20 +623,21 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 	// conflicting transactions seq order equals commit order — the order
 	// recovery replays in. The record carries the topology version, so a
 	// crash mid-reshard replays it only if this topology is still the
-	// durably live one.
+	// durably live one. The record is written back but not yet fenced.
 	seq := m.seq.Add(1)
 	epochNum := st.stores[home].Epochs().Current()
-	entry, ok := st.stores[home].Intents().Writer(t.worker).AppendIntent(seq, epochNum, wset.Word(), st.version, t.writes)
+	entry, ok := st.stores[home].Intents().Writer(t.worker).AppendIntent(seq, epochNum, t.cw.wset.Word(), st.version, t.writes)
 	if !ok {
-		cl.release()
+		m.release(t)
 		return false, nil
 	}
-	m.point("intent-durable")
+	m.point("intent-appended")
 
 	// Apply through the normal InCLL path. A crash anywhere in here rolls
 	// the whole epoch — and with it every partial write — back, and the
-	// unmarked intent is ignored.
-	for i, op := range t.writes {
+	// intent, unmarked or failing its checksum, is ignored.
+	for i := range t.writes {
+		op := &t.writes[i]
 		h := st.stores[st.shardOf(op.Key)].Handle(t.worker)
 		if op.Delete {
 			h.DeleteLocked(op.Key)
@@ -638,11 +649,12 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 		}
 	}
 
-	// The fenced commit mark: the transaction's durability point.
+	// The mark and the record's one fence: the transaction's durability
+	// point, for the content written back above as much as for the mark.
 	st.stores[home].Intents().MarkCommitted(entry)
 	m.point("commit-durable")
 
-	cl.release()
+	m.release(t)
 	m.stats.Committed.Add(1)
 	return true, nil
 }
