@@ -251,7 +251,10 @@ type RecoveryInfo struct {
 // the 64 ms checkpoint tick (see DESIGN.md §8). Key and Value return
 // slices valid until the next positioning call; copy to retain. Obtain
 // one from DB.NewIter, Handle.NewIter, or Txn.NewIter, or use the
-// range-over-func adapters (DB.All, DB.Range, DB.Iter, Txn.All).
+// range-over-func adapters (DB.All, DB.Range, DB.Iter, Txn.All). Open one
+// per request: Close hands its storage to the worker's next NewIter, so
+// the steady state allocates nothing — and a cursor must not be touched
+// after Close.
 type Iterator = core.Cursor
 
 // IterOptions bounds and orients an Iterator: LowerBound (inclusive),
@@ -369,30 +372,29 @@ func (h *dynHandle) NewIter(o IterOptions) Iterator {
 // unlimited), until fn returns false. Returns the number visited.
 func (h *dynHandle) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
 	it := h.NewIter(IterOptions{})
-	defer it.Close()
-	return cursorScan(it, start, max, func(it Iterator) bool { return fn(it.Key(), it.ValueUint64()) })
+	n := 0
+	for ok := it.SeekGE(start); ok && n != max; ok = it.Next() {
+		n++
+		if !fn(it.Key(), it.ValueUint64()) {
+			break
+		}
+	}
+	it.Close()
+	return n
 }
 
 // ScanBytes is Scan delivering byte values; the key and value slices are
 // only valid during the callback.
 func (h *dynHandle) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
 	it := h.NewIter(IterOptions{})
-	defer it.Close()
-	return cursorScan(it, start, max, func(it Iterator) bool { return fn(it.Key(), it.Value()) })
-}
-
-// cursorScan drives the legacy callback-scan contract over a cursor.
-func cursorScan(it Iterator, start []byte, max int, visit func(Iterator) bool) int {
 	n := 0
-	for ok := it.SeekGE(start); ok; ok = it.Next() {
-		if max >= 0 && n >= max {
-			return n
-		}
+	for ok := it.SeekGE(start); ok && n != max; ok = it.Next() {
 		n++
-		if !visit(it) {
-			return n
+		if !fn(it.Key(), it.Value()) {
+			break
 		}
 	}
+	it.Close()
 	return n
 }
 
@@ -882,17 +884,15 @@ func cursorSeq(open func() Iterator, reverse bool) iter.Seq2[[]byte, []byte] {
 // identical to an unsharded scan. A thin wrapper over NewIter, kept for
 // compatibility; the key slice is only valid during the callback.
 func (db *DB) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	it := db.NewIter(IterOptions{})
-	defer it.Close()
-	return cursorScan(it, start, max, func(it Iterator) bool { return fn(it.Key(), it.ValueUint64()) })
+	h := dynHandle{db: db}
+	return h.Scan(start, max, fn)
 }
 
 // ScanBytes is Scan delivering byte values; the key and value slices are
 // only valid during the callback.
 func (db *DB) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	it := db.NewIter(IterOptions{})
-	defer it.Close()
-	return cursorScan(it, start, max, func(it Iterator) bool { return fn(it.Key(), it.Value()) })
+	h := dynHandle{db: db}
+	return h.ScanBytes(start, max, fn)
 }
 
 // Len returns the number of live keys tracked this execution (transient;

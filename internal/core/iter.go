@@ -1,6 +1,9 @@
 package core
 
-import "bytes"
+import (
+	"bytes"
+	"sync/atomic"
+)
 
 // Cursor is the bidirectional iterator surface every layer of the system
 // shares: the core store implements it over the durable Masstree, the
@@ -15,6 +18,12 @@ import "bytes"
 // Key and Value return slices that are only valid until the next
 // positioning call (they alias the cursor's refill buffers); copy them to
 // retain. Cursors are not safe for concurrent use.
+//
+// Opening a cursor per request is the intended use: Close hands the
+// cursor's storage back to its worker, whose next NewIter reuses it, so a
+// steady-state NewIter → Seek → Next… → Close allocates nothing. The
+// price is the lifetime rule: a cursor must not be touched after Close —
+// its storage is the worker's next cursor.
 type Cursor interface {
 	// First positions the cursor at the smallest in-bounds key.
 	First() bool
@@ -39,7 +48,10 @@ type Cursor interface {
 	Value() []byte
 	// ValueUint64 is the uint64 view of the current value (DecodeValue).
 	ValueUint64() uint64
-	// Close releases the cursor. Positioning a closed cursor panics.
+	// Close releases the cursor; closing twice in a row is a no-op.
+	// Positioning a closed cursor panics until the worker's next NewIter
+	// reissues its storage, after which the old reference aliases that
+	// new cursor: drop it at Close.
 	Close()
 }
 
@@ -58,6 +70,10 @@ type IterOptions struct {
 }
 
 const (
+	// iterKeepBytes caps the batch arena a closed cursor carries into its
+	// next use; a larger one (a long walk over large values) is dropped at
+	// Close so that one big scan does not pin its buffer to the worker.
+	iterKeepBytes = 1 << 20
 	// iterBatchMin is a fresh cursor's first-seek entry budget; refills
 	// double the budget, so short scans stay cheap and long ones amortize
 	// the guard and descent.
@@ -94,39 +110,74 @@ type iterEnt struct {
 // re-seeking by the last delivered key between batches, so checkpoints
 // are never blocked by a long iteration (the callback Scan, by contrast,
 // pins the guard for its whole walk).
+//
+// Everything below the position fields is storage that survives Close and
+// is reused by the worker's next cursor (see CursorSlot).
 type Iter struct {
 	h    Handle
-	opts IterOptions
+	opts IterOptions // bounds alias lowerBuf/upperBuf
+
+	pos      int
+	fwd      bool // direction ents was filled in
+	more     bool // entries may remain beyond ents in direction fwd
+	batch    int
+	consumed int  // entries delivered since the last explicit positioning
+	stopped  bool // the last fill hit a bound (no entries remain beyond it)
+	state    int
+	closed   bool // stays set while the cursor waits in its worker's slot
 
 	ents      []iterEnt // current batch, in iteration order
 	arena     []byte    // key and value bytes backing ents
-	pos       int
-	fwd       bool   // direction ents was filled in
-	more      bool   // entries may remain beyond ents in direction fwd
-	resume    []byte // refill key: successor (forward) or exclusive bound (reverse)
+	resume    []byte    // refill key: successor (forward) or exclusive bound (reverse)
 	seekBuf   []byte
-	keyBuf    []byte // scratch the tree walk builds keys in
-	valBuf    []byte // scratch inline values are materialized in
-	batch     int
-	consumed  int  // entries delivered since the last explicit positioning
-	stopped   bool // the last fill hit a bound (no entries remain beyond it)
-	state     int
-	closed    bool
+	keyBuf    []byte      // scratch the tree walk builds keys in
+	valBuf    []byte      // scratch inline values are materialized in
+	revBuf    []scanEntry // scratch the reverse walk snapshots leaf chains in
+	lowerBuf  []byte
+	upperBuf  []byte
 	collectFn func(k []byte, vw uint64) bool // bound once; see collect
 }
 
+// CursorSlot holds the cursor its worker closed last, for that worker's
+// next NewIter to take: a private pool of one. It is an atomic pointer
+// because handle 0 also serves Store.NewIter from any goroutine — two of
+// them racing get one recycled cursor and one fresh — and it sits alone on
+// its cache line so that workers opening cursors do not share one. The
+// shard layer keeps its merge cursors in the same kind of slot.
+type CursorSlot[T any] struct {
+	p atomic.Pointer[T]
+	_ [64 - 8]byte
+}
+
+// Take empties the slot and returns what it held (nil if nothing).
+func (s *CursorSlot[T]) Take() *T { return s.p.Swap(nil) }
+
+// Put offers a closed cursor to the slot; an occupied slot keeps its own
+// and c is left to the collector.
+func (s *CursorSlot[T]) Put(c *T) { s.p.CompareAndSwap(nil, c) }
+
 // NewIter opens a cursor over the handle's store. Like the handle itself,
 // a cursor is single-threaded; distinct cursors (on distinct handles) are
-// independent.
+// independent. The cursor starts from fresh-cursor state whether or not
+// its storage is recycled: position, bounds and the learned batch budget
+// of a previous use never carry over.
 func (h Handle) NewIter(o IterOptions) Cursor {
-	it := &Iter{h: h, batch: iterBatchMin, consumed: iterBatchMin, state: posFresh}
-	it.collectFn = it.collect
-	it.opts.Reverse = o.Reverse
-	if o.LowerBound != nil {
-		it.opts.LowerBound = append([]byte(nil), o.LowerBound...)
+	it := h.s.iterSlots[h.w].Take()
+	if it == nil {
+		it = &Iter{h: h}
+		it.collectFn = it.collect
 	}
-	if o.UpperBound != nil {
-		it.opts.UpperBound = append([]byte(nil), o.UpperBound...)
+	it.closed = false
+	it.state = posFresh
+	it.batch, it.consumed = iterBatchMin, iterBatchMin
+	it.opts = IterOptions{Reverse: o.Reverse}
+	if len(o.LowerBound) > 0 {
+		it.lowerBuf = append(it.lowerBuf[:0], o.LowerBound...)
+		it.opts.LowerBound = it.lowerBuf
+	}
+	if len(o.UpperBound) > 0 {
+		it.upperBuf = append(it.upperBuf[:0], o.UpperBound...)
+		it.opts.UpperBound = it.upperBuf
 	}
 	return it
 }
@@ -184,7 +235,7 @@ func (it *Iter) fill(fwd bool, seek []byte, unbounded bool) bool {
 		if !unbounded {
 			b = boundFor(seek)
 		}
-		h.scanLayerRev(h.rootCell0(), &it.keyBuf, 0, &b, it.batch, &visited, it.collectFn)
+		h.scanLayerRev(h.rootCell0(), &it.keyBuf, &it.revBuf, 0, &b, it.batch, &visited, it.collectFn)
 	}
 	h.s.mgr.Exit()
 	stopped := it.stopped
@@ -368,9 +419,18 @@ func (it *Iter) ValueUint64() uint64 {
 	return DecodeValue(it.Value())
 }
 
-// Close releases the cursor's buffers. Positioning after Close panics.
+// Close hands the cursor, buffers and all, to its worker's slot for the
+// next NewIter (an occupied slot keeps its cursor and this one is left to
+// the collector). Closing again before that reissue is a no-op, and
+// positioning panics; after it the reference is no longer the caller's.
 func (it *Iter) Close() {
+	if it.closed {
+		return
+	}
 	it.closed = true
 	it.state = posAfter
-	it.ents, it.arena, it.resume, it.seekBuf, it.keyBuf = nil, nil, nil, nil, nil
+	if cap(it.arena) > iterKeepBytes {
+		it.arena = nil
+	}
+	it.h.s.iterSlots[it.h.w].Put(it)
 }

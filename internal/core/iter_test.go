@@ -6,6 +6,7 @@ import (
 	"testing"
 
 	"incll/internal/nvm"
+	"incll/internal/testutil"
 )
 
 // iterTestKeys builds a mixed-shape key population: short keys, exactly
@@ -369,6 +370,175 @@ func TestIterEdgeCases(t *testing.T) {
 	it = s.NewIter(IterOptions{LowerBound: EncodeUint64(10), UpperBound: EncodeUint64(20)})
 	if it.First() || it.Last() {
 		t.Fatal("cursor outside the bounds claims an entry")
+	}
+	it.Close()
+}
+
+// mustPanic runs f and fails the test unless it panics.
+func mustPanic(t *testing.T, what string, f func()) {
+	t.Helper()
+	defer func() {
+		if recover() == nil {
+			t.Fatalf("%s did not panic", what)
+		}
+	}()
+	f()
+}
+
+// TestIterRecycledAllocatesNothing pins the per-request cursor shape —
+// NewIter → Seek → step×k → Close — at zero allocations in steady state,
+// forward and reverse, over keys that cross layers (the reverse walk's
+// leaf snapshots nest) and values that live in the batch arena.
+func TestIterRecycledAllocatesNothing(t *testing.T) {
+	s, sorted, model := iterTestStore(t, 7, 3000)
+	h := s.Handle(1)
+	pivots := make([][]byte, len(sorted))
+	for i, k := range sorted {
+		pivots[i] = []byte(k)
+	}
+	lo, hi := pivots[len(pivots)/4], pivots[3*len(pivots)/4]
+	shapes := map[string]func(pivot []byte, steps int) int{
+		"forward": func(pivot []byte, steps int) int {
+			it := h.NewIter(IterOptions{})
+			n := 0
+			for ok := it.SeekGE(pivot); ok && n < steps; ok = it.Next() {
+				n += len(it.Key()) + len(it.Value())
+			}
+			it.Close()
+			return n
+		},
+		"reverse": func(pivot []byte, steps int) int {
+			it := h.NewIter(IterOptions{})
+			n := 0
+			for ok := it.SeekLT(pivot); ok && n < steps; ok = it.Prev() {
+				n += len(it.Key()) + len(it.Value())
+			}
+			it.Close()
+			return n
+		},
+		"bounded, both ends": func(pivot []byte, steps int) int {
+			it := h.NewIter(IterOptions{LowerBound: lo, UpperBound: hi})
+			n := 0
+			for ok := it.First(); ok && n < steps; ok = it.Next() {
+				n++
+			}
+			for ok := it.Last(); ok && n < 2*steps; ok = it.Prev() {
+				n++
+			}
+			it.Close()
+			return n
+		},
+	}
+	for name, scan := range shapes {
+		pass := func() {
+			for i := 0; i < len(pivots); i += 37 {
+				if scan(pivots[i], 1+i%120) == 0 && len(model) == 0 {
+					t.Fatal("unreachable; keeps scan's result live")
+				}
+			}
+		}
+		pass() // grow every buffer to this pass's high-water mark
+		if allocs := testing.AllocsPerRun(5, pass); allocs != 0 && !testutil.RaceEnabled {
+			t.Errorf("%s: %.0f allocations per pass of recycled cursors, want 0", name, allocs)
+		}
+	}
+}
+
+// TestIterCloseContract: closing twice is a no-op, a closed cursor reads
+// as unpositioned and panics on positioning until it is reissued, and the
+// next NewIter on the worker is that same storage, as good as new.
+func TestIterCloseContract(t *testing.T) {
+	s, sorted, _ := iterTestStore(t, 8, 400)
+	h := s.Handle(0)
+	it := h.NewIter(IterOptions{})
+	if !it.First() {
+		t.Fatal("First on a loaded store found nothing")
+	}
+	it.Close()
+	it.Close()
+	if it.Valid() || it.Key() != nil || it.Value() != nil || it.ValueUint64() != 0 {
+		t.Fatal("closed cursor still reads as positioned")
+	}
+	if it.Next() {
+		t.Fatal("closed cursor stepped")
+	}
+	mustPanic(t, "Prev after Close", func() { it.Prev() }) // from after-last, Prev is Last
+	mustPanic(t, "First after Close", func() { it.First() })
+	mustPanic(t, "Last after Close", func() { it.Last() })
+	mustPanic(t, "SeekGE after Close", func() { it.SeekGE(nil) })
+	mustPanic(t, "SeekLT after Close", func() { it.SeekLT([]byte(sorted[3])) })
+
+	again := h.NewIter(IterOptions{})
+	if again.(*Iter) != it.(*Iter) {
+		t.Fatal("the worker's next cursor is not the one it closed last")
+	}
+	other := h.NewIter(IterOptions{}) // slot empty: a second live cursor is fresh
+	if other.(*Iter) == again.(*Iter) {
+		t.Fatal("two live cursors share storage")
+	}
+	if k, _ := collectFwd(again); len(k) != len(sorted) {
+		t.Fatalf("reissued cursor saw %d keys, want %d", len(k), len(sorted))
+	}
+	if k, _ := collectRev(other); len(k) != len(sorted) {
+		t.Fatalf("second cursor saw %d keys, want %d", len(k), len(sorted))
+	}
+	again.Close()
+	other.Close() // slot taken: dropped, not queued
+	if got := h.NewIter(IterOptions{}); got.(*Iter) != again.(*Iter) {
+		t.Fatal("slot did not keep the first cursor closed")
+	}
+	if s.Handle(1).NewIter(IterOptions{}).(*Iter) == again.(*Iter) {
+		t.Fatal("worker 1 was handed worker 0's cursor")
+	}
+}
+
+// TestIterRecycleStartsFresh: nothing of one use — bounds, orientation,
+// position, the learned batch budget — reaches the next.
+func TestIterRecycleStartsFresh(t *testing.T) {
+	s, sorted, _ := iterTestStore(t, 9, 1500)
+	h := s.Handle(0)
+	lo, hi := sorted[500], sorted[600]
+	it := h.NewIter(IterOptions{LowerBound: []byte(lo), UpperBound: []byte(hi), Reverse: true})
+	if k, _ := collectFwd(it); len(k) != 100 || k[0] != lo {
+		t.Fatalf("bounded walk saw %d keys from %x, want 100 from %x", len(k), k[0], lo)
+	}
+	it.Close()
+
+	it = h.NewIter(IterOptions{})
+	st := it.(*Iter)
+	if st.batch != iterBatchMin || st.consumed != iterBatchMin || st.state != posFresh || st.opts.Reverse ||
+		st.opts.LowerBound != nil || st.opts.UpperBound != nil {
+		t.Fatalf("recycled cursor carries state: batch %d consumed %d state %d opts %+v", st.batch, st.consumed, st.state, st.opts)
+	}
+	if !it.Next() || string(it.Key()) != sorted[0] { // fresh: Next is First
+		t.Fatalf("Next on a reissued cursor is at %x, want the first key", it.Key())
+	}
+	if !it.SeekGE([]byte(sorted[590])) {
+		t.Fatal("SeekGE inside the old bounds missed")
+	}
+	for i := 590; i < 700; i++ { // walks past the previous use's upper bound
+		if string(it.Key()) != sorted[i] {
+			t.Fatalf("entry %d: at %x, want %x", i, it.Key(), sorted[i])
+		}
+		it.Next()
+	}
+	if !it.SeekLT([]byte(sorted[510])) {
+		t.Fatal("SeekLT inside the old bounds missed")
+	}
+	for i := 509; i >= 400; i-- { // and below its lower bound
+		if string(it.Key()) != sorted[i] {
+			t.Fatalf("entry %d: at %x, want %x", i, it.Key(), sorted[i])
+		}
+		it.Prev()
+	}
+	it.Close()
+
+	// One bound of the previous use must not survive as the other's absence.
+	it = h.NewIter(IterOptions{UpperBound: []byte(hi)})
+	it.Close()
+	it = h.NewIter(IterOptions{LowerBound: []byte(lo)})
+	if k, _ := collectFwd(it); len(k) != len(sorted)-500 {
+		t.Fatalf("lower-bounded walk saw %d keys, want %d", len(k), len(sorted)-500)
 	}
 	it.Close()
 }

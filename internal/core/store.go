@@ -167,6 +167,7 @@ type Store struct {
 	recLocks []sync.Mutex
 
 	handles   []Handle
+	iterSlots []CursorSlot[Iter] // per worker: the last closed cursor
 	size      atomic.Int64
 	recovered int
 
@@ -265,6 +266,7 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 	}
 
 	s.handles = make([]Handle, cfg.Workers)
+	s.iterSlots = make([]CursorSlot[Iter], cfg.Workers)
 	for i := range s.handles {
 		s.handles[i] = Handle{
 			s:  s,

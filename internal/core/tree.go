@@ -665,7 +665,9 @@ func (h Handle) scanLayer(cell rootCell, kb *[]byte, plen int, start []byte, max
 	}
 	n := h.descend(rootOff, startIk)
 
-	var entries []scanEntry
+	// A leaf snapshot lives on the stack: a 4-bit permutation count admits
+	// at most LeafWidth+1 entries, whatever a racing writer leaves in it.
+	var snap [LeafWidth + 1]scanEntry
 	for n.valid() {
 	again:
 		v := n.stable()
@@ -680,18 +682,18 @@ func (h Handle) scanLayer(cell rootCell, kb *[]byte, plen int, start []byte, max
 				goto again
 			}
 		}
-		entries = entries[:0]
 		p := n.perm()
-		for i := 0; i < p.count(); i++ {
+		cnt := p.count()
+		for i := 0; i < cnt; i++ {
 			s := p.slot(i)
-			entries = append(entries, scanEntry{n.ikey(s), n.kind(s), n.val(s)})
+			snap[i] = scanEntry{n.ikey(s), n.kind(s), n.val(s)}
 		}
 		next := n.next()
 		if n.changed(v) {
 			goto again
 		}
 
-		for _, e := range entries {
+		for _, e := range snap[:cnt] {
 			if len(start) > 0 && keyCmp(e.ikey, e.kind, startIk, startKind) < 0 {
 				if !(e.kind == kindLayer && e.ikey == startIk) {
 					continue
@@ -784,21 +786,22 @@ func (b *revBound) admitsBeyond(hk uint64) bool {
 // unset means from the end of the layer) in descending order, recursing
 // into sub-layers. Like scanLayer, kb is the shared key buffer (prefix in
 // its first plen bytes): the key passed to fn is scratch, valid only
-// during the callback. Returns false when fn or the max cut stopped the
-// walk.
-func (h Handle) scanLayerRev(cell rootCell, kb *[]byte, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
+// during the callback. sc is the caller's leaf-snapshot scratch, used as
+// a stack by the nested walks (see revLeafChain). Returns false when fn or
+// the max cut stopped the walk.
+func (h Handle) scanLayerRev(cell rootCell, kb *[]byte, sc *[]scanEntry, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
 	rootOff := cell.root()
 	if rootOff == 0 {
 		return true
 	}
-	return h.revSubtree(h.ref(rootOff), kb, plen, b, max, visited, fn)
+	return h.revSubtree(h.ref(rootOff), kb, sc, plen, b, max, visited, fn)
 }
 
 // revSubtree walks subtree n right-to-left, delivering entries under *b
 // and tightening the bound as it goes.
-func (h Handle) revSubtree(n nodeRef, kb *[]byte, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
+func (h Handle) revSubtree(n nodeRef, kb *[]byte, sc *[]scanEntry, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
 	if n.isLeaf() {
-		return h.revLeafChain(n, kb, plen, b, max, visited, fn)
+		return h.revLeafChain(n, kb, sc, plen, b, max, visited, fn)
 	}
 	h.s.lazyRecoverInterior(n)
 retry:
@@ -830,7 +833,7 @@ retry:
 			h.lapRetry()
 			goto retry
 		}
-		if !h.revSubtree(h.ref(kids[i]), kb, plen, b, max, visited, fn) {
+		if !h.revSubtree(h.ref(kids[i]), kb, sc, plen, b, max, visited, fn) {
 			return false
 		}
 	}
@@ -842,81 +845,93 @@ retry:
 // reverse — so entries a racing split moved right of n are still seen,
 // and entries above the bound (already delivered through their new home)
 // are skipped.
-func (h Handle) revLeafChain(n nodeRef, kb *[]byte, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
-	var chain [][]scanEntry
+//
+// The chain's snapshots are appended to *sc above whatever the enclosing
+// layers' walks hold there and popped on return; a sub-layer walk may grow
+// the slice under this one, so entries are read by index, never through a
+// retained subslice.
+func (h Handle) revLeafChain(n nodeRef, kb *[]byte, sc *[]scanEntry, plen int, b *revBound, max int, visited *int, fn func([]byte, uint64) bool) bool {
+	base := len(*sc)
+	defer func() { *sc = (*sc)[:base] }()
+	// One sub-layer bound for the whole chain, declared outside the delivery
+	// loop: a variable of the loop body whose address reaches this recursive
+	// family of functions is heap-allocated per entry.
+	var sub revBound
 	for n.valid() {
 		h.s.lazyRecoverLeaf(n)
+		mark := len(*sc)
 	again:
+		*sc = (*sc)[:mark]
 		v := n.stable()
-		var entries []scanEntry
 		p := n.perm()
 		for i := 0; i < p.count(); i++ {
 			s := p.slot(i)
-			entries = append(entries, scanEntry{n.ikey(s), n.kind(s), n.val(s)})
+			*sc = append(*sc, scanEntry{n.ikey(s), n.kind(s), n.val(s)})
 		}
 		next := n.next()
 		hk := n.hikey()
 		if n.changed(v) {
 			goto again
 		}
-		chain = append(chain, entries)
 		if next == 0 || !b.admitsBeyond(hk) {
 			break
 		}
 		n = h.ref(next)
 	}
-	for ci := len(chain) - 1; ci >= 0; ci-- {
-		entries := chain[ci]
-		for ei := len(entries) - 1; ei >= 0; ei-- {
-			e := entries[ei]
-			if b.set {
-				c := keyCmp(e.ikey, e.kind, b.ik, b.kind)
-				if c > 0 {
+	// Leaves in chain order, entries in key order: the chain in reverse is
+	// the flat snapshot in reverse.
+	for i := len(*sc) - 1; i >= base; i-- {
+		e := (*sc)[i]
+		if b.set {
+			c := keyCmp(e.ikey, e.kind, b.ik, b.kind)
+			if c > 0 {
+				continue
+			}
+			if c == 0 {
+				if b.whole || e.kind != kindLayer {
 					continue
 				}
-				if c == 0 {
-					if b.whole || e.kind != kindLayer {
-						continue
-					}
-					// The boundary layer entry: only its keys below the
-					// bound's remainder qualify.
-					*kb = appendIkey((*kb)[:plen], e.ikey, e.kind)
-					sub := boundFor(b.rest)
-					if !h.scanLayerRev(rootCell{s: h.s, off: e.vw}, kb, plen+8, &sub, max, visited, fn) {
-						return false
-					}
-					*b = revBound{set: true, ik: e.ikey, kind: e.kind, whole: true}
-					continue
+				// The boundary layer entry: only its keys below the
+				// bound's remainder qualify.
+				*kb = appendIkey((*kb)[:plen], e.ikey, e.kind)
+				sub = boundFor(b.rest)
+				if !h.scanLayerRev(rootCell{s: h.s, off: e.vw}, kb, sc, plen+8, &sub, max, visited, fn) {
+					return false
 				}
+				*b = revBound{set: true, ik: e.ikey, kind: e.kind, whole: true}
+				continue
 			}
-			*kb = appendIkey((*kb)[:plen], e.ikey, e.kind)
-			if e.kind == kindLayer {
-				sub := revBound{}
-				if !h.scanLayerRev(rootCell{s: h.s, off: e.vw}, kb, plen+8, &sub, max, visited, fn) {
-					return false
-				}
-			} else {
-				if max >= 0 && *visited >= max {
-					return false
-				}
-				*visited++
-				if !fn(*kb, e.vw) {
-					return false
-				}
-			}
-			*b = revBound{set: true, ik: e.ikey, kind: e.kind, whole: true}
 		}
+		*kb = appendIkey((*kb)[:plen], e.ikey, e.kind)
+		if e.kind == kindLayer {
+			sub = revBound{}
+			if !h.scanLayerRev(rootCell{s: h.s, off: e.vw}, kb, sc, plen+8, &sub, max, visited, fn) {
+				return false
+			}
+		} else {
+			if max >= 0 && *visited >= max {
+				return false
+			}
+			*visited++
+			if !fn(*kb, e.vw) {
+				return false
+			}
+		}
+		*b = revBound{set: true, ik: e.ikey, kind: e.kind, whole: true}
 	}
 	return true
 }
 
+// appendIkey appends the key bytes an (ikey, kind) pair stands for: the
+// top kind bytes of ik, all eight for a layer entry. It runs once per
+// scanned entry, consumed or not, so it writes the whole word and cuts it
+// to length instead of looping over bytes.
 func appendIkey(dst []byte, ik uint64, kind uint8) []byte {
 	nb := int(kind)
 	if kind == kindLayer {
 		nb = 8
 	}
-	for i := 0; i < nb; i++ {
-		dst = append(dst, byte(ik>>(56-8*uint(i))))
-	}
-	return dst
+	n := len(dst)
+	dst = binary.BigEndian.AppendUint64(dst, ik)
+	return dst[:n+nb]
 }

@@ -56,7 +56,8 @@ const (
 	// summary words: one claim covers 4096 lines (256 KiB of arena), large
 	// enough that the shared cursor is touched once per ~100 µs of copying
 	// and small enough that the last chunks balance across cores. One
-	// uint64 holds a bit per summary word of a chunk.
+	// uint64 holds a bit per summary word of a chunk. It is also the unit
+	// of the second-level dirty index (Arena.chunks).
 	sweepChunk = 64
 
 	// flushAloneLines is how many lines FlushAll's caller persists by itself
@@ -109,12 +110,24 @@ type Config struct {
 // Writeback is used on per-thread log buffers and on barrier-protected
 // metadata, each fenced before its next store. FlushAll and Crash require
 // all mutators to be quiescent, which the epoch manager's global barrier
-// provides; FlushAll is internally parallel (see there).
+// provides, and rely on it: they copy lines and clear line flags with plain
+// loads and stores. FlushAll is internally parallel (see there).
+//
+// Dirty tracking is two summaries over the per-line flags. summary has one
+// bit per line and is exact at every quiescent point: a line with non-zero
+// flags has its bit set. chunks has one bit per sweepChunk summary words
+// and is a superset hint: the first store to a clean line sets it, and
+// only FlushAll and Crash — which leave nothing dirty — clear it, so a
+// chunk emptied line by line (Fence, eviction) stays marked until the
+// next boundary. FlushAll, Crash and DirtyLines visit marked chunks only,
+// which makes a boundary's cost follow its dirty set, not the arena size.
 type Arena struct {
 	volatile []uint64        // the image mutators see (through the cache)
 	persist  []uint64        // the NVM image
-	flags    []atomic.Uint32 // per-line state
+	flags    []uint32        // per-line state; atomic like volatile, plain only under quiescence
 	summary  []atomic.Uint64 // one bit per line, grouped 64 lines/word
+	chunks   []atomic.Uint64 // one bit per sweepChunk summary words
+	nchunks  int
 
 	lines      int
 	evict      bool
@@ -127,7 +140,7 @@ type Arena struct {
 	evictPos int
 	rng      *rand.Rand
 
-	// sweepNext is the first summary word no goroutine of the FlushAll in
+	// sweepNext is the first chunk no goroutine of the FlushAll in
 	// progress has claimed yet. FlushAll's caller holds mu for the whole
 	// sweep, so there is one sweep at a time.
 	sweepNext atomic.Int64
@@ -155,11 +168,15 @@ func New(cfg Config) *Arena {
 	}
 	words := (cfg.Words + WordsPerLine - 1) / WordsPerLine * WordsPerLine
 	lines := int(words / WordsPerLine)
+	nsummary := (lines + 63) / 64
+	nchunks := (nsummary + sweepChunk - 1) / sweepChunk
 	a := &Arena{
 		volatile: make([]uint64, words),
 		persist:  make([]uint64, words),
-		flags:    make([]atomic.Uint32, lines),
-		summary:  make([]atomic.Uint64, (lines+63)/64),
+		flags:    make([]uint32, lines),
+		summary:  make([]atomic.Uint64, nsummary),
+		chunks:   make([]atomic.Uint64, (nchunks+63)/64),
+		nchunks:  nchunks,
 		lines:    lines,
 		evict:    cfg.DirtyCapacity > 0,
 		capacity: int64(cfg.DirtyCapacity),
@@ -245,12 +262,16 @@ func (a *Arena) markDirty(line int) {
 	// protocol to detect stores racing with a line copy; without eviction,
 	// dirty bits are only cleared while mutators are quiesced (FlushAll,
 	// Crash) or on lines the clearing thread owns (Fence).
-	if !a.evict && a.flags[line].Load()&lineDirty != 0 {
+	if !a.evict && atomic.LoadUint32(&a.flags[line])&lineDirty != 0 {
 		return
 	}
 	old := orU32(&a.flags[line], lineDirty)
 	if old&lineDirty == 0 {
 		orU64(&a.summary[line>>6], 1<<(uint(line)&63))
+		// Read-mostly: all but a chunk's first dirtying of an epoch find
+		// the bit set and leave the shared index line unwritten.
+		c := (line >> 6) / sweepChunk
+		orU64(&a.chunks[c>>6], 1<<(uint(c)&63))
 		if a.evict {
 			a.dirtyCount.Add(1)
 		}
@@ -261,10 +282,10 @@ func (a *Arena) markDirty(line int) {
 // atomic Or/And intrinsics, which miscompile on go1.24.0 (the intrinsic's
 // CMPXCHG loop clobbers a live register). The CAS loop lowers to the same
 // LOCK CMPXCHG without tickling the bug.
-func orU32(x *atomic.Uint32, mask uint32) (old uint32) {
+func orU32(x *uint32, mask uint32) (old uint32) {
 	for {
-		old = x.Load()
-		if old&mask == mask || x.CompareAndSwap(old, old|mask) {
+		old = atomic.LoadUint32(x)
+		if old&mask == mask || atomic.CompareAndSwapUint32(x, old, old|mask) {
 			return old
 		}
 	}
@@ -311,7 +332,7 @@ func (a *Arena) CompareAndSwap(off uint64, old, new uint64) bool {
 // be durable after a subsequent Fence.
 func (a *Arena) Writeback(off uint64) {
 	line := int(off / WordsPerLine)
-	if a.flags[line].Load()&lineDirty != 0 {
+	if atomic.LoadUint32(&a.flags[line])&lineDirty != 0 {
 		if orU32(&a.flags[line], linePending)&linePending == 0 {
 			a.pendMu.Lock()
 			a.pending = append(a.pending, line)
@@ -351,7 +372,7 @@ func (a *Arena) Fence() {
 	if len(pend) > 0 {
 		a.mu.Lock()
 		for _, line := range pend {
-			if a.flags[line].Load()&linePending != 0 {
+			if atomic.LoadUint32(&a.flags[line])&linePending != 0 {
 				a.persistLineLocked(line)
 			}
 		}
@@ -378,7 +399,7 @@ func (a *Arena) persistLineLocked(line int) {
 	// its summary bit set — what lets FlushAll and Crash visit summary-marked
 	// lines only.
 	a.clearSummary(line)
-	old := a.flags[line].Swap(0)
+	old := atomic.SwapUint32(&a.flags[line], 0)
 	if old&lineDirty != 0 && a.evict {
 		a.dirtyCount.Add(-1)
 	}
@@ -389,10 +410,10 @@ func (a *Arena) clearSummary(line int) {
 	andU64(&a.summary[line>>6], ^(uint64(1) << (uint(line) & 63)))
 }
 
-func andU32(x *atomic.Uint32, mask uint32) {
+func andU32(x *uint32, mask uint32) {
 	for {
-		old := x.Load()
-		if old&mask == old || x.CompareAndSwap(old, old&mask) {
+		old := atomic.LoadUint32(x)
+		if old&mask == old || atomic.CompareAndSwapUint32(x, old, old&mask) {
 			return
 		}
 	}
@@ -418,7 +439,7 @@ func (a *Arena) maybeEvict() {
 			continue
 		}
 		line := g<<6 + bits.TrailingZeros64(w)
-		if !a.flags[line].CompareAndSwap(lineDirty, lineFlushing) {
+		if !atomic.CompareAndSwapUint32(&a.flags[line], lineDirty, lineFlushing) {
 			continue // pending or being rewritten; pick another victim
 		}
 		base := uint64(line) * WordsPerLine
@@ -428,7 +449,7 @@ func (a *Arena) maybeEvict() {
 		}
 		// Summary bit before flags, as in persistLineLocked.
 		a.clearSummary(line)
-		if a.flags[line].CompareAndSwap(lineFlushing, 0) {
+		if atomic.CompareAndSwapUint32(&a.flags[line], lineFlushing, 0) {
 			// No store raced with the copy: buf is a consistent
 			// point-in-time snapshot of the line; persist it.
 			copy(a.persist[base:base+WordsPerLine], buf[:])
@@ -444,17 +465,56 @@ func (a *Arena) maybeEvict() {
 	}
 }
 
+// nextMarked returns the first chunk at or after c that the index marks,
+// or nchunks when there is none.
+func (a *Arena) nextMarked(c int) int {
+	for w := c >> 6; w < len(a.chunks); w++ {
+		m := a.chunks[w].Load()
+		if w == c>>6 {
+			m &= ^uint64(0) << (uint(c) & 63)
+		}
+		if m != 0 {
+			return w<<6 + bits.TrailingZeros64(m)
+		}
+	}
+	return a.nchunks
+}
+
+// marked yields the summary-word range [lo, hi) of every marked chunk, in
+// ascending order: the ranges outside them hold no dirty line.
+func (a *Arena) marked() iter.Seq2[int, int] {
+	return func(yield func(lo, hi int) bool) {
+		for c := a.nextMarked(0); c < a.nchunks; c = a.nextMarked(c + 1) {
+			lo := c * sweepChunk
+			if !yield(lo, min(lo+sweepChunk, len(a.summary))) {
+				return
+			}
+		}
+	}
+}
+
+// unmarkAll empties the chunk index. Only for callers that have just left
+// every line clean with mutators quiescent (FlushAll, Crash).
+func (a *Arena) unmarkAll() {
+	for i := range a.chunks {
+		if a.chunks[i].Load() != 0 {
+			a.chunks[i].Store(0)
+		}
+	}
+}
+
 // dirty yields, in ascending order, every line among those of summary words
 // [lo, hi) that is not yet persistent (dirty, pending or mid-eviction). It
 // is the one dirty-set iterator: FlushAll's chunks, Crash and DirtyLines
-// all range over it. A group's summary word is read once, so the loop body
-// may clear the flags and summary bit of the line it was handed.
+// all range over it, one marked chunk at a time. A group's summary word is
+// read once, so the loop body may clear the flags and summary bit of the
+// line it was handed.
 func (a *Arena) dirty(lo, hi int) iter.Seq[int] {
 	return func(yield func(int) bool) {
 		for g := lo; g < hi; g++ {
 			for w := a.summary[g].Load(); w != 0; w &= w - 1 {
 				line := g<<6 + bits.TrailingZeros64(w)
-				if a.flags[line].Load() != 0 && !yield(line) {
+				if atomic.LoadUint32(&a.flags[line]) != 0 && !yield(line) {
 					return
 				}
 			}
@@ -467,9 +527,9 @@ func (a *Arena) dirty(lo, hi int) iter.Seq[int] {
 // quiescent. Injects the configured flush cost model.
 //
 // wbinvd drains every core's cache at once, so the sweep uses every core:
-// the arena is cut into chunks of sweepChunk summary words which the caller
-// and, for a large flush, up to GOMAXPROCS-1 helper goroutines claim from a
-// shared cursor. The helpers are started only after the caller has itself
+// the arena is cut into chunks of sweepChunk summary words, and the caller
+// and, for a large flush, up to GOMAXPROCS-1 helper goroutines claim the
+// marked ones from a shared cursor. The helpers are started only after the caller has itself
 // persisted flushAloneLines lines with chunks still unclaimed, and FlushAll
 // returns only after every one of them has finished: the caller's next
 // store (the epoch's commit record) is ordered after the last line copy.
@@ -477,7 +537,7 @@ func (a *Arena) FlushAll() int {
 	a.mu.Lock()
 	a.sweepNext.Store(0)
 	n := a.flushChunks(flushAloneLines)
-	if int(a.sweepNext.Load()) < len(a.summary) {
+	if a.nextMarked(int(a.sweepNext.Load())) < a.nchunks {
 		var (
 			helpers sync.WaitGroup
 			helped  atomic.Int64
@@ -493,6 +553,7 @@ func (a *Arena) FlushAll() int {
 		helpers.Wait() // every helper's copies happen before the return
 		n += int(helped.Load())
 	}
+	a.unmarkAll()
 	if a.evict {
 		a.dirtyCount.Store(0)
 	}
@@ -503,16 +564,21 @@ func (a *Arena) FlushAll() int {
 	return n
 }
 
-// flushChunks claims chunks from the sweep cursor and persists their dirty
-// lines until no chunk is left or more than limit lines have been
+// flushChunks claims marked chunks from the sweep cursor and persists
+// their dirty lines until none is left or more than limit lines have been
 // persisted, and returns that number of lines.
 func (a *Arena) flushChunks(limit int) int {
 	n := 0
 	for n <= limit {
-		lo := int(a.sweepNext.Add(sweepChunk)) - sweepChunk
-		if lo >= len(a.summary) {
+		cur := a.sweepNext.Load()
+		c := a.nextMarked(int(cur))
+		if c >= a.nchunks {
 			break
 		}
+		if !a.sweepNext.CompareAndSwap(cur, int64(c)+1) {
+			continue // another goroutine claimed past cur; look again
+		}
+		lo := c * sweepChunk
 		n += a.flushChunk(lo, min(lo+sweepChunk, len(a.summary)))
 	}
 	return n
@@ -538,12 +604,15 @@ func (a *Arena) flushChunk(lo, hi int) int {
 }
 
 // markClean clears the flags of every dirty line of the summary words
-// lo+i whose bit i is set in groups, and those summary words.
+// lo+i whose bit i is set in groups, and those summary words. Its callers
+// hold mutators quiescent, so the flags are cleared with plain stores, as
+// the lines were copied: an atomic store is an XCHG, and one per line cost
+// a small flush more than copying the line did.
 func (a *Arena) markClean(lo int, groups uint64) {
 	for ; groups != 0; groups &= groups - 1 {
 		g := lo + bits.TrailingZeros64(groups)
 		for line := range a.dirty(g, g+1) {
-			a.flags[line].Store(0)
+			a.flags[line] = 0
 		}
 		a.summary[g].Store(0)
 	}
@@ -563,9 +632,9 @@ func (a *Arena) Crash(p Policy) {
 	a.mu.Lock()
 	defer a.mu.Unlock()
 	var persisted, lost int64
-	for lo := 0; lo < len(a.summary); lo += sweepChunk {
+	for lo, hi := range a.marked() {
 		var groups uint64
-		for line := range a.dirty(lo, min(lo+sweepChunk, len(a.summary))) {
+		for line := range a.dirty(lo, hi) {
 			base := line * WordsPerLine
 			vol, per := a.volatile[base:base+WordsPerLine], a.persist[base:base+WordsPerLine]
 			if p.Persist(line) {
@@ -579,6 +648,7 @@ func (a *Arena) Crash(p Policy) {
 		}
 		a.markClean(lo, groups)
 	}
+	a.unmarkAll()
 	a.stats.CrashLinesPersisted.Add(persisted)
 	a.stats.CrashLinesLost.Add(lost)
 	a.dirtyCount.Store(0)
@@ -591,8 +661,10 @@ func (a *Arena) Crash(p Policy) {
 // DirtyLines returns the number of lines that are not yet persistent.
 func (a *Arena) DirtyLines() int {
 	n := 0
-	for range a.dirty(0, len(a.summary)) {
-		n++
+	for lo, hi := range a.marked() {
+		for range a.dirty(lo, hi) {
+			n++
+		}
 	}
 	return n
 }

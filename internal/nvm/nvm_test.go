@@ -3,6 +3,7 @@ package nvm
 import (
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"testing"
 	"testing/quick"
@@ -573,7 +574,7 @@ func TestCrashLeavesImagesEqual(t *testing.T) {
 				ref := policy()
 				lost := 0
 				for line := range a.flags {
-					if a.flags[line].Load() == 0 {
+					if a.flags[line] == 0 {
 						continue
 					}
 					if ref.Persist(line) {
@@ -624,5 +625,139 @@ func TestFenceReusesPendingBuffer(t *testing.T) {
 	}
 	if a.DirtyLines() != 0 {
 		t.Fatalf("%d dirty lines after the last fence", a.DirtyLines())
+	}
+}
+
+// driveChunkIndex runs a seeded single-goroutine mix of every operation
+// that sets or clears dirty state — Store, CompareAndSwap, Writeback,
+// Fence, eviction when capacity > 0, FlushAll and Crash under a
+// SubsetPolicy — over an arena of 16 chunks in which most stores land in
+// three of them, and calls check at every quiescent point. It uses the
+// public surface only, so the same sequence can be replayed on another
+// revision of the package.
+func driveChunkIndex(seed int64, capacity int, check func(a *Arena, step int)) *Arena {
+	a := New(Config{Words: 16 * sweepChunk * 64 * WordsPerLine, DirtyCapacity: capacity, Seed: seed})
+	rng := rand.New(rand.NewSource(seed))
+	chunkLines := sweepChunk * 64
+	hot := [3]int{rng.Intn(16), rng.Intn(16), rng.Intn(16)}
+	var recent []int
+	pick := func() int {
+		line := rng.Intn(a.Lines())
+		if rng.Intn(8) != 0 {
+			line = hot[rng.Intn(len(hot))]*chunkLines + rng.Intn(chunkLines)
+		}
+		if line == 0 {
+			line = 1 // word 0's line is never handed out
+		}
+		recent = append(recent, line)
+		return line
+	}
+	for step := 0; step < 6000; step++ {
+		switch r := rng.Intn(100); {
+		case r < 55:
+			a.Store(uint64(pick())*WordsPerLine+uint64(rng.Intn(WordsPerLine)), rng.Uint64()|1)
+		case r < 70:
+			off := uint64(pick())*WordsPerLine + uint64(rng.Intn(WordsPerLine))
+			old := a.Load(off)
+			if rng.Intn(3) == 0 {
+				old++ // a failing CAS dirties nothing without eviction
+			}
+			a.CompareAndSwap(off, old, rng.Uint64()|1)
+		case r < 85:
+			if len(recent) > 0 {
+				a.Writeback(uint64(recent[rng.Intn(len(recent))]) * WordsPerLine)
+			}
+		case r < 95:
+			a.Fence()
+		case r < 98:
+			check(a, step)
+			a.FlushAll()
+			check(a, step)
+			recent = recent[:0]
+		default:
+			check(a, step)
+			lines := recent[max(0, len(recent)-10):]
+			a.Crash(SubsetPolicy(lines, rng.Uint64(), rng.Intn(2) == 0))
+			check(a, step)
+			recent = recent[:0]
+		}
+		if step%64 == 0 {
+			check(a, step)
+		}
+	}
+	return a
+}
+
+// Property: the chunk index never hides a dirty line. At every quiescent
+// point of a random operation sequence the walk over marked chunks yields
+// exactly the lines a walk over the whole summary yields; a FlushAll or a
+// Crash leaves nothing dirty and nothing marked; and the lines persisted
+// by the whole sequence are those the flat summary walk persisted for the
+// same seed (counts recorded at the parent of the change that added the
+// index, from this same driver).
+func TestPropertyChunkIndexMatchesFullWalk(t *testing.T) {
+	parent := map[int]map[int64]int64{ // capacity → seed → LinesPersisted
+		0:  {1: 2498, 2: 2456, 3: 2466, 4: 2557},
+		48: {1: 2752, 2: 2653, 3: 2636, 4: 2736},
+	}
+	for capacity, seeds := range parent {
+		for seed, want := range seeds {
+			flushes := int64(0)
+			a := driveChunkIndex(seed, capacity, func(a *Arena, step int) {
+				var full, indexed []int
+				for line := range a.dirty(0, len(a.summary)) {
+					full = append(full, line)
+				}
+				for lo, hi := range a.marked() {
+					for line := range a.dirty(lo, hi) {
+						indexed = append(indexed, line)
+					}
+				}
+				if !slices.Equal(indexed, full) {
+					t.Fatalf("capacity %d seed %d step %d: indexed walk yields %d lines, full walk %d", capacity, seed, step, len(indexed), len(full))
+				}
+				if a.DirtyLines() != len(full) {
+					t.Fatalf("capacity %d seed %d step %d: DirtyLines() = %d, full walk %d", capacity, seed, step, a.DirtyLines(), len(full))
+				}
+				s := a.Stats()
+				if boundary := s.GlobalFlushes.Load() + s.Crashes.Load(); boundary != flushes {
+					flushes = boundary // first check after a FlushAll or Crash
+					if len(full) != 0 || a.nextMarked(0) != a.nchunks {
+						t.Fatalf("capacity %d seed %d step %d: %d lines dirty, first marked chunk %d of %d after a boundary", capacity, seed, step, len(full), a.nextMarked(0), a.nchunks)
+					}
+				}
+			})
+			if got := a.Stats().LinesPersisted.Load(); got != want {
+				t.Errorf("capacity %d seed %d: LinesPersisted = %d, parent %d", capacity, seed, got, want)
+			}
+		}
+	}
+}
+
+// BenchmarkFlushAllEmpty is the floor every checkpoint pays: a boundary
+// with nothing dirty in the benchmark workloads' 2^24-word arena.
+func BenchmarkFlushAllEmpty(b *testing.B) {
+	a := New(Config{Words: 1 << 24})
+	for b.Loop() {
+		a.FlushAll()
+	}
+}
+
+// BenchmarkFlushAllSparse flushes 1000 lines scattered over the same
+// arena: a small epoch's dirty set, found through the chunk index.
+func BenchmarkFlushAllSparse(b *testing.B) {
+	a := New(Config{Words: 1 << 24})
+	rng := rand.New(rand.NewSource(1))
+	offs := make([]uint64, 1000)
+	for i := range offs {
+		offs[i] = uint64(1+rng.Intn(a.Lines()-1)) * WordsPerLine
+	}
+	for i := 0; b.Loop(); i++ {
+		b.StopTimer()
+		for _, off := range offs {
+			a.Store(off, uint64(i)+1)
+		}
+		b.StartTimer()
+		a.FlushAll()
 	}
 }

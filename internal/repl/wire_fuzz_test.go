@@ -8,6 +8,8 @@ import (
 	"io"
 	"strings"
 	"testing"
+
+	"incll/internal/testutil"
 )
 
 func crc32Of(p []byte) uint32 { return crc32.ChecksumIEEE(p) }
@@ -228,7 +230,9 @@ func TestDecodeOversizeNoAlloc(t *testing.T) {
 			t.Fatalf("got %v, want ErrBadStream", err)
 		}
 	})
-	if allocs > 4 { // error wrapping only; never the 2 GiB payload
+	// Error wrapping only; never the 2 GiB payload. The race detector's
+	// instrumentation allocates on its own, so the budget holds without it.
+	if !testutil.RaceEnabled && allocs > 4 {
 		t.Fatalf("oversize frame rejection allocated %v objects per run", allocs)
 	}
 }

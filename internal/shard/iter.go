@@ -12,12 +12,18 @@ import (
 // head yields exactly the key order an unsharded cursor would — in either
 // direction. Shard counts are small, so the merge is a linear min/max
 // over the heads rather than a heap.
+//
+// Like the core cursors under it, a closed Iter waits in its worker's slot
+// (a core.CursorSlot on the Store) and is the storage of that worker's next
+// NewIter: it must not be touched after Close.
 type Iter struct {
-	its   []core.Cursor
-	cur   int  // shard the current entry comes from
-	fwd   bool // direction the heads are settled in
-	state int
-	seek  []byte // scratch for direction switches
+	h      Handle
+	its    []core.Cursor // per-shard cursors, closed with this one
+	cur    int           // shard the current entry comes from
+	fwd    bool          // direction the heads are settled in
+	state  int
+	closed bool
+	seek   []byte // scratch for direction switches
 }
 
 // Merge cursor position states (mirrors the core cursor's).
@@ -31,11 +37,16 @@ const (
 // NewIter opens a cursor over the whole cluster on worker i's per-shard
 // handles. Not safe for concurrent use, like the handle itself.
 func (h Handle) NewIter(o core.IterOptions) core.Cursor {
-	its := make([]core.Cursor, len(h.s.shards))
-	for i, sh := range h.s.shards {
-		its[i] = sh.Handle(h.i).NewIter(o)
+	m := h.s.iterSlots[h.i].Take()
+	if m == nil {
+		m = &Iter{h: h, its: make([]core.Cursor, 0, len(h.s.shards))}
 	}
-	return &Iter{its: its, cur: -1, state: sFresh}
+	m.its = m.its[:0]
+	for _, sh := range h.s.shards {
+		m.its = append(m.its, sh.Handle(h.i).NewIter(o))
+	}
+	m.cur, m.state, m.closed = -1, sFresh, false
+	return m
 }
 
 // NewIter opens a cluster cursor on worker 0's handles.
@@ -177,11 +188,15 @@ func (m *Iter) ValueUint64() uint64 {
 	return m.its[m.cur].ValueUint64()
 }
 
-// Close releases every per-shard cursor.
+// Close releases every per-shard cursor to its store and this one to its
+// worker's slot. Closing again before the next NewIter is a no-op.
 func (m *Iter) Close() {
+	if m.closed {
+		return
+	}
 	for _, it := range m.its {
 		it.Close()
 	}
-	m.state = sAfter
-	m.cur = -1
+	m.state, m.cur, m.closed = sAfter, -1, true
+	m.h.s.iterSlots[m.h.i].Put(m)
 }

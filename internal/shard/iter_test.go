@@ -192,3 +192,41 @@ func TestShardedIterCheckpointInterleaved(t *testing.T) {
 		t.Fatalf("iterated %d keys, want %d", count, n)
 	}
 }
+
+// TestShardedIterCloseContract: the merge cursor follows the core cursor's
+// lifecycle — closing twice is a no-op, positioning a closed cursor panics
+// (its per-shard cursors are closed with it), the worker's next NewIter is
+// the same storage starting fresh, and bounds do not carry over.
+func TestShardedIterCloseContract(t *testing.T) {
+	_, multi, sorted, _ := iterFixture(t, 4, 1500, 11)
+	h := multi.Handle(0)
+	lo, hi := []byte(sorted[100]), []byte(sorted[200])
+	it := h.NewIter(core.IterOptions{LowerBound: lo, UpperBound: hi})
+	if keys, _ := drain(it, true); len(keys) != 100 {
+		t.Fatalf("bounded walk saw %d keys, want 100", len(keys))
+	}
+	it.Close()
+	it.Close()
+	if it.Valid() || it.Key() != nil {
+		t.Fatal("closed merge cursor still reads as positioned")
+	}
+	func() {
+		defer func() {
+			if recover() == nil {
+				t.Fatal("SeekGE on a closed merge cursor did not panic")
+			}
+		}()
+		it.SeekGE(lo)
+	}()
+	again := h.NewIter(core.IterOptions{})
+	if again.(*Iter) != it.(*Iter) {
+		t.Fatal("the worker's next merge cursor is not the one it closed last")
+	}
+	if keys, _ := drain(again, true); len(keys) != len(sorted) {
+		t.Fatalf("reissued cursor saw %d keys, want %d", len(keys), len(sorted))
+	}
+	if keys, _ := drain(again, false); len(keys) != len(sorted) {
+		t.Fatalf("reissued cursor saw %d keys descending, want %d", len(keys), len(sorted))
+	}
+	again.Close()
+}

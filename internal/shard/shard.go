@@ -129,6 +129,8 @@ type Store struct {
 	shards   []*core.Store
 	cfg      Config
 
+	iterSlots []core.CursorSlot[Iter] // per worker: the last closed merge cursor
+
 	advMu sync.Mutex // serializes global advances
 
 	ticker epoch.Ticker
@@ -175,6 +177,8 @@ func attach(coord *nvm.Arena, arenas []*nvm.Arena, cfg Config) (*Store, Recovery
 		shards: make([]*core.Store, cfg.Shards),
 		cfg:    cfg,
 		trace:  cfg.Trace,
+
+		iterSlots: make([]core.CursorSlot[Iter], cfg.Workers),
 	}
 	s.coordOff = coord.Reserve(nvm.WordsPerLine)
 

@@ -539,10 +539,19 @@ func (t *Txn) Commit() error {
 	return t.m.commit(t)
 }
 
+// commitAttempts bounds commit's retries around a full intent segment. A
+// retry finds the segment full again only if other commits on the same
+// worker wrote a whole segment between this one's Advance and its turn at
+// the worker lock — progress, not livelock — and with several goroutines
+// committing through one worker (DB.Apply) and a small segment that does
+// happen two or three times in a row. The bound only turns a cursor that
+// never resets into an error instead of a hang.
+const commitAttempts = 64
+
 // commit runs the protocol, retrying around a full intent segment (an
 // epoch boundary resets the cursors).
 func (m *Manager) commit(t *Txn) error {
-	for attempt := 0; attempt < 3; attempt++ {
+	for attempt := 0; attempt < commitAttempts; attempt++ {
 		done, err := m.tryCommit(t)
 		if done {
 			return err
