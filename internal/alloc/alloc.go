@@ -43,11 +43,13 @@ import (
 // of a line beyond it). The classes above 128 serve the value heap's
 // out-of-place byte values (core's PutBytes), up to ~8 KiB per value; the
 // intermediate line multiples (192, 384, 768) keep worst-case internal
-// fragmentation at 1.5× instead of 2× for the common KB-scale objects.
-var classWords = []uint64{4, 8, 16, 32, 64, 128, 192, 256, 384, 512, 768, 1024}
+// fragmentation at 1.5× instead of 2× for the common KB-scale objects, and
+// 40 and 48 do the same between 32 and 64, where a 256-byte value (2 header
+// + 1 length + 32 payload = 35 words) would otherwise take a 64-word object.
+var classWords = []uint64{4, 8, 16, 32, 40, 48, 64, 128, 192, 256, 384, 512, 768, 1024}
 
 // NumClasses is the number of general size classes.
-const NumClasses = 12
+const NumClasses = 14
 
 // The node class is special: tree nodes need (a) a cache-line-aligned
 // payload, because their layout assigns fields to specific lines, and
@@ -418,7 +420,9 @@ type Handle struct {
 	// freeTo and by spliceLimbo; the epoch barrier orders the two.
 	tails [totalClasses]uint64
 
-	_ [8]byte // pad to two cache lines: handles sit side by side in Allocator.shards
+	// Pad to whole cache lines (16 bytes of al and shard, then the tails):
+	// handles sit side by side in Allocator.shards.
+	_ [(64 - (16+8*totalClasses)%64) % 64]byte
 }
 
 // Alloc returns the payload offset of a fresh object able to hold

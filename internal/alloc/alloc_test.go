@@ -71,8 +71,11 @@ func TestClassFor(t *testing.T) {
 		payload uint64
 		class   int
 	}{
-		{1, 0}, {2, 0}, {3, 1}, {6, 1}, {7, 2}, {14, 2}, {126, 5},
-		{127, 6}, {190, 6}, {254, 7}, {382, 8}, {1000, 11}, {1022, 11}, {1023, -1},
+		{1, 0}, {2, 0}, {3, 1}, {6, 1}, {7, 2}, {14, 2}, {30, 3},
+		// 33 payload words is a 256-byte value (length word + 32): the
+		// 40-word class, not the 64-word one.
+		{31, 4}, {33, 4}, {38, 4}, {39, 5}, {46, 5}, {47, 6}, {62, 6}, {126, 7},
+		{127, 8}, {190, 8}, {254, 9}, {382, 10}, {1000, 13}, {1022, 13}, {1023, -1},
 	}
 	for _, c := range cases {
 		if got := ClassFor(c.payload); got != c.class {
@@ -233,25 +236,29 @@ func TestCrashRollsBackFrees(t *testing.T) {
 }
 
 func TestCommittedStateSurvivesManyCrashPolicies(t *testing.T) {
-	for seed := int64(0); seed < 20; seed++ {
-		f := newFixture(t, 1)
-		h := f.al.Handle(0)
-		var live []uint64
-		for i := 0; i < 20; i++ {
-			live = append(live, h.Alloc(2))
-		}
-		f.mgr.Advance()
-		want := f.al.FreeListLen(0, 0) // committed free count
+	// Payloads of the smallest class and of the 40- and 48-word classes.
+	for _, payload := range []uint64{2, 33, 41} {
+		c := ClassFor(payload)
+		for seed := int64(0); seed < 20; seed++ {
+			f := newFixture(t, 1)
+			h := f.al.Handle(0)
+			var live []uint64
+			for i := 0; i < 20; i++ {
+				live = append(live, h.Alloc(payload))
+			}
+			f.mgr.Advance()
+			want := f.al.FreeListLen(0, c) // committed free count
 
-		// Doomed epoch churn.
-		for i := 0; i < 15; i++ {
-			h.Free(live[i], 2)
-			h.Alloc(2)
-		}
-		f.arena.Crash(nvm.RandomPolicy(0.5, seed))
-		f2 := f.rebuild()
-		if got := f2.al.FreeListLen(0, 0); got != want {
-			t.Fatalf("seed %d: free list = %d, want %d", seed, got, want)
+			// Doomed epoch churn.
+			for i := 0; i < 15; i++ {
+				h.Free(live[i], payload)
+				h.Alloc(payload)
+			}
+			f.arena.Crash(nvm.RandomPolicy(0.5, seed))
+			f2 := f.rebuild()
+			if got := f2.al.FreeListLen(0, c); got != want {
+				t.Fatalf("payload %d, seed %d: free list = %d, want %d", payload, seed, got, want)
+			}
 		}
 	}
 }
@@ -494,7 +501,7 @@ func (f *fixture) freeClass(s, c int, p uint64) {
 	f.al.Handle(s).Free(p, ClassPayloadWords(c))
 }
 
-var spliceTestClasses = []int{0, 3, 5, 7, nodeClass}
+var spliceTestClasses = []int{0, 3, 4, 5, 7, nodeClass} // 4, 32, 40, 48, 128 words and the node class
 
 // classKey names one (shard, class) pair of free and limbo lists.
 type classKey struct{ s, c int }

@@ -18,6 +18,21 @@ package core
 // fields share line 0 with the permutation, and each ValInCLL shares its
 // line with the value words it can log, so "undo copy before mutation" in
 // program order is enough under PCSO — no flushes on these paths.
+//
+// A ValInCLL is invalidated by its own 16-bit epoch tag, not by a store:
+// the first modification of a leaf in an epoch writes line 0 and, for a
+// value update, the one ValInCLL that shares the updated slot's line. The
+// other keeps whatever it last held, tagged with the epoch it was written
+// in. That epoch is a committed one of the current execution (lazy recovery
+// resets both ValInCLLs before a leaf's first modification after a
+// restart), so recovery — which applies a ValInCLL only when its tag names a
+// failed epoch — ignores it, and beforeValUpdate treats a tag other than the
+// current epoch's exactly like an invalid index. Tags are 16 bits wide and
+// are widened with the nodeEpoch's high bits, so both must lie in the
+// nodeEpoch's 2^16-epoch window: logLeaf resets them when it moves the
+// nodeEpoch into a new window.
+
+import "incll/internal/nvm"
 
 // beforePermChange prepares the leaf for a permutation change in the
 // current epoch. isInsert distinguishes insertion (which a prior removal in
@@ -48,14 +63,15 @@ func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
 	// First modification of this node in the current epoch.
 	if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
 		// LOGGING mode, or the 16-bit low-epoch encoding in the ValInCLLs
-		// would be ambiguous (happens about once an hour at 64 ms epochs).
+		// would be ambiguous (happens about once an hour at 64 ms epochs;
+		// logLeaf resets the ValInCLLs into the new window).
 		h.logLeaf(n, cur)
 		return
 	}
+	// The ValInCLLs are left alone — their stale tags already invalidate
+	// them — so a permutation change dirties line 0 only.
 	n.store(fPermInCLL, uint64(n.perm()))
-	n.store(fInCLL1, invalidValInCLL(cur))
-	n.store(fInCLL2, invalidValInCLL(cur))
-	// Same cache line as the two stores above and the permutation that the
+	// Same cache line as the store above and the permutation that the
 	// caller is about to modify: PCSO orders everything for free.
 	n.store(fEpoch, packEpochWord(cur, isInsert, false))
 	s.stats.InCLLPerm.Add(h.w, 1)
@@ -75,15 +91,10 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) {
 			h.logLeaf(n, cur)
 			return
 		}
+		// Only the updated slot's line is written; the other ValInCLL
+		// stays stale-tagged and its line clean.
 		n.store(fPermInCLL, uint64(n.perm()))
-		vc := packValInCLL(n.val(idx), idx, cur)
-		if line == 0 {
-			n.store(fInCLL1, vc)
-			n.store(fInCLL2, invalidValInCLL(cur))
-		} else {
-			n.store(fInCLL1, invalidValInCLL(cur))
-			n.store(fInCLL2, vc)
-		}
+		n.store(inCLLOff(line), packValInCLL(n.val(idx), idx, cur))
 		n.store(fEpoch, packEpochWord(cur, true, false))
 		s.stats.InCLLVal.Add(h.w, 1)
 		return
@@ -92,18 +103,18 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) {
 		return
 	}
 	ic := n.load(inCLLOff(line))
-	switch valInCLLIdx(ic) {
-	case idx:
-		// This slot's epoch-start value is already captured.
-		return
-	case invalidIdx:
-		// Claim the unused ValInCLL mid-epoch: idx was not modified yet
-		// this epoch (a same-epoch remove would have forced logging, and a
-		// same-epoch insert of this slot makes its value irrelevant after
-		// rollback), so its current value is the epoch-start value.
+	switch {
+	case valInCLLEp16(ic) != cur&0xFFFF || valInCLLIdx(ic) == invalidIdx:
+		// Claim the unused ValInCLL mid-epoch — unused because it was reset,
+		// or because it was last written in an earlier epoch. Either way no
+		// slot of this line was overwritten under it this epoch, and idx was
+		// not modified yet (a same-epoch remove would have forced logging,
+		// and a same-epoch insert of this slot makes its value irrelevant
+		// after rollback), so its current value is the epoch-start value.
 		n.store(inCLLOff(line), packValInCLL(n.val(idx), idx, cur))
 		s.stats.InCLLVal.Add(h.w, 1)
-		return
+	case valInCLLIdx(ic) == idx:
+		// This slot's epoch-start value is already captured.
 	default:
 		// Two hot slots in one cache line: external log.
 		h.logLeaf(n, cur)
@@ -119,6 +130,14 @@ func (h Handle) logLeaf(n nodeRef, cur uint64) {
 	}
 	if !h.lw.LogObject(n.off, NodeWords) {
 		panic("core: external log segment full; increase Config.LogSegWords or shorten epochs")
+	}
+	if cur>>16 != epochOf(w)>>16 {
+		// The nodeEpoch enters a new 2^16-epoch window: a tag written in the
+		// old one would alias an epoch of the new one, and a crash in that
+		// epoch would apply a 65 536-epoch-old value. The pre-image just
+		// logged covers both stores.
+		n.store(fInCLL1, invalidValInCLL(cur))
+		n.store(fInCLL2, invalidValInCLL(cur))
 	}
 	n.store(fEpoch, packEpochWord(cur, true, true))
 	h.s.stats.LoggedNodes.Add(h.w, 1)
@@ -184,7 +203,9 @@ func (s *Store) lazyRecoverLeaf(n nodeRef) {
 	n.store(fInCLL2, invalidValInCLL(execBase))
 	n.store(fEpoch, packEpochWord(execBase, true, false))
 	n.store(fVersion, 0) // the lock state did not survive the crash
-	s.stats.LazyRecoveries.Add(0, 1)
+	// Striped by node, not by worker (there is no handle here): every worker
+	// repairs after a crash, and one shared stripe would ping-pong.
+	s.stats.LazyRecoveries.Add(int(n.off/nvm.WordsPerLine), 1)
 }
 
 // lazyRecoverInterior reinitializes an interior node's transient state on
@@ -203,7 +224,7 @@ func (s *Store) lazyRecoverInterior(n nodeRef) {
 	}
 	n.store(fVersion, 0)
 	n.store(fTouch, execBase)
-	s.stats.LazyRecoveries.Add(0, 1)
+	s.stats.LazyRecoveries.Add(int(n.off/nvm.WordsPerLine), 1)
 }
 
 // lazyRecover dispatches on node type.

@@ -16,7 +16,11 @@
 // nodeEpoch, permutationInCLL and permutation share line 0, so the InCLLp
 // write protocol (undo copy → epoch tag → mutation) is ordered by PCSO
 // without any flush. The two ValInCLLs share their lines with the value
-// words they protect, for the same reason.
+// words they protect, for the same reason. Each carries the low 16 bits of
+// the epoch it was written in, and that tag is what validates it: a first
+// touch writes line 0 and at most the value line it updates, never a
+// ValInCLL just to invalidate it (incll.go), so a one-word update dirties
+// two of the five lines and a delete one.
 package core
 
 import "incll/internal/nvm"
@@ -135,6 +139,9 @@ func valInCLLIdx(w uint64) int     { return int(w & 0xF) }
 func valInCLLEp16(w uint64) uint64 { return w >> 48 }
 
 // invalidValInCLL returns an invalid (unused) ValInCLL tagged with epoch.
+// Only fresh leaves, lazy recovery and a nodeEpoch's move into a new
+// 2^16-epoch window store one; in steady state a ValInCLL is unused because
+// its tag is not the current epoch's.
 func invalidValInCLL(epoch uint64) uint64 { return packValInCLL(0, invalidIdx, epoch) }
 
 // ---- kinds word: 14 4-bit kind fields ----

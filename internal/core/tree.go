@@ -530,6 +530,10 @@ func (h Handle) splitInterior(cell rootCell, p nodeRef, key uint64, child nodeRe
 		pp.setChild(i-half-1, c.off)
 		// Reassigning a child's parent pointer mutates that child: log its
 		// pre-image first so the pointer rolls back with everything else.
+		// Nobody may have visited the child since a restart, and logging
+		// stamps it with the current epoch, which closes its recovery gate:
+		// repair it first.
+		h.s.lazyRecover(c)
 		h.logNode(c, cur)
 		c.store(fParent, pp.off)
 	}
