@@ -181,3 +181,173 @@ func TestEnumerateWindowCrossingResetsStaleTags(t *testing.T) {
 	}
 	enumerateSubsets(t, 6, "aliased epoch", build)
 }
+
+// A value update stamps no nodeEpoch (incll.go's file comment): its first
+// touch of a leaf in an epoch writes the updated slot's line and nothing
+// else. The tests below enumerate that protocol the same way — every subset
+// of the dirty lines after every step — and also assert which lines a step
+// dirtied, since "line 0 stays clean" is the point of it.
+
+// enumDirty builds the state once and returns its dirty lines, sorted; the
+// probe crash consumes the build.
+func enumDirty(build func() (*nvm.Arena, map[uint64]uint64)) []int {
+	var lines []int
+	a, _ := build()
+	a.Crash(nvm.PolicyFunc(func(line int) bool {
+		lines = append(lines, line)
+		return false
+	}))
+	slices.Sort(lines)
+	return lines
+}
+
+// enumCounted runs do and fails unless it moved the (InCLLVal, InCLLPerm,
+// LoggedNodes) counters by exactly (val, perm, logged).
+func enumCounted(t *testing.T, s *Store, st enumStep) {
+	t.Helper()
+	v0, p0, l0 := s.stats.InCLLVal.Load(), s.stats.InCLLPerm.Load(), s.stats.LoggedNodes.Load()
+	st.do(s)
+	if v, p, l := s.stats.InCLLVal.Load()-v0, s.stats.InCLLPerm.Load()-p0, s.stats.LoggedNodes.Load()-l0; v != st.val || p != st.perm || l != st.logged {
+		t.Fatalf("%s: InCLLVal/InCLLPerm/LoggedNodes moved by %d/%d/%d, want %d/%d/%d", st.name, v, p, l, st.val, st.perm, st.logged)
+	}
+}
+
+// enumLeafLine returns the arena line of the fixture leaf's line l.
+func enumLeafLine(n nodeRef, l int) int { return int(n.off/nvm.WordsPerLine) + l }
+
+func TestEnumerateValueFirstTouchPersistSubsets(t *testing.T) {
+	del := func(k uint64) func(*Store) { return func(s *Store) { s.Delete(EncodeUint64(k)) } }
+	ins := func(s *Store) { s.Put(EncodeUint64(enumNewKey), enumDoomVal) }
+	// lines lists, per step, the fixture leaf's lines that must be dirty
+	// after it (nil: not checked); no other line of the leaf may be.
+	type valStep struct {
+		enumStep
+		lines []int
+	}
+	sequences := map[string][]valStep{
+		// The ValInCLLs of both lines are claimed over stale tags — InCLL2's
+		// naming the very slot updated — and line 0 is never written.
+		"value-only": {
+			{enumStep{"first touch: line-3 update", enumUpdate(enumL3Key), 1, 0, 0}, []int{3}},
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{3, 4}},
+			{enumStep{"same slots again: captured", func(s *Store) {
+				enumUpdate(enumL3Key)(s)
+				enumUpdate(enumL4Key)(s)
+			}, 0, 0, 0}, []int{3, 4}},
+		},
+		// A permutation change after a value update in the same epoch finds
+		// the nodeEpoch older than the epoch and takes its own first touch;
+		// the permutation it captures is still the epoch-start one.
+		"value-then-remove": {
+			{enumStep{"first touch: line-3 update", enumUpdate(enumL3Key), 1, 0, 0}, []int{3}},
+			{enumStep{"remove the updated key: first perm touch", del(enumL3Key), 0, 1, 0}, []int{0, 3}},
+			{enumStep{"remove a line-4 key", del(enumL4Key2), 0, 0, 0}, []int{0, 3}},
+			{enumStep{"insert after remove: external log", ins, 0, 0, 1}, nil},
+		},
+		"value-then-insert": {
+			{enumStep{"first touch: line-4 update", enumUpdate(enumL4Key2), 1, 0, 0}, []int{4}},
+			{enumStep{"insert: first perm touch", ins, 0, 1, 0}, nil},
+			// The new key takes free slot 10, in line 4, whose ValInCLL
+			// already holds slot 9's epoch-start value.
+			{enumStep{"update the inserted key: external log", enumUpdate(enumNewKey), 0, 0, 1}, nil},
+			{enumStep{"remove after the log", del(enumL3Key), 0, 0, 0}, nil},
+		},
+	}
+	for name, steps := range sequences {
+		t.Run(name, func(t *testing.T) {
+			for upto := 1; upto <= len(steps); upto++ {
+				var leaf nodeRef
+				run := func() (*nvm.Arena, map[uint64]uint64) {
+					a, s, n, model := enumFixture(t)
+					leaf = n
+					for _, st := range steps[:upto] {
+						enumCounted(t, s, st.enumStep)
+					}
+					return a, model
+				}
+				when := fmt.Sprintf("after %q", steps[upto-1].name)
+				if want := steps[upto-1].lines; want != nil {
+					var got []int
+					for _, line := range enumDirty(run) {
+						if l := line - enumLeafLine(leaf, 0); l >= 0 && l < NodeWords/nvm.WordsPerLine {
+							got = append(got, l)
+						}
+					}
+					if !slices.Equal(got, want) {
+						t.Fatalf("%s: leaf lines %v dirty, want %v", when, got, want)
+					}
+				}
+				enumerateSubsets(t, 10, when, run)
+			}
+		})
+	}
+}
+
+// A value update that carries the leaf into a new 2^16-epoch window is
+// external-logged, which resets both tags into the window; the next epoch's
+// value update then claims a ValInCLL whose tag recovery widens with the new
+// window's high bits, and again writes its own line alone.
+func TestEnumerateWindowCrossingValueUpdate(t *testing.T) {
+	var leaf nodeRef
+	build := func(committed bool) func() (*nvm.Arena, map[uint64]uint64) {
+		return func() (*nvm.Arena, map[uint64]uint64) {
+			a, s, n, model := enumFixture(t)
+			leaf = n
+			for s.Epochs().Current()>>16 == 0 {
+				s.Advance()
+			}
+			if !committed {
+				enumCounted(t, s, enumStep{"window-crossing update", enumUpdate(enumL3Key), 0, 0, 1})
+				return a, model
+			}
+			s.Put(EncodeUint64(enumL3Key), enumVal(enumL3Key)+7)
+			model[enumL3Key] = enumVal(enumL3Key) + 7
+			s.Advance()
+			enumCounted(t, s, enumStep{"update in the new window", enumUpdate(enumL4Key2), 1, 0, 0})
+			return a, model
+		}
+	}
+	enumerateSubsets(t, 10, "window-crossing update", build(false))
+	if lines := enumDirty(build(false)); !slices.Contains(lines, enumLeafLine(leaf, 0)) {
+		t.Fatalf("window-crossing update left line 0 clean (dirty %v): the nodeEpoch did not move", lines)
+	}
+	enumerateSubsets(t, 10, "update after the crossing", build(true))
+	if lines, want := enumDirty(build(true)), []int{enumLeafLine(leaf, 4)}; !slices.Equal(lines, want) {
+		t.Fatalf("update after the crossing dirtied lines %v, want %v", lines, want)
+	}
+}
+
+// Version words are not durable: a lock held when the power fails is gone
+// after the reopen, whichever lines reached NVM, and the leaf it guarded
+// takes the next locked update.
+func TestEnumerateCrashWithLeafLockHeld(t *testing.T) {
+	var leaf nodeRef
+	build := func() (*nvm.Arena, map[uint64]uint64) {
+		a, s, n, model := enumFixture(t)
+		leaf = n
+		enumUpdate(enumL3Key)(s)
+		enumUpdate(enumL4Key)(s)
+		n.lock() // the crash comes mid-operation
+		return a, model
+	}
+	lines := enumDirty(build)
+	if len(lines) == 0 || len(lines) > 10 {
+		t.Fatalf("%d dirty lines %v; want 1..10", len(lines), lines)
+	}
+	for mask := uint64(0); mask < 1<<uint(len(lines)); mask++ {
+		a, model := build()
+		a.Crash(nvm.SubsetPolicy(lines, mask, false))
+		ctx := fmt.Sprintf("lock held, lines kept %0*b of %v", len(lines), mask, lines)
+		s := reopen(t, a, enumConfig())
+		h := s.Handle(0)
+		if v := h.ref(leaf.off).version().Load(); v&vLocked != 0 {
+			t.Fatalf("%s: reopened leaf's version %#x is locked", ctx, v)
+		}
+		verifyModel(t, s, model, ctx)
+		s.Put(EncodeUint64(enumL3Key2), enumDoomVal+1)
+		model[enumL3Key2] = enumDoomVal + 1
+		s.Advance()
+		a.Crash(nvm.PersistNone)
+		verifyModel(t, reopen(t, a, enumConfig()), model, ctx+", then a committed update")
+	}
+}

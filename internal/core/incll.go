@@ -11,26 +11,37 @@ package core
 //     InCLL1/InCLL2 — including the mid-epoch claim of an unused ValInCLL
 //     that the paper's §4.1.3 describes.
 //   - logLeaf / logInterior fall back to the external object log.
-//   - lazyRecoverLeaf / lazyRecoverInterior repair a node on its first
-//     access after a crash, under transient recovery locks.
+//   - lazyRecoverLeaf repairs a leaf on its first access after a crash,
+//     under transient recovery locks. Interiors need no lazy repair: the
+//     external log restores their content at Open, and their version words
+//     live in DRAM (node.go).
 //
 // Persistence-ordering arguments are local to each cache line: the InCLLp
 // fields share line 0 with the permutation, and each ValInCLL shares its
 // line with the value words it can log, so "undo copy before mutation" in
 // program order is enough under PCSO — no flushes on these paths.
 //
-// A ValInCLL is invalidated by its own 16-bit epoch tag, not by a store:
-// the first modification of a leaf in an epoch writes line 0 and, for a
-// value update, the one ValInCLL that shares the updated slot's line. The
-// other keeps whatever it last held, tagged with the epoch it was written
-// in. That epoch is a committed one of the current execution (lazy recovery
+// A ValInCLL is validated by its own 16-bit epoch tag and by nothing in line
+// 0. A value update writes only the ValInCLL that shares the updated slot's
+// line, and the slot: it stamps no nodeEpoch, so a first touch dirties one
+// line. That goes beyond the paper's Listing 3, which stamps the nodeEpoch
+// on any first modification, and it is sound because
+//   - recovery applies a ValInCLL when its tag, widened with the nodeEpoch's
+//     high bits, names a failed epoch, and the lazy-recovery gate fires for
+//     every leaf last stamped before the current execution — touched in the
+//     failed epoch or not;
+//   - an update leaves the permutation alone, so permutationInCLL has
+//     nothing to capture, and a later permutation change in the same epoch
+//     takes its own first touch (the nodeEpoch is still older) and captures
+//     a permutation that is still the epoch-start one.
+// A ValInCLL the current epoch did not write keeps whatever it last held,
+// tagged with a committed epoch of the current execution (lazy recovery
 // resets both ValInCLLs before a leaf's first modification after a
-// restart), so recovery — which applies a ValInCLL only when its tag names a
-// failed epoch — ignores it, and beforeValUpdate treats a tag other than the
-// current epoch's exactly like an invalid index. Tags are 16 bits wide and
-// are widened with the nodeEpoch's high bits, so both must lie in the
-// nodeEpoch's 2^16-epoch window: logLeaf resets them when it moves the
-// nodeEpoch into a new window.
+// restart), so recovery ignores it and beforeValUpdate treats a tag other
+// than the current epoch's exactly like an invalid index. Tags are 16 bits
+// wide, so they must lie in the nodeEpoch's 2^16-epoch window: a leaf's
+// first modification in a new window goes through logLeaf, which resets
+// both tags and moves the nodeEpoch there.
 
 import "incll/internal/nvm"
 
@@ -79,34 +90,28 @@ func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
 
 // beforeValUpdate prepares the leaf for overwriting vals[idx] in the
 // current epoch, logging the old pointer in the ValInCLL that shares its
-// cache line.
+// cache line. Line 0 is only read: the nodeEpoch is not stamped for a value
+// update, so a first touch dirties the updated slot's line alone.
 func (h Handle) beforeValUpdate(n nodeRef, idx int) {
 	s := h.s
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
-	line := valLine(idx)
-	if epochOf(w) != cur {
-		// First modification this epoch.
-		if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
-			h.logLeaf(n, cur)
-			return
+	if epochOf(w) == cur {
+		if loggedBit(w) {
+			return // fully covered by the external log this epoch
 		}
-		// Only the updated slot's line is written; the other ValInCLL
-		// stays stale-tagged and its line clean.
-		n.store(fPermInCLL, uint64(n.perm()))
-		n.store(inCLLOff(line), packValInCLL(n.val(idx), idx, cur))
-		n.store(fEpoch, packEpochWord(cur, true, false))
-		s.stats.InCLLVal.Add(h.w, 1)
+	} else if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
+		// LOGGING mode, or the ValInCLL tags would leave the nodeEpoch's
+		// 2^16-epoch window (logLeaf resets them into the new one).
+		h.logLeaf(n, cur)
 		return
 	}
-	if loggedBit(w) {
-		return
-	}
+	line := valLine(idx)
 	ic := n.load(inCLLOff(line))
 	switch {
 	case valInCLLEp16(ic) != cur&0xFFFF || valInCLLIdx(ic) == invalidIdx:
-		// Claim the unused ValInCLL mid-epoch — unused because it was reset,
-		// or because it was last written in an earlier epoch. Either way no
+		// Claim the unused ValInCLL — unused because it was reset, or
+		// because it was last written in an earlier epoch. Either way no
 		// slot of this line was overwritten under it this epoch, and idx was
 		// not modified yet (a same-epoch remove would have forced logging,
 		// and a same-epoch insert of this slot makes its value irrelevant
@@ -155,21 +160,12 @@ func (h Handle) logInterior(n nodeRef, cur uint64) {
 	h.s.stats.LoggedNodes.Add(h.w, 1)
 }
 
-// logNode dispatches on the node type.
-func (h Handle) logNode(n nodeRef, cur uint64) {
-	if n.isLeaf() {
-		h.logLeaf(n, cur)
-	} else {
-		h.logInterior(n, cur)
-	}
-}
-
 // ---- lazy recovery (Listing 4) ----
 
 // lazyRecoverLeaf repairs a leaf on its first access after a restart:
-// apply InCLLp and the ValInCLLs for failed epochs, refresh the in-line
-// undo state, and reinitialize the transient version word (the lock may
-// have crashed in a held state).
+// apply InCLLp and the ValInCLLs for failed epochs and refresh the in-line
+// undo state. The transient version word needs nothing: it lives in the
+// store's DRAM table, which every Open allocates afresh.
 func (s *Store) lazyRecoverLeaf(n nodeRef) {
 	execBase := s.mgr.CurrentExec()
 	w := n.load(fEpoch)
@@ -202,36 +198,7 @@ func (s *Store) lazyRecoverLeaf(n nodeRef) {
 	n.store(fInCLL1, invalidValInCLL(execBase))
 	n.store(fInCLL2, invalidValInCLL(execBase))
 	n.store(fEpoch, packEpochWord(execBase, true, false))
-	n.store(fVersion, 0) // the lock state did not survive the crash
 	// Striped by node, not by worker (there is no handle here): every worker
 	// repairs after a crash, and one shared stripe would ping-pong.
 	s.stats.LazyRecoveries.Add(int(n.off/nvm.WordsPerLine), 1)
-}
-
-// lazyRecoverInterior reinitializes an interior node's transient state on
-// first access after a restart. Interior *content* was repaired eagerly by
-// the external log; only the version word needs care.
-func (s *Store) lazyRecoverInterior(n nodeRef) {
-	execBase := s.mgr.CurrentExec()
-	if n.load(fTouch) >= execBase {
-		return
-	}
-	lk := &s.recLocks[n.off%uint64(len(s.recLocks))]
-	lk.Lock()
-	defer lk.Unlock()
-	if n.load(fTouch) >= execBase {
-		return
-	}
-	n.store(fVersion, 0)
-	n.store(fTouch, execBase)
-	s.stats.LazyRecoveries.Add(int(n.off/nvm.WordsPerLine), 1)
-}
-
-// lazyRecover dispatches on node type.
-func (s *Store) lazyRecover(n nodeRef) {
-	if n.isLeaf() {
-		s.lazyRecoverLeaf(n)
-	} else {
-		s.lazyRecoverInterior(n)
-	}
 }

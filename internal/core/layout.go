@@ -7,7 +7,7 @@
 // layout mirroring the paper's Figure 1. A durable leaf holds 14 entries
 // (one fewer than transient Masstree) to make room for the in-line logs:
 //
-//	line 0: version | parent | meta | next | nodeEpoch | permutationInCLL | permutation | hikey
+//	line 0: (spare) | parent | meta | next | nodeEpoch | permutationInCLL | permutation | hikey
 //	line 1: ikeys[0..7]
 //	line 2: ikeys[8..13] | kinds | (spare)
 //	line 3: InCLL1 | vals[0..6]        InCLL1 shares its line with vals 0-6
@@ -17,10 +17,13 @@
 // write protocol (undo copy → epoch tag → mutation) is ordered by PCSO
 // without any flush. The two ValInCLLs share their lines with the value
 // words they protect, for the same reason. Each carries the low 16 bits of
-// the epoch it was written in, and that tag is what validates it: a first
-// touch writes line 0 and at most the value line it updates, never a
-// ValInCLL just to invalidate it (incll.go), so a one-word update dirties
-// two of the five lines and a delete one.
+// the epoch it was written in, and that tag alone validates it: a value
+// update writes its slot's line and nothing else — no nodeEpoch stamp, no
+// store to invalidate the other ValInCLL (incll.go) — so it dirties one of
+// the five lines, and a delete dirties line 0 only. The paper's version word
+// (lock bit and change counters) is not durable state and is not here: it
+// lives in a DRAM table on the Store (node.go), so taking a leaf's lock
+// dirties nothing.
 package core
 
 import "incll/internal/nvm"
@@ -32,11 +35,10 @@ const NodeWords = 40
 // than the transient tree's 15, the space being spent on the InCLLs.
 const LeafWidth = 14
 
-// Common header offsets (same for both node types).
+// Common header offsets (same for both node types). Word 0 is spare.
 const (
-	fVersion = 0 // transient: lock/insert/split bits + counters; reset on recovery
-	fParent  = 1 // arena offset of the parent interior; 0 at a layer root
-	fMeta    = 2 // bit 0: isLeaf; written once when the node is born
+	fParent = 1 // arena offset of the parent interior; 0 at a layer root
+	fMeta   = 2 // bit 0: isLeaf; written once when the node is born
 )
 
 // Leaf offsets.
@@ -58,7 +60,6 @@ const (
 // Interior offsets.
 const (
 	fLogEpoch = 3 // epoch this interior was last external-logged in
-	fTouch    = 4 // lazy-recovery gate: last execution that visited this node
 	fNkeys    = 5
 	fRkeys    = 8  // 15 router keys: 8..22
 	fChildren = 24 // 16 children: 24..39
@@ -153,7 +154,7 @@ func withKind(w uint64, i int, k uint8) uint64 {
 	return w&^(uint64(0xF)<<sh) | uint64(k)<<sh
 }
 
-// ---- version word (transient semantics; reset after a crash) ----
+// ---- version word (transient; in the Store's DRAM table, node.go) ----
 
 const (
 	vLocked    = 1 << 0

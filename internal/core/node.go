@@ -2,15 +2,19 @@ package core
 
 import (
 	"runtime"
+	"sync/atomic"
 
+	"incll/internal/alloc"
 	"incll/internal/nvm"
 )
 
 // nodeRef wraps an arena offset with the store's arena for field access.
 // All durable node state is read and written through these accessors, so
-// every mutation goes through the simulated cache.
+// every mutation goes through the simulated cache. The node's transient
+// version word is the exception: it lives in the store's DRAM table vt.
 type nodeRef struct {
 	a   *nvm.Arena
+	vt  *versionTable
 	off uint64
 }
 
@@ -24,10 +28,37 @@ func (n nodeRef) parent() uint64 { return n.load(fParent) }
 
 // ---- version word: transient lock + optimistic validation ----
 
+// versionTable holds every node's version word in DRAM, one slot per
+// node-sized span of the heap. Nothing durable ever reads a version word —
+// it is a lock plus the counters optimistic readers validate against — and
+// in the arena every locked write would dirty the node's line 0 for it.
+// Node payloads are NodeClassWords apart at least, so no two nodes share a
+// slot, and each Open allocates a fresh, zeroed table: a lock held at a
+// crash is gone by construction.
+type versionTable struct {
+	heapOff uint64
+	words   []atomic.Uint64
+}
+
+func newVersionTable(heapOff, heapWords uint64) versionTable {
+	return versionTable{
+		heapOff: heapOff,
+		words:   make([]atomic.Uint64, (heapWords+alloc.NodeClassWords-1)/alloc.NodeClassWords),
+	}
+}
+
+// slot returns the version word of the node whose payload is at off.
+func (t *versionTable) slot(off uint64) *atomic.Uint64 {
+	return &t.words[(off-t.heapOff)/alloc.NodeClassWords]
+}
+
+func (n nodeRef) version() *atomic.Uint64 { return n.vt.slot(n.off) }
+
 // stable spins until the node is not mid-insert/mid-split.
 func (n nodeRef) stable() uint64 {
+	ver := n.version()
 	for {
-		v := n.load(fVersion)
+		v := ver.Load()
 		if v&(vInserting|vSplitting) == 0 {
 			return v
 		}
@@ -36,13 +67,14 @@ func (n nodeRef) stable() uint64 {
 }
 
 func (n nodeRef) changed(v uint64) bool {
-	return n.load(fVersion)&^uint64(vLocked) != v&^uint64(vLocked)
+	return n.version().Load()&^uint64(vLocked) != v&^uint64(vLocked)
 }
 
 func (n nodeRef) lock() {
+	ver := n.version()
 	for {
-		v := n.load(fVersion)
-		if v&vLocked == 0 && n.a.CompareAndSwap(n.off+fVersion, v, v|vLocked) {
+		v := ver.Load()
+		if v&vLocked == 0 && ver.CompareAndSwap(v, v|vLocked) {
 			return
 		}
 		runtime.Gosched()
@@ -50,18 +82,19 @@ func (n nodeRef) lock() {
 }
 
 func (n nodeRef) unlock() {
-	v := n.load(fVersion)
+	ver := n.version()
+	v := ver.Load()
 	if v&vInserting != 0 {
 		v += vInsertLo
 	}
 	if v&vSplitting != 0 {
 		v += vSplitLo
 	}
-	n.store(fVersion, v&^uint64(vLocked|vInserting|vSplitting))
+	ver.Store(v &^ uint64(vLocked|vInserting|vSplitting))
 }
 
-func (n nodeRef) markInsert() { n.store(fVersion, n.load(fVersion)|vInserting) }
-func (n nodeRef) markSplit()  { n.store(fVersion, n.load(fVersion)|vSplitting) }
+func (n nodeRef) markInsert() { ver := n.version(); ver.Store(ver.Load() | vInserting) }
+func (n nodeRef) markSplit()  { ver := n.version(); ver.Store(ver.Load() | vSplitting) }
 
 // ---- leaf accessors ----
 

@@ -165,6 +165,7 @@ type Store struct {
 
 	hdrOff   uint64 // tree-header root cell
 	recLocks []sync.Mutex
+	versions versionTable // every node's transient version word (node.go)
 
 	handles   []Handle
 	iterSlots []CursorSlot[Iter] // per worker: the last closed cursor
@@ -231,6 +232,7 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 		cfg:      cfg,
 		hdrOff:   hdr,
 		recLocks: make([]sync.Mutex, 1024),
+		versions: newVersionTable(heapOff, cfg.HeapWords),
 		phases:   cfg.Phases,
 	}
 	// Attribution reaches below the store: fences time themselves in the

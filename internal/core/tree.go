@@ -41,7 +41,7 @@ type Handle struct {
 	w  int // worker index; stripes the stats counters
 }
 
-func (h Handle) ref(off uint64) nodeRef { return nodeRef{a: h.s.arena, off: off} }
+func (h Handle) ref(off uint64) nodeRef { return nodeRef{a: h.s.arena, vt: &h.s.versions, off: off} }
 
 // lapRetry charges the failed optimistic attempt — everything since the
 // op's last phase boundary — to the retry phase. A no-op unless a sampled
@@ -59,7 +59,6 @@ func (h Handle) newLeaf(cur uint64) nodeRef {
 		panic("core: durable heap exhausted (increase Config.HeapWords)")
 	}
 	n := h.ref(off)
-	n.store(fVersion, 0)
 	n.store(fParent, 0)
 	n.store(fMeta, metaLeaf)
 	n.store(fNext, 0)
@@ -81,11 +80,9 @@ func (h Handle) newInterior(cur uint64) nodeRef {
 		panic("core: durable heap exhausted (increase Config.HeapWords)")
 	}
 	n := h.ref(off)
-	n.store(fVersion, 0)
 	n.store(fParent, 0)
 	n.store(fMeta, 0)
 	n.store(fLogEpoch, cur) // born logged, same argument as newLeaf
-	n.store(fTouch, cur)
 	n.store(fNkeys, 0)
 	return n
 }
@@ -105,8 +102,8 @@ func (h Handle) newAnchor() uint64 {
 
 // ---- descent ----
 
-// descend walks from root to the leaf that should cover ik, running lazy
-// recovery gates along the way.
+// descend walks from root to the leaf that should cover ik and runs the
+// leaf's lazy-recovery gate.
 func (h Handle) descend(rootOff uint64, ik uint64) nodeRef {
 	root := h.ref(rootOff)
 	n := root
@@ -115,7 +112,6 @@ func (h Handle) descend(rootOff uint64, ik uint64) nodeRef {
 			h.s.lazyRecoverLeaf(n)
 			return n
 		}
-		h.s.lazyRecoverInterior(n)
 		v := n.stable()
 		c := n.interiorChild(ik)
 		if n.changed(v) || c == 0 {
@@ -488,7 +484,6 @@ func (h Handle) lockParent(child nodeRef) nodeRef {
 	for {
 		poff := child.parent()
 		p := h.ref(poff)
-		h.s.lazyRecoverInterior(p)
 		p.lock()
 		if child.parent() == poff {
 			return p
@@ -530,11 +525,15 @@ func (h Handle) splitInterior(cell rootCell, p nodeRef, key uint64, child nodeRe
 		pp.setChild(i-half-1, c.off)
 		// Reassigning a child's parent pointer mutates that child: log its
 		// pre-image first so the pointer rolls back with everything else.
-		// Nobody may have visited the child since a restart, and logging
+		// Nobody may have visited a leaf child since a restart, and logging
 		// stamps it with the current epoch, which closes its recovery gate:
 		// repair it first.
-		h.s.lazyRecover(c)
-		h.logNode(c, cur)
+		if c.isLeaf() {
+			h.s.lazyRecoverLeaf(c)
+			h.logLeaf(c, cur)
+		} else {
+			h.logInterior(c, cur)
+		}
 		c.store(fParent, pp.off)
 	}
 	pp.store(fNkeys, uint64(rn))
@@ -807,7 +806,6 @@ func (h Handle) revSubtree(n nodeRef, kb *[]byte, sc *[]scanEntry, plen int, b *
 	if n.isLeaf() {
 		return h.revLeafChain(n, kb, sc, plen, b, max, visited, fn)
 	}
-	h.s.lazyRecoverInterior(n)
 retry:
 	v := n.stable()
 	nk := n.nkeys()
