@@ -1,8 +1,13 @@
 package core
 
 import (
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
 
 	"incll/internal/epoch"
 	"incll/internal/nvm"
@@ -391,25 +396,38 @@ func TestRepeatedUpdateOfOneKeyUsesInCLLOnly(t *testing.T) {
 	}
 }
 
-func TestTwoHotSlotsSameLineForceLog(t *testing.T) {
+func TestTwoHotSlotsSameLineRelocate(t *testing.T) {
 	// Updating two different keys that land in the same value cache line
-	// within one epoch exhausts that line's single ValInCLL.
-	a, s := newStore(t)
-	model := map[uint64]uint64{}
-	for i := uint64(0); i < 5; i++ {
-		s.Put(EncodeUint64(i), i)
-		model[i] = i
+	// within one epoch exhausts that line's single ValInCLL. The second moves
+	// to a free slot under the InCLLp and logs nothing; the relocation
+	// forbids a second one, so a third hot slot takes the external log.
+	for i, pol := range []nvm.Policy{nvm.PersistNone, nvm.PersistAll, nvm.RandomPolicy(0.5, 33)} {
+		a, s := newStore(t)
+		model := map[uint64]uint64{}
+		for i := uint64(0); i < 5; i++ {
+			s.Put(EncodeUint64(i), i)
+			model[i] = i
+		}
+		s.Advance()
+		logged := func() int64 { return s.Stats().LoggedNodes.Load() }
+		before := logged()
+		s.Put(EncodeUint64(1), 111) // slots 0..4 are all in vals[0..6] (line 3)
+		s.Put(EncodeUint64(2), 222)
+		if got := logged() - before; got != 0 {
+			t.Fatalf("the second hot same-line slot logged %d nodes, want 0", got)
+		}
+		s.Put(EncodeUint64(3), 333)
+		if got := logged() - before; got != 1 {
+			t.Fatalf("the third hot same-line slot logged %d nodes, want 1", got)
+		}
+		for k, v := range map[uint64]uint64{1: 111, 2: 222, 3: 333} {
+			if got, ok := s.Get(EncodeUint64(k)); !ok || got != v {
+				t.Fatalf("before the crash key %d = %d,%v want %d", k, got, ok, v)
+			}
+		}
+		a.Crash(pol)
+		verifyModel(t, reopen(t, a, testConfig()), model, fmt.Sprintf("two hot slots, policy %d", i))
 	}
-	s.Advance()
-	before := s.Stats().LoggedNodes.Load()
-	s.Put(EncodeUint64(1), 111) // slots 0..4 are all in vals[0..6] (line 3)
-	s.Put(EncodeUint64(2), 222)
-	if s.Stats().LoggedNodes.Load() == before {
-		t.Fatal("two hot same-line slots did not force external logging")
-	}
-	a.Crash(nvm.RandomPolicy(0.5, 33))
-	s2 := reopen(t, a, testConfig())
-	verifyModel(t, s2, model, "two hot slots")
 }
 
 func TestUpdatesInBothValueLinesUseBothInCLLs(t *testing.T) {
@@ -531,6 +549,118 @@ func TestConcurrentWorkersWithTicker(t *testing.T) {
 			if v, ok := s.Get(EncodeUint64(k)); !ok || v != k {
 				t.Fatalf("key %d = %d,%v", k, v, ok)
 			}
+		}
+	}
+}
+
+// Relocation moves a live entry to another slot under optimistic readers:
+// two writers keep updating keys of one value line (one with inline values,
+// one with heap values) while readers run Get and forward and reverse
+// cursors over the same leaf, across 1 ms epochs, until forty epochs have
+// relocated. Every read must see all ten keys in order, each with a value
+// its writer wrote, never older than one the same reader saw before; the
+// final state must equal the model.
+func TestRelocationConcurrentReaders(t *testing.T) {
+	const keys, relocEpochs = 10, 40
+	a := nvm.New(nvm.Config{Words: testArenaWords})
+	cfg := testConfig()
+	cfg.Workers = 4
+	s, _ := Open(a, cfg)
+	// v = round<<8 | k; writer 1's values are 16 bytes long, so they live on
+	// the value heap and every update frees a block.
+	encode := func(k, round uint64) []byte {
+		b := binary.BigEndian.AppendUint64(nil, round<<8|k)
+		if k%2 == 1 {
+			b = append(b, "heap-val"...)
+		}
+		return b
+	}
+	for k := uint64(0); k < keys; k++ {
+		s.PutBytes(EncodeUint64(k), encode(k, 0))
+	}
+	s.StartTicker(time.Millisecond)
+	defer s.StopTicker()
+
+	var writers sync.WaitGroup
+	var done atomic.Bool
+	var final [2]uint64 // each writer's last round
+	deadline := time.Now().Add(10 * time.Second)
+	for w := 0; w < 2; w++ {
+		writers.Add(1)
+		go func(w int) {
+			defer writers.Done()
+			h := s.Handle(w)
+			r := uint64(0)
+			for s.Stats().InCLLPerm.Load() < relocEpochs && time.Now().Before(deadline) {
+				r++
+				for k := uint64(w); k < 7; k += 2 { // slots 0..6: value line 3
+					h.PutBytes(EncodeUint64(k), encode(k, r))
+				}
+			}
+			final[w] = r
+		}(w)
+	}
+	errs := make(chan error, 2)
+	for r := 2; r < 4; r++ {
+		go func(r int) {
+			h := s.Handle(r)
+			last := make([]uint64, keys)
+			see := func(k, v uint64) error {
+				if v&0xFF != k || v>>8 < last[k] {
+					return fmt.Errorf("reader %d: key %d read %#x after round %d", r, k, v, last[k])
+				}
+				last[k] = v >> 8
+				return nil
+			}
+			var err error
+			for err == nil && !done.Load() {
+				for k := uint64(0); k < keys && err == nil; k++ {
+					v, ok := h.Get(EncodeUint64(k))
+					if !ok {
+						err = fmt.Errorf("reader %d: key %d missing", r, k)
+					} else {
+						err = see(k, v)
+					}
+				}
+				it := h.NewIter(IterOptions{})
+				first, step, want, dir := it.First, it.Next, uint64(0), uint64(1)
+				if r == 3 {
+					first, step, want, dir = it.Last, it.Prev, keys-1, ^uint64(0)
+				}
+				n := 0
+				for ok := first(); ok && err == nil; ok = step() {
+					if k := binary.BigEndian.Uint64(it.Key()); k != want {
+						err = fmt.Errorf("reader %d: cursor entry %d is key %d, want %d", r, n, k, want)
+					} else {
+						err = see(k, it.ValueUint64())
+					}
+					n, want = n+1, want+dir
+				}
+				it.Close()
+				if err == nil && n != keys {
+					err = fmt.Errorf("reader %d: cursor saw %d keys, want %d", r, n, keys)
+				}
+			}
+			errs <- err
+		}(r)
+	}
+	writers.Wait()
+	done.Store(true)
+	for i := 0; i < 2; i++ {
+		if err := <-errs; err != nil {
+			t.Fatal(err)
+		}
+	}
+	if got := s.Stats().InCLLPerm.Load(); got < relocEpochs {
+		t.Fatalf("%d epochs relocated before the deadline, want %d", got, relocEpochs)
+	}
+	for k := uint64(0); k < keys; k++ {
+		want := uint64(0)
+		if k < 7 {
+			want = final[k%2]
+		}
+		if v, ok := s.Get(EncodeUint64(k)); !ok || v != want<<8|k {
+			t.Fatalf("key %d = %#x,%v want %#x", k, v, ok, want<<8|k)
 		}
 	}
 }

@@ -2,6 +2,7 @@ package core
 
 import (
 	"math/rand"
+	"slices"
 	"sync/atomic"
 	"testing"
 
@@ -47,6 +48,40 @@ func TestValueUpdateDirtiesOneLine(t *testing.T) {
 	}))
 	if line0 := int(leaf.off / nvm.WordsPerLine); len(dirty) != 1 || dirty[0] != line0 {
 		t.Fatalf("after the delete lines %v are dirty, want the leaf's line 0 (%d) alone", dirty, line0)
+	}
+}
+
+// A second hot slot in one value line moves to a free slot under the
+// InCLLp (incll.go): no external-log entry, so no fence, and only line 0 and
+// the new slot's ikey line join the value line the first update dirtied.
+func TestRelocationNeedsNoFence(t *testing.T) {
+	a, s := newStore(t)
+	for k := uint64(0); k < 10; k++ {
+		s.Put(EncodeUint64(k), k) // one leaf, key k in slot k, slots 10..13 free
+	}
+	s.Advance()
+	h := s.Handle(0)
+	leaf := h.ref(h.rootCell0().root())
+	s.Put(EncodeUint64(8), 100) // claims InCLL2 (line 4)
+	st0, dirty0 := a.Stats().Snapshot(), a.DirtyLines()
+	s.Put(EncodeUint64(9), 100) // line 4's second hot slot: relocated to slot 10
+	if d := a.Stats().Snapshot().Sub(st0); d.Fences != 0 {
+		t.Fatalf("the relocation issued %d fences, want 0", d.Fences)
+	}
+	if got := a.DirtyLines() - dirty0; got > 2 {
+		t.Fatalf("the relocation dirtied %d new lines, want at most 2", got)
+	}
+	if p := leaf.perm(); p.slot(9) != 10 {
+		t.Fatalf("key 9 is in slot %d, want the free slot 10 of its value line", p.slot(9))
+	}
+	var dirty []int
+	a.Crash(nvm.PolicyFunc(func(line int) bool {
+		dirty = append(dirty, line-int(leaf.off/nvm.WordsPerLine))
+		return false
+	}))
+	slices.Sort(dirty)
+	if want := []int{0, 2, 4}; !slices.Equal(dirty, want) {
+		t.Fatalf("leaf lines %v dirty, want %v (line 0, the ikey line, the shared value line)", dirty, want)
 	}
 }
 

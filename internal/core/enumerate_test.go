@@ -118,9 +118,9 @@ func TestEnumerateFirstTouchPersistSubsets(t *testing.T) {
 		"value-first": {
 			{"first-touch line-3 update", enumUpdate(enumL3Key), 1, 0, 0},
 			{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0},
-			{"second line-3 slot: external log", enumUpdate(enumL3Key2), 0, 0, 1},
+			{"second line-3 slot: relocated, first perm touch", enumUpdate(enumL3Key2), 0, 1, 0},
 			{"delete", del, 0, 0, 0},
-			{"insert after delete", ins, 0, 0, 0},
+			{"insert after delete: external log", ins, 0, 0, 1},
 		},
 		// A permutation change dirties line 0 alone; both ValInCLLs are
 		// then claimed mid-epoch by their tags, one of them over a valid
@@ -218,13 +218,7 @@ func enumLeafLine(n nodeRef, l int) int { return int(n.off/nvm.WordsPerLine) + l
 func TestEnumerateValueFirstTouchPersistSubsets(t *testing.T) {
 	del := func(k uint64) func(*Store) { return func(s *Store) { s.Delete(EncodeUint64(k)) } }
 	ins := func(s *Store) { s.Put(EncodeUint64(enumNewKey), enumDoomVal) }
-	// lines lists, per step, the fixture leaf's lines that must be dirty
-	// after it (nil: not checked); no other line of the leaf may be.
-	type valStep struct {
-		enumStep
-		lines []int
-	}
-	sequences := map[string][]valStep{
+	sequences := map[string][]lineStep{
 		// The ValInCLLs of both lines are claimed over stale tags — InCLL2's
 		// naming the very slot updated — and line 0 is never written.
 		"value-only": {
@@ -248,11 +242,26 @@ func TestEnumerateValueFirstTouchPersistSubsets(t *testing.T) {
 			{enumStep{"first touch: line-4 update", enumUpdate(enumL4Key2), 1, 0, 0}, []int{4}},
 			{enumStep{"insert: first perm touch", ins, 0, 1, 0}, nil},
 			// The new key takes free slot 10, in line 4, whose ValInCLL
-			// already holds slot 9's epoch-start value.
-			{enumStep{"update the inserted key: external log", enumUpdate(enumNewKey), 0, 0, 1}, nil},
-			{enumStep{"remove after the log", del(enumL3Key), 0, 0, 0}, nil},
+			// already holds slot 9's epoch-start value; the insert left
+			// insAllowed set, so the update moves it on to free slot 11.
+			{enumStep{"update the inserted key: relocated", enumUpdate(enumNewKey), 0, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"remove after the relocation", del(enumL3Key), 0, 0, 0}, nil},
 		},
 	}
+	enumLineSequences(t, sequences)
+}
+
+// lineStep is an enumStep plus the fixture leaf's lines that must be dirty
+// after it (nil: not checked); no other line of the leaf may be.
+type lineStep struct {
+	enumStep
+	lines []int
+}
+
+// enumLineSequences runs every sequence from a fresh fixture, step by step:
+// after each step it checks the counter deltas and the leaf's dirty lines,
+// then crashes with every subset of the dirty lines.
+func enumLineSequences(t *testing.T, sequences map[string][]lineStep) {
 	for name, steps := range sequences {
 		t.Run(name, func(t *testing.T) {
 			for upto := 1; upto <= len(steps); upto++ {
@@ -281,6 +290,90 @@ func TestEnumerateValueFirstTouchPersistSubsets(t *testing.T) {
 			}
 		})
 	}
+}
+
+// A second hot slot in one value line moves to a free slot of the leaf, and
+// one permutation store under the InCLLp publishes the move (incll.go). The
+// sequences below pin when that is allowed — the leaf's first permutation
+// touch, or an epoch with insAllowed still set — and that everything else
+// falls back on the external log. Fixture slots 0..6 live in line 3, so a
+// line-3 entry relocates to free slot 10 (ikey in line 2, value in line 4);
+// a line-4 entry relocates within line 4, to slot 10 or the next free one.
+func TestEnumerateRelocationPersistSubsets(t *testing.T) {
+	del := func(k uint64) func(*Store) { return func(s *Store) { s.Delete(EncodeUint64(k)) } }
+	ins := func(s *Store) { s.Put(EncodeUint64(enumNewKey), enumDoomVal) }
+	first := lineStep{enumStep{"first touch: line-3 update", enumUpdate(enumL3Key), 1, 0, 0}, []int{3}}
+	reloc := lineStep{enumStep{"second line-3 slot: relocated, first perm touch", enumUpdate(enumL3Key2), 0, 1, 0}, []int{0, 2, 3, 4}}
+	sequences := map[string][]lineStep{
+		"value-then-second-slot": {first, reloc},
+		"insert-then-relocate": {
+			{enumStep{"insert: first perm touch", ins, 0, 1, 0}, []int{0, 2, 4}},
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"second line-4 slot: relocated under insAllowed", enumUpdate(enumL4Key2), 0, 0, 0}, []int{0, 2, 4}},
+		},
+		"relocate-then-insert": {
+			first, reloc,
+			{enumStep{"insert after the relocation: external log", ins, 0, 0, 1}, nil},
+		},
+		"relocate-then-remove": {
+			first, reloc,
+			{enumStep{"remove the relocated key", del(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+			{enumStep{"remove another key", del(enumDelKey), 0, 0, 0}, []int{0, 2, 3, 4}},
+		},
+		// The relocated key's new slot is in line 4, whose ValInCLL is free
+		// to claim this epoch.
+		"relocate-then-update": {
+			first, reloc,
+			{enumStep{"update the relocated key: claims InCLL2", enumUpdate(enumL3Key2), 1, 0, 0}, []int{0, 2, 3, 4}},
+			{enumStep{"and again: captured", enumUpdate(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+		},
+		// Relocated within line 4, the key shares InCLL2 with the slot that
+		// claimed it, and a second relocation is not allowed.
+		"relocate-within-line-then-update": {
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{4}},
+			{enumStep{"second line-4 slot: relocated, first perm touch", enumUpdate(enumL4Key2), 0, 1, 0}, []int{0, 2, 4}},
+			{enumStep{"update the relocated key: external log", enumUpdate(enumL4Key2), 0, 0, 1}, nil},
+		},
+		// Rewriting the committed values relocates key 9 to slot 10 and
+		// leaves the model as it was; the next epoch moves it back to slot
+		// 9, whose ikey and kind still match, so the ikey line stays clean.
+		"relocate-back-next-epoch": {
+			{enumStep{"second line-4 slot: relocated to slot 10", func(s *Store) {
+				s.Put(EncodeUint64(enumL4Key), enumVal(enumL4Key)+1)
+				s.Put(EncodeUint64(enumL4Key2), enumVal(enumL4Key2))
+			}, 1, 1, 0}, []int{0, 2, 4}},
+			{enumStep{"next epoch: relocated back to the slot it vacated", func(s *Store) {
+				s.Advance()
+				enumUpdate(enumL4Key)(s)
+				enumUpdate(enumL4Key2)(s)
+			}, 1, 1, 0}, []int{0, 4}},
+		},
+		"remove-then-relocate": {
+			{enumStep{"first touch: remove", del(enumDelKey), 0, 1, 0}, []int{0}},
+			{enumStep{"line-3 update claims InCLL1", enumUpdate(enumL3Key), 1, 0, 0}, []int{0, 3}},
+			// The removed key's slot is free and in line 3: a relocation
+			// there would overwrite the value recovery restores.
+			{enumStep{"second line-3 slot: external log", enumUpdate(enumL3Key2), 0, 0, 1}, nil},
+		},
+	}
+	enumLineSequences(t, sequences)
+}
+
+// A full leaf has no free slot to relocate into: a second hot slot in one
+// value line falls back on the external log.
+func TestEnumerateRelocationFullLeafLogs(t *testing.T) {
+	build := func() (*nvm.Arena, map[uint64]uint64) {
+		a, s, _, model := enumFixture(t)
+		for k := uint64(enumKeys); k < LeafWidth; k++ {
+			s.Put(EncodeUint64(k), enumVal(k))
+			model[k] = enumVal(k)
+		}
+		s.Advance()
+		enumCounted(t, s, enumStep{"first touch: line-3 update", enumUpdate(enumL3Key), 1, 0, 0})
+		enumCounted(t, s, enumStep{"second line-3 slot in a full leaf: external log", enumUpdate(enumL3Key2), 0, 0, 1})
+		return a, model
+	}
+	enumerateSubsets(t, 10, "relocation in a full leaf", build)
 }
 
 // A value update that carries the leaf into a new 2^16-epoch window is

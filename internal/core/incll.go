@@ -9,7 +9,9 @@ package core
 //   - beforeValUpdate runs before an update overwrites a value word
 //     (inline value or heap-block pointer — see value.go), maintaining
 //     InCLL1/InCLL2 — including the mid-epoch claim of an unused ValInCLL
-//     that the paper's §4.1.3 describes.
+//     that the paper's §4.1.3 describes — or, when the line's ValInCLL
+//     already holds another slot, having the caller relocate the entry
+//     under InCLLp (below).
 //   - logLeaf / logInterior fall back to the external object log.
 //   - lazyRecoverLeaf repairs a leaf on its first access after a crash,
 //     under transient recovery locks. Interiors need no lazy repair: the
@@ -42,6 +44,17 @@ package core
 // wide, so they must lie in the nodeEpoch's 2^16-epoch window: a leaf's
 // first modification in a new window goes through logLeaf, which resets
 // both tags and moves the nodeEpoch there.
+//
+// A second hot slot in one value line is relocated instead of logged, which
+// the paper's Listing 3 does not do: layerPut writes the key and new value
+// into a free slot and one permutation store swaps it in for the old slot.
+// That is an insert into a slot free at epoch start plus a removal of the
+// old one, both covered by InCLLp: recovery restores the epoch-start
+// permutation, which names the old slot, untouched. It is sound when the
+// free slot holds nothing recovery needs — on the leaf's first permutation
+// touch of the epoch, or while insAllowed says no removal has vacated a slot
+// — and the relocation clears insAllowed, so the slot it vacates keeps its
+// epoch-start value until the epoch commits. Anything else external-logs.
 
 import "incll/internal/nvm"
 
@@ -92,19 +105,25 @@ func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
 // current epoch, logging the old pointer in the ValInCLL that shares its
 // cache line. Line 0 is only read: the nodeEpoch is not stamped for a value
 // update, so a first touch dirties the updated slot's line alone.
-func (h Handle) beforeValUpdate(n nodeRef, idx int) {
+//
+// When that ValInCLL already holds another slot this epoch, it reports true
+// instead: the caller must relocate the entry — write the new value into a
+// free slot and swap that slot into the permutation (layerPut) — under the
+// InCLLp this prepares, so the update needs neither the external log nor a
+// fence.
+func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocate bool) {
 	s := h.s
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
 	if epochOf(w) == cur {
 		if loggedBit(w) {
-			return // fully covered by the external log this epoch
+			return false // fully covered by the external log this epoch
 		}
 	} else if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
 		// LOGGING mode, or the ValInCLL tags would leave the nodeEpoch's
 		// 2^16-epoch window (logLeaf resets them into the new one).
 		h.logLeaf(n, cur)
-		return
+		return false
 	}
 	line := valLine(idx)
 	ic := n.load(inCLLOff(line))
@@ -121,9 +140,27 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) {
 	case valInCLLIdx(ic) == idx:
 		// This slot's epoch-start value is already captured.
 	default:
-		// Two hot slots in one cache line: external log.
-		h.logLeaf(n, cur)
+		// Two hot slots in one cache line. Relocate into a free slot if one
+		// is known to hold nothing recovery needs: on the leaf's first
+		// permutation touch every free slot was free at epoch start, and
+		// after it insAllowed says no removal or relocation has vacated one.
+		p := n.perm()
+		if p.count() == LeafWidth || epochOf(w) == cur && !insAllowedBit(w) {
+			h.logLeaf(n, cur)
+			return false
+		}
+		if epochOf(w) != cur {
+			n.store(fPermInCLL, uint64(p))
+			s.stats.InCLLPerm.Add(h.w, 1)
+		}
+		// Same line as the permutation the caller swaps: PCSO orders the
+		// capture, this stamp and the swap. insAllowed is cleared because
+		// the slot the relocation vacates still holds its epoch-start value
+		// and must stay untouched until the epoch commits.
+		n.store(fEpoch, packEpochWord(cur, false, false))
+		return true
 	}
+	return false
 }
 
 // logLeaf records the leaf's pre-image in the external log (once per

@@ -20,7 +20,10 @@
 // the epoch it was written in, and that tag alone validates it: a value
 // update writes its slot's line and nothing else — no nodeEpoch stamp, no
 // store to invalidate the other ValInCLL (incll.go) — so it dirties one of
-// the five lines, and a delete dirties line 0 only. The paper's version word
+// the five lines, and a delete dirties line 0 only. An update to a second
+// slot of a value line whose ValInCLL is taken this epoch relocates the
+// entry to a free slot (perm.swapFree): line 0, the new slot's ikey line and
+// its value line, like an insert, and no fence. The paper's version word
 // (lock bit and change counters) is not durable state and is not here: it
 // lives in a DRAM table on the Store (node.go), so taking a leaf's lock
 // dirties nothing.
@@ -202,6 +205,16 @@ func (p perm) remove(pos int) perm {
 	high = body >> (4 * uint(n-1)) << (4 * uint(n))
 	body = low | high | s<<(4*uint(n-1))
 	return perm(body<<4 | uint64(n-1))
+}
+
+// swapFree exchanges live position pos with free position j (pos < count ≤
+// j < LeafWidth): the free slot takes pos's place in key order and the slot
+// it replaces joins the free area. A relocated entry's key is the one it
+// replaces, so order and count are unchanged.
+func (p perm) swapFree(pos, j int) perm {
+	a, b := 4+4*uint(pos), 4+4*uint(j)
+	sa, sb := uint64(p)>>a&0xF, uint64(p)>>b&0xF
+	return perm(uint64(p)&^(0xF<<a|0xF<<b) | sb<<a | sa<<b)
 }
 
 func (p perm) truncate(keep int) perm {

@@ -181,6 +181,54 @@ func TestPropertyPermBijection(t *testing.T) {
 	}
 }
 
+// Property: swapFree, the relocation's permutation store, keeps the count,
+// the slot multiset and — since the slot it swaps in carries the same key —
+// the key order, for every live position and every free one.
+func TestPropertyPermSwapFree(t *testing.T) {
+	for seed := int64(0); seed < 20; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := permIdentity
+		for i, n := 0, rng.Intn(LeafWidth); i < n; i++ {
+			p = p.insert(rng.Intn(i + 1))
+		}
+		for i := rng.Intn(4); i > 0 && p.count() > 0; i-- {
+			p = p.remove(rng.Intn(p.count()))
+		}
+		var keys [LeafWidth + 1]int // keys[slot]: its live entry's rank
+		for pos := 0; pos < p.count(); pos++ {
+			keys[p.slot(pos)] = pos
+		}
+		for pos := 0; pos < p.count(); pos++ {
+			for j := p.count(); j < LeafWidth; j++ {
+				q := p.swapFree(pos, j)
+				keys[q.slot(pos)] = pos // the relocated entry keeps its key
+				if q.count() != p.count() {
+					t.Fatalf("seed %d swapFree(%d, %d): count %d, want %d", seed, pos, j, q.count(), p.count())
+				}
+				if q.slot(pos) != p.slot(j) || q.slot(j) != p.slot(pos) {
+					t.Fatalf("seed %d swapFree(%d, %d) = %x from %x: positions not exchanged", seed, pos, j, uint64(q), uint64(p))
+				}
+				var mask uint16
+				for i := 0; i <= LeafWidth; i++ {
+					mask |= 1 << uint(q.slot(i))
+					if i != pos && i != j && q.slot(i) != p.slot(i) {
+						t.Fatalf("seed %d swapFree(%d, %d) moved position %d", seed, pos, j, i)
+					}
+				}
+				if mask != 0x7FFF {
+					t.Fatalf("seed %d swapFree(%d, %d): slots %x, want every one once", seed, pos, j, mask)
+				}
+				for i := 1; i < q.count(); i++ {
+					if keys[q.slot(i-1)] >= keys[q.slot(i)] {
+						t.Fatalf("seed %d swapFree(%d, %d): key order broken at position %d", seed, pos, j, i)
+					}
+				}
+				keys[q.slot(pos)] = 0
+			}
+		}
+	}
+}
+
 // Adversarial crash: persist exactly the value-line containing InCLL1 and
 // nothing else. The recovery protocol must still roll the update back
 // (the InCLL was written before the value in the same line) without

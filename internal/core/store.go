@@ -102,8 +102,8 @@ type ChangeSink interface {
 // (internal/obs): writers on the leaf-locked paths pay one relaxed atomic
 // add on their own worker's padded stripe; Load sums the stripes.
 type Stats struct {
-	LoggedNodes    obs.Counter // external-log entries written (Figure 7's metric)
-	InCLLPerm      obs.Counter // InCLLp first-touch captures
+	LoggedNodes    obs.Counter // external-log entries written (Figure 7's metric); a relocated update writes none
+	InCLLPerm      obs.Counter // InCLLp first-touch captures, a relocating update's included
 	InCLLVal       obs.Counter // ValInCLL captures (first-touch or claimed)
 	LazyRecoveries obs.Counter // nodes repaired lazily after a restart
 	ValueHeapBytes obs.Counter // bytes written out-of-place to the value heap

@@ -313,8 +313,25 @@ retry:
 			n.unlock()
 			return h.layerPut(rootCell{s: h.s, off: vw}, full, k[8:], val)
 		}
-		h.beforeValUpdate(n, slot)
-		n.setVal(slot, h.newValueWord(val))
+		if h.beforeValUpdate(n, slot) {
+			// Relocate: the entry moves to a free slot and the permutation
+			// swaps it in, leaving the old slot's epoch-start value intact.
+			// A slot this key vacated earlier still holds its ikey and kind:
+			// moving back writes neither, so the ikey line stays clean.
+			j := relocPos(p, slot)
+			ns := p.slot(j)
+			if n.ikey(ns) != ik {
+				n.setIkey(ns, ik)
+			}
+			if n.kind(ns) != kind {
+				n.setKind(ns, kind)
+			}
+			n.setVal(ns, h.newValueWord(val))
+			n.markInsert()
+			n.store(fPerm, uint64(p.swapFree(pos, j)))
+		} else {
+			n.setVal(slot, h.newValueWord(val))
+		}
 		h.s.publish(ChangePut, full, val)
 		n.unlock()
 		h.freeValueWord(vw)
@@ -346,6 +363,18 @@ retry:
 	}
 	h.splitLeafInsert(cell, n, ik, kind, valWord, pos, full, val)
 	return true
+}
+
+// relocPos picks the free position an entry in slot moves to: one whose slot
+// shares slot's value line, which that line's ValInCLL claim has dirtied
+// this epoch already, or else the first free one.
+func relocPos(p perm, slot int) int {
+	for j := p.count(); j < LeafWidth; j++ {
+		if valLine(p.slot(j)) == valLine(slot) {
+			return j
+		}
+	}
+	return p.count()
 }
 
 // lockCovering locks n and walks right until n covers ik (B-link).

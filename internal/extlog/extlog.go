@@ -1,8 +1,10 @@
 // Package extlog implements the paper's external undo log (§4.2): an
 // object-granularity log used for modifications that In-Cache-Line Logging
-// cannot absorb — node splits and merges, internal-node updates, repeated
-// conflicting updates to one cache line, and mixed remove-then-insert
-// sequences within one epoch.
+// cannot absorb — node splits and merges, internal-node updates, mixed
+// remove-then-insert sequences within one epoch, and conflicting updates to
+// one value cache line that cannot relocate into a free slot (a full leaf,
+// or a removal or relocation earlier in the epoch; see internal/core's
+// incll.go).
 //
 // A node is logged at most once per epoch (the caller tracks a per-node
 // "logged" bit), so log entries are independent of each other and recovery
