@@ -25,12 +25,14 @@
 // methods are a view over the same store (see Handle), and small uint64s
 // take the inline, allocation-free fast path.
 //
-// For scale-out, Options.Shards > 1 partitions the keyspace across N
-// independent store+arena shards behind the same API (see internal/shard
-// and DESIGN.md): a deterministic router places each key, scans k-way
-// merge the shards back into one ordered stream, and Checkpoint becomes a
-// coordinated two-phase epoch advance that commits a single global epoch
-// record — a crash never exposes one shard at epoch k and another at k−1.
+// Every DB is a set of Options.Shards independent store+arena shards (one
+// by default: the paper's single store) behind the same API (see
+// internal/shard and DESIGN.md). For scale-out, a deterministic router
+// places each key, scans k-way merge the shards back into one ordered
+// stream, and Checkpoint becomes a coordinated two-phase epoch advance
+// that commits a single global epoch record — a crash never exposes one
+// shard at epoch k and another at k−1. One shard has nothing to
+// coordinate: its checkpoint is its own epoch advance.
 //
 //	db, _ := incll.Open(incll.Options{Shards: 4, Workers: 4})
 //	db.Handle(2).Put(incll.Key(7), 7)   // routed to key 7's shard
@@ -118,24 +120,25 @@ const minShardArenaWords = 1 << 18
 
 // Options sizes and parameterizes a DB.
 type Options struct {
-	// ArenaWords is the simulated NVM size in 8-byte words (default 2^24,
-	// i.e. 128 MiB of simulated NVM). With Shards > 1 this is the size of
-	// each shard's arena.
+	// ArenaWords is the simulated NVM size of each shard's arena in 8-byte
+	// words (default 2^24, i.e. 128 MiB of simulated NVM, divided across
+	// the shards when Shards > 1).
 	ArenaWords uint64
 	// Workers is the number of concurrent worker threads that will use
 	// Handle(i) (default 1).
 	Workers int
 	// Shards partitions the keyspace across this many independent
-	// store+arena shards with coordinated global checkpoints (default 1,
-	// a single store).
+	// store+arena shards (default 1, the paper's single store). More than
+	// one shard checkpoints through a two-phase coordinated commit; one
+	// shard commits through its own epoch header, with no coordinator.
 	Shards int
 	// HeapWords is the durable heap region size (default: half the arena).
 	HeapWords uint64
 	// LogSegWords is the per-worker external log segment (default 2^20,
-	// or 2^16 per shard when sharded).
+	// or 2^16 when Shards > 1).
 	LogSegWords uint64
 	// TxnSegWords is the per-worker transaction intent segment (default
-	// 2^14, or 2^12 per shard when sharded). Bounds the write-set bytes
+	// 2^14, or 2^12 when Shards > 1). Bounds the write-set bytes
 	// one worker can commit per epoch.
 	TxnSegWords uint64
 	// EpochInterval is the checkpoint cadence used by StartCheckpointer
@@ -216,7 +219,7 @@ func (o *Options) setDefaults() {
 	}
 }
 
-// ShardRecovery describes one shard's recovery in a sharded DB.
+// ShardRecovery describes one shard's recovery.
 type ShardRecovery struct {
 	// Status is fresh-start, clean-restart, or crash-recovered.
 	Status epoch.Status
@@ -229,19 +232,20 @@ type ShardRecovery struct {
 
 // RecoveryInfo describes what Open found.
 type RecoveryInfo struct {
-	// Status is fresh-start, clean-restart, or crash-recovered (for a
-	// sharded DB, the worst outcome across shards).
+	// Status is fresh-start, clean-restart, or crash-recovered: the worst
+	// outcome across shards.
 	Status epoch.Status
 	// LogEntriesApplied is the number of external-log pre-images replayed
 	// (summed across shards).
 	LogEntriesApplied int
 	// FailedEpochs is the cumulative number of epochs that ever failed on
-	// this arena (for a sharded DB, the largest per-shard count).
+	// a shard's arena (the largest per-shard count).
 	FailedEpochs int
 	// TxnsReplayed is the number of committed transactions whose intent
 	// records recovery re-applied (their commit outlived their epoch).
 	TxnsReplayed int
-	// Shards holds per-shard recovery detail; nil for an unsharded DB.
+	// Shards holds per-shard recovery detail: one entry per shard,
+	// indexed by shard, including the single entry of a one-shard DB.
 	Shards []ShardRecovery
 }
 
@@ -264,8 +268,8 @@ type Iterator = core.Cursor
 type IterOptions = core.IterOptions
 
 // Handle is a per-worker handle; see Options.Workers. Handles are not safe
-// for concurrent use, but distinct handles are. In a sharded DB the handle
-// routes each key to its shard transparently.
+// for concurrent use, but distinct handles are. The handle routes each key
+// to its shard transparently.
 //
 // Values are byte strings up to MaxValueBytes; values of at most five
 // bytes live inline in the leaf. The uint64 methods are a view over the
@@ -298,18 +302,6 @@ type Handle interface {
 	ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int
 }
 
-// rawHandle is the worker surface the store layers implement (their
-// PutBytes panics on oversized input; the façade validates first).
-type rawHandle interface {
-	Get(k []byte) (uint64, bool)
-	GetBytes(k []byte) ([]byte, bool)
-	AppendGet(dst []byte, k []byte) ([]byte, bool)
-	Put(k []byte, v uint64) bool
-	PutBytes(k []byte, v []byte) bool
-	Delete(k []byte) bool
-	NewIter(o IterOptions) Iterator
-}
-
 // dynHandle is the validated façade handle for one worker. Every
 // operation resolves the DB's live engine exactly once, so the handle
 // survives an online reshard: operations started before the cutover run
@@ -322,25 +314,25 @@ type dynHandle struct {
 
 // Get returns the uint64 view of the value stored under k.
 func (h *dynHandle) Get(k []byte) (uint64, bool) {
-	return h.db.engine().handles[h.w].Get(k)
+	return h.db.engine().shards.Handle(h.w).Get(k)
 }
 
 // GetBytes returns a copy of the byte value stored under k.
 func (h *dynHandle) GetBytes(k []byte) ([]byte, bool) {
-	return h.db.engine().handles[h.w].GetBytes(k)
+	return h.db.engine().shards.Handle(h.w).GetBytes(k)
 }
 
 // AppendGet appends k's value bytes to dst: the allocation-free form of
 // GetBytes.
 func (h *dynHandle) AppendGet(dst []byte, k []byte) ([]byte, bool) {
-	return h.db.engine().handles[h.w].AppendGet(dst, k)
+	return h.db.engine().shards.Handle(h.w).AppendGet(dst, k)
 }
 
 // Put stores v under k; reports whether k was newly inserted.
 func (h *dynHandle) Put(k []byte, v uint64) bool {
 	e := h.db.writeEngine(h.w)
 	defer e.release(h.w)
-	return e.handles[h.w].Put(k, v)
+	return e.shards.Handle(h.w).Put(k, v)
 }
 
 // PutBytes stores the byte value v under k; reports whether k was newly
@@ -351,21 +343,21 @@ func (h *dynHandle) PutBytes(k []byte, v []byte) (bool, error) {
 	}
 	e := h.db.writeEngine(h.w)
 	defer e.release(h.w)
-	return e.handles[h.w].PutBytes(k, v), nil
+	return e.shards.Handle(h.w).PutBytes(k, v), nil
 }
 
 // Delete removes k; reports whether it was present.
 func (h *dynHandle) Delete(k []byte) bool {
 	e := h.db.writeEngine(h.w)
 	defer e.release(h.w)
-	return e.handles[h.w].Delete(k)
+	return e.shards.Handle(h.w).Delete(k)
 }
 
 // NewIter opens a cursor on this worker's handle. The cursor walks the
 // engine it was opened on; across a reshard cutover it keeps reading the
 // donor's frozen final checkpoint (a consistent committed snapshot).
 func (h *dynHandle) NewIter(o IterOptions) Iterator {
-	return h.db.engine().handles[h.w].NewIter(o)
+	return h.db.engine().shards.Handle(h.w).NewIter(o)
 }
 
 // Scan visits up to max keys ≥ start in ascending order (max < 0 means
@@ -411,20 +403,17 @@ func EncodeValue(v uint64) []byte { return core.EncodeValue(v) }
 // the range-over-func adapters, which yield byte values.
 func DecodeValue(b []byte) uint64 { return core.DecodeValue(b) }
 
-// engine is one topology epoch of a DB: the store(s), their options, and
-// the per-worker handles, bundled behind one atomic pointer so an online
-// reshard can cut the whole bundle over in a single swap. Every operation
-// resolves the live engine exactly once (DB.engine / DB.writeEngine) and
-// runs against it start to finish; iterators opened on an engine keep
-// walking it even across a cutover (the retired donor is frozen at its
-// final checkpoint — a consistent committed snapshot).
+// engine is one topology epoch of a DB: the shard set and its options,
+// bundled behind one atomic pointer so an online reshard can cut the whole
+// bundle over in a single swap. Every operation resolves the live engine
+// exactly once (DB.engine / DB.writeEngine) and runs against it start to
+// finish; iterators opened on an engine keep walking it even across a
+// cutover (the retired donor is frozen at its final checkpoint — a
+// consistent committed snapshot).
 type engine struct {
-	topo    shard.Topology
-	opts    Options      // post-defaults options this engine was sized with
-	arena   *nvm.Arena   // single-store mode
-	store   *core.Store  // single-store mode
-	sharded *shard.Store // sharded mode
-	handles []rawHandle  // per-worker raw handles, prebuilt
+	topo   shard.Topology
+	opts   Options      // post-defaults options this engine was sized with
+	shards *shard.Store // N ≥ 1 shards (PutBytes panics on oversized input; the façade validates first)
 
 	// wrefs[w] counts worker w's in-flight mutations on this engine. A
 	// cutover first installs the gated barrier copy (so new writers wait),
@@ -445,29 +434,9 @@ type wref struct {
 	_ [7]uint64
 }
 
-// newEngine assembles an engine over an open store set (exactly one of
-// store/sharded non-nil; arena accompanies store).
-func newEngine(opts Options, arena *nvm.Arena, store *core.Store, sharded *shard.Store) *engine {
-	e := &engine{
-		opts:    opts,
-		arena:   arena,
-		store:   store,
-		sharded: sharded,
-		handles: make([]rawHandle, opts.Workers),
-		wrefs:   make([]wref, opts.Workers),
-	}
-	if sharded != nil {
-		e.topo = sharded.Topology()
-		for i := range e.handles {
-			e.handles[i] = sharded.Handle(i)
-		}
-	} else {
-		e.topo = shard.Topology{Version: 1, Shards: 1}
-		for i := range e.handles {
-			e.handles[i] = store.Handle(i)
-		}
-	}
-	return e
+// newEngine assembles an engine over an open shard set.
+func newEngine(opts Options, s *shard.Store) *engine {
+	return &engine{topo: s.Topology(), opts: opts, shards: s, wrefs: make([]wref, opts.Workers)}
 }
 
 // barrier returns the gated copy of e a cutover installs while swapping.
@@ -492,42 +461,13 @@ func (e *engine) drainWrites() {
 // release drops a write reference taken by DB.writeEngine.
 func (e *engine) release(w int) { e.wrefs[w].n.Add(-1) }
 
-// stores returns the per-shard core stores (length 1 when unsharded).
-func (e *engine) stores() []*core.Store {
-	if e.sharded != nil {
-		return e.sharded.Stores()
-	}
-	return []*core.Store{e.store}
-}
-
-// advanceRaw runs one cluster-wide epoch advance directly, bypassing the
-// transaction manager's commit guard — for callers that already hold it
-// (the reshard cutover) or predate it (recovery).
-func (e *engine) advanceRaw() int {
-	if e.sharded != nil {
-		return e.sharded.Advance()
-	}
-	return e.store.Advance()
-}
-
 // epoch is the running epoch (identical across shards).
-func (e *engine) epoch() uint64 { return e.stores()[0].Epochs().Current() }
+func (e *engine) epoch() uint64 { return e.shards.Epoch() }
 
-// seal permanently retires the engine after a reshard cutover: tickers
-// stop and any further epoch advance on its stores panics. The frozen
-// state stays readable for cursors that were opened before the cutover.
-func (e *engine) seal() {
-	if e.sharded != nil {
-		e.sharded.Seal()
-		return
-	}
-	e.store.StopTicker()
-	e.store.Epochs().Seal()
-}
-
-// DB is a durable Masstree over simulated NVM: one store over one arena,
-// or — with Options.Shards > 1 — N independent shards behind the same API
-// with coordinated cross-shard checkpoints. DB.Reshard repartitions the
+// DB is a durable Masstree over simulated NVM: Options.Shards independent
+// store+arena shards behind one API (one by default, the paper's single
+// store). A checkpoint of several shards is a coordinated two-phase commit;
+// a single shard's is its own epoch advance. DB.Reshard repartitions the
 // keyspace online (see reshard.go and DESIGN.md §13).
 type DB struct {
 	// eng is the live engine; swapped by Reshard's cutover. Resolve it
@@ -670,78 +610,32 @@ func Open(opts Options) (*DB, RecoveryInfo) {
 		panic(err)
 	}
 	opts.setDefaults()
-	manifest := shard.NewManifest(opts.FenceDelay, 1, opts.Shards)
-	if opts.Shards > 1 {
-		trace := obs.NewTracer(obs.DefaultTraceEvents)
-		stw := new(obs.Histogram)
-		phases := newPhaseSet(opts)
-		s, sinfo := shard.Open(shardConfig(opts, 1, trace, stw, phases))
-		db := &DB{manifest: manifest, rawOpts: raw, trace: trace, stw: stw, phases: phases}
-		db.eng.Store(newEngine(opts, nil, nil, s))
-		info := shardInfo(sinfo)
-		info.TxnsReplayed = db.initTxns()
-		db.traceTxnReplay(info.TxnsReplayed)
-		return db, info
+	db := &DB{
+		manifest: shard.NewManifest(opts.FenceDelay, 1, opts.Shards),
+		rawOpts:  raw,
+		trace:    obs.NewTracer(obs.DefaultTraceEvents),
+		stw:      new(obs.Histogram),
+		phases:   newPhaseSet(opts),
 	}
-	arena := nvm.New(nvm.Config{Words: opts.ArenaWords, FenceDelay: opts.FenceDelay})
-	return attach(arena, opts, raw, manifest, nil, nil, nil)
+	s, sinfo := shard.Open(shardConfig(opts, 1, db.trace, db.stw, db.phases))
+	return db.start(opts, s, sinfo)
 }
 
-// attach opens a single store over an existing arena. A nil trace builds a
-// fresh observability bundle (first Open); Reopen passes the crashed DB's
-// so the phase trace — and the attribution histograms — span the crash.
-func attach(arena *nvm.Arena, opts Options, raw Options, manifest *shard.Manifest, trace *obs.Tracer, stw *obs.Histogram, phases *obs.PhaseSet) (*DB, RecoveryInfo) {
-	if trace == nil {
-		trace = obs.NewTracer(obs.DefaultTraceEvents)
-		stw = new(obs.Histogram)
-		phases = newPhaseSet(opts)
+// start installs the opened (or recovered) shard set as db's engine and
+// builds the transaction manager over it, running intent recovery.
+func (db *DB) start(opts Options, s *shard.Store, si shard.RecoveryInfo) (*DB, RecoveryInfo) {
+	db.eng.Store(newEngine(opts, s))
+	info := shardInfo(si)
+	db.txns, info.TxnsReplayed = txn.ForCluster(s)
+	db.txns.Instrument(db.phases)
+	if info.TxnsReplayed > 0 {
+		db.trace.Record(obs.EvTxnReplay, -1, db.currentEpoch(), 0, int64(info.TxnsReplayed))
 	}
-	store, status := core.Open(arena, core.Config{
-		Workers:      opts.Workers,
-		LogSegWords:  opts.LogSegWords,
-		TxnSegWords:  opts.TxnSegWords,
-		HeapWords:    opts.HeapWords,
-		DisableInCLL: opts.DisableInCLL,
-		Trace:        trace,
-		StopTheWorld: stw,
-		Phases:       phases,
-		Shard:        0,
-	})
-	db := &DB{manifest: manifest, rawOpts: raw, trace: trace, stw: stw, phases: phases}
-	db.eng.Store(newEngine(opts, arena, store, nil))
-	info := RecoveryInfo{
-		Status:            status,
-		LogEntriesApplied: store.RecoveredLogEntries(),
-		FailedEpochs:      store.Epochs().FailedCount(),
-	}
-	info.TxnsReplayed = db.initTxns()
-	db.traceTxnReplay(info.TxnsReplayed)
 	return db, info
-}
-
-// traceTxnReplay records the intent-recovery replay in the phase trace.
-func (db *DB) traceTxnReplay(n int) {
-	if n > 0 {
-		db.trace.Record(obs.EvTxnReplay, -1, db.currentEpoch(), 0, int64(n))
-	}
 }
 
 // currentEpoch is the running epoch (identical across shards).
 func (db *DB) currentEpoch() uint64 { return db.engine().epoch() }
-
-// initTxns builds the transaction manager over the open store(s), running
-// intent recovery; returns the number of transactions replayed.
-func (db *DB) initTxns() int {
-	e := db.eng.Load()
-	var replayed int
-	if e.sharded != nil {
-		db.txns, replayed = txn.ForCluster(e.sharded)
-	} else {
-		db.txns, replayed = txn.ForStore(e.store)
-	}
-	db.txns.Instrument(db.phases)
-	return replayed
-}
 
 // shardInfo converts the shard package's merged recovery info.
 func shardInfo(si shard.RecoveryInfo) RecoveryInfo {
@@ -766,7 +660,8 @@ func shardInfo(si shard.RecoveryInfo) RecoveryInfo {
 // online reshard.
 func (db *DB) Handle(i int) Handle { return &dynHandle{db: db, w: i} }
 
-// Shards returns the shard count (1 for an unsharded DB).
+// Shards returns the shard count (1 unless Options.Shards or a reshard
+// said otherwise).
 func (db *DB) Shards() int { return db.engine().topo.Shards }
 
 // TopoVersion returns the live topology version (1 until the first
@@ -775,30 +670,19 @@ func (db *DB) TopoVersion() uint64 { return db.engine().topo.Version }
 
 // Get returns the uint64 view of the value stored under k.
 func (db *DB) Get(k []byte) (uint64, bool) {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Get(k)
-	}
-	return e.store.Get(k)
+	return db.engine().shards.Get(k)
 }
 
 // GetBytes returns a copy of the byte value stored under k.
 func (db *DB) GetBytes(k []byte) ([]byte, bool) {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.GetBytes(k)
-	}
-	return e.store.GetBytes(k)
+	return db.engine().shards.GetBytes(k)
 }
 
 // Put stores v under k; reports whether k was newly inserted.
 func (db *DB) Put(k []byte, v uint64) bool {
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.Put(k, v)
-	}
-	return e.store.Put(k, v)
+	return e.shards.Put(k, v)
 }
 
 // PutBytes stores the byte value v under k; reports whether k was newly
@@ -809,30 +693,24 @@ func (db *DB) PutBytes(k []byte, v []byte) (bool, error) {
 	}
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.PutBytes(k, v), nil
-	}
-	return e.store.PutBytes(k, v), nil
+	return e.shards.PutBytes(k, v), nil
 }
 
 // Delete removes k; reports whether it was present.
 func (db *DB) Delete(k []byte) bool {
 	e := db.writeEngine(0)
 	defer e.release(0)
-	if e.sharded != nil {
-		return e.sharded.Delete(k)
-	}
-	return e.store.Delete(k)
+	return e.shards.Delete(k)
 }
 
 // NewIter opens a cursor over the DB on worker 0's handle: bidirectional
 // (First/Last/SeekGE/SeekLT/Next/Prev), bounded by o, and
 // checkpoint-friendly — the walk holds the epoch machinery only for one
-// bounded batch at a time. On a sharded DB the per-shard cursors are
-// k-way merged, so iteration order is identical to an unsharded cursor.
+// bounded batch at a time. With several shards the per-shard cursors are
+// k-way merged, so iteration order is identical to a one-shard cursor.
 // Concurrent workers should open their own cursor via Handle(i).NewIter.
 func (db *DB) NewIter(o IterOptions) Iterator {
-	return db.engine().handles[0].NewIter(o)
+	return db.engine().shards.NewIter(o)
 }
 
 // All is the range-over-func view of the whole DB in ascending key order:
@@ -879,10 +757,10 @@ func cursorSeq(open func() Iterator, reverse bool) iter.Seq2[[]byte, []byte] {
 }
 
 // Scan visits up to max keys ≥ start in ascending order (max < 0 means
-// unlimited), until fn returns false. Returns the number visited. On a
-// sharded DB the per-shard streams are k-way merged, so iteration order is
-// identical to an unsharded scan. A thin wrapper over NewIter, kept for
-// compatibility; the key slice is only valid during the callback.
+// unlimited), until fn returns false. Returns the number visited. With
+// several shards the per-shard streams are k-way merged, so iteration
+// order is identical to a one-shard scan. A thin wrapper over NewIter,
+// kept for compatibility; the key slice is only valid during the callback.
 func (db *DB) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
 	h := dynHandle{db: db}
 	return h.Scan(start, max, fn)
@@ -898,34 +776,26 @@ func (db *DB) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
 // Len returns the number of live keys tracked this execution (transient;
 // call RebuildLen after a restart if an exact count is needed).
 func (db *DB) Len() int {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Len()
-	}
-	return e.store.Len()
+	return db.engine().shards.Len()
 }
 
 // RebuildLen recomputes Len with one full scan.
 func (db *DB) RebuildLen() int {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.RebuildLen()
-	}
-	return e.store.RebuildLen()
+	return db.engine().shards.RebuildLen()
 }
 
 // Checkpoint ends the current epoch: quiesces workers, flushes the cache,
 // and commits everything written so far. Returns the number of cache
 // lines flushed. Equivalent to one tick of the background checkpointer.
-// On a sharded DB this is the coordinated two-phase global checkpoint.
+// With several shards this is the coordinated two-phase global checkpoint.
 // Excluded against in-flight transaction commits.
 func (db *DB) Checkpoint() int {
 	return db.txns.Advance()
 }
 
 // StartCheckpointer begins advancing epochs every Options.EpochInterval
-// in the background, like the paper's 64 ms timer (cluster-wide when
-// sharded, and always excluded against transaction commits).
+// in the background, like the paper's 64 ms timer (cluster-wide, and
+// always excluded against transaction commits).
 func (db *DB) StartCheckpointer() {
 	db.txns.StartTicker(db.engine().opts.EpochInterval)
 }
@@ -957,12 +827,7 @@ func (db *DB) Close() {
 	}
 	db.StopRecorder()
 	db.txns.StopTicker()
-	e := db.engine()
-	if e.sharded != nil {
-		e.sharded.Shutdown()
-	} else {
-		e.store.Shutdown()
-	}
+	db.engine().shards.Shutdown()
 	db.closeHub(true)
 	for _, rs := range srvs {
 		rs.srv.Drain(5 * time.Second)
@@ -972,9 +837,9 @@ func (db *DB) Close() {
 
 // SimulateCrash injects a power failure: each dirty cache line survives
 // with probability persistFraction, everything else is lost, and the DB
-// becomes unusable until Reopen. On a sharded DB every shard arena crashes
-// together (independent per-shard survival policies derived from seed).
-// All handles must be quiescent.
+// becomes unusable until Reopen. Every shard arena crashes together
+// (independent per-shard survival policies derived from seed). All
+// handles must be quiescent.
 func (db *DB) SimulateCrash(persistFraction float64, seed int64) {
 	if !db.closed.CompareAndSwap(false, true) {
 		return
@@ -986,18 +851,12 @@ func (db *DB) SimulateCrash(persistFraction float64, seed int64) {
 	db.txns.StopTicker()
 	db.closeHub(false) // the volatile journal dies with the process
 	db.manifest.Crash(persistFraction, seed)
-	e := db.engine()
-	if e.sharded != nil {
-		e.sharded.SimulateCrash(persistFraction, seed)
-		return
-	}
-	e.store.StopTicker()
-	e.arena.Crash(nvm.RandomPolicy(persistFraction, seed))
+	db.engine().shards.SimulateCrash(persistFraction, seed)
 }
 
 // Reopen recovers the DB from the arena contents after SimulateCrash (or
-// after Close, to model a clean restart). Sharded recovery runs per shard
-// in parallel. Recovery first revalidates the durable topology manifest:
+// after Close, to model a clean restart). Recovery runs per shard in
+// parallel, after first revalidating the durable topology manifest:
 // the arena set being reopened must be the one the manifest says is live
 // (a crash on either side of a reshard cutover leaves exactly one side
 // both durable and named by the manifest — see DESIGN.md §13).
@@ -1006,59 +865,34 @@ func (db *DB) Reopen() (*DB, RecoveryInfo) {
 	if want := db.manifest.Recover(); !want.Equal(e.topo) {
 		panic(fmt.Sprintf("incll: durable topology manifest %+v does not name the open engine's topology %+v", want, e.topo))
 	}
-	if e.sharded != nil {
-		s, sinfo := e.sharded.Reopen()
-		// The shard config — tracer included — carries over, so the phase
-		// trace spans the crash: the recovery events land in the same ring
-		// the pre-crash checkpoints did.
-		db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, trace: db.trace, stw: db.stw, phases: db.phases}
-		db2.eng.Store(newEngine(e.opts, nil, nil, s))
-		info := shardInfo(sinfo)
-		info.TxnsReplayed = db2.initTxns()
-		db2.traceTxnReplay(info.TxnsReplayed)
-		return db2, info
-	}
-	e.arena.ResetReservations()
-	return attach(e.arena, e.opts, db.rawOpts, db.manifest, db.trace, db.stw, db.phases)
+	// The shard config — tracer included — carries over, so the phase
+	// trace spans the crash: the recovery events land in the same ring the
+	// pre-crash checkpoints did.
+	s, sinfo := e.shards.Reopen()
+	db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, trace: db.trace, stw: db.stw, phases: db.phases}
+	return db2.start(e.opts, s, sinfo)
 }
 
-// Stats exposes the store's counters (logging, InCLL usage, the value
-// heap, recovery). Reading them (Load) is safe at any time, concurrently
-// with writers and the background checkpointer; each read is a sum over
-// per-worker stripes, so it is monotone but not a single atomic snapshot
-// across counters. For an unsharded DB the returned struct is live; for a
-// sharded DB it is a point-in-time aggregate across shards — equal to the
-// sum of ShardStats(i) over all shards when writers are quiescent — so
-// call Stats again for fresh values, and use ShardStats for the (live)
-// per-shard view. Prefer DB.Metrics for a coherent typed snapshot.
-func (db *DB) Stats() *core.Stats {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.Stats()
-	}
-	return e.store.Stats()
-}
+// Stats returns the counters (logging, InCLL usage, the value heap,
+// recovery) as a point-in-time aggregate across shards, built fresh by
+// each call: equal to the sum of ShardStats(i) over all shards when
+// writers are quiescent. Call Stats again for fresh values; ShardStats is
+// the live per-shard view. Safe at any time, concurrently with writers and
+// the background checkpointer; each counter is a sum over per-worker
+// stripes, so it is monotone but not one atomic snapshot across counters.
+// Prefer DB.Metrics for a coherent typed snapshot.
+func (db *DB) Stats() *core.Stats { return db.engine().shards.Stats() }
 
-// ShardStats returns shard i's live counters (i < Shards()). For an
-// unsharded DB, ShardStats(0) is Stats.
+// ShardStats returns shard i's live counters (i < Shards()): the struct
+// the shard's workers update, so later loads see later values.
 func (db *DB) ShardStats(i int) *core.Stats {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.ShardStore(i).Stats()
-	}
-	return e.store.Stats()
+	return db.engine().shards.ShardStore(i).Stats()
 }
 
 // NVMStats exposes the simulated memory subsystem's counters (writebacks,
-// fences, flushed lines, crash outcomes), summed across arenas when
-// sharded.
-func (db *DB) NVMStats() nvm.StatsSnapshot {
-	e := db.engine()
-	if e.sharded != nil {
-		return e.sharded.NVMStats()
-	}
-	return e.arena.Stats().Snapshot()
-}
+// fences, flushed lines, crash outcomes), summed across every arena: the
+// shards' and, with more than one shard, the checkpoint coordinator's.
+func (db *DB) NVMStats() nvm.StatsSnapshot { return db.engine().shards.NVMStats() }
 
 // ---- transactions ----
 

@@ -11,6 +11,7 @@ import (
 
 	"incll/internal/core"
 	"incll/internal/epoch"
+	"incll/internal/nvm"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -101,6 +102,69 @@ func TestFacadeNVMStats(t *testing.T) {
 	s := db.NVMStats()
 	if s.GlobalFlushes == 0 || s.LinesPersisted == 0 {
 		t.Fatalf("stats: %v", s)
+	}
+}
+
+// TestFacadeAddsNoPersistenceWork pins the one-shard DB to the paper's
+// single store: the same deterministic op sequence, with periodic
+// checkpoints, on Open(Options{Shards: 1}) and on a bare core.Store over an
+// arena of the same size must write back, fence and persist exactly the
+// same lines. A checkpoint coordinator (or any other façade-side durable
+// write) at one shard shows up here as extra fences.
+func TestFacadeAddsNoPersistenceWork(t *testing.T) {
+	const (
+		arenaWords = 1 << 22
+		logSeg     = 1 << 16
+		txnSeg     = 1 << 12
+	)
+	type kv interface {
+		Put(k []byte, v uint64) bool
+		Delete(k []byte) bool
+		Get(k []byte) (uint64, bool)
+	}
+	run := func(s kv, checkpoint func() int) {
+		rng := rand.New(rand.NewSource(5))
+		for i := 0; i < 20000; i++ {
+			k := Key(uint64(rng.Intn(3000)))
+			switch rng.Intn(4) {
+			case 0:
+				s.Put(k, rng.Uint64()) // almost always ≥ 2^40: a value-heap block
+			case 1:
+				s.Put(k, uint64(rng.Intn(1000))) // inline in the leaf
+			case 2:
+				s.Delete(k)
+			default:
+				s.Get(k)
+			}
+			if i%1000 == 999 {
+				checkpoint()
+			}
+		}
+	}
+
+	db, info := Open(Options{Shards: 1, ArenaWords: arenaWords, LogSegWords: logSeg, TxnSegWords: txnSeg})
+	if len(info.Shards) != 1 {
+		t.Fatalf("one-shard DB reported %d shard recoveries, want 1", len(info.Shards))
+	}
+	before := db.NVMStats()
+	run(db.Handle(0), db.Checkpoint)
+	facade := db.NVMStats().Sub(before)
+
+	arena := nvm.New(nvm.Config{Words: arenaWords})
+	store, _ := core.Open(arena, core.Config{LogSegWords: logSeg, TxnSegWords: txnSeg, HeapWords: arenaWords / 2})
+	before = arena.Stats().Snapshot()
+	run(store.Handle(0), store.Advance)
+	bare := arena.Stats().Snapshot().Sub(before)
+
+	if facade.Fences != bare.Fences || facade.Writebacks != bare.Writebacks || facade.LinesPersisted != bare.LinesPersisted {
+		t.Fatalf("one-shard DB did more persistence work than a bare store:\n"+
+			"  DB:    %d fences, %d writebacks, %d lines persisted\n"+
+			"  store: %d fences, %d writebacks, %d lines persisted",
+			facade.Fences, facade.Writebacks, facade.LinesPersisted,
+			bare.Fences, bare.Writebacks, bare.LinesPersisted)
+	}
+	if bare.Fences == 0 || bare.LinesPersisted == 0 {
+		t.Fatalf("op sequence did no persistence work: %+v", bare)
 	}
 }
 

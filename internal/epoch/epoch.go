@@ -235,6 +235,18 @@ func (m *Manager) IsFailed(e uint64) bool {
 	return v
 }
 
+// LastCommitted returns the newest epoch this header has committed: the
+// largest epoch before the running one that recovery did not record as
+// failed (0 if none). For a self-contained store (nil oracle) this is the
+// durable commit point.
+func (m *Manager) LastCommitted() uint64 {
+	e := m.current.Load() - 1
+	for e > 0 && m.IsFailed(e) {
+		e--
+	}
+	return e
+}
+
 // FailedCount returns the number of failed epochs in the durable set.
 func (m *Manager) FailedCount() int {
 	m.failedMu.RLock()

@@ -386,3 +386,25 @@ func TestOnCommitHooks(t *testing.T) {
 		t.Fatalf("late hook fired for %v, want [3 4]", late)
 	}
 }
+
+func TestLastCommittedSkipsFailedEpochs(t *testing.T) {
+	a, m, _ := newManager(t)
+	if m.LastCommitted() != 0 {
+		t.Fatalf("fresh start: LastCommitted = %d, want 0", m.LastCommitted())
+	}
+	m.Advance()
+	m.Advance() // epochs 1 and 2 committed, 3 running
+	// Epoch 3 fails, then the empty epoch 4 fails too.
+	for i := 0; i < 2; i++ {
+		a.Crash(nvm.RandomPolicy(0.5, int64(i)))
+		a.ResetReservations()
+		m, _ = Open(a, a.Reserve(HeaderWords))
+	}
+	if m.Current() != 5 || m.LastCommitted() != 2 {
+		t.Fatalf("after two crashes: Current=%d LastCommitted=%d, want 5 and 2", m.Current(), m.LastCommitted())
+	}
+	m.Advance()
+	if m.LastCommitted() != 5 {
+		t.Fatalf("after an advance: LastCommitted = %d, want 5", m.LastCommitted())
+	}
+}

@@ -193,7 +193,9 @@ func parseHello(p []byte) (id string, err error) {
 		return "", fmt.Errorf("%w: peer speaks proto %d, want %d", ErrProtocol, v, ProtoVersion)
 	}
 	n, used := binary.Uvarint(p[4:])
-	if used <= 0 || n > maxPeerID || uint64(len(p)-4-used) < n {
+	if used <= 0 || n > maxPeerID || uint64(len(p)-4-used) != n {
+		// The id must end the payload: trailing bytes are as malformed as
+		// a short id.
 		return "", fmt.Errorf("%w: bad hello id", ErrBadMessage)
 	}
 	return string(p[4+used : 4+used+int(n)]), nil

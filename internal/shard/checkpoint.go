@@ -28,7 +28,14 @@ import (
 //
 // Either way, recovery lands every shard on the same boundary; there is no
 // crash point at which shard A exposes epoch k and shard B epoch k−1.
+//
+// One shard is one participant: its Advance is the shard's own (the
+// header write that begins the next epoch is the commit point), with no
+// coordinator record, no extra fence and no goroutines.
 func (s *Store) Advance() int {
+	if s.coord == nil {
+		return s.shards[0].Advance()
+	}
 	s.advMu.Lock()
 	defer s.advMu.Unlock()
 
@@ -70,10 +77,14 @@ func (s *Store) commitRecord(e uint64) {
 }
 
 // Shutdown commits a final global checkpoint and durably marks every shard
-// cleanly shut down. The store must not be used afterwards.
+// cleanly shut down. The store must not be used afterwards. One shard
+// needs no final checkpoint: its clean-shutdown mark commits the running
+// epoch by itself.
 func (s *Store) Shutdown() {
 	s.StopTicker()
-	s.Advance()
+	if s.coord != nil {
+		s.Advance()
+	}
 	for _, sh := range s.shards {
 		sh.Shutdown()
 	}

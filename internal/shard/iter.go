@@ -35,8 +35,12 @@ const (
 )
 
 // NewIter opens a cursor over the whole cluster on worker i's per-shard
-// handles. Not safe for concurrent use, like the handle itself.
+// handles. Not safe for concurrent use, like the handle itself. A
+// one-shard store has nothing to merge and returns the shard's own cursor.
 func (h Handle) NewIter(o core.IterOptions) core.Cursor {
+	if len(h.s.shards) == 1 {
+		return h.s.shards[0].Handle(h.i).NewIter(o)
+	}
 	m := h.s.iterSlots[h.i].Take()
 	if m == nil {
 		m = &Iter{h: h, its: make([]core.Cursor, 0, len(h.s.shards))}

@@ -6,6 +6,8 @@ package shard
 // with adversarially random persist fractions — restart, and check that
 // every key committed at the last *global* epoch survives on its shard, no
 // uncommitted key survives, and every shard recovers to the same epoch.
+// Each campaign also runs on one shard, where the shard's own epoch commit
+// is the commit point (no coordinator record).
 
 import (
 	"bytes"
@@ -19,19 +21,19 @@ import (
 )
 
 func TestPropertyCrossShardCrashAtomicity(t *testing.T) {
-	for seed := int64(1); seed <= 6; seed++ {
-		seed := seed
-		t.Run("", func(t *testing.T) {
-			t.Parallel()
-			runCrossShardCampaign(t, seed)
-		})
+	for _, shards := range []int{4, 1} {
+		for seed := int64(1); seed <= 6; seed++ {
+			t.Run("", func(t *testing.T) {
+				t.Parallel()
+				runCrossShardCampaign(t, shards, seed)
+			})
+		}
 	}
 }
 
-func runCrossShardCampaign(t *testing.T, seed int64) {
+func runCrossShardCampaign(t *testing.T, shards int, seed int64) {
 	rng := rand.New(rand.NewSource(seed))
 	const (
-		shards   = 4
 		workers  = 2
 		keyspace = 3000
 		rounds   = 4
@@ -73,7 +75,7 @@ func runCrossShardCampaign(t *testing.T, seed int64) {
 		var status epoch.Status
 		s, status = reopenShard(t, s)
 		if status != epoch.CrashRecovered {
-			t.Fatalf("round %d: reopen status %v, want crash-recovered", round, status)
+			t.Fatalf("shards %d round %d: reopen status %v, want crash-recovered", shards, round, status)
 		}
 		working = cloneShardModel(committed)
 		verifyShardModel(t, s, committed)
@@ -199,10 +201,13 @@ func decodeKey(b []byte) uint64 {
 // crash — plain, inside phase 1, or inside phase 2 of the coordinated
 // checkpoint. Committed bytes must survive exactly on every shard.
 func TestLargeValueCrossShardCrashAtEveryOp(t *testing.T) {
-	const (
-		shards = 4
-		keys   = 8
-	)
+	for _, shards := range []int{1, 4} {
+		runLargeValueCrashAtEveryOp(t, shards)
+	}
+}
+
+func runLargeValueCrashAtEveryOp(t *testing.T, shards int) {
+	const keys = 8
 	pattern := testutil.Pattern
 	sizes := []int{2, 60, 900, 2000, 4000}
 	type op struct {
@@ -265,24 +270,24 @@ func TestLargeValueCrossShardCrashAtEveryOp(t *testing.T) {
 			for k, v := range committed {
 				got, ok := s2.GetBytes(core.EncodeUint64(k))
 				if !ok {
-					t.Fatalf("point %d policy %d: committed key %d missing", points, policy, k)
+					t.Fatalf("shards %d point %d policy %d: committed key %d missing", shards, points, policy, k)
 				}
 				if !bytes.Equal(got, v) {
-					t.Fatalf("point %d policy %d: key %d torn (%d vs %d bytes)",
-						points, policy, k, len(got), len(v))
+					t.Fatalf("shards %d point %d policy %d: key %d torn (%d vs %d bytes)",
+						shards, points, policy, k, len(got), len(v))
 				}
 			}
 			n := 0
 			s2.ScanBytes(nil, -1, func(kb, v []byte) bool {
 				k := decodeKey(kb)
 				if want, ok := committed[k]; !ok || !bytes.Equal(v, want) {
-					t.Fatalf("point %d policy %d: scan key %d unexpected or torn", points, policy, k)
+					t.Fatalf("shards %d point %d policy %d: scan key %d unexpected or torn", shards, points, policy, k)
 				}
 				n++
 				return true
 			})
 			if n != len(committed) {
-				t.Fatalf("point %d policy %d: scan saw %d keys, want %d", points, policy, n, len(committed))
+				t.Fatalf("shards %d point %d policy %d: scan saw %d keys, want %d", shards, points, policy, n, len(committed))
 			}
 		}
 	}

@@ -15,7 +15,9 @@ func (s *Store) SimulateCrash(persistFraction float64, seed int64) {
 func (s *Store) crashArenas(persistFraction float64, seed int64) {
 	// The coordinator record is written back and fenced at every commit,
 	// so it is clean here and survives any policy.
-	s.coord.Crash(nvm.RandomPolicy(persistFraction, seed^0x5eed))
+	if s.coord != nil {
+		s.coord.Crash(nvm.RandomPolicy(persistFraction, seed^0x5eed))
+	}
 	for i, a := range s.arenas {
 		a.Crash(nvm.RandomPolicy(persistFraction, seed+int64(i)*104729))
 	}
@@ -32,6 +34,11 @@ func (s *Store) crashArenas(persistFraction float64, seed int64) {
 //     the global commit record landed but before localCommits of the
 //     shards recorded the commit locally. Recovery must keep the epoch on
 //     every shard.
+//
+// A one-shard store has no global record: the shard's local commit is the
+// commit point, so there commitGlobal performs that commit (and
+// localCommits, which it subsumes, is ignored) — the same two outcomes,
+// rolled back without it and kept with it.
 //
 // commitGlobal with prepared < NumShards would violate the protocol (the
 // coordinator only commits after every shard prepared) and panics. The
@@ -50,7 +57,11 @@ func (s *Store) CrashDuringAdvance(prepared, localCommits int, commitGlobal bool
 		s.shards[i].Epochs().Prepare()
 	}
 	if commitGlobal {
-		s.commitRecord(s.shards[0].Epochs().Current())
+		if s.coord == nil {
+			localCommits = 1 // the shard's own commit is the global one
+		} else {
+			s.commitRecord(s.shards[0].Epochs().Current())
+		}
 	}
 	for i := 0; i < localCommits; i++ {
 		s.shards[i].Epochs().Commit()
@@ -61,7 +72,9 @@ func (s *Store) CrashDuringAdvance(prepared, localCommits int, commitGlobal bool
 // Reopen recovers the cluster from the arena contents after SimulateCrash
 // or CrashDuringAdvance (or after Shutdown, to model a clean restart).
 func (s *Store) Reopen() (*Store, RecoveryInfo) {
-	s.coord.ResetReservations()
+	if s.coord != nil {
+		s.coord.ResetReservations()
+	}
 	for _, a := range s.arenas {
 		a.ResetReservations()
 	}

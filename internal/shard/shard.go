@@ -1,14 +1,17 @@
-// Package shard partitions the keyspace across N independent durable
+// Package shard partitions the keyspace across N ≥ 1 independent durable
 // stores — each a core.Store over its own simulated NVM arena — behind one
 // façade, and generalizes the paper's epoch ticker to the cluster: a
 // two-phase coordinated checkpoint quiesces every shard, flushes every
 // arena, and then commits a single global epoch record, so a crash can
-// never expose shard A at epoch k and shard B at epoch k−1.
+// never expose shard A at epoch k and shard B at epoch k−1. A one-shard
+// store has a single participant and no coordinator: its checkpoint is the
+// shard's own epoch advance, and the shard's header is the commit record —
+// exactly the paper's single-store protocol, at exactly its cost.
 //
 // Routing is a pure function of the key bytes (see Route), so a recovering
-// process re-derives the same placement; the shard count is stamped
-// durably in the coordinator record and reopening with a different count
-// panics, exactly like core's layout fingerprint.
+// process re-derives the same placement; with N > 1 the shard count is
+// stamped durably in the coordinator record and reopening with a different
+// count panics, exactly like core's layout fingerprint.
 //
 // The commit protocol and its crash cases are spelled out in DESIGN.md
 // ("Sharding and coordinated checkpoints").
@@ -120,10 +123,10 @@ type RecoveryInfo struct {
 	Shards []ShardRecovery
 }
 
-// Store is a sharded durable store: N core.Stores over N arenas plus a
-// tiny coordinator arena holding the global epoch record.
+// Store is a sharded durable store: N core.Stores over N arenas plus, for
+// N > 1, a tiny coordinator arena holding the global epoch record.
 type Store struct {
-	coord    *nvm.Arena
+	coord    *nvm.Arena // nil for one shard: its own header commits
 	coordOff uint64
 	arenas   []*nvm.Arena
 	shards   []*core.Store
@@ -144,8 +147,11 @@ func Open(cfg Config) (*Store, RecoveryInfo) {
 	// The coordinator pays the same fence latency as the shards: its
 	// commit-record write is the one extra fenced NVM write coordination
 	// adds per global checkpoint, and must not be free in the emulated-
-	// latency experiments.
-	coord := nvm.New(nvm.Config{Words: nvm.WordsPerLine * 2, FenceDelay: cfg.NVM.FenceDelay})
+	// latency experiments. One shard needs no coordinator.
+	var coord *nvm.Arena
+	if cfg.Shards > 1 {
+		coord = nvm.New(nvm.Config{Words: nvm.WordsPerLine * 2, FenceDelay: cfg.NVM.FenceDelay})
+	}
 	// Allocate the per-shard arenas in parallel: a fresh arena is a large
 	// zeroed allocation (~250 ms per shard at default sizes), and paying it
 	// serially made cold-target Restore and the reshard builder O(shards)
@@ -169,7 +175,8 @@ func Open(cfg Config) (*Store, RecoveryInfo) {
 // attach (re)binds a Store to existing arenas: reads the coordinator
 // record, recovers every shard in parallel against the global commit
 // oracle, and checks the cluster invariant that all shards resume in the
-// same epoch.
+// same epoch. With no coordinator (one shard) the shard recovers against
+// its own header alone.
 func attach(coord *nvm.Arena, arenas []*nvm.Arena, cfg Config) (*Store, RecoveryInfo) {
 	s := &Store{
 		coord:  coord,
@@ -180,26 +187,29 @@ func attach(coord *nvm.Arena, arenas []*nvm.Arena, cfg Config) (*Store, Recovery
 
 		iterSlots: make([]core.CursorSlot[Iter], cfg.Workers),
 	}
-	s.coordOff = coord.Reserve(nvm.WordsPerLine)
 
-	var g uint64 // last globally committed epoch
-	if coord.Load(s.coordOff+cMagic) == recordMagic {
-		if n := coord.Load(s.coordOff + cShards); n != uint64(cfg.Shards) {
-			panic(fmt.Sprintf("shard: arena set was created with %d shards, reopened with %d; "+
-				"the router would misplace every key", n, cfg.Shards))
+	var committed func(e uint64) bool
+	if coord != nil {
+		s.coordOff = coord.Reserve(nvm.WordsPerLine)
+		var g uint64 // last globally committed epoch
+		if coord.Load(s.coordOff+cMagic) == recordMagic {
+			if n := coord.Load(s.coordOff + cShards); n != uint64(cfg.Shards) {
+				panic(fmt.Sprintf("shard: arena set was created with %d shards, reopened with %d; "+
+					"the router would misplace every key", n, cfg.Shards))
+			}
+			g = coord.Load(s.coordOff + cEpoch)
+		} else {
+			coord.Store(s.coordOff+cMagic, recordMagic)
+			coord.Store(s.coordOff+cShards, uint64(cfg.Shards))
+			coord.Writeback(s.coordOff)
+			coord.Fence()
 		}
-		g = coord.Load(s.coordOff + cEpoch)
-	} else {
-		coord.Store(s.coordOff+cMagic, recordMagic)
-		coord.Store(s.coordOff+cShards, uint64(cfg.Shards))
-		coord.Writeback(s.coordOff)
-		coord.Fence()
+		// The oracle is a snapshot: recovery decisions depend only on the
+		// record as the crash left it.
+		committed = func(e uint64) bool { return e != 0 && e <= g }
 	}
-	// The oracle is a snapshot: recovery decisions depend only on the
-	// record as the crash left it.
-	committed := func(e uint64) bool { return e != 0 && e <= g }
 
-	info := RecoveryInfo{GlobalEpoch: g, Shards: make([]ShardRecovery, cfg.Shards)}
+	info := RecoveryInfo{Shards: make([]ShardRecovery, cfg.Shards)}
 	var wg sync.WaitGroup
 	for i := range s.shards {
 		wg.Add(1)
@@ -240,6 +250,7 @@ func attach(coord *nvm.Arena, arenas []*nvm.Arena, cfg Config) (*Store, Recovery
 				"shard 0 resumed at epoch %d, shard %d at %d", info.Shards[0].Epoch, i, sr.Epoch))
 		}
 	}
+	info.GlobalEpoch = s.GlobalEpoch()
 	return s, info
 }
 
@@ -268,17 +279,23 @@ func (s *Store) ShardStore(i int) *core.Store { return s.shards[i] }
 
 // Stores returns the per-shard stores, indexed by shard. The replication
 // hub attaches its change sinks and commit hooks through this: a shard's
-// local epoch commit runs only after the coordinator record is durable, so
-// per-shard commit hooks observe globally committed epochs, and the hub's
-// min-across-shards released barrier is anchored at the two-phase
+// local epoch commit runs only after the coordinator record (if any) is
+// durable, so per-shard commit hooks observe globally committed epochs,
+// and the hub's min-across-shards released barrier is anchored at the
 // coordinated-commit point. Callers must not mutate the slice.
 func (s *Store) Stores() []*core.Store { return s.shards }
 
 // Epoch returns the running epoch, identical on every shard.
 func (s *Store) Epoch() uint64 { return s.shards[0].Epochs().Current() }
 
-// GlobalEpoch returns the last globally committed epoch.
-func (s *Store) GlobalEpoch() uint64 { return s.coord.Load(s.coordOff + cEpoch) }
+// GlobalEpoch returns the last globally committed epoch: the coordinator
+// record's, or with one shard the last epoch its own header committed.
+func (s *Store) GlobalEpoch() uint64 {
+	if s.coord == nil {
+		return s.shards[0].Epochs().LastCommitted()
+	}
+	return s.coord.Load(s.coordOff + cEpoch)
+}
 
 // route returns the shard owning key k.
 func (s *Store) route(k []byte) *core.Store { return s.shards[Route(k, len(s.shards))] }
@@ -380,9 +397,12 @@ func (s *Store) Stats() *core.Stats {
 	return agg
 }
 
-// NVMStats sums the per-arena counters (including the coordinator's).
+// NVMStats sums the per-arena counters (the coordinator's included, if any).
 func (s *Store) NVMStats() nvm.StatsSnapshot {
-	agg := s.coord.Stats().Snapshot()
+	var agg nvm.StatsSnapshot
+	if s.coord != nil {
+		agg = s.coord.Stats().Snapshot()
+	}
 	for _, a := range s.arenas {
 		agg = agg.Add(a.Stats().Snapshot())
 	}

@@ -253,9 +253,9 @@ func (db *DB) resetRegistry() {
 	db.regMu.Unlock()
 }
 
-// stores lists the per-shard core stores (one entry when unsharded).
+// stores lists the per-shard core stores, indexed by shard.
 func (db *DB) stores() []*core.Store {
-	return db.engine().stores()
+	return db.engine().shards.Stores()
 }
 
 // limboDepth sums the allocator limbo depth across shards.

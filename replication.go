@@ -65,7 +65,7 @@ type Change struct {
 	Key, Value []byte
 	// Epoch is the (globally committed) epoch the mutation belongs to.
 	Epoch uint64
-	// Shard is the source shard (0 on an unsharded DB).
+	// Shard is the source shard (always 0 on a one-shard DB).
 	Shard int
 }
 
@@ -143,7 +143,7 @@ func (db *DB) hub() *repl.Hub {
 	defer db.replMu.Unlock()
 	if db.replHub == nil {
 		e := db.engine()
-		db.replHub = repl.NewHub(e.stores(), e.opts.ChangeJournalBytes)
+		db.replHub = repl.NewHub(e.shards.Stores(), e.opts.ChangeJournalBytes)
 		db.replHub.Instrument(db.trace)
 		db.replHub.InstrumentTimeline(db.propagation())
 	}

@@ -218,8 +218,8 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	// Build: a fresh shard set at the next topology version, sized from
 	// the original options so per-shard defaults derive from the NEW shard
 	// count (the donor's post-default sizes are already divided by the old
-	// one). Targets are always shard.Store-backed, even at one shard, so
-	// an unsharded DB can reshard outward and a cluster can fold to one.
+	// one). The target is a shard.Store like every engine, so a one-shard
+	// DB reshards outward and a cluster folds to one by the same path.
 	topts := db.rawOpts
 	topts.Shards = newShards
 	topts.setDefaults()
@@ -276,7 +276,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 			close(gated.gate)
 		}
 		donor.drainWrites()
-		donor.advanceRaw() // final donor checkpoint: releases the last writes
+		donor.shards.Advance() // final donor checkpoint (commit guard held): releases the last writes
 		if err := db.fireReshard("cutover-advanced"); err != nil {
 			unwind()
 			return false, err
@@ -297,12 +297,12 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		db.manifest.Commit(nextVer, newShards) // THE commit point
 		s.cutovers.Add(1)
 		db.trace.Record(obs.EvReshardCutover, -1, donor.epoch(), time.Since(t0), int64(nextVer))
-		donor.seal()
+		donor.shards.Seal()
 		var commitErr error
 		if err := db.fireReshard("cutover-manifest"); err != nil {
 			commitErr = fmt.Errorf("incll: reshard committed; post-commit hook: %w", err)
 		}
-		db.eng.Store(newEngine(topts, nil, nil, target))
+		db.eng.Store(newEngine(topts, target))
 		close(gated.gate)
 		pause = time.Since(t0)
 		return true, commitErr
