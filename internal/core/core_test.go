@@ -331,8 +331,9 @@ func TestCommittedDeletesSurvive(t *testing.T) {
 }
 
 func TestMixedInsertDeleteSameEpochForcesLog(t *testing.T) {
-	// Remove-then-insert into one node within one epoch must fall back on
-	// the external log (insAllowed=false) and still recover correctly.
+	// Remove-then-insert into a leaf that was full at epoch start must fall
+	// back on the external log — its one free slot is the one the removal
+	// vacated, which recovery restores — and still recover correctly.
 	a, s := newStore(t)
 	model := map[uint64]uint64{}
 	for i := uint64(0); i < 14; i++ { // exactly one leaf
@@ -398,29 +399,42 @@ func TestRepeatedUpdateOfOneKeyUsesInCLLOnly(t *testing.T) {
 
 func TestTwoHotSlotsSameLineRelocate(t *testing.T) {
 	// Updating two different keys that land in the same value cache line
-	// within one epoch exhausts that line's single ValInCLL. The second moves
-	// to a free slot under the InCLLp and logs nothing; the relocation
-	// forbids a second one, so a third hot slot takes the external log.
+	// within one epoch exhausts that line's single ValInCLL. The second
+	// moves to a slot that was free at epoch start under the InCLLp and logs
+	// nothing, and so do the third and fourth; once no free-at-start slot is
+	// left, the next hot slot takes the external log. A relocated key is
+	// updated in place.
 	for i, pol := range []nvm.Policy{nvm.PersistNone, nvm.PersistAll, nvm.RandomPolicy(0.5, 33)} {
 		a, s := newStore(t)
 		model := map[uint64]uint64{}
-		for i := uint64(0); i < 5; i++ {
+		for i := uint64(0); i < 11; i++ { // slots 0..10; slots 11..13 free
 			s.Put(EncodeUint64(i), i)
 			model[i] = i
 		}
 		s.Advance()
 		logged := func() int64 { return s.Stats().LoggedNodes.Load() }
 		before := logged()
-		s.Put(EncodeUint64(1), 111) // slots 0..4 are all in vals[0..6] (line 3)
-		s.Put(EncodeUint64(2), 222)
+		want := map[uint64]uint64{}
+		put := func(k, v uint64) {
+			s.Put(EncodeUint64(k), v)
+			want[k] = v
+		}
+		put(1, 111) // slots 0..6 are all in vals[0..6] (line 3)
+		for k := uint64(2); k <= 4; k++ {
+			put(k, k*111)
+			if got := logged() - before; got != 0 {
+				t.Fatalf("hot same-line slot %d logged %d nodes, want 0", k, got)
+			}
+		}
+		put(2, 2000) // relocated: in place
 		if got := logged() - before; got != 0 {
-			t.Fatalf("the second hot same-line slot logged %d nodes, want 0", got)
+			t.Fatalf("updating a relocated key logged %d nodes, want 0", got)
 		}
-		s.Put(EncodeUint64(3), 333)
+		put(5, 555)
 		if got := logged() - before; got != 1 {
-			t.Fatalf("the third hot same-line slot logged %d nodes, want 1", got)
+			t.Fatalf("the hot slot after three relocations logged %d nodes, want 1", got)
 		}
-		for k, v := range map[uint64]uint64{1: 111, 2: 222, 3: 333} {
+		for k, v := range want {
 			if got, ok := s.Get(EncodeUint64(k)); !ok || got != v {
 				t.Fatalf("before the crash key %d = %d,%v want %d", k, got, ok, v)
 			}
@@ -555,18 +569,21 @@ func TestConcurrentWorkersWithTicker(t *testing.T) {
 
 // Relocation moves a live entry to another slot under optimistic readers:
 // two writers keep updating keys of one value line (one with inline values,
-// one with heap values) while readers run Get and forward and reverse
+// one with heap values) while a third deletes and re-inserts two keys
+// beyond them in the same leaf, so its inserts skip the slots it vacated
+// and land on later free slots. Readers run Get and forward and reverse
 // cursors over the same leaf, across 1 ms epochs, until forty epochs have
-// relocated. Every read must see all ten keys in order, each with a value
-// its writer wrote, never older than one the same reader saw before; the
-// final state must equal the model.
+// passed and the writers have seen their keys move slot forty times. Every
+// read must see all ten stable keys in order, each with a value its writer
+// wrote, never older than one the same reader saw before; the final state
+// must equal the model.
 func TestRelocationConcurrentReaders(t *testing.T) {
-	const keys, relocEpochs = 10, 40
+	const keys, churnKeys, minEpochs, minMoves = 10, 2, 40, 40
 	a := nvm.New(nvm.Config{Words: testArenaWords})
 	cfg := testConfig()
-	cfg.Workers = 4
+	cfg.Workers = 5
 	s, _ := Open(a, cfg)
-	// v = round<<8 | k; writer 1's values are 16 bytes long, so they live on
+	// v = round<<8 | k; odd keys' values are 16 bytes long, so they live on
 	// the value heap and every update frees a block.
 	encode := func(k, round uint64) []byte {
 		b := binary.BigEndian.AppendUint64(nil, round<<8|k)
@@ -575,38 +592,67 @@ func TestRelocationConcurrentReaders(t *testing.T) {
 		}
 		return b
 	}
-	for k := uint64(0); k < keys; k++ {
+	for k := uint64(0); k < keys+churnKeys; k++ {
 		s.PutBytes(EncodeUint64(k), encode(k, 0))
 	}
+	h0 := s.Handle(0)
+	leaf := h0.ref(h0.rootCell0().root())
+	epoch0 := s.Epochs().Current()
 	s.StartTicker(time.Millisecond)
 	defer s.StopTicker()
 
 	var writers sync.WaitGroup
-	var done atomic.Bool
-	var final [2]uint64 // each writer's last round
+	var done, stop atomic.Bool
+	var moves atomic.Int64 // slot changes of the relocating writers' keys
+	var final [3]uint64    // each writer's last round
 	deadline := time.Now().Add(10 * time.Second)
-	for w := 0; w < 2; w++ {
+	for w := 0; w < 3; w++ {
 		writers.Add(1)
 		go func(w int) {
 			defer writers.Done()
 			h := s.Handle(w)
+			var slots [keys]int
+			for k := range slots {
+				slots[k] = k
+			}
 			r := uint64(0)
-			for s.Stats().InCLLPerm.Load() < relocEpochs && time.Now().Before(deadline) {
+			for !stop.Load() {
 				r++
+				if w == 2 {
+					for k := uint64(keys); k < keys+churnKeys; k++ {
+						h.Delete(EncodeUint64(k))
+						h.PutBytes(EncodeUint64(k), encode(k, r))
+					}
+					continue
+				}
 				for k := uint64(w); k < 7; k += 2 { // slots 0..6: value line 3
 					h.PutBytes(EncodeUint64(k), encode(k, r))
+					// Key k sits at position k; only its writer moves it.
+					if sl := leaf.perm().slot(int(k)); sl != slots[k] {
+						slots[k] = sl
+						moves.Add(1)
+					}
+				}
+				if w == 0 && (moves.Load() >= minMoves && s.Epochs().Current()-epoch0 >= minEpochs || time.Now().After(deadline)) {
+					stop.Store(true)
 				}
 			}
 			final[w] = r
 		}(w)
 	}
 	errs := make(chan error, 2)
-	for r := 2; r < 4; r++ {
+	for r := 3; r < 5; r++ {
 		go func(r int) {
 			h := s.Handle(r)
 			last := make([]uint64, keys)
 			see := func(k, v uint64) error {
-				if v&0xFF != k || v>>8 < last[k] {
+				if v&0xFF != k {
+					return fmt.Errorf("reader %d: key %d read %#x", r, k, v)
+				}
+				if k >= keys {
+					return nil // churned: present or not, any round
+				}
+				if v>>8 < last[k] {
 					return fmt.Errorf("reader %d: key %d read %#x after round %d", r, k, v, last[k])
 				}
 				last[k] = v >> 8
@@ -623,22 +669,26 @@ func TestRelocationConcurrentReaders(t *testing.T) {
 					}
 				}
 				it := h.NewIter(IterOptions{})
-				first, step, want, dir := it.First, it.Next, uint64(0), uint64(1)
-				if r == 3 {
-					first, step, want, dir = it.Last, it.Prev, keys-1, ^uint64(0)
+				first, step, reverse := it.First, it.Next, r == 4
+				if reverse {
+					first, step = it.Last, it.Prev
 				}
-				n := 0
+				n, prev := 0, uint64(0)
 				for ok := first(); ok && err == nil; ok = step() {
-					if k := binary.BigEndian.Uint64(it.Key()); k != want {
-						err = fmt.Errorf("reader %d: cursor entry %d is key %d, want %d", r, n, k, want)
+					k := binary.BigEndian.Uint64(it.Key())
+					if n > 0 && (k > prev) == reverse {
+						err = fmt.Errorf("reader %d: cursor key %d after %d", r, k, prev)
 					} else {
 						err = see(k, it.ValueUint64())
 					}
-					n, want = n+1, want+dir
+					if k < keys {
+						n++
+					}
+					prev = k
 				}
 				it.Close()
 				if err == nil && n != keys {
-					err = fmt.Errorf("reader %d: cursor saw %d keys, want %d", r, n, keys)
+					err = fmt.Errorf("reader %d: cursor saw %d stable keys, want %d", r, n, keys)
 				}
 			}
 			errs <- err
@@ -651,12 +701,15 @@ func TestRelocationConcurrentReaders(t *testing.T) {
 			t.Fatal(err)
 		}
 	}
-	if got := s.Stats().InCLLPerm.Load(); got < relocEpochs {
-		t.Fatalf("%d epochs relocated before the deadline, want %d", got, relocEpochs)
+	if got, ep := moves.Load(), s.Epochs().Current()-epoch0; got < minMoves || ep < minEpochs {
+		t.Fatalf("%d relocations in %d epochs before the deadline, want %d in %d", got, ep, minMoves, minEpochs)
 	}
-	for k := uint64(0); k < keys; k++ {
+	for k := uint64(0); k < keys+churnKeys; k++ {
 		want := uint64(0)
-		if k < 7 {
+		switch {
+		case k >= keys:
+			want = final[2]
+		case k < 7:
 			want = final[k%2]
 		}
 		if v, ok := s.Get(EncodeUint64(k)); !ok || v != want<<8|k {

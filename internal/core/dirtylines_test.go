@@ -74,15 +74,47 @@ func TestRelocationNeedsNoFence(t *testing.T) {
 	if p := leaf.perm(); p.slot(9) != 10 {
 		t.Fatalf("key 9 is in slot %d, want the free slot 10 of its value line", p.slot(9))
 	}
+	if dirty, want := leafDirty(a, leaf), []int{0, 2, 4}; !slices.Equal(dirty, want) {
+		t.Fatalf("leaf lines %v dirty, want %v (line 0, the ikey line, the shared value line)", dirty, want)
+	}
+}
+
+// A removal and an insert in one leaf in one epoch are both absorbed by the
+// InCLLp: the insert skips the slot the removal vacated for one that was
+// free at epoch start, so no log entry and no fence, and the leaf's dirty
+// lines are line 0 and the new slot's ikey and value lines.
+func TestRemoveThenInsertNeedsNoFence(t *testing.T) {
+	a, s := newStore(t)
+	for k := uint64(0); k < 10; k++ {
+		s.Put(EncodeUint64(k), k) // one leaf, key k in slot k, slots 10..13 free
+	}
+	s.Advance()
+	h := s.Handle(0)
+	leaf := h.ref(h.rootCell0().root())
+	st0 := a.Stats().Snapshot()
+	s.Delete(EncodeUint64(3))
+	s.Put(EncodeUint64(100), 100)
+	if d := a.Stats().Snapshot().Sub(st0); d.Fences != 0 {
+		t.Fatalf("remove-then-insert issued %d fences, want 0", d.Fences)
+	}
+	if p := leaf.perm(); p.slot(p.count()-1) != 10 {
+		t.Fatalf("key 100 is in slot %d, want slot 10, free at epoch start", p.slot(p.count()-1))
+	}
+	if dirty, want := leafDirty(a, leaf), []int{0, 2, 4}; !slices.Equal(dirty, want) {
+		t.Fatalf("leaf lines %v dirty, want %v (line 0, slot 10's ikey and value lines)", dirty, want)
+	}
+}
+
+// leafDirty crashes a, persisting nothing, and returns its dirty lines
+// numbered from leaf's line 0, sorted.
+func leafDirty(a *nvm.Arena, leaf nodeRef) []int {
 	var dirty []int
 	a.Crash(nvm.PolicyFunc(func(line int) bool {
 		dirty = append(dirty, line-int(leaf.off/nvm.WordsPerLine))
 		return false
 	}))
 	slices.Sort(dirty)
-	if want := []int{0, 2, 4}; !slices.Equal(dirty, want) {
-		t.Fatalf("leaf lines %v dirty, want %v (line 0, the ikey line, the shared value line)", dirty, want)
-	}
+	return dirty
 }
 
 // touch only reads: on every node a descent, a B-link step or a scan can

@@ -120,7 +120,9 @@ func TestEnumerateFirstTouchPersistSubsets(t *testing.T) {
 			{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0},
 			{"second line-3 slot: relocated, first perm touch", enumUpdate(enumL3Key2), 0, 1, 0},
 			{"delete", del, 0, 0, 0},
-			{"insert after delete: external log", ins, 0, 0, 1},
+			// Slots 3 and 2 are free now but held entries at epoch start:
+			// the insert skips both and takes slot 11.
+			{"insert after delete: slot free at epoch start", ins, 0, 0, 0},
 		},
 		// A permutation change dirties line 0 alone; both ValInCLLs are
 		// then claimed mid-epoch by their tags, one of them over a valid
@@ -133,7 +135,7 @@ func TestEnumerateFirstTouchPersistSubsets(t *testing.T) {
 				enumUpdate(enumL4Key2)(s)
 				enumUpdate(enumL3Key)(s)
 			}, 0, 0, 0},
-			{"insert after delete: external log", ins, 0, 0, 1},
+			{"insert after delete: slot free at epoch start", ins, 0, 0, 0},
 		},
 	}
 	for name, steps := range sequences {
@@ -236,16 +238,16 @@ func TestEnumerateValueFirstTouchPersistSubsets(t *testing.T) {
 			{enumStep{"first touch: line-3 update", enumUpdate(enumL3Key), 1, 0, 0}, []int{3}},
 			{enumStep{"remove the updated key: first perm touch", del(enumL3Key), 0, 1, 0}, []int{0, 3}},
 			{enumStep{"remove a line-4 key", del(enumL4Key2), 0, 0, 0}, []int{0, 3}},
-			{enumStep{"insert after remove: external log", ins, 0, 0, 1}, nil},
+			{enumStep{"insert after remove: slot 10, free at epoch start", ins, 0, 0, 0}, []int{0, 2, 3, 4}},
 		},
 		"value-then-insert": {
 			{enumStep{"first touch: line-4 update", enumUpdate(enumL4Key2), 1, 0, 0}, []int{4}},
 			{enumStep{"insert: first perm touch", ins, 0, 1, 0}, nil},
 			// The new key takes free slot 10, in line 4, whose ValInCLL
-			// already holds slot 9's epoch-start value; the insert left
-			// insAllowed set, so the update moves it on to free slot 11.
-			{enumStep{"update the inserted key: relocated", enumUpdate(enumNewKey), 0, 0, 0}, []int{0, 2, 4}},
-			{enumStep{"remove after the relocation", del(enumL3Key), 0, 0, 0}, nil},
+			// already holds slot 9's epoch-start value. Slot 10 was free at
+			// epoch start, so the update writes it in place.
+			{enumStep{"update the inserted key: in place", enumUpdate(enumNewKey), 0, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"remove after the update", del(enumL3Key), 0, 0, 0}, nil},
 		},
 	}
 	enumLineSequences(t, sequences)
@@ -294,11 +296,12 @@ func enumLineSequences(t *testing.T, sequences map[string][]lineStep) {
 
 // A second hot slot in one value line moves to a free slot of the leaf, and
 // one permutation store under the InCLLp publishes the move (incll.go). The
-// sequences below pin when that is allowed — the leaf's first permutation
-// touch, or an epoch with insAllowed still set — and that everything else
-// falls back on the external log. Fixture slots 0..6 live in line 3, so a
-// line-3 entry relocates to free slot 10 (ikey in line 2, value in line 4);
-// a line-4 entry relocates within line 4, to slot 10 or the next free one.
+// sequences below pin when that is allowed — some free slot was free at
+// epoch start, as permutationInCLL records — and that a slot a removal or a
+// relocation vacated this epoch is never reused. Fixture slots 0..6 live in
+// line 3, so a line-3 entry relocates to free slot 10 (ikey in line 2, value
+// in line 4); a line-4 entry relocates within line 4, to slot 10 or the next
+// free one.
 func TestEnumerateRelocationPersistSubsets(t *testing.T) {
 	del := func(k uint64) func(*Store) { return func(s *Store) { s.Delete(EncodeUint64(k)) } }
 	ins := func(s *Store) { s.Put(EncodeUint64(enumNewKey), enumDoomVal) }
@@ -309,30 +312,40 @@ func TestEnumerateRelocationPersistSubsets(t *testing.T) {
 		"insert-then-relocate": {
 			{enumStep{"insert: first perm touch", ins, 0, 1, 0}, []int{0, 2, 4}},
 			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{0, 2, 4}},
-			{enumStep{"second line-4 slot: relocated under insAllowed", enumUpdate(enumL4Key2), 0, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"second line-4 slot: relocated to slot 11", enumUpdate(enumL4Key2), 0, 0, 0}, []int{0, 2, 4}},
 		},
 		"relocate-then-insert": {
 			first, reloc,
-			{enumStep{"insert after the relocation: external log", ins, 0, 0, 1}, nil},
+			// Slot 2, vacated by the relocation, is skipped: slot 11.
+			{enumStep{"insert after the relocation: slot 11", ins, 0, 0, 0}, []int{0, 2, 3, 4}},
 		},
 		"relocate-then-remove": {
 			first, reloc,
 			{enumStep{"remove the relocated key", del(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
 			{enumStep{"remove another key", del(enumDelKey), 0, 0, 0}, []int{0, 2, 3, 4}},
 		},
-		// The relocated key's new slot is in line 4, whose ValInCLL is free
-		// to claim this epoch.
+		// The relocated key's new slot was free at epoch start: its
+		// updates write in place and leave InCLL2 unclaimed, which the
+		// line-4 update after them then claims.
 		"relocate-then-update": {
 			first, reloc,
-			{enumStep{"update the relocated key: claims InCLL2", enumUpdate(enumL3Key2), 1, 0, 0}, []int{0, 2, 3, 4}},
-			{enumStep{"and again: captured", enumUpdate(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+			{enumStep{"update the relocated key: in place", enumUpdate(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+			{enumStep{"and again", enumUpdate(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{0, 2, 3, 4}},
 		},
-		// Relocated within line 4, the key shares InCLL2 with the slot that
-		// claimed it, and a second relocation is not allowed.
+		// Relocated within line 4, the key shares a line with the slot that
+		// claimed InCLL2, and still writes in place.
 		"relocate-within-line-then-update": {
 			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{4}},
 			{enumStep{"second line-4 slot: relocated, first perm touch", enumUpdate(enumL4Key2), 0, 1, 0}, []int{0, 2, 4}},
-			{enumStep{"update the relocated key: external log", enumUpdate(enumL4Key2), 0, 0, 1}, nil},
+			{enumStep{"update the relocated key: in place", enumUpdate(enumL4Key2), 0, 0, 0}, []int{0, 2, 4}},
+		},
+		// A third slot of line 4 relocates too, to the next slot free at
+		// epoch start.
+		"two-relocations-one-line": {
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{4}},
+			{enumStep{"second line-4 slot: relocated to slot 10", enumUpdate(enumL4Key2), 0, 1, 0}, []int{0, 2, 4}},
+			{enumStep{"third line-4 slot: relocated to slot 11", enumUpdate(7), 0, 0, 0}, []int{0, 2, 4}},
 		},
 		// Rewriting the committed values relocates key 9 to slot 10 and
 		// leaves the model as it was; the next epoch moves it back to slot
@@ -351,9 +364,47 @@ func TestEnumerateRelocationPersistSubsets(t *testing.T) {
 		"remove-then-relocate": {
 			{enumStep{"first touch: remove", del(enumDelKey), 0, 1, 0}, []int{0}},
 			{enumStep{"line-3 update claims InCLL1", enumUpdate(enumL3Key), 1, 0, 0}, []int{0, 3}},
-			// The removed key's slot is free and in line 3: a relocation
-			// there would overwrite the value recovery restores.
-			{enumStep{"second line-3 slot: external log", enumUpdate(enumL3Key2), 0, 0, 1}, nil},
+			// The removed key's slot is free and in line 3, but a
+			// relocation there would overwrite the entry recovery restores:
+			// the key goes to slot 10 and line 1 stays clean.
+			{enumStep{"second line-3 slot: relocated past the vacated slot", enumUpdate(enumL3Key2), 0, 0, 0}, []int{0, 2, 3, 4}},
+		},
+	}
+	enumLineSequences(t, sequences)
+}
+
+// Inserts after a removal take slots that were free at epoch start, never
+// the one the removal vacated, until no such slot is left; only then does
+// the leaf external-log.
+func TestEnumerateFreeAtStartPersistSubsets(t *testing.T) {
+	del := func(k uint64) func(*Store) { return func(s *Store) { s.Delete(EncodeUint64(k)) } }
+	ins := func(keys ...uint64) func(*Store) {
+		return func(s *Store) {
+			for _, k := range keys {
+				s.Put(EncodeUint64(k), enumDoomVal)
+			}
+		}
+	}
+	remove := lineStep{enumStep{"first touch: remove", del(enumDelKey), 0, 1, 0}, []int{0}}
+	sequences := map[string][]lineStep{
+		// Slot 3 (ikey in line 1, value in line 3) is skipped for slot 10.
+		"remove-then-insert": {
+			remove,
+			{enumStep{"insert: slot 10, not the vacated slot 3", ins(enumNewKey), 0, 0, 0}, []int{0, 2, 4}},
+		},
+		// Slots 10..13 were free at epoch start; after four inserts the
+		// only free slot is the vacated one.
+		"exhaust-then-log": {
+			remove,
+			{enumStep{"four inserts fill slots 10..13", ins(enumNewKey, enumNewKey+1, enumNewKey+2, enumNewKey+3), 0, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"fifth insert: only slot 3 is free: external log", ins(enumNewKey + 4), 0, 0, 1}, nil},
+		},
+		// A key inserted this epoch is updated in place without claiming a
+		// ValInCLL, so the line-4 update after it still can.
+		"insert-then-update": {
+			{enumStep{"insert: first perm touch", ins(enumNewKey), 0, 1, 0}, []int{0, 2, 4}},
+			{enumStep{"update the inserted key: in place", enumUpdate(enumNewKey), 0, 0, 0}, []int{0, 2, 4}},
+			{enumStep{"line-4 update claims stale InCLL2", enumUpdate(enumL4Key), 1, 0, 0}, []int{0, 2, 4}},
 		},
 	}
 	enumLineSequences(t, sequences)

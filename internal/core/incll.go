@@ -5,7 +5,7 @@ package core
 //
 //   - beforePermChange runs before an insert or remove modifies the
 //     permutation word, maintaining InCLLp (nodeEpoch, permutationInCLL,
-//     insAllowed, logged).
+//     logged), and names the free slot an insert may fill.
 //   - beforeValUpdate runs before an update overwrites a value word
 //     (inline value or heap-block pointer — see value.go), maintaining
 //     InCLL1/InCLL2 — including the mid-epoch claim of an unused ValInCLL
@@ -45,44 +45,53 @@ package core
 // first modification in a new window goes through logLeaf, which resets
 // both tags and moves the nodeEpoch there.
 //
+// A slot may be written by an insert or a relocation exactly when it was
+// free at epoch start. permutationInCLL is the epoch-start permutation
+// whenever the nodeEpoch is the current epoch and the leaf is not logged
+// (before the leaf's first permutation touch, the permutation itself is), so
+// it names those slots; the paper's Listing 3 approximates the same fact
+// with one bit per leaf, cleared by any removal, after which every insert
+// external-logs. Recovery restores permutationInCLL, so every slot it names
+// must keep its epoch-start key and value — and it does: only slots free at
+// epoch start are filled, and a slot live at epoch start has its value
+// overwritten only under its line's ValInCLL. What a slot free at epoch
+// start holds is irrelevant to recovery, so updating one (a key inserted or
+// relocated this epoch) writes in place and claims no ValInCLL. An insert
+// external-logs only when no such slot is left; a removal never does.
+//
 // A second hot slot in one value line is relocated instead of logged, which
-// the paper's Listing 3 does not do: layerPut writes the key and new value
-// into a free slot and one permutation store swaps it in for the old slot.
-// That is an insert into a slot free at epoch start plus a removal of the
-// old one, both covered by InCLLp: recovery restores the epoch-start
-// permutation, which names the old slot, untouched. It is sound when the
-// free slot holds nothing recovery needs — on the leaf's first permutation
-// touch of the epoch, or while insAllowed says no removal has vacated a slot
-// — and the relocation clears insAllowed, so the slot it vacates keeps its
-// epoch-start value until the epoch commits. Anything else external-logs.
+// the paper's Listing 3 does not do either: layerPut writes the key and new
+// value into a slot free at epoch start and one permutation store swaps it
+// in for the old slot — an insert plus a removal, both covered by InCLLp.
+// The old slot was live at epoch start, so nothing writes it again until
+// the epoch commits. Only when no slot free at epoch start is left does the
+// leaf external-log.
 
 import "incll/internal/nvm"
 
 // beforePermChange prepares the leaf for a permutation change in the
-// current epoch. isInsert distinguishes insertion (which a prior removal in
-// the same epoch forbids from using the InCLL) from removal (which is
-// always InCLL-compatible but forbids later insertions).
-func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
+// current epoch and returns the free position an insert must fill. A
+// removal needs nothing past the first touch and never logs; an insert
+// takes a slot that was free at epoch start, and external-logs the leaf
+// only when none is left.
+func (h Handle) beforePermChange(n nodeRef, isInsert bool) (freePos int) {
 	s := h.s
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
+	p := n.perm()
 	if epochOf(w) == cur {
-		if loggedBit(w) {
-			return // fully covered by the external log this epoch
+		if loggedBit(w) || !isInsert {
+			// Fully covered by the external log, or a removal, which
+			// permutationInCLL already covers.
+			return p.count()
 		}
-		if isInsert {
-			if !insAllowedBit(w) {
-				// Remove-then-insert in one epoch could overwrite an
-				// entry that recovery must restore: external log.
-				h.logLeaf(n, cur)
-			}
-			return
+		if j := p.pickFree(perm(n.load(fPermInCLL)), -1); j >= 0 {
+			return j
 		}
-		// A removal forbids later InCLL insertions this epoch.
-		if insAllowedBit(w) {
-			n.store(fEpoch, packEpochWord(cur, false, false))
-		}
-		return
+		// Every free slot held a live entry at epoch start, which a crash
+		// must restore: external log.
+		h.logLeaf(n, cur)
+		return p.count()
 	}
 	// First modification of this node in the current epoch.
 	if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
@@ -90,15 +99,22 @@ func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
 		// would be ambiguous (happens about once an hour at 64 ms epochs;
 		// logLeaf resets the ValInCLLs into the new window).
 		h.logLeaf(n, cur)
-		return
+		return p.count()
 	}
 	// The ValInCLLs are left alone — their stale tags already invalidate
 	// them — so a permutation change dirties line 0 only.
-	n.store(fPermInCLL, uint64(n.perm()))
-	// Same cache line as the store above and the permutation that the
-	// caller is about to modify: PCSO orders everything for free.
-	n.store(fEpoch, packEpochWord(cur, isInsert, false))
-	s.stats.InCLLPerm.Add(h.w, 1)
+	h.capturePerm(n, p, cur)
+	return p.count()
+}
+
+// capturePerm is a leaf's first permutation touch of the epoch: the
+// epoch-start permutation p becomes permutationInCLL and the nodeEpoch
+// moves to cur. Same cache line as the permutation the caller is about to
+// modify: PCSO orders the capture, the stamp and the change for free.
+func (h Handle) capturePerm(n nodeRef, p perm, cur uint64) {
+	n.store(fPermInCLL, uint64(p))
+	n.store(fEpoch, packEpochWord(cur, false))
+	h.s.stats.InCLLPerm.Add(h.w, 1)
 }
 
 // beforeValUpdate prepares the leaf for overwriting vals[idx] in the
@@ -106,24 +122,31 @@ func (h Handle) beforePermChange(n nodeRef, isInsert bool) {
 // cache line. Line 0 is only read: the nodeEpoch is not stamped for a value
 // update, so a first touch dirties the updated slot's line alone.
 //
-// When that ValInCLL already holds another slot this epoch, it reports true
-// instead: the caller must relocate the entry — write the new value into a
-// free slot and swap that slot into the permutation (layerPut) — under the
-// InCLLp this prepares, so the update needs neither the external log nor a
-// fence.
-func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocate bool) {
+// When that ValInCLL already holds another slot this epoch, it returns the
+// free position the caller must relocate the entry to — write the new value
+// into its slot and swap that slot into the permutation (layerPut) — under
+// the InCLLp this prepares, so the update needs neither the external log nor
+// a fence. Otherwise it returns -1 and the caller writes in place.
+func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocPos int) {
 	s := h.s
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
+	var start perm // the epoch-start permutation, once the leaf's is touched
 	if epochOf(w) == cur {
 		if loggedBit(w) {
-			return false // fully covered by the external log this epoch
+			return -1 // fully covered by the external log this epoch
+		}
+		start = perm(n.load(fPermInCLL))
+		if start.liveMask()&(1<<uint(idx)) == 0 {
+			// Inserted (or relocated to) this epoch: a rollback frees the
+			// slot again, so its value is irrelevant to recovery.
+			return -1
 		}
 	} else if s.cfg.DisableInCLL || cur>>16 != epochOf(w)>>16 {
 		// LOGGING mode, or the ValInCLL tags would leave the nodeEpoch's
 		// 2^16-epoch window (logLeaf resets them into the new one).
 		h.logLeaf(n, cur)
-		return false
+		return -1
 	}
 	line := valLine(idx)
 	ic := n.load(inCLLOff(line))
@@ -131,36 +154,33 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocate bool) {
 	case valInCLLEp16(ic) != cur&0xFFFF || valInCLLIdx(ic) == invalidIdx:
 		// Claim the unused ValInCLL — unused because it was reset, or
 		// because it was last written in an earlier epoch. Either way no
-		// slot of this line was overwritten under it this epoch, and idx was
-		// not modified yet (a same-epoch remove would have forced logging,
-		// and a same-epoch insert of this slot makes its value irrelevant
-		// after rollback), so its current value is the epoch-start value.
+		// slot of this line was overwritten under it this epoch, and idx,
+		// live at epoch start, was not otherwise written: inserts and
+		// relocations only fill slots free at epoch start. So its current
+		// value is the epoch-start value.
 		n.store(inCLLOff(line), packValInCLL(n.val(idx), idx, cur))
 		s.stats.InCLLVal.Add(h.w, 1)
 	case valInCLLIdx(ic) == idx:
 		// This slot's epoch-start value is already captured.
 	default:
-		// Two hot slots in one cache line. Relocate into a free slot if one
-		// is known to hold nothing recovery needs: on the leaf's first
-		// permutation touch every free slot was free at epoch start, and
-		// after it insAllowed says no removal or relocation has vacated one.
+		// Two hot slots in one cache line: relocate into a slot that was
+		// free at epoch start, preferably one in this value line, which
+		// the claim has dirtied already.
 		p := n.perm()
-		if p.count() == LeafWidth || epochOf(w) == cur && !insAllowedBit(w) {
+		if epochOf(w) != cur {
+			start = p // first permutation touch: p is the epoch-start one
+		}
+		j := p.pickFree(start, line)
+		if j < 0 {
 			h.logLeaf(n, cur)
-			return false
+			return -1
 		}
 		if epochOf(w) != cur {
-			n.store(fPermInCLL, uint64(p))
-			s.stats.InCLLPerm.Add(h.w, 1)
+			h.capturePerm(n, p, cur)
 		}
-		// Same line as the permutation the caller swaps: PCSO orders the
-		// capture, this stamp and the swap. insAllowed is cleared because
-		// the slot the relocation vacates still holds its epoch-start value
-		// and must stay untouched until the epoch commits.
-		n.store(fEpoch, packEpochWord(cur, false, false))
-		return true
+		return j
 	}
-	return false
+	return -1
 }
 
 // logLeaf records the leaf's pre-image in the external log (once per
@@ -181,7 +201,7 @@ func (h Handle) logLeaf(n nodeRef, cur uint64) {
 		n.store(fInCLL1, invalidValInCLL(cur))
 		n.store(fInCLL2, invalidValInCLL(cur))
 	}
-	n.store(fEpoch, packEpochWord(cur, true, true))
+	n.store(fEpoch, packEpochWord(cur, true))
 	h.s.stats.LoggedNodes.Add(h.w, 1)
 }
 
@@ -234,7 +254,7 @@ func (s *Store) lazyRecoverLeaf(n nodeRef) {
 	n.store(fPermInCLL, uint64(n.perm()))
 	n.store(fInCLL1, invalidValInCLL(execBase))
 	n.store(fInCLL2, invalidValInCLL(execBase))
-	n.store(fEpoch, packEpochWord(execBase, true, false))
+	n.store(fEpoch, packEpochWord(execBase, false))
 	// Striped by node, not by worker (there is no handle here): every worker
 	// repairs after a crash, and one shared stripe would ping-pong.
 	s.stats.LazyRecoveries.Add(int(n.off/nvm.WordsPerLine), 1)

@@ -23,7 +23,10 @@
 // the five lines, and a delete dirties line 0 only. An update to a second
 // slot of a value line whose ValInCLL is taken this epoch relocates the
 // entry to a free slot (perm.swapFree): line 0, the new slot's ikey line and
-// its value line, like an insert, and no fence. The paper's version word
+// its value line, like an insert, and no fence. Inserts and relocations take
+// only slots that were free at epoch start, which permutationInCLL names
+// (perm.pickFree), so the nodeEpoch word needs no insert-allowed bit: it
+// holds nodeEpoch<<2 | logged, and bit 1 is spare. The paper's version word
 // (lock bit and change counters) is not durable state and is not here: it
 // lives in a DRAM table on the Store (node.go), so taking a leaf's lock
 // dirties nothing.
@@ -47,7 +50,7 @@ const (
 // Leaf offsets.
 const (
 	fNext      = 3 // right sibling (B-link)
-	fEpoch     = 4 // nodeEpoch<<2 | insAllowed<<1 | logged (InCLLp state)
+	fEpoch     = 4 // nodeEpoch<<2 | logged (InCLLp state); bit 1 is spare
 	fPermInCLL = 5 // undo copy of the permutation at epoch start
 	fPerm      = 6 // the permutation word
 	fHikey     = 7 // first ikey of the right sibling; ^0 when rightmost
@@ -98,25 +101,18 @@ func inCLLOff(l int) uint64 {
 
 // ---- nodeEpoch word (InCLLp state) ----
 
-const (
-	epLogged     = 1 << 0
-	epInsAllowed = 1 << 1
-)
+const epLogged = 1 << 0
 
-func packEpochWord(epoch uint64, insAllowed, logged bool) uint64 {
+func packEpochWord(epoch uint64, logged bool) uint64 {
 	w := epoch << 2
-	if insAllowed {
-		w |= epInsAllowed
-	}
 	if logged {
 		w |= epLogged
 	}
 	return w
 }
 
-func epochOf(w uint64) uint64     { return w >> 2 }
-func loggedBit(w uint64) bool     { return w&epLogged != 0 }
-func insAllowedBit(w uint64) bool { return w&epInsAllowed != 0 }
+func epochOf(w uint64) uint64 { return w >> 2 }
+func loggedBit(w uint64) bool { return w&epLogged != 0 }
 
 // ---- ValInCLL packing (paper §4.1.3) ----
 //
@@ -179,14 +175,16 @@ const permIdentity perm = 0xEDCBA98765432100
 
 func (p perm) count() int     { return int(p & 0xF) }
 func (p perm) slot(i int) int { return int(p >> (4 + 4*uint(i)) & 0xF) }
-func (p perm) freeSlot() int  { return p.slot(p.count()) }
 
-func (p perm) insert(pos int) perm {
+// insertFrom makes free position j's slot live at position pos (pos ≤
+// count ≤ j < LeafWidth): the free positions count..j-1 move up one, those
+// after j stay put. j = count is the classic insert of the first free slot.
+func (p perm) insertFrom(pos, j int) perm {
 	n := p.count()
-	s := uint64(p.freeSlot())
+	s := uint64(p.slot(j))
 	body := uint64(p) >> 4
-	low := body & (1<<(4*uint(n)) - 1)
-	high := body >> (4 * uint(n+1)) << (4 * uint(n))
+	low := body & (1<<(4*uint(j)) - 1)
+	high := body >> (4 * uint(j+1)) << (4 * uint(j))
 	body = low | high
 	low = body & (1<<(4*uint(pos)) - 1)
 	high = body >> (4 * uint(pos)) << (4 * uint(pos+1))
@@ -215,6 +213,37 @@ func (p perm) swapFree(pos, j int) perm {
 	a, b := 4+4*uint(pos), 4+4*uint(j)
 	sa, sb := uint64(p)>>a&0xF, uint64(p)>>b&0xF
 	return perm(uint64(p)&^(0xF<<a|0xF<<b) | sb<<a | sa<<b)
+}
+
+// liveMask returns p's live slots as a bit set: bit s for slot s.
+func (p perm) liveMask() uint16 {
+	var m uint16
+	for i := 0; i < p.count(); i++ {
+		m |= 1 << uint(p.slot(i))
+	}
+	return m
+}
+
+// pickFree returns a free position of p whose slot is also free in start —
+// one whose slot's value line is line when there is one, else the first —
+// or -1 when every free slot of p is live in start. Pass line -1 for no
+// preference.
+func (p perm) pickFree(start perm, line int) int {
+	live := start.liveMask()
+	first := -1
+	for j := p.count(); j < LeafWidth; j++ {
+		s := p.slot(j)
+		if live&(1<<uint(s)) != 0 {
+			continue
+		}
+		if valLine(s) == line {
+			return j
+		}
+		if first < 0 {
+			first = j
+		}
+	}
+	return first
 }
 
 func (p perm) truncate(keep int) perm {

@@ -112,10 +112,10 @@ func TestPropertyValueEncodingRoundTrip(t *testing.T) {
 
 // Property: the epoch word packing round-trips.
 func TestPropertyEpochWordRoundTrip(t *testing.T) {
-	f := func(epoch uint64, ins, logged bool) bool {
+	f := func(epoch uint64, logged bool) bool {
 		epoch = epoch % (1 << 62)
-		w := packEpochWord(epoch, ins, logged)
-		return epochOf(w) == epoch && insAllowedBit(w) == ins && loggedBit(w) == logged
+		w := packEpochWord(epoch, logged)
+		return epochOf(w) == epoch && loggedBit(w) == logged
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -153,7 +153,7 @@ func TestPropertyPermBijection(t *testing.T) {
 		for step := 0; step < 300; step++ {
 			switch {
 			case live < LeafWidth && (live == 0 || rng.Intn(2) == 0):
-				p = p.insert(rng.Intn(live + 1))
+				p = p.insertFrom(rng.Intn(live+1), live)
 				live++
 			case rng.Intn(10) == 0 && live > 0:
 				keep := rng.Intn(live + 1)
@@ -189,7 +189,7 @@ func TestPropertyPermSwapFree(t *testing.T) {
 		rng := rand.New(rand.NewSource(seed))
 		p := permIdentity
 		for i, n := 0, rng.Intn(LeafWidth); i < n; i++ {
-			p = p.insert(rng.Intn(i + 1))
+			p = p.insertFrom(rng.Intn(i+1), i)
 		}
 		for i := rng.Intn(4); i > 0 && p.count() > 0; i-- {
 			p = p.remove(rng.Intn(p.count()))
@@ -224,6 +224,75 @@ func TestPropertyPermSwapFree(t *testing.T) {
 					}
 				}
 				keys[q.slot(pos)] = 0
+			}
+		}
+	}
+}
+
+// Property: insertFrom, liveMask and pickFree agree with a model that keeps
+// the live slots in key order and the free ones in the order the
+// permutation lists them, over random insert/remove/relocate churn with
+// periodic epoch starts — the inserts and relocations take only positions
+// pickFree offers, as the tree's do.
+func TestPropertyPermInsertFromPickFree(t *testing.T) {
+	for seed := int64(0); seed < 50; seed++ {
+		rng := rand.New(rand.NewSource(seed))
+		p := permIdentity
+		var live []int // live slots in position order
+		free := []int{0, 1, 2, 3, 4, 5, 6, 7, 8, 9, 10, 11, 12, 13}
+		start, startLive := p, map[int]bool{}
+		for step := 0; step < 400; step++ {
+			if rng.Intn(8) == 0 { // an epoch boundary
+				start, startLive = p, map[int]bool{}
+				for _, sl := range live {
+					startLive[sl] = true
+				}
+			}
+			line := rng.Intn(3) - 1
+			want := -1
+			for i, sl := range free {
+				if startLive[sl] {
+					continue
+				}
+				if valLine(sl) == line {
+					want = len(live) + i
+					break
+				}
+				if want < 0 {
+					want = len(live) + i
+				}
+			}
+			if got := p.pickFree(start, line); got != want {
+				t.Fatalf("seed %d step %d: pickFree(%x, %d) on %x = %d, want %d", seed, step, uint64(start), line, uint64(p), got, want)
+			}
+			switch op := rng.Intn(3); {
+			case op == 0 && want >= 0: // insert
+				pos := rng.Intn(len(live) + 1)
+				sl := free[want-len(live)]
+				p = p.insertFrom(pos, want)
+				free = append(free[:want-len(live)], free[want-len(live)+1:]...)
+				live = append(live[:pos], append([]int{sl}, live[pos:]...)...)
+			case op == 1 && want >= 0 && len(live) > 0: // relocate
+				pos := rng.Intn(len(live))
+				p = p.swapFree(pos, want)
+				live[pos], free[want-len(live)] = free[want-len(live)], live[pos]
+			case op == 2 && len(live) > 0: // remove
+				pos := rng.Intn(len(live))
+				p = p.remove(pos)
+				free = append([]int{live[pos]}, free...)
+				live = append(live[:pos], live[pos+1:]...)
+			}
+			var mask uint16
+			for i, sl := range append(append(append([]int{}, live...), free...), 14) {
+				if p.slot(i) != sl {
+					t.Fatalf("seed %d step %d: %x position %d holds slot %d, model %v|%v", seed, step, uint64(p), i, p.slot(i), live, free)
+				}
+				if i < len(live) {
+					mask |= 1 << uint(sl)
+				}
+			}
+			if p.count() != len(live) || p.liveMask() != mask {
+				t.Fatalf("seed %d step %d: count %d mask %x, model %d %x", seed, step, p.count(), p.liveMask(), len(live), mask)
 			}
 		}
 	}

@@ -64,7 +64,7 @@ func (h Handle) newLeaf(cur uint64) nodeRef {
 	n.store(fNext, 0)
 	// Born logged: a crash in the birth epoch reclaims the node through
 	// the allocator's rollback, so no undo state is needed this epoch.
-	n.store(fEpoch, packEpochWord(cur, true, true))
+	n.store(fEpoch, packEpochWord(cur, true))
 	n.store(fPermInCLL, uint64(permIdentity))
 	n.store(fPerm, uint64(permIdentity))
 	n.store(fHikey, ^uint64(0))
@@ -316,12 +316,12 @@ retry:
 			n.unlock()
 			return h.layerPut(rootCell{s: h.s, off: vw}, full, k[8:], val)
 		}
-		if h.beforeValUpdate(n, slot) {
+		if j := h.beforeValUpdate(n, slot); j >= 0 {
 			// Relocate: the entry moves to a free slot and the permutation
 			// swaps it in, leaving the old slot's epoch-start value intact.
-			// A slot this key vacated earlier still holds its ikey and kind:
-			// moving back writes neither, so the ikey line stays clean.
-			j := relocPos(p, slot)
+			// A slot this key vacated in an earlier epoch still holds its
+			// ikey and kind: moving back writes neither, so the ikey line
+			// stays clean.
 			ns := p.slot(j)
 			if n.ikey(ns) != ik {
 				n.setIkey(ns, ik)
@@ -351,13 +351,13 @@ retry:
 		valWord = h.newValueWord(val)
 	}
 	if p.count() < LeafWidth {
-		h.beforePermChange(n, true)
-		slot := p.freeSlot()
+		j := h.beforePermChange(n, true)
+		slot := p.slot(j)
 		n.setIkey(slot, ik)
 		n.setKind(slot, kind)
 		n.setVal(slot, valWord)
 		n.markInsert()
-		n.store(fPerm, uint64(p.insert(pos)))
+		n.store(fPerm, uint64(p.insertFrom(pos, j)))
 		if kind != kindLayer {
 			h.s.publish(ChangePut, full, val)
 		}
@@ -366,18 +366,6 @@ retry:
 	}
 	h.splitLeafInsert(cell, n, ik, kind, valWord, pos, full, val)
 	return true
-}
-
-// relocPos picks the free position an entry in slot moves to: one whose slot
-// shares slot's value line, which that line's ValInCLL claim has dirtied
-// this epoch already, or else the first free one.
-func relocPos(p perm, slot int) int {
-	for j := p.count(); j < LeafWidth; j++ {
-		if valLine(p.slot(j)) == valLine(slot) {
-			return j
-		}
-	}
-	return p.count()
 }
 
 // lockCovering locks n and walks right until n covers ik (B-link).
@@ -434,13 +422,14 @@ func (h Handle) splitLeafInsert(cell rootCell, n nodeRef, ik uint64, kind uint8,
 	if ik >= splitIkey {
 		target, tpos = nn, pos-sp
 	}
+	// Both leaves are logged this epoch: any free slot will do.
 	tp := target.perm()
-	slot := tp.freeSlot()
+	slot := tp.slot(tp.count())
 	target.setIkey(slot, ik)
 	target.setKind(slot, kind)
 	target.setVal(slot, valWord)
 	target.markInsert()
-	target.store(fPerm, uint64(tp.insert(tpos)))
+	target.store(fPerm, uint64(tp.insertFrom(tpos, tp.count())))
 
 	h.insertUpward(cell, n, nn, splitIkey)
 	if kind != kindLayer {

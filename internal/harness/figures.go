@@ -292,8 +292,12 @@ func FlushCost(w io.Writer, p Params) Row {
 }
 
 // Recovery reproduces §6.3: crash immediately before an epoch boundary
-// (the worst case for the external log) on a write-heavy workload over a
-// 1M-key tree, then measure recovery.
+// after one full epoch of work that the InCLLs cannot absorb, on a
+// 1M-key tree, then measure recovery. Preloading the even keys before the
+// odd ones leaves every leaf full, so a second hot slot in a value line has
+// no free slot to relocate to, and one op in eight inserts a fresh key —
+// the ikey of an existing one plus a suffix byte — which splits a full leaf:
+// both take the external log, which recovery must replay.
 func Recovery(w io.Writer, p Params) Row {
 	p.setDefaults()
 	printHeader(w, "§6.3: recovery time (crash just before the epoch boundary)")
@@ -308,8 +312,10 @@ func Recovery(w io.Writer, p Params) Row {
 	coreCfg := core.Config{Workers: cfg.Threads, LogSegWords: segWords, HeapWords: heapWords}
 	s, _ := core.Open(a, coreCfg)
 	h := s.Handle(0)
-	for k := uint64(0); k < size; k++ {
-		h.Put(core.EncodeUint64(k), k)
+	for odd := uint64(0); odd < 2; odd++ {
+		for k := odd; k < size; k += 2 {
+			h.Put(core.EncodeUint64(k), k)
+		}
 	}
 	s.Advance()
 
@@ -322,9 +328,12 @@ func Recovery(w io.Writer, p Params) Row {
 	for time.Now().Before(deadline) {
 		for i := 0; i < 512; i++ {
 			op := g.Next()
-			if op.Kind == ycsb.OpPut {
+			switch {
+			case ops%8 == 0:
+				h.Put(append(core.EncodeUint64(op.Key), byte(ops)), op.Key)
+			case op.Kind == ycsb.OpPut:
 				h.Put(core.EncodeUint64(op.Key), op.Key)
-			} else {
+			default:
 				h.Get(core.EncodeUint64(op.Key))
 			}
 			ops++
