@@ -2,7 +2,8 @@ package incll_test
 
 // One benchmark per figure of the paper's evaluation (§6). These are the
 // testing.B building blocks; `cmd/incll-bench` runs the full multi-thread
-// figure sweeps and prints the same series the paper plots.
+// figure sweeps and prints the same series the paper plots, and
+// `incll-bench -exp recovery` is the §6.3 recovery experiment.
 //
 // Setup (tree preload) happens outside the timer; the measured region is
 // the operation stream of the figure's workload.
@@ -277,29 +278,5 @@ func BenchmarkGlobalFlush(b *testing.B) {
 		}
 		b.StartTimer()
 		db.Checkpoint()
-	}
-}
-
-// BenchmarkRecovery measures post-crash Open (§6.3: external-log replay
-// plus header repair; node repair is lazy and excluded, as in the paper).
-func BenchmarkRecovery(b *testing.B) {
-	db, _ := incll.Open(incll.Options{ArenaWords: 1 << 25})
-	for i := uint64(0); i < 1_000_000; i++ {
-		db.Put(incll.Key(i), i)
-	}
-	db.Checkpoint()
-	g := ycsb.NewGenerator(ycsb.A, ycsb.Uniform, 1_000_000, 1)
-	for j := 0; j < 200_000; j++ { // a worst-case epoch of writes
-		op := g.Next()
-		if op.Kind == ycsb.OpPut {
-			db.Put(incll.Key(op.Key), op.Key)
-		}
-	}
-	b.ResetTimer()
-	for i := 0; i < b.N; i++ {
-		b.StopTimer()
-		db.SimulateCrash(0.5, int64(i))
-		b.StartTimer()
-		db, _ = db.Reopen() // the measured recovery
 	}
 }

@@ -1,20 +1,17 @@
 // Command incll-bench regenerates the paper's evaluation figures (§6) on
 // the simulated-NVM reproduction. Each figure prints the same series the
-// paper plots; EXPERIMENTS.md records a reference run and compares shapes
-// against the paper.
+// paper plots, under a header and with the parameters it ran with.
 //
 // Usage:
 //
 //	incll-bench -fig all                        # every figure + §6.2/§6.3
 //	incll-bench -fig 2 -size 1000000 -threads 8 # one figure, scaled up
 //	incll-bench -exp recovery                   # §6.3 only
-//	incll-bench -json BENCH_RESULTS.json        # tracked benchmark matrix
 package main
 
 import (
 	"flag"
 	"fmt"
-	"log"
 	"os"
 	"strings"
 
@@ -24,36 +21,17 @@ import (
 func main() {
 	fig := flag.String("fig", "", "figure to regenerate: 2,3,4,5,6,7,8 or 'all'")
 	exp := flag.String("exp", "", "extra experiment: 'flush' (§6.2), 'recovery' (§6.3), or 'ablations'")
-	jsonOut := flag.String("json", "", "run the tracked benchmark matrix (workloads × shards × txn modes) and write machine-readable records to this BENCH_*.json file")
 	size := flag.Uint64("size", 200_000, "tree size (keys); the paper uses 20M")
 	threads := flag.Int("threads", 4, "worker threads; the paper uses 8")
 	ops := flag.Int("ops", 200_000, "operations per thread; the paper uses 1M")
 	seed := flag.Int64("seed", 1, "workload seed")
 	flag.Parse()
 
-	if *fig == "" && *exp == "" && *jsonOut == "" {
+	if *fig == "" && *exp == "" {
 		flag.Usage()
 		os.Exit(2)
 	}
 	p := harness.Params{TreeSize: *size, Threads: *threads, Ops: *ops, Seed: *seed}
-
-	if *jsonOut != "" {
-		recs := harness.BenchSuite(os.Stdout, p)
-		f, err := os.Create(*jsonOut)
-		if err != nil {
-			log.Fatalf("create %s: %v", *jsonOut, err)
-		}
-		if err := harness.WriteBenchJSON(f, recs); err != nil {
-			log.Fatalf("write %s: %v", *jsonOut, err)
-		}
-		if err := f.Close(); err != nil {
-			log.Fatalf("close %s: %v", *jsonOut, err)
-		}
-		fmt.Printf("wrote %d records to %s\n", len(recs), *jsonOut)
-		if *fig == "" && *exp == "" {
-			return
-		}
-	}
 	out := os.Stdout
 
 	want := func(f string) bool {

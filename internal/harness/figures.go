@@ -14,7 +14,7 @@ import (
 // Params scales the experiment suite. The paper's full-size parameters
 // (20M keys, 8 threads, 1M ops/thread, 56-thread sweeps) are reproducible
 // by passing them explicitly; the defaults keep the whole suite laptop-
-// sized. EXPERIMENTS.md records which were used.
+// sized. Every figure prints the parameters it ran with under its header.
 type Params struct {
 	TreeSize uint64 // default 200k (paper: 20M)
 	Threads  int    // default 4 (paper: 8)
@@ -49,15 +49,16 @@ type Row struct {
 	Values map[string]float64
 }
 
-func printHeader(w io.Writer, title string) {
-	fmt.Fprintf(w, "\n== %s ==\n", title)
+func printHeader(w io.Writer, title string, p Params) {
+	fmt.Fprintf(w, "\n== %s ==\n# base: size=%d threads=%d ops/thread=%d seed=%d\n",
+		title, p.TreeSize, p.Threads, p.Ops, p.Seed)
 }
 
 // Fig2 regenerates Figure 2: throughput of MT, MT+ and INCLL on
 // YCSB A/B/C/E under uniform and zipfian key distributions.
 func Fig2(w io.Writer, p Params) []Row {
 	p.setDefaults()
-	printHeader(w, "Figure 2: throughput (Mops/s) of MT, MT+, INCLL")
+	printHeader(w, "Figure 2: throughput (Mops/s) of MT, MT+, INCLL", p)
 	fmt.Fprintf(w, "%-8s %-8s %10s %10s %10s %12s\n", "workload", "dist", "MT", "MT+", "INCLL", "INCLL/MT+")
 	var rows []Row
 	for _, wl := range []ycsb.Workload{ycsb.A, ycsb.B, ycsb.C, ycsb.E} {
@@ -102,7 +103,7 @@ var FenceDelays = []time.Duration{0, 100 * time.Nanosecond, 200 * time.Nanosecon
 // latency) as the emulated post-sfence NVM latency grows, on YCSB-A.
 func Fig3(w io.Writer, p Params) []Row {
 	p.setDefaults()
-	printHeader(w, "Figure 3: INCLL vs emulated flush latency (YCSB_A), relative throughput")
+	printHeader(w, "Figure 3: INCLL vs emulated flush latency (YCSB_A), relative throughput", p)
 	fmt.Fprintf(w, "%-8s", "latency")
 	for _, d := range []ycsb.Distribution{ycsb.Uniform, ycsb.Zipfian} {
 		fmt.Fprintf(w, " %12s", d)
@@ -134,7 +135,7 @@ func Fig4(w io.Writer, p Params, threads []int) []Row {
 	if len(threads) == 0 {
 		threads = []int{1, 2, 4, 8}
 	}
-	printHeader(w, "Figure 4: throughput (Mops/s) vs threads (YCSB_A)")
+	printHeader(w, "Figure 4: throughput (Mops/s) vs threads (YCSB_A)", p)
 	fmt.Fprintf(w, "%-8s %-8s %10s %10s %12s\n", "threads", "dist", "MT+", "INCLL", "INCLL/MT+")
 	var rows []Row
 	for _, th := range threads {
@@ -162,7 +163,7 @@ func Fig5And6(w io.Writer, p Params, sizes []uint64) []Row {
 	if len(sizes) == 0 {
 		sizes = []uint64{10_000, 100_000, 1_000_000, 2_000_000}
 	}
-	printHeader(w, "Figures 5+6: throughput (Mops/s) and INCLL overhead vs tree size (YCSB_A)")
+	printHeader(w, "Figures 5+6: throughput (Mops/s) and INCLL overhead vs tree size (YCSB_A)", p)
 	fmt.Fprintf(w, "%-10s %-8s %10s %10s %12s\n", "size", "dist", "MT+", "INCLL", "overhead")
 	var rows []Row
 	for _, sz := range sizes {
@@ -190,7 +191,7 @@ func Fig7(w io.Writer, p Params, sizes []uint64) []Row {
 	if len(sizes) == 0 {
 		sizes = []uint64{10_000, 100_000, 1_000_000, 2_000_000}
 	}
-	printHeader(w, "Figure 7: logged nodes, LOGGING vs INCLL (YCSB_A)")
+	printHeader(w, "Figure 7: logged nodes, LOGGING vs INCLL (YCSB_A)", p)
 	fmt.Fprintf(w, "%-10s %-8s %12s %12s %8s\n", "size", "dist", "LOGGING", "INCLL", "ratio")
 	var rows []Row
 	for _, sz := range sizes {
@@ -218,7 +219,7 @@ func Fig7(w io.Writer, p Params, sizes []uint64) []Row {
 // throughput).
 func Fig8(w io.Writer, p Params) []Row {
 	p.setDefaults()
-	printHeader(w, "Figure 8: relative throughput vs flush latency, LOGGING vs INCLL (YCSB_A)")
+	printHeader(w, "Figure 8: relative throughput vs flush latency, LOGGING vs INCLL (YCSB_A)", p)
 	fmt.Fprintf(w, "%-8s %-8s %12s %12s\n", "latency", "dist", "LOGGING", "INCLL")
 	base := map[string]float64{}
 	var rows []Row
@@ -246,7 +247,7 @@ func Fig8(w io.Writer, p Params) []Row {
 // flush relative to the epoch interval.
 func FlushCost(w io.Writer, p Params) Row {
 	p.setDefaults()
-	printHeader(w, "§6.2: global flush cost")
+	printHeader(w, "§6.2: global flush cost", p)
 	cfg := p.base()
 	cfg.Mode, cfg.Workload, cfg.Dist = INCLL, ycsb.A, ycsb.Uniform
 	cfg.setDefaults()
@@ -300,13 +301,12 @@ func FlushCost(w io.Writer, p Params) Row {
 // both take the external log, which recovery must replay.
 func Recovery(w io.Writer, p Params) Row {
 	p.setDefaults()
-	printHeader(w, "§6.3: recovery time (crash just before the epoch boundary)")
-	size := p.TreeSize
-	if size < 1_000_000 {
-		size = 1_000_000 // the paper's worst-case tree size for InCLL
+	if p.TreeSize < 1_000_000 {
+		p.TreeSize = 1_000_000 // the paper's worst-case tree size for InCLL
 	}
+	printHeader(w, "§6.3: recovery time (crash just before the epoch boundary)", p)
+	size := p.TreeSize
 	cfg := p.base()
-	cfg.TreeSize = size
 	arenaWords, heapWords, segWords := SizeArena(cfg)
 	a := nvm.New(nvm.Config{Words: arenaWords})
 	coreCfg := core.Config{Workers: cfg.Threads, LogSegWords: segWords, HeapWords: heapWords}
@@ -364,7 +364,7 @@ func Recovery(w io.Writer, p Params) Row {
 // shows the trade-off around that choice.
 func AblationEpochLength(w io.Writer, p Params) []Row {
 	p.setDefaults()
-	printHeader(w, "Ablation: epoch length (INCLL, YCSB_A, uniform)")
+	printHeader(w, "Ablation: epoch length (INCLL, YCSB_A, uniform)", p)
 	fmt.Fprintf(w, "%-10s %12s %14s %12s\n", "interval", "Mops/s", "loggedNodes", "flushes")
 	var rows []Row
 	for _, iv := range []time.Duration{8 * time.Millisecond, 16 * time.Millisecond,
@@ -385,7 +385,7 @@ func AblationEpochLength(w io.Writer, p Params) []Row {
 // real cache's replacement traffic does), shrinking the boundary flush.
 func AblationEviction(w io.Writer, p Params) []Row {
 	p.setDefaults()
-	printHeader(w, "Ablation: background eviction capacity (INCLL, YCSB_A, uniform)")
+	printHeader(w, "Ablation: background eviction capacity (INCLL, YCSB_A, uniform)", p)
 	fmt.Fprintf(w, "%-10s %12s %12s %14s\n", "capacity", "Mops/s", "evictions", "flushedLines")
 	var rows []Row
 	for _, cap := range []int{0, 4096, 16384, 65536} {

@@ -11,7 +11,6 @@ import (
 	"fmt"
 	"math/rand"
 	"sync"
-	"sync/atomic"
 	"time"
 
 	"incll/internal/core"
@@ -100,7 +99,7 @@ type RunConfig struct {
 	TxnKeys int
 
 	// TreeSize is the number of keys preloaded (the paper uses 20M; the
-	// default suite scales this down — see EXPERIMENTS.md).
+	// default is 200k).
 	TreeSize uint64
 	// Threads is the number of worker threads (the paper's default is 8).
 	Threads int
@@ -150,11 +149,6 @@ type RunConfig struct {
 	// baseline.
 	PhaseSampleEvery int
 
-	// TimelineInterval is the per-second throughput/latency timeline
-	// cadence (default 1s; the timeline is always collected — one sampler
-	// goroutine reading per-worker counters, nothing on the op path).
-	TimelineInterval time.Duration
-
 	Seed int64
 }
 
@@ -176,9 +170,6 @@ func (c *RunConfig) setDefaults() {
 	}
 	if c.EpochInterval == 0 {
 		c.EpochInterval = 64 * time.Millisecond
-	}
-	if c.TimelineInterval <= 0 {
-		c.TimelineInterval = time.Second
 	}
 }
 
@@ -233,11 +224,6 @@ type Result struct {
 	// PhaseSampleEvery is the attribution sampling period the run used (0
 	// when attribution was off).
 	PhaseSampleEvery int
-
-	// Timeline is the per-interval throughput/latency series over the
-	// measured phase (one point per TimelineInterval, plus a final partial
-	// point).
-	Timeline []TimelinePoint
 
 	// Byte-value extras (zero unless RunConfig.ValueSize > 0).
 	ValueBytes int64   // payload bytes written by puts + read by gets/scans
@@ -314,7 +300,7 @@ func runTransient(cfg RunConfig) Result {
 		}()
 	}
 
-	elapsed, lats, timeline := runWorkers(cfg, func(w int, op ycsb.Op, i int) {
+	elapsed, lats := runWorkers(cfg, func(w int, op ycsb.Op, i int) {
 		h := tr.Handle(w)
 		switch op.Kind {
 		case ycsb.OpPut:
@@ -335,7 +321,6 @@ func runTransient(cfg RunConfig) Result {
 		Elapsed:    elapsed,
 		Ops:        ops,
 		Throughput: float64(ops) / elapsed.Seconds(),
-		Timeline:   timeline,
 	}
 	fillLatencies(&r, lats)
 	return r
@@ -456,7 +441,7 @@ func runDurable(cfg RunConfig) Result {
 	} else {
 		s.StartTicker(cfg.EpochInterval)
 	}
-	elapsed, lats, timeline := runWorkers(cfg, do)
+	elapsed, lats := runWorkers(cfg, do)
 	if m != nil {
 		m.StopTicker()
 	} else {
@@ -465,7 +450,6 @@ func runDurable(cfg RunConfig) Result {
 
 	as := a.Stats().Snapshot().Sub(as0)
 	ops := int64(cfg.Threads) * int64(cfg.OpsPerThread)
-	_ = as0
 	r := Result{
 		Config:       cfg,
 		Elapsed:      elapsed,
@@ -478,7 +462,6 @@ func runDurable(cfg RunConfig) Result {
 		FlushedLines: as.LinesPersisted,
 		Evictions:    as.Evictions,
 		Advances:     s.Epochs().Advances() - adv0,
-		Timeline:     timeline,
 	}
 	r.CheckpointSTW = stw.Snapshot()
 	fillPhases(&r, phases)
@@ -551,7 +534,7 @@ func runSharded(cfg RunConfig) Result {
 	} else {
 		s.StartTicker(cfg.EpochInterval)
 	}
-	elapsed, lats, timeline := runWorkers(cfg, do)
+	elapsed, lats := runWorkers(cfg, do)
 	if m != nil {
 		m.StopTicker()
 	} else {
@@ -578,7 +561,6 @@ func runSharded(cfg RunConfig) Result {
 		Evictions:    nv.Evictions,
 		Advances:     int64(s.GlobalEpoch() - adv0),
 		PerShardOps:  perShard,
-		Timeline:     timeline,
 	}
 	r.CheckpointSTW = stw.Snapshot()
 	fillPhases(&r, phases)
@@ -886,114 +868,24 @@ func parallelLoad(cfg RunConfig, put func(worker int, key uint64)) {
 	wg.Wait()
 }
 
-// TimelinePoint is one interval of the measured phase's progress series:
-// where the run's throughput and latency were, second by second, so a
-// BENCH row shows the shape of a run (warm-up, checkpoint dips, eviction
-// stalls), not just its mean.
-type TimelinePoint struct {
-	// MS is the point's offset from the measured phase's start.
-	MS int64 `json:"ms"`
-	// Ops is the cumulative operation count at the point.
-	Ops int64 `json:"ops"`
-	// OpsPerSec is the throughput over this interval alone.
-	OpsPerSec float64 `json:"ops_per_sec"`
-	// P50Micros / P99Micros summarize the sampled op latency over this
-	// interval alone (0 when no sample landed in it).
-	P50Micros float64 `json:"p50_us,omitempty"`
-	P99Micros float64 `json:"p99_us,omitempty"`
-}
-
-// progressSlot is one worker's op counter, padded so the per-op store
-// never false-shares with a neighbour.
-type progressSlot struct {
-	n atomic.Int64
-	_ [56]byte
-}
-
-// sampleTimeline folds one interval into the series and returns the new
-// cumulative baseline. A sample landing in the same millisecond as the
-// last point (the final partial interval, right on a tick) extends that
-// point instead of adding a zero-length one: MS stays strictly increasing
-// and every rate is taken over a real interval.
-func sampleTimeline(tl []TimelinePoint, start, now time.Time, prevOps int64, prevBins []int64,
-	progress []progressSlot, hists []latHist) ([]TimelinePoint, int64, []int64) {
-	var total int64
-	for i := range progress {
-		total += progress[i].n.Load()
-	}
-	ms := now.Sub(start).Milliseconds()
-	n := len(tl)
-	if n > 0 && ms <= tl[n-1].MS {
-		var baseMS, baseOps int64
-		if n > 1 {
-			baseMS, baseOps = tl[n-2].MS, tl[n-2].Ops
-		}
-		last := &tl[n-1]
-		last.Ops = total
-		last.OpsPerSec = float64(total-baseOps) / (float64(last.MS-baseMS) / 1000)
-		return tl, total, prevBins
-	}
-	var prevMS int64
-	if n > 0 {
-		prevMS = tl[n-1].MS
-	}
-	bins := mergedBins(hists)
-	delta := obs.BinsSub(bins, prevBins)
-	p := TimelinePoint{MS: ms, Ops: total}
-	// ms == prevMS only for the first point of a sub-millisecond run, which
-	// carries no rate.
-	if ms > prevMS {
-		p.OpsPerSec = float64(total-prevOps) / (float64(ms-prevMS) / 1000)
-	}
-	if obs.BinsCount(delta) > 0 {
-		p.P50Micros = float64(obs.BinsQuantile(delta, 0.50)) / 1000
-		p.P99Micros = float64(obs.BinsQuantile(delta, 0.99)) / 1000
-	}
-	return append(tl, p), total, bins
-}
-
 // runWorkers executes the measured phase, sampling per-op latency (one op
-// in 8 pays the clock reads; see latency.go) and collecting the
-// per-interval timeline, and returns the wall time, the merged latency
-// histogram, and the timeline.
-func runWorkers(cfg RunConfig, do func(worker int, op ycsb.Op, i int)) (time.Duration, *latHist, []TimelinePoint) {
+// in 8 pays the clock reads; see latency.go), and returns the wall time and
+// the merged latency histogram.
+func runWorkers(cfg RunConfig, do func(worker int, op ycsb.Op, i int)) (time.Duration, *latHist) {
 	gens := make([]*ycsb.Generator, cfg.Threads)
 	for w := range gens {
 		gens[w] = ycsb.NewGenerator(cfg.Workload, cfg.Dist, cfg.TreeSize, cfg.Seed+int64(w)*7919)
 		gens[w].SetScanLength(cfg.ScanDist, cfg.ScanLen)
 	}
 	hists := make([]latHist, cfg.Threads)
-	progress := make([]progressSlot, cfg.Threads)
-
-	stopTL := make(chan struct{})
-	tlDone := make(chan []TimelinePoint, 1)
 	var wg sync.WaitGroup
 	start := time.Now()
-	go func() {
-		var tl []TimelinePoint
-		var prevOps int64
-		var prevBins []int64
-		t := time.NewTicker(cfg.TimelineInterval)
-		defer t.Stop()
-		for {
-			select {
-			case now := <-t.C:
-				tl, prevOps, prevBins = sampleTimeline(tl, start, now, prevOps, prevBins, progress, hists)
-			case <-stopTL:
-				// Final partial interval, so short runs still get a point.
-				tl, _, _ = sampleTimeline(tl, start, time.Now(), prevOps, prevBins, progress, hists)
-				tlDone <- tl
-				return
-			}
-		}
-	}()
 	for w := 0; w < cfg.Threads; w++ {
 		wg.Add(1)
 		go func(w int) {
 			defer wg.Done()
 			g := gens[w]
 			h := &hists[w]
-			p := &progress[w].n
 			for i := 0; i < cfg.OpsPerThread; i++ {
 				op := g.Next()
 				if i&latSampleMask == 0 {
@@ -1003,12 +895,9 @@ func runWorkers(cfg RunConfig, do func(worker int, op ycsb.Op, i int)) (time.Dur
 				} else {
 					do(w, op, i)
 				}
-				p.Store(int64(i + 1))
 			}
 		}(w)
 	}
 	wg.Wait()
-	elapsed := time.Since(start)
-	close(stopTL)
-	return elapsed, mergeLatencies(hists), <-tlDone
+	return time.Since(start), mergeLatencies(hists)
 }

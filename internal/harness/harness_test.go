@@ -109,8 +109,10 @@ func TestRecoveryExperimentShape(t *testing.T) {
 		t.Skip("short mode")
 	}
 	row := Recovery(io.Discard, Params{TreeSize: 1_000_000, Threads: 1, Ops: 1, Seed: 2})
-	if row.Values["logged"] == 0 {
-		t.Fatal("recovery experiment logged no nodes")
+	// Every node the epoch logged must be replayed: a recovery that
+	// silently skipped entries would leave applied below logged.
+	if logged, applied := row.Values["logged"], row.Values["applied"]; applied == 0 || applied != logged {
+		t.Fatalf("recovery replayed %.0f entries for %.0f logged nodes, want equal and > 0", applied, logged)
 	}
 	if row.Values["recoveryMs"] <= 0 {
 		t.Fatal("no recovery time measured")

@@ -37,21 +37,3 @@ func mergeLatencies(hists []latHist) *latHist {
 	}
 	return out
 }
-
-// mergedBins sums the per-worker bucket loads into one window snapshot —
-// the timeline sampler diffs successive snapshots to get per-interval
-// latency percentiles without disturbing the workers.
-func mergedBins(hists []latHist) []int64 {
-	var out []int64
-	for i := range hists {
-		b := hists[i].h.Bins()
-		if out == nil {
-			out = b
-			continue
-		}
-		for j := range out {
-			out[j] += b[j]
-		}
-	}
-	return out
-}

@@ -9,30 +9,10 @@ import (
 	"incll/internal/ycsb"
 )
 
-func TestTimelineAndPhasesInResult(t *testing.T) {
+func TestPhasesInResult(t *testing.T) {
 	cfg := quickCfg(INCLL, ycsb.A, ycsb.Uniform)
 	cfg.PhaseSampleEvery = 1
-	cfg.TimelineInterval = 5 * time.Millisecond
 	r := Run(cfg)
-
-	if len(r.Timeline) == 0 {
-		t.Fatal("no timeline points")
-	}
-	var prev int64 = -1
-	var total int64
-	for i, p := range r.Timeline {
-		if p.Ops < prev {
-			t.Fatalf("timeline point %d: cumulative ops went backwards (%d -> %d)", i, prev, p.Ops)
-		}
-		prev = p.Ops
-		total = p.Ops
-		if i > 0 && p.MS <= r.Timeline[i-1].MS {
-			t.Fatalf("timeline point %d: non-monotonic ms %d after %d", i, p.MS, r.Timeline[i-1].MS)
-		}
-	}
-	if total != r.Ops {
-		t.Fatalf("final timeline point has %d ops, run did %d", total, r.Ops)
-	}
 
 	if r.PhaseSampleEvery != 1 {
 		t.Fatalf("PhaseSampleEvery = %d, want 1", r.PhaseSampleEvery)
@@ -52,23 +32,6 @@ func TestTimelineAndPhasesInResult(t *testing.T) {
 	r = Run(cfg)
 	if r.Phases != nil {
 		t.Fatalf("Phases should be nil when disabled, got %+v", r.Phases)
-	}
-}
-
-func TestBenchRecordCarriesPhasesAndTimeline(t *testing.T) {
-	cfg := quickCfg(INCLL, ycsb.A, ycsb.Zipfian)
-	cfg.PhaseSampleEvery = 1
-	cfg.TimelineInterval = 5 * time.Millisecond
-	r := Run(cfg)
-	rec := record(r)
-	if rec.PhaseSampleEvery != 1 || len(rec.Phases) == 0 {
-		t.Fatalf("record missing phases: %+v", rec.Phases)
-	}
-	if d, ok := rec.Phases["descent"]; !ok || d.Count == 0 || d.P99Micros <= 0 {
-		t.Fatalf("descent summary wrong: %+v", d)
-	}
-	if len(rec.Timeline) == 0 {
-		t.Fatal("record missing timeline")
 	}
 }
 
@@ -131,30 +94,5 @@ func TestPhaseAttributionOverheadAB(t *testing.T) {
 	t.Logf("attribution overhead: %.2f%% (trimmed mean of %d rounds)", 100*delta, rounds)
 	if delta > 0.05 {
 		t.Fatalf("attribution overhead %.2f%% exceeds 5%% budget", 100*delta)
-	}
-}
-
-// TestTimelineFoldsSameMillisecondSample pins the sampler's final-interval
-// rule deterministically: a sample in the same millisecond as the last
-// point extends that point (its ops, and its rate over the real interval)
-// instead of appending a zero-length one with a rate over 1 ns.
-func TestTimelineFoldsSameMillisecondSample(t *testing.T) {
-	start := time.Now()
-	progress := make([]progressSlot, 1)
-	hists := make([]latHist, 1)
-	at := func(ms int) time.Time { return start.Add(time.Duration(ms) * time.Millisecond) }
-
-	progress[0].n.Store(100)
-	tl, ops, bins := sampleTimeline(nil, start, at(5), 0, nil, progress, hists)
-	progress[0].n.Store(300)
-	tl, ops, bins = sampleTimeline(tl, start, at(10), ops, bins, progress, hists)
-	progress[0].n.Store(340) // the final partial interval, right on the tick
-	tl, ops, _ = sampleTimeline(tl, start, at(10).Add(300*time.Microsecond), ops, bins, progress, hists)
-
-	if len(tl) != 2 || ops != 340 {
-		t.Fatalf("timeline = %+v (ops %d), want 2 points ending at 340 ops", tl, ops)
-	}
-	if last := tl[1]; last.MS != 10 || last.Ops != 340 || last.OpsPerSec != 240/0.005 {
-		t.Fatalf("folded point = %+v, want ms 10, 340 ops, %v ops/s", last, 240/0.005)
 	}
 }
