@@ -54,7 +54,9 @@ package core
 // external-logs. Recovery restores permutationInCLL, so every slot it names
 // must keep its epoch-start key and value — and it does: only slots free at
 // epoch start are filled, and a slot live at epoch start has its value
-// overwritten only under its line's ValInCLL. What a slot free at epoch
+// overwritten only under its line's ValInCLL or under a committed
+// transaction intent, which recovery replays after the rollback
+// (PutCommittedLocked). What a slot free at epoch
 // start holds is irrelevant to recovery, so updating one (a key inserted or
 // relocated this epoch) writes in place and claims no ValInCLL. An insert
 // external-logs only when no such slot is left; a removal never does.
@@ -155,9 +157,10 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocPos int) {
 		// Claim the unused ValInCLL — unused because it was reset, or
 		// because it was last written in an earlier epoch. Either way no
 		// slot of this line was overwritten under it this epoch, and idx,
-		// live at epoch start, was not otherwise written: inserts and
-		// relocations only fill slots free at epoch start. So its current
-		// value is the epoch-start value.
+		// live at epoch start, was not written this epoch except under a
+		// committed intent: inserts and relocations only fill slots free
+		// at epoch start. So its current value is the epoch-start value or
+		// one that the intent's replay overwrites after a rollback.
 		n.store(inCLLOff(line), packValInCLL(n.val(idx), idx, cur))
 		s.stats.InCLLVal.Add(h.w, 1)
 	case valInCLLIdx(ic) == idx:

@@ -272,7 +272,19 @@ func (h Handle) PutBytes(k []byte, v []byte) bool {
 }
 
 // PutBytesLocked is PutBytes under a caller-held epoch guard.
-func (h Handle) PutBytesLocked(k []byte, v []byte) bool {
+func (h Handle) PutBytesLocked(k []byte, v []byte) bool { return h.put(k, v, false) }
+
+// PutCommittedLocked is PutBytesLocked for a write that a durable,
+// committed transaction intent already covers: the intent's fence completed
+// before this call, and recovery replays the intent over any rollback of
+// the current epoch. An update of an inline value to an inline value
+// therefore needs no undo and is stored in place — no ValInCLL claim, no
+// relocation, no external log. Every other write (inserts, heap values on
+// either side, layer anchors) takes PutBytesLocked's path. See DESIGN.md §6.
+func (h Handle) PutCommittedLocked(k []byte, v []byte) bool { return h.put(k, v, true) }
+
+// put is the write chokepoint of PutBytesLocked and PutCommittedLocked.
+func (h Handle) put(k []byte, v []byte, covered bool) bool {
 	if len(k) > MaxKeyBytes {
 		// Enforced at the write chokepoint so no path (including the
 		// uint64 view) can create a key the validated, error-returning
@@ -280,7 +292,7 @@ func (h Handle) PutBytesLocked(k []byte, v []byte) bool {
 		panic("core: key exceeds MaxKeyBytes")
 	}
 	h.s.stats.Puts.Add(h.w, 1)
-	inserted := h.layerPut(h.rootCell0(), k, k, v)
+	inserted := h.layerPut(h.rootCell0(), k, k, v, covered)
 	if inserted {
 		h.s.size.Add(1)
 	}
@@ -291,8 +303,10 @@ func (h Handle) PutBytesLocked(k []byte, v []byte) bool {
 // key (k is its per-layer suffix), carried down so the change publication
 // — which must happen inside the leaf-locked region, where concurrent
 // writers of the same key are serialized, so the journal order equals the
-// apply order — can name the key a subscriber would use.
-func (h Handle) layerPut(cell rootCell, full, k []byte, val []byte) bool {
+// apply order — can name the key a subscriber would use. covered marks a
+// write a durable committed intent redoes after any rollback (see
+// PutCommittedLocked).
+func (h Handle) layerPut(cell rootCell, full, k []byte, val []byte, covered bool) bool {
 	ik, kind := ikeyOf(k)
 retry:
 	rootOff := cell.root()
@@ -314,9 +328,14 @@ retry:
 		vw := n.val(slot)
 		if kind == kindLayer {
 			n.unlock()
-			return h.layerPut(rootCell{s: h.s, off: vw}, full, k[8:], val)
+			return h.layerPut(rootCell{s: h.s, off: vw}, full, k[8:], val, covered)
 		}
-		if j := h.beforeValUpdate(n, slot); j >= 0 {
+		if covered && vwIsInline(vw) && len(val) <= MaxInlineBytes {
+			// Inline over inline under a committed intent: whatever a
+			// rollback leaves in the slot, the intent's replay overwrites.
+			// No heap block is involved, so none can leak or dangle.
+			n.setVal(slot, inlineVW(val))
+		} else if j := h.beforeValUpdate(n, slot); j >= 0 {
 			// Relocate: the entry moves to a free slot and the permutation
 			// swaps it in, leaving the old slot's epoch-start value intact.
 			// A slot this key vacated in an earlier epoch still holds its
@@ -346,7 +365,7 @@ retry:
 		valWord = h.newAnchor()
 		// The recursion publishes the change from the sub-layer's locked
 		// leaf; this leaf's lock already excludes same-key competitors.
-		h.layerPut(rootCell{s: h.s, off: valWord}, full, k[8:], val)
+		h.layerPut(rootCell{s: h.s, off: valWord}, full, k[8:], val, covered)
 	} else {
 		valWord = h.newValueWord(val)
 	}

@@ -4,12 +4,15 @@
 // Where the undo log (extlog.Log) records pre-images so a failed epoch can
 // be rolled back, the intent log records a transaction's *post-images* —
 // its full write set — so a transaction whose fenced commit mark reached
-// NVM can be replayed after the epoch it ran in is rolled back. The two
-// logs share the same segment discipline: one region per arena, split into
-// per-writer segments appended without any cross-thread coordination,
-// cursors reset at every epoch boundary (the global flush makes applied
-// writes durable, retiring the epoch's intents), and a generation counter
-// that recovery bumps so replayed records can never replay twice.
+// NVM can be replayed after the epoch it ran in is rolled back. The record
+// is durable before any of its writes is applied, so the replay covers
+// them all: a committed transaction's inline-value updates carry no undo
+// of their own. The two logs share the same segment discipline: one region
+// per arena, split into per-writer segments appended without any
+// cross-thread coordination, cursors reset at every epoch boundary (the
+// global flush makes applied writes durable, retiring the epoch's
+// intents), and a generation counter that recovery bumps so replayed
+// records can never replay twice.
 //
 // Record layout (header line, then line-aligned content):
 //
@@ -41,8 +44,8 @@
 // harmless, and atomicity now *relies* on it: a marked header counts only
 // if every content word it was computed over is there too; anything less
 // fails the comparison and is ignored exactly like a torn record (the
-// transaction was never acknowledged, and the epoch rollback removes
-// whatever it had applied).
+// transaction was never acknowledged, and the caller applies nothing
+// before MarkCommitted returns).
 package extlog
 
 import (
@@ -93,7 +96,7 @@ type IntentRecord struct {
 	TopoVer uint64
 	// Committed reports whether the fenced commit mark reached NVM: a
 	// committed record is replayed if its epoch failed; an uncommitted one
-	// is ignored (the epoch rollback already undid any partial application).
+	// is ignored (nothing of it was applied).
 	Committed bool
 	Ops       []IntentOp
 }

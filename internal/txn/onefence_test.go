@@ -8,20 +8,22 @@ import (
 	"incll/internal/nvm"
 )
 
-// The intent record has one fence, at the very end of the commit, so until
-// that fence completes a crash may persist any subset of the record's
-// lines. This test does not sample those outcomes, it enumerates them: for
-// a transfer stopped at each point between the record's first store and
-// its fence, every subset of the record's own lines (header + content)
+// The intent record has one fence, before anything is applied, so until
+// that fence completes a crash may persist any subset of the record's lines
+// and nothing else the transfer wrote. This test does not sample those
+// outcomes, it enumerates them: for a transfer stopped at each point of the
+// commit, every subset of the record's own lines (header + content)
 // survives in turn, with every other dirty line once lost and once
-// persisted. The transfer must come back exactly when the marked header
-// and every content line made it — the checksum in the header is what
-// tells — and not at all otherwise.
+// persisted. Before the fence the transfer must come back exactly when the
+// marked header and every content line made it — the checksum in the
+// header is what tells — and not at all otherwise. From the fence on, at
+// every step of the apply, it must come back by replay whatever else
+// survived.
 func TestEnumerateOneFenceRecordSubsets(t *testing.T) {
-	// Neighbouring accounts share a leaf: its second update in the epoch
-	// goes to the undo log, whose fence also drains the record's content
-	// lines early. Accounts in three different leaves are updated in their
-	// cache lines alone, so the content lines stay pending up to the mark.
+	// Neighbouring accounts share one value line of one leaf, so the apply
+	// overwrites three hot slots of a line in place, with no ValInCLL,
+	// relocation or undo-log fence of its own; accounts in three different
+	// leaves touch one value line each.
 	t.Run("one-leaf", func(t *testing.T) { enumerateRecordSubsets(t, [3]uint64{0, 1, 2}) })
 	t.Run("three-leaves", func(t *testing.T) { enumerateRecordSubsets(t, [3]uint64{3, 120, 250}) })
 }
@@ -44,19 +46,27 @@ func enumerateRecordSubsets(t *testing.T, accts [3]uint64) {
 		t.Fatalf("intent record spans %d lines %v; want header + 1..4 content lines", n, recLines)
 	}
 
-	points := []string{"intent-written", "applied-0", "applied-1", "applied-2", "mark-written"}
+	// durable: the point follows the record's fence.
+	points := []struct {
+		name    string
+		durable bool
+	}{
+		{"intent-written", false}, {"mark-written", false},
+		{"commit-durable", true}, {"applied-0", true}, {"applied-1", true}, {"applied-2", true},
+	}
+	all := uint64(1)<<uint(len(recLines)) - 1
 	for _, point := range points {
 		for _, rest := range []bool{false, true} {
-			for mask := uint64(0); mask < 1<<uint(len(recLines)); mask++ {
-				f := transferStoppedAt(t, accts, point)
-				// A record line survives the crash if the policy keeps it or
-				// it is persistent already (an apply step's undo-log fence
-				// drains every pending writeback, the record's included).
-				whole := true
-				for i, line := range recLines {
-					whole = whole && (mask>>uint(i)&1 != 0 || linePersistent(f.arena, line))
+			for mask := uint64(0); mask <= all; mask++ {
+				f := transferStoppedAt(t, accts, point.name)
+				// Before the fence nothing has drained a record line; after
+				// it every one is persistent, and the subset changes nothing.
+				for _, line := range recLines {
+					if linePersistent(f.arena, line) != point.durable {
+						t.Fatalf("%s: record line %d persistent=%v before the crash", point.name, line, !point.durable)
+					}
 				}
-				wantPost := point == "mark-written" && whole
+				wantPost := point.durable || point.name == "mark-written" && mask == all
 
 				replayed := f.crash(nvm.SubsetPolicy(recLines, mask, rest))
 
@@ -70,7 +80,7 @@ func enumerateRecordSubsets(t *testing.T, accts [3]uint64) {
 				}
 				if got != want || replayed != wantReplayed {
 					t.Fatalf("%s, record lines kept %0*b of %v, others persisted=%v: balances %v replayed %d, want %v replayed %d",
-						point, len(recLines), mask, recLines, rest, got, replayed, want, wantReplayed)
+						point.name, len(recLines), mask, recLines, rest, got, replayed, want, wantReplayed)
 				}
 			}
 		}

@@ -1,8 +1,8 @@
 package txn
 
-// The issue's acceptance property: with a crash injected at every point
-// inside Txn.Commit — before/after the intent fence, between every
-// applied write, before/after the commit-mark fence — and with the dirty
+// The atomicity property: with a crash injected at every point inside
+// Txn.Commit — after the intent is written, before and after the record's
+// one fence, between every applied write — and with the dirty
 // cache surviving fully, partially, or not at all, recovery must observe
 // either all of the transaction's writes or none, and the bank's total
 // balance must be conserved. Run for a single store and for a 4-shard
@@ -13,6 +13,7 @@ import (
 	"errors"
 	"fmt"
 	"math/rand"
+	"strings"
 	"sync"
 	"testing"
 
@@ -199,12 +200,12 @@ func runOneInjection(t *testing.T, b bank, point int, persist float64) bool {
 	}
 
 	// Sharper expectations where the protocol pins the outcome: anything
-	// before the mark write must roll back; a crash after the mark fence
-	// must replay.
+	// before the mark write must roll back; a crash after the mark fence —
+	// at commit-durable or between applied writes — must replay.
 	switch {
-	case stoppedAt == "commit-durable":
+	case afterFence(stoppedAt):
 		if !applied || replayed != 1 {
-			t.Fatalf("crash after the mark fence: applied=%v replayed=%d, want full replay", applied, replayed)
+			t.Fatalf("crash at %q (after the mark fence): applied=%v replayed=%d, want full replay", stoppedAt, applied, replayed)
 		}
 	case stoppedAt != "mark-written":
 		if applied || replayed != 0 {
@@ -220,6 +221,12 @@ func runOneInjection(t *testing.T, b bank, point int, persist float64) bool {
 		}
 	}
 	return false
+}
+
+// afterFence reports whether a commit hook point follows the record's fence:
+// the transaction is durable there, and every write of it is replayed.
+func afterFence(point string) bool {
+	return point == "commit-durable" || strings.HasPrefix(point, "applied-")
 }
 
 // TestPropertyBankTransferConcurrent runs many concurrent conflicting
@@ -294,6 +301,106 @@ func TestPropertyBankTransferConcurrent(t *testing.T) {
 	}
 }
 
+// TestPropertyHotLeafMixedCrash interleaves committed and plain writes in
+// the same leaves: two workers each alternate a transfer between two even
+// keys, which also inserts the transfer's ordinal key, with a plain Put of
+// an odd key. The transfers' inline updates carry no undo of their own
+// (their records do), while the plain Puts claim ValInCLLs, relocate and
+// log around them. After a crash at persist 0, 0.5 and 1 the even keys must
+// conserve the total, every acknowledged ordinal must be present, and every
+// odd key must hold its checkpoint value.
+func TestPropertyHotLeafMixedCrash(t *testing.T) {
+	const (
+		workers   = 2
+		hotKeys   = 28 // two leaves: evens are accounts, odds take plain Puts
+		transfers = 60 // per worker and round; one epoch's intents fit the segment
+		oddVal    = 5000
+	)
+	ordKey := func(w, n int) []byte { return key(1<<32 | uint64(w)<<16 | uint64(n)) }
+	f := newSingle(t)
+	for k := uint64(0); k < hotKeys; k++ {
+		if k%2 == 0 {
+			f.store.Put(key(k), bankInitBal)
+		} else {
+			f.store.Put(key(k), oddVal+k)
+		}
+	}
+	f.store.Advance()
+
+	acked := [workers]int{}
+	rng := rand.New(rand.NewSource(36))
+	for _, persist := range []float64{0, 0.5, 1} {
+		for round := 0; round < 2; round++ {
+			epoch := f.store.Epochs().Current()
+			var wg sync.WaitGroup
+			for w := 0; w < workers; w++ {
+				wg.Add(1)
+				go func(w int, seed int64) {
+					defer wg.Done()
+					r := rand.New(rand.NewSource(seed))
+					h := f.store.Handle(w)
+					for i := 0; i < transfers; i++ {
+						from, to := 2*uint64(r.Intn(hotKeys/2)), 2*uint64(r.Intn(hotKeys/2))
+						for from != to {
+							tx := f.m.Begin(w)
+							fv, _ := tx.Get(key(from))
+							tv, _ := tx.Get(key(to))
+							if fv == 0 {
+								tx.Abort()
+								break
+							}
+							tx.Put(key(from), fv-1)
+							tx.Put(key(to), tv+1)
+							tx.Put(ordKey(w, acked[w]+1), 1)
+							err := tx.Commit()
+							if err == nil {
+								acked[w]++
+								break
+							}
+							if !errors.Is(err, ErrConflict) {
+								panic(fmt.Sprintf("worker %d: commit: %v", w, err))
+							}
+						}
+						h.Put(key(2*uint64(r.Intn(hotKeys/2))+1), uint64(r.Intn(1000)))
+					}
+				}(w, rng.Int63())
+			}
+			wg.Wait()
+			if f.store.Epochs().Current() != epoch {
+				t.Fatalf("an epoch boundary fell inside the round: the odd keys' Puts committed")
+			}
+
+			ctx := fmt.Sprintf("persist %.1f round %d", persist, round)
+			f.crash(nvm.RandomPolicy(persist, rng.Int63()))
+			var sum uint64
+			for k := uint64(0); k < hotKeys; k++ {
+				v, ok := f.store.Get(key(k))
+				switch {
+				case !ok:
+					t.Fatalf("%s: key %d missing", ctx, k)
+				case k%2 == 0:
+					sum += v
+				case v != oddVal+k:
+					t.Fatalf("%s: odd key %d = %d, want its checkpoint value %d", ctx, k, v, oddVal+k)
+				}
+			}
+			if want := uint64(hotKeys / 2 * bankInitBal); sum != want {
+				t.Fatalf("%s: sum = %d, want %d (conservation violated)", ctx, sum, want)
+			}
+			for w := 0; w < workers; w++ {
+				for n := 1; n <= acked[w]; n++ {
+					if _, ok := f.store.Get(ordKey(w, n)); !ok {
+						t.Fatalf("%s: worker %d's acknowledged transfer %d is missing", ctx, w, n)
+					}
+				}
+				if _, ok := f.store.Get(ordKey(w, acked[w]+1)); ok {
+					t.Fatalf("%s: worker %d has an ordinal past its last acknowledged %d", ctx, w, acked[w])
+				}
+			}
+		}
+	}
+}
+
 // TestPropertyByteValueCommitCrashInjection is the crash-at-every-point
 // property for byte-valued transactions: a commit that overwrites one key
 // with a multi-KB value, writes a fresh large value, and deletes a third,
@@ -345,10 +452,10 @@ func TestPropertyByteValueCommitCrashInjection(t *testing.T) {
 					"(k1 %d bytes ok=%v, k2 %d bytes ok=%v, k3 %d bytes ok=%v)",
 					stoppedAt, persist, replayed, len(g1), ok1, len(g2), ok2, len(g3), ok3)
 			}
-			if stoppedAt == "commit-durable" && !isPost {
-				t.Fatalf("persist %.1f: crash after the mark fence must replay the byte writes", persist)
+			if afterFence(stoppedAt) && !isPost {
+				t.Fatalf("point %q persist %.1f: crash after the mark fence must replay the byte writes", stoppedAt, persist)
 			}
-			if stoppedAt != "commit-durable" && stoppedAt != "mark-written" && !isPre {
+			if !afterFence(stoppedAt) && stoppedAt != "mark-written" && !isPre {
 				t.Fatalf("point %q persist %.1f: crash before the mark must roll back", stoppedAt, persist)
 			}
 		}

@@ -12,13 +12,10 @@ import (
 //
 //	checksum invalid / stale generation  → ignore: the record's one
 //	    fence never completed, so the commit was never acknowledged. It
-//	    may have applied writes — even have a marked header in NVM over
-//	    missing content lines — but it ran in an epoch that cannot have
-//	    committed, so the epoch rollback already removed them.
+//	    may have a marked header in NVM over missing content lines, but
+//	    it applied nothing: the apply starts after the fence.
 //	mark absent                          → ignore: the transaction never
-//	    reached its commit point; whatever it applied ran in an epoch that
-//	    cannot have committed (the commit guard pins the epoch for the
-//	    whole window), so the epoch rollback already removed it.
+//	    reached its commit point, so it applied nothing.
 //	mark present, epoch committed        → ignore: the checkpoint that
 //	    committed the epoch also made every applied write durable.
 //	topology version not live            → skip (counted in Stats.Stale):
@@ -27,8 +24,10 @@ import (
 //	    the reshard before the manifest committed, so replaying it here —
 //	    through the *new* router — would resurrect state the cutover
 //	    already carried over, onto the wrong shards.
-//	mark present, epoch failed           → replay: the rollback undid the
-//	    applied writes; re-apply the write set from the record.
+//	mark present, epoch failed           → replay: the apply may be
+//	    partial, rolled back, or — for undo-less inline updates — left in
+//	    place; re-applying the write set from the record yields the
+//	    post-state whatever the rollback restored.
 //
 // "Epoch failed" is judged by the record's home store, whose epoch manager
 // already folded in the shard coordinator's commit record (see

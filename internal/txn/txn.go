@@ -6,23 +6,27 @@
 //
 // The protocol leans on the two mechanisms the repository already has:
 //
-//   - Epoch atomicity. Commit runs entirely inside one epoch (the commit
-//     guard excludes epoch advances for its duration), so if the crash
-//     arrives before the commit mark is durable, the epoch's rollback —
-//     InCLL undo state plus the external undo log — removes any partial
-//     application wholesale. Nothing transaction-specific is needed on the
-//     undo side.
+//   - Intent redo records. Commit first writes the full write set into a
+//     per-writer intent segment (extlog.IntentLog) and issues its
+//     writebacks, then sets the record's commit mark and fences once — the
+//     transaction's only fence of its own — which makes content, header
+//     and mark durable together. That fence is the durability point, and
+//     nothing is applied before it. A crash before it completes can
+//     persist any subset of the record's lines; the record's checksum
+//     (computed over header fields and content, stored beside the mark)
+//     tells a whole record from such a partial one, so atomicity relies on
+//     it. Recovery replays committed intents whose epoch failed, in
+//     commit-sequence order, redoing every write over the epoch's rollback.
 //
-//   - Intent redo records. Before applying, Commit writes the full write
-//     set into a per-writer intent segment (extlog.IntentLog) and issues
-//     its writebacks; after applying, it sets the record's commit mark and
-//     fences once — the transaction's only fence of its own — which makes
-//     content, header and mark durable together. A crash before that fence
-//     completes can persist any subset of the record's lines; the record's
-//     checksum (computed over header fields and content, stored beside the
-//     mark) tells a whole record from such a partial one, so atomicity
-//     relies on it. Recovery replays committed intents whose epoch failed,
-//     in commit-sequence order, re-running the writes the rollback undid.
+//   - Epoch atomicity. Commit runs entirely inside one epoch (the commit
+//     guard excludes epoch advances for its duration), so the apply after
+//     the fence lands in the epoch the record names. If that epoch fails,
+//     its rollback — InCLL undo state plus the external undo log — and
+//     the replay above together leave exactly the committed post-state.
+//     Because the replay redoes every write, the transaction's own
+//     inline-value updates need no undo at all (core's
+//     Handle.PutCommittedLocked); every other write takes the ordinary
+//     InCLL path. See DESIGN.md §6.
 //
 // Cross-shard commits need no extra coordination: the shard coordinator's
 // fenced record (see internal/shard) already decides, for every shard at
@@ -138,7 +142,7 @@ type Manager struct {
 	topo atomic.Pointer[topoState]
 
 	// guard serializes commits against epoch advances and topology
-	// cutovers: commits hold it shared for the whole intent→apply→mark
+	// cutovers: commits hold it shared for the whole intent→mark→apply
 	// window (so neither the epoch nor the topology can change mid-commit,
 	// and multi-shard Enter cannot deadlock against the coordinated
 	// two-phase advance), advances and Cutover hold it exclusively.
@@ -594,7 +598,7 @@ func (m *Manager) validateOnly(t *Txn) error {
 	return nil
 }
 
-// tryCommit runs one attempt: validate, intent, apply, mark. done=false
+// tryCommit runs one attempt: validate, intent, mark, apply. done=false
 // (only) when the intent segment is full and the caller should advance the
 // epoch and retry.
 func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
@@ -642,26 +646,28 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 	}
 	m.point("intent-appended")
 
-	// Apply through the normal InCLL path. A crash anywhere in here rolls
-	// the whole epoch — and with it every partial write — back, and the
-	// intent, unmarked or failing its checksum, is ignored.
+	// The mark and the record's one fence: the transaction's durability
+	// point. Nothing has been applied yet, so a crash before it completes
+	// leaves the store untouched by this transaction.
+	st.stores[home].Intents().MarkCommitted(entry)
+	m.point("commit-durable")
+
+	// Apply. From here on a crash replays the whole write set over the
+	// epoch's rollback, so the record covers every write below: an inline
+	// value overwritten with an inline value needs no undo of its own
+	// (PutCommittedLocked), and a crash mid-apply means post-state.
 	for i := range t.writes {
 		op := &t.writes[i]
 		h := st.stores[st.shardOf(op.Key)].Handle(t.worker)
 		if op.Delete {
 			h.DeleteLocked(op.Key)
 		} else {
-			h.PutBytesLocked(op.Key, op.Val)
+			h.PutCommittedLocked(op.Key, op.Val)
 		}
 		if m.hook != nil {
 			m.hook(fmt.Sprintf("applied-%d", i))
 		}
 	}
-
-	// The mark and the record's one fence: the transaction's durability
-	// point, for the content written back above as much as for the mark.
-	st.stores[home].Intents().MarkCommitted(entry)
-	m.point("commit-durable")
 
 	m.release(t)
 	m.stats.Committed.Add(1)
