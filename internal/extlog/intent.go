@@ -14,29 +14,30 @@
 // intents), and a generation counter that recovery bumps so replayed
 // records can never replay twice.
 //
-// Record layout (header line, then line-aligned content):
+// Record layout (header words, then content packed from word 6 on):
 //
 //	word 0: seq       — cluster-wide commit sequence number (0 = virgin)
 //	word 1: epoch     — epoch the commit executed in
-//	word 2: meta      — content words (low 32) | generation (high 32)
-//	word 3: shardSet  — shard summary of the write set (see below)
-//	word 4: checksum  — FNV-1a over header fields and content words
-//	word 5: mark      — 0 while pending; == seq once committed
-//	word 6: topoVer   — topology version the commit executed under
-//	words 8…: ops     — see AppendIntent
+//	word 2: meta      — content bytes (low 32) | generation (high 32)
+//	word 3: checksum  — FNV-1a over header fields and content words
+//	word 4: mark      — 0 while pending; == seq once committed
+//	word 5: topoVer   — topology version the commit executed under
+//	words 6…: ops     — see AppendIntent
 //
-// shardSet is informational (trace/debug): beyond 64 shards the bitset is
-// folded mod 64 into one word. Recovery never consults it — replay routes
-// each op by key through the live topology — but topoVer is load-bearing:
-// after a crash mid-reshard, recovery replays only records committed
-// under the topology the durable manifest says is live, so a replayed
-// write can never land on the wrong side of a cutover (see internal/txn
-// and DESIGN.md §13).
+// Content starts in the header line: that line is written back only by
+// MarkCommitted, after the last content store, so its content words
+// persist with the header and the checksum vouches for them like for the
+// later lines. A small write set thus needs one header line and at most
+// one content line. topoVer is load-bearing: after a crash mid-reshard,
+// recovery replays only records committed under the topology the durable
+// manifest says is live, so a replayed write can never land on the wrong
+// side of a cutover (see internal/txn and DESIGN.md §13).
 //
-// One fence per record. AppendIntent stores the record and issues the
-// content lines' writebacks but does not fence; MarkCommitted sets the
-// mark — which shares the header's cache line, so header and mark persist
-// as one PCSO-atomic line — writes the header back and fences once. That
+// One fence per record. AppendIntent stores the record and starts the
+// writebacks of the content lines past the header line but does not
+// fence; MarkCommitted sets the mark — which shares the header's cache
+// line, so header, mark and the content words there persist as one
+// PCSO-atomic line — writes the header line back and fences once. That
 // fence is the transaction's durability point: it completes content,
 // header and mark together. Until it does, the lines of a record persist
 // in no particular order, so a crash can leave a marked header over
@@ -49,6 +50,8 @@
 package extlog
 
 import (
+	"encoding/binary"
+	"math/bits"
 	"sync/atomic"
 
 	"incll/internal/epoch"
@@ -59,18 +62,10 @@ const (
 	iSeq      = 0
 	iEpoch    = 1
 	iMeta     = 2
-	iShardSet = 3
-	iChecksum = 4
-	iMark     = 5
-	iTopoVer  = 6
-	iContent  = nvm.WordsPerLine // content starts on the second line
-
-	// op encoding, within content: the op header word carries the key
-	// length (bits 0..15), the delete bit (16), and the value byte length
-	// (bits 32..47); key words then value words follow, bytes packed eight
-	// per word.
-	opDelete = 1 << 16
-	opVShift = 32
+	iChecksum = 3
+	iMark     = 4
+	iTopoVer  = 5
+	iContent  = 6 // content starts in the header line
 
 	// MaxIntentKeyLen bounds one key's byte length in an intent record.
 	MaxIntentKeyLen = 1 << 16
@@ -88,9 +83,8 @@ type IntentOp struct {
 
 // IntentRecord is one decoded intent, as recovery sees it.
 type IntentRecord struct {
-	Seq      uint64
-	Epoch    uint64
-	ShardSet uint64
+	Seq   uint64
+	Epoch uint64
 	// TopoVer is the topology version the transaction committed under;
 	// recovery skips records from a topology that is no longer live.
 	TopoVer uint64
@@ -171,17 +165,63 @@ type IntentWriter struct {
 	log    *IntentLog
 	base   uint64
 	cursor uint64
+	buf    []byte // encodeIntent scratch, reused across appends
 }
 
-// intentContentWords returns the content footprint of a write set.
-func intentContentWords(ops []IntentOp) uint64 {
+// encodeIntent appends a write set's content to b: per op,
+// uvarint(klen), uvarint(vlen<<1 | delete), the key bytes, then the value
+// bytes (none for a delete). Ops run back to back; AppendIntent packs the
+// bytes eight to a word, big-endian.
+func encodeIntent(b []byte, ops []IntentOp) []byte {
+	for _, op := range ops {
+		val, del := op.Val, uint64(0)
+		if op.Delete {
+			val, del = nil, 1
+		}
+		b = binary.AppendUvarint(b, uint64(len(op.Key)))
+		b = binary.AppendUvarint(b, uint64(len(val))<<1|del)
+		b = append(append(b, op.Key...), val...)
+	}
+	return b
+}
+
+// decodeIntent parses encodeIntent's output; ok=false if b is not a whole
+// number of well-formed ops. Keys and values alias b.
+func decodeIntent(b []byte) (ops []IntentOp, ok bool) {
+	for len(b) > 0 {
+		klen, n := binary.Uvarint(b)
+		if n <= 0 {
+			return nil, false
+		}
+		vd, m := binary.Uvarint(b[n:])
+		if m <= 0 {
+			return nil, false
+		}
+		b = b[n+m:]
+		vlen := vd >> 1
+		if klen > uint64(len(b)) || vlen > uint64(len(b))-klen {
+			return nil, false
+		}
+		op := IntentOp{Key: b[:klen:klen], Delete: vd&1 != 0}
+		if !op.Delete {
+			op.Val = b[klen : klen+vlen : klen+vlen]
+		}
+		ops = append(ops, op)
+		b = b[klen+vlen:]
+	}
+	return ops, true
+}
+
+// intentContentBytes returns len(encodeIntent(nil, ops)) without encoding.
+func intentContentBytes(ops []IntentOp) uint64 {
+	uvarintLen := func(x uint64) uint64 { return uint64(bits.Len64(x|1)+6) / 7 }
 	var n uint64
 	for _, op := range ops {
-		n++ // op header word
-		n += (uint64(len(op.Key)) + 7) / 8
-		if !op.Delete {
-			n += (uint64(len(op.Val)) + 7) / 8
+		klen, vlen := uint64(len(op.Key)), uint64(len(op.Val))
+		if op.Delete {
+			vlen = 0
 		}
+		n += uvarintLen(klen) + uvarintLen(vlen<<1) + klen + vlen
 	}
 	return n
 }
@@ -199,72 +239,54 @@ func (l *IntentLog) IntentFits(ops []IntentOp) bool {
 			return false
 		}
 	}
-	return iContent+intentContentWords(ops) <= l.segWords
+	return intentEntryWords(intentContentBytes(ops)) <= l.segWords
 }
 
 // AppendIntent writes the intent record for a pending transaction — seq,
-// epoch, shard set and the full write set — with a zero commit mark, and
-// issues the writebacks of its content lines. It does not fence and does
-// not write the header line back: MarkCommitted stores to that line again,
-// and a line must not be stored to between its writeback and its fence
-// (see nvm.Arena). Nothing is durable until MarkCommitted's fence. Returns
-// the record's arena offset, or ok=false if the segment is full (the
-// caller must force an epoch boundary, which resets the cursor, and
-// retry).
-func (w *IntentWriter) AppendIntent(seq, epochNum, shardSet, topoVer uint64, ops []IntentOp) (entry uint64, ok bool) {
+// epoch, topology version and the full write set — with a zero commit
+// mark, and starts the writebacks of its content lines past the header
+// line. It does not fence and does not write the header line back:
+// MarkCommitted stores to that line again, and a line must not be stored
+// to between its writeback and its fence (see nvm.Arena). Nothing is
+// durable until MarkCommitted's fence. Returns the record's arena offset,
+// or ok=false if the segment is full (the caller must force an epoch
+// boundary, which resets the cursor, and retry).
+func (w *IntentWriter) AppendIntent(seq, epochNum, topoVer uint64, ops []IntentOp) (entry uint64, ok bool) {
 	l := w.log
 	a := l.arena
-	content := intentContentWords(ops)
+	for _, op := range ops {
+		if len(op.Key) >= MaxIntentKeyLen || (!op.Delete && len(op.Val) >= MaxIntentValLen) {
+			// Callers gate on IntentFits, which rejects oversize ops.
+			panic("extlog: intent op too long (caller skipped IntentFits)")
+		}
+	}
+	w.buf = encodeIntent(w.buf[:0], ops)
+	content := uint64(len(w.buf))
 	need := intentEntryWords(content)
 	if w.cursor+need > l.segWords {
 		return 0, false
 	}
 	e := w.base + w.cursor
 
-	sum := checksumSeed(seq, epochNum, content|l.generation<<32, shardSet)
-	sum = checksumStep(sum, topoVer)
-	pos := e + iContent
-	store := func(v uint64) {
-		a.Store(pos, v)
+	meta := content | l.generation<<32
+	sum := checksumSeed(seq, epochNum, meta, topoVer)
+	for len(w.buf)%8 != 0 {
+		w.buf = append(w.buf, 0)
+	}
+	for i := 0; i < len(w.buf); i += 8 {
+		v := binary.BigEndian.Uint64(w.buf[i:])
+		a.Store(e+iContent+uint64(i/8), v)
 		sum = checksumStep(sum, v)
-		pos++
-	}
-	packBytes := func(b []byte) {
-		for i := 0; i < len(b); i += 8 {
-			var word uint64
-			for j := 0; j < 8 && i+j < len(b); j++ {
-				word |= uint64(b[i+j]) << (56 - 8*uint(j))
-			}
-			store(word)
-		}
-	}
-	for _, op := range ops {
-		if len(op.Key) >= MaxIntentKeyLen || (!op.Delete && len(op.Val) >= MaxIntentValLen) {
-			// Callers gate on IntentFits, which rejects oversize ops.
-			panic("extlog: intent op too long (caller skipped IntentFits)")
-		}
-		hdr := uint64(len(op.Key))
-		if op.Delete {
-			hdr |= opDelete
-		} else {
-			hdr |= uint64(len(op.Val)) << opVShift
-		}
-		store(hdr)
-		packBytes(op.Key)
-		if !op.Delete {
-			packBytes(op.Val)
-		}
 	}
 
 	a.Store(e+iMark, 0)
 	a.Store(e+iEpoch, epochNum)
-	a.Store(e+iMeta, content|l.generation<<32)
-	a.Store(e+iShardSet, shardSet)
+	a.Store(e+iMeta, meta)
 	a.Store(e+iTopoVer, topoVer)
 	a.Store(e+iChecksum, sum)
 	a.Store(e+iSeq, seq)
-	if need > iContent {
-		a.WritebackRange(e+iContent, need-iContent)
+	if need > nvm.WordsPerLine {
+		a.WritebackRange(e+nvm.WordsPerLine, need-nvm.WordsPerLine)
 	}
 	if l.Hook != nil {
 		l.Hook("intent-written")
@@ -276,10 +298,10 @@ func (w *IntentWriter) AppendIntent(seq, epochNum, shardSet, topoVer uint64, ops
 
 // MarkCommitted sets the record's commit mark, writes the header line
 // back and fences: the record's one fence, which completes the content
-// writebacks AppendIntent issued along with the header, and so the
-// transaction's commit and durability point. The mark shares the header
-// line, so it is PCSO-atomic with the checksum that vouches for the
-// content.
+// writebacks AppendIntent started along with the header line and the
+// content it holds, and so the transaction's commit and durability point.
+// The mark shares the header line, so it is PCSO-atomic with the checksum
+// that vouches for the content.
 func (l *IntentLog) MarkCommitted(entry uint64) {
 	a := l.arena
 	a.Store(entry+iMark, a.Load(entry+iSeq))
@@ -291,9 +313,9 @@ func (l *IntentLog) MarkCommitted(entry uint64) {
 }
 
 // intentEntryWords returns the line-aligned footprint of a record with the
-// given content size.
+// given content size in bytes.
 func intentEntryWords(content uint64) uint64 {
-	n := iContent + content
+	n := iContent + (content+7)/8
 	return (n + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
 }
 
@@ -318,57 +340,29 @@ func (l *IntentLog) ScanIntents() []IntentRecord {
 				break // virgin space, stale generation, or garbage length
 			}
 			epochNum := a.Load(e + iEpoch)
-			shardSet := a.Load(e + iShardSet)
 			topoVer := a.Load(e + iTopoVer)
-			sum := checksumSeed(seq, epochNum, meta, shardSet)
-			sum = checksumStep(sum, topoVer)
-			for j := uint64(0); j < content; j++ {
-				sum = checksumStep(sum, a.Load(e+iContent+j))
+			sum := checksumSeed(seq, epochNum, meta, topoVer)
+			words := (content + 7) / 8
+			buf := make([]byte, 0, words*8)
+			for j := uint64(0); j < words; j++ {
+				v := a.Load(e + iContent + j)
+				sum = checksumStep(sum, v)
+				buf = binary.BigEndian.AppendUint64(buf, v)
 			}
 			if sum != a.Load(e+iChecksum) {
 				break // torn record: its transaction's one fence never completed
 			}
-			rec := IntentRecord{
-				Seq:       seq,
-				Epoch:     epochNum,
-				ShardSet:  shardSet,
-				TopoVer:   topoVer,
-				Committed: a.Load(e+iMark) == seq,
-			}
-			pos := e + iContent
-			end := pos + content
-			valid := true
-			unpackBytes := func(n uint64) []byte {
-				b := make([]byte, n)
-				for i := uint64(0); i < n; i++ {
-					b[i] = byte(a.Load(pos+i/8) >> (56 - 8*(i%8)))
-				}
-				pos += (n + 7) / 8
-				return b
-			}
-			for pos < end {
-				hdr := a.Load(pos)
-				pos++
-				klen := hdr & 0xFFFF
-				del := hdr&opDelete != 0
-				vlen := uint64(0)
-				if !del {
-					vlen = hdr >> opVShift & 0xFFFF
-				}
-				if pos+(klen+7)/8+(vlen+7)/8 > end {
-					valid = false
-					break
-				}
-				op := IntentOp{Key: unpackBytes(klen), Delete: del}
-				if !del {
-					op.Val = unpackBytes(vlen)
-				}
-				rec.Ops = append(rec.Ops, op)
-			}
-			if !valid {
+			ops, ok := decodeIntent(buf[:content])
+			if !ok {
 				break
 			}
-			recs = append(recs, rec)
+			recs = append(recs, IntentRecord{
+				Seq:       seq,
+				Epoch:     epochNum,
+				TopoVer:   topoVer,
+				Committed: a.Load(e+iMark) == seq,
+				Ops:       ops,
+			})
 			cursor += intentEntryWords(content)
 		}
 	}

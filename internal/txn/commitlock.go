@@ -38,7 +38,7 @@ func stripeOf(k []byte) uint16 {
 type commitWindow struct {
 	st      *topoState // topology the window runs under; nil while nothing is held
 	shards  ShardSet   // every shard read or written: epoch guards held
-	wset    ShardSet   // shards written: home shard and the intent's shard word
+	wset    ShardSet   // shards written: the lowest is the home shard
 	stripes []uint16   // key stripes held: ascending, de-duplicated
 
 	stripeBuf [2 * inlineKeys]uint16

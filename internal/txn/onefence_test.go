@@ -2,6 +2,7 @@ package txn
 
 import (
 	"errors"
+	"math/bits"
 	"slices"
 	"testing"
 
@@ -126,4 +127,96 @@ func linePersistent(a *nvm.Arena, line int) bool {
 		}
 	}
 	return true
+}
+
+// TestEnumerateTransferRecordSubsets runs the enumeration above on the
+// benchmark's commit: a four-account transfer plus the client's ordinal,
+// five 8-byte keys with 3-byte values. Its record spans exactly two lines,
+// the header line (which holds the first content words) and one content
+// line, and before the fence neither line alone may replay; the outcome is
+// post-state exactly when the enumeration above says it is.
+func TestEnumerateTransferRecordSubsets(t *testing.T) {
+	const ordinalKey, initBal, ordinal = enumAccounts, 1_000_000, 70_000
+	accts := [4]uint64{3, 120, 121, 250}
+	stoppedAt := func(point string) *singleFixture {
+		f := newSingle(t)
+		for k := uint64(0); k < enumAccounts; k++ {
+			f.store.Put(key(k), initBal)
+		}
+		f.store.Put(key(ordinalKey), ordinal-1)
+		f.store.Advance()
+		f.m.SetHook(func(p string) {
+			if p == point {
+				panic(InjectedCrash{Point: p})
+			}
+		})
+		tx := f.m.Begin(0)
+		var bal [4]uint64
+		for i, a := range accts {
+			bal[i], _ = tx.Get(key(a))
+		}
+		tx.Put(key(accts[0]), bal[0]-17)
+		tx.Put(key(accts[1]), bal[1]-17)
+		tx.Put(key(accts[2]), bal[2]+17)
+		tx.Put(key(accts[3]), bal[3]+17)
+		tx.Put(key(ordinalKey), ordinal)
+		if err := tx.Commit(); !errors.Is(err, ErrInjected) {
+			t.Fatalf("commit stopped at %q = %v, want ErrInjected", point, err)
+		}
+		f.m.SetHook(nil)
+		return f
+	}
+
+	var recLines []int
+	stoppedAt("intent-written").crash(nvm.PolicyFunc(func(line int) bool {
+		recLines = append(recLines, line)
+		return false
+	}))
+	slices.Sort(recLines)
+	if len(recLines) != 2 || recLines[1] != recLines[0]+1 {
+		t.Fatalf("intent record spans lines %v; want a header line and the line after it", recLines)
+	}
+
+	const header, content, both = 0b01, 0b10, 0b11 // masks over recLines
+	points := []struct {
+		name    string
+		durable bool
+	}{
+		{"intent-written", false}, {"mark-written", false}, {"commit-durable", true},
+		{"applied-0", true}, {"applied-1", true}, {"applied-2", true}, {"applied-3", true}, {"applied-4", true},
+	}
+	pre := [5]uint64{initBal, initBal, initBal, initBal, ordinal - 1}
+	post := [5]uint64{initBal - 17, initBal - 17, initBal + 17, initBal + 17, ordinal}
+	for _, point := range points {
+		for _, rest := range []bool{false, true} {
+			for mask := uint64(0); mask <= both; mask++ {
+				f := stoppedAt(point.name)
+				for _, line := range recLines {
+					if linePersistent(f.arena, line) != point.durable {
+						t.Fatalf("%s: record line %d persistent=%v before the crash", point.name, line, !point.durable)
+					}
+				}
+				wantPost := point.durable || point.name == "mark-written" && mask == both
+
+				replayed := f.crash(nvm.SubsetPolicy(recLines, mask, rest))
+
+				if !point.durable && replayed != 0 && (mask == header || mask == content) {
+					t.Fatalf("%s, others persisted=%v: the record's line %d alone replayed",
+						point.name, rest, recLines[bits.TrailingZeros64(mask)])
+				}
+				var got [5]uint64
+				for i, a := range append(accts[:], ordinalKey) {
+					got[i], _ = f.store.Get(key(a))
+				}
+				want, wantReplayed := pre, 0
+				if wantPost {
+					want, wantReplayed = post, 1
+				}
+				if got != want || replayed != wantReplayed {
+					t.Fatalf("%s, record lines kept %02b of %v, others persisted=%v: values %v replayed %d, want %v replayed %d",
+						point.name, mask, recLines, rest, got, replayed, want, wantReplayed)
+				}
+			}
+		}
+	}
 }

@@ -6,9 +6,9 @@ import "math/bits"
 // 64 shards — the common case by far — stay on a one-word inline
 // representation with zero heap allocation; larger clusters spill to a
 // []uint64 bitset sized at first use. The commit window uses it for the
-// per-shard epoch guards (Enter and Exit each touched shard once), the
-// home shard (Min) and the intent record's shard word. It orders no
-// locks: commits exclude each other by key (see commitlock.go).
+// per-shard epoch guards (Enter and Exit each touched shard once) and the
+// home shard (Min), whose intent log takes the record. It orders no locks:
+// commits exclude each other by key (see commitlock.go).
 type ShardSet struct {
 	word uint64   // inline representation when wide == nil (shards 0..63)
 	wide []uint64 // spilled bitset when the cluster exceeds 64 shards
@@ -105,19 +105,4 @@ func (b *ShardSet) ForEach(f func(s int)) {
 			f(i<<6 + bits.TrailingZeros64(w))
 		}
 	}
-}
-
-// Word folds the set into a single uint64 (shard mod 64) for the durable
-// intent record's summary field. Informational only: recovery replays by
-// routing each op's key through the live topology and never consults the
-// recorded set, so folding loses nothing that matters.
-func (b *ShardSet) Word() uint64 {
-	if b.wide == nil {
-		return b.word
-	}
-	var w uint64
-	for _, x := range b.wide {
-		w |= x
-	}
-	return w
 }

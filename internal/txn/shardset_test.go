@@ -95,13 +95,6 @@ func testShardSetAgainstModel(t *testing.T, shards int, seed int64) {
 			t.Fatalf("ForEach not strictly ascending at %d: %v", i, visited)
 		}
 	}
-	var foldWant uint64
-	for _, s := range want {
-		foldWant |= 1 << uint(s%64)
-	}
-	if got := set.Word(); got != foldWant {
-		t.Fatalf("Word fold = %#x, want %#x", got, foldWant)
-	}
 }
 
 // TestShardSetModelInline exercises the one-word fast path.
@@ -123,9 +116,9 @@ func TestShardSetModelWide(t *testing.T) {
 func TestShardSetEmpty(t *testing.T) {
 	for _, shards := range []int{8, 200} {
 		s := NewShardSet(shards)
-		if !s.Empty() || s.Count() != 0 || s.Min() != -1 || s.Word() != 0 {
-			t.Fatalf("%d shards: empty set reports Empty=%v Count=%d Min=%d Word=%#x",
-				shards, s.Empty(), s.Count(), s.Min(), s.Word())
+		if !s.Empty() || s.Count() != 0 || s.Min() != -1 {
+			t.Fatalf("%d shards: empty set reports Empty=%v Count=%d Min=%d",
+				shards, s.Empty(), s.Count(), s.Min())
 		}
 		s.ForEach(func(int) { t.Fatal("ForEach visited a member of the empty set") })
 	}

@@ -639,7 +639,7 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 	// durably live one. The record is written back but not yet fenced.
 	seq := m.seq.Add(1)
 	epochNum := st.stores[home].Epochs().Current()
-	entry, ok := st.stores[home].Intents().Writer(t.worker).AppendIntent(seq, epochNum, t.cw.wset.Word(), st.version, t.writes)
+	entry, ok := st.stores[home].Intents().Writer(t.worker).AppendIntent(seq, epochNum, st.version, t.writes)
 	if !ok {
 		m.release(t)
 		return false, nil

@@ -205,10 +205,10 @@ func TestTooLargeWriteSet(t *testing.T) {
 
 func TestFullSegmentRetriesAfterAdvance(t *testing.T) {
 	arena := nvm.New(nvm.Config{Words: 1 << 21})
-	cfg := core.Config{Workers: 1, LogSegWords: 1 << 14, TxnSegWords: 2 * nvm.WordsPerLine, HeapWords: 1 << 20}
+	cfg := core.Config{Workers: 1, LogSegWords: 1 << 14, TxnSegWords: nvm.WordsPerLine, HeapWords: 1 << 20}
 	s, _ := core.Open(arena, cfg)
 	m, _ := New(Config{Stores: []*core.Store{s}})
-	for i := uint64(0); i < 5; i++ { // each fills the two-line segment
+	for i := uint64(0); i < 5; i++ { // each fills the one-line segment
 		tx := m.Begin(0)
 		tx.Put(key(i), i)
 		if err := tx.Commit(); err != nil {
