@@ -10,14 +10,13 @@ package incll
 //	  → advance the applied watermark
 //
 // so the target's durable state is always a whole released prefix of the
-// source's history. Three feeds drive it: Replica (an in-process change
-// subscription), Follower (replnet.Client's Bootstrap/Apply callbacks) and
-// DB.Reshard (an in-process subscription whose target is the next
-// topology). See DESIGN.md §10.
+// source's history. Two feeds drive it: Follower (replnet.Client's
+// Bootstrap/Apply callbacks, from another process or a loopback
+// ServeReplication) and DB.Reshard (an in-process subscription whose
+// target is the next topology). See DESIGN.md §10.
 
 import (
 	"io"
-	"math"
 	"sync"
 	"time"
 
@@ -69,7 +68,6 @@ type applyState struct {
 	info    SnapshotInfo        // snapshot of the current generation; its AnchorEpoch is the skip bound
 	gen     uint64              // completed bootstraps
 	applied uint64              // last fully applied and checkpointed released epoch
-	bytes   uint64              // key+value bytes applied above the anchor, all generations
 	err     error               // why the feed stopped; cleared by the next bootstrap
 }
 
@@ -82,7 +80,7 @@ func (s applyState) behind(released uint64) uint64 {
 }
 
 // applier owns the protocol state of one consumer. mu also guards the
-// owner's per-generation fields (Replica.db, Follower.store), which an
+// owner's per-generation fields (Follower.store), which an
 // install callback swaps in the same critical section as the progress
 // reset — a reader never pairs a new store with the old watermark.
 type applier struct {
@@ -121,7 +119,7 @@ func (a *applier) restore(r io.Reader, t applyTarget, install func() error) (Sna
 // bootstrap is restore for an in-process source: a pinned subscription,
 // then an online snapshot piped straight into t; the subscription becomes
 // the generation's feed for tail.
-func (a *applier) bootstrap(src snapshotSource, t applyTarget, install func() error) (SnapshotInfo, error) {
+func (a *applier) bootstrap(src snapshotSource, t applyTarget) (SnapshotInfo, error) {
 	pr, pw := io.Pipe()
 	var (
 		feed    replnet.BatchSource
@@ -142,7 +140,7 @@ func (a *applier) bootstrap(src snapshotSource, t applyTarget, install func() er
 		err = expErr
 	}
 	if err == nil {
-		err = a.adopt(t, feed, info, install)
+		err = a.adopt(t, feed, info, nil)
 	}
 	if err != nil && feed != nil {
 		feed.Close()
@@ -203,7 +201,6 @@ func (a *applier) apply(horizon uint64, final bool, ents []repl.Entry) error {
 	a.pend = pendingBatch{}
 	a.mu.Lock()
 	a.applied = horizon
-	a.bytes += p.nb
 	a.cond.Broadcast()
 	a.mu.Unlock()
 	if t.batchDone != nil {
@@ -233,13 +230,6 @@ func (a *applier) tail(horizon uint64) error {
 	}
 	return nil
 }
-
-// tailForever is the horizon of a tail that runs until its feed ends;
-// waitForever is the matching timeout.
-const (
-	tailForever = math.MaxUint64
-	waitForever = time.Duration(math.MaxInt64)
-)
 
 // fail records why the feed stopped and wakes every waiter.
 func (a *applier) fail(err error) {

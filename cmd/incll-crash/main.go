@@ -66,7 +66,7 @@ func main() {
 	if *repl {
 		cfg := crashtest.ReplConfig{
 			Shards:          *shards,
-			ReplicaShards:   *replicaShards,
+			FollowerShards:  *replicaShards,
 			Workers:         *workers,
 			Rounds:          *rounds,
 			PersistFraction: *persist,

@@ -1,7 +1,8 @@
 // Command incll-repl drives the checkpoint-anchored replication
 // subsystem end to end: export a consistent online snapshot of a live
-// store to a file, restore and verify it, or run a live replica under
-// write load and watch its lag.
+// store to a file, restore and verify it, or run a live replica (a
+// follower of the primary's own loopback replication server) under write
+// load and watch its lag.
 //
 // The store lives in simulated NVM, so every mode builds its own primary
 // (a YCSB-style preload) before exercising the replication path — the
@@ -138,17 +139,23 @@ func main() {
 		primary.Close()
 
 	case "replica":
-		opts := incll.Options{Shards: *shards, Workers: 2, EpochInterval: *interval}
-		primary, _ := incll.Open(opts)
-		preload(primary, *size, *valueSize)
-		primary.StartCheckpointer()
+		primary, rs := servePrimary("127.0.0.1:0", *size, *valueSize, *shards, *interval, incll.ReplServerOptions{})
 		t0 := time.Now()
-		rep, err := incll.NewReplica(primary, incll.Options{Shards: *restoreShards})
+		rep, err := incll.FollowPrimary(rs.Addr().String(), incll.FollowerOptions{
+			Options: incll.Options{Shards: *restoreShards},
+		})
 		if err != nil {
 			log.Fatalf("bootstrap: %v", err)
 		}
 		fmt.Printf("replica bootstrapped in %v at epoch %d\n",
 			time.Since(t0).Round(time.Millisecond), rep.AppliedEpoch())
+		// The primary's view of its one follower: byte lag, bytes streamed.
+		peer := func() (p incll.PeerStatus) {
+			if ps := rs.Peers(); len(ps) > 0 {
+				p = ps[0]
+			}
+			return p
+		}
 
 		done := make(chan struct{})
 		go func() {
@@ -165,18 +172,18 @@ func main() {
 			case <-done:
 				break loop
 			case <-tick.C:
-				lag := rep.Lag()
-				fmt.Printf("  applied epoch %d, lag %d epoch(s) / %d bytes, %0.1f MB applied\n",
-					rep.AppliedEpoch(), lag.Epochs, lag.Bytes, float64(rep.AppliedBytes())/1e6)
+				p := peer()
+				fmt.Printf("  applied epoch %d, lag %d epoch(s) / %d bytes, %0.1f MB streamed\n",
+					rep.AppliedEpoch(), rep.Lag().Epochs, p.LagBytes, float64(p.SentBytes)/1e6)
 			}
 		}
 		tick.Stop()
 		primary.StopCheckpointer()
 		primary.Checkpoint()
-		if err := rep.CatchUp(); err != nil {
+		if err := rep.WaitWatermark(primary.ReleasedEpoch(), 30*time.Second); err != nil {
 			log.Fatalf("catch-up: %v", err)
 		}
-		fmt.Printf("caught up at epoch %d (%.1f MB applied)\n", rep.AppliedEpoch(), float64(rep.AppliedBytes())/1e6)
+		fmt.Printf("caught up at epoch %d (%.1f MB streamed)\n", rep.AppliedEpoch(), float64(peer().SentBytes)/1e6)
 		promoted, err := rep.Promote()
 		if err != nil {
 			log.Fatalf("promote: %v", err)
@@ -190,18 +197,7 @@ func main() {
 		if *listen == "" {
 			log.Fatal("-mode serve needs -listen ADDR")
 		}
-		opts := incll.Options{Shards: *shards, Workers: 2, EpochInterval: *interval}
-		primary, _ := incll.Open(opts)
-		preload(primary, *size, *valueSize)
-		primary.StartCheckpointer()
-		lis, err := net.Listen("tcp", *listen)
-		if err != nil {
-			log.Fatal(err)
-		}
-		rs, err := primary.ServeReplication(lis, incll.ReplServerOptions{Logf: log.Printf})
-		if err != nil {
-			log.Fatal(err)
-		}
+		primary, rs := servePrimary(*listen, *size, *valueSize, *shards, *interval, incll.ReplServerOptions{Logf: log.Printf})
 		fmt.Printf("serving replication on %s (%d keys preloaded)\n", rs.Addr(), *size)
 		for len(rs.Peers()) < *followers {
 			time.Sleep(50 * time.Millisecond)
@@ -257,6 +253,23 @@ func main() {
 	default:
 		log.Fatalf("unknown mode %q", *mode)
 	}
+}
+
+// servePrimary builds a preloaded primary that checkpoints every interval
+// and serves replication on addr.
+func servePrimary(addr string, size uint64, valueSize, shards int, interval time.Duration, o incll.ReplServerOptions) (*incll.DB, *incll.ReplServer) {
+	primary, _ := incll.Open(incll.Options{Shards: shards, Workers: 2, EpochInterval: interval})
+	preload(primary, size, valueSize)
+	primary.StartCheckpointer()
+	lis, err := net.Listen("tcp", addr)
+	if err != nil {
+		log.Fatal(err)
+	}
+	rs, err := primary.ServeReplication(lis, o)
+	if err != nil {
+		log.Fatal(err)
+	}
+	return primary, rs
 }
 
 // buildPrimary preloads a store and commits the load.

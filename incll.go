@@ -493,7 +493,7 @@ type DB struct {
 	phases   *obs.PhaseSet // sampled latency attribution; nil when disabled
 	regMu    sync.Mutex
 	reg      *obs.Registry
-	extraReg []func(*obs.Registry) // replica gauges etc., replayed on rebuild
+	extraReg []func(*obs.Registry) // replication gauges (addSeries), replayed on rebuild
 
 	// Recorder state (see metrics.go): the periodic registry snapshotter
 	// behind MetricsHistory, started on demand; recreated against the

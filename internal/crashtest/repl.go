@@ -1,18 +1,20 @@
 package crashtest
 
 // Replication crash campaign: run a primary under concurrent write load
-// with a live replica, crash the primary at every snapshot/stream
-// protocol point, and check the subsystem's two invariants:
+// with a live loopback follower (the primary's own ServeReplication,
+// followed from the same process), crash the primary at every
+// snapshot/stream protocol point, and check the subsystem's two
+// invariants:
 //
 //  1. Prefix exactness. At every moment — in particular right after the
-//     primary crashes mid-stream — the replica's state equals the
-//     primary's committed state at the replica's applied epoch, exactly.
+//     primary crashes mid-stream — the follower's state equals the
+//     primary's committed state at the follower's applied epoch, exactly.
 //     A snapshot stream truncated by the crash must fail Restore
 //     (ErrBadStream), never produce a silently wrong DB.
 //
-//  2. Convergence. After the primary recovers and the replica resyncs,
-//     All() iteration over primary and replica is byte-identical in both
-//     directions.
+//  2. Convergence. After the primary recovers and the follower resyncs
+//     to it, All() iteration over primary and follower is byte-identical
+//     in both directions, and again after the follower is promoted.
 //
 // The committed reference states are reconstructed from an independent
 // verifier subscription opened before any write: applying its entries
@@ -25,22 +27,24 @@ import (
 	"bytes"
 	"errors"
 	"fmt"
+	"iter"
 	"maps"
 	"math/rand"
 	"sync"
-	"time"
+	"sync/atomic"
 
 	"incll"
 	"incll/internal/epoch"
 )
 
-// ReplConfig parameterizes one replication crash campaign.
+// ReplConfig parameterizes one replication crash campaign: RunRepl,
+// RunReplnet or RunReplnetPartition. Zero fields take the campaign's
+// defaults.
 type ReplConfig struct {
-	// Shards is the primary's shard count (the replica uses ReplicaShards).
-	Shards int
-	// ReplicaShards is the follower's shard count (restores route by key,
-	// so it need not match; 0 means same as Shards).
-	ReplicaShards int
+	// Shards is the primary's shard count; FollowerShards the followers'
+	// (0 = same — restores route by key, so they need not match).
+	Shards         int
+	FollowerShards int
 	// Workers is the number of concurrent writer goroutines (disjoint key
 	// ranges, so reference states are well-defined).
 	Workers int
@@ -57,28 +61,36 @@ type ReplConfig struct {
 	PersistFraction float64
 }
 
-func (c *ReplConfig) setDefaults() {
+// The campaigns' defaults for the fields that differ between them.
+var (
+	replDefaults    = ReplConfig{Shards: 1, KeysPerWorker: 400, OpsPerBurst: 500}
+	replnetDefaults = ReplConfig{Shards: 2, KeysPerWorker: 300, OpsPerBurst: 400}
+)
+
+// withDefaults fills c's zero fields from def and the shared defaults.
+func (c ReplConfig) withDefaults(def ReplConfig) ReplConfig {
 	if c.Shards <= 0 {
-		c.Shards = 1
+		c.Shards = def.Shards
 	}
-	if c.ReplicaShards <= 0 {
-		c.ReplicaShards = c.Shards
+	if c.FollowerShards <= 0 {
+		c.FollowerShards = c.Shards
 	}
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
 	if c.KeysPerWorker <= 0 {
-		c.KeysPerWorker = 400
+		c.KeysPerWorker = def.KeysPerWorker
 	}
 	if c.OpsPerBurst <= 0 {
-		c.OpsPerBurst = 500
+		c.OpsPerBurst = def.OpsPerBurst
 	}
 	if c.Rounds <= 0 {
-		c.Rounds = 7
+		c.Rounds = len(snapPoints)
 	}
 	if c.PersistFraction == 0 {
 		c.PersistFraction = 0.5
 	}
+	return c
 }
 
 // snapPoints are the snapshot protocol points the campaign crashes at, in
@@ -156,14 +168,11 @@ func (v *verifier) drainUntilLost() {
 	}
 }
 
-// at returns the exact committed state at epoch e. Epochs below the
-// verifier's base collapse onto the base (nothing changed before it);
-// epochs it never saw are an error surfaced by the caller's comparison.
+// at returns the exact committed state at epoch e, if the verifier saw
+// that epoch released.
 func (v *verifier) at(e uint64) (model, bool) {
-	if m, ok := v.states[e]; ok {
-		return m, true
-	}
-	return nil, false
+	m, ok := v.states[e]
+	return m, ok
 }
 
 // dbState reads a DB's full contents through the merge cursor.
@@ -199,43 +208,32 @@ func diffModels(got, want model, gotName, wantName string) string {
 // shared with cmd/incll-repl's verification modes.
 func EqualBothDirections(a, b *incll.DB) error {
 	for _, rev := range []bool{false, true} {
-		ia := a.NewIter(incll.IterOptions{})
-		ib := b.NewIter(incll.IterOptions{})
-		oka, okb := step(ia, rev, true), step(ib, rev, true)
-		n := 0
-		for oka && okb {
-			if !bytes.Equal(ia.Key(), ib.Key()) || !bytes.Equal(ia.Value(), ib.Value()) {
-				// Capture before Close: a closed cursor returns nils.
-				ak, av := string(ia.Key()), string(ia.Value())
-				bk, bv := string(ib.Key()), string(ib.Value())
-				ia.Close()
-				ib.Close()
-				return fmt.Errorf("reverse=%v entry %d: (%q,%q) vs (%q,%q)",
-					rev, n, ak, av, bk, bv)
-			}
-			n++
-			oka, okb = step(ia, rev, false), step(ib, rev, false)
-		}
-		ia.Close()
-		ib.Close()
-		if oka != okb {
-			return fmt.Errorf("reverse=%v: iteration lengths diverge after %d entries", rev, n)
+		if err := equalIter(a, b, incll.IterOptions{Reverse: rev}); err != nil {
+			return fmt.Errorf("reverse=%v: %w", rev, err)
 		}
 	}
 	return nil
 }
 
-func step(it incll.Iterator, rev, first bool) bool {
-	switch {
-	case first && rev:
-		return it.Last()
-	case first:
-		return it.First()
-	case rev:
-		return it.Prev()
-	default:
-		return it.Next()
+// equalIter walks a and b in lockstep under o.
+func equalIter(a, b *incll.DB, o incll.IterOptions) error {
+	next, stop := iter.Pull2(b.Iter(o))
+	defer stop()
+	n := 0
+	for ak, av := range a.Iter(o) {
+		bk, bv, ok := next()
+		if !ok {
+			return fmt.Errorf("iteration lengths diverge after %d entries", n)
+		}
+		if !bytes.Equal(ak, bk) || !bytes.Equal(av, bv) {
+			return fmt.Errorf("entry %d: (%q,%q) vs (%q,%q)", n, ak, av, bk, bv)
+		}
+		n++
 	}
+	if _, _, ok := next(); ok {
+		return fmt.Errorf("iteration lengths diverge after %d entries", n)
+	}
+	return nil
 }
 
 // RunRepl executes one replication crash campaign with the given seed,
@@ -244,21 +242,19 @@ func step(it incll.Iterator, rev, first bool) bool {
 // set; the DB façade's tracer survives crash/reopen cycles, so the dump
 // covers the whole campaign even when the handle was swapped.
 func RunRepl(cfg ReplConfig, seed int64) (err error) {
-	cfg.setDefaults()
-	opts := incll.Options{Shards: cfg.Shards, Workers: cfg.Workers + 1}
-	repOpts := incll.Options{Shards: cfg.ReplicaShards}
-	primary, _ := incll.Open(opts)
+	cfg = cfg.withDefaults(replDefaults)
+	primary, _ := incll.Open(incll.Options{Shards: cfg.Shards, Workers: cfg.Workers + 1})
 	defer func() { err = dumpTraceOnFailure("repl", seed, primary.DumpTrace, err) }()
 
 	// The verifier subscribes before any write, so its reconstruction
 	// starts from the empty committed state.
 	ver := newVerifier(primary, model{})
 
-	rep, err := incll.NewReplica(primary, repOpts)
+	fol, err := followLoopback(primary, cfg)
 	if err != nil {
 		return fmt.Errorf("bootstrap: %w", err)
 	}
-	defer rep.Close()
+	defer func() { fol.Close() }() // the follower is replaced at each resync
 
 	burst := func(db *incll.DB, r int) {
 		var wg sync.WaitGroup
@@ -331,13 +327,12 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 
 		var exportErr error
 		if point != "" {
-			hits := 0
+			// Atomic: a follower re-bootstrapping now would run the hook
+			// on the server's goroutine.
+			var hits atomic.Int64
 			primary.SetSnapshotHook(func(p string) error {
-				if p == point {
-					hits++
-					if hits == 1 {
-						return errAbort
-					}
+				if p == point && hits.Add(1) == 1 {
+					return errAbort
 				}
 				return nil
 			})
@@ -360,7 +355,7 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 
 		// The truncated export must never restore silently.
 		if point != "" && errors.Is(exportErr, errAbort) && exportBuf.Len() > 0 {
-			if _, _, rerr := incll.Restore(bytes.NewReader(exportBuf.Bytes()), repOpts); !errors.Is(rerr, incll.ErrBadStream) {
+			if _, _, rerr := incll.Restore(bytes.NewReader(exportBuf.Bytes()), incll.Options{Shards: cfg.FollowerShards}); !errors.Is(rerr, incll.ErrBadStream) {
 				return fmt.Errorf("round %d: truncated export (at %q) restored with err=%v, want ErrBadStream", round, point, rerr)
 			}
 		}
@@ -369,52 +364,50 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 		// loses the stream.
 		ver.drainUntilLost()
 
-		// Invariant 1: the replica stopped on an exact committed prefix.
-		if err := waitReplicaStopped(rep); err != nil {
-			return fmt.Errorf("round %d: replica did not observe the crash: %w", round, err)
+		// Invariant 1: the follower stopped on an exact committed prefix.
+		if err := waitDown(fol); err != nil {
+			return fmt.Errorf("round %d: follower did not observe the crash: %w", round, err)
 		}
-		applied := rep.AppliedEpoch()
-		want, ok := ver.at(applied)
-		if !ok {
-			return fmt.Errorf("round %d: replica applied epoch %d, which the verifier never saw (up to %d)", round, applied, ver.upTo)
-		}
-		if d := diffModels(dbState(rep.DB()), want, "replica", fmt.Sprintf("committed state at epoch %d", applied)); d != "" {
-			return fmt.Errorf("round %d: replica diverged from its applied prefix: %s", round, d)
+		if err := checkExactPrefix(fol, ver, "follower"); err != nil {
+			return fmt.Errorf("round %d: %w", round, err)
 		}
 
-		// Recover the primary and resync the replica.
+		// Recover the primary and resync: a fresh follower of the reopened
+		// primary (the crash took the old one's change journal with it).
 		reopened, info := primary.Reopen()
 		if info.Status == epoch.FreshStart {
 			return fmt.Errorf("round %d: reopen lost the arena", round)
 		}
 		primary = reopened
-		if err := rep.Resync(primary); err != nil {
+		fol.Close()
+		next, err := followLoopback(primary, cfg)
+		if err != nil {
 			return fmt.Errorf("round %d: resync: %w", round, err)
 		}
-		if err := rep.CatchUp(); err != nil {
+		fol = next
+		if err := waitWatermarks(primary.ReleasedEpoch(), fol); err != nil {
 			return fmt.Errorf("round %d: catch-up: %w", round, err)
 		}
 
 		// Invariant 2: full convergence, byte-identical both directions.
-		if err := EqualBothDirections(primary, rep.DB()); err != nil {
-			return fmt.Errorf("round %d: primary/replica diverge after catch-up: %w", round, err)
+		if err := EqualBothDirections(primary, fol.DB()); err != nil {
+			return fmt.Errorf("round %d: primary/follower diverge after catch-up: %w", round, err)
 		}
 
 		// Rebase the verifier on the recovered committed state.
 		ver = newVerifier(primary, dbState(primary))
 	}
 
-	// Final: a clean shutdown ends the stream gracefully after the replica
-	// drained everything.
+	// Final: the follower drains everything and is promoted.
 	burst(primary, cfg.Rounds*10+1)
 	primary.Checkpoint()
-	if err := rep.CatchUp(); err != nil {
+	if err := waitWatermarks(primary.ReleasedEpoch(), fol); err != nil {
 		return fmt.Errorf("final catch-up: %w", err)
 	}
-	if err := EqualBothDirections(primary, rep.DB()); err != nil {
+	if err := EqualBothDirections(primary, fol.DB()); err != nil {
 		return fmt.Errorf("final equality: %w", err)
 	}
-	promoted, err := rep.Promote()
+	promoted, err := fol.Promote()
 	if err != nil {
 		return fmt.Errorf("promote: %w", err)
 	}
@@ -426,18 +419,12 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 	return nil
 }
 
-// waitReplicaStopped waits until the replica's apply loop terminated on
-// the crashed stream.
-func waitReplicaStopped(rep *incll.Replica) error {
-	deadline := time.Now().Add(10 * time.Second)
-	for time.Now().Before(deadline) {
-		if err := rep.Err(); err != nil {
-			if errors.Is(err, incll.ErrStreamLost) || errors.Is(err, incll.ErrStreamClosed) {
-				return nil
-			}
-			return err
-		}
-		time.Sleep(time.Millisecond)
+// followLoopback serves db's replication stream on loopback and follows
+// it from this process: the in-process replica.
+func followLoopback(db *incll.DB, cfg ReplConfig) (*incll.Follower, error) {
+	rs, _, err := serveNet(db)
+	if err != nil {
+		return nil, err
 	}
-	return errors.New("timeout")
+	return followNet(rs.Addr().String(), cfg, "replica")
 }

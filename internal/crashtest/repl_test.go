@@ -32,13 +32,13 @@ func TestReplCrashProperty(t *testing.T) {
 // whose shard count differs from the primary's: prefix exactness and
 // convergence are placement-independent.
 func TestReplCrashPropertyCrossShardCount(t *testing.T) {
-	if err := RunRepl(ReplConfig{Shards: 4, ReplicaShards: 2}, 3); err != nil {
+	if err := RunRepl(ReplConfig{Shards: 4, FollowerShards: 2}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if testing.Short() {
 		return
 	}
-	if err := RunRepl(ReplConfig{Shards: 1, ReplicaShards: 3}, 4); err != nil {
+	if err := RunRepl(ReplConfig{Shards: 1, FollowerShards: 3}, 4); err != nil {
 		t.Fatal(err)
 	}
 }

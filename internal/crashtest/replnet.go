@@ -33,49 +33,6 @@ import (
 	"incll"
 )
 
-// ReplnetConfig parameterizes one networked replication crash campaign.
-type ReplnetConfig struct {
-	// Shards is the primary's shard count; FollowerShards the followers'
-	// (0 = same — restores route by key, so they need not match).
-	Shards         int
-	FollowerShards int
-	// Workers / KeysPerWorker / OpsPerBurst shape the write load, as in
-	// ReplConfig.
-	Workers       int
-	KeysPerWorker int
-	OpsPerBurst   int
-	// Rounds is the number of crash/failover cycles; each cycles to the
-	// next snapshot protocol point for its mid-bootstrap kill.
-	Rounds int
-	// PersistFraction is the probability a dirty line survives each
-	// primary crash.
-	PersistFraction float64
-}
-
-func (c *ReplnetConfig) setDefaults() {
-	if c.Shards <= 0 {
-		c.Shards = 2
-	}
-	if c.FollowerShards <= 0 {
-		c.FollowerShards = c.Shards
-	}
-	if c.Workers <= 0 {
-		c.Workers = 2
-	}
-	if c.KeysPerWorker <= 0 {
-		c.KeysPerWorker = 300
-	}
-	if c.OpsPerBurst <= 0 {
-		c.OpsPerBurst = 400
-	}
-	if c.Rounds <= 0 {
-		c.Rounds = len(snapPoints)
-	}
-	if c.PersistFraction == 0 {
-		c.PersistFraction = 0.5
-	}
-}
-
 // chaosListener wraps a listener so the campaign can sever every live
 // connection on demand — the wire-level stand-in for a network
 // partition or a dropped TCP session, injectable mid-batch because the
@@ -137,7 +94,7 @@ func (c *chaosConn) Close() error {
 // followNet starts a follower of addr with campaign-friendly timeouts.
 // The follower opens with the full worker count: a promoted follower
 // becomes the next round's primary and must serve every load handle.
-func followNet(addr string, cfg ReplnetConfig, id string) (*incll.Follower, error) {
+func followNet(addr string, cfg ReplConfig, id string) (*incll.Follower, error) {
 	return incll.FollowPrimary(addr, incll.FollowerOptions{
 		Options:      incll.Options{Shards: cfg.FollowerShards, Workers: cfg.Workers + 1},
 		ID:           id,
@@ -211,8 +168,8 @@ func checkExactPrefix(f *incll.Follower, ver *verifier, who string) error {
 // followers are checked to be exact committed prefixes, one is promoted,
 // and the survivor plus the recovered old primary rejoin the new
 // primary and must converge byte-identical in both directions.
-func RunReplnet(cfg ReplnetConfig, seed int64) (err error) {
-	cfg.setDefaults()
+func RunReplnet(cfg ReplConfig, seed int64) (err error) {
+	cfg = cfg.withDefaults(replnetDefaults)
 	primary, _ := incll.Open(incll.Options{Shards: cfg.Shards, Workers: cfg.Workers + 1})
 	defer func() { err = dumpTraceOnFailure("replnet", seed, primary.DumpTrace, err) }()
 
@@ -414,8 +371,8 @@ func RunReplnet(cfg ReplnetConfig, seed int64) (err error) {
 // After every cut the followers must re-bootstrap and, at the next
 // quiesced boundary, again hold exact committed prefixes; at the end
 // everything converges byte-identical.
-func RunReplnetPartition(cfg ReplnetConfig, seed int64) (err error) {
-	cfg.setDefaults()
+func RunReplnetPartition(cfg ReplConfig, seed int64) (err error) {
+	cfg = cfg.withDefaults(replnetDefaults)
 	primary, _ := incll.Open(incll.Options{Shards: cfg.Shards, Workers: cfg.Workers + 1})
 	defer func() { err = dumpTraceOnFailure("replnet-partition", seed, primary.DumpTrace, err) }()
 

@@ -10,9 +10,9 @@ import (
 // there, the primary is crashed mid-stream with two live followers, one
 // follower is promoted, and the survivors resync byte-identical.
 func TestRunReplnet(t *testing.T) {
-	cfg := ReplnetConfig{}
+	cfg := ReplConfig{}
 	if testing.Short() {
-		cfg = ReplnetConfig{Rounds: 2, KeysPerWorker: 120, OpsPerBurst: 150}
+		cfg = ReplConfig{Rounds: 2, KeysPerWorker: 120, OpsPerBurst: 150}
 	}
 	seed := time.Now().UnixNano()
 	t.Logf("replnet campaign seed %d", seed)
@@ -25,7 +25,7 @@ func TestRunReplnet(t *testing.T) {
 // repeatedly, under load: each cut forces a full re-bootstrap and the
 // followers must land back on exact committed prefixes.
 func TestRunReplnetPartition(t *testing.T) {
-	cfg := ReplnetConfig{Rounds: 4}
+	cfg := ReplConfig{Rounds: 4}
 	if testing.Short() {
 		cfg.Rounds = 2
 	}
@@ -45,7 +45,7 @@ func TestRunReplnetShardMismatch(t *testing.T) {
 	}
 	seed := time.Now().UnixNano()
 	t.Logf("replnet shard-mismatch seed %d", seed)
-	if err := RunReplnet(ReplnetConfig{
+	if err := RunReplnet(ReplConfig{
 		Shards:         3,
 		FollowerShards: 1,
 		Rounds:         2,

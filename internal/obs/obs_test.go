@@ -104,7 +104,7 @@ func TestEventKindStrings(t *testing.T) {
 	kinds := []EventKind{
 		EvCheckpointPrepare, EvCheckpointCommit, EvCoordRecord,
 		EvJournalRelease, EvRecoveryReplay, EvTxnReplay,
-		EvSnapshotAnchor, EvReplicaApply, EvReplicaResync,
+		EvSnapshotAnchor, EvReplicaApply,
 	}
 	seen := make(map[string]bool)
 	for _, k := range kinds {

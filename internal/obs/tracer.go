@@ -38,12 +38,10 @@ const (
 	// EvSnapshotAnchor: a snapshot export took its anchor checkpoint.
 	// Epoch is the anchor epoch.
 	EvSnapshotAnchor
-	// EvReplicaApply: a replica applied one released epoch from its change
-	// stream. Epoch is the epoch applied, Arg the entries in it.
+	// EvReplicaApply: a follower applied one released epoch from its
+	// change stream. Epoch is the epoch applied, Dur the time since the
+	// batch's first chunk arrived, Arg the key+value bytes applied.
 	EvReplicaApply
-	// EvReplicaResync: a replica fell off its stream and re-bootstrapped
-	// from a fresh snapshot. Epoch is the new anchor.
-	EvReplicaResync
 	// EvFlightDump: the anomaly watchdog wrote a flight-recorder dump.
 	// Epoch is the running epoch at dump time.
 	EvFlightDump
@@ -107,8 +105,6 @@ func (k EventKind) String() string {
 		return "snapshot_anchor"
 	case EvReplicaApply:
 		return "replica_apply"
-	case EvReplicaResync:
-		return "replica_resync"
 	case EvFlightDump:
 		return "flight_dump"
 	case EvFlightDumpFailed:

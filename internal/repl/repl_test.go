@@ -2,7 +2,10 @@ package repl
 
 import (
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
+	"strings"
 	"testing"
 
 	"incll/internal/core"
@@ -62,6 +65,10 @@ func TestReplWireFrameRoundTrip(t *testing.T) {
 	}
 }
 
+// TestReplWireCorruptionDetected pins the snapshot side of the shared
+// frame codec's error contract: every malformed frame, and a stream that
+// ends at a frame boundary (a snapshot ends only after its end frame), is
+// a wrapped ErrBadStream.
 func TestReplWireCorruptionDetected(t *testing.T) {
 	var buf bytes.Buffer
 	fw := newFrameWriter(&buf)
@@ -71,18 +78,75 @@ func TestReplWireCorruptionDetected(t *testing.T) {
 	}
 	raw := buf.Bytes()
 
-	// Flip one payload byte: frame checksum must catch it.
-	flipped := append([]byte(nil), raw...)
-	flipped[len(flipped)-1] ^= 0x40
-	fr := newFrameReader(bytes.NewReader(flipped))
-	if _, _, err := fr.readFrame(); !errors.Is(err, ErrBadStream) {
-		t.Fatalf("corrupt payload: err %v, want ErrBadStream", err)
+	cases := []struct {
+		name   string
+		mutate func([]byte) []byte
+		want   string // substring of the error detail
+	}{
+		{"payload bit flip", func(b []byte) []byte { b[len(b)-1] ^= 0x40; return b }, "frame checksum mismatch"},
+		{"crc mismatch", func(b []byte) []byte { b[9] ^= 0x01; return b }, "frame checksum mismatch"},
+		{"bad magic", func(b []byte) []byte { b[1] ^= 0xFF; return b }, "bad frame magic"},
+		{"oversize length", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[5:], MaxFramePayload+1)
+			return b
+		}, "exceeds limit"},
+		{"truncated payload", func(b []byte) []byte { return b[:len(b)-2] }, "truncated frame payload"},
+		{"truncated header", func(b []byte) []byte { return b[:FrameHdrBytes-1] }, "truncated at frame header"},
+	}
+	for _, tc := range cases {
+		fr := newFrameReader(bytes.NewReader(tc.mutate(append([]byte(nil), raw...))))
+		_, _, err := fr.readFrame()
+		if !errors.Is(err, ErrBadStream) || !strings.Contains(err.Error(), tc.want) {
+			t.Fatalf("%s: err %v, want ErrBadStream with %q", tc.name, err, tc.want)
+		}
 	}
 
-	// Truncate mid-payload: must fail, not hang or succeed.
-	fr = newFrameReader(bytes.NewReader(raw[:len(raw)-2]))
-	if _, _, err := fr.readFrame(); !errors.Is(err, ErrBadStream) {
-		t.Fatalf("truncated payload: err %v, want ErrBadStream", err)
+	// EOF exactly at a frame boundary: the frame reads back, and the
+	// missing next header is a truncated stream, not a clean end.
+	fr := newFrameReader(bytes.NewReader(raw))
+	if ft, _, err := fr.readFrame(); err != nil || ft != ftKV {
+		t.Fatalf("valid frame: type %d, err %v", ft, err)
+	}
+	if _, _, err := fr.readFrame(); !errors.Is(err, ErrBadStream) || !strings.Contains(err.Error(), "truncated at frame header") {
+		t.Fatalf("EOF at frame boundary: err %v, want ErrBadStream", err)
+	}
+}
+
+// TestWireGoldenFrame pins the snapshot stream's wire bytes (format
+// version 1), so streams and peers of other builds stay readable: the
+// writer must reproduce this kv frame byte for byte and the reader decode
+// it back, so a reordered or resized header, or a changed record
+// encoding, fails here.
+func TestWireGoldenFrame(t *testing.T) {
+	golden, err := hex.DecodeString("4952504c0214000000eb98996f0507616c70686176616c75652d31040062657461")
+	if err != nil {
+		t.Fatal(err)
+	}
+	var buf bytes.Buffer
+	fw := newFrameWriter(&buf)
+	p := fw.appendKVRecord(nil, []byte("alpha"), []byte("value-1"))
+	p = fw.appendKVRecord(p, []byte("beta"), nil)
+	if err := fw.writeFrame(ftKV, p); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("writer produced\n%x\nwant\n%x", buf.Bytes(), golden)
+	}
+	fr := newFrameReader(bytes.NewReader(golden))
+	ft, p, err := fr.readFrame()
+	if err != nil || ft != ftKV {
+		t.Fatalf("golden frame: type %d, err %v", ft, err)
+	}
+	k1, v1, off, err := fr.parseKVRecord(p, 0)
+	if err != nil {
+		t.Fatal(err)
+	}
+	k2, v2, off, err := fr.parseKVRecord(p, off)
+	if err != nil || off != len(p) {
+		t.Fatalf("second record: next %d of %d, err %v", off, len(p), err)
+	}
+	if string(k1) != "alpha" || string(v1) != "value-1" || string(k2) != "beta" || len(v2) != 0 {
+		t.Fatalf("golden records decode to (%q,%q) (%q,%q)", k1, v1, k2, v2)
 	}
 }
 

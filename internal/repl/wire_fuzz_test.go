@@ -74,12 +74,12 @@ func FuzzDecodeFrame(f *testing.F) {
 	valid := buildStream(f)
 	f.Add(valid)
 	f.Add(valid[:len(valid)-1]) // truncated inside the end frame
-	f.Add(valid[:frameHdrBytes+3])
+	f.Add(valid[:FrameHdrBytes+3])
 	f.Add([]byte{})
 	f.Add([]byte("IRPL garbage that is not a frame"))
 	// A header claiming a giant payload: must fail fast, not allocate.
-	huge := append([]byte(nil), valid[:frameHdrBytes]...)
-	binary.LittleEndian.PutUint32(huge[5:], maxFramePayload+1)
+	huge := append([]byte(nil), valid[:FrameHdrBytes]...)
+	binary.LittleEndian.PutUint32(huge[5:], MaxFramePayload+1)
 	f.Add(huge)
 
 	f.Fuzz(func(t *testing.T, data []byte) {
@@ -109,7 +109,7 @@ func TestDecodeCorruptFrames(t *testing.T) {
 	valid := buildStream(t)
 
 	// Locate the second frame's header to corrupt mid-stream fields.
-	frame2 := frameHdrBytes + int(binary.LittleEndian.Uint32(valid[5:]))
+	frame2 := FrameHdrBytes + int(binary.LittleEndian.Uint32(valid[5:]))
 
 	mut := func(mutate func(b []byte) []byte) []byte {
 		return mutate(append([]byte(nil), valid...))
@@ -121,15 +121,15 @@ func TestDecodeCorruptFrames(t *testing.T) {
 	}{
 		{"empty", nil, "truncated at frame header"},
 		{"truncated header", valid[:5], "truncated at frame header"},
-		{"truncated payload", valid[:frameHdrBytes+7], "truncated frame payload"},
+		{"truncated payload", valid[:FrameHdrBytes+7], "truncated frame payload"},
 		{"truncated mid stream", valid[:frame2+4], "truncated"},
 		{"missing end frame", valid[:frame2], "truncated at frame header"},
 		{"bad magic", mut(func(b []byte) []byte { b[0] ^= 0xff; return b }), "bad frame magic"},
 		{"bad magic mid stream", mut(func(b []byte) []byte { b[frame2+1] ^= 0xff; return b }), "bad frame magic"},
-		{"payload bit flip", mut(func(b []byte) []byte { b[frameHdrBytes] ^= 0x01; return b }), "checksum mismatch"},
+		{"payload bit flip", mut(func(b []byte) []byte { b[FrameHdrBytes] ^= 0x01; return b }), "checksum mismatch"},
 		{"crc bit flip", mut(func(b []byte) []byte { b[9] ^= 0x80; return b }), "checksum mismatch"},
 		{"oversized length", mut(func(b []byte) []byte {
-			binary.LittleEndian.PutUint32(b[5:], maxFramePayload+1)
+			binary.LittleEndian.PutUint32(b[5:], MaxFramePayload+1)
 			return b
 		}), "exceeds limit"},
 		{"unknown frame type", mut(func(b []byte) []byte {
@@ -139,9 +139,9 @@ func TestDecodeCorruptFrames(t *testing.T) {
 		}), "unexpected frame type"},
 		{"wrong version", func() []byte {
 			b := append([]byte(nil), valid...)
-			binary.LittleEndian.PutUint16(b[frameHdrBytes:], FormatVersion+1)
+			binary.LittleEndian.PutUint16(b[FrameHdrBytes:], FormatVersion+1)
 			n := binary.LittleEndian.Uint32(b[5:])
-			binary.LittleEndian.PutUint32(b[9:], crc32Of(b[frameHdrBytes:frameHdrBytes+int(n)]))
+			binary.LittleEndian.PutUint32(b[9:], crc32Of(b[FrameHdrBytes:FrameHdrBytes+int(n)]))
 			return b
 		}(), "unsupported format version"},
 		{"not a header frame first", valid[frame2:], "missing header frame"},
@@ -178,7 +178,7 @@ func TestDecodeCorruptFrames(t *testing.T) {
 
 	// Count and sum verification: a stream whose end frame lies about
 	// either must fail even though every frame checksums clean.
-	endOff := len(valid) - 32 - frameHdrBytes
+	endOff := len(valid) - 32 - FrameHdrBytes
 	for _, tc := range []struct {
 		name string
 		off  int // byte offset within the end payload
@@ -189,7 +189,7 @@ func TestDecodeCorruptFrames(t *testing.T) {
 	} {
 		t.Run(tc.name, func(t *testing.T) {
 			b := append([]byte(nil), valid...)
-			p := b[endOff+frameHdrBytes:]
+			p := b[endOff+FrameHdrBytes:]
 			binary.LittleEndian.PutUint64(p[tc.off:], binary.LittleEndian.Uint64(p[tc.off:])+1)
 			binary.LittleEndian.PutUint32(b[endOff+9:], crc32Of(p))
 			_, err := decodeInto(b)
@@ -219,7 +219,7 @@ func TestDecodeTruncatedEverywhere(t *testing.T) {
 // fields: a header claiming a huge payload is rejected from the 13 header
 // bytes alone, without allocating the claimed size.
 func TestDecodeOversizeNoAlloc(t *testing.T) {
-	hdr := make([]byte, frameHdrBytes)
+	hdr := make([]byte, FrameHdrBytes)
 	binary.LittleEndian.PutUint32(hdr, frameMagic)
 	hdr[4] = ftHeader
 	binary.LittleEndian.PutUint32(hdr[5:], 1<<31)

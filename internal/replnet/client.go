@@ -401,7 +401,7 @@ func (c *Client) session() (streamed bool, err error) {
 				}
 			}
 		case msgHeartbeat:
-			nonce, rel, err := parseHeartbeat(p)
+			nonce, rel, err := parseStamp(p)
 			if err != nil {
 				return true, err
 			}
@@ -426,7 +426,7 @@ func (c *Client) writeAck(nc net.Conn, mc *mconn, nonce int64) error {
 	if err := nc.SetWriteDeadline(time.Now().Add(c.cfg.DeadAfter)); err != nil {
 		return err
 	}
-	if err := mc.writeMsg(msgAck, appendAck(nil, nonce, c.applied.Load())); err != nil {
+	if err := mc.writeMsg(msgAck, appendStamp(nil, nonce, c.applied.Load())); err != nil {
 		return err
 	}
 	return mc.flush()

@@ -3,6 +3,8 @@ package replnet
 import (
 	"bufio"
 	"bytes"
+	"encoding/binary"
+	"encoding/hex"
 	"errors"
 	"fmt"
 	"io"
@@ -181,19 +183,12 @@ func TestBatchWireRoundtrip(t *testing.T) {
 	}
 }
 
+// TestMessageMalformed pins replnet's side of the shared frame codec's
+// error contract: every malformed message is a wrapped ErrBadMessage, and
+// a stream that ends exactly at a message boundary is a bare io.EOF.
 func TestMessageMalformed(t *testing.T) {
 	// A valid heartbeat message to mutate.
-	valid := func() []byte {
-		var b bytes.Buffer
-		mc := &mconn{bw: bufio.NewWriter(&b)}
-		if err := mc.writeMsg(msgHeartbeat, appendHeartbeat(nil, 7, 9)); err != nil {
-			t.Fatal(err)
-		}
-		if err := mc.flush(); err != nil {
-			t.Fatal(err)
-		}
-		return b.Bytes()
-	}()
+	valid := frame(t, msg{msgHeartbeat, appendStamp(nil, 7, 9)})
 
 	cases := []struct {
 		name   string
@@ -201,10 +196,14 @@ func TestMessageMalformed(t *testing.T) {
 	}{
 		{"bad magic", func(b []byte) []byte { b[0] ^= 0xFF; return b }},
 		{"bad crc", func(b []byte) []byte { b[9] ^= 0xFF; return b }},
-		{"flipped payload", func(b []byte) []byte { b[msgHdrBytes] ^= 0xFF; return b }},
-		{"truncated payload", func(b []byte) []byte { return b[:msgHdrBytes+4] }},
+		{"flipped payload", func(b []byte) []byte { b[repl.FrameHdrBytes] ^= 0xFF; return b }},
+		{"truncated payload", func(b []byte) []byte { return b[:repl.FrameHdrBytes+4] }},
 		{"huge length", func(b []byte) []byte {
 			b[5], b[6], b[7], b[8] = 0xFF, 0xFF, 0xFF, 0x7F
+			return b
+		}},
+		{"oversize length", func(b []byte) []byte {
+			binary.LittleEndian.PutUint32(b[5:], repl.MaxFramePayload+1)
 			return b
 		}},
 	}
@@ -212,10 +211,60 @@ func TestMessageMalformed(t *testing.T) {
 		t.Run(tc.name, func(t *testing.T) {
 			in := tc.mutate(append([]byte(nil), valid...))
 			mc := &mconn{br: bufio.NewReader(bytes.NewReader(in))}
-			if _, _, err := mc.readMsg(); !errors.Is(err, ErrBadMessage) && !errors.Is(err, io.ErrUnexpectedEOF) {
-				t.Fatalf("err = %v, want ErrBadMessage or unexpected EOF", err)
+			if _, _, err := mc.readMsg(); !errors.Is(err, ErrBadMessage) {
+				t.Fatalf("err = %v, want ErrBadMessage", err)
 			}
 		})
+	}
+	t.Run("eof at message boundary", func(t *testing.T) {
+		mc := &mconn{br: bufio.NewReader(bytes.NewReader(valid))}
+		if kind, _, err := mc.readMsg(); err != nil || kind != msgHeartbeat {
+			t.Fatalf("valid message: kind %d, err %v", kind, err)
+		}
+		if _, _, err := mc.readMsg(); err != io.EOF {
+			t.Fatalf("err = %v, want bare io.EOF", err)
+		}
+	})
+}
+
+// TestWireGoldenMessage pins the message wire bytes (protocol version 1),
+// so peers of other builds stay compatible: the writer must reproduce
+// this batch message byte for byte and the reader decode it back, so a
+// reordered or resized header, or a changed entry encoding, fails here.
+func TestWireGoldenMessage(t *testing.T) {
+	golden, err := hex.DecodeString("49524e500323000000da2289b3090000000000000001020000000100000503616c7068616f6e65020203040062657461")
+	if err != nil {
+		t.Fatal(err)
+	}
+	b := repl.Batch{Epoch: 9, Entries: []repl.Entry{
+		{Op: core.ChangePut, Epoch: 9, Shard: 0, Key: []byte("alpha"), Val: []byte("one")},
+		{Op: core.ChangeDelete, Epoch: 7, Shard: 3, Key: []byte("beta")},
+	}}
+	var buf bytes.Buffer
+	c := &mconn{bw: bufio.NewWriter(&buf)}
+	if _, err := c.writeBatch(b, 0); err != nil {
+		t.Fatal(err)
+	}
+	if err := c.flush(); err != nil {
+		t.Fatal(err)
+	}
+	if !bytes.Equal(buf.Bytes(), golden) {
+		t.Fatalf("writer produced\n%x\nwant\n%x", buf.Bytes(), golden)
+	}
+	r := &mconn{br: bufio.NewReader(bytes.NewReader(golden))}
+	kind, p, err := r.readMsg()
+	if err != nil || kind != msgBatch {
+		t.Fatalf("golden message: kind %d, err %v", kind, err)
+	}
+	ck, err := parseBatch(p, nil)
+	if err != nil || ck.Horizon != 9 || !ck.Final || len(ck.Entries) != 2 {
+		t.Fatalf("golden batch decodes to %+v, %v", ck, err)
+	}
+	for i, w := range b.Entries {
+		g := ck.Entries[i]
+		if g.Op != w.Op || g.Epoch != w.Epoch || g.Shard != w.Shard || !bytes.Equal(g.Key, w.Key) || !bytes.Equal(g.Val, w.Val) {
+			t.Fatalf("entry %d = %+v, want %+v", i, g, w)
+		}
 	}
 }
 

@@ -568,7 +568,7 @@ func (pe *peer) writeHeartbeat() error {
 	if err := pe.nc.SetWriteDeadline(time.Now().Add(pe.srv.cfg.DeadAfter)); err != nil {
 		return err
 	}
-	hb := appendHeartbeat(nil, time.Now().UnixNano(), pe.srcReleased())
+	hb := appendStamp(nil, time.Now().UnixNano(), pe.srcReleased())
 	if err := pe.mc.writeMsg(msgHeartbeat, hb); err != nil {
 		return err
 	}
@@ -652,7 +652,7 @@ func (pe *peer) read() {
 			pe.kill(fmt.Errorf("%w: unexpected message %d from follower", ErrProtocol, kind))
 			return
 		}
-		nonce, applied, err := parseAck(p)
+		nonce, applied, err := parseStamp(p)
 		if err != nil {
 			pe.kill(err)
 			return

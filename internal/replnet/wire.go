@@ -18,15 +18,9 @@
 //  3. live — replnet messages both ways: change-batch chunks and
 //     heartbeats from the primary, acks from the follower.
 //
-// A replnet message reuses the shape of a repl frame — checksummed and
-// length-prefixed, with its own magic so a desynchronized stream fails
-// loudly instead of being misparsed:
-//
-//	magic   uint32 (little-endian, "IRNP")
-//	type    uint8
-//	length  uint32 (payload bytes)
-//	crc32   uint32 (IEEE, of the payload)
-//	payload
+// A replnet message is a repl frame (repl.Framing: magic, type, length,
+// crc32, payload) with its own magic, "IRNP", so a desynchronized stream
+// fails loudly instead of being misparsed.
 //
 // Message payloads:
 //
@@ -52,8 +46,6 @@ import (
 	"encoding/binary"
 	"errors"
 	"fmt"
-	"hash/crc32"
-	"io"
 	"net"
 	"time"
 
@@ -75,10 +67,6 @@ const (
 	// directions during the handshake.
 	ProtoVersion = 1
 
-	msgHdrBytes = 13
-	// maxMsgPayload bounds a message so a corrupt length fails fast
-	// instead of allocating gigabytes (matches repl's frame limit).
-	maxMsgPayload = 1 << 26
 	// chunkTarget is the payload size at which a batch chunk is cut.
 	chunkTarget = 256 << 10
 	// maxPeerID bounds the follower-supplied peer id.
@@ -106,6 +94,9 @@ var (
 	ErrStreamLostRemote = errors.New("replnet: primary reported stream lost")
 )
 
+// msgFraming frames replnet messages.
+var msgFraming = repl.Framing{Magic: msgMagic, Err: ErrBadMessage}
+
 // mconn frames replnet messages over one net.Conn. The bufio.Reader is
 // shared with the bootstrap phase (repl.Restore reads the raw snapshot
 // stream through it), so message parsing resumes exactly where the
@@ -117,8 +108,8 @@ type mconn struct {
 	br *bufio.Reader
 	bw *bufio.Writer
 
-	rhdr    [msgHdrBytes]byte
-	whdr    [msgHdrBytes]byte
+	rhdr    [repl.FrameHdrBytes]byte
+	whdr    [repl.FrameHdrBytes]byte
 	payload []byte // read buffer, reused across messages
 	scratch []byte // write buffer, reused across messages
 }
@@ -133,47 +124,17 @@ func newMconn(nc net.Conn) *mconn {
 
 // writeMsg frames and buffers one message; call flush to push it out.
 func (c *mconn) writeMsg(kind byte, payload []byte) error {
-	if len(payload) > maxMsgPayload {
-		return fmt.Errorf("%w: message payload %d exceeds limit (writer bug)", ErrBadMessage, len(payload))
-	}
-	binary.LittleEndian.PutUint32(c.whdr[0:], msgMagic)
-	c.whdr[4] = kind
-	binary.LittleEndian.PutUint32(c.whdr[5:], uint32(len(payload)))
-	binary.LittleEndian.PutUint32(c.whdr[9:], crc32.ChecksumIEEE(payload))
-	if _, err := c.bw.Write(c.whdr[:]); err != nil {
-		return err
-	}
-	_, err := c.bw.Write(payload)
-	return err
+	return msgFraming.WriteFrame(c.bw, &c.whdr, kind, payload)
 }
 
 func (c *mconn) flush() error { return c.bw.Flush() }
 
 // readMsg returns the next message's kind and payload (valid until the
-// next call), verifying magic and checksum.
+// next call), verifying magic and checksum. A header cut short returns
+// the reader's error as is (io.EOF at a clean message boundary); a
+// malformed message, a wrapped ErrBadMessage.
 func (c *mconn) readMsg() (byte, []byte, error) {
-	if _, err := io.ReadFull(c.br, c.rhdr[:]); err != nil {
-		return 0, nil, err
-	}
-	if binary.LittleEndian.Uint32(c.rhdr[0:]) != msgMagic {
-		return 0, nil, fmt.Errorf("%w: bad magic", ErrBadMessage)
-	}
-	kind := c.rhdr[4]
-	n := binary.LittleEndian.Uint32(c.rhdr[5:])
-	if n > maxMsgPayload {
-		return 0, nil, fmt.Errorf("%w: payload %d exceeds limit", ErrBadMessage, n)
-	}
-	if cap(c.payload) < int(n) {
-		c.payload = make([]byte, n)
-	}
-	c.payload = c.payload[:n]
-	if _, err := io.ReadFull(c.br, c.payload); err != nil {
-		return 0, nil, fmt.Errorf("%w: truncated payload", ErrBadMessage)
-	}
-	if crc32.ChecksumIEEE(c.payload) != binary.LittleEndian.Uint32(c.rhdr[9:]) {
-		return 0, nil, fmt.Errorf("%w: checksum mismatch", ErrBadMessage)
-	}
-	return kind, c.payload, nil
+	return msgFraming.ReadFrame(c.br, &c.rhdr, &c.payload)
 }
 
 // --- payload encode/decode -------------------------------------------------
@@ -216,26 +177,16 @@ func parseWelcome(p []byte) (released uint64, err error) {
 	return binary.LittleEndian.Uint64(p[2:]), nil
 }
 
-func appendHeartbeat(dst []byte, nonce int64, released uint64) []byte {
+// appendStamp encodes a heartbeat or an ack: the two share one payload,
+// a nonce and an epoch (the released horizon, resp. the applied one).
+func appendStamp(dst []byte, nonce int64, epoch uint64) []byte {
 	dst = binary.LittleEndian.AppendUint64(dst, uint64(nonce))
-	return binary.LittleEndian.AppendUint64(dst, released)
+	return binary.LittleEndian.AppendUint64(dst, epoch)
 }
 
-func parseHeartbeat(p []byte) (nonce int64, released uint64, err error) {
+func parseStamp(p []byte) (nonce int64, epoch uint64, err error) {
 	if len(p) != 16 {
-		return 0, 0, fmt.Errorf("%w: short heartbeat", ErrBadMessage)
-	}
-	return int64(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]), nil
-}
-
-func appendAck(dst []byte, nonce int64, applied uint64) []byte {
-	dst = binary.LittleEndian.AppendUint64(dst, uint64(nonce))
-	return binary.LittleEndian.AppendUint64(dst, applied)
-}
-
-func parseAck(p []byte) (nonce int64, applied uint64, err error) {
-	if len(p) != 16 {
-		return 0, 0, fmt.Errorf("%w: short ack", ErrBadMessage)
+		return 0, 0, fmt.Errorf("%w: heartbeat/ack payload of %d bytes, want 16", ErrBadMessage, len(p))
 	}
 	return int64(binary.LittleEndian.Uint64(p)), binary.LittleEndian.Uint64(p[8:]), nil
 }
@@ -265,10 +216,7 @@ func (c *mconn) writeBatch(b repl.Batch, chunkDeadline time.Duration) (int64, er
 			p = append(p, byte(e.Op))
 			p = binary.AppendUvarint(p, b.Epoch-e.Epoch)
 			p = binary.AppendUvarint(p, uint64(e.Shard))
-			p = binary.AppendUvarint(p, uint64(len(e.Key)))
-			p = binary.AppendUvarint(p, uint64(len(e.Val)))
-			p = append(p, e.Key...)
-			p = append(p, e.Val...)
+			p = repl.AppendKV(p, e.Key, e.Val)
 			count++
 			i++
 		}
@@ -330,7 +278,7 @@ func parseBatch(p []byte, scratch []repl.Entry) (batchChunk, error) {
 			return batchChunk{}, fmt.Errorf("%w: bad entry shard", ErrBadMessage)
 		}
 		off += used
-		k, v, next, err := parseLenPrefixed(p, off)
+		k, v, next, err := msgFraming.ParseKV(p, off)
 		if err != nil {
 			return batchChunk{}, err
 		}
@@ -348,24 +296,4 @@ func parseBatch(p []byte, scratch []repl.Entry) (batchChunk, error) {
 	}
 	ck.Entries = ents
 	return ck, nil
-}
-
-// parseLenPrefixed decodes a {klen, vlen, key, val} group at p[off:],
-// bounds-checking each length on its own before any arithmetic combines
-// them (the same defensive shape as repl's parseKV).
-func parseLenPrefixed(p []byte, off int) (k, v []byte, next int, err error) {
-	kl, n1 := binary.Uvarint(p[off:])
-	if n1 <= 0 {
-		return nil, nil, 0, fmt.Errorf("%w: bad key length", ErrBadMessage)
-	}
-	vl, n2 := binary.Uvarint(p[off+n1:])
-	if n2 <= 0 {
-		return nil, nil, 0, fmt.Errorf("%w: bad value length", ErrBadMessage)
-	}
-	s := off + n1 + n2
-	rest := uint64(len(p) - s)
-	if kl > rest || vl > rest-kl {
-		return nil, nil, 0, fmt.Errorf("%w: entry overruns payload", ErrBadMessage)
-	}
-	return p[s : s+int(kl)], p[s+int(kl) : s+int(kl)+int(vl)], s + int(kl) + int(vl), nil
 }

@@ -100,21 +100,17 @@ func checkPayload(t *testing.T, kind byte, p []byte) {
 			t.Fatalf("welcome: %d re-encodes to %d, %v", rel, rel2, err)
 		}
 	case msgHeartbeat, msgAck:
-		parse, encode := parseHeartbeat, appendHeartbeat
-		if kind == msgAck {
-			parse, encode = parseAck, appendAck
-		}
-		nonce, w, err := parse(p)
+		nonce, w, err := parseStamp(p)
 		if err != nil {
 			if !typed(err) {
 				t.Fatalf("kind %d: unclassified error %v", kind, err)
 			}
 			return
 		}
-		if _, _, err := parse(short); err == nil {
+		if _, _, err := parseStamp(short); err == nil {
 			t.Fatalf("kind %d %x: accepted with its last byte dropped", kind, p)
 		}
-		if n2, w2, err := parse(encode(nil, nonce, w)); err != nil || n2 != nonce || w2 != w {
+		if n2, w2, err := parseStamp(appendStamp(nil, nonce, w)); err != nil || n2 != nonce || w2 != w {
 			t.Fatalf("kind %d: (%d, %d) re-encodes to (%d, %d), %v", kind, nonce, w, n2, w2, err)
 		}
 	case msgBatch:
@@ -166,16 +162,16 @@ func FuzzReplnetParse(f *testing.F) {
 		{msgHello, appendHello(nil, "follower-1")},
 		{msgHello, appendHello(nil, "")},
 		{msgWelcome, appendWelcome(nil, 42)},
-		{msgHeartbeat, appendHeartbeat(nil, -5, 1<<40)},
-		{msgAck, appendAck(nil, 0, 17)},
+		{msgHeartbeat, appendStamp(nil, -5, 1<<40)},
+		{msgAck, appendStamp(nil, 0, 17)},
 		{msgBatch, batch},
 		{msgBatch, batchPayload(f, repl.Batch{Epoch: 3})},
 		{msgBye, []byte{byeClosed}},
 	}
 	stream := frame(f, msgs...)
 	f.Add(stream)
-	f.Add(stream[:len(stream)-1]) // truncated inside the last message
-	f.Add(stream[:msgHdrBytes-2]) // truncated inside the first header
+	f.Add(stream[:len(stream)-1])        // truncated inside the last message
+	f.Add(stream[:repl.FrameHdrBytes-2]) // truncated inside the first header
 	f.Add([]byte{})
 	for _, m := range msgs {
 		f.Add(m.payload)

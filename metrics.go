@@ -215,7 +215,7 @@ func (db *DB) Expvar() func() any {
 // TraceEvents returns a copy of the phase-trace ring, oldest first: every
 // checkpoint Prepare/Commit with its measured stop-the-world window, the
 // coordinator-record fence, journal release barriers, recovery and
-// transaction replay, snapshot anchors, and replica apply/resync (see
+// transaction replay, snapshot anchors, and follower applies (see
 // internal/obs). The ring keeps the most recent events; on a crash-test
 // failure, dump it (DumpTrace) to see the protocol steps leading in.
 func (db *DB) TraceEvents() []obs.Event {
@@ -244,9 +244,20 @@ func (db *DB) registry() *obs.Registry {
 	return db.reg
 }
 
+// addSeries registers f's series on the registry now, if it is built, and
+// on every rebuild after.
+func (db *DB) addSeries(f func(*obs.Registry)) {
+	db.regMu.Lock()
+	defer db.regMu.Unlock()
+	db.extraReg = append(db.extraReg, f)
+	if db.reg != nil {
+		f(db.reg)
+	}
+}
+
 // resetRegistry drops the built registry so the next scrape rebuilds it
-// against the live engine. Extra registrations (replica gauges) replay on
-// rebuild.
+// against the live engine. Extra registrations (replication gauges)
+// replay on rebuild.
 func (db *DB) resetRegistry() {
 	db.regMu.Lock()
 	db.reg = nil
@@ -424,26 +435,4 @@ func (db *DB) WriteMetricsHistory(w io.Writer) error {
 	enc := json.NewEncoder(w)
 	enc.SetIndent("", "  ")
 	return enc.Encode(db.MetricsHistory())
-}
-
-// registerReplicaGauges adds the follower-side lag series to this DB's
-// registry: a replica is scraped as its own process, reporting how far it
-// trails the primary's released horizon. Called once per bootstrap; a
-// Resync builds a fresh follower DB (fresh registry), so the series never
-// collide.
-func (db *DB) registerReplicaGauges(r *Replica) {
-	f := func(reg *obs.Registry) {
-		reg.Gauge("incll_replica_applied_epoch", "Last released epoch the replica has fully applied and committed.", "",
-			func() int64 { return int64(r.AppliedEpoch()) })
-		reg.Gauge("incll_replica_lag_epochs", "Released epochs the replica has not yet applied.", "",
-			func() int64 { return int64(r.Lag().Epochs) })
-		reg.Gauge("incll_replica_lag_bytes", "Released change bytes the replica has not yet consumed.", "",
-			func() int64 { return int64(r.Lag().Bytes) })
-	}
-	db.regMu.Lock()
-	db.extraReg = append(db.extraReg, f)
-	if db.reg != nil {
-		f(db.reg)
-	}
-	db.regMu.Unlock()
 }

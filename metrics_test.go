@@ -91,40 +91,39 @@ func TestMetricsEndToEnd(t *testing.T) {
 }
 
 // TestReplicaLagGauges is the replication half of the acceptance gate: a
-// follower serves its own lag gauges, and after CatchUp the lag reads
-// zero while the applied-epoch watermark tracks the primary.
+// loopback follower serves its own applied-epoch and lag gauges, and
+// after catch-up its lag reads zero while the applied-epoch watermark
+// tracks the primary; the primary serves the follower's byte lag.
 func TestReplicaLagGauges(t *testing.T) {
 	primary, _ := Open(Options{ArenaWords: 1 << 22})
 	defer primary.Close()
 	for i := uint64(0); i < 300; i++ {
 		primary.Put(Key(i), i)
 	}
-	rep, err := NewReplica(primary, Options{ArenaWords: 1 << 22})
-	if err != nil {
-		t.Fatalf("NewReplica: %v", err)
-	}
-	defer rep.Close()
+	rs := serveRepl(t, primary)
+	f := followT(t, rs.Addr().String(), FollowerOptions{ID: "replica", Options: Options{ArenaWords: 1 << 22}})
+	defer f.Close()
 	for i := uint64(300); i < 400; i++ {
 		primary.Put(Key(i), i)
 	}
 	primary.Checkpoint()
-	if err := rep.CatchUp(); err != nil {
-		t.Fatalf("CatchUp: %v", err)
+	if err := f.WaitWatermark(primary.ReleasedEpoch(), 15*time.Second); err != nil {
+		t.Fatalf("WaitWatermark: %v", err)
 	}
 
-	exp := scrape(t, rep.DB())
-	applied, err := exp.Value("incll_replica_applied_epoch")
+	exp := scrape(t, f.DB())
+	applied, err := exp.Value("incll_replnet_applied_epoch")
 	if err != nil || applied == 0 {
-		t.Fatalf("replica applied epoch = %v, %v; want > 0", applied, err)
+		t.Fatalf("follower applied epoch = %v, %v; want > 0", applied, err)
 	}
-	if lag, err := exp.Value("incll_replica_lag_epochs"); err != nil || lag != 0 {
-		t.Fatalf("replica lag after CatchUp = %v, %v; want 0", lag, err)
+	if lag, err := exp.Value("incll_replnet_lag_epochs"); err != nil || lag != 0 {
+		t.Fatalf("follower lag after catch-up = %v, %v; want 0", lag, err)
 	}
-	if _, err := exp.Value("incll_replica_lag_bytes"); err != nil {
-		t.Fatalf("replica lag bytes: %v", err)
-	}
-	if want := float64(rep.AppliedEpoch()); applied != want {
+	if want := float64(f.AppliedEpoch()); applied != want {
 		t.Fatalf("gauge applied epoch %v != AppliedEpoch %v", applied, want)
+	}
+	if _, err := scrape(t, primary).Value("incll_replnet_peer_lag_bytes", "peer", "replica"); err != nil {
+		t.Fatalf("primary's follower lag bytes: %v", err)
 	}
 }
 

@@ -206,6 +206,44 @@ func TestRestoreRejectsTruncation(t *testing.T) {
 	}
 }
 
+// TestReplicationRejectsInvalidOptions: options Open would panic on are
+// an error from Restore and FollowPrimary, returned before anything is
+// opened or dialed — a bad follower config never panics a client
+// goroutine and kills the process.
+func TestReplicationRejectsInvalidOptions(t *testing.T) {
+	src, _ := Open(Options{})
+	defer src.Close()
+	src.Put(Key(1), 1)
+	var snap bytes.Buffer
+	if _, err := src.Snapshot(&snap); err != nil {
+		t.Fatal(err)
+	}
+	rs := serveRepl(t, src)
+	bad := Options{Shards: MaxShards + 1}
+	for _, tc := range []struct {
+		name string
+		call func() error
+	}{
+		{"Restore", func() error {
+			_, _, err := Restore(bytes.NewReader(snap.Bytes()), bad)
+			return err
+		}},
+		{"FollowPrimary", func() error {
+			_, err := FollowPrimary(rs.Addr().String(), FollowerOptions{Options: bad, ReadyTimeout: 5 * time.Second})
+			return err
+		}},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			if err := tc.call(); !errors.Is(err, ErrTooManyShards) {
+				t.Fatalf("err = %v, want ErrTooManyShards", err)
+			}
+		})
+	}
+	if n := rs.Stats().Accepts; n != 0 {
+		t.Fatalf("primary accepted %d connections from an invalid follower", n)
+	}
+}
+
 // TestChangesStream exercises the façade CDC subscription: batches appear
 // only at checkpoint commits, tagged with committed epochs, and a clean
 // Close drains before ErrStreamClosed.
@@ -281,9 +319,9 @@ func TestTxnCommitsAppearInStream(t *testing.T) {
 	}
 }
 
-// TestReplicaCatchUpAndPromote runs a replica under live write load,
-// checks lag reporting, and promotes it to a writable primary equal to
-// the source.
+// TestReplicaCatchUpAndPromote runs a loopback follower under live write
+// load, checks lag reporting on both ends of the stream, and promotes it
+// to a writable primary equal to the source.
 func TestReplicaCatchUpAndPromote(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		t.Run(fmt.Sprintf("shards%d", shards), func(t *testing.T) {
@@ -293,11 +331,10 @@ func TestReplicaCatchUpAndPromote(t *testing.T) {
 			}
 			primary.StartCheckpointer()
 
-			rep, err := NewReplica(primary, Options{Shards: 1})
-			if err != nil {
-				t.Fatal(err)
-			}
-			// Write through while the replica follows.
+			rs := serveRepl(t, primary)
+			f := followT(t, rs.Addr().String(), FollowerOptions{ID: "replica", Options: Options{Shards: 1}})
+			defer f.Close()
+			// Write through while the follower follows.
 			h := primary.Handle(1)
 			for i := 0; i < 5000; i++ {
 				k := Key(uint64(i % 3000))
@@ -309,15 +346,20 @@ func TestReplicaCatchUpAndPromote(t *testing.T) {
 			}
 			primary.StopCheckpointer()
 			primary.Checkpoint()
-			if err := rep.CatchUp(); err != nil {
+			rel := primary.ReleasedEpoch()
+			if err := f.WaitWatermark(rel, 15*time.Second); err != nil {
 				t.Fatal(err)
 			}
-			if lag := rep.Lag(); lag.Epochs != 0 || lag.Bytes != 0 {
-				t.Fatalf("lag after CatchUp: %+v", lag)
+			if lag := f.Lag(); lag.Epochs != 0 {
+				t.Fatalf("lag after catch-up: %+v", lag)
 			}
-			requireEqualDBs(t, primary, rep.DB())
+			waitCond(t, "primary sees the follower caught up", func() bool {
+				ps := rs.Peers()
+				return len(ps) == 1 && ps[0].AckedEpoch >= rel && ps[0].LagEpochs == 0 && ps[0].LagBytes == 0
+			})
+			requireEqualDBs(t, primary, f.DB())
 
-			promoted, err := rep.Promote()
+			promoted, err := f.Promote()
 			if err != nil {
 				t.Fatal(err)
 			}
@@ -333,25 +375,24 @@ func TestReplicaCatchUpAndPromote(t *testing.T) {
 }
 
 // TestReplicaLosesStreamOnPrimaryCrash: a primary crash severs the
-// volatile journal; the replica reports ErrStreamLost, still holds an
-// exact committed prefix, and Resync against the reopened primary
-// reconverges to full equality.
+// stream; the follower notices, still holds the exact committed prefix
+// the recovered primary holds, and a fresh follow of the reopened
+// primary reconverges to full equality.
 func TestReplicaLosesStreamOnPrimaryCrash(t *testing.T) {
 	primary, _ := Open(Options{Shards: 2})
 	for i := 0; i < 1000; i++ {
 		primary.Put(Key(uint64(i)), uint64(i))
 	}
-	rep, err := NewReplica(primary, Options{Shards: 2})
-	if err != nil {
-		t.Fatal(err)
-	}
-	defer rep.Close()
+	rs := serveRepl(t, primary)
+	f := followT(t, rs.Addr().String(), FollowerOptions{ID: "replica", Options: Options{Shards: 2}})
+	defer f.Close()
 
 	for i := 0; i < 500; i++ {
 		primary.Put(Key(uint64(i)), uint64(i)+7_000_000)
 	}
 	primary.Checkpoint()
-	if err := rep.CatchUp(); err != nil {
+	rel := primary.ReleasedEpoch()
+	if err := f.WaitWatermark(rel, 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
 
@@ -360,19 +401,23 @@ func TestReplicaLosesStreamOnPrimaryCrash(t *testing.T) {
 		primary.Put(Key(uint64(i)), 42)
 	}
 	primary.SimulateCrash(0.5, 99)
-
-	rep.app.waitUntil(5*time.Second, func() bool { return rep.app.err != nil })
-	if err := rep.Err(); !errors.Is(err, ErrStreamLost) {
-		t.Fatalf("replica error after crash: %v, want ErrStreamLost", err)
+	waitCond(t, "follower noticed the dead primary", func() bool {
+		down, _ := f.Down()
+		return down && !f.Connected()
+	})
+	if got := f.AppliedEpoch(); got != rel {
+		t.Fatalf("applied epoch %d after the crash, want the last released %d", got, rel)
 	}
 
 	reopened, _ := primary.Reopen()
-	if err := rep.Resync(reopened); err != nil {
+	defer reopened.Close()
+	requireEqualDBs(t, reopened, f.DB())
+
+	rs2 := serveRepl(t, reopened)
+	f2 := followT(t, rs2.Addr().String(), FollowerOptions{ID: "replica", Options: Options{Shards: 2}})
+	defer f2.Close()
+	if err := f2.WaitWatermark(reopened.ReleasedEpoch(), 15*time.Second); err != nil {
 		t.Fatal(err)
 	}
-	if err := rep.CatchUp(); err != nil {
-		t.Fatal(err)
-	}
-	requireEqualDBs(t, reopened, rep.DB())
-	reopened.Close()
+	requireEqualDBs(t, reopened, f2.DB())
 }

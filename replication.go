@@ -1,9 +1,9 @@
 package incll
 
-// Checkpoint-anchored replication: online snapshots, change streams, and
-// the catch-up replica. The paper's contribution is a cheap, always-
-// available consistency point — the per-epoch checkpoint — and this file
-// is what lets that consistency point leave the process:
+// Checkpoint-anchored replication: online snapshots and change streams.
+// The paper's contribution is a cheap, always-available consistency point
+// — the per-epoch checkpoint — and this file is what lets that
+// consistency point leave the process:
 //
 //   - DB.Snapshot streams a consistent full copy of a live DB to any
 //     io.Writer, anchored at a globally committed epoch, without ever
@@ -13,11 +13,11 @@ package incll
 //     coordinated checkpoint commits.
 //   - Restore rebuilds a DB from a snapshot stream (into any shard
 //     count), verifying it end to end.
-//   - NewReplica composes the three into an asynchronous follower that
-//     bootstraps from a snapshot, applies the live stream, reports lag,
-//     and can be promoted to primary.
 //
-// See internal/repl and DESIGN.md §10 for the protocol and wire format.
+// The follower that composes the three — bootstrap from a snapshot, apply
+// the live stream, report lag, promote — is Follower (replserve.go); an
+// in-process follower is a Follower of a loopback ServeReplication. See
+// internal/repl and DESIGN.md §10 for the protocol and wire format.
 
 import (
 	"io"
@@ -32,7 +32,7 @@ import (
 var (
 	// ErrStreamLost means a change-stream subscriber fell behind the
 	// journal's byte budget or the primary crashed; re-bootstrap from a
-	// fresh snapshot (Replica does this via Resync).
+	// fresh snapshot (a Follower does this by reconnecting).
 	ErrStreamLost = repl.ErrStreamLost
 	// ErrStreamClosed means the primary shut down cleanly and the stream
 	// has been fully drained.
@@ -191,11 +191,16 @@ func (db *DB) Snapshot(w io.Writer) (SnapshotInfo, error) {
 // verified end to end — per-frame checksums, record counts, and the
 // stream's record checksum — and the restored state is committed only
 // after full verification: a truncated or corrupt stream returns
-// ErrBadStream and never a silently wrong DB.
+// ErrBadStream and never a silently wrong DB. Options that fail
+// Options.Validate return its error before anything is opened.
 func Restore(r io.Reader, opts Options) (*DB, SnapshotInfo, error) {
+	if err := opts.Validate(); err != nil {
+		return nil, SnapshotInfo{}, err
+	}
 	db, _ := Open(opts)
 	info, err := repl.Restore(r, dbTarget(db).Target)
 	if err != nil {
+		db.Close()
 		return nil, info, err
 	}
 	return db, info, nil
@@ -220,153 +225,5 @@ func dbTarget(db *DB) applyTarget {
 			db.trace.Record(obs.EvReplicaApply, -1, horizon, took, int64(nb))
 			return nil
 		},
-	}
-}
-
-// ReplicaLag quantifies how far a replica trails its primary.
-type ReplicaLag struct {
-	// Epochs is the number of globally committed epochs the primary has
-	// released that the replica has not yet fully applied.
-	Epochs uint64
-	// Bytes is the released change-entry bytes not yet applied.
-	Bytes uint64
-}
-
-// Replica is an asynchronous follower: a DB bootstrapped from a snapshot
-// of the primary that applies the live change stream in the background,
-// checkpointing after each released batch — so at every moment its state
-// is exactly the primary's at some committed epoch (AppliedEpoch), never
-// a torn mixture. Reads on DB() are safe concurrently with the apply
-// loop; use CatchUp for a moment of equality with a given horizon, and
-// Promote to turn the follower into a standalone primary.
-type Replica struct {
-	opts Options
-	app  *applier // the snapshot-then-tail protocol and its progress state
-
-	// Guarded by app.mu; swapped by each bootstrap together with the
-	// applier's progress reset.
-	db   *DB
-	done chan struct{} // closed when the generation's tail goroutine exits
-}
-
-// NewReplica bootstraps a follower of primary: it subscribes to the
-// change stream, streams a snapshot into a fresh DB built with opts (any
-// shard count), and starts the background apply loop. Returns once the
-// bootstrap is complete (the replica is exact at the snapshot's anchor
-// epoch and catching up from there).
-func NewReplica(primary *DB, opts Options) (*Replica, error) {
-	r := &Replica{opts: opts, app: newApplier()}
-	if err := r.bootstrap(primary); err != nil {
-		return nil, err
-	}
-	return r, nil
-}
-
-// bootstrap restores a fresh follower from src and starts tailing src's
-// change feed into it until the feed ends.
-func (r *Replica) bootstrap(src snapshotSource) error {
-	db, _ := Open(r.opts)
-	done := make(chan struct{})
-	// The follower is swapped in under the applier's lock: a monitoring
-	// goroutine may be reading Lag/AppliedEpoch/Err concurrently with a
-	// Resync.
-	info, err := r.app.bootstrap(src, dbTarget(db), func() error {
-		r.db, r.done = db, done
-		return nil
-	})
-	if err != nil {
-		db.Close()
-		return err
-	}
-	// The bootstrap (and every Resync) shows up in the follower's own
-	// phase trace, and the follower serves its own lag gauges: a replica
-	// is scraped as its own process, not through the primary.
-	db.trace.Record(obs.EvReplicaResync, -1, info.AnchorEpoch, 0, int64(info.Keys))
-	db.registerReplicaGauges(r)
-	go func() {
-		defer close(done)
-		r.app.fail(r.app.tail(tailForever))
-	}()
-	return nil
-}
-
-// DB returns the follower store for reads. Writing to it (other than by
-// the apply loop) forfeits the equality guarantee; Promote first. The
-// identity changes across Resync.
-func (r *Replica) DB() *DB {
-	r.app.mu.RLock()
-	defer r.app.mu.RUnlock()
-	return r.db
-}
-
-// AppliedEpoch returns the last released epoch the replica has fully
-// applied and committed: the replica's state equals the primary's at this
-// epoch's checkpoint commit.
-func (r *Replica) AppliedEpoch() uint64 { return r.app.state().applied }
-
-// AppliedBytes returns the change bytes applied since bootstrap.
-func (r *Replica) AppliedBytes() uint64 { return r.app.state().bytes }
-
-// Err returns the apply loop's terminal error, if it has stopped:
-// ErrStreamClosed after a clean primary shutdown (fully drained),
-// ErrStreamLost after a primary crash or journal overrun (Resync to
-// recover), nil while running.
-func (r *Replica) Err() error { return r.app.state().err }
-
-// Lag reports how far the replica trails the primary's released horizon,
-// in epochs and change bytes.
-func (r *Replica) Lag() ReplicaLag {
-	st := r.app.state()
-	return ReplicaLag{Epochs: st.behind(st.feed.Released()), Bytes: st.feed.PendingBytes()}
-}
-
-// CatchUp blocks until the replica has applied everything the primary had
-// released at the moment of the call (later releases may keep arriving).
-// Returns the stream's terminal error if it ends before reaching that
-// horizon.
-func (r *Replica) CatchUp() error {
-	return r.app.wait(r.app.state().feed.Released(), waitForever)
-}
-
-// Promote turns the follower into a standalone primary: it applies
-// everything the primary has released (failing with the stream's terminal
-// error if the stream was lost short of that), detaches from the stream,
-// and returns the follower DB, now safe to write. The Replica must not be
-// used afterwards.
-func (r *Replica) Promote() (*DB, error) {
-	if err := r.CatchUp(); err != nil {
-		return nil, err
-	}
-	db := r.detach()
-	return db, nil
-}
-
-// detach stops the apply loop and takes ownership of the follower.
-func (r *Replica) detach() *DB {
-	r.app.mu.Lock()
-	feed, done, db := r.app.feed, r.done, r.db
-	r.db = nil
-	r.app.mu.Unlock()
-	feed.Close()
-	<-done
-	return db
-}
-
-// Resync re-bootstraps the replica from primary (typically after the old
-// primary crashed and was reopened, which loses the volatile change
-// journal): the current follower is discarded and a fresh snapshot
-// bootstrap runs against the given primary. The follower DB identity
-// changes; re-fetch it with DB().
-func (r *Replica) Resync(primary *DB) error {
-	if db := r.detach(); db != nil {
-		db.Close()
-	}
-	return r.bootstrap(primary)
-}
-
-// Close stops the apply loop and shuts the follower down cleanly.
-func (r *Replica) Close() {
-	if db := r.detach(); db != nil {
-		db.Close()
 	}
 }

@@ -9,7 +9,7 @@ package incll
 //   - FollowPrimary runs a networked follower: it dials the primary,
 //     restores the snapshot into a fresh local DB, applies the live
 //     stream (checkpointing at released-batch boundaries — the same
-//     applier the in-process Replica runs), and reconnects with jittered
+//     applier DB.Reshard runs), and reconnects with jittered
 //     exponential backoff — every reconnect is a full re-bootstrap,
 //     because the primary's change journal cannot replay from an
 //     arbitrary past epoch.
@@ -210,15 +210,25 @@ func (db *DB) registerReplnetServerGauges() {
 	db.netGaugesOn = true
 	db.netMu.Unlock()
 
-	cur := func() *replnet.Server { return db.netCur.Load() }
-	stat := func(read func(replnet.Stats) int64) func() int64 {
+	// onServer reads one series off the current server (zero while none).
+	onServer := func(read func(*replnet.Server) int64) func() int64 {
 		return func() int64 {
-			s := cur()
-			if s == nil {
-				return 0
+			if s := db.netCur.Load(); s != nil {
+				return read(s)
 			}
-			return read(s.Stats())
+			return 0
 		}
+	}
+	stat := func(read func(replnet.Stats) int64) func() int64 {
+		return onServer(func(s *replnet.Server) int64 { return read(s.Stats()) })
+	}
+	maxPeer := func(read func(PeerStatus) int64) func() int64 {
+		return onServer(func(s *replnet.Server) (top int64) {
+			for _, p := range s.PeersSnapshot() {
+				top = max(top, read(p))
+			}
+			return top
+		})
 	}
 	f := func(reg *obs.Registry) {
 		reg.Gauge("incll_replnet_peers",
@@ -238,34 +248,10 @@ func (db *DB) registerReplnetServerGauges() {
 			stat(func(s replnet.Stats) int64 { return s.SentBytes }))
 		reg.Gauge("incll_replnet_max_peer_lag_epochs",
 			"Largest released-epoch lag across connected followers.", "",
-			func() int64 {
-				s := cur()
-				if s == nil {
-					return 0
-				}
-				var max uint64
-				for _, p := range s.PeersSnapshot() {
-					if p.LagEpochs > max {
-						max = p.LagEpochs
-					}
-				}
-				return int64(max)
-			})
+			maxPeer(func(p PeerStatus) int64 { return int64(p.LagEpochs) }))
 		reg.Gauge("incll_replnet_max_queue_depth",
 			"Deepest per-peer send queue (batches) across connected followers.", "",
-			func() int64 {
-				s := cur()
-				if s == nil {
-					return 0
-				}
-				var max int
-				for _, p := range s.PeersSnapshot() {
-					if p.QueueDepth > max {
-						max = p.QueueDepth
-					}
-				}
-				return int64(max)
-			})
+			maxPeer(func(p PeerStatus) int64 { return int64(p.QueueDepth) }))
 		reg.Histogram("incll_replnet_heartbeat_rtt_seconds",
 			"Heartbeat round-trip time to followers.", "", db.netRTTHist(), 1e-9)
 		tl := db.propagation()
@@ -275,12 +261,7 @@ func (db *DB) registerReplnetServerGauges() {
 				obs.Labels("stage", st.String()), tl.StageHist(st), 1e-9)
 		}
 	}
-	db.regMu.Lock()
-	db.extraReg = append(db.extraReg, f)
-	if db.reg != nil {
-		f(db.reg)
-	}
-	db.regMu.Unlock()
+	db.addSeries(f)
 }
 
 // registerReplnetPeerGauges registers the labeled per-peer series the
@@ -330,12 +311,7 @@ func (db *DB) registerReplnetPeerGauges(id string) {
 			"Checkpoint commit to this follower's durable-apply ack, stamped on the primary clock (see DESIGN.md §15).",
 			labels, db.propagation().PeerHist(id), 1e-9)
 	}
-	db.regMu.Lock()
-	db.extraReg = append(db.extraReg, f)
-	if db.reg != nil {
-		f(db.reg)
-	}
-	db.regMu.Unlock()
+	db.addSeries(f)
 }
 
 // --- follower side ---------------------------------------------------------
@@ -391,10 +367,10 @@ func (r *storeRef) release() {
 	}
 }
 
-// Follower is a networked replica: a local DB kept converging to a
-// remote primary over TCP. Its state is always the primary's at some
-// committed epoch boundary after each applied batch (it runs the same
-// applier as the in-process Replica, fed by the transport client); its
+// Follower is a replica: a local DB kept converging to a primary over
+// TCP — another process, or this one through a loopback ServeReplication.
+// Its state is always the primary's at some committed epoch boundary
+// after each applied batch (the applier, fed by the transport client); its
 // applied watermark gates reads for the read-your-writes contract. The
 // follower DB's identity changes across reconnects (every reconnect is a
 // fresh snapshot bootstrap) — read through GetBytes or pin a store for a
@@ -453,8 +429,12 @@ func (f *Follower) pin() (st *storeRef, applied uint64, ok bool) {
 // and blocks until its first snapshot bootstrap completes (bounded by
 // ReadyTimeout). The returned follower keeps itself converged in the
 // background and reconnects (with a full re-bootstrap) whenever the
-// connection, the stream, or the primary fails.
+// connection, the stream, or the primary fails. Store options that fail
+// Options.Validate return its error before anything is dialed.
 func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
+	if err := o.Options.Validate(); err != nil {
+		return nil, err
+	}
 	if o.ReadyTimeout <= 0 {
 		o.ReadyTimeout = 30 * time.Second
 	}
@@ -575,8 +555,16 @@ func (f *Follower) Down() (bool, time.Duration) {
 // Reconnects counts sessions ended (dial failures included).
 func (f *Follower) Reconnects() int64 { return f.cli.Reconnects() }
 
+// ReplicaLag quantifies how far a follower trails its primary.
+type ReplicaLag struct {
+	// Epochs is the number of globally committed epochs the primary has
+	// released that the follower has not yet fully applied.
+	Epochs uint64
+}
+
 // Lag reports how far the follower trails the primary's last-heard
-// released horizon.
+// released horizon. The primary's ReplServer.Peers reports each
+// follower's lag in change bytes too.
 func (f *Follower) Lag() ReplicaLag {
 	return ReplicaLag{Epochs: f.app.state().behind(f.cli.PrimaryReleased())}
 }
@@ -606,10 +594,11 @@ func (f *Follower) WaitWatermark(epoch uint64, timeout time.Duration) error {
 }
 
 // Promote stops following and returns the follower store as a
-// standalone primary, exact at AppliedEpoch. Unlike the in-process
-// Replica.Promote there is no catch-up first — promotion happens
-// because the primary is gone; whatever it released but never delivered
-// is lost with it (the usual asynchronous-failover contract). The
+// standalone primary, exact at AppliedEpoch. There is no catch-up first
+// — promotion happens because the primary is gone; whatever it released
+// but never delivered is lost with it (the usual asynchronous-failover
+// contract; a caller promoting off a live primary waits with
+// WaitWatermark for its ReleasedEpoch first). The
 // Follower must not be used afterwards; the returned DB can
 // ServeReplication so the remaining followers (and the rejoining old
 // primary) resync to it.
@@ -684,10 +673,5 @@ func (db *DB) registerFollowerGauges(f *Follower) {
 				return 0
 			})
 	}
-	db.regMu.Lock()
-	db.extraReg = append(db.extraReg, g)
-	if db.reg != nil {
-		g(db.reg)
-	}
-	db.regMu.Unlock()
+	db.addSeries(g)
 }

@@ -229,7 +229,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	// Snapshot copy, then tail, through the applier: the replication path
 	// pointed back at this process, with the next topology as its target.
 	app := newApplier()
-	info, err := app.bootstrap(db, db.reshardTarget(target, app), nil)
+	info, err := app.bootstrap(db, db.reshardTarget(target, app))
 	if err != nil {
 		return fail(err)
 	}
