@@ -128,65 +128,3 @@ func TestFlushCostExperimentShape(t *testing.T) {
 		t.Fatalf("flush fraction %.4f out of plausible range", row.Values["fraction"])
 	}
 }
-
-func TestShardedRunCountsEveryOpOnSomeShard(t *testing.T) {
-	cfg := quickCfg(INCLL, ycsb.A, ycsb.Uniform)
-	cfg.Shards = 4
-	cfg.EpochInterval = time.Millisecond // quick run must still cross boundaries
-	r := Run(cfg)
-	if r.Throughput <= 0 {
-		t.Fatalf("sharded throughput %f", r.Throughput)
-	}
-	if len(r.PerShardOps) != 4 {
-		t.Fatalf("PerShardOps has %d entries", len(r.PerShardOps))
-	}
-	var total int64
-	for i, n := range r.PerShardOps {
-		if n == 0 {
-			t.Fatalf("shard %d served no operations; router not spreading", i)
-		}
-		total += n
-	}
-	if total != r.Ops {
-		t.Fatalf("per-shard ops sum to %d, ran %d", total, r.Ops)
-	}
-	if r.Advances == 0 {
-		t.Fatal("global ticker never advanced")
-	}
-}
-
-func TestTxnRMWMode(t *testing.T) {
-	cfg := quickCfg(INCLL, ycsb.A, ycsb.Uniform)
-	cfg.TxnMode = TxnRMW
-	cfg.OpsPerThread = 5_000
-	r := Run(cfg)
-	if r.Txns <= 0 {
-		t.Fatal("no transactions committed")
-	}
-	if r.TxnThroughput <= 0 {
-		t.Fatalf("txn throughput %f", r.TxnThroughput)
-	}
-	// YCSB-A is half puts, so roughly half the ops become RMW commits
-	// (conflict retries only add commits beyond that).
-	if r.Txns < r.Ops/3 {
-		t.Fatalf("committed %d txns over %d ops; RMW mode not engaged", r.Txns, r.Ops)
-	}
-}
-
-func TestTxnTransferModeConservesSum(t *testing.T) {
-	for _, shards := range []int{1, 4} {
-		cfg := quickCfg(INCLL, ycsb.A, ycsb.Zipfian)
-		cfg.Shards = shards
-		cfg.TxnMode = TxnTransfer
-		cfg.TreeSize = 5_000
-		cfg.OpsPerThread = 3_000
-		r := Run(cfg)
-		if r.Txns <= 0 {
-			t.Fatalf("shards=%d: no transfers committed", shards)
-		}
-		if !r.SumConserved {
-			t.Fatalf("shards=%d: bank total not conserved after %d transfers (%d conflicts)",
-				shards, r.Txns, r.TxnConflicts)
-		}
-	}
-}

@@ -15,8 +15,9 @@ import (
 
 // BatchSource is the primary-side feed one peer streams from: a pinned
 // change-stream subscription created by the bootstrap callback
-// (*repl.Subscription implements it). Next blocks until the next released
-// batch; the per-peer collector goroutine owns it.
+// (*repl.Subscription implements it), unpinned when the peer's first ack
+// arrives. Next blocks until the next released batch; the per-peer
+// collector goroutine owns it.
 type BatchSource interface {
 	Next() (repl.Batch, error)
 	Released() uint64
@@ -635,7 +636,7 @@ func (pe *peer) lingerClose() {
 // read consumes acks, updating liveness, applied-epoch, and RTT state.
 func (pe *peer) read() {
 	defer close(pe.readerDone)
-	for {
+	for first := true; ; first = false {
 		kind, p, err := pe.mc.readMsg()
 		if err != nil {
 			if pe.closing.Load() {
@@ -656,6 +657,12 @@ func (pe *peer) read() {
 		if err != nil {
 			pe.kill(err)
 			return
+		}
+		if first {
+			// The follower acks only once its snapshot restore is done: the
+			// bootstrap window is over, and from here on the peer is an
+			// active consumer, subject to the normal journal budget.
+			pe.src.Unpin()
 		}
 		pe.lastAck.Store(time.Now().UnixNano())
 		pe.ackedEpoch.Store(applied)

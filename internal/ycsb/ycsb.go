@@ -6,7 +6,7 @@
 //	YCSB-A  write heavy   50% put / 50% get
 //	YCSB-B  read heavy     5% put / 95% get
 //	YCSB-C  read only          100% get
-//	YCSB-E  scan heavy    95% scan / 5% insert, generated scan lengths
+//	YCSB-E  scan heavy    95% scan / 5% insert, ScanLength-key scans
 package ycsb
 
 import (
@@ -26,9 +26,8 @@ const (
 	B
 	// C is read-only.
 	C
-	// E is scan-heavy, the YCSB spec's shape: 95% range scans (lengths
-	// drawn from the scan-length generator, default a constant
-	// ScanLength), 5% inserts.
+	// E is scan-heavy, the YCSB spec's shape: 95% range scans of
+	// ScanLength keys, 5% inserts.
 	E
 )
 
@@ -66,64 +65,8 @@ func (d Distribution) String() string {
 	return "uniform"
 }
 
-// ScanLength is the default YCSB-E scan length (the constant the
-// pre-parameterized workload used; see Generator.SetScanLength).
+// ScanLength is the number of keys every YCSB-E scan visits.
 const ScanLength = 10
-
-// SizeDist selects a value-payload size distribution for byte-valued
-// workloads (the harness's -valuesize runs).
-type SizeDist int
-
-const (
-	// SizeConstant makes every value exactly the configured size —
-	// memcached-style fixed objects.
-	SizeConstant SizeDist = iota
-	// SizeZipfian draws sizes from 1..max with zipfian(0.99) skew toward
-	// small values, the shape of real object-cache populations.
-	SizeZipfian
-)
-
-// String names the distribution for flags and reports.
-func (d SizeDist) String() string {
-	if d == SizeZipfian {
-		return "zipfian"
-	}
-	return "constant"
-}
-
-// SizeGen draws value sizes. Not safe for concurrent use; give each worker
-// its own (Next consumes the worker's rng).
-type SizeGen struct {
-	dist SizeDist
-	max  int
-	zipf *zipfGen
-}
-
-// NewSizeGen creates a generator for values of up to max bytes.
-func NewSizeGen(d SizeDist, max int) *SizeGen {
-	if max < 1 {
-		max = 1
-	}
-	g := &SizeGen{dist: d, max: max}
-	if d == SizeZipfian {
-		g.zipf = newZipfGen(uint64(max), ZipfTheta)
-	}
-	return g
-}
-
-// Next draws the next value size in bytes, in [1, max].
-func (g *SizeGen) Next(rng *rand.Rand) int {
-	if g.dist == SizeConstant {
-		return g.max
-	}
-	// zipf.next can return n itself at the float boundary (the key path
-	// guards this with a modulo); clamp so sizes never exceed max.
-	s := 1 + int(g.zipf.next(rng))
-	if s > g.max {
-		s = g.max
-	}
-	return s
-}
 
 // ZipfTheta is YCSB's default skew.
 const ZipfTheta = 0.99
@@ -156,55 +99,20 @@ type Generator struct {
 	keyspace uint64
 	rng      *rand.Rand
 	zipf     *zipfGen
-
-	scanDist SizeDist
-	scanMax  int
-	scanZipf *zipfGen
 }
 
-// NewGenerator creates a generator over keys [0, keyspace). Scans default
-// to a constant ScanLength; see SetScanLength.
+// NewGenerator creates a generator over keys [0, keyspace).
 func NewGenerator(w Workload, d Distribution, keyspace uint64, seed int64) *Generator {
 	g := &Generator{
 		workload: w,
 		dist:     d,
 		keyspace: keyspace,
 		rng:      rand.New(rand.NewSource(seed)),
-		scanDist: SizeConstant,
-		scanMax:  ScanLength,
 	}
 	if d == Zipfian {
 		g.zipf = newZipfGen(keyspace, ZipfTheta)
 	}
 	return g
-}
-
-// SetScanLength parameterizes YCSB-E's scan lengths: every scan exactly
-// max keys (SizeConstant), or zipfian(0.99)-skewed lengths in 1..max —
-// the YCSB spec's short-scan-heavy shape (SizeZipfian).
-func (g *Generator) SetScanLength(d SizeDist, max int) {
-	if max < 1 {
-		max = 1
-	}
-	g.scanDist, g.scanMax = d, max
-	g.scanZipf = nil
-	if d == SizeZipfian {
-		g.scanZipf = newZipfGen(uint64(max), ZipfTheta)
-	}
-}
-
-// nextScanLen draws the next scan length in [1, scanMax].
-func (g *Generator) nextScanLen() int {
-	if g.scanDist == SizeConstant {
-		return g.scanMax
-	}
-	// Like SizeGen.Next: zipf.next can return n itself at the float
-	// boundary; clamp so lengths never exceed the configured max.
-	n := 1 + int(g.scanZipf.next(g.rng))
-	if n > g.scanMax {
-		n = g.scanMax
-	}
-	return n
 }
 
 // Next returns the next operation.
@@ -227,13 +135,12 @@ func (g *Generator) Next() Op {
 			// The spec's 5% inserts: draw from a fresh band directly above
 			// the preloaded keyspace, so the run genuinely grows the tree
 			// (splits race the scans) instead of overwriting loaded keys.
-			op := Op{Kind: OpPut, Key: g.keyspace + g.rng.Uint64()%g.keyspace}
-			return op
+			return Op{Kind: OpPut, Key: g.keyspace + g.rng.Uint64()%g.keyspace}
 		}
 	}
 	op := Op{Kind: kind, Key: g.NextKey()}
 	if kind == OpScan {
-		op.ScanLen = g.nextScanLen()
+		op.ScanLen = ScanLength
 	}
 	return op
 }

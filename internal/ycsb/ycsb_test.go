@@ -1,7 +1,9 @@
 package ycsb
 
 import (
+	"fmt"
 	"math"
+	"strings"
 	"testing"
 )
 
@@ -42,34 +44,55 @@ func TestMixRatios(t *testing.T) {
 	}
 }
 
-func TestScanLengthGenerator(t *testing.T) {
-	// Constant: every scan exactly max.
-	g := NewGenerator(E, Uniform, 1000, 7)
-	g.SetScanLength(SizeConstant, 25)
-	for i := 0; i < 1000; i++ {
-		if op := g.Next(); op.Kind == OpScan && op.ScanLen != 25 {
-			t.Fatalf("constant scan length %d, want 25", op.ScanLen)
-		}
+// TestPinnedStreams pins the first 64 ops of two seeded streams — kind,
+// key and scan length (g get, p put, s key/length scan) — so a change to
+// the generator cannot silently change every figure's workload. Every scan
+// has the constant ScanLength, which takes no rng draw.
+func TestPinnedStreams(t *testing.T) {
+	cases := []struct {
+		w    Workload
+		d    Distribution
+		want []string
+	}{
+		{E, Zipfian, []string{
+			"s65976/10 s66416/10 s13500/10 s31856/10 s60434/10 s4705/10 s676/10 s13903/10",
+			"s9713/10 s7604/10 s11927/10 s56422/10 s21111/10 s88492/10 s81048/10 s0/10",
+			"s54071/10 s78789/10 s0/10 s72041/10 s54449/10 s58073/10 s21224/10 s58045/10",
+			"s11927/10 s21111/10 s78789/10 p165387 s70547/10 p119542 s47617/10 s61552/10",
+			"s83913/10 s11507/10 s34952/10 s22197/10 p113702 s59748/10 s45948/10 s76047/10",
+			"s12189/10 s83490/10 s77116/10 s9876/10 s36579/10 s21375/10 s37786/10 s93463/10",
+			"s74730/10 s80491/10 s81314/10 s12008/10 s30568/10 s53549/10 s8831/10 s38636/10",
+			"s0/10 s9282/10 s52638/10 s45233/10 s41259/10 s97268/10 s19324/10 s63252/10",
+		}},
+		{A, Uniform, []string{
+			"g53551 p10051 g67320 p76148 g79449 g69287 g58836 p82873",
+			"p84091 p53331 g49956 p15637 p31109 g31650 g98971 p84443",
+			"g88459 p61739 p38907 g87780 p42716 g23071 p81907 g59062",
+			"g61397 g69721 g64712 p89579 g79825 p43734 g77901 p87610",
+			"g24717 g29479 g31750 g95923 p13702 p7257 g97301 g33018",
+			"p40041 p19021 p58280 p8055 g12453 g58217 p38218 p17514",
+			"g79180 p50071 p56823 p78805 g4765 p63083 g21379 g50113",
+			"g31422 g28189 g587 g30399 p8244 g22529 g47599 g37514",
+		}},
 	}
-	// Zipfian: lengths in [1, max], skewed toward short scans.
-	g = NewGenerator(E, Uniform, 1000, 7)
-	g.SetScanLength(SizeZipfian, 100)
-	short, total := 0, 0
-	for i := 0; i < 20000; i++ {
-		op := g.Next()
-		if op.Kind != OpScan {
-			continue
+	for _, c := range cases {
+		g := NewGenerator(c.w, c.d, 100_000, 1)
+		want := strings.Fields(strings.Join(c.want, " "))
+		for i, w := range want {
+			op := g.Next()
+			var got string
+			switch op.Kind {
+			case OpGet:
+				got = fmt.Sprintf("g%d", op.Key)
+			case OpPut:
+				got = fmt.Sprintf("p%d", op.Key)
+			case OpScan:
+				got = fmt.Sprintf("s%d/%d", op.Key, op.ScanLen)
+			}
+			if got != w {
+				t.Fatalf("%v/%v op %d = %s, want %s", c.w, c.d, i, got, w)
+			}
 		}
-		if op.ScanLen < 1 || op.ScanLen > 100 {
-			t.Fatalf("zipfian scan length %d out of [1, 100]", op.ScanLen)
-		}
-		total++
-		if op.ScanLen <= 10 {
-			short++
-		}
-	}
-	if frac := float64(short) / float64(total); frac < 0.5 {
-		t.Errorf("zipfian lengths not skewed short: %.2f ≤ 10", frac)
 	}
 }
 

@@ -372,3 +372,87 @@ func TestServeReplicationOnClosedDB(t *testing.T) {
 		t.Fatal("ServeReplication on closed DB should fail")
 	}
 }
+
+// smallSendBuffers shrinks each accepted connection's kernel send buffer,
+// so a stalled follower holds back at most a few KiB in the socket.
+type smallSendBuffers struct{ net.Listener }
+
+func (l smallSendBuffers) Accept() (net.Conn, error) {
+	c, err := l.Listener.Accept()
+	if tc, ok := c.(*net.TCPConn); ok {
+		tc.SetWriteBuffer(16 << 10)
+	}
+	return c, err
+}
+
+// TestStalledFollowerIsCutAtBudget: once a networked follower has acked,
+// it is an ordinary consumer of the change journal, so a follower that
+// stops reading and acking is cut when its backlog passes 1× the journal
+// budget — not only at the 4× ceiling that protects a bootstrap in
+// progress — and then re-bootstraps and converges.
+func TestStalledFollowerIsCutAtBudget(t *testing.T) {
+	const budget = 1 << 20
+	db, _ := Open(Options{ChangeJournalBytes: budget})
+	defer db.Close()
+	fillMatrix(t, db, 100, 3)
+	db.Checkpoint()
+
+	// A one-batch send queue and small socket buffers keep what is in
+	// flight to the stalled follower far below the budget; the long ack
+	// deadline keeps the primary from dropping the silent peer before the
+	// budget does.
+	rs, err := db.ServeReplication(smallSendBuffers{listenLoopback(t)}, ReplServerOptions{
+		Heartbeat: 20 * time.Millisecond,
+		DeadAfter: time.Minute,
+		QueueLen:  1,
+	})
+	if err != nil {
+		t.Fatalf("ServeReplication: %v", err)
+	}
+	defer rs.Close()
+	f := followT(t, rs.Addr().String(), FollowerOptions{ID: "f1"})
+	defer f.Close()
+	rel := db.ReleasedEpoch()
+	waitCond(t, "first ack", func() bool {
+		ps := rs.Peers()
+		return len(ps) == 1 && ps[0].AckedEpoch >= rel
+	})
+
+	// Stall the follower: holding its applier's lock blocks the next batch
+	// in apply, so it stops reading the stream and stops acking.
+	f.app.mu.Lock()
+	gen := f.app.gen
+	// Write about 3× the budget over many checkpoints. Peers() is a
+	// consumer-side touch: it collects each released wave, which is when
+	// the budget is enforced.
+	val := make([]byte, 4096)
+	for i := 0; i < 3*budget/len(val); i++ {
+		val[0] = byte(i)
+		if _, err := db.PutBytes([]byte(fmt.Sprintf("lag-%02d", i%64)), val); err != nil {
+			f.app.mu.Unlock()
+			t.Fatal(err)
+		}
+		if i%16 == 15 {
+			db.Checkpoint()
+			rs.Peers()
+		}
+	}
+	db.Checkpoint()
+	rs.Peers()
+	jm := db.Metrics().Journal
+	f.app.mu.Unlock()
+	if jm.Cuts < 1 {
+		t.Fatalf("stalled follower never cut: %d cuts, backlog %d bytes, budget %d", jm.Cuts, jm.BacklogBytes, budget)
+	}
+
+	// The cut session ends with a lost-stream goodbye; the follower
+	// re-bootstraps and converges.
+	if !f.app.waitUntil(15*time.Second, func() bool { return f.app.gen > gen }) {
+		t.Fatalf("follower never re-bootstrapped (generation %d)", gen)
+	}
+	rel = db.ReleasedEpoch()
+	if err := f.WaitWatermark(rel, 10*time.Second); err != nil {
+		t.Fatalf("WaitWatermark(%d): %v (applied %d)", rel, err, f.AppliedEpoch())
+	}
+	requireEqualDBs(t, db, f.DB())
+}
