@@ -206,7 +206,7 @@ func TestApplierSameScriptThroughEveryFrontEnd(t *testing.T) {
 			donor, _ := Open(reshardOpts(2))
 			topts := Options{Shards: 4} // default sizing: room for the script's 8 KB values
 			topts.setDefaults()
-			target, _ := shard.Open(shardConfig(topts, 2, donor.trace, donor.stw, donor.phases))
+			target, _ := shard.Open(shardConfig(topts, 2, donor.tel))
 			app := newApplier()
 			donor.rstate.phase.Store(reshardSnapshot)
 			if _, err := app.bootstrap(src, donor.reshardTarget(target, app)); err != nil {

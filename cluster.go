@@ -105,8 +105,8 @@ func (db *DB) clusterStatus(tail int) ClusterStatus {
 	if h := db.hubIfAttached(); h != nil {
 		cs.ReleasedEpoch = h.Released()
 	}
-	tl := db.propTL.Load()
-	if srv := db.netCur.Load(); srv != nil {
+	tl := db.tel.prop
+	if srv := db.server(); srv != nil {
 		cs.Role = "primary"
 		for _, p := range srv.PeersSnapshot() {
 			cp := ClusterPeer{
@@ -123,16 +123,14 @@ func (db *DB) clusterStatus(tail int) ClusterStatus {
 				RTTMicros:   float64(p.RTT.Nanoseconds()) / 1e3,
 				LastAck:     p.LastAck,
 			}
-			if tl != nil {
-				h := tl.PeerHist(p.ID)
-				cp.CommitToApplyP50Micros = float64(h.Quantile(0.50)) / 1e3
-				cp.CommitToApplyP99Micros = float64(h.Quantile(0.99)) / 1e3
-				cp.CommitToApplySamples = h.Count()
-			}
+			h := tl.PeerHist(p.ID)
+			cp.CommitToApplyP50Micros = float64(h.Quantile(0.50)) / 1e3
+			cp.CommitToApplyP99Micros = float64(h.Quantile(0.99)) / 1e3
+			cp.CommitToApplySamples = h.Count()
 			cs.Peers = append(cs.Peers, cp)
 		}
 	}
-	if tl != nil {
+	if db.propagating() {
 		cs.Stages = make(map[string]obs.HistSnapshot, obs.NumPropStages)
 		for st := obs.PropStage(0); st < obs.NumPropStages; st++ {
 			cs.Stages[st.String()] = tl.StageHist(st).Snapshot()

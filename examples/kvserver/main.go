@@ -78,25 +78,39 @@ type server struct {
 	db        *incll.DB       // primary store; nil while following
 	fol       *incll.Follower // non-nil while this node is a follower
 	rs        *incll.ReplServer
-	stopWatch func() // anomaly watchdog on the current db, nil when unarmed
+	stopWatch func() // anomaly watchdog of the current role, nil when unarmed
 }
 
-// startObs arms the metric recorder (backing /metrics/history) and, when
-// thresholds were given, the anomaly watchdog on db. Called at open and
-// again after every /crash swap, since both are bound to one DB instance.
-func (s *server) startObs(db *incll.DB, stw, op time.Duration, lag uint64) {
-	db.StartRecorder(time.Second, 600) // ten minutes of one-second points
-	if stw <= 0 && op <= 0 && lag == 0 {
+// startObs arms the node's observability for its current role: the
+// metric recorder (backing /metrics/history) and, when thresholds were
+// given, the anomaly watchdog, replacing the previous role's watchdog.
+// Both belong to the node, so a follower's span its re-bootstraps. Called
+// with s.mu held (or before serving) each time the node takes a role: at
+// start and after /crash, /promote and /follow.
+func (s *server) startObs(stw, op time.Duration, lag uint64) {
+	if s.stopWatch != nil {
+		s.stopWatch()
+		s.stopWatch = nil
+	}
+	arm := func(db *incll.DB) {
+		db.StartRecorder(time.Second, 600) // ten minutes of one-second points
+		if stw <= 0 && op <= 0 && lag == 0 {
+			return
+		}
+		s.stopWatch = db.StartWatchdog(incll.WatchdogConfig{
+			STWThreshold:       stw,
+			OpLatencyThreshold: op,
+			LagThreshold:       lag,
+			OnDump: func(dir, reason string) {
+				log.Printf("anomaly (%s): flight record dumped to %s", reason, dir)
+			},
+		})
+	}
+	if s.fol != nil {
+		s.fol.View(arm)
 		return
 	}
-	s.stopWatch = db.StartWatchdog(incll.WatchdogConfig{
-		STWThreshold:       stw,
-		OpLatencyThreshold: op,
-		LagThreshold:       lag,
-		OnDump: func(dir, reason string) {
-			log.Printf("anomaly (%s): flight record dumped to %s", reason, dir)
-		},
-	})
+	arm(s.db)
 }
 
 // withDB runs f against the node's current store — the primary DB, or a
@@ -159,7 +173,6 @@ func main() {
 			log.Fatalf("follow %s: %v", *follow, err)
 		}
 		srv.fol = fol
-		fol.StartRecorder(time.Second, 600) // survives re-bootstraps
 		log.Printf("following %s: bootstrapped %d keys at epoch %d", *follow,
 			fol.BootstrapInfo().Keys, fol.AppliedEpoch())
 	} else {
@@ -167,13 +180,13 @@ func main() {
 		db.StartCheckpointer()
 		log.Printf("store opened (%v, %d shard(s)), checkpointing every 64ms", info.Status, db.Shards())
 		srv.db = db
-		srv.startObs(db, *anomalySTW, *anomalyOp, *anomalyLag)
 		if *serveRepl != "" {
 			if err := srv.serveReplOn(db, *serveRepl); err != nil {
 				log.Fatalf("serve-repl %s: %v", *serveRepl, err)
 			}
 		}
 	}
+	srv.startObs(*anomalySTW, *anomalyOp, *anomalyLag)
 
 	mux := http.NewServeMux()
 	mux.HandleFunc("/kv/", func(w http.ResponseWriter, r *http.Request) {
@@ -330,7 +343,7 @@ func main() {
 		ndb, info := srv.db.Reopen()
 		ndb.StartCheckpointer()
 		srv.db = ndb
-		srv.startObs(ndb, *anomalySTW, *anomalyOp, *anomalyLag)
+		srv.startObs(*anomalySTW, *anomalyOp, *anomalyLag)
 		if *serveRepl != "" {
 			if err := srv.serveReplOn(ndb, *serveRepl); err != nil {
 				log.Printf("serve-repl after crash: %v", err)
@@ -515,7 +528,7 @@ func main() {
 		srv.fol = nil
 		srv.db = db
 		db.StartCheckpointer()
-		srv.startObs(db, *anomalySTW, *anomalyOp, *anomalyLag)
+		srv.startObs(*anomalySTW, *anomalyOp, *anomalyLag)
 		if *serveRepl != "" {
 			if err := srv.serveReplOn(db, *serveRepl); err != nil {
 				log.Printf("serve-repl after promote: %v", err)
@@ -547,10 +560,7 @@ func main() {
 		srv.mu.Lock()
 		old, oldFol, oldRS := srv.db, srv.fol, srv.rs
 		srv.db, srv.fol, srv.rs = nil, fol, nil
-		if srv.stopWatch != nil {
-			srv.stopWatch()
-			srv.stopWatch = nil
-		}
+		srv.startObs(*anomalySTW, *anomalyOp, *anomalyLag)
 		srv.mu.Unlock()
 		if oldRS != nil {
 			oldRS.Close()

@@ -79,10 +79,10 @@ func (c *WatchdogConfig) setDefaults() {
 }
 
 // StartWatchdog launches the anomaly watchdog and returns its stop
-// function (idempotent; Close does not stop it — the watchdog may outlive
-// one DB instance's histograms but holds this instance's, so stop it
-// before Reopen). Dump failures are reported through the phase trace, not
-// returned: the watchdog must never take the process down.
+// function (idempotent; Close does not stop it). It reads the node's
+// histograms and dumps the node's current store. Dump failures are
+// reported through the phase trace, not returned: the watchdog must never
+// take the process down.
 func (db *DB) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 	cfg.setDefaults()
 	stopCh := make(chan struct{})
@@ -101,10 +101,10 @@ func (db *DB) StartWatchdog(cfg WatchdogConfig) (stop func()) {
 func (db *DB) watchdogLoop(cfg WatchdogConfig, stopCh, done chan struct{}) {
 	defer close(done)
 	var descentHist *obs.Histogram
-	if db.phases != nil {
-		descentHist = db.phases.Hist(obs.PhaseDescent)
+	if ps := db.tel.phases; ps != nil {
+		descentHist = ps.Hist(obs.PhaseDescent)
 	}
-	stwBins := db.stw.Bins()
+	stwBins := db.tel.stw.Bins()
 	var descentBins []int64
 	if descentHist != nil {
 		descentBins = descentHist.Bins()
@@ -119,7 +119,7 @@ func (db *DB) watchdogLoop(cfg WatchdogConfig, stopCh, done chan struct{}) {
 		case <-t.C:
 		}
 		reason, detail := "", ""
-		cur := db.stw.Bins()
+		cur := db.tel.stw.Bins()
 		if p99 := obs.BinsQuantile(obs.BinsSub(cur, stwBins), 0.99); cfg.STWThreshold > 0 && p99 > int64(cfg.STWThreshold) {
 			reason, detail = "stw", fmt.Sprintf("stw_p99=%v threshold=%v", time.Duration(p99), cfg.STWThreshold)
 		}
@@ -131,8 +131,9 @@ func (db *DB) watchdogLoop(cfg WatchdogConfig, stopCh, done chan struct{}) {
 			}
 			descentBins = cur
 		}
+		node := db.tel.gen.Load()
 		if cfg.LagThreshold > 0 && reason == "" {
-			if srv := db.netCur.Load(); srv != nil {
+			if srv := node.server(); srv != nil {
 				var worstID string
 				var worst uint64
 				for _, p := range srv.PeersSnapshot() {
@@ -149,14 +150,14 @@ func (db *DB) watchdogLoop(cfg WatchdogConfig, stopCh, done chan struct{}) {
 			continue
 		}
 		lastDump = time.Now()
-		dir, err := db.dumpFlightRecord(cfg.Dir, reason, detail)
+		dir, err := node.dumpFlightRecord(cfg.Dir, reason, detail)
 		if err != nil {
 			// Leave a trace event behind instead of failing: the watchdog
 			// runs unattended.
-			db.trace.Record(obs.EvFlightDumpFailed, -1, db.currentEpoch(), 0, 0)
+			db.tel.trace.Record(obs.EvFlightDumpFailed, -1, node.currentEpoch(), 0, 0)
 			continue
 		}
-		db.trace.Record(obs.EvFlightDump, -1, db.currentEpoch(), 0, 0)
+		db.tel.trace.Record(obs.EvFlightDump, -1, node.currentEpoch(), 0, 0)
 		if cfg.OnDump != nil {
 			cfg.OnDump(dir, reason)
 		}
@@ -230,6 +231,6 @@ func (db *DB) dumpFlightRecord(dir, reason, detail string) (string, error) {
 	}); err != nil {
 		return "", err
 	}
-	db.trace.Record(obs.EvClusterDump, -1, db.currentEpoch(), 0, int64(len(cs.Peers)))
+	db.tel.trace.Record(obs.EvClusterDump, -1, db.currentEpoch(), 0, int64(len(cs.Peers)))
 	return out, nil
 }

@@ -81,7 +81,6 @@ import (
 	"incll/internal/nvm"
 	"incll/internal/obs"
 	"incll/internal/repl"
-	"incll/internal/replnet"
 	"incll/internal/shard"
 	"incll/internal/txn"
 )
@@ -483,26 +482,9 @@ type DB struct {
 	// count and must not be divided again).
 	rawOpts Options
 
-	// Observability (see metrics.go and internal/obs): the phase tracer
-	// and the checkpoint stop-the-world histogram are created before the
-	// stores open, so recovery itself is captured; the registry that
-	// serves WriteMetrics builds lazily on first use and is rebuilt after
-	// a reshard (its per-shard gauges are bound to a topology).
-	trace    *obs.Tracer
-	stw      *obs.Histogram
-	phases   *obs.PhaseSet // sampled latency attribution; nil when disabled
-	regMu    sync.Mutex
-	reg      *obs.Registry
-	extraReg []func(*obs.Registry) // replication gauges (addSeries), replayed on rebuild
-
-	// Recorder state (see metrics.go): the periodic registry snapshotter
-	// behind MetricsHistory, started on demand; recreated against the
-	// rebuilt registry after a reshard.
-	recMu       sync.Mutex
-	recorder    *obs.Recorder
-	recOn       bool
-	recInterval time.Duration
-	recCap      int
+	// tel is the node's observability root (see metrics.go): shared by
+	// every store generation of the node, so none of them re-arms it.
+	tel *telemetry
 
 	// Replication state (see replication.go): the change hub attaches
 	// lazily on first Snapshot/Changes use and dies with this DB instance
@@ -519,22 +501,10 @@ type DB struct {
 
 	// Networked replication state (see replserve.go). closed makes
 	// Close/SimulateCrash idempotent and lets late API calls fail fast;
-	// the netCur pointer is what the once-registered incll_replnet_*
-	// gauges read through, so a stopped or replaced server reports zeros
-	// instead of dangling.
-	closed      atomic.Bool
-	netMu       sync.Mutex
-	netSrvs     []*ReplServer
-	netPeerIDs  map[string]bool
-	netGaugesOn bool
-	netCur      atomic.Pointer[replnet.Server]
-	netRTT      *obs.Histogram
-
-	// propTL is the epoch propagation timeline (DESIGN.md §15), created
-	// lazily on first use and DB-owned like netRTT: the stage and
-	// per-peer commit-to-apply histograms survive server re-serves and
-	// follower reconnects.
-	propTL atomic.Pointer[obs.EpochTimeline]
+	// netSrvs lists the servers streaming this DB, the newest last.
+	closed  atomic.Bool
+	netMu   sync.Mutex
+	netSrvs []*ReplServer
 }
 
 // engine resolves the live engine for a read. During a cutover's swap
@@ -584,8 +554,9 @@ func newPhaseSet(opts Options) *obs.PhaseSet {
 }
 
 // shardConfig derives the shard.Config for opening a cluster with the
-// given (post-defaults) options at a topology version.
-func shardConfig(opts Options, topoVersion uint64, trace *obs.Tracer, stw *obs.Histogram, phases *obs.PhaseSet) shard.Config {
+// given (post-defaults) options at a topology version, instrumented into
+// the node's telemetry.
+func shardConfig(opts Options, topoVersion uint64, tel *telemetry) shard.Config {
 	return shard.Config{
 		Shards:       opts.Shards,
 		Workers:      opts.Workers,
@@ -596,28 +567,34 @@ func shardConfig(opts Options, topoVersion uint64, trace *obs.Tracer, stw *obs.H
 		DisableInCLL: opts.DisableInCLL,
 		TopoVersion:  topoVersion,
 		NVM:          nvm.Config{FenceDelay: opts.FenceDelay},
-		Trace:        trace,
-		StopTheWorld: stw,
-		Phases:       phases,
+		Trace:        tel.trace,
+		StopTheWorld: tel.stw,
+		Phases:       tel.phases,
 	}
 }
 
 // Open creates a DB over fresh simulated NVM. Invalid options (see
 // Options.Validate) panic with the wrapped typed error.
 func Open(opts Options) (*DB, RecoveryInfo) {
+	db, info := openGeneration(opts, nil)
+	db.tel.gen.Store(db)
+	return db, info
+}
+
+// openGeneration opens a DB over fresh simulated NVM as a store generation
+// of the node tel — of a new node when tel is nil. The caller makes it the
+// node's current generation.
+func openGeneration(opts Options, tel *telemetry) (*DB, RecoveryInfo) {
 	raw := opts
 	if err := opts.Validate(); err != nil {
 		panic(err)
 	}
 	opts.setDefaults()
-	db := &DB{
-		manifest: shard.NewManifest(opts.FenceDelay, 1, opts.Shards),
-		rawOpts:  raw,
-		trace:    obs.NewTracer(obs.DefaultTraceEvents),
-		stw:      new(obs.Histogram),
-		phases:   newPhaseSet(opts),
+	if tel == nil {
+		tel = newTelemetry(opts)
 	}
-	s, sinfo := shard.Open(shardConfig(opts, 1, db.trace, db.stw, db.phases))
+	db := &DB{manifest: shard.NewManifest(opts.FenceDelay, 1, opts.Shards), rawOpts: raw, tel: tel}
+	s, sinfo := shard.Open(shardConfig(opts, 1, tel))
 	return db.start(opts, s, sinfo)
 }
 
@@ -627,9 +604,9 @@ func (db *DB) start(opts Options, s *shard.Store, si shard.RecoveryInfo) (*DB, R
 	db.eng.Store(newEngine(opts, s))
 	info := shardInfo(si)
 	db.txns, info.TxnsReplayed = txn.ForCluster(s)
-	db.txns.Instrument(db.phases)
+	db.txns.Instrument(db.tel.phases)
 	if info.TxnsReplayed > 0 {
-		db.trace.Record(obs.EvTxnReplay, -1, db.currentEpoch(), 0, int64(info.TxnsReplayed))
+		db.tel.trace.Record(obs.EvTxnReplay, -1, db.currentEpoch(), 0, int64(info.TxnsReplayed))
 	}
 	return db, info
 }
@@ -825,7 +802,7 @@ func (db *DB) Close() {
 	for _, rs := range srvs {
 		rs.srv.StopAccepting()
 	}
-	db.StopRecorder()
+	db.stopNodeRecorder()
 	db.txns.StopTicker()
 	db.engine().shards.Shutdown()
 	db.closeHub(true)
@@ -847,7 +824,7 @@ func (db *DB) SimulateCrash(persistFraction float64, seed int64) {
 	for _, rs := range db.replServers() {
 		rs.srv.Close() // a crash kills connections hard: no drain, no goodbye
 	}
-	db.StopRecorder()
+	db.stopNodeRecorder()
 	db.txns.StopTicker()
 	db.closeHub(false) // the volatile journal dies with the process
 	db.manifest.Crash(persistFraction, seed)
@@ -865,12 +842,23 @@ func (db *DB) Reopen() (*DB, RecoveryInfo) {
 	if want := db.manifest.Recover(); !want.Equal(e.topo) {
 		panic(fmt.Sprintf("incll: durable topology manifest %+v does not name the open engine's topology %+v", want, e.topo))
 	}
-	// The shard config — tracer included — carries over, so the phase
-	// trace spans the crash: the recovery events land in the same ring the
-	// pre-crash checkpoints did.
+	// The shard config — the node's tracer included — carries over, so
+	// the phase trace spans the crash: the recovery events land in the
+	// same ring the pre-crash checkpoints did.
 	s, sinfo := e.shards.Reopen()
-	db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, trace: db.trace, stw: db.stw, phases: db.phases}
-	return db2.start(e.opts, s, sinfo)
+	db2 := &DB{manifest: db.manifest, rawOpts: db.rawOpts, tel: db.tel}
+	db2, info := db2.start(e.opts, s, sinfo)
+	db.tel.gen.Store(db2)
+	return db2, info
+}
+
+// stopNodeRecorder stops the node's metric recorder when db is the node's
+// current store generation; a retired generation closing (a follower's
+// previous bootstrap) leaves it running.
+func (db *DB) stopNodeRecorder() {
+	if db.tel.gen.Load() == db {
+		db.StopRecorder()
+	}
 }
 
 // Stats returns the counters (logging, InCLL usage, the value heap,

@@ -10,9 +10,9 @@ import (
 )
 
 // This file is a small, dependency-free parser and linter for the
-// Prometheus text exposition format (version 0.0.4). CI uses it to lint
-// the kvserver /metrics output; tests use ParseExposition to make
-// end-to-end assertions against scraped values.
+// Prometheus text exposition format (version 0.0.4). Tests lint every
+// exposition they scrape with CheckExposition and use ParseExposition
+// to make end-to-end assertions against scraped values.
 
 // Sample is one parsed series sample.
 type Sample struct {

@@ -21,11 +21,11 @@ type HistoryPoint struct {
 	Rates  map[string]float64 `json:"rates,omitempty"`
 }
 
-// Recorder keeps a ring of periodic Registry snapshots — the metric
+// Recorder keeps a ring of periodic registry snapshots — the metric
 // time-series behind /metrics/history. Take is cheap (one registry read),
 // so a 1 s cadence costs nothing measurable; the ring bounds memory.
 type Recorder struct {
-	reg      *Registry
+	snapshot func() []SampleValue
 	interval time.Duration
 
 	mu    sync.Mutex
@@ -35,24 +35,23 @@ type Recorder struct {
 	done  chan struct{}
 }
 
-// NewRecorder builds a recorder over reg keeping the last capacity points
-// at the given interval (defaults: 1 s, 600 points).
-func NewRecorder(reg *Registry, interval time.Duration, capacity int) *Recorder {
+// NewRecorder builds a recorder keeping the last capacity points of
+// snapshot (typically a Registry's Snapshot) at the given interval
+// (defaults: 1 s, 600 points). snapshot is called once per point, so it
+// may build its registry afresh each time.
+func NewRecorder(snapshot func() []SampleValue, interval time.Duration, capacity int) *Recorder {
 	if interval <= 0 {
 		interval = time.Second
 	}
 	if capacity < 1 {
 		capacity = 600
 	}
-	return &Recorder{reg: reg, interval: interval, ring: make([]RecorderPoint, capacity)}
+	return &Recorder{snapshot: snapshot, interval: interval, ring: make([]RecorderPoint, capacity)}
 }
-
-// Interval reports the snapshot period.
-func (r *Recorder) Interval() time.Duration { return r.interval }
 
 // Take appends one snapshot now. Safe concurrently with Start's ticker.
 func (r *Recorder) Take() {
-	p := RecorderPoint{Time: time.Now(), Values: r.reg.Snapshot()}
+	p := RecorderPoint{Time: time.Now(), Values: r.snapshot()}
 	r.mu.Lock()
 	r.ring[r.taken%len(r.ring)] = p
 	r.taken++

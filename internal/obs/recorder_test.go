@@ -38,7 +38,7 @@ func TestRecorderSnapshotAndRates(t *testing.T) {
 	reg.Counter("r_ops_total", "ops", "", ops.Load)
 	reg.Gauge("r_depth", "depth", "", func() int64 { return 7 })
 
-	r := NewRecorder(reg, time.Second, 8)
+	r := NewRecorder(reg.Snapshot, time.Second, 8)
 	ops.Store(100)
 	r.Take()
 	time.Sleep(20 * time.Millisecond)
@@ -76,7 +76,7 @@ func TestRecorderRingEviction(t *testing.T) {
 	var n atomic.Int64
 	reg := NewRegistry()
 	reg.Counter("r_ticks_total", "ticks", "", n.Load)
-	r := NewRecorder(reg, time.Second, 3)
+	r := NewRecorder(reg.Snapshot, time.Second, 3)
 	for i := 1; i <= 10; i++ {
 		n.Store(int64(i))
 		r.Take()
@@ -96,7 +96,7 @@ func TestRecorderStartStop(t *testing.T) {
 	var n atomic.Int64
 	reg := NewRegistry()
 	reg.Counter("r_bg_total", "bg", "", n.Load)
-	r := NewRecorder(reg, 5*time.Millisecond, 100)
+	r := NewRecorder(reg.Snapshot, 5*time.Millisecond, 100)
 	r.Start()
 	r.Start() // idempotent
 	deadline := time.Now().Add(2 * time.Second)
@@ -119,7 +119,7 @@ func TestRecorderCounterReset(t *testing.T) {
 	v := int64(100)
 	reg := NewRegistry()
 	reg.Counter("r_reset_total", "resettable", "", func() int64 { return v })
-	r := NewRecorder(reg, time.Second, 4)
+	r := NewRecorder(reg.Snapshot, time.Second, 4)
 	r.Take()
 	v = 10 // a reset (new DB instance behind the same registry closure)
 	r.Take()

@@ -5,7 +5,6 @@ import (
 	"io"
 	"sort"
 	"strings"
-	"sync"
 )
 
 // metricKind distinguishes how a registered series is rendered.
@@ -51,8 +50,9 @@ type family struct {
 // counters, so registration never copies or double-counts — and renders
 // them in Prometheus text exposition format. Families render in
 // registration order; a scrape reads every value at scrape time.
+// Registration is single-goroutine; rendering a fully registered Registry
+// is read-only and may run concurrently.
 type Registry struct {
-	mu       sync.Mutex
 	families []*family
 	index    map[string]*family
 }
@@ -79,8 +79,6 @@ func Labels(kv ...string) string {
 }
 
 func (r *Registry) add(name, help string, kind metricKind, s series) {
-	r.mu.Lock()
-	defer r.mu.Unlock()
 	f := r.index[name]
 	if f == nil {
 		f = &family{name: name, help: help, kind: kind}
@@ -133,12 +131,7 @@ var histExportBounds = []uint64{
 // format (version 0.0.4): one HELP/TYPE header per family, then each
 // series with its labels.
 func (r *Registry) WritePrometheus(w io.Writer) error {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-
-	for _, f := range fams {
+	for _, f := range r.families {
 		if _, err := fmt.Fprintf(w, "# HELP %s %s\n# TYPE %s %s\n", f.name, f.help, f.name, f.kind); err != nil {
 			return err
 		}
@@ -175,13 +168,8 @@ func (v SampleValue) Key() string { return v.Name + braced(v.Labels) }
 // Snapshot reads every registered series once, in registration order. The
 // Kind field tells a consumer which series are monotonic (rate-able).
 func (r *Registry) Snapshot() []SampleValue {
-	r.mu.Lock()
-	fams := make([]*family, len(r.families))
-	copy(fams, r.families)
-	r.mu.Unlock()
-
 	var out []SampleValue
-	for _, f := range fams {
+	for _, f := range r.families {
 		for _, s := range f.series {
 			if f.kind == kindHistogram {
 				h := s.hist

@@ -13,7 +13,10 @@ package incll
 import (
 	"encoding/json"
 	"io"
+	"slices"
 	"strconv"
+	"sync"
+	"sync/atomic"
 	"time"
 
 	"incll/internal/core"
@@ -109,8 +112,8 @@ type Metrics struct {
 // All intervals are stamped on the primary's own clock (single-clock,
 // skew-free); values are nanoseconds.
 type PropagationMetrics struct {
-	// Attached reports whether the timeline exists (the node attached a
-	// change hub or served replication at least once).
+	// Attached reports whether the node has served replication or this
+	// DB has the change journal attached.
 	Attached bool `json:"attached"`
 	// SampledAcks counts the (epoch × peer) ack samples recorded.
 	SampledAcks int64 `json:"sampled_acks"`
@@ -153,21 +156,22 @@ func (db *DB) Metrics() Metrics {
 		ValueHeapBytes: s.ValueHeapBytes.Load(),
 		LazyRecoveries: s.LazyRecoveries.Load(),
 		LimboDepth:     db.limboDepth(),
-		CheckpointSTW:  db.stw.Snapshot(),
+		CheckpointSTW:  db.tel.stw.Snapshot(),
 		NVM:            db.NVMStats(),
 		Txn:            db.TxnStats(),
 	}
 	if tot := perm + val + ext; tot > 0 {
 		m.UndoInCLLRatio = float64(perm+val) / float64(tot)
 	}
-	if db.phases != nil {
+	if ps := db.tel.phases; ps != nil {
 		m.Phases = PhaseMetrics{
 			Enabled:     true,
-			SampleEvery: db.phases.SampleEvery(),
-			Hist:        db.phases.Snapshot(),
+			SampleEvery: ps.SampleEvery(),
+			Hist:        ps.Snapshot(),
 		}
 	}
-	if tl := db.propTL.Load(); tl != nil {
+	if db.propagating() {
+		tl := db.tel.prop
 		m.Propagation = PropagationMetrics{
 			Attached:      true,
 			SampledAcks:   tl.Sampled(),
@@ -193,12 +197,12 @@ func (db *DB) Metrics() Metrics {
 	return m
 }
 
-// WriteMetrics renders the DB's live metrics in Prometheus text
-// exposition format (0.0.4). examples/kvserver serves this at /metrics;
-// any io.Writer works. Values are read at scrape time from the same
-// counters Metrics snapshots.
+// WriteMetrics renders the node's live metrics (its current store's
+// series) in Prometheus text exposition format (0.0.4). examples/kvserver
+// serves this at /metrics; any io.Writer works. Values are read at scrape
+// time from the same counters Metrics snapshots.
 func (db *DB) WriteMetrics(w io.Writer) error {
-	return db.registry().WritePrometheus(w)
+	return db.tel.registry().WritePrometheus(w)
 }
 
 // Expvar returns the DB's metrics snapshot function in the shape
@@ -219,49 +223,82 @@ func (db *DB) Expvar() func() any {
 // internal/obs). The ring keeps the most recent events; on a crash-test
 // failure, dump it (DumpTrace) to see the protocol steps leading in.
 func (db *DB) TraceEvents() []obs.Event {
-	return db.trace.Events()
+	return db.tel.trace.Events()
 }
 
 // DumpTrace writes the phase trace to w, one event per line, oldest
 // first.
 func (db *DB) DumpTrace(w io.Writer) error {
-	return db.trace.Dump(w)
+	return db.tel.trace.Dump(w)
 }
 
-// registry returns the DB's metric registry, building it on first use —
-// and rebuilding it after a reshard cutover dropped it (resetRegistry):
-// the per-shard series are bound to a topology.
-func (db *DB) registry() *obs.Registry {
-	db.regMu.Lock()
-	defer db.regMu.Unlock()
-	if db.reg == nil {
-		db.reg = obs.NewRegistry()
-		db.register(db.reg)
-		for _, f := range db.extraReg {
-			f(db.reg)
-		}
+// telemetry is one node's observability root: the phase tracer, the
+// histograms, the propagation timeline and the metric recorder. Open,
+// Restore and FollowPrimary each create one; every later store generation
+// of the node — a Reopen, a reshard cutover, a follower re-bootstrap, a
+// promotion — keeps it, so a trace, a histogram or a recorded history
+// spans them all. The metric registry is not kept: registry builds it
+// afresh from the current generation on every scrape.
+type telemetry struct {
+	trace  *obs.Tracer
+	stw    *obs.Histogram     // checkpoint stop-the-world window
+	phases *obs.PhaseSet      // sampled latency attribution; nil when disabled
+	rtt    *obs.Histogram     // heartbeat round trips across replication peers
+	prop   *obs.EpochTimeline // epoch propagation timeline (DESIGN.md §15)
+
+	gen    atomic.Pointer[DB] // the node's current store generation
+	served atomic.Bool        // a generation served replication
+
+	mu       sync.Mutex
+	peers    []string      // replication peer ids, first-seen order
+	follower *Follower     // non-nil when the node follows a primary
+	rec      *obs.Recorder // MetricsHistory's recorder, once started
+}
+
+// newTelemetry creates a node's root, sized by its options: the tracer and
+// histograms exist before the first store opens, so recovery itself is
+// captured.
+func newTelemetry(opts Options) *telemetry {
+	return &telemetry{
+		trace:  obs.NewTracer(obs.DefaultTraceEvents),
+		stw:    new(obs.Histogram),
+		phases: newPhaseSet(opts),
+		rtt:    new(obs.Histogram),
+		prop:   obs.NewEpochTimeline(0),
 	}
-	return db.reg
 }
 
-// addSeries registers f's series on the registry now, if it is built, and
-// on every rebuild after.
-func (db *DB) addSeries(f func(*obs.Registry)) {
-	db.regMu.Lock()
-	defer db.regMu.Unlock()
-	db.extraReg = append(db.extraReg, f)
-	if db.reg != nil {
-		f(db.reg)
+// registry builds the node's metric registry from its current generation:
+// the per-shard series of today's topology, the replnet server series
+// once the node served, one per-peer block per follower id in first-seen
+// order, and the follower series when the node follows a primary.
+func (t *telemetry) registry() *obs.Registry {
+	t.mu.Lock()
+	peers, f := t.peers, t.follower
+	t.mu.Unlock()
+	db := t.gen.Load()
+	reg := obs.NewRegistry()
+	db.register(reg)
+	srv := db.server()
+	if t.served.Load() {
+		t.registerServer(reg, srv)
 	}
+	for _, id := range peers {
+		t.registerPeer(reg, srv, id)
+	}
+	if f != nil {
+		f.register(reg)
+	}
+	return reg
 }
 
-// resetRegistry drops the built registry so the next scrape rebuilds it
-// against the live engine. Extra registrations (replication gauges)
-// replay on rebuild.
-func (db *DB) resetRegistry() {
-	db.regMu.Lock()
-	db.reg = nil
-	db.regMu.Unlock()
+// addPeer records a replication peer id the first time it connects.
+func (t *telemetry) addPeer(id string) {
+	t.mu.Lock()
+	defer t.mu.Unlock()
+	if !slices.Contains(t.peers, id) {
+		t.peers = append(t.peers, id)
+	}
 }
 
 // stores lists the per-shard core stores, indexed by shard.
@@ -309,12 +346,12 @@ func (db *DB) register(reg *obs.Registry) {
 	}
 
 	reg.Histogram("incll_checkpoint_stw_seconds",
-		"Checkpoint stop-the-world window (Prepare lock to Commit unlock).", "", db.stw, 1e-9)
-	if db.phases != nil {
+		"Checkpoint stop-the-world window (Prepare lock to Commit unlock).", "", db.tel.stw, 1e-9)
+	if ps := db.tel.phases; ps != nil {
 		for ph := obs.Phase(0); ph < obs.NumPhases; ph++ {
 			reg.Histogram("incll_phase_seconds",
 				"Sampled operation latency attributed by phase (see DESIGN.md §12).",
-				obs.Labels("phase", ph.String()), db.phases.Hist(ph), 1e-9)
+				obs.Labels("phase", ph.String()), ps.Hist(ph), 1e-9)
 		}
 	}
 	reg.Gauge("incll_epoch", "Running (uncommitted) epoch.", "", func() int64 { return int64(db.currentEpoch()) })
@@ -376,54 +413,41 @@ func (db *DB) register(reg *obs.Registry) {
 // StartRecorder begins taking periodic registry snapshots into a ring of
 // the given capacity, the backing store for MetricsHistory (kvserver
 // serves it at /metrics/history). interval ≤ 0 defaults to one second,
-// capacity ≤ 0 to 600 points (ten minutes at the default cadence).
-// Idempotent while running; Close and SimulateCrash stop it.
+// capacity ≤ 0 to 600 points (ten minutes at the default cadence). The
+// recorder is the node's: it records across reshards and re-bootstraps.
+// Idempotent while running; Close and SimulateCrash of the node's current
+// store stop it.
 func (db *DB) StartRecorder(interval time.Duration, capacity int) {
-	db.recMu.Lock()
-	defer db.recMu.Unlock()
-	db.recInterval, db.recCap = interval, capacity
-	db.recOn = true
-	if db.recorder == nil {
-		db.recorder = obs.NewRecorder(db.registry(), interval, capacity)
+	t := db.tel
+	t.mu.Lock()
+	if t.rec == nil {
+		t.rec = obs.NewRecorder(func() []obs.SampleValue { return t.registry().Snapshot() }, interval, capacity)
 	}
-	db.recorder.Start()
+	r := t.rec
+	t.mu.Unlock()
+	r.Start()
 }
 
 // StopRecorder stops the periodic snapshotter, if running. The recorded
 // history stays readable.
 func (db *DB) StopRecorder() {
-	db.recMu.Lock()
-	defer db.recMu.Unlock()
-	db.recOn = false
-	if db.recorder != nil {
-		db.recorder.Stop()
+	if r := db.recorder(); r != nil {
+		r.Stop()
 	}
 }
 
-// restartRecorder rebinds a running recorder to the rebuilt registry
-// after a reshard cutover, preserving cadence and capacity. The recorded
-// history restarts: the old points belonged to the donor topology's
-// series set.
-func (db *DB) restartRecorder() {
-	db.recMu.Lock()
-	defer db.recMu.Unlock()
-	if db.recorder == nil {
-		return
-	}
-	db.recorder.Stop()
-	db.recorder = obs.NewRecorder(db.registry(), db.recInterval, db.recCap)
-	if db.recOn {
-		db.recorder.Start()
-	}
+// recorder returns the node's recorder, nil until StartRecorder.
+func (db *DB) recorder() *obs.Recorder {
+	db.tel.mu.Lock()
+	defer db.tel.mu.Unlock()
+	return db.tel.rec
 }
 
 // MetricsHistory returns the recorded time-series, oldest first: every
 // metric's value at each snapshot instant plus per-second rates for
 // counters. Empty until StartRecorder runs.
 func (db *DB) MetricsHistory() []obs.HistoryPoint {
-	db.recMu.Lock()
-	r := db.recorder
-	db.recMu.Unlock()
+	r := db.recorder()
 	if r == nil {
 		return nil
 	}

@@ -2,6 +2,9 @@ package incll
 
 import (
 	"bytes"
+	"os"
+	"path/filepath"
+	"slices"
 	"strings"
 	"sync"
 	"testing"
@@ -27,6 +30,69 @@ func scrape(t *testing.T, db *DB) *obs.Exposition {
 		t.Fatalf("parse exposition: %v", err)
 	}
 	return exp
+}
+
+// seriesSet returns the sorted name{labels} set of db's /metrics
+// exposition, values dropped: the series identity a dashboard binds to.
+func seriesSet(t *testing.T, db *DB) []string {
+	t.Helper()
+	var set []string
+	for _, s := range scrape(t, db).Samples {
+		kv := make([]string, 0, 2*len(s.Labels))
+		for k, v := range s.Labels {
+			kv = append(kv, k, v)
+		}
+		if l := obs.Labels(kv...); l != "" {
+			set = append(set, s.Name+"{"+l+"}")
+		} else {
+			set = append(set, s.Name)
+		}
+	}
+	slices.Sort(set)
+	return slices.Compact(set)
+}
+
+// checkSeriesSet compares a series set against testdata/series_<name>.txt,
+// one name{labels} per line, and reports every series that appeared or
+// went missing.
+func checkSeriesSet(t *testing.T, name string, got []string) {
+	t.Helper()
+	b, err := os.ReadFile(filepath.Join("testdata", "series_"+name+".txt"))
+	if err != nil {
+		t.Fatalf("series set %s: %v", name, err)
+	}
+	want := strings.Fields(string(b))
+	for _, s := range want {
+		if _, found := slices.BinarySearch(got, s); !found {
+			t.Errorf("series set %s: missing %s", name, s)
+		}
+	}
+	for _, s := range got {
+		if _, found := slices.BinarySearch(want, s); !found {
+			t.Errorf("series set %s: unexpected %s", name, s)
+		}
+	}
+}
+
+// TestMetricsSeriesSetPinned pins the /metrics series set of a 2-shard
+// primary serving one follower, and of that follower: a refactor of the
+// telemetry wiring must leave every series a dashboard binds to in place.
+// The reshard half is in TestReshardProgressAndMetrics.
+func TestMetricsSeriesSetPinned(t *testing.T) {
+	primary, _ := Open(Options{Shards: 2, ArenaWords: 1 << 22})
+	defer primary.Close()
+	for i := uint64(0); i < 100; i++ {
+		primary.Put(Key(i), i)
+	}
+	rs := serveRepl(t, primary)
+	f := followT(t, rs.Addr().String(), FollowerOptions{ID: "f1", Options: Options{ArenaWords: 1 << 22}})
+	defer f.Close()
+	waitCond(t, "per-peer series for f1", func() bool {
+		_, err := scrape(t, primary).Value("incll_replnet_peer_acked_epoch", "peer", "f1")
+		return err == nil
+	})
+	checkSeriesSet(t, "primary", seriesSet(t, primary))
+	checkSeriesSet(t, "follower", seriesSet(t, f.DB()))
 }
 
 // TestMetricsEndToEnd is the acceptance gate: force checkpoints, scrape,

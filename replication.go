@@ -144,8 +144,8 @@ func (db *DB) hub() *repl.Hub {
 	if db.replHub == nil {
 		e := db.engine()
 		db.replHub = repl.NewHub(e.shards.Stores(), e.opts.ChangeJournalBytes)
-		db.replHub.Instrument(db.trace)
-		db.replHub.InstrumentTimeline(db.propagation())
+		db.replHub.Instrument(db.tel.trace)
+		db.replHub.InstrumentTimeline(db.tel.prop)
 	}
 	return db.replHub
 }
@@ -181,7 +181,7 @@ func (db *DB) Snapshot(w io.Writer) (SnapshotInfo, error) {
 		Shards:     db.Shards(),
 		KeyHint:    uint64(db.Len()),
 		Hook:       db.snapHook,
-		Trace:      db.trace,
+		Trace:      db.tel.trace,
 	}
 	return e.Export(w)
 }
@@ -222,7 +222,7 @@ func dbTarget(db *DB) applyTarget {
 			Checkpoint: func() { db.Checkpoint() },
 		},
 		batchDone: func(horizon uint64, took time.Duration, _ int, nb uint64) error {
-			db.trace.Record(obs.EvReplicaApply, -1, horizon, took, int64(nb))
+			db.tel.trace.Record(obs.EvReplicaApply, -1, horizon, took, int64(nb))
 			return nil
 		},
 	}

@@ -118,10 +118,10 @@ func (db *DB) ServeReplication(lis net.Listener, o ReplServerOptions) (*ReplServ
 		Heartbeat: o.Heartbeat,
 		DeadAfter: o.DeadAfter,
 		QueueLen:  o.QueueLen,
-		OnPeer:    db.registerReplnetPeerGauges,
-		Trace:     db.trace,
-		RTT:       db.netRTTHist(),
-		Timeline:  db.propagation(),
+		OnPeer:    db.tel.addPeer,
+		Trace:     db.tel.trace,
+		RTT:       db.tel.rtt,
+		Timeline:  db.tel.prop,
 		Logf:      o.Logf,
 	}
 	rs.srv = replnet.Serve(lis, cfg)
@@ -129,8 +129,7 @@ func (db *DB) ServeReplication(lis net.Listener, o ReplServerOptions) (*ReplServ
 	db.netMu.Lock()
 	db.netSrvs = append(db.netSrvs, rs)
 	db.netMu.Unlock()
-	db.netCur.Store(rs.srv)
-	db.registerReplnetServerGauges()
+	db.tel.served.Store(true)
 	return rs, nil
 }
 
@@ -144,9 +143,9 @@ func (rs *ReplServer) Peers() []PeerStatus { return rs.srv.PeersSnapshot() }
 func (rs *ReplServer) Stats() replnet.Stats { return rs.srv.Stats() }
 
 // HeartbeatRTT returns the q-quantile of observed heartbeat round trips
-// across this DB's replication peers.
+// across this node's replication peers.
 func (rs *ReplServer) HeartbeatRTT(q float64) time.Duration {
-	return time.Duration(rs.db.netRTTHist().Quantile(q))
+	return time.Duration(rs.db.tel.rtt.Quantile(q))
 }
 
 // Close stops the replication server: no new followers, every peer
@@ -162,33 +161,24 @@ func (rs *ReplServer) Close() {
 		}
 	}
 	db.netMu.Unlock()
-	db.netCur.CompareAndSwap(rs.srv, nil)
 }
 
-// netRTTHist lazily creates the DB-owned heartbeat RTT histogram (shared
-// across re-serves so the registered series never dangles).
-func (db *DB) netRTTHist() *obs.Histogram {
+// server returns the newest replication server still streaming this DB,
+// or nil: what the incll_replnet_* series, ClusterStatus and the lag
+// watchdog read.
+func (db *DB) server() *replnet.Server {
 	db.netMu.Lock()
 	defer db.netMu.Unlock()
-	if db.netRTT == nil {
-		db.netRTT = &obs.Histogram{}
+	if n := len(db.netSrvs); n > 0 {
+		return db.netSrvs[n-1].srv
 	}
-	return db.netRTT
+	return nil
 }
 
-// propagation returns the DB-owned epoch propagation timeline, creating
-// it on first use. The hub stamps commit/release into it; the replnet
-// server stamps the per-peer send/ack path. Like netRTT it outlives any
-// one server, so the registered histograms never dangle.
-func (db *DB) propagation() *obs.EpochTimeline {
-	if tl := db.propTL.Load(); tl != nil {
-		return tl
-	}
-	tl := obs.NewEpochTimeline(0)
-	if db.propTL.CompareAndSwap(nil, tl) {
-		return tl
-	}
-	return db.propTL.Load()
+// propagating reports whether the node's propagation timeline is in use:
+// the node has served replication, or db has the change journal attached.
+func (db *DB) propagating() bool {
+	return db.tel.served.Load() || db.hubIfAttached() != nil
 }
 
 // replServers snapshots the attached replication servers.
@@ -198,120 +188,90 @@ func (db *DB) replServers() []*ReplServer {
 	return append([]*ReplServer(nil), db.netSrvs...)
 }
 
-// registerReplnetServerGauges registers the primary-side incll_replnet_*
-// series once per DB; the series read through netCur, so they follow a
-// re-serve and report zeros while no server is attached.
-func (db *DB) registerReplnetServerGauges() {
-	db.netMu.Lock()
-	if db.netGaugesOn {
-		db.netMu.Unlock()
-		return
-	}
-	db.netGaugesOn = true
-	db.netMu.Unlock()
-
-	// onServer reads one series off the current server (zero while none).
-	onServer := func(read func(*replnet.Server) int64) func() int64 {
+// registerServer registers the primary-side incll_replnet_* series, read
+// off srv (zeros while nothing serves) and the node's histograms.
+func (t *telemetry) registerServer(reg *obs.Registry, srv *replnet.Server) {
+	stat := func(read func(replnet.Stats) int64) func() int64 {
 		return func() int64 {
-			if s := db.netCur.Load(); s != nil {
-				return read(s)
+			if srv == nil {
+				return 0
 			}
-			return 0
+			return read(srv.Stats())
 		}
 	}
-	stat := func(read func(replnet.Stats) int64) func() int64 {
-		return onServer(func(s *replnet.Server) int64 { return read(s.Stats()) })
-	}
 	maxPeer := func(read func(PeerStatus) int64) func() int64 {
-		return onServer(func(s *replnet.Server) (top int64) {
-			for _, p := range s.PeersSnapshot() {
+		return func() (top int64) {
+			if srv == nil {
+				return 0
+			}
+			for _, p := range srv.PeersSnapshot() {
 				top = max(top, read(p))
 			}
 			return top
-		})
-	}
-	f := func(reg *obs.Registry) {
-		reg.Gauge("incll_replnet_peers",
-			"Currently connected replication followers.", "",
-			stat(func(s replnet.Stats) int64 { return int64(s.Peers) }))
-		reg.Counter("incll_replnet_accepts_total",
-			"Follower connections accepted by the replication server.", "",
-			stat(func(s replnet.Stats) int64 { return s.Accepts }))
-		reg.Counter("incll_replnet_kicked_total",
-			"Stale duplicate follower connections replaced by a reconnect.", "",
-			stat(func(s replnet.Stats) int64 { return s.Kicked }))
-		reg.Counter("incll_replnet_peer_errors_total",
-			"Followers torn down on error or missed ack deadline.", "",
-			stat(func(s replnet.Stats) int64 { return s.PeerErrs }))
-		reg.Counter("incll_replnet_sent_bytes_total",
-			"Replication payload bytes sent to followers (bootstrap and batches).", "",
-			stat(func(s replnet.Stats) int64 { return s.SentBytes }))
-		reg.Gauge("incll_replnet_max_peer_lag_epochs",
-			"Largest released-epoch lag across connected followers.", "",
-			maxPeer(func(p PeerStatus) int64 { return int64(p.LagEpochs) }))
-		reg.Gauge("incll_replnet_max_queue_depth",
-			"Deepest per-peer send queue (batches) across connected followers.", "",
-			maxPeer(func(p PeerStatus) int64 { return int64(p.QueueDepth) }))
-		reg.Histogram("incll_replnet_heartbeat_rtt_seconds",
-			"Heartbeat round-trip time to followers.", "", db.netRTTHist(), 1e-9)
-		tl := db.propagation()
-		for st := obs.PropStage(0); st < obs.NumPropStages; st++ {
-			reg.Histogram("incll_replnet_propagation_stage_seconds",
-				"Epoch propagation latency by pipeline stage, single-clock on the primary (see DESIGN.md §15).",
-				obs.Labels("stage", st.String()), tl.StageHist(st), 1e-9)
 		}
 	}
-	db.addSeries(f)
+	reg.Gauge("incll_replnet_peers",
+		"Currently connected replication followers.", "",
+		stat(func(s replnet.Stats) int64 { return int64(s.Peers) }))
+	reg.Counter("incll_replnet_accepts_total",
+		"Follower connections accepted by the replication server.", "",
+		stat(func(s replnet.Stats) int64 { return s.Accepts }))
+	reg.Counter("incll_replnet_kicked_total",
+		"Stale duplicate follower connections replaced by a reconnect.", "",
+		stat(func(s replnet.Stats) int64 { return s.Kicked }))
+	reg.Counter("incll_replnet_peer_errors_total",
+		"Followers torn down on error or missed ack deadline.", "",
+		stat(func(s replnet.Stats) int64 { return s.PeerErrs }))
+	reg.Counter("incll_replnet_sent_bytes_total",
+		"Replication payload bytes sent to followers (bootstrap and batches).", "",
+		stat(func(s replnet.Stats) int64 { return s.SentBytes }))
+	reg.Gauge("incll_replnet_max_peer_lag_epochs",
+		"Largest released-epoch lag across connected followers.", "",
+		maxPeer(func(p PeerStatus) int64 { return int64(p.LagEpochs) }))
+	reg.Gauge("incll_replnet_max_queue_depth",
+		"Deepest per-peer send queue (batches) across connected followers.", "",
+		maxPeer(func(p PeerStatus) int64 { return int64(p.QueueDepth) }))
+	reg.Histogram("incll_replnet_heartbeat_rtt_seconds",
+		"Heartbeat round-trip time to followers.", "", t.rtt, 1e-9)
+	for st := obs.PropStage(0); st < obs.NumPropStages; st++ {
+		reg.Histogram("incll_replnet_propagation_stage_seconds",
+			"Epoch propagation latency by pipeline stage, single-clock on the primary (see DESIGN.md §15).",
+			obs.Labels("stage", st.String()), t.prop.StageHist(st), 1e-9)
+	}
 }
 
-// registerReplnetPeerGauges registers the labeled per-peer series the
-// first time each follower id connects. The series read through netCur
-// and report zeros while that peer is disconnected — a scrape always
-// sees a stable series set, never a panic from re-registration.
-func (db *DB) registerReplnetPeerGauges(id string) {
-	db.netMu.Lock()
-	if db.netPeerIDs == nil {
-		db.netPeerIDs = make(map[string]bool)
-	}
-	if db.netPeerIDs[id] {
-		db.netMu.Unlock()
-		return
-	}
-	db.netPeerIDs[id] = true
-	db.netMu.Unlock()
-
+// registerPeer registers the labeled per-peer series of follower id, read
+// off srv: zeros while that peer is disconnected, so a scrape sees every
+// peer the node has ever served.
+func (t *telemetry) registerPeer(reg *obs.Registry, srv *replnet.Server, id string) {
 	labels := obs.Labels("peer", id)
 	peer := func(read func(PeerStatus) int64) func() int64 {
 		return func() int64 {
-			s := db.netCur.Load()
-			if s == nil {
+			if srv == nil {
 				return 0
 			}
-			st, ok := s.PeerStatus(id)
+			st, ok := srv.PeerStatus(id)
 			if !ok {
 				return 0
 			}
 			return read(st)
 		}
 	}
-	f := func(reg *obs.Registry) {
-		reg.Gauge("incll_replnet_peer_lag_epochs",
-			"Released epochs this follower has not yet acked.", labels,
-			peer(func(p PeerStatus) int64 { return int64(p.LagEpochs) }))
-		reg.Gauge("incll_replnet_peer_lag_bytes",
-			"Released change bytes this follower has not yet consumed.", labels,
-			peer(func(p PeerStatus) int64 { return int64(p.LagBytes) }))
-		reg.Gauge("incll_replnet_peer_queue_depth",
-			"Batches waiting in this follower's send queue.", labels,
-			peer(func(p PeerStatus) int64 { return int64(p.QueueDepth) }))
-		reg.Gauge("incll_replnet_peer_acked_epoch",
-			"Last applied epoch this follower acked.", labels,
-			peer(func(p PeerStatus) int64 { return int64(p.AckedEpoch) }))
-		reg.Histogram("incll_replnet_commit_to_apply_seconds",
-			"Checkpoint commit to this follower's durable-apply ack, stamped on the primary clock (see DESIGN.md §15).",
-			labels, db.propagation().PeerHist(id), 1e-9)
-	}
-	db.addSeries(f)
+	reg.Gauge("incll_replnet_peer_lag_epochs",
+		"Released epochs this follower has not yet acked.", labels,
+		peer(func(p PeerStatus) int64 { return int64(p.LagEpochs) }))
+	reg.Gauge("incll_replnet_peer_lag_bytes",
+		"Released change bytes this follower has not yet consumed.", labels,
+		peer(func(p PeerStatus) int64 { return int64(p.LagBytes) }))
+	reg.Gauge("incll_replnet_peer_queue_depth",
+		"Batches waiting in this follower's send queue.", labels,
+		peer(func(p PeerStatus) int64 { return int64(p.QueueDepth) }))
+	reg.Gauge("incll_replnet_peer_acked_epoch",
+		"Last applied epoch this follower acked.", labels,
+		peer(func(p PeerStatus) int64 { return int64(p.AckedEpoch) }))
+	reg.Histogram("incll_replnet_commit_to_apply_seconds",
+		"Checkpoint commit to this follower's durable-apply ack, stamped on the primary clock (see DESIGN.md §15).",
+		labels, t.prop.PeerHist(id), 1e-9)
 }
 
 // --- follower side ---------------------------------------------------------
@@ -383,30 +343,16 @@ type Follower struct {
 	cli  *replnet.Client
 	app  *applier // the snapshot-then-tail protocol and its progress state
 
+	// tel is the node's telemetry, shared by every bootstrap generation:
+	// the trace, histograms and recorder span re-bootstraps.
+	tel *telemetry
+
 	// Guarded by app.mu: the store is swapped by each bootstrap together
 	// with the applier's progress reset, so a read never pairs a new store
 	// with the old watermark.
 	store    *storeRef
 	promoted bool
 	closed   bool
-
-	// rearm, once StartRecorder has set it, arms the metric recorder on
-	// every new bootstrap generation (each reconnect builds a fresh DB,
-	// which would otherwise come up with no /metrics/history).
-	rearm func(db *DB)
-}
-
-// StartRecorder arms the metric recorder (the backing store for
-// MetricsHistory) on the follower's current store, and re-arms it on
-// every future re-bootstrap. Without this a follower node would lose
-// its history ring at each reconnect — incll-top's follower lag
-// sparkline reads it.
-func (f *Follower) StartRecorder(interval time.Duration, capacity int) {
-	arm := func(db *DB) { db.StartRecorder(interval, capacity) }
-	f.app.mu.Lock()
-	f.rearm = arm
-	f.app.mu.Unlock()
-	f.View(arm)
 }
 
 // pin acquires the current store generation for a read, together with the
@@ -438,7 +384,8 @@ func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
 	if o.ReadyTimeout <= 0 {
 		o.ReadyTimeout = 30 * time.Second
 	}
-	f := &Follower{addr: addr, o: o, app: newApplier()}
+	f := &Follower{addr: addr, o: o, app: newApplier(), tel: newTelemetry(o.Options)}
+	f.tel.follower = f
 	f.cli = replnet.Dial(replnet.ClientConfig{
 		Addr:       addr,
 		ID:         o.ID,
@@ -448,6 +395,7 @@ func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
 		BackoffMin: o.ReconnectMin,
 		BackoffMax: o.ReconnectMax,
 		Seed:       o.Seed,
+		Trace:      f.tel.trace,
 		Logf:       o.Logf,
 	})
 	if err := f.cli.WaitReady(o.ReadyTimeout); err != nil {
@@ -461,16 +409,14 @@ func FollowPrimary(addr string, o FollowerOptions) (*Follower, error) {
 // in as the follower's store. Called by the transport client on every
 // (re)connect.
 func (f *Follower) netBootstrap(r io.Reader) (uint64, error) {
-	db, _ := Open(f.o.Options)
-	var (
-		old   *storeRef
-		rearm func(db *DB)
-	)
+	db, _ := openGeneration(f.o.Options, f.tel)
+	var old *storeRef
 	info, err := f.app.restore(r, dbTarget(db), func() error {
 		if f.closed || f.promoted {
 			return errFollowerDone
 		}
-		old, f.store, rearm = f.store, newStoreRef(db), f.rearm
+		old, f.store = f.store, newStoreRef(db)
+		f.tel.gen.Store(db)
 		return nil
 	})
 	if err != nil {
@@ -481,11 +427,6 @@ func (f *Follower) netBootstrap(r io.Reader) (uint64, error) {
 		// Drop the follower's reference; the old store closes once the
 		// last in-flight reader releases its pin.
 		old.release()
-	}
-	db.trace.Record(obs.EvNetFollowerConnect, -1, info.AnchorEpoch, 0, int64(info.Keys))
-	db.registerFollowerGauges(f)
-	if rearm != nil {
-		rearm(db)
 	}
 	return info.AnchorEpoch, nil
 }
@@ -623,7 +564,7 @@ func (f *Follower) Promote() (*DB, error) {
 	// reference is deliberately never released, so draining readers can
 	// not close the promoted DB out from under its new owner.
 	db := st.db
-	db.trace.Record(obs.EvNetPromote, -1, f.app.applied, 0, 0)
+	db.tel.trace.Record(obs.EvNetPromote, -1, f.app.applied, 0, 0)
 	return db, nil
 }
 
@@ -647,31 +588,26 @@ func (f *Follower) Close() {
 	}
 }
 
-// registerFollowerGauges registers the follower-side incll_replnet_*
-// series on a freshly bootstrapped follower DB (each reconnect builds a
-// new DB, so registration never collides).
-func (db *DB) registerFollowerGauges(f *Follower) {
-	g := func(reg *obs.Registry) {
-		reg.Gauge("incll_replnet_applied_epoch",
-			"Follower applied watermark (last released epoch fully applied).", "",
-			func() int64 { return int64(f.AppliedEpoch()) })
-		reg.Gauge("incll_replnet_primary_released_epoch",
-			"Primary released horizon as last heard by this follower.", "",
-			func() int64 { return int64(f.PrimaryReleased()) })
-		reg.Gauge("incll_replnet_lag_epochs",
-			"Released epochs this follower still trails the primary by.", "",
-			func() int64 { return int64(f.Lag().Epochs) })
-		reg.Counter("incll_replnet_reconnects_total",
-			"Follower sessions ended (each retried with backoff).", "",
-			func() int64 { return f.Reconnects() })
-		reg.Gauge("incll_replnet_connected",
-			"1 while a live session is streaming from the primary.", "",
-			func() int64 {
-				if f.Connected() {
-					return 1
-				}
-				return 0
-			})
-	}
-	db.addSeries(g)
+// register registers the follower-side incll_replnet_* series.
+func (f *Follower) register(reg *obs.Registry) {
+	reg.Gauge("incll_replnet_applied_epoch",
+		"Follower applied watermark (last released epoch fully applied).", "",
+		func() int64 { return int64(f.AppliedEpoch()) })
+	reg.Gauge("incll_replnet_primary_released_epoch",
+		"Primary released horizon as last heard by this follower.", "",
+		func() int64 { return int64(f.PrimaryReleased()) })
+	reg.Gauge("incll_replnet_lag_epochs",
+		"Released epochs this follower still trails the primary by.", "",
+		func() int64 { return int64(f.Lag().Epochs) })
+	reg.Counter("incll_replnet_reconnects_total",
+		"Follower sessions ended (each retried with backoff).", "",
+		f.Reconnects)
+	reg.Gauge("incll_replnet_connected",
+		"1 while a live session is streaming from the primary.", "",
+		func() int64 {
+			if f.Connected() {
+				return 1
+			}
+			return 0
+		})
 }

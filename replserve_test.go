@@ -7,6 +7,8 @@ import (
 	"sync"
 	"testing"
 	"time"
+
+	"incll/internal/obs"
 )
 
 // listenLoopback returns a fresh loopback TCP listener.
@@ -370,6 +372,113 @@ func TestServeReplicationOnClosedDB(t *testing.T) {
 	db.Close()
 	if _, err := db.ServeReplication(listenLoopback(t), ReplServerOptions{}); err == nil {
 		t.Fatal("ServeReplication on closed DB should fail")
+	}
+}
+
+// TestClosingOneOfTwoServersKeepsTheOther: a DB serving replication on two
+// listeners keeps reporting the one still serving after the other closes —
+// its role, its peer gauges and its cluster peer table.
+func TestClosingOneOfTwoServersKeepsTheOther(t *testing.T) {
+	db, _ := Open(Options{ArenaWords: 1 << 22})
+	defer db.Close()
+	db.Put(Key(1), 1)
+	rs1 := serveRepl(t, db)
+	defer rs1.Close()
+	f := followT(t, rs1.Addr().String(), FollowerOptions{ID: "f1", Options: Options{ArenaWords: 1 << 22}})
+	defer f.Close()
+	serveRepl(t, db).Close()
+
+	cs := db.ClusterStatus()
+	if cs.Role != "primary" || len(cs.Peers) != 1 || cs.Peers[0].ID != "f1" {
+		t.Fatalf("after closing the second server: role %q, peers %+v; want primary serving f1", cs.Role, cs.Peers)
+	}
+	exp := scrape(t, db)
+	if v, err := exp.Value("incll_replnet_peers"); err != nil || v != 1 {
+		t.Fatalf("incll_replnet_peers = %v, %v; want 1", v, err)
+	}
+	if v, err := exp.Value("incll_replnet_accepts_total"); err != nil || v != 1 {
+		t.Fatalf("incll_replnet_accepts_total = %v, %v; want 1", v, err)
+	}
+}
+
+// TestFollowerTelemetrySurvivesRebootstrap: a follower's trace and metric
+// history belong to the node, not to one bootstrap generation. A second
+// bootstrap lands in the same trace as the first, and a recorder armed
+// before the cut keeps its earlier points and keeps recording after it.
+func TestFollowerTelemetrySurvivesRebootstrap(t *testing.T) {
+	db, _ := Open(Options{ArenaWords: 1 << 22})
+	defer db.Close()
+	fillMatrix(t, db, 100, 3)
+	db.Checkpoint()
+
+	lis := listenLoopback(t)
+	addr := lis.Addr().String()
+	srvOpts := ReplServerOptions{Heartbeat: 20 * time.Millisecond, DeadAfter: 5 * time.Second}
+	rs, err := db.ServeReplication(lis, srvOpts)
+	if err != nil {
+		t.Fatalf("ServeReplication: %v", err)
+	}
+	f := followT(t, addr, FollowerOptions{
+		ID:           "f1",
+		Options:      Options{ArenaWords: 1 << 22},
+		DeadAfter:    200 * time.Millisecond,
+		ReconnectMin: 5 * time.Millisecond,
+		ReconnectMax: 20 * time.Millisecond,
+	})
+	defer f.Close()
+	f.DB().StartRecorder(2*time.Millisecond, 10000)
+	waitCond(t, "history before the cut", func() bool { return len(f.DB().MetricsHistory()) >= 3 })
+	first := f.DB().MetricsHistory()[0].Time
+
+	// Cut the session and re-serve on the same address: the follower
+	// re-bootstraps into a fresh store generation.
+	before := f.app.state().gen
+	rs.Close()
+	var lis2 net.Listener
+	waitCond(t, "listener rebind", func() bool {
+		l, err := net.Listen("tcp", addr)
+		if err != nil {
+			return false
+		}
+		lis2 = l
+		return true
+	})
+	rs, err = db.ServeReplication(lis2, srvOpts)
+	if err != nil {
+		t.Fatalf("re-serve: %v", err)
+	}
+	defer rs.Close()
+	if !f.app.waitUntil(15*time.Second, func() bool { return f.app.gen > before }) {
+		t.Fatalf("follower never re-bootstrapped (generation %d)", before)
+	}
+
+	// The transport records the connect once the bootstrap returns.
+	var connects []obs.Event
+	waitCond(t, "second follower-connect event", func() bool {
+		connects = connects[:0]
+		for _, ev := range f.DB().TraceEvents() {
+			if ev.Kind == obs.EvNetFollowerConnect {
+				connects = append(connects, ev)
+			}
+		}
+		return len(connects) >= 2
+	})
+	if len(connects) != 2 {
+		t.Fatalf("trace holds %d follower-connect events, want 2: %+v", len(connects), connects)
+	}
+	for _, ev := range connects {
+		if ev.Dur <= 0 {
+			t.Fatalf("follower-connect event without a bootstrap duration: %+v", ev)
+		}
+	}
+
+	cut := time.Now()
+	waitCond(t, "history after the cut", func() bool {
+		h := f.DB().MetricsHistory()
+		return len(h) > 0 && h[len(h)-1].Time.After(cut)
+	})
+	if h := f.DB().MetricsHistory(); !h[0].Time.Equal(first) {
+		t.Fatalf("history starts at %v after the re-bootstrap, want the point from before it (%v)", h[0].Time, first)
 	}
 }
 

@@ -163,7 +163,7 @@ func (db *DB) reshardTarget(target *shard.Store, app *applier) applyTarget {
 		batchDone: func(epoch uint64, took time.Duration, n int, _ uint64) error {
 			s.tailed.Add(int64(n))
 			s.lagEpochs.Store(int64(app.state().behind(app.feed.Released())))
-			db.trace.Record(obs.EvReshardTail, -1, epoch, took, int64(n))
+			db.tel.trace.Record(obs.EvReshardTail, -1, epoch, took, int64(n))
 			return db.fireReshard("tail-batch")
 		},
 	}
@@ -210,7 +210,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		s.phase.Store(reshardIdle)
 		return ReshardResult{}, err
 	}
-	db.trace.Record(obs.EvReshardStart, -1, donor.epoch(), 0, int64(newShards))
+	db.tel.trace.Record(obs.EvReshardStart, -1, donor.epoch(), 0, int64(newShards))
 	if err := db.fireReshard("reshard-start"); err != nil {
 		return fail(err)
 	}
@@ -224,7 +224,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 	topts.Shards = newShards
 	topts.setDefaults()
 	nextVer := donor.topo.Version + 1
-	target, _ := shard.Open(shardConfig(topts, nextVer, db.trace, db.stw, db.phases))
+	target, _ := shard.Open(shardConfig(topts, nextVer, db.tel))
 
 	// Snapshot copy, then tail, through the applier: the replication path
 	// pointed back at this process, with the next topology as its target.
@@ -234,7 +234,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		return fail(err)
 	}
 	defer app.feed.Close()
-	db.trace.Record(obs.EvReshardSnapshot, -1, info.AnchorEpoch, time.Since(start), s.copiedKeys.Load())
+	db.tel.trace.Record(obs.EvReshardSnapshot, -1, info.AnchorEpoch, time.Since(start), s.copiedKeys.Load())
 	if err := db.fireReshard("snapshot-done"); err != nil {
 		return fail(err)
 	}
@@ -296,7 +296,7 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		}
 		db.manifest.Commit(nextVer, newShards) // THE commit point
 		s.cutovers.Add(1)
-		db.trace.Record(obs.EvReshardCutover, -1, donor.epoch(), time.Since(t0), int64(nextVer))
+		db.tel.trace.Record(obs.EvReshardCutover, -1, donor.epoch(), time.Since(t0), int64(nextVer))
 		donor.shards.Seal()
 		var commitErr error
 		if err := db.fireReshard("cutover-manifest"); err != nil {
@@ -313,23 +313,20 @@ func (db *DB) Reshard(newShards int) (ReshardResult, error) {
 		return fail(cutErr)
 	}
 
-	// Committed. Retire the donor-bound plumbing: the change hub dies with
-	// the donor topology (subscribers see ErrStreamLost and re-bootstrap,
-	// exactly as after a primary crash), and the metrics registry and
-	// recorder rebuild against the new engine's per-shard series.
+	// Committed. The change hub dies with the donor topology (subscribers
+	// see ErrStreamLost and re-bootstrap, exactly as after a primary
+	// crash).
 	db.replMu.Lock()
 	if db.replHub != nil {
 		db.replHub.Close(false)
 		db.replHub = nil
 	}
 	db.replMu.Unlock()
-	db.resetRegistry()
-	db.restartRecorder()
 
 	s.phase.Store(reshardIdle)
 	s.lastPauseNS.Store(int64(pause))
 	took := time.Since(start)
-	db.trace.Record(obs.EvReshardDone, -1, db.currentEpoch(), took, int64(newShards))
+	db.tel.trace.Record(obs.EvReshardDone, -1, db.currentEpoch(), took, int64(newShards))
 	res := ReshardResult{
 		From:          donor.topo.Shards,
 		To:            newShards,

@@ -295,6 +295,7 @@ func TestReshardProgressAndMetrics(t *testing.T) {
 		db.Put(Key(i), i)
 	}
 	db.Checkpoint()
+	checkSeriesSet(t, "standalone_2shards", seriesSet(t, db))
 	var sawPhases []string
 	db.SetReshardHook(func(p string) error {
 		prog := db.ReshardProgress()
@@ -329,4 +330,18 @@ func TestReshardProgressAndMetrics(t *testing.T) {
 	if err := obs.CheckExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("post-reshard exposition fails promlint: %v", err)
 	}
+
+	// Folding back to two shards drops the series of shards 2 and 3: the
+	// series set is again the one the DB served before it resharded.
+	db.SetReshardHook(nil)
+	if _, err := db.Reshard(2); err != nil {
+		t.Fatalf("Reshard(2): %v", err)
+	}
+	after := seriesSet(t, db)
+	for _, s := range after {
+		if strings.Contains(s, `shard="2"`) || strings.Contains(s, `shard="3"`) {
+			t.Errorf("series %s outlived the merge back to 2 shards", s)
+		}
+	}
+	checkSeriesSet(t, "standalone_2shards", after)
 }
