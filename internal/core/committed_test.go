@@ -42,7 +42,7 @@ func txnStep(name string, k, v uint64, val, perm, logged int64, lines []int) cov
 func commitPut(s *Store, k, v []byte) {
 	s.Epochs().Enter()
 	defer s.Epochs().Exit()
-	s.Handle(0).PutCommittedLocked(k, v)
+	s.Handle(0).PutCommittedLocked(k, v, nil)
 }
 
 func TestEnumerateCommittedUpdatePersistSubsets(t *testing.T) {

@@ -154,7 +154,7 @@ func (h Handle) Get(k []byte) (uint64, bool) {
 // transaction manager's commit path.
 func (h Handle) GetLocked(k []byte) (uint64, bool) {
 	h.s.stats.Gets.Add(h.w, 1)
-	vw, ok := h.layerGet(h.rootCell0(), k)
+	vw, ok := h.layerGet(h.rootCell0(), k, nil)
 	if !ok {
 		return 0, false
 	}
@@ -168,34 +168,85 @@ func (h Handle) GetBytes(k []byte) ([]byte, bool) {
 
 // AppendGet appends k's value bytes to dst, returning the extended slice;
 // the allocation-free form of GetBytes.
-func (h Handle) AppendGet(dst []byte, k []byte) ([]byte, bool) {
+func (h Handle) AppendGet(dst []byte, k []byte) ([]byte, bool) { return h.AppendGetPos(dst, k, nil) }
+
+// AppendGetPos is AppendGet that also leaves k's position in *pos (see Pos
+// and AppendGetLocked); a nil pos records nothing.
+func (h Handle) AppendGetPos(dst []byte, k []byte, pos *Pos) ([]byte, bool) {
 	if ph := h.s.phases; ph.Begin(h.w) {
 		h.s.mgr.Enter()
 		ph.Lap(h.w, obs.PhaseEpochWait)
-		out, ok := h.AppendGetLocked(dst, k)
+		out, ok, _ := h.AppendGetLocked(dst, k, pos)
 		ph.End(h.w, obs.PhaseDescent)
 		h.s.mgr.Exit()
 		return out, ok
 	}
 	h.s.mgr.Enter()
 	defer h.s.mgr.Exit()
-	return h.AppendGetLocked(dst, k)
+	out, ok, _ := h.AppendGetLocked(dst, k, pos)
+	return out, ok
 }
 
-// AppendGetLocked is AppendGet under a caller-held epoch guard.
-func (h Handle) AppendGetLocked(dst []byte, k []byte) ([]byte, bool) {
+// Pos is where a read left its key: the last layer's covering leaf, the
+// leaf's version word as the read saw it (lock bit clear) and the key's
+// index in the leaf's permutation, -1 when the key was absent. The zero Pos
+// holds no position.
+//
+// Nodes are never freed, a leaf's version word only grows, and every
+// insert, removal, relocation and split of the leaf moves it. So while the
+// word reads the same, the leaf still covers the key and its permutation is
+// the one the read saw: the key is still at its index, or still absent. An
+// in-place value update does not move the word, so a reader at a position
+// still reads and compares the value.
+type Pos struct {
+	leaf, ver uint64
+	idx       int
+}
+
+// AppendGetLocked is AppendGet under a caller-held epoch guard. A non-nil
+// pos is in and out: a position an earlier read left there is read first,
+// without a descent, and when its leaf has moved (stale) the descent runs
+// as usual. Either way *pos is left holding k's current position.
+func (h Handle) AppendGetLocked(dst []byte, k []byte, pos *Pos) (out []byte, found, stale bool) {
 	h.s.stats.Gets.Add(h.w, 1)
-	vw, ok := h.layerGet(h.rootCell0(), k)
-	if !ok {
-		return dst, false
+	var vw uint64
+	if pos != nil && pos.leaf != 0 {
+		vw, found, stale = h.readAt(*pos)
+		if stale {
+			*pos = Pos{}
+		}
 	}
-	return h.appendValue(dst, vw), true
+	if pos == nil || pos.leaf == 0 {
+		vw, found = h.layerGet(h.rootCell0(), k, pos)
+	}
+	if !found {
+		return dst, false, stale
+	}
+	return h.appendValue(dst, vw), true, stale
 }
 
-// layerGet resolves k to its value word. Dereferencing the word after the
-// leaf's version check is safe while the epoch guard is held: published
-// heap blocks are immutable and freed ones survive until the next boundary.
-func (h Handle) layerGet(cell rootCell, k []byte) (uint64, bool) {
+// readAt reads the value word at pos; stale when pos's leaf has moved since
+// the position was taken (a writer holding the leaf mid-change counts).
+func (h Handle) readAt(pos Pos) (vw uint64, found, stale bool) {
+	n := h.ref(pos.leaf)
+	if n.changed(pos.ver) {
+		return 0, false, true
+	}
+	if pos.idx < 0 {
+		return 0, false, false
+	}
+	vw = n.val(n.perm().slot(pos.idx))
+	if n.changed(pos.ver) {
+		return 0, false, true
+	}
+	return vw, true, false
+}
+
+// layerGet resolves k to its value word, leaving its position in *pos when
+// pos is non-nil. Dereferencing the word after the leaf's version check is
+// safe while the epoch guard is held: published heap blocks are immutable
+// and freed ones survive until the next boundary.
+func (h Handle) layerGet(cell rootCell, k []byte, pos *Pos) (uint64, bool) {
 	ik, kind := ikeyOf(k)
 retry:
 	rootOff := cell.root()
@@ -219,22 +270,27 @@ readLeaf:
 		}
 	}
 	p := n.perm()
-	pos, found := n.leafSearch(ik, kind, p)
+	idx, found := n.leafSearch(ik, kind, p)
 	if !found {
 		if n.changed(v) {
 			h.lapRetry()
 			goto retry
 		}
+		if pos != nil {
+			*pos = Pos{leaf: n.off, ver: v &^ uint64(vLocked), idx: -1}
+		}
 		return 0, false
 	}
-	slot := p.slot(pos)
-	vw := n.val(slot)
+	vw := n.val(p.slot(idx))
 	if n.changed(v) {
 		h.lapRetry()
 		goto retry
 	}
 	if kind == kindLayer {
-		return h.layerGet(rootCell{s: h.s, off: vw}, k[8:])
+		return h.layerGet(rootCell{s: h.s, off: vw}, k[8:], pos)
+	}
+	if pos != nil {
+		*pos = Pos{leaf: n.off, ver: v &^ uint64(vLocked), idx: idx}
 	}
 	return vw, true
 }
@@ -281,7 +337,21 @@ func (h Handle) PutBytesLocked(k []byte, v []byte) bool { return h.put(k, v, fal
 // therefore needs no undo and is stored in place — no ValInCLL claim, no
 // relocation, no external log. Every other write (inserts, heap values on
 // either side, layer anchors) takes PutBytesLocked's path. See DESIGN.md §6.
-func (h Handle) PutCommittedLocked(k []byte, v []byte) bool { return h.put(k, v, true) }
+//
+// A non-nil pos holding a position where a read found k is tried first:
+// the leaf is locked and, if its version still reads as the position
+// recorded, v is written there without a descent. When the leaf has moved
+// (stale) the write descends as usual.
+func (h Handle) PutCommittedLocked(k []byte, v []byte, pos *Pos) (stale bool) {
+	if pos != nil && pos.leaf != 0 && pos.idx >= 0 {
+		if h.putAt(*pos, k, v) {
+			return false
+		}
+		stale = true
+	}
+	h.put(k, v, true)
+	return stale
+}
 
 // put is the write chokepoint of PutBytesLocked and PutCommittedLocked.
 func (h Handle) put(k []byte, v []byte, covered bool) bool {
@@ -297,6 +367,24 @@ func (h Handle) put(k []byte, v []byte, covered bool) bool {
 		h.s.size.Add(1)
 	}
 	return inserted
+}
+
+// putAt is PutCommittedLocked's write of k at pos, where a read found it
+// (so k passed put's length check when it was inserted); it reports false,
+// having written nothing, when the leaf has moved since.
+func (h Handle) putAt(pos Pos, k, val []byte) bool {
+	n := h.ref(pos.leaf)
+	n.lock()
+	if n.changed(pos.ver) {
+		n.unlock()
+		return false
+	}
+	h.s.stats.Puts.Add(h.w, 1)
+	// The position is in the key's last layer, which holds its last one
+	// to eight bytes.
+	ik, kind := ikeyOf(k[max(len(k)-1, 0)/8*8:])
+	h.putFound(n, n.perm(), pos.idx, ik, kind, k, val, true)
+	return true
 }
 
 // layerPut installs val under k within cell's layer. full is the complete
@@ -324,39 +412,12 @@ retry:
 	p := n.perm()
 	pos, found := n.leafSearch(ik, kind, p)
 	if found {
-		slot := p.slot(pos)
-		vw := n.val(slot)
 		if kind == kindLayer {
+			vw := n.val(p.slot(pos))
 			n.unlock()
 			return h.layerPut(rootCell{s: h.s, off: vw}, full, k[8:], val, covered)
 		}
-		if covered && vwIsInline(vw) && len(val) <= MaxInlineBytes {
-			// Inline over inline under a committed intent: whatever a
-			// rollback leaves in the slot, the intent's replay overwrites.
-			// No heap block is involved, so none can leak or dangle.
-			n.setVal(slot, inlineVW(val))
-		} else if j := h.beforeValUpdate(n, slot); j >= 0 {
-			// Relocate: the entry moves to a free slot and the permutation
-			// swaps it in, leaving the old slot's epoch-start value intact.
-			// A slot this key vacated in an earlier epoch still holds its
-			// ikey and kind: moving back writes neither, so the ikey line
-			// stays clean.
-			ns := p.slot(j)
-			if n.ikey(ns) != ik {
-				n.setIkey(ns, ik)
-			}
-			if n.kind(ns) != kind {
-				n.setKind(ns, kind)
-			}
-			n.setVal(ns, h.newValueWord(val))
-			n.markInsert()
-			n.store(fPerm, uint64(p.swapFree(pos, j)))
-		} else {
-			n.setVal(slot, h.newValueWord(val))
-		}
-		h.s.publish(ChangePut, full, val)
-		n.unlock()
-		h.freeValueWord(vw)
+		h.putFound(n, p, pos, ik, kind, full, val, covered)
 		return false
 	}
 	// Build the slot payload before exposing it.
@@ -385,6 +446,41 @@ retry:
 	}
 	h.splitLeafInsert(cell, n, ik, kind, valWord, pos, full, val)
 	return true
+}
+
+// putFound overwrites the value of the key (ik, kind) at index pos of the
+// locked leaf n, whose permutation is p, and unlocks n. full is the
+// complete key, for the change publication.
+func (h Handle) putFound(n nodeRef, p perm, pos int, ik uint64, kind uint8, full, val []byte, covered bool) {
+	slot := p.slot(pos)
+	vw := n.val(slot)
+	if covered && vwIsInline(vw) && len(val) <= MaxInlineBytes {
+		// Inline over inline under a committed intent: whatever a
+		// rollback leaves in the slot, the intent's replay overwrites.
+		// No heap block is involved, so none can leak or dangle.
+		n.setVal(slot, inlineVW(val))
+	} else if j := h.beforeValUpdate(n, slot); j >= 0 {
+		// Relocate: the entry moves to a free slot and the permutation
+		// swaps it in, leaving the old slot's epoch-start value intact.
+		// A slot this key vacated in an earlier epoch still holds its
+		// ikey and kind: moving back writes neither, so the ikey line
+		// stays clean.
+		ns := p.slot(j)
+		if n.ikey(ns) != ik {
+			n.setIkey(ns, ik)
+		}
+		if n.kind(ns) != kind {
+			n.setKind(ns, kind)
+		}
+		n.setVal(ns, h.newValueWord(val))
+		n.markInsert()
+		n.store(fPerm, uint64(p.swapFree(pos, j)))
+	} else {
+		n.setVal(slot, h.newValueWord(val))
+	}
+	h.s.publish(ChangePut, full, val)
+	n.unlock()
+	h.freeValueWord(vw)
 }
 
 // lockCovering locks n and walks right until n covers ik (B-link).

@@ -31,9 +31,11 @@
 // Cross-shard commits need no extra coordination: the shard coordinator's
 // fenced record (see internal/shard) already decides, for every shard at
 // once, whether the commit's epoch survived — the same single-line
-// linearization point the coordinated checkpoint uses. The intent carries
-// the shard set, and recovery's replay decision consults the home shard's
-// epoch state, which the coordinator record made identical on every shard.
+// linearization point the coordinated checkpoint uses. The intent lives on
+// the home shard (the lowest shard written) and names no shard set:
+// recovery's replay decision consults the home shard's epoch state, which
+// the coordinator record made identical on every shard, and the replay
+// routes each write through the live router.
 //
 // Topology: the Manager routes, locks, and logs through one immutable
 // topoState loaded from an atomic pointer. An online reshard swaps that
@@ -51,7 +53,14 @@
 // conflicting commits are totally ordered, in the order of their sequence
 // numbers. Commit validates the transaction's read set under those locks,
 // returning ErrConflict when a read value changed since the transaction
-// observed it (optimistic concurrency; callers retry). One more exclusion
+// observed it (optimistic concurrency; callers retry). Validation does not
+// walk the tree again: each read left a position (core.Pos) — its leaf, the
+// leaf's version word and the key's index — and while the version word
+// reads the same, the key is still at that index (or still absent), so
+// validation re-reads the value there and compares its bytes; the apply
+// writes a read key at the same position under the leaf lock. A position
+// whose leaf an insert, removal, relocation or split moved, or one taken
+// under another topology, falls back to a descent. One more exclusion
 // has nothing to do with keys: commits on the same worker index are
 // mutually exclusive, because a worker's intent segment, undo-log segment
 // and allocator lists are single-writer and the façade's Begin and Apply
@@ -155,6 +164,9 @@ type Manager struct {
 
 	seq   atomic.Uint64
 	stats Stats
+	// fallbacks counts read positions a commit found stale — in
+	// validation or apply — and replaced by a descent.
+	fallbacks atomic.Int64
 
 	// phases is the sampled latency-attribution timer (see obs.PhaseSet):
 	// commits charge their guard RLock wait to guard_wait and the locks
@@ -317,10 +329,13 @@ const (
 )
 
 // readEnt is one read-set observation (the full byte value, so validation
-// catches any change, not just changes visible through the uint64 view).
+// catches any change, not just changes visible through the uint64 view)
+// and the position the read left the key at, which validation and apply
+// start from.
 type readEnt struct {
 	key   []byte
 	val   []byte
+	pos   core.Pos
 	found bool
 }
 
@@ -343,6 +358,9 @@ type Txn struct {
 	// data holds the bytes every key and value above points into. Growing
 	// it leaves earlier slices on the array they were cut from.
 	data []byte
+	// topo is the version of the topology the reads' positions were taken
+	// under; a commit under another one drops them all.
+	topo uint64
 
 	done bool
 	// err is the sticky buffered-write error (oversized key or value):
@@ -465,9 +483,12 @@ func (t *Txn) getBytes(k []byte) ([]byte, bool) {
 	// snapshot, and Commit's validation re-reads under the *current*
 	// topology's locks, so any divergence surfaces as ErrConflict.
 	st := t.m.topo.Load()
+	if t.topo == 0 {
+		t.topo = st.version
+	}
 	rd := readEnt{key: t.keep(k)}
 	off := len(t.data)
-	t.data, rd.found = st.stores[st.shardOf(k)].Handle(t.worker).AppendGet(t.data, k)
+	t.data, rd.found = st.stores[st.shardOf(k)].Handle(t.worker).AppendGetPos(t.data, k, &rd.pos)
 	rd.val = t.data[off:]
 	indexKey(&t.rindex, k, len(t.reads), func(i int) []byte { return t.reads[i].key })
 	t.reads = append(t.reads, rd)
@@ -569,13 +590,25 @@ func (m *Manager) commit(t *Txn) error {
 
 // validateLocked re-reads the transaction's read set under the commit
 // locks and reports whether every observation still holds (full byte
-// comparison).
+// comparison). Each read starts from its position and descends only when
+// the position went stale; either way it leaves a current position for
+// the apply.
 func (m *Manager) validateLocked(t *Txn, st *topoState) bool {
 	var scratch [64]byte
 	buf := scratch[:0]
+	// Positions name leaves of the stores the reads ran on.
+	moved := t.topo != st.version
+	t.topo = st.version
 	for i := range t.reads {
 		rd := &t.reads[i]
-		cur, ok := st.stores[st.shardOf(rd.key)].Handle(t.worker).AppendGetLocked(buf[:0], rd.key)
+		if moved && rd.pos != (core.Pos{}) {
+			rd.pos = core.Pos{}
+			m.fallbacks.Add(1)
+		}
+		cur, ok, stale := st.stores[st.shardOf(rd.key)].Handle(t.worker).AppendGetLocked(buf[:0], rd.key, &rd.pos)
+		if stale {
+			m.fallbacks.Add(1)
+		}
 		if ok != rd.found || !bytes.Equal(cur, rd.val) {
 			return false
 		}
@@ -655,14 +688,21 @@ func (m *Manager) tryCommit(t *Txn) (done bool, err error) {
 	// Apply. From here on a crash replays the whole write set over the
 	// epoch's rollback, so the record covers every write below: an inline
 	// value overwritten with an inline value needs no undo of its own
-	// (PutCommittedLocked), and a crash mid-apply means post-state.
+	// (PutCommittedLocked), and a crash mid-apply means post-state. A key
+	// the transaction read is written at the position validation left.
 	for i := range t.writes {
 		op := &t.writes[i]
 		h := st.stores[st.shardOf(op.Key)].Handle(t.worker)
 		if op.Delete {
 			h.DeleteLocked(op.Key)
 		} else {
-			h.PutCommittedLocked(op.Key, op.Val)
+			var pos *core.Pos
+			if r := t.findRead(op.Key); r >= 0 {
+				pos = &t.reads[r].pos
+			}
+			if h.PutCommittedLocked(op.Key, op.Val, pos) {
+				m.fallbacks.Add(1)
+			}
 		}
 		if m.hook != nil {
 			m.hook(fmt.Sprintf("applied-%d", i))
