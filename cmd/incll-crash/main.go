@@ -34,7 +34,7 @@ func main() {
 	rounds := flag.Int("rounds", 4, "crash/recover cycles per campaign")
 	keyspace := flag.Uint64("keyspace", 4000, "distinct keys")
 	ops := flag.Int("ops", 800, "operations per worker per epoch")
-	persist := flag.Float64("persist", 0.5, "probability a dirty line survives each crash")
+	persist := flag.Float64("persist", 0.5, "probability a dirty line survives each crash (0 = none survives)")
 	valueBytes := flag.Int("valuebytes", 0, "store random byte values up to this size (0 = uint64 values); exercises the value heap")
 	repl := flag.Bool("repl", false, "run the replication campaign instead: crash the primary at every snapshot/stream protocol point under concurrent load")
 	replicaShards := flag.Int("replicashards", 0, "replication campaign: the follower's shard count (0 = same as -shards)")
@@ -92,7 +92,7 @@ func main() {
 	}
 	for seed := int64(0); seed < int64(*seeds); seed++ {
 		if err := crashtest.Run(cfg, seed); err != nil {
-			log.Fatalf("seed %d: recovery divergence: %v", seed, err)
+			log.Fatalf("seed %d: %v", seed, err)
 		}
 		fmt.Printf("seed %d: %d crash/recover cycles verified\n", seed, *rounds)
 	}

@@ -9,8 +9,10 @@
 package crashtest
 
 import (
+	"bytes"
 	"fmt"
 	"io"
+	"maps"
 	"math/rand"
 	"os"
 	"path/filepath"
@@ -18,19 +20,20 @@ import (
 
 	"incll/internal/core"
 	"incll/internal/epoch"
-	"incll/internal/nvm"
 	"incll/internal/obs"
+	"incll/internal/shard"
 )
 
 // Config parameterizes one crash-injection campaign.
 type Config struct {
-	// Keyspace is the number of distinct keys (split across workers).
+	// Keyspace is the number of distinct keys (split across workers; at
+	// least one per worker).
 	Keyspace uint64
 	// Workers is the number of concurrent mutator goroutines.
 	Workers int
-	// Shards, when > 1, runs the campaign against a sharded cluster with
-	// coordinated checkpoints instead of a single store; crashes then also
-	// strike inside the two-phase global checkpoint.
+	// Shards is the store's shard count (default 1: one store, no
+	// coordinator). Above one, checkpoints are coordinated and crashes
+	// also strike inside the two-phase global checkpoint.
 	Shards int
 	// OpsPerEpoch is the number of operations each worker runs per epoch.
 	OpsPerEpoch int
@@ -38,9 +41,10 @@ type Config struct {
 	EpochsPerRound int
 	// Rounds is the number of crash/recover cycles.
 	Rounds int
-	// PersistFraction is the probability a dirty line survives each crash.
+	// PersistFraction is the probability a dirty line survives each crash
+	// (0: none survives).
 	PersistFraction float64
-	// ArenaWords sizes the simulated NVM.
+	// ArenaWords sizes the simulated NVM, split evenly across shards.
 	ArenaWords uint64
 	// ValueBytes, when > 0, makes every put store a random byte value of
 	// up to this many bytes (exercising the value heap: inline values,
@@ -55,6 +59,9 @@ func (c *Config) setDefaults() {
 	if c.Workers <= 0 {
 		c.Workers = 2
 	}
+	if c.Shards <= 0 {
+		c.Shards = 1
+	}
 	if c.OpsPerEpoch <= 0 {
 		c.OpsPerEpoch = 800
 	}
@@ -64,13 +71,13 @@ func (c *Config) setDefaults() {
 	if c.Rounds <= 0 {
 		c.Rounds = 4
 	}
-	if c.PersistFraction == 0 {
-		c.PersistFraction = 0.5
-	}
 	if c.ArenaWords == 0 {
 		c.ArenaWords = 1 << 22
 	}
 }
+
+// model is a reference state: key bytes to value bytes.
+type model map[string]string
 
 // Run executes one campaign with the given seed. It returns an error
 // describing the first divergence between the recovered store and the
@@ -82,11 +89,12 @@ func (c *Config) setDefaults() {
 // exact sequence of protocol events that led to the divergence.
 func Run(cfg Config, seed int64) error {
 	cfg.setDefaults()
-	trace := obs.NewTracer(obs.DefaultTraceEvents)
-	if cfg.Shards > 1 {
-		return dumpTraceOnFailure("sharded", seed, trace.Dump, runSharded(cfg, seed, trace))
+	if cfg.Keyspace < uint64(cfg.Workers) {
+		return fmt.Errorf("keyspace %d is smaller than %d workers: each worker needs at least one key",
+			cfg.Keyspace, cfg.Workers)
 	}
-	return dumpTraceOnFailure("core", seed, trace.Dump, run(cfg, seed, trace))
+	trace := obs.NewTracer(obs.DefaultTraceEvents)
+	return dumpTraceOnFailure("store", seed, trace.Dump, run(cfg, seed, trace))
 }
 
 // dumpTraceOnFailure routes a failing campaign's phase trace where CI can
@@ -117,53 +125,79 @@ func dumpTraceOnFailure(kind string, seed int64, dump func(io.Writer) error, err
 	return fmt.Errorf("%w (phase trace: %s)", err, path)
 }
 
+// run drives one campaign on a shard.Store. Every round commits a few
+// epochs, runs a doomed partial epoch, and crashes: mid-epoch (every
+// shard's cache torn independently), or — above one shard — inside the
+// two-phase global checkpoint, where the all-or-nothing boundary is the
+// coordinator's fenced commit record rather than any one shard's header.
 func run(cfg Config, seed int64, trace *obs.Tracer) error {
-	arena := nvm.New(nvm.Config{Words: cfg.ArenaWords})
-	coreCfg := core.Config{
-		Workers:     cfg.Workers,
-		LogSegWords: 1 << 16,
-		HeapWords:   cfg.ArenaWords / 2,
-		Trace:       trace,
-	}
-	s, st := core.Open(arena, coreCfg)
-	if st != epoch.FreshStart {
-		return fmt.Errorf("fresh arena opened with status %v", st)
+	rng := rand.New(rand.NewSource(seed ^ 0x5ca1ed))
+	s, info := shard.Open(shard.Config{
+		Shards:     cfg.Shards,
+		Workers:    cfg.Workers,
+		ArenaWords: cfg.ArenaWords / uint64(cfg.Shards),
+		Trace:      trace,
+	})
+	if info.Status != epoch.FreshStart {
+		return fmt.Errorf("fresh store opened with status %v", info.Status)
 	}
 
-	committed := map[uint64]string{} // state at the last epoch boundary
-	working := map[uint64]string{}   // state including the current epoch
+	committed := model{} // state at the last global boundary
+	working := model{}   // state including the running epoch
 
 	for round := 0; round < cfg.Rounds; round++ {
-		// Committed epochs.
 		for e := 0; e < cfg.EpochsPerRound; e++ {
 			runEpoch(s, cfg, working, seed+int64(round*1000+e))
 			s.Advance()
-			committed = cloneModel(working)
+			committed = maps.Clone(working)
 		}
-		// Doomed partial epoch, then crash.
+		// Doomed partial epoch, then a crash: plain mid-epoch, inside
+		// phase 1 (must roll back everywhere), or inside phase 2 after the
+		// global record (must stand everywhere). One shard has no
+		// two-phase checkpoint and always crashes mid-epoch.
 		runEpoch(s, cfg, working, seed+int64(round*1000+999))
-		arena.Crash(nvm.RandomPolicy(cfg.PersistFraction, seed+int64(round)))
-		arena.ResetReservations()
-		var status epoch.Status
-		s, status = core.Open(arena, coreCfg)
-		if status != epoch.CrashRecovered {
-			return fmt.Errorf("round %d: reopen status %v, want crash-recovered", round, status)
+		mode := 0
+		if cfg.Shards > 1 {
+			mode = rng.Intn(3)
 		}
-		working = cloneModel(committed)
+		switch mode {
+		case 0:
+			s.SimulateCrash(cfg.PersistFraction, seed+int64(round))
+		case 1:
+			s.CrashDuringAdvance(rng.Intn(cfg.Shards+1), 0, false, cfg.PersistFraction, seed+int64(round))
+		case 2:
+			s.CrashDuringAdvance(cfg.Shards, rng.Intn(cfg.Shards+1), true, cfg.PersistFraction, seed+int64(round))
+			committed = maps.Clone(working)
+		}
+
+		s, info = s.Reopen()
+		if info.Status != epoch.CrashRecovered {
+			return fmt.Errorf("round %d: reopen status %v, want crash-recovered", round, info.Status)
+		}
+		for i, sr := range info.Shards {
+			if sr.Epoch != info.Shards[0].Epoch {
+				return fmt.Errorf("round %d: shard %d recovered to epoch %d, shard 0 to %d",
+					round, i, sr.Epoch, info.Shards[0].Epoch)
+			}
+		}
+		working = maps.Clone(committed)
 		if err := verify(s, committed); err != nil {
-			return fmt.Errorf("round %d: %w", round, err)
+			return fmt.Errorf("round %d: recovered state diverges: %w", round, err)
 		}
 	}
-	// Final clean shutdown must also preserve everything.
+	// A clean shutdown must preserve everything, with no dirty line left
+	// for a crash to lose.
 	runEpoch(s, cfg, working, seed+424242)
 	s.Shutdown()
-	arena.Crash(nvm.PersistNone)
-	arena.ResetReservations()
-	s, st = core.Open(arena, coreCfg)
-	if st != epoch.CleanRestart {
-		return fmt.Errorf("clean shutdown reopened with status %v", st)
+	s.SimulateCrash(0, seed)
+	s, info = s.Reopen()
+	if info.Status != epoch.CleanRestart {
+		return fmt.Errorf("clean shutdown reopened with status %v", info.Status)
 	}
-	return verify(s, working)
+	if err := verify(s, working); err != nil {
+		return fmt.Errorf("after clean shutdown: %w", err)
+	}
+	return nil
 }
 
 // randValue draws one value: a small uint64's canonical encoding by
@@ -181,114 +215,93 @@ func randValue(cfg Config, rng *rand.Rand) string {
 
 // runEpoch has each worker mutate its own key range, mirroring every
 // mutation into the model.
-func runEpoch(s *core.Store, cfg Config, model map[uint64]string, seed int64) {
+func runEpoch(s *shard.Store, cfg Config, m model, seed int64) {
 	per := cfg.Keyspace / uint64(cfg.Workers)
 	var mu sync.Mutex
 	var wg sync.WaitGroup
 	for w := 0; w < cfg.Workers; w++ {
-		lo := uint64(w) * per
 		wg.Add(1)
-		go func(w int, lo uint64) {
+		go func(w int) {
 			defer wg.Done()
 			h := s.Handle(w)
 			rng := rand.New(rand.NewSource(seed*31 + int64(w)))
-			local := map[uint64]string{}
-			deleted := map[uint64]bool{}
+			local := model{}
+			deleted := map[string]bool{}
 			for i := 0; i < cfg.OpsPerEpoch; i++ {
-				k := lo + uint64(rng.Int63n(int64(per)))
+				k := core.EncodeUint64(uint64(w)*per + uint64(rng.Int63n(int64(per))))
 				switch rng.Intn(6) {
 				case 0:
-					h.Delete(core.EncodeUint64(k))
-					delete(local, k)
-					deleted[k] = true
+					h.Delete(k)
+					delete(local, string(k))
+					deleted[string(k)] = true
 				case 1:
-					h.Get(core.EncodeUint64(k))
+					h.Get(k)
 				default:
 					v := randValue(cfg, rng)
-					h.PutBytes(core.EncodeUint64(k), []byte(v))
-					local[k] = v
-					delete(deleted, k)
+					h.PutBytes(k, []byte(v))
+					local[string(k)] = v
+					delete(deleted, string(k))
 				}
 			}
 			mu.Lock()
-			for k, v := range local {
-				model[k] = v
-			}
+			maps.Copy(m, local)
 			for k := range deleted {
-				delete(model, k)
+				delete(m, k)
 			}
 			mu.Unlock()
-		}(w, lo)
+		}(w)
 	}
 	wg.Wait()
 }
 
-// verify checks the store against the model by point lookups and one full
-// ordered scan, comparing exact bytes so torn values cannot hide behind
-// the uint64 view.
-func verify(s *core.Store, model map[uint64]string) error {
-	for k, v := range model {
-		got, ok := s.GetBytes(core.EncodeUint64(k))
+// reader is what verify checks: a *shard.Store or an *incll.DB.
+type reader interface {
+	GetBytes(k []byte) ([]byte, bool)
+	NewIter(o core.IterOptions) core.Cursor
+}
+
+// verify checks s against want exactly: a point lookup per key, then one
+// cursor walk in each direction that must be strictly ordered and yield
+// exactly want's keys with their exact bytes, so torn values, lost or
+// resurrected keys and reordering cannot hide.
+func verify(s reader, want model) error {
+	for k, v := range want {
+		got, ok := s.GetBytes([]byte(k))
 		if !ok {
-			return fmt.Errorf("committed key %d missing after recovery", k)
+			return fmt.Errorf("key %q missing", k)
 		}
 		if string(got) != v {
-			return fmt.Errorf("key %d = %x after recovery, committed value %x", k, got, v)
+			return fmt.Errorf("key %q = %x, want %x", k, got, v)
 		}
 	}
 	it := s.NewIter(core.IterOptions{})
 	defer it.Close()
-	count := 0
-	var prev uint64
-	for ok := it.First(); ok; ok = it.Next() {
-		k := deKey(it.Key())
-		if count > 0 && k <= prev {
-			return fmt.Errorf("cursor order violated at key %d", k)
+	walks := []struct {
+		dir         string
+		start, step func() bool
+		order       int // bytes.Compare(previous key, key)
+	}{{"forward", it.First, it.Next, -1}, {"reverse", it.Last, it.Prev, 1}}
+	for _, w := range walks {
+		n := 0
+		var prev []byte
+		for ok := w.start(); ok; ok = w.step() {
+			k := it.Key()
+			if n > 0 && bytes.Compare(prev, k) != w.order {
+				return fmt.Errorf("%s cursor out of order: %q after %q", w.dir, k, prev)
+			}
+			prev = append(prev[:0], k...)
+			n++
+			v, ok := want[string(k)]
+			if !ok {
+				return fmt.Errorf("%s cursor found key %q, want absent", w.dir, k)
+			}
+			if v != string(it.Value()) {
+				return fmt.Errorf("%s cursor key %q = %x, want %x", w.dir, k, it.Value(), v)
+			}
 		}
-		prev = k
-		count++
-		want, ok := model[k]
-		if !ok {
-			return fmt.Errorf("cursor found uncommitted key %d after recovery", k)
+		if n != len(want) {
+			return fmt.Errorf("%s cursor found %d keys, want %d", w.dir, n, len(want))
 		}
-		if want != string(it.Value()) {
-			return fmt.Errorf("cursor key %d = %x, committed %x", k, it.Value(), want)
-		}
-	}
-	if count != len(model) {
-		return fmt.Errorf("cursor found %d keys, model has %d", count, len(model))
-	}
-	// The reverse walk must agree exactly: same population, descending.
-	rev := 0
-	for ok := it.Last(); ok; ok = it.Prev() {
-		k := deKey(it.Key())
-		if rev > 0 && k >= prev {
-			return fmt.Errorf("reverse cursor order violated at key %d", k)
-		}
-		prev = k
-		rev++
-		if want, ok := model[k]; !ok || want != string(it.Value()) {
-			return fmt.Errorf("reverse cursor key %d = %x, committed %x", k, it.Value(), model[k])
-		}
-	}
-	if rev != len(model) {
-		return fmt.Errorf("reverse cursor found %d keys, model has %d", rev, len(model))
 	}
 	return nil
-}
-
-func cloneModel(m map[uint64]string) map[uint64]string {
-	out := make(map[uint64]string, len(m))
-	for k, v := range m {
-		out[k] = v
-	}
-	return out
-}
-
-func deKey(b []byte) uint64 {
-	var k uint64
-	for _, c := range b {
-		k = k<<8 | uint64(c)
-	}
-	return k
 }

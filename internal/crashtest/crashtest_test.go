@@ -3,7 +3,7 @@ package crashtest
 import "testing"
 
 func TestCrashCampaignSingleWorker(t *testing.T) {
-	cfg := Config{Workers: 1, Keyspace: 2000, OpsPerEpoch: 600, Rounds: 3}
+	cfg := Config{Workers: 1, Keyspace: 2000, OpsPerEpoch: 600, Rounds: 3, PersistFraction: 0.5}
 	for seed := int64(0); seed < 4; seed++ {
 		if err := Run(cfg, seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -12,7 +12,7 @@ func TestCrashCampaignSingleWorker(t *testing.T) {
 }
 
 func TestCrashCampaignConcurrentWorkers(t *testing.T) {
-	cfg := Config{Workers: 4, Keyspace: 4000, OpsPerEpoch: 500, Rounds: 3}
+	cfg := Config{Workers: 4, Keyspace: 4000, OpsPerEpoch: 500, Rounds: 3, PersistFraction: 0.5}
 	for seed := int64(0); seed < 3; seed++ {
 		if err := Run(cfg, seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -34,14 +34,14 @@ func TestCrashCampaignHarshPersistence(t *testing.T) {
 }
 
 func TestCrashCampaignManySmallEpochs(t *testing.T) {
-	cfg := Config{EpochsPerRound: 5, OpsPerEpoch: 150, Rounds: 4}
+	cfg := Config{EpochsPerRound: 5, OpsPerEpoch: 150, Rounds: 4, PersistFraction: 0.5}
 	if err := Run(cfg, 21); err != nil {
 		t.Fatal(err)
 	}
 }
 
 func TestCrashShardedCampaignsRecoverExactly(t *testing.T) {
-	cfg := Config{Shards: 4, Workers: 2, Rounds: 3, Keyspace: 2000, OpsPerEpoch: 400}
+	cfg := Config{Shards: 4, Workers: 2, Rounds: 3, Keyspace: 2000, OpsPerEpoch: 400, PersistFraction: 0.5}
 	for seed := int64(0); seed < 3; seed++ {
 		if err := Run(cfg, seed); err != nil {
 			t.Fatalf("sharded seed %d: %v", seed, err)
@@ -53,7 +53,8 @@ func TestCrashCampaignByteValues(t *testing.T) {
 	// The value heap under crash churn: inline values, out-of-place blocks
 	// across several size classes, exact-byte verification (no torn or
 	// partially recovered values).
-	cfg := Config{Workers: 2, Keyspace: 1200, OpsPerEpoch: 400, Rounds: 3, ValueBytes: 1500}
+	cfg := Config{Workers: 2, Keyspace: 1200, OpsPerEpoch: 400, Rounds: 3, ValueBytes: 1500,
+		PersistFraction: 0.5}
 	for seed := int64(0); seed < 3; seed++ {
 		if err := Run(cfg, seed); err != nil {
 			t.Fatalf("seed %d: %v", seed, err)
@@ -63,7 +64,7 @@ func TestCrashCampaignByteValues(t *testing.T) {
 
 func TestCrashShardedCampaignByteValues(t *testing.T) {
 	cfg := Config{Shards: 4, Workers: 2, Rounds: 3, Keyspace: 1200,
-		OpsPerEpoch: 300, ValueBytes: 1500, ArenaWords: 1 << 24}
+		OpsPerEpoch: 300, ValueBytes: 1500, ArenaWords: 1 << 24, PersistFraction: 0.5}
 	for seed := int64(0); seed < 2; seed++ {
 		if err := Run(cfg, seed); err != nil {
 			t.Fatalf("sharded seed %d: %v", seed, err)

@@ -30,6 +30,7 @@ import (
 	"iter"
 	"maps"
 	"math/rand"
+	"strings"
 	"sync"
 	"sync/atomic"
 
@@ -57,7 +58,8 @@ type ReplConfig struct {
 	// crash at the next snapshot protocol point, cycling through all of
 	// them.
 	Rounds int
-	// PersistFraction is the probability a dirty line survives each crash.
+	// PersistFraction is the probability a dirty line survives each crash
+	// (0: none survives).
 	PersistFraction float64
 }
 
@@ -87,9 +89,6 @@ func (c ReplConfig) withDefaults(def ReplConfig) ReplConfig {
 	if c.Rounds <= 0 {
 		c.Rounds = len(snapPoints)
 	}
-	if c.PersistFraction == 0 {
-		c.PersistFraction = 0.5
-	}
 	return c
 }
 
@@ -100,9 +99,6 @@ var snapPoints = []string{"header", "kv-frame", "scan-done", "anchor", "changes-
 // errAbort is the sentinel the snapshot hook uses to stop the export at
 // the chosen protocol point (standing in for the process dying there).
 var errAbort = errors.New("crashtest: export aborted at injection point")
-
-// model is a committed reference state.
-type model map[string]string
 
 // verifier reconstructs the committed state at every released epoch from
 // a change-stream subscription.
@@ -184,23 +180,69 @@ func dbState(db *incll.DB) model {
 	return m
 }
 
-// diffModels returns a description of the first divergence, or "".
-func diffModels(got, want model, gotName, wantName string) string {
-	for k, v := range want {
-		gv, ok := got[k]
-		if !ok {
-			return fmt.Sprintf("key %q present in %s, missing in %s", k, wantName, gotName)
-		}
-		if gv != v {
-			return fmt.Sprintf("key %q: %s has %q, %s has %q", k, wantName, v, gotName, gv)
-		}
+// replKey is writer w's key number kn. The padded tail varies key
+// lengths, so the keys span several tree layers.
+func replKey(w, kn int) []byte {
+	return fmt.Appendf(nil, "w%02d/key/%05d/%s", w, kn, strings.Repeat("p", kn%11))
+}
+
+// burst has every writer run cfg.OpsPerBurst operations on its own keys
+// of db: mostly small values, some heap-resident ones, some deletes.
+func burst(db *incll.DB, cfg ReplConfig, seed int64, r int) {
+	var wg sync.WaitGroup
+	for w := 0; w < cfg.Workers; w++ {
+		wg.Add(1)
+		go func(w int) {
+			defer wg.Done()
+			rng := rand.New(rand.NewSource(seed ^ int64(r*1000+w)))
+			h := db.Handle(w)
+			for i := 0; i < cfg.OpsPerBurst; i++ {
+				kn := rng.Intn(cfg.KeysPerWorker)
+				key := replKey(w, kn)
+				switch rng.Intn(10) {
+				case 0:
+					h.Delete(key)
+				case 1: // heap-resident value
+					v := bytes.Repeat([]byte{byte(kn), byte(i)}, 16+rng.Intn(128))
+					if _, err := h.PutBytes(key, v); err != nil {
+						panic(err)
+					}
+				default: // mostly small/inline values
+					h.Put(key, uint64(rng.Intn(1<<30)))
+				}
+			}
+		}(w)
 	}
-	for k := range got {
-		if _, ok := want[k]; !ok {
-			return fmt.Sprintf("key %q present in %s, missing in %s", k, gotName, wantName)
+	wg.Wait()
+}
+
+// startLoad runs a background writer on db's handle w, putting to every
+// writer's keys and checkpointing after every ckptEvery puts (0: never),
+// until the returned stop is called; stop returns once the writer has.
+func startLoad(db *incll.DB, cfg ReplConfig, w int, seed, tag int64, ckptEvery int) (stop func()) {
+	done := make(chan struct{})
+	var wg sync.WaitGroup
+	wg.Add(1)
+	go func() {
+		defer wg.Done()
+		rng := rand.New(rand.NewSource(seed ^ tag))
+		h := db.Handle(w)
+		for i := 0; ; i++ {
+			select {
+			case <-done:
+				return
+			default:
+			}
+			h.Put(replKey(i%cfg.Workers, rng.Intn(cfg.KeysPerWorker)), uint64(i)|1<<33)
+			if ckptEvery > 0 && i%ckptEvery == ckptEvery-1 {
+				db.Checkpoint()
+			}
 		}
+	}()
+	return func() {
+		close(done)
+		wg.Wait()
 	}
-	return ""
 }
 
 // EqualBothDirections checks byte-identical All() iteration forward and
@@ -256,41 +298,12 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 	}
 	defer func() { fol.Close() }() // the follower is replaced at each resync
 
-	burst := func(db *incll.DB, r int) {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed ^ int64(r*1000+w)))
-				h := db.Handle(w)
-				for i := 0; i < cfg.OpsPerBurst; i++ {
-					kn := rng.Intn(cfg.KeysPerWorker)
-					key := []byte(fmt.Sprintf("w%02d/key/%05d/%s", w, kn,
-						bytes.Repeat([]byte("p"), kn%11)))
-					switch rng.Intn(10) {
-					case 0:
-						h.Delete(key)
-					case 1: // heap-resident value
-						v := bytes.Repeat([]byte{byte(kn), byte(i)}, 16+rng.Intn(128))
-						if _, err := h.PutBytes(key, v); err != nil {
-							panic(err)
-						}
-					default: // mostly small/inline values
-						h.Put(key, uint64(rng.Intn(1<<30)))
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
-
 	for round := 0; round < cfg.Rounds; round++ {
 		point := snapPoints[round%len(snapPoints)]
 
 		// Committed prelude: a couple of quiesced checkpoints.
 		for e := 0; e < 2; e++ {
-			burst(primary, round*10+e)
+			burst(primary, cfg, seed, round*10+e)
 			primary.Checkpoint()
 			if err := ver.drainReleased(); err != nil {
 				return fmt.Errorf("round %d: verifier: %w", round, err)
@@ -299,31 +312,15 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 
 		// Cross-check the verifier against ground truth at this quiesced
 		// boundary: the reconstruction must equal the primary exactly.
-		if d := diffModels(dbState(primary), ver.state, "primary", "verifier"); d != "" {
-			return fmt.Errorf("round %d: verifier drifted: %s", round, d)
+		if err := verify(primary, ver.state); err != nil {
+			return fmt.Errorf("round %d: verifier drifted from the primary: %w", round, err)
 		}
 
 		// Doomed phase: concurrent burst, export aborted at the protocol
 		// point, then the crash. The uncommitted burst tail must vanish;
 		// the truncated stream must never restore.
 		var exportBuf bytes.Buffer
-		stop := make(chan struct{})
-		var loadWG sync.WaitGroup
-		loadWG.Add(1)
-		go func() {
-			defer loadWG.Done()
-			rng := rand.New(rand.NewSource(seed ^ int64(round*77+13)))
-			h := primary.Handle(cfg.Workers) // extra handle: doomed-phase writer
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				key := []byte(fmt.Sprintf("w%02d/key/%05d/", i%cfg.Workers, rng.Intn(cfg.KeysPerWorker)))
-				h.Put(key, uint64(i)|1<<33)
-			}
-		}()
+		stopLoad := startLoad(primary, cfg, cfg.Workers, seed, int64(round*77+13), 0)
 
 		var exportErr error
 		if point != "" {
@@ -347,8 +344,7 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 				}
 			}
 		}
-		close(stop)
-		loadWG.Wait()
+		stopLoad()
 
 		// Crash the primary mid-stream.
 		primary.SimulateCrash(cfg.PersistFraction, seed+int64(round))
@@ -399,7 +395,7 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 	}
 
 	// Final: the follower drains everything and is promoted.
-	burst(primary, cfg.Rounds*10+1)
+	burst(primary, cfg, seed, cfg.Rounds*10+1)
 	primary.Checkpoint()
 	if err := waitWatermarks(primary.ReleasedEpoch(), fol); err != nil {
 		return fmt.Errorf("final catch-up: %w", err)

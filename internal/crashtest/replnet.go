@@ -154,8 +154,8 @@ func checkExactPrefix(f *incll.Follower, ver *verifier, who string) error {
 	if !ok {
 		return fmt.Errorf("%s applied epoch %d, which the verifier never saw (base..%d)", who, applied, ver.upTo)
 	}
-	if d := diffModels(dbState(f.DB()), want, who, fmt.Sprintf("committed state at epoch %d", applied)); d != "" {
-		return fmt.Errorf("%s is not an exact committed prefix: %s", who, d)
+	if err := verify(f.DB(), want); err != nil {
+		return fmt.Errorf("%s is not the exact committed state at epoch %d: %w", who, applied, err)
 	}
 	return nil
 }
@@ -174,33 +174,6 @@ func RunReplnet(cfg ReplConfig, seed int64) (err error) {
 	defer func() { err = dumpTraceOnFailure("replnet", seed, primary.DumpTrace, err) }()
 
 	ver := newVerifier(primary, model{})
-
-	burst := func(db *incll.DB, r int) {
-		var wg sync.WaitGroup
-		for w := 0; w < cfg.Workers; w++ {
-			wg.Add(1)
-			go func(w int) {
-				defer wg.Done()
-				rng := rand.New(rand.NewSource(seed ^ int64(r*1000+w)))
-				h := db.Handle(w)
-				for i := 0; i < cfg.OpsPerBurst; i++ {
-					kn := rng.Intn(cfg.KeysPerWorker)
-					key := []byte(fmt.Sprintf("w%02d/key/%05d", w, kn))
-					switch rng.Intn(10) {
-					case 0:
-						h.Delete(key)
-					case 1:
-						if _, err := h.PutBytes(key, make([]byte, 16+rng.Intn(200))); err != nil {
-							panic(err)
-						}
-					default:
-						h.Put(key, uint64(rng.Intn(1<<30)))
-					}
-				}
-			}(w)
-		}
-		wg.Wait()
-	}
 
 	for round := 0; round < cfg.Rounds; round++ {
 		point := snapPoints[round%len(snapPoints)]
@@ -221,7 +194,7 @@ func RunReplnet(cfg ReplConfig, seed int64) (err error) {
 
 		// Committed prelude under live streaming.
 		for e := 0; e < 2; e++ {
-			burst(primary, round*10+e)
+			burst(primary, cfg, seed, round*10+e)
 			primary.Checkpoint()
 			if err := ver.drainReleased(); err != nil {
 				return fmt.Errorf("round %d: verifier: %w", round, err)
@@ -276,28 +249,9 @@ func RunReplnet(cfg ReplConfig, seed int64) (err error) {
 
 		// Doomed phase: concurrent load with periodic checkpoints, then a
 		// hard crash mid-stream.
-		stop := make(chan struct{})
-		var loadWG sync.WaitGroup
-		loadWG.Add(1)
-		go func() {
-			defer loadWG.Done()
-			rng := rand.New(rand.NewSource(seed ^ int64(round*77+13)))
-			h := primary.Handle(cfg.Workers)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Put([]byte(fmt.Sprintf("w%02d/key/%05d", i%cfg.Workers, rng.Intn(cfg.KeysPerWorker))), uint64(i)|1<<33)
-				if i%200 == 199 {
-					primary.Checkpoint()
-				}
-			}
-		}()
+		stopLoad := startLoad(primary, cfg, cfg.Workers, seed, int64(round*77+13), 200)
 		time.Sleep(10 * time.Millisecond) // let some doomed epochs release and stream
-		close(stop)
-		loadWG.Wait()
+		stopLoad()
 		primary.SimulateCrash(cfg.PersistFraction, seed+int64(round))
 		ver.drainUntilLost()
 
@@ -395,32 +349,13 @@ func RunReplnetPartition(cfg ReplConfig, seed int64) (err error) {
 
 	rng := rand.New(rand.NewSource(seed))
 	for round := 0; round < cfg.Rounds; round++ {
-		// Load with periodic checkpoints, and a partition injected while
-		// batches are on the wire.
-		stop := make(chan struct{})
-		var loadWG sync.WaitGroup
-		loadWG.Add(1)
-		go func(round int) {
-			defer loadWG.Done()
-			lrng := rand.New(rand.NewSource(seed ^ int64(round*131+7))) // own rng: the outer one times the cuts
-			h := primary.Handle(0)
-			for i := 0; ; i++ {
-				select {
-				case <-stop:
-					return
-				default:
-				}
-				h.Put([]byte(fmt.Sprintf("w%02d/key/%05d", i%cfg.Workers, lrng.Intn(cfg.KeysPerWorker))), uint64(i))
-				if i%100 == 99 {
-					primary.Checkpoint()
-				}
-			}
-		}(round)
+		// Load with periodic checkpoints (its own rng: the outer one times
+		// the cuts), and a partition injected while batches are on the wire.
+		stopLoad := startLoad(primary, cfg, 0, seed, int64(round*131+7), 100)
 		time.Sleep(time.Duration(2+rng.Intn(10)) * time.Millisecond)
 		cl.cutAll() // partition: every live replication conn torn mid-stream
 		time.Sleep(time.Duration(2+rng.Intn(10)) * time.Millisecond)
-		close(stop)
-		loadWG.Wait()
+		stopLoad()
 
 		// Quiesce and let both followers recover (a full re-bootstrap
 		// each — the journal cannot replay the lost window).

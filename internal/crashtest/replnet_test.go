@@ -10,9 +10,9 @@ import (
 // there, the primary is crashed mid-stream with two live followers, one
 // follower is promoted, and the survivors resync byte-identical.
 func TestRunReplnet(t *testing.T) {
-	cfg := ReplConfig{}
+	cfg := ReplConfig{PersistFraction: 0.5}
 	if testing.Short() {
-		cfg = ReplConfig{Rounds: 2, KeysPerWorker: 120, OpsPerBurst: 150}
+		cfg = ReplConfig{Rounds: 2, KeysPerWorker: 120, OpsPerBurst: 150, PersistFraction: 0.5}
 	}
 	seed := time.Now().UnixNano()
 	t.Logf("replnet campaign seed %d", seed)
@@ -46,11 +46,12 @@ func TestRunReplnetShardMismatch(t *testing.T) {
 	seed := time.Now().UnixNano()
 	t.Logf("replnet shard-mismatch seed %d", seed)
 	if err := RunReplnet(ReplConfig{
-		Shards:         3,
-		FollowerShards: 1,
-		Rounds:         2,
-		KeysPerWorker:  150,
-		OpsPerBurst:    200,
+		Shards:          3,
+		FollowerShards:  1,
+		Rounds:          2,
+		KeysPerWorker:   150,
+		OpsPerBurst:     200,
+		PersistFraction: 0.5,
 	}, seed); err != nil {
 		t.Fatal(err)
 	}

@@ -11,8 +11,8 @@ import "testing"
 // duplicated keys and no torn transaction.
 func TestReshardCrashProperty(t *testing.T) {
 	cases := []ReshardConfig{
-		{From: 4, To: 8}, // split
-		{From: 8, To: 4}, // merge
+		{From: 4, To: 8, PersistFraction: 0.5}, // split
+		{From: 8, To: 4, PersistFraction: 0.5}, // merge
 	}
 	if testing.Short() {
 		cases = cases[:1]
@@ -30,7 +30,7 @@ func TestReshardCrashPropertyFromUnsharded(t *testing.T) {
 	if testing.Short() {
 		t.Skip("covered by TestReshardCrashProperty in short mode")
 	}
-	if err := RunReshard(ReshardConfig{From: 1, To: 4, Workers: 1}, 13); err != nil {
+	if err := RunReshard(ReshardConfig{From: 1, To: 4, Workers: 1, PersistFraction: 0.5}, 13); err != nil {
 		t.Fatal(err)
 	}
 }
