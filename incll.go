@@ -20,10 +20,10 @@
 //	v, ok := db.Get(incll.Key(1))    // 100, true
 //
 // Values are variable-length byte strings up to MaxValueBytes
-// (PutBytes/GetBytes/ScanBytes), stored on a crash-consistent value heap;
-// values of at most five bytes live inline in the tree leaf. The uint64
-// methods are a view over the same store (see Handle), and small uint64s
-// take the inline, allocation-free fast path.
+// (PutBytes/GetBytes, and the cursors' Value), stored on a crash-consistent
+// value heap; values of at most five bytes live inline in the tree leaf.
+// The uint64 methods are a view over the same store (see Handle), and
+// small uint64s take the inline, allocation-free fast path.
 //
 // Every DB is a set of Options.Shards independent store+arena shards (one
 // by default: the paper's single store) behind the same API (see
@@ -77,6 +77,7 @@ import (
 	"time"
 
 	"incll/internal/core"
+	"incll/internal/crashpoint"
 	"incll/internal/epoch"
 	"incll/internal/nvm"
 	"incll/internal/obs"
@@ -266,69 +267,43 @@ type Iterator = core.Cursor
 // bidirectional regardless).
 type IterOptions = core.IterOptions
 
-// Handle is a per-worker handle; see Options.Workers. Handles are not safe
-// for concurrent use, but distinct handles are. The handle routes each key
-// to its shard transparently.
+// Handle is worker w's handle on a DB; see Options.Workers. Handles are
+// not safe for concurrent use, but distinct handles are. The handle routes
+// each key to its shard transparently, and it resolves the DB's live
+// engine exactly once per operation, so it survives an online reshard:
+// operations started before the cutover run against the donor (and are
+// drained into its final checkpoint), operations after it run against the
+// new shard set.
 //
 // Values are byte strings up to MaxValueBytes; values of at most five
 // bytes live inline in the leaf. The uint64 methods are a view over the
-// same store: Put(k, v) stores v's minimal big-endian encoding (inline —
-// and allocation-free — whenever v < 2^40) and Get decodes the stored
-// bytes back; GetBytes after Put(k, 258) returns {1, 2}.
-type Handle interface {
-	// Get returns the uint64 view of the value stored under k.
-	Get(k []byte) (uint64, bool)
-	// GetBytes returns a copy of the byte value stored under k.
-	GetBytes(k []byte) ([]byte, bool)
-	// AppendGet appends k's value bytes to dst: the allocation-free form
-	// of GetBytes.
-	AppendGet(dst []byte, k []byte) ([]byte, bool)
-	// Put stores v under k; reports whether k was newly inserted.
-	Put(k []byte, v uint64) bool
-	// PutBytes stores the byte value v under k; reports whether k was
-	// newly inserted, or ErrValueTooLarge / ErrKeyTooLarge.
-	PutBytes(k []byte, v []byte) (bool, error)
-	// Delete removes k; reports whether it was present.
-	Delete(k []byte) bool
-	// NewIter opens a cursor on this worker's handle.
-	NewIter(o IterOptions) Iterator
-	// Scan visits up to max keys ≥ start in ascending order (max < 0
-	// means unlimited), until fn returns false. Returns the number
-	// visited. A thin wrapper over NewIter, kept for compatibility.
-	Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int
-	// ScanBytes is Scan delivering byte values; the key and value slices
-	// are only valid during the callback.
-	ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int
-}
-
-// dynHandle is the validated façade handle for one worker. Every
-// operation resolves the DB's live engine exactly once, so the handle
-// survives an online reshard: operations started before the cutover run
-// against the donor (and are drained into its final checkpoint),
-// operations after it run against the new shard set.
-type dynHandle struct {
+// same store: Put(k, v) stores v's minimal big-endian encoding (inline
+// whenever v < 2^40) and Get decodes the stored bytes back; GetBytes after
+// Put(k, 258) returns {1, 2}. Get allocates nothing, nor does a Put of
+// v < 2^40 over an existing key.
+type Handle struct {
 	db *DB
 	w  int
 }
 
 // Get returns the uint64 view of the value stored under k.
-func (h *dynHandle) Get(k []byte) (uint64, bool) {
+func (h Handle) Get(k []byte) (uint64, bool) {
 	return h.db.engine().shards.Handle(h.w).Get(k)
 }
 
 // GetBytes returns a copy of the byte value stored under k.
-func (h *dynHandle) GetBytes(k []byte) ([]byte, bool) {
+func (h Handle) GetBytes(k []byte) ([]byte, bool) {
 	return h.db.engine().shards.Handle(h.w).GetBytes(k)
 }
 
 // AppendGet appends k's value bytes to dst: the allocation-free form of
 // GetBytes.
-func (h *dynHandle) AppendGet(dst []byte, k []byte) ([]byte, bool) {
+func (h Handle) AppendGet(dst []byte, k []byte) ([]byte, bool) {
 	return h.db.engine().shards.Handle(h.w).AppendGet(dst, k)
 }
 
 // Put stores v under k; reports whether k was newly inserted.
-func (h *dynHandle) Put(k []byte, v uint64) bool {
+func (h Handle) Put(k []byte, v uint64) bool {
 	e := h.db.writeEngine(h.w)
 	defer e.release(h.w)
 	return e.shards.Handle(h.w).Put(k, v)
@@ -336,7 +311,7 @@ func (h *dynHandle) Put(k []byte, v uint64) bool {
 
 // PutBytes stores the byte value v under k; reports whether k was newly
 // inserted, or ErrValueTooLarge / ErrKeyTooLarge.
-func (h *dynHandle) PutBytes(k []byte, v []byte) (bool, error) {
+func (h Handle) PutBytes(k []byte, v []byte) (bool, error) {
 	if err := core.ValidateKV(k, v); err != nil {
 		return false, err
 	}
@@ -346,47 +321,22 @@ func (h *dynHandle) PutBytes(k []byte, v []byte) (bool, error) {
 }
 
 // Delete removes k; reports whether it was present.
-func (h *dynHandle) Delete(k []byte) bool {
+func (h Handle) Delete(k []byte) bool {
 	e := h.db.writeEngine(h.w)
 	defer e.release(h.w)
 	return e.shards.Handle(h.w).Delete(k)
 }
 
-// NewIter opens a cursor on this worker's handle. The cursor walks the
-// engine it was opened on; across a reshard cutover it keeps reading the
-// donor's frozen final checkpoint (a consistent committed snapshot).
-func (h *dynHandle) NewIter(o IterOptions) Iterator {
+// NewIter opens a cursor on this worker's handle: bidirectional
+// (First/Last/SeekGE/SeekLT/Next/Prev), bounded by o, and
+// checkpoint-friendly — the walk holds the epoch machinery only for one
+// bounded batch at a time. With several shards the per-shard cursors are
+// k-way merged, so iteration order is identical to a one-shard cursor. The
+// cursor walks the engine it was opened on; across a reshard cutover it
+// keeps reading the donor's frozen final checkpoint (a consistent
+// committed snapshot).
+func (h Handle) NewIter(o IterOptions) Iterator {
 	return h.db.engine().shards.Handle(h.w).NewIter(o)
-}
-
-// Scan visits up to max keys ≥ start in ascending order (max < 0 means
-// unlimited), until fn returns false. Returns the number visited.
-func (h *dynHandle) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	it := h.NewIter(IterOptions{})
-	n := 0
-	for ok := it.SeekGE(start); ok && n != max; ok = it.Next() {
-		n++
-		if !fn(it.Key(), it.ValueUint64()) {
-			break
-		}
-	}
-	it.Close()
-	return n
-}
-
-// ScanBytes is Scan delivering byte values; the key and value slices are
-// only valid during the callback.
-func (h *dynHandle) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	it := h.NewIter(IterOptions{})
-	n := 0
-	for ok := it.SeekGE(start); ok && n != max; ok = it.Next() {
-		n++
-		if !fn(it.Key(), it.Value()) {
-			break
-		}
-	}
-	it.Close()
-	return n
 }
 
 // Key renders a uint64 as an 8-byte big-endian key, so integer order
@@ -468,6 +418,11 @@ func (e *engine) epoch() uint64 { return e.shards.Epoch() }
 // store). A checkpoint of several shards is a coordinated two-phase commit;
 // a single shard's is its own epoch advance. DB.Reshard repartitions the
 // keyspace online (see reshard.go and DESIGN.md §13).
+//
+// DB's single-key methods (Get, GetBytes, Put, PutBytes, Delete) and
+// NewIter are Handle(0)'s: writes through them must not run concurrently
+// with each other or with Handle(0)'s; give each concurrent writer its own
+// Handle(i).
 type DB struct {
 	// eng is the live engine; swapped by Reshard's cutover. Resolve it
 	// through DB.engine (reads) or DB.writeEngine (mutations) — never by
@@ -490,14 +445,16 @@ type DB struct {
 	// lazily on first Snapshot/Changes use and dies with this DB instance
 	// — or with the donor topology at a reshard cutover (subscribers see
 	// ErrStreamLost and re-bootstrap, exactly as after a primary crash).
-	replMu   sync.Mutex
-	replHub  *repl.Hub
-	snapHook func(point string) error // crash-injection test hook
+	replMu  sync.Mutex
+	replHub *repl.Hub
 
 	// Reshard state (see reshard.go).
-	reshardMu   sync.Mutex
-	reshardHook func(point string) error // crash-injection test hook
-	rstate      reshardState
+	reshardMu sync.Mutex
+	rstate    reshardState
+
+	// hook is the crash-injection hook of the snapshot and reshard
+	// protocols (see internal/crashpoint); nil outside tests.
+	hook atomic.Pointer[crashpoint.Hook]
 
 	// Networked replication state (see replserve.go). closed makes
 	// Close/SimulateCrash idempotent and lets late API calls fail fast;
@@ -505,6 +462,24 @@ type DB struct {
 	closed  atomic.Bool
 	netMu   sync.Mutex
 	netSrvs []*ReplServer
+}
+
+func init() {
+	crashpoint.Register(func(db any, h crashpoint.Hook) {
+		if h == nil {
+			db.(*DB).hook.Store(nil)
+			return
+		}
+		db.(*DB).hook.Store(&h)
+	})
+}
+
+// crashHook returns the installed crash-injection hook, or nil.
+func (db *DB) crashHook() crashpoint.Hook {
+	if h := db.hook.Load(); h != nil {
+		return *h
+	}
+	return nil
 }
 
 // engine resolves the live engine for a read. During a cutover's swap
@@ -635,7 +610,7 @@ func shardInfo(si shard.RecoveryInfo) RecoveryInfo {
 // Handle returns worker i's handle (i < Options.Workers). The handle
 // resolves the live engine per operation, so it stays valid across an
 // online reshard.
-func (db *DB) Handle(i int) Handle { return &dynHandle{db: db, w: i} }
+func (db *DB) Handle(i int) Handle { return Handle{db: db, w: i} }
 
 // Shards returns the shard count (1 unless Options.Shards or a reshard
 // said otherwise).
@@ -646,49 +621,25 @@ func (db *DB) Shards() int { return db.engine().topo.Shards }
 func (db *DB) TopoVersion() uint64 { return db.engine().topo.Version }
 
 // Get returns the uint64 view of the value stored under k.
-func (db *DB) Get(k []byte) (uint64, bool) {
-	return db.engine().shards.Get(k)
-}
+func (db *DB) Get(k []byte) (uint64, bool) { return db.Handle(0).Get(k) }
 
 // GetBytes returns a copy of the byte value stored under k.
-func (db *DB) GetBytes(k []byte) ([]byte, bool) {
-	return db.engine().shards.GetBytes(k)
-}
+func (db *DB) GetBytes(k []byte) ([]byte, bool) { return db.Handle(0).GetBytes(k) }
 
 // Put stores v under k; reports whether k was newly inserted.
-func (db *DB) Put(k []byte, v uint64) bool {
-	e := db.writeEngine(0)
-	defer e.release(0)
-	return e.shards.Put(k, v)
-}
+func (db *DB) Put(k []byte, v uint64) bool { return db.Handle(0).Put(k, v) }
 
 // PutBytes stores the byte value v under k; reports whether k was newly
 // inserted, or ErrValueTooLarge / ErrKeyTooLarge for oversized input.
-func (db *DB) PutBytes(k []byte, v []byte) (bool, error) {
-	if err := core.ValidateKV(k, v); err != nil {
-		return false, err
-	}
-	e := db.writeEngine(0)
-	defer e.release(0)
-	return e.shards.PutBytes(k, v), nil
-}
+func (db *DB) PutBytes(k []byte, v []byte) (bool, error) { return db.Handle(0).PutBytes(k, v) }
 
 // Delete removes k; reports whether it was present.
-func (db *DB) Delete(k []byte) bool {
-	e := db.writeEngine(0)
-	defer e.release(0)
-	return e.shards.Delete(k)
-}
+func (db *DB) Delete(k []byte) bool { return db.Handle(0).Delete(k) }
 
-// NewIter opens a cursor over the DB on worker 0's handle: bidirectional
-// (First/Last/SeekGE/SeekLT/Next/Prev), bounded by o, and
-// checkpoint-friendly — the walk holds the epoch machinery only for one
-// bounded batch at a time. With several shards the per-shard cursors are
-// k-way merged, so iteration order is identical to a one-shard cursor.
-// Concurrent workers should open their own cursor via Handle(i).NewIter.
-func (db *DB) NewIter(o IterOptions) Iterator {
-	return db.engine().shards.NewIter(o)
-}
+// NewIter opens a cursor over the DB on worker 0's handle; see
+// Handle.NewIter. Concurrent workers should open their own cursor via
+// Handle(i).NewIter.
+func (db *DB) NewIter(o IterOptions) Iterator { return db.Handle(0).NewIter(o) }
 
 // All is the range-over-func view of the whole DB in ascending key order:
 //
@@ -731,23 +682,6 @@ func cursorSeq(open func() Iterator, reverse bool) iter.Seq2[[]byte, []byte] {
 			}
 		}
 	}
-}
-
-// Scan visits up to max keys ≥ start in ascending order (max < 0 means
-// unlimited), until fn returns false. Returns the number visited. With
-// several shards the per-shard streams are k-way merged, so iteration
-// order is identical to a one-shard scan. A thin wrapper over NewIter,
-// kept for compatibility; the key slice is only valid during the callback.
-func (db *DB) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	h := dynHandle{db: db}
-	return h.Scan(start, max, fn)
-}
-
-// ScanBytes is Scan delivering byte values; the key and value slices are
-// only valid during the callback.
-func (db *DB) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	h := dynHandle{db: db}
-	return h.ScanBytes(start, max, fn)
 }
 
 // Len returns the number of live keys tracked this execution (transient;

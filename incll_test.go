@@ -12,6 +12,7 @@ import (
 	"incll/internal/core"
 	"incll/internal/epoch"
 	"incll/internal/nvm"
+	"incll/internal/testutil"
 )
 
 func TestFacadeQuickstartFlow(t *testing.T) {
@@ -71,13 +72,12 @@ func TestFacadeScanAndHandles(t *testing.T) {
 	}
 	<-done
 	var n uint64
-	db.Scan(nil, -1, func(k []byte, v uint64) bool {
-		if v != n {
-			t.Fatalf("scan value %d at position %d", v, n)
+	for _, v := range db.All() {
+		if DecodeValue(v) != n {
+			t.Fatalf("scan value %d at position %d", DecodeValue(v), n)
 		}
 		n++
-		return true
-	})
+	}
 	if n != 1000 {
 		t.Fatalf("scan visited %d", n)
 	}
@@ -213,13 +213,12 @@ func TestShardedFacadeScanMergesInOrder(t *testing.T) {
 	}
 	<-done
 	var n uint64
-	db.Scan(nil, -1, func(k []byte, v uint64) bool {
-		if v != n {
-			t.Fatalf("scan value %d at position %d", v, n)
+	for _, v := range db.All() {
+		if DecodeValue(v) != n {
+			t.Fatalf("scan value %d at position %d", DecodeValue(v), n)
 		}
 		n++
-		return true
-	})
+	}
 	if n != 1000 {
 		t.Fatalf("scan visited %d", n)
 	}
@@ -438,7 +437,10 @@ func TestOpenBeyond64ShardsAndCrashRecover(t *testing.T) {
 	if v, _ := db.Get(Key(499)); v != 7 {
 		t.Fatalf("key 499 = %d after recovery", v)
 	}
-	n := db.Scan(nil, -1, func([]byte, uint64) bool { return true })
+	n := 0
+	for range db.All() {
+		n++
+	}
 	if n != 500 {
 		t.Fatalf("scan saw %d keys after recovery", n)
 	}
@@ -505,10 +507,9 @@ func TestFacadeByteValuesEndToEnd(t *testing.T) {
 			t.Fatalf("shards=%d: uint64 view = %#x, %v", shards, v, ok)
 		}
 		var scanned int
-		db2.ScanBytes(nil, -1, func(k, v []byte) bool {
+		for range db2.All() {
 			scanned++
-			return true
-		})
+		}
 		if scanned != len(sizes) {
 			t.Fatalf("shards=%d: scanned %d keys, want %d", shards, scanned, len(sizes))
 		}
@@ -529,6 +530,50 @@ func TestFacadeUintAndByteViewsAgree(t *testing.T) {
 	db.Put(Key(3), 1<<63|12345)
 	if v, _ := db.Get(Key(3)); v != 1<<63|12345 {
 		t.Fatalf("large uint64 = %#x", v)
+	}
+}
+
+// TestSingleKeyAllocBudget pins the single-key path at zero allocations:
+// Get, and a Put of an inline uint64 (v < 2^40) over an existing key, on
+// DB and on a worker's Handle, at one shard and at four — in the epoch a
+// checkpoint just opened (first-touch undo captures) and after it.
+func TestSingleKeyAllocBudget(t *testing.T) {
+	for _, shards := range []int{1, 4} {
+		db, _ := Open(Options{Shards: shards, Workers: 2})
+		keys := make([][]byte, 64)
+		for i := range keys {
+			keys[i] = Key(uint64(i) * 7919)
+			db.Put(keys[i], uint64(i))
+		}
+		h := db.Handle(1)
+		var sink uint64
+		shapes := []struct {
+			name string
+			op   func(k []byte, v uint64)
+		}{
+			{"DB.Put", func(k []byte, v uint64) { db.Put(k, v) }},
+			{"Handle.Put", func(k []byte, v uint64) { h.Put(k, v) }},
+			{"DB.Get", func(k []byte, _ uint64) { v, _ := db.Get(k); sink += v }},
+			{"Handle.Get", func(k []byte, _ uint64) { v, _ := h.Get(k); sink += v }},
+		}
+		for _, sh := range shapes {
+			round := uint64(0)
+			pass := func() {
+				round++
+				for i, k := range keys {
+					sh.op(k, (round<<32|uint64(i))&(1<<40-1))
+				}
+			}
+			db.Checkpoint()
+			perOp := testing.AllocsPerRun(10, pass) / float64(len(keys))
+			if perOp != 0 && !testutil.RaceEnabled {
+				t.Errorf("shards=%d %s: %.2f allocations per op, want 0", shards, sh.name, perOp)
+			}
+		}
+		if v, ok := db.Get(keys[1]); !ok || v>>32 == 0 {
+			t.Fatalf("shards=%d: key 1 = %#x, %v after the passes", shards, v, ok)
+		}
+		db.Close()
 	}
 }
 
@@ -593,11 +638,10 @@ func TestShardedScanMatchesUnshardedBytes(t *testing.T) {
 				db.Checkpoint()
 			}
 		}
-		db.ScanBytes(nil, -1, func(k, v []byte) bool {
+		for k, v := range db.All() {
 			keys = append(keys, append([]byte(nil), k...))
 			vals = append(vals, append([]byte(nil), v...))
-			return true
-		})
+		}
 		return
 	}
 	k1, v1 := run(1)
@@ -615,10 +659,10 @@ func TestShardedScanMatchesUnshardedBytes(t *testing.T) {
 	}
 }
 
-// TestConcurrentScanWritersAndTicks races DB.Scan against writers and the
-// background checkpointer on a sharded DB (run under -race in CI): the
-// k-way-merge cursor refills while epochs advance. Scans must stay ordered
-// and every value must be one some writer wrote for that key.
+// TestConcurrentScanWritersAndTicks races full cursor walks against
+// writers and the background checkpointer on a sharded DB (run under -race
+// in CI): the k-way-merge cursor refills while epochs advance. Walks must
+// stay ordered and every value must be one some writer wrote for that key.
 func TestConcurrentScanWritersAndTicks(t *testing.T) {
 	db, _ := Open(Options{Shards: 4, Workers: 3, EpochInterval: 1e6})
 	const keyspace = 2000
@@ -662,23 +706,26 @@ func TestConcurrentScanWritersAndTicks(t *testing.T) {
 	scanner := db.Handle(2)
 	for i := 0; i < iters; i++ {
 		var prev []byte
-		n := 0
-		scanner.Scan(nil, -1, func(k []byte, v uint64) bool {
-			if n > 0 && bytes.Compare(k, prev) <= 0 {
+		it := scanner.NewIter(IterOptions{})
+		for ok := it.First(); ok; ok = it.Next() {
+			k, v := it.Key(), it.ValueUint64()
+			if prev != nil && bytes.Compare(k, prev) <= 0 {
 				t.Errorf("scan order violated at key %x", k)
-				return false
+				break
 			}
 			prev = append(prev[:0], k...)
-			n++
 			ik := binary.BigEndian.Uint64(k)
 			if v&0xFFFF != ik&0xFFFF && v != ik {
 				t.Errorf("key %d scanned with foreign value %#x", ik, v)
-				return false
+				break
 			}
-			return true
-		})
-		// Interleave bounded byte scans to refill mid-keyspace.
-		scanner.ScanBytes(Key(uint64(i*13%keyspace)), 64, func(k, v []byte) bool { return true })
+		}
+		// Interleave bounded walks to refill mid-keyspace.
+		steps := 64
+		for ok := it.SeekGE(Key(uint64(i * 13 % keyspace))); ok && steps > 0; ok = it.Next() {
+			steps--
+		}
+		it.Close()
 	}
 	close(stop)
 	wg.Wait()
@@ -785,42 +832,6 @@ func TestTxnAllSeesOwnWrites(t *testing.T) {
 	// After Abort, the store is untouched.
 	if v, _ := db.Get(Key(2)); v != 2 {
 		t.Fatalf("aborted write leaked: %d", v)
-	}
-}
-
-// TestScanWrapperMatchesIterator: the rebased legacy Scan and the cursor
-// observe identical streams.
-func TestScanWrapperMatchesIterator(t *testing.T) {
-	db, _ := Open(Options{Shards: 2})
-	rng := rand.New(rand.NewSource(3))
-	for i := 0; i < 2000; i++ {
-		db.Put(Key(uint64(rng.Intn(1000))), uint64(i))
-	}
-	var sk []uint64
-	db.Scan(nil, -1, func(k []byte, v uint64) bool {
-		sk = append(sk, binary.BigEndian.Uint64(k))
-		return true
-	})
-	it := db.NewIter(IterOptions{})
-	defer it.Close()
-	i := 0
-	for ok := it.First(); ok; ok = it.Next() {
-		if i >= len(sk) || binary.BigEndian.Uint64(it.Key()) != sk[i] {
-			t.Fatalf("entry %d diverges", i)
-		}
-		i++
-	}
-	if i != len(sk) {
-		t.Fatalf("cursor saw %d keys, Scan %d", i, len(sk))
-	}
-	// Scan's max and early-stop contracts survive the rebase.
-	n := db.Scan(Key(sk[2]), 5, func([]byte, uint64) bool { return true })
-	if n != 5 {
-		t.Fatalf("Scan max=5 visited %d", n)
-	}
-	n = db.Scan(nil, -1, func([]byte, uint64) bool { return false })
-	if n != 1 {
-		t.Fatalf("Scan early-stop visited %d", n)
 	}
 }
 

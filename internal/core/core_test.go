@@ -45,25 +45,37 @@ func verifyModel(t *testing.T, s *Store, model map[uint64]uint64, ctx string) {
 			t.Fatalf("%s: key %d = %d,%v want %d", ctx, k, got, ok, v)
 		}
 	}
-	// Scan must visit exactly len(model) keys, in order, with matching
-	// values.
+	// A cursor walk must visit exactly len(model) keys, in order, with
+	// matching values.
 	var prev uint64
-	first := true
-	n := s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		ik := uint64(k[0])<<56 | uint64(k[1])<<48 | uint64(k[2])<<40 | uint64(k[3])<<32 |
-			uint64(k[4])<<24 | uint64(k[5])<<16 | uint64(k[6])<<8 | uint64(k[7])
+	n := 0
+	it := s.NewIter(IterOptions{})
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		ik, v := DecodeValue(it.Key()), it.ValueUint64()
 		if want, ok := model[ik]; !ok || want != v {
 			t.Fatalf("%s: scan saw key %d = %d (model: %d, present %v)", ctx, ik, v, want, ok)
 		}
-		if !first && ik <= prev {
+		if n > 0 && ik <= prev {
 			t.Fatalf("%s: scan order violated", ctx)
 		}
-		first, prev = false, ik
-		return true
-	})
+		prev = ik
+		n++
+	}
 	if n != len(model) {
 		t.Fatalf("%s: scan visited %d keys, model has %d", ctx, n, len(model))
 	}
+}
+
+// countKeys walks s with a cursor and returns the number of keys.
+func countKeys(s *Store) int {
+	n := 0
+	it := s.NewIter(IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
+		n++
+	}
+	it.Close()
+	return n
 }
 
 func TestPutGetDeleteBasic(t *testing.T) {
@@ -141,13 +153,15 @@ func TestScanOrderAndLimit(t *testing.T) {
 	for _, i := range perm {
 		s.Put(EncodeUint64(uint64(i)), uint64(i*2))
 	}
+	// A cursor seeked into the keyspace resumes there, in order.
 	var got []uint64
-	n := s.Scan(EncodeUint64(500), 40, func(k []byte, v uint64) bool {
-		got = append(got, v)
-		return true
-	})
-	if n != 40 {
-		t.Fatalf("scan visited %d", n)
+	it := s.NewIter(IterOptions{})
+	for ok := it.SeekGE(EncodeUint64(500)); ok && len(got) < 40; ok = it.Next() {
+		got = append(got, it.ValueUint64())
+	}
+	it.Close()
+	if len(got) != 40 {
+		t.Fatalf("scan visited %d", len(got))
 	}
 	for i, v := range got {
 		if v != uint64((500+i)*2) {
@@ -741,7 +755,7 @@ func TestLayeredKeysCrashRecovery(t *testing.T) {
 			t.Fatalf("layered key %q = %d,%v want %d", k, got, ok, v)
 		}
 	}
-	n := s2.Scan(nil, -1, func([]byte, uint64) bool { return true })
+	n := countKeys(s2)
 	if n != len(model) {
 		t.Fatalf("scan found %d keys, want %d", n, len(model))
 	}

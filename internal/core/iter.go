@@ -108,8 +108,7 @@ type iterEnt struct {
 // Iter is the core store's cursor: it walks the tree in bounded batches,
 // entering the epoch guard only for the duration of each refill and
 // re-seeking by the last delivered key between batches, so checkpoints
-// are never blocked by a long iteration (the callback Scan, by contrast,
-// pins the guard for its whole walk).
+// are never blocked by a long iteration.
 //
 // Everything below the position fields is storage that survives Close and
 // is reused by the worker's next cursor (see CursorSlot).

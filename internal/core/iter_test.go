@@ -77,30 +77,6 @@ func collectRev(it Cursor) (keys, vals []string) {
 	return
 }
 
-// TestIterMatchesLegacyScan asserts the cursor's ascending stream is
-// byte-identical to the legacy callback Scan — the compatibility contract
-// the façade wrappers rely on.
-func TestIterMatchesLegacyScan(t *testing.T) {
-	s, _, _ := iterTestStore(t, 1, 2000)
-	var sk, sv []string
-	s.ScanBytes(nil, -1, func(k, v []byte) bool {
-		sk = append(sk, string(k))
-		sv = append(sv, string(v))
-		return true
-	})
-	it := s.NewIter(IterOptions{})
-	defer it.Close()
-	ik, iv := collectFwd(it)
-	if len(ik) != len(sk) {
-		t.Fatalf("cursor saw %d keys, legacy scan %d", len(ik), len(sk))
-	}
-	for i := range ik {
-		if ik[i] != sk[i] || iv[i] != sv[i] {
-			t.Fatalf("entry %d: cursor (%x, %x) != scan (%x, %x)", i, ik[i], iv[i], sk[i], sv[i])
-		}
-	}
-}
-
 // TestIterReverseMatchesForwardReversed asserts descending iteration is
 // exactly the ascending stream reversed, across layers and value shapes.
 func TestIterReverseMatchesForwardReversed(t *testing.T) {

@@ -50,8 +50,7 @@ func TestPropertyCrashEqualsCommittedModel(t *testing.T) {
 				return false
 			}
 		}
-		n := s2.Scan(nil, -1, func([]byte, uint64) bool { return true })
-		return n == len(committed)
+		return countKeys(s2) == len(committed)
 	}
 	if err := quick.Check(f, &quick.Config{MaxCount: 25}); err != nil {
 		t.Fatal(err)
@@ -333,7 +332,7 @@ func TestCrashInFirstEpochRecoversEmpty(t *testing.T) {
 		}
 		a.Crash(nvm.RandomPolicy(0.5, seed))
 		s2 := reopen(t, a, testConfig())
-		if n := s2.Scan(nil, -1, func([]byte, uint64) bool { return true }); n != 0 {
+		if n := countKeys(s2); n != 0 {
 			t.Fatalf("seed %d: %d keys survived an uncommitted first epoch", seed, n)
 		}
 	}

@@ -125,11 +125,9 @@ func TestScanDrivesLazyRecovery(t *testing.T) {
 	s2 := reopen(t, a, testConfig())
 	var prev uint64
 	count := 0
-	s2.Scan(nil, -1, func(k []byte, v uint64) bool {
-		var ik uint64
-		for _, c := range k {
-			ik = ik<<8 | uint64(c)
-		}
+	it := s2.NewIter(IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
+		ik := DecodeValue(it.Key())
 		if ik%2 != 0 {
 			t.Fatalf("doomed odd key %d visible in scan", ik)
 		}
@@ -138,8 +136,8 @@ func TestScanDrivesLazyRecovery(t *testing.T) {
 		}
 		prev = ik
 		count++
-		return true
-	})
+	}
+	it.Close()
 	if count != 3000 {
 		t.Fatalf("scan found %d keys, want 3000", count)
 	}

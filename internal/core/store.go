@@ -110,7 +110,14 @@ type Stats struct {
 	Puts           obs.Counter
 	Gets           obs.Counter
 	Deletes        obs.Counter
-	Scans          obs.Counter
+	Scans          obs.Counter // cursor refill batches (Iter.fill), not cursors or keys
+}
+
+// valueBuf is one worker's scratch for the uint64 view's value bytes,
+// padded to a cache line so neighbouring workers do not false-share.
+type valueBuf struct {
+	b [8]byte
+	_ [7]uint64
 }
 
 // layoutFingerprint hashes the config fields the arena's region offsets
@@ -169,6 +176,7 @@ type Store struct {
 
 	handles   []Handle
 	iterSlots []CursorSlot[Iter] // per worker: the last closed cursor
+	valueBufs []valueBuf         // per worker: Handle.Put's value encoding
 	size      atomic.Int64
 	recovered int
 
@@ -269,6 +277,7 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 
 	s.handles = make([]Handle, cfg.Workers)
 	s.iterSlots = make([]CursorSlot[Iter], cfg.Workers)
+	s.valueBufs = make([]valueBuf, cfg.Workers)
 	for i := range s.handles {
 		s.handles[i] = Handle{
 			s:  s,
@@ -280,16 +289,19 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 	return s, status
 }
 
-// RebuildLen walks the tree once to rebuild the transient Len counter
-// after a restart. Optional: recovery itself is lazy and does not need it,
-// so it is not part of Open (the paper's recovery cost excludes any full
-// walk). Returns the recomputed count.
+// RebuildLen walks the tree once, through worker 0's cursor, to rebuild
+// the transient Len counter after a restart; like any cursor it holds the
+// epoch guard for one batch at a time, so it never stalls a checkpoint.
+// Optional: recovery itself is lazy and does not need it, so it is not
+// part of Open (the paper's recovery cost excludes any full walk). Returns
+// the recomputed count.
 func (s *Store) RebuildLen() int {
 	var n int64
-	s.handles[0].Scan(nil, -1, func([]byte, uint64) bool {
+	it := s.handles[0].NewIter(IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
 		n++
-		return true
-	})
+	}
+	it.Close()
 	s.size.Store(n)
 	return int(n)
 }
@@ -384,16 +396,6 @@ func (s *Store) PutBytes(k []byte, v []byte) bool { return s.handles[0].PutBytes
 
 // Delete removes k; reports whether it was present.
 func (s *Store) Delete(k []byte) bool { return s.handles[0].Delete(k) }
-
-// Scan visits up to max keys ≥ start in order.
-func (s *Store) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	return s.handles[0].Scan(start, max, fn)
-}
-
-// ScanBytes is Scan delivering byte values.
-func (s *Store) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	return s.handles[0].ScanBytes(start, max, fn)
-}
 
 // ---- root cells ----
 

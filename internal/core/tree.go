@@ -298,17 +298,11 @@ readLeaf:
 // ---- Put ----
 
 // Put stores v under k (as its minimal big-endian byte value — inline in
-// the leaf whenever v < 2^40); reports whether k was newly inserted.
+// the leaf whenever v < 2^40); reports whether k was newly inserted. The
+// encoding is built in the worker's value buffer: a stack buffer would
+// escape through the ChangeSink call, costing an allocation per Put.
 func (h Handle) Put(k []byte, v uint64) bool {
-	var buf [8]byte
-	return h.PutBytes(k, AppendValueUint64(buf[:0], v))
-}
-
-// PutLocked is Put for a caller that already holds the epoch guard
-// (Store.Epochs().Enter) or otherwise excludes an epoch advance.
-func (h Handle) PutLocked(k []byte, v uint64) bool {
-	var buf [8]byte
-	return h.PutBytesLocked(k, AppendValueUint64(buf[:0], v))
+	return h.PutBytes(k, AppendValueUint64(h.s.valueBufs[h.w].b[:0], v))
 }
 
 // PutBytes stores the byte value v (len ≤ MaxValueBytes) under k; reports
@@ -748,45 +742,15 @@ func (h Handle) layerDelete(cell rootCell, full, k []byte) bool {
 	return true
 }
 
-// ---- Scan ----
+// ---- cursor refill walks ----
+//
+// scanLayer and scanLayerRev are the cursor's refill engine (Iter.fill):
+// each call walks at most one batch under the caller's epoch guard.
 
 type scanEntry struct {
 	ikey uint64
 	kind uint8
 	vw   uint64
-}
-
-// Scan visits keys ≥ start in ascending order until fn returns false or
-// max pairs are visited (max < 0 means unlimited), delivering the uint64
-// view of each value. The key slice is only valid during the callback.
-// Returns the number of pairs visited.
-func (h Handle) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	return h.scanWords(start, max, func(k []byte, vw uint64) bool {
-		return fn(k, h.vwUint64(vw))
-	})
-}
-
-// ScanBytes is Scan delivering byte values. The key and value slices are
-// only valid during the callback.
-func (h Handle) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	var buf []byte
-	return h.scanWords(start, max, func(k []byte, vw uint64) bool {
-		buf = h.appendValue(buf[:0], vw)
-		return fn(k, buf)
-	})
-}
-
-// scanWords drives the walk, delivering raw value words. The whole scan
-// runs under one epoch guard, so dereferencing buffered value words stays
-// safe for its duration.
-func (h Handle) scanWords(start []byte, max int, fn func(k []byte, vw uint64) bool) int {
-	h.s.mgr.Enter()
-	defer h.s.mgr.Exit()
-	h.s.stats.Scans.Add(h.w, 1)
-	visited := 0
-	var kb []byte
-	h.scanLayer(h.rootCell0(), &kb, 0, start, max, &visited, fn)
-	return visited
 }
 
 // scanLayer walks one layer ascending. kb is the shared key buffer: the
@@ -842,7 +806,7 @@ func (h Handle) scanLayer(cell rootCell, kb *[]byte, plen int, start []byte, max
 					continue
 				}
 			}
-			if max >= 0 && *visited >= max {
+			if *visited >= max {
 				return false
 			}
 			*kb = appendIkey((*kb)[:plen], e.ikey, e.kind)
@@ -1051,7 +1015,7 @@ func (h Handle) revLeafChain(n nodeRef, kb *[]byte, sc *[]scanEntry, plen int, b
 				return false
 			}
 		} else {
-			if max >= 0 && *visited >= max {
+			if *visited >= max {
 				return false
 			}
 			*visited++

@@ -46,16 +46,17 @@ func TestBytesRoundTripAllSizes(t *testing.T) {
 	if _, ok := s.GetBytes(k); ok {
 		t.Fatal("deleted key still present")
 	}
-	// ScanBytes returns every remaining value exactly.
+	// A cursor walk returns every remaining value exactly.
 	seen := 0
-	s.ScanBytes(nil, -1, func(kb, v []byte) bool {
-		i := deVK(kb)
-		if !bytes.Equal(v, patternValue(i, sizes[i])) {
+	it := s.NewIter(IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
+		i := deVK(it.Key())
+		if !bytes.Equal(it.Value(), patternValue(i, sizes[i])) {
 			t.Fatalf("scan key %d: value mismatch", i)
 		}
 		seen++
-		return true
-	})
+	}
+	it.Close()
 	if seen != len(sizes) {
 		t.Fatalf("scan saw %d keys, want %d", seen, len(sizes))
 	}
@@ -142,7 +143,7 @@ func TestLargeValueCrashAtEveryOp(t *testing.T) {
 					t.Fatalf("point %d policy %d: key %d torn (%d bytes)", points, policy, k, len(got))
 				}
 			}
-			if n := s2.Scan(nil, -1, func([]byte, uint64) bool { return true }); n != keys {
+			if n := countKeys(s2); n != keys {
 				t.Fatalf("point %d policy %d: scan saw %d keys", points, policy, n)
 			}
 		}
@@ -186,7 +187,7 @@ func TestPropertyByteValuesCrashEqualsCommittedModel(t *testing.T) {
 					seed, k, ok, len(got), len(v))
 			}
 		}
-		if n := s2.Scan(nil, -1, func([]byte, uint64) bool { return true }); n != len(committed) {
+		if n := countKeys(s2); n != len(committed) {
 			t.Fatalf("seed %d: scan saw %d keys, committed %d", seed, n, len(committed))
 		}
 	}

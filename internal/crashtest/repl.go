@@ -35,6 +35,7 @@ import (
 	"sync/atomic"
 
 	"incll"
+	"incll/internal/crashpoint"
 	"incll/internal/epoch"
 )
 
@@ -327,14 +328,14 @@ func RunRepl(cfg ReplConfig, seed int64) (err error) {
 			// Atomic: a follower re-bootstrapping now would run the hook
 			// on the server's goroutine.
 			var hits atomic.Int64
-			primary.SetSnapshotHook(func(p string) error {
+			crashpoint.Set(primary, func(p string) error {
 				if p == point && hits.Add(1) == 1 {
 					return errAbort
 				}
 				return nil
 			})
 			_, exportErr = primary.Snapshot(&exportBuf)
-			primary.SetSnapshotHook(nil)
+			crashpoint.Set(primary, nil)
 			if !errors.Is(exportErr, errAbort) {
 				// The point may be unreachable this round (e.g. no change
 				// frame when the doomed writer raced slow): only a clean

@@ -31,6 +31,7 @@ import (
 	"time"
 
 	"incll"
+	"incll/internal/crashpoint"
 )
 
 // chaosListener wraps a listener so the campaign can sever every live
@@ -218,14 +219,14 @@ func RunReplnet(cfg ReplConfig, seed int64) (err error) {
 		// truncated attempt was retried, not restored.
 		if point != "" {
 			var hits atomic.Int64
-			primary.SetSnapshotHook(func(p string) error {
+			crashpoint.Set(primary, func(p string) error {
 				if p == point && hits.Add(1) == 1 {
 					return errAbort
 				}
 				return nil
 			})
 			f3, err := followNet(addr, cfg, "f3")
-			primary.SetSnapshotHook(nil)
+			crashpoint.Set(primary, nil)
 			if err != nil {
 				return fmt.Errorf("round %d: follow through aborted bootstrap at %q: %w", round, point, err)
 			}

@@ -26,6 +26,7 @@ import (
 	"sync"
 
 	"incll"
+	"incll/internal/crashpoint"
 	"incll/internal/epoch"
 )
 
@@ -162,7 +163,7 @@ func runReshardRound(cfg ReshardConfig, seed int64, point string) (err error) {
 
 	if point != "" {
 		hits := 0
-		db.SetReshardHook(func(p string) error {
+		crashpoint.Set(db, func(p string) error {
 			if p == point {
 				hits++
 				if hits == 1 {
@@ -173,7 +174,7 @@ func runReshardRound(cfg ReshardConfig, seed int64, point string) (err error) {
 		})
 	}
 	_, rerr := db.Reshard(cfg.To)
-	db.SetReshardHook(nil)
+	crashpoint.Set(db, nil)
 	close(stop)
 	wg.Wait()
 

@@ -34,3 +34,18 @@ func TestReshardCrashPropertyFromUnsharded(t *testing.T) {
 		t.Fatal(err)
 	}
 }
+
+// TestCrashPointSetsDisjoint: a DB has one crash-point hook for both
+// protocols, and a reshard runs a snapshot export inside it. Each campaign
+// aborts only at its own point names, so the two sets must share none.
+func TestCrashPointSetsDisjoint(t *testing.T) {
+	snap := map[string]bool{}
+	for _, p := range snapPoints {
+		snap[p] = p != ""
+	}
+	for _, p := range reshardPoints {
+		if snap[p] {
+			t.Errorf("point %q is both a snapshot and a reshard point", p)
+		}
+	}
+}

@@ -113,7 +113,10 @@ func verifyShardModel(t *testing.T, s *Store, model map[uint64]uint64) {
 	}
 	count := 0
 	var prev []byte
-	s.Scan(nil, -1, func(kb []byte, v uint64) bool {
+	it := s.NewIter(core.IterOptions{})
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		kb, v := it.Key(), it.ValueUint64()
 		if count > 0 && bytes.Compare(kb, prev) <= 0 {
 			t.Fatalf("merged scan order violated at key %x", kb)
 		}
@@ -127,8 +130,7 @@ func verifyShardModel(t *testing.T, s *Store, model map[uint64]uint64) {
 		if want != v {
 			t.Fatalf("scan key %d = %d, committed %d", k, v, want)
 		}
-		return true
-	})
+	}
 	if count != len(model) {
 		t.Fatalf("scan found %d keys, model has %d", count, len(model))
 	}
@@ -278,14 +280,15 @@ func runLargeValueCrashAtEveryOp(t *testing.T, shards int) {
 				}
 			}
 			n := 0
-			s2.ScanBytes(nil, -1, func(kb, v []byte) bool {
-				k := decodeKey(kb)
-				if want, ok := committed[k]; !ok || !bytes.Equal(v, want) {
+			it := s2.NewIter(core.IterOptions{})
+			for ok := it.First(); ok; ok = it.Next() {
+				k := decodeKey(it.Key())
+				if want, ok := committed[k]; !ok || !bytes.Equal(it.Value(), want) {
 					t.Fatalf("shards %d point %d policy %d: scan key %d unexpected or torn", shards, points, policy, k)
 				}
 				n++
-				return true
-			})
+			}
+			it.Close()
 			if n != len(committed) {
 				t.Fatalf("shards %d point %d policy %d: scan saw %d keys, want %d", shards, points, policy, n, len(committed))
 			}

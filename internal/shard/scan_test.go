@@ -1,7 +1,7 @@
 package shard
 
-// Edge cases of the k-way merged Scan: shards with no keys in range,
-// visitors that stop mid-merge, and interleaved variable-length keys whose
+// Edge cases of the k-way merge cursor: shards with no keys in range,
+// walks that stop mid-merge, and interleaved variable-length keys whose
 // shared prefixes make per-shard streams collide tightly in key order.
 
 import (
@@ -35,10 +35,11 @@ func TestScanWithEmptyShards(t *testing.T) {
 		}
 	}
 	var got []uint64
-	s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		got = append(got, v)
-		return true
-	})
+	it := s.NewIter(core.IterOptions{})
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		got = append(got, it.ValueUint64())
+	}
 	if len(got) != len(want) {
 		t.Fatalf("scan visited %d keys, want %d", len(got), len(want))
 	}
@@ -48,44 +49,47 @@ func TestScanWithEmptyShards(t *testing.T) {
 		}
 	}
 	// A start key past everything sees nothing.
-	if n := s.Scan(core.EncodeUint64(1<<40), -1, func([]byte, uint64) bool { return true }); n != 0 {
-		t.Fatalf("scan past the end visited %d", n)
+	if it.SeekGE(core.EncodeUint64(1 << 40)) {
+		t.Fatalf("seek past the end landed on %x", it.Key())
 	}
 }
 
-// TestScanEarlyTermination stops the visitor mid-merge and checks both the
-// returned count and that no extra callbacks happen, under both the fn
-// veto and the max limit.
+// TestScanEarlyTermination stops a merged walk mid-merge and checks that
+// it stopped on the right key, that a closed cursor's successor (the
+// recycled one) re-seeks cleanly from an interior start key, and that
+// neither walk skips or repeats a key.
 func TestScanEarlyTermination(t *testing.T) {
 	s, _ := Open(testConfig(4, 1))
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
 		s.Put(core.EncodeUint64(i), i)
 	}
-	calls := 0
-	visited := s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		calls++
-		return calls < 137 // veto on the 137th key
-	})
-	if calls != 137 || visited != 137 {
-		t.Fatalf("veto: %d callbacks, Scan returned %d; want 137", calls, visited)
-	}
-
-	calls = 0
-	visited = s.Scan(core.EncodeUint64(500), 41, func(k []byte, v uint64) bool {
-		if v < 500 {
-			t.Fatalf("key %d before the start key", v)
+	steps := 0
+	it := s.NewIter(core.IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
+		if v := it.ValueUint64(); v != uint64(steps) {
+			t.Fatalf("step %d delivered %d", steps, v)
 		}
-		calls++
-		return true
-	})
-	if calls != 41 || visited != 41 {
-		t.Fatalf("max: %d callbacks, Scan returned %d; want 41", calls, visited)
+		if steps++; steps == 137 { // stop on the 137th key
+			break
+		}
 	}
+	if steps != 137 || decodeKey(it.Key()) != 136 {
+		t.Fatalf("stopped after %d steps on key %d; want 137 steps, key 136", steps, decodeKey(it.Key()))
+	}
+	it.Close()
 
-	// max = 0 visits nothing.
-	if v := s.Scan(nil, 0, func([]byte, uint64) bool { t.Fatal("callback on max=0"); return true }); v != 0 {
-		t.Fatalf("max=0 returned %d", v)
+	steps = 0
+	it = s.NewIter(core.IterOptions{})
+	for ok := it.SeekGE(core.EncodeUint64(500)); ok && steps < 41; ok = it.Next() {
+		if v := it.ValueUint64(); v != 500+uint64(steps) {
+			t.Fatalf("step %d from the start key delivered %d", steps, v)
+		}
+		steps++
+	}
+	it.Close()
+	if steps != 41 {
+		t.Fatalf("walk from 500 took %d steps, want 41", steps)
 	}
 }
 
@@ -127,10 +131,11 @@ func TestScanInterleavedVariableLengthKeys(t *testing.T) {
 	}
 
 	var got [][]byte
-	s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		got = append(got, append([]byte(nil), k...))
-		return true
-	})
+	it := s.NewIter(core.IterOptions{})
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		got = append(got, append([]byte(nil), it.Key()...))
+	}
 	if len(got) != len(uniq) {
 		t.Fatalf("scan visited %d keys, want %d", len(got), len(uniq))
 	}
@@ -142,13 +147,8 @@ func TestScanInterleavedVariableLengthKeys(t *testing.T) {
 
 	// Resuming from an interior multi-layer key lands exactly there.
 	start := []byte("user0020/inbox")
-	var first []byte
-	s.Scan(start, 1, func(k []byte, v uint64) bool {
-		first = append([]byte(nil), k...)
-		return true
-	})
-	if !bytes.Equal(first, start) {
-		t.Fatalf("scan from %q started at %q", start, first)
+	if !it.SeekGE(start) || !bytes.Equal(it.Key(), start) {
+		t.Fatalf("seek to %q landed on %q", start, it.Key())
 	}
 }
 
@@ -198,24 +198,27 @@ func TestScanConcurrentWithWritersAndTicks(t *testing.T) {
 	scanner := s.Handle(2)
 	for i := 0; i < iters; i++ {
 		var prev []byte
-		n := 0
-		scanner.Scan(nil, -1, func(k []byte, v uint64) bool {
-			if n > 0 && bytes.Compare(k, prev) <= 0 {
+		it := scanner.NewIter(core.IterOptions{})
+		for ok := it.First(); ok; ok = it.Next() {
+			k, v := it.Key(), it.ValueUint64()
+			if prev != nil && bytes.Compare(k, prev) <= 0 {
 				t.Errorf("merged scan order violated at key %x", k)
-				return false
+				break
 			}
 			prev = append(prev[:0], k...)
-			n++
 			ik := decodeKey(k)
 			if v&0xFFFF != ik&0xFFFF {
 				t.Errorf("key %d scanned with foreign value %#x", ik, v)
-				return false
+				break
 			}
-			return true
-		})
-		// Bounded byte scans starting mid-keyspace exercise refills that
+		}
+		// Bounded walks starting mid-keyspace exercise refills that
 		// straddle boundary ticks.
-		scanner.ScanBytes(core.EncodeUint64(uint64(i*37%keyspace)), 100, func(k, v []byte) bool { return true })
+		steps := 100
+		for ok := it.SeekGE(core.EncodeUint64(uint64(i * 37 % keyspace))); ok && steps > 0; ok = it.Next() {
+			steps--
+		}
+		it.Close()
 	}
 	close(stop)
 	wg.Wait()

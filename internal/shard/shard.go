@@ -350,16 +350,6 @@ func (s *Store) PutBytes(k []byte, v []byte) bool { return s.Handle(0).PutBytes(
 // Delete removes k; reports whether it was present.
 func (s *Store) Delete(k []byte) bool { return s.Handle(0).Delete(k) }
 
-// Scan visits up to max keys ≥ start in ascending order across all shards.
-func (s *Store) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
-	return s.Handle(0).Scan(start, max, fn)
-}
-
-// ScanBytes is Scan delivering byte values.
-func (s *Store) ScanBytes(start []byte, max int, fn func(k, v []byte) bool) int {
-	return s.Handle(0).ScanBytes(start, max, fn)
-}
-
 // Len sums the live-key counters across shards (transient; see
 // core.Store.Len).
 func (s *Store) Len() int {
@@ -370,7 +360,7 @@ func (s *Store) Len() int {
 	return n
 }
 
-// RebuildLen recomputes every shard's Len with one scan each.
+// RebuildLen recomputes every shard's Len with one cursor walk each.
 func (s *Store) RebuildLen() int {
 	n := 0
 	for _, sh := range s.shards {

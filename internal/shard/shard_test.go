@@ -85,33 +85,34 @@ func TestMergedScanPreservesGlobalOrder(t *testing.T) {
 		s.Put(core.EncodeUint64(i), i)
 	}
 	var next uint64
-	got := s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		if v != next {
+	it := s.NewIter(core.IterOptions{})
+	defer it.Close()
+	for ok := it.First(); ok; ok = it.Next() {
+		if v := it.ValueUint64(); v != next {
 			t.Fatalf("scan position %d delivered value %d", next, v)
 		}
 		next++
-		return true
-	})
-	if got != n || next != n {
-		t.Fatalf("scan visited %d (callback %d), want %d", got, next, n)
 	}
-	// Bounded scan from an interior start key.
-	start := core.EncodeUint64(1234)
+	if next != n {
+		t.Fatalf("scan visited %d, want %d", next, n)
+	}
+	// A walk from an interior start key.
 	var seen []uint64
-	s.Scan(start, 10, func(k []byte, v uint64) bool {
-		seen = append(seen, v)
-		return true
-	})
-	if len(seen) != 10 || seen[0] != 1234 || seen[9] != 1243 {
-		t.Fatalf("bounded scan from 1234 = %v", seen)
+	for ok := it.SeekGE(core.EncodeUint64(1234)); ok && len(seen) < 10; ok = it.Next() {
+		seen = append(seen, it.ValueUint64())
 	}
-	// Early stop is honored.
-	calls := 0
-	if got := s.Scan(nil, -1, func(k []byte, v uint64) bool {
-		calls++
-		return calls < 3
-	}); got != 3 || calls != 3 {
-		t.Fatalf("early-stop scan visited %d (calls %d)", got, calls)
+	if len(seen) != 10 || seen[0] != 1234 || seen[9] != 1243 {
+		t.Fatalf("walk from 1234 = %v", seen)
+	}
+	// An upper bound stops the merged walk: [100, 103) holds three keys.
+	bounded := s.NewIter(core.IterOptions{LowerBound: core.EncodeUint64(100), UpperBound: core.EncodeUint64(103)})
+	defer bounded.Close()
+	seen = seen[:0]
+	for ok := bounded.First(); ok; ok = bounded.Next() {
+		seen = append(seen, bounded.ValueUint64())
+	}
+	if len(seen) != 3 || seen[0] != 100 || seen[2] != 102 {
+		t.Fatalf("bounded walk [100, 103) = %v", seen)
 	}
 }
 

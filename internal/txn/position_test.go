@@ -120,10 +120,11 @@ func runPositionCase(t *testing.T, c positionCase, noPos bool) (error, int64, ma
 	fell := f.m.fallbacks.Load() - before
 
 	state := map[string]string{}
-	f.store.Handle(0).Scan(nil, -1, func(k []byte, v uint64) bool {
-		state[string(k)] = fmt.Sprint(v)
-		return true
-	})
+	it := f.store.Handle(0).NewIter(core.IterOptions{})
+	for ok := it.First(); ok; ok = it.Next() {
+		state[string(it.Key())] = fmt.Sprint(it.ValueUint64())
+	}
+	it.Close()
 	return err, fell, state
 }
 
@@ -203,7 +204,7 @@ func TestPositionFallbackApplyRacingSplit(t *testing.T) {
 				case "commit-start":
 					// The leaf is full: one more key splits it. The commit
 					// holds the store's epoch guard.
-					f.store.Handle(1).PutLocked(key(core.LeafWidth), 1)
+					f.store.Handle(1).PutBytesLocked(key(core.LeafWidth), core.EncodeValue(1))
 				case crashAt:
 					panic(InjectedCrash{Point: p})
 				}

@@ -11,9 +11,9 @@ import (
 )
 
 // TestHandleCursorAllocBudget pins the per-request cursor at the façade:
-// Handle.NewIter → Seek → step×k → Close, its reverse form and the Scan
-// wrappers allocate nothing in steady state — at one shard, and at four,
-// where the merge cursor and its four per-shard cursors are all recycled.
+// Handle.NewIter → Seek → step×k → Close and its reverse form allocate
+// nothing in steady state — at one shard, and at four, where the merge
+// cursor and its four per-shard cursors are all recycled.
 // A transaction's overlay cursor is new per NewIter (it snapshots the
 // write set) but closes through to the store cursors under it; its budget
 // is the overlay alone, the same at one shard and at four.
@@ -36,8 +36,6 @@ func TestHandleCursorAllocBudget(t *testing.T) {
 			keys = append(keys, Key(i))
 		}
 		sum := 0
-		visitU := func(k []byte, v uint64) bool { sum += len(k); return true }
-		visitB := func(k, v []byte) bool { sum += len(v); return true }
 		tx := db.BeginWorker(1)
 		tx.Put(Key(n+1), 1)
 		tx.Delete(Key(7))
@@ -62,9 +60,6 @@ func TestHandleCursorAllocBudget(t *testing.T) {
 				}
 				it.Close()
 			}},
-			{"Handle.Scan", 0, func(start []byte, steps int) { h.Scan(start, steps, visitU) }},
-			{"Handle.ScanBytes", 0, func(start []byte, steps int) { h.ScanBytes(start, steps, visitB) }},
-			{"DB.Scan", 0, func(start []byte, steps int) { db.Scan(start, steps, visitU) }},
 			{"Txn.NewIter", overlayBudget, func(start []byte, steps int) { walk(tx.NewIter(IterOptions{}), start, steps) }},
 		}
 		for _, sh := range shapes {

@@ -30,7 +30,9 @@ type OpCounts struct {
 	Puts    int64 `json:"puts"`
 	Gets    int64 `json:"gets"`
 	Deletes int64 `json:"deletes"`
-	Scans   int64 `json:"scans"`
+	// Scans counts cursor refill batches: a cursor walk counts one per
+	// bounded batch it loads, not one per walk or per key.
+	Scans int64 `json:"scans"`
 }
 
 // UndoCounts breaks down undo-record captures: the paper's central ratio

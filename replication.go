@@ -160,11 +160,6 @@ func (db *DB) closeHub(graceful bool) {
 	}
 }
 
-// SetSnapshotHook installs the snapshot crash-injection hook, fired at
-// every export protocol point; a non-nil return aborts the export with
-// that error. Never use outside tests (see internal/crashtest).
-func (db *DB) SetSnapshotHook(h func(point string) error) { db.snapHook = h }
-
 // Snapshot streams a consistent online full snapshot of the live DB to w:
 // checksummed, length-prefixed frames holding every key/value plus the
 // change records that anchor the fuzzy scan at a committed epoch (see
@@ -180,7 +175,7 @@ func (db *DB) Snapshot(w io.Writer) (SnapshotInfo, error) {
 		Checkpoint: func() { db.Checkpoint() },
 		Shards:     db.Shards(),
 		KeyHint:    uint64(db.Len()),
-		Hook:       db.snapHook,
+		Hook:       db.crashHook(),
 		Trace:      db.tel.trace,
 	}
 	return e.Export(w)

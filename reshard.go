@@ -123,18 +123,12 @@ func (db *DB) ReshardProgress() ReshardProgress {
 	return p
 }
 
-// SetReshardHook installs the reshard crash-injection hook, fired at
-// every protocol point; a non-nil return aborts (or, after the manifest
-// commit, merely reports). Never use outside tests (see
-// internal/crashtest).
-func (db *DB) SetReshardHook(h func(point string) error) { db.reshardHook = h }
-
 // fireReshard fires the crash-injection hook at a protocol point.
 func (db *DB) fireReshard(point string) error {
-	if db.reshardHook == nil {
-		return nil
+	if h := db.crashHook(); h != nil {
+		return h(point)
 	}
-	return db.reshardHook(point)
+	return nil
 }
 
 // reshardTarget lands the donor's snapshot and change stream in the next

@@ -9,6 +9,7 @@ import (
 	"sync/atomic"
 	"testing"
 
+	"incll/internal/crashpoint"
 	"incll/internal/obs"
 )
 
@@ -185,7 +186,7 @@ func TestReshardAbortLeavesDonorLive(t *testing.T) {
 	boom := errors.New("boom")
 	for _, point := range []string{"reshard-start", "snapshot-done", "restore-done", "pre-cutover",
 		"cutover-advanced", "cutover-drained", "cutover-target-committed"} {
-		db.SetReshardHook(func(p string) error {
+		crashpoint.Set(db, func(p string) error {
 			if p == point {
 				return boom
 			}
@@ -212,7 +213,7 @@ func TestReshardAbortLeavesDonorLive(t *testing.T) {
 		db.Checkpoint()
 	}
 	// A post-commit hook error reports a completed reshard.
-	db.SetReshardHook(func(p string) error {
+	crashpoint.Set(db, func(p string) error {
 		if p == "cutover-manifest" {
 			return boom
 		}
@@ -297,7 +298,7 @@ func TestReshardProgressAndMetrics(t *testing.T) {
 	db.Checkpoint()
 	checkSeriesSet(t, "standalone_2shards", seriesSet(t, db))
 	var sawPhases []string
-	db.SetReshardHook(func(p string) error {
+	crashpoint.Set(db, func(p string) error {
 		prog := db.ReshardProgress()
 		sawPhases = append(sawPhases, fmt.Sprintf("%s:%s", p, prog.Phase))
 		return nil
@@ -333,7 +334,7 @@ func TestReshardProgressAndMetrics(t *testing.T) {
 
 	// Folding back to two shards drops the series of shards 2 and 3: the
 	// series set is again the one the DB served before it resharded.
-	db.SetReshardHook(nil)
+	crashpoint.Set(db, nil)
 	if _, err := db.Reshard(2); err != nil {
 		t.Fatalf("Reshard(2): %v", err)
 	}
