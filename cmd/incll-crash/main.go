@@ -31,7 +31,7 @@ func main() {
 	seeds := flag.Int("seeds", 10, "number of independent campaigns")
 	workers := flag.Int("workers", 2, "concurrent mutator goroutines")
 	shards := flag.Int("shards", 1, "keyspace shards with coordinated checkpoints (1 = single store)")
-	rounds := flag.Int("rounds", 4, "crash/recover cycles per campaign")
+	rounds := flag.Int("rounds", 0, "crash/recover cycles per campaign (0 = the campaign's default: 4, or with -repl one per snapshot point plus a clean round)")
 	keyspace := flag.Uint64("keyspace", 4000, "distinct keys")
 	ops := flag.Int("ops", 800, "operations per worker per epoch")
 	persist := flag.Float64("persist", 0.5, "probability a dirty line survives each crash (0 = none survives)")
@@ -72,10 +72,11 @@ func main() {
 			PersistFraction: *persist,
 		}
 		for seed := int64(0); seed < int64(*seeds); seed++ {
-			if err := crashtest.RunRepl(cfg, seed); err != nil {
+			n, err := crashtest.RunRepl(cfg, seed)
+			if err != nil {
 				log.Fatalf("seed %d: replication invariant violated: %v", seed, err)
 			}
-			fmt.Printf("seed %d: %d replication crash rounds verified\n", seed, cfg.Rounds)
+			fmt.Printf("seed %d: %d replication crash rounds verified\n", seed, n)
 		}
 		fmt.Println("all campaigns: replica held an exact committed prefix and reconverged")
 		return
@@ -91,10 +92,11 @@ func main() {
 		ValueBytes:      *valueBytes,
 	}
 	for seed := int64(0); seed < int64(*seeds); seed++ {
-		if err := crashtest.Run(cfg, seed); err != nil {
+		n, err := crashtest.Run(cfg, seed)
+		if err != nil {
 			log.Fatalf("seed %d: %v", seed, err)
 		}
-		fmt.Printf("seed %d: %d crash/recover cycles verified\n", seed, *rounds)
+		fmt.Printf("seed %d: %d crash/recover cycles verified\n", seed, n)
 	}
 	fmt.Println("all campaigns recovered exactly to their committed epochs")
 }

@@ -64,6 +64,7 @@ import (
 	"net/http"
 	"net/http/pprof"
 	"os/signal"
+	"runtime"
 	"strconv"
 	"strings"
 	"sync"
@@ -79,6 +80,48 @@ type server struct {
 	fol       *incll.Follower // non-nil while this node is a follower
 	rs        *incll.ReplServer
 	stopWatch func() // anomaly watchdog of the current role, nil when unarmed
+	// workers lends each in-flight write a worker index of its own: a
+	// worker's handle is single-writer, and net/http serves requests on
+	// concurrent goroutines. Every store the node opens has that many
+	// workers (Options.Workers).
+	workers chan int
+}
+
+// newServer returns a server whose writes share n worker indices.
+func newServer(n int) *server {
+	s := &server{workers: make(chan int, n)}
+	for i := 0; i < n; i++ {
+		s.workers <- i
+	}
+	return s
+}
+
+// storeOptions sizes every store the node opens for the given shard and
+// worker counts. Each shard's heap is 2^24/shards words, with as much again
+// for headers and allocator metadata, and on top of both each worker's log
+// and intent segments, which Open reserves per worker: an arena of fixed
+// size would run out at start-up on a machine with many cores.
+func storeOptions(shards, workers int) incll.Options {
+	shards = max(shards, 1)
+	o := incll.Options{
+		Shards: shards, Workers: workers, HeapWords: (1 << 24) / uint64(shards),
+		LogSegWords: 1 << 20, TxnSegWords: 1 << 14,
+	}
+	if shards > 1 {
+		o.LogSegWords, o.TxnSegWords = 1<<16, 1<<12
+	}
+	o.ArenaWords = 2*o.HeapWords + uint64(workers)*(o.LogSegWords+o.TxnSegWords)
+	return o
+}
+
+// write runs f on a worker handle of db that no other request holds,
+// waiting for one to come free. A holder takes no further lock before it
+// hands its worker back, so waiting here under the server's read lock
+// cannot deadlock.
+func (s *server) write(db *incll.DB, f func(h incll.Handle)) {
+	w := <-s.workers
+	defer func() { s.workers <- w }()
+	f(db.Handle(w))
 }
 
 // startObs arms the node's observability for its current role: the
@@ -150,6 +193,86 @@ func (s *server) serveReplOn(db *incll.DB, addr string) error {
 	return nil
 }
 
+// kv serves /kv/{key}: PUT and DELETE on the primary, GET on either role.
+func (s *server) kv(w http.ResponseWriter, r *http.Request) {
+	key := []byte(strings.TrimPrefix(r.URL.Path, "/kv/"))
+	if len(key) == 0 {
+		http.Error(w, "empty key", http.StatusBadRequest)
+		return
+	}
+	s.mu.RLock()
+	defer s.mu.RUnlock()
+	fol := s.fol
+	db := s.db // nil while following; follower reads pin via View below
+	switch r.Method {
+	case http.MethodPut, http.MethodPost:
+		if fol != nil {
+			http.Error(w, "read-only follower; write to the primary", http.StatusConflict)
+			return
+		}
+		v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64)
+		if err != nil {
+			http.Error(w, "bad value", http.StatusBadRequest)
+			return
+		}
+		var inserted bool
+		s.write(db, func(h incll.Handle) { inserted = h.Put(key, v) })
+		// The commit epoch E: a follower whose applied watermark has
+		// reached E is guaranteed to serve this write — pass it back
+		// as ?minepoch=E for read-your-writes on any follower.
+		w.Header().Set("X-Incll-Epoch", strconv.FormatUint(db.CurrentEpoch(), 10))
+		fmt.Fprintf(w, "ok inserted=%v\n", inserted)
+	case http.MethodGet:
+		if me := r.URL.Query().Get("minepoch"); me != "" && fol != nil {
+			need, err := strconv.ParseUint(me, 10, 64)
+			if err != nil {
+				http.Error(w, "bad minepoch", http.StatusBadRequest)
+				return
+			}
+			if have := fol.AppliedEpoch(); need > have {
+				// The watermark read rule: never serve a read the
+				// follower has not yet caught up to — fail typed and
+				// let the client retry (here or on another follower).
+				w.Header().Set("X-Incll-Applied", strconv.FormatUint(have, 10))
+				w.Header().Set("Retry-After", "1")
+				http.Error(w, fmt.Sprintf("replica lagging: need epoch %d, applied %d", need, have),
+					http.StatusServiceUnavailable)
+				return
+			}
+		}
+		if fol != nil {
+			w.Header().Set("X-Incll-Applied", strconv.FormatUint(fol.AppliedEpoch(), 10))
+		}
+		read := func(db *incll.DB) {
+			v, ok := db.Get(key)
+			if !ok {
+				http.NotFound(w, r)
+				return
+			}
+			fmt.Fprintf(w, "%d\n", v)
+		}
+		if fol != nil {
+			// View pins the current bootstrap generation: a reconnect
+			// swapping the follower store mid-read cannot close it here.
+			if fol.View(read) != nil {
+				http.Error(w, "follower closed", http.StatusServiceUnavailable)
+			}
+			return
+		}
+		read(db)
+	case http.MethodDelete:
+		if fol != nil {
+			http.Error(w, "read-only follower; write to the primary", http.StatusConflict)
+			return
+		}
+		var deleted bool
+		s.write(db, func(h incll.Handle) { deleted = h.Delete(key) })
+		fmt.Fprintf(w, "deleted=%v\n", deleted)
+	default:
+		http.Error(w, "method", http.StatusMethodNotAllowed)
+	}
+}
+
 func main() {
 	addr := flag.String("addr", ":8080", "listen address")
 	shards := flag.Int("shards", 1, "keyspace shards with coordinated checkpoints")
@@ -163,8 +286,9 @@ func main() {
 	readyLag := flag.Uint64("ready-lag", 64, "readiness threshold: /healthz?ready fails when follower lag exceeds this many epochs")
 	flag.Parse()
 
-	opts := incll.Options{ArenaWords: (1 << 25) / uint64(max(*shards, 1)), Shards: *shards}
-	srv := &server{}
+	workers := runtime.GOMAXPROCS(0)
+	opts := storeOptions(*shards, workers)
+	srv := newServer(workers)
 	if *follow != "" {
 		fol, err := incll.FollowPrimary(*follow, incll.FollowerOptions{
 			Options: opts, ID: *replID, Logf: log.Printf,
@@ -189,81 +313,7 @@ func main() {
 	srv.startObs(*anomalySTW, *anomalyOp, *anomalyLag)
 
 	mux := http.NewServeMux()
-	mux.HandleFunc("/kv/", func(w http.ResponseWriter, r *http.Request) {
-		key := []byte(strings.TrimPrefix(r.URL.Path, "/kv/"))
-		if len(key) == 0 {
-			http.Error(w, "empty key", http.StatusBadRequest)
-			return
-		}
-		srv.mu.RLock()
-		defer srv.mu.RUnlock()
-		fol := srv.fol
-		db := srv.db // nil while following; follower reads pin via View below
-		switch r.Method {
-		case http.MethodPut, http.MethodPost:
-			if fol != nil {
-				http.Error(w, "read-only follower; write to the primary", http.StatusConflict)
-				return
-			}
-			v, err := strconv.ParseUint(r.URL.Query().Get("v"), 10, 64)
-			if err != nil {
-				http.Error(w, "bad value", http.StatusBadRequest)
-				return
-			}
-			inserted := db.Put(key, v)
-			// The commit epoch E: a follower whose applied watermark has
-			// reached E is guaranteed to serve this write — pass it back
-			// as ?minepoch=E for read-your-writes on any follower.
-			w.Header().Set("X-Incll-Epoch", strconv.FormatUint(db.CurrentEpoch(), 10))
-			fmt.Fprintf(w, "ok inserted=%v\n", inserted)
-		case http.MethodGet:
-			if me := r.URL.Query().Get("minepoch"); me != "" && fol != nil {
-				need, err := strconv.ParseUint(me, 10, 64)
-				if err != nil {
-					http.Error(w, "bad minepoch", http.StatusBadRequest)
-					return
-				}
-				if have := fol.AppliedEpoch(); need > have {
-					// The watermark read rule: never serve a read the
-					// follower has not yet caught up to — fail typed and
-					// let the client retry (here or on another follower).
-					w.Header().Set("X-Incll-Applied", strconv.FormatUint(have, 10))
-					w.Header().Set("Retry-After", "1")
-					http.Error(w, fmt.Sprintf("replica lagging: need epoch %d, applied %d", need, have),
-						http.StatusServiceUnavailable)
-					return
-				}
-			}
-			if fol != nil {
-				w.Header().Set("X-Incll-Applied", strconv.FormatUint(fol.AppliedEpoch(), 10))
-			}
-			read := func(db *incll.DB) {
-				v, ok := db.Get(key)
-				if !ok {
-					http.NotFound(w, r)
-					return
-				}
-				fmt.Fprintf(w, "%d\n", v)
-			}
-			if fol != nil {
-				// View pins the current bootstrap generation: a reconnect
-				// swapping the follower store mid-read cannot close it here.
-				if fol.View(read) != nil {
-					http.Error(w, "follower closed", http.StatusServiceUnavailable)
-				}
-				return
-			}
-			read(db)
-		case http.MethodDelete:
-			if fol != nil {
-				http.Error(w, "read-only follower; write to the primary", http.StatusConflict)
-				return
-			}
-			fmt.Fprintf(w, "deleted=%v\n", db.Delete(key))
-		default:
-			http.Error(w, "method", http.StatusMethodNotAllowed)
-		}
-	})
+	mux.HandleFunc("/kv/", srv.kv)
 	mux.HandleFunc("/range", func(w http.ResponseWriter, r *http.Request) {
 		start := []byte(r.URL.Query().Get("start"))
 		end := []byte(r.URL.Query().Get("end")) // exclusive; empty = open

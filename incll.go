@@ -626,14 +626,21 @@ func (db *DB) Get(k []byte) (uint64, bool) { return db.Handle(0).Get(k) }
 // GetBytes returns a copy of the byte value stored under k.
 func (db *DB) GetBytes(k []byte) ([]byte, bool) { return db.Handle(0).GetBytes(k) }
 
-// Put stores v under k; reports whether k was newly inserted.
+// Put stores v under k; reports whether k was newly inserted. It runs on
+// worker 0's handle, which is single-writer: Put, PutBytes and Delete must
+// not be called concurrently with one another. Concurrent writers each
+// take their own worker with Handle(i).
 func (db *DB) Put(k []byte, v uint64) bool { return db.Handle(0).Put(k, v) }
 
 // PutBytes stores the byte value v under k; reports whether k was newly
-// inserted, or ErrValueTooLarge / ErrKeyTooLarge for oversized input.
+// inserted, or ErrValueTooLarge / ErrKeyTooLarge for oversized input. Like
+// Put it runs on worker 0 and must not run concurrently with another DB
+// write; see Handle(i).
 func (db *DB) PutBytes(k []byte, v []byte) (bool, error) { return db.Handle(0).PutBytes(k, v) }
 
-// Delete removes k; reports whether it was present.
+// Delete removes k; reports whether it was present. Like Put it runs on
+// worker 0 and must not run concurrently with another DB write; see
+// Handle(i).
 func (db *DB) Delete(k []byte) bool { return db.Handle(0).Delete(k) }
 
 // NewIter opens a cursor over the DB on worker 0's handle; see
@@ -828,43 +835,53 @@ var ErrConflict = txn.ErrConflict
 // unlike single-key operations, it does not wait for the next checkpoint.
 // A Txn belongs to the worker that began it; one live Txn per worker.
 //
+// A Txn is recycled, like a closed cursor: Commit and Abort hand it back
+// to its worker, and that worker's next Begin reuses it. Drop the *Txn
+// after Commit or Abort. Using it again panics until the worker begins
+// its next transaction; after that, it is that transaction. A cursor from
+// Txn.NewIter owns its data and stays valid until it is closed.
+//
 // Commits are ordered by key: two commits exclude each other only if one
 // reads or writes a key the other writes or reads — or if they run on the
 // same worker, whose log segments and allocator lists are single-writer.
 // Begin and Apply run on worker 0 whoever calls them, so their commits
 // serialize; give concurrent clients a worker each with BeginWorker.
-type Txn struct{ t *txn.Txn }
+type Txn txn.Txn
 
 // Begin starts a transaction on worker 0.
 func (db *DB) Begin() *Txn { return db.BeginWorker(0) }
 
-// BeginWorker starts a transaction on worker i (i < Options.Workers).
-func (db *DB) BeginWorker(i int) *Txn { return &Txn{t: db.txns.Begin(i)} }
+// BeginWorker starts a transaction on worker i (i < Options.Workers). It
+// reuses the Txn worker i committed or aborted last, so a *Txn from an
+// earlier BeginWorker(i) must not be used once this one is returned.
+func (db *DB) BeginWorker(i int) *Txn { return (*Txn)(db.txns.Begin(i)) }
+
+func (t *Txn) inner() *txn.Txn { return (*txn.Txn)(t) }
 
 // Get reads the uint64 view of k: the transaction's own pending write if
 // any, else a cached prior read, else the store.
-func (t *Txn) Get(k []byte) (uint64, bool) { return t.t.Get(k) }
+func (t *Txn) Get(k []byte) (uint64, bool) { return t.inner().Get(k) }
 
 // GetBytes is Get returning a copy of the byte value.
-func (t *Txn) GetBytes(k []byte) ([]byte, bool) { return t.t.GetBytes(k) }
+func (t *Txn) GetBytes(k []byte) ([]byte, bool) { return t.inner().GetBytes(k) }
 
 // Put buffers a write of v under k.
-func (t *Txn) Put(k []byte, v uint64) { t.t.Put(k, v) }
+func (t *Txn) Put(k []byte, v uint64) { t.inner().Put(k, v) }
 
 // PutBytes buffers a write of the byte value v under k. An oversized key
 // or value poisons the transaction: Commit returns an error satisfying
 // errors.Is(err, ErrValueTooLarge) or errors.Is(err, ErrKeyTooLarge).
-func (t *Txn) PutBytes(k []byte, v []byte) { t.t.PutBytes(k, v) }
+func (t *Txn) PutBytes(k []byte, v []byte) { t.inner().PutBytes(k, v) }
 
 // Delete buffers a deletion of k.
-func (t *Txn) Delete(k []byte) { t.t.Delete(k) }
+func (t *Txn) Delete(k []byte) { t.inner().Delete(k) }
 
 // NewIter opens a cursor over the transaction's view of the store: the
 // committed state with the transaction's own pending writes overlaid —
 // buffered puts are visible, buffered deletes hide store keys. The write
 // set is snapshotted at call time. Iterated entries are not added to the
 // read set (Commit validates point reads only; no phantom protection).
-func (t *Txn) NewIter(o IterOptions) Iterator { return t.t.NewIter(o) }
+func (t *Txn) NewIter(o IterOptions) Iterator { return t.inner().NewIter(o) }
 
 // All is the range-over-func view of the transaction's overlaid state in
 // ascending key order; see DB.All.
@@ -876,11 +893,12 @@ func (t *Txn) Iter(o IterOptions) iter.Seq2[[]byte, []byte] {
 }
 
 // Commit atomically applies the write set; nil means durably committed,
-// ErrConflict means a validated read changed (retry).
-func (t *Txn) Commit() error { return t.t.Commit() }
+// ErrConflict means a validated read changed (retry). The Txn goes back
+// to its worker whatever the result.
+func (t *Txn) Commit() error { return t.inner().Commit() }
 
-// Abort discards the transaction.
-func (t *Txn) Abort() { t.t.Abort() }
+// Abort discards the transaction and hands the Txn back to its worker.
+func (t *Txn) Abort() { t.inner().Abort() }
 
 // Batch is a one-shot atomic write set for DB.Apply.
 type Batch struct {

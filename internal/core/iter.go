@@ -142,7 +142,8 @@ type Iter struct {
 // because handle 0 also serves Store.NewIter from any goroutine — two of
 // them racing get one recycled cursor and one fresh — and it sits alone on
 // its cache line so that workers opening cursors do not share one. The
-// shard layer keeps its merge cursors in the same kind of slot.
+// shard layer keeps its merge cursors in the same kind of slot, and the
+// transaction layer its finished transactions.
 type CursorSlot[T any] struct {
 	p atomic.Pointer[T]
 	_ [64 - 8]byte

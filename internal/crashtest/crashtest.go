@@ -79,7 +79,8 @@ func (c *Config) setDefaults() {
 // model is a reference state: key bytes to value bytes.
 type model map[string]string
 
-// Run executes one campaign with the given seed. It returns an error
+// Run executes one campaign with the given seed. It returns the number of
+// crash rounds the campaign ran (cfg.Rounds, or its default) and an error
 // describing the first divergence between the recovered store and the
 // committed reference model, or nil if every crash recovered exactly.
 //
@@ -87,14 +88,14 @@ type model map[string]string
 // and commits, recovery replays); on failure dumpTraceOnFailure leaves
 // the dump where CI picks it up, so a red crash-matrix run ships the
 // exact sequence of protocol events that led to the divergence.
-func Run(cfg Config, seed int64) error {
+func Run(cfg Config, seed int64) (rounds int, err error) {
 	cfg.setDefaults()
 	if cfg.Keyspace < uint64(cfg.Workers) {
-		return fmt.Errorf("keyspace %d is smaller than %d workers: each worker needs at least one key",
+		return 0, fmt.Errorf("keyspace %d is smaller than %d workers: each worker needs at least one key",
 			cfg.Keyspace, cfg.Workers)
 	}
 	trace := obs.NewTracer(obs.DefaultTraceEvents)
-	return dumpTraceOnFailure("store", seed, trace.Dump, run(cfg, seed, trace))
+	return cfg.Rounds, dumpTraceOnFailure("store", seed, trace.Dump, run(cfg, seed, trace))
 }
 
 // dumpTraceOnFailure routes a failing campaign's phase trace where CI can

@@ -280,12 +280,19 @@ func equalIter(a, b *incll.DB, o incll.IterOptions) error {
 }
 
 // RunRepl executes one replication crash campaign with the given seed,
-// returning an error describing the first invariant violation. As with
+// returning the number of crash rounds it ran (cfg.Rounds, or by default
+// one per snapshot protocol point and a clean round) and an error
+// describing the first invariant violation. As with
 // Run, a failure dumps the primary's phase trace when INCLL_TRACE_DIR is
 // set; the DB façade's tracer survives crash/reopen cycles, so the dump
 // covers the whole campaign even when the handle was swapped.
-func RunRepl(cfg ReplConfig, seed int64) (err error) {
+func RunRepl(cfg ReplConfig, seed int64) (rounds int, err error) {
 	cfg = cfg.withDefaults(replDefaults)
+	return cfg.Rounds, runRepl(cfg, seed)
+}
+
+// runRepl is RunRepl's campaign on a configuration with its defaults set.
+func runRepl(cfg ReplConfig, seed int64) (err error) {
 	primary, _ := incll.Open(incll.Options{Shards: cfg.Shards, Workers: cfg.Workers + 1})
 	defer func() { err = dumpTraceOnFailure("repl", seed, primary.DumpTrace, err) }()
 

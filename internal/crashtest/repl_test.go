@@ -20,8 +20,12 @@ func TestReplCrashProperty(t *testing.T) {
 				seeds = seeds[:1]
 			}
 			for _, seed := range seeds {
-				if err := RunRepl(ReplConfig{Shards: shards, PersistFraction: 0.5}, seed); err != nil {
+				n, err := RunRepl(ReplConfig{Shards: shards, PersistFraction: 0.5}, seed)
+				if err != nil {
 					t.Fatalf("seed %d: %v", seed, err)
+				}
+				if n != len(snapPoints) {
+					t.Fatalf("seed %d: %d rounds, want one per snapshot point and a clean round (%d)", seed, n, len(snapPoints))
 				}
 			}
 		})
@@ -32,13 +36,13 @@ func TestReplCrashProperty(t *testing.T) {
 // whose shard count differs from the primary's: prefix exactness and
 // convergence are placement-independent.
 func TestReplCrashPropertyCrossShardCount(t *testing.T) {
-	if err := RunRepl(ReplConfig{Shards: 4, FollowerShards: 2, PersistFraction: 0.5}, 3); err != nil {
+	if _, err := RunRepl(ReplConfig{Shards: 4, FollowerShards: 2, PersistFraction: 0.5}, 3); err != nil {
 		t.Fatal(err)
 	}
 	if testing.Short() {
 		return
 	}
-	if err := RunRepl(ReplConfig{Shards: 1, FollowerShards: 3, PersistFraction: 0.5}, 4); err != nil {
+	if _, err := RunRepl(ReplConfig{Shards: 1, FollowerShards: 3, PersistFraction: 0.5}, 4); err != nil {
 		t.Fatal(err)
 	}
 }
@@ -47,7 +51,7 @@ func TestReplCrashPropertyCrossShardCount(t *testing.T) {
 // point leaves the primary fully usable — a subsequent export succeeds
 // and restores exactly (the export protocol holds no poisoned state).
 func TestSnapshotCrashRestartability(t *testing.T) {
-	if err := RunRepl(ReplConfig{Shards: 2, Rounds: 3, OpsPerBurst: 200, PersistFraction: 0.5}, 5); err != nil {
+	if _, err := RunRepl(ReplConfig{Shards: 2, Rounds: 3, OpsPerBurst: 200, PersistFraction: 0.5}, 5); err != nil {
 		t.Fatal(err)
 	}
 }

@@ -61,7 +61,7 @@ func TestPersistZeroMeansNothingSurvives(t *testing.T) {
 	}
 	for _, shards := range []int{1, 4} {
 		cfg := Config{Shards: shards, Keyspace: 300, OpsPerEpoch: 1000, Rounds: 3}
-		if err := Run(cfg, 7); err != nil {
+		if _, err := Run(cfg, 7); err != nil {
 			t.Fatalf("%d shards: %v", shards, err)
 		}
 	}
@@ -70,7 +70,7 @@ func TestPersistZeroMeansNothingSurvives(t *testing.T) {
 // TestRunRejectsKeyspaceSmallerThanWorkers: a worker with no key of its
 // own is a configuration error, not a panic.
 func TestRunRejectsKeyspaceSmallerThanWorkers(t *testing.T) {
-	err := Run(Config{Keyspace: 3, Workers: 4}, 0)
+	_, err := Run(Config{Keyspace: 3, Workers: 4}, 0)
 	if err == nil || !strings.Contains(err.Error(), "keyspace 3") {
 		t.Fatalf("Run(keyspace 3, 4 workers) = %v, want a keyspace error", err)
 	}

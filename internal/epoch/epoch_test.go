@@ -408,3 +408,16 @@ func TestLastCommittedSkipsFailedEpochs(t *testing.T) {
 		t.Fatalf("after an advance: LastCommitted = %d, want 5", m.LastCommitted())
 	}
 }
+
+// BenchmarkEnterExit measures the reader side of the epoch guard: every
+// operation enters and exits it once. Run at -cpu 1,2 the ratio of the two
+// readings is what all workers sharing one guard costs as cores are added.
+func BenchmarkEnterExit(b *testing.B) {
+	_, m, _ := newManager(b)
+	b.RunParallel(func(pb *testing.PB) {
+		for pb.Next() {
+			m.Enter()
+			m.Exit()
+		}
+	})
+}

@@ -2,6 +2,7 @@ package txn
 
 import (
 	"bytes"
+	"slices"
 	"sort"
 
 	"incll/internal/core"
@@ -17,9 +18,14 @@ import (
 // Iterated entries are NOT added to the read set: Commit validates point
 // reads only, so iteration carries no phantom protection. Use Get on the
 // keys a commit must depend on.
+//
+// The cursor owns a copy of the snapshotted keys and values, so it stays
+// valid after Commit or Abort, when the worker's next transaction reuses
+// the Txn's byte storage.
 func (t *Txn) NewIter(o core.IterOptions) core.Cursor {
 	t.check()
 	ops := make([]extlog.IntentOp, 0, len(t.writes))
+	n := 0
 	for _, op := range t.writes {
 		if o.LowerBound != nil && bytes.Compare(op.Key, o.LowerBound) < 0 {
 			continue
@@ -28,8 +34,21 @@ func (t *Txn) NewIter(o core.IterOptions) core.Cursor {
 			continue
 		}
 		ops = append(ops, op)
+		n += len(op.Key) + len(op.Val)
 	}
-	sort.Slice(ops, func(i, j int) bool { return bytes.Compare(ops[i].Key, ops[j].Key) < 0 })
+	own := make([]byte, 0, n)
+	for i := range ops {
+		op := &ops[i]
+		off := len(own)
+		own = append(own, op.Key...)
+		op.Key = own[off:len(own):len(own)]
+		if !op.Delete {
+			off = len(own)
+			own = append(own, op.Val...)
+			op.Val = own[off:len(own):len(own)]
+		}
+	}
+	slices.SortFunc(ops, func(a, b extlog.IntentOp) int { return bytes.Compare(a.Key, b.Key) })
 	return &overlayIter{base: t.m.topo.Load().iter(t.worker, o), ops: ops}
 }
 

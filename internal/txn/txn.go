@@ -162,6 +162,10 @@ type Manager struct {
 	// shard count, and a cutover runs with no commit in flight.
 	stripes *[lockStripes]paddedMutex
 
+	// slots holds each worker's last finished Txn for its next Begin
+	// (see Begin). Like stripes, it outlives topologies.
+	slots []core.CursorSlot[Txn]
+
 	seq   atomic.Uint64
 	stats Stats
 	// fallbacks counts read positions a commit found stale — in
@@ -236,7 +240,10 @@ func New(cfg Config) (*Manager, int) {
 	if len(cfg.Stores) == 0 {
 		panic("txn: no stores")
 	}
-	m := &Manager{stripes: new([lockStripes]paddedMutex)}
+	m := &Manager{
+		stripes: new([lockStripes]paddedMutex),
+		slots:   make([]core.CursorSlot[Txn], cfg.Stores[0].Workers()),
+	}
 	m.topo.Store(newTopoState(cfg))
 	return m, m.recover()
 }
@@ -344,8 +351,12 @@ type readEnt struct {
 // concurrent use.
 //
 // Read set, write set, their key and value bytes and the commit window's
-// bookkeeping start out in arrays inside the Txn, so a transaction of up
-// to inlineKeys reads and writes costs one allocation; do not copy a Txn.
+// bookkeeping start out in arrays inside the Txn, and the Txn itself is
+// recycled: Commit and Abort leave it in its worker's slot and the
+// worker's next Begin takes it back, so a transaction of up to inlineKeys
+// reads and writes allocates nothing. A reference kept past Commit or
+// Abort panics on use until that next Begin, and aliases the new
+// transaction after it. Do not copy a Txn.
 type Txn struct {
 	m      *Manager
 	worker int
@@ -378,12 +389,26 @@ type Txn struct {
 }
 
 // Begin starts a transaction on worker index worker (the same index used
-// for Store handles; one live transaction per worker at a time).
+// for Store handles; one live transaction per worker at a time). It takes
+// the worker's last finished Txn from its slot, or allocates one when the
+// slot is empty — as when two goroutines begin on worker 0 at once, which
+// DB.Begin and DB.Apply allow — and resets it to the fresh state. The
+// arrays keep stale bytes; nothing reads past the slices' lengths.
 func (m *Manager) Begin(worker int) *Txn {
-	t := &Txn{m: m, worker: worker}
+	t := m.slots[worker].Take()
+	if t == nil {
+		t = &Txn{m: m}
+	}
+	t.worker = worker
 	t.reads, t.writes, t.data = t.readBuf[:0], t.writeBuf[:0], t.dataBuf[:0]
+	t.rindex, t.windex = nil, nil
+	t.topo, t.done, t.err = 0, false, nil
 	return t
 }
+
+// recycle offers the finished transaction to its worker's next Begin. done
+// stays set while it waits there, so a stale reference still panics.
+func (t *Txn) recycle() { t.m.slots[t.worker].Put(t) }
 
 func (t *Txn) check() {
 	if t.done {
@@ -541,6 +566,7 @@ func (t *Txn) write(k, v []byte, del bool) {
 func (t *Txn) Abort() {
 	t.check()
 	t.done = true
+	t.recycle()
 }
 
 // Commit atomically applies the write set. On return with nil error the
@@ -552,16 +578,17 @@ func (t *Txn) Abort() {
 func (t *Txn) Commit() error {
 	t.check()
 	t.done = true
-	if t.err != nil {
-		return t.err
+	var err error
+	switch {
+	case t.err != nil:
+		err = t.err
+	case len(t.writes) > 0:
+		err = t.m.commit(t)
+	case len(t.reads) > 0:
+		err = t.m.validateOnly(t)
 	}
-	if len(t.writes) == 0 {
-		if len(t.reads) == 0 {
-			return nil
-		}
-		return t.m.validateOnly(t)
-	}
-	return t.m.commit(t)
+	t.recycle()
+	return err
 }
 
 // commitAttempts bounds commit's retries around a full intent segment. A

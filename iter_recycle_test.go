@@ -18,7 +18,7 @@ import (
 // write set) but closes through to the store cursors under it; its budget
 // is the overlay alone, the same at one shard and at four.
 func TestHandleCursorAllocBudget(t *testing.T) {
-	const overlayBudget = 5 // the overlay struct, its sorted write-set copy, and sort.Slice's closure, swapper and reflection header
+	const overlayBudget = 3 // the overlay struct, its sorted write-set copy and the copy of that set's bytes
 	for _, shards := range []int{1, 4} {
 		db, _ := Open(Options{Shards: shards, Workers: 2})
 		const n = 4000
