@@ -557,7 +557,8 @@ func TestLazyRecoveryOnlyTouchesAccessedNodes(t *testing.T) {
 func TestConcurrentWorkersWithTicker(t *testing.T) {
 	_, s := newStore(t)
 	done := make(chan bool, 2)
-	s.StartTicker(2e6) // 2ms epochs while the workers run
+	var tk epoch.Ticker
+	tk.Start(2*time.Millisecond, func() { s.Advance() }) // 2ms epochs while the workers run
 	for w := 0; w < 2; w++ {
 		go func(w int) {
 			h := s.Handle(w)
@@ -570,7 +571,7 @@ func TestConcurrentWorkersWithTicker(t *testing.T) {
 	}
 	<-done
 	<-done
-	s.StopTicker()
+	tk.Stop()
 	for w := 0; w < 2; w++ {
 		for i := 0; i < 20000; i += 97 {
 			k := uint64(w*1000000 + i)
@@ -612,8 +613,9 @@ func TestRelocationConcurrentReaders(t *testing.T) {
 	h0 := s.Handle(0)
 	leaf := h0.ref(h0.rootCell0().root())
 	epoch0 := s.Epochs().Current()
-	s.StartTicker(time.Millisecond)
-	defer s.StopTicker()
+	var tk epoch.Ticker
+	tk.Start(time.Millisecond, func() { s.Advance() })
+	defer tk.Stop()
 
 	var writers sync.WaitGroup
 	var done, stop atomic.Bool

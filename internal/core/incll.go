@@ -75,9 +75,13 @@ import "incll/internal/nvm"
 // current epoch and returns the free position an insert must fill. A
 // removal needs nothing past the first touch and never logs; an insert
 // takes a slot that was free at epoch start, and external-logs the leaf
-// only when none is left.
+// only when none is left. A transient store keeps no undo state: any free
+// slot will do.
 func (h Handle) beforePermChange(n nodeRef, isInsert bool) (freePos int) {
 	s := h.s
+	if s.transient {
+		return n.perm().count()
+	}
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
 	p := n.perm()
@@ -128,9 +132,13 @@ func (h Handle) capturePerm(n nodeRef, p perm, cur uint64) {
 // free position the caller must relocate the entry to — write the new value
 // into its slot and swap that slot into the permutation (layerPut) — under
 // the InCLLp this prepares, so the update needs neither the external log nor
-// a fence. Otherwise it returns -1 and the caller writes in place.
+// a fence. Otherwise it returns -1 and the caller writes in place, as it
+// always does on a transient store.
 func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocPos int) {
 	s := h.s
+	if s.transient {
+		return -1
+	}
 	cur := s.mgr.Current()
 	w := n.load(fEpoch)
 	var start perm // the epoch-start permutation, once the leaf's is touched
@@ -187,8 +195,12 @@ func (h Handle) beforeValUpdate(n nodeRef, idx int) (relocPos int) {
 }
 
 // logLeaf records the leaf's pre-image in the external log (once per
-// epoch) and marks it logged. The entry is durable when this returns.
+// epoch) and marks it logged. The entry is durable when this returns. A
+// transient store logs nothing.
 func (h Handle) logLeaf(n nodeRef, cur uint64) {
+	if h.s.transient {
+		return
+	}
 	w := n.load(fEpoch)
 	if epochOf(w) == cur && loggedBit(w) {
 		return
@@ -208,9 +220,10 @@ func (h Handle) logLeaf(n nodeRef, cur uint64) {
 	h.s.stats.LoggedNodes.Add(h.w, 1)
 }
 
-// logInterior records an interior node's pre-image (once per epoch).
+// logInterior records an interior node's pre-image (once per epoch; never
+// on a transient store).
 func (h Handle) logInterior(n nodeRef, cur uint64) {
-	if n.load(fLogEpoch) == cur {
+	if h.s.transient || n.load(fLogEpoch) == cur {
 		return
 	}
 	if !h.lw.LogObject(n.off, NodeWords) {

@@ -165,7 +165,7 @@ const (
 
 // ---- permutation word, width 14 ----
 //
-// Same scheme as transient Masstree: 4 bits of count, then slot indices.
+// Masstree's scheme: 4 bits of count, then slot indices.
 // Nibble capacity is 15; the durable leaf uses slots 0..13, so nibble 14
 // permanently holds slot 14 and the count never exceeds 14.
 

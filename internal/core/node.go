@@ -174,7 +174,8 @@ func (n nodeRef) interiorChild(ik uint64) uint64 {
 	return n.child(lo)
 }
 
-// keyCmp orders (ikey, kind) pairs; kinds follow internal/masstree.
+// keyCmp orders (ikey, kind) pairs; see kindLayer in tree.go for the
+// kinds.
 func keyCmp(aIkey uint64, aKind uint8, bIkey uint64, bKind uint8) int {
 	switch {
 	case aIkey < bIkey:

@@ -162,6 +162,9 @@ const (
 
 // Store is a durable Masstree plus all of its substrates: the epoch
 // manager, durable allocator, and external log, all over one NVM arena.
+// Over a transient arena (nvm.Config.Transient) the same tree is the
+// paper's transient Masstree baseline: it keeps no undo state, so a leaf
+// or interior is never captured or logged and no line is ever dirty.
 type Store struct {
 	arena   *nvm.Arena
 	mgr     *epoch.Manager
@@ -169,6 +172,11 @@ type Store struct {
 	log     *extlog.Log
 	intents *extlog.IntentLog
 	cfg     Config
+
+	// transient mirrors the arena's nvm.Config.Transient: the store keeps
+	// no undo state (no InCLL capture, no external-log entry), which makes
+	// it the transient Masstree baseline. Read on every undo entry point.
+	transient bool
 
 	hdrOff   uint64 // tree-header root cell
 	recLocks []sync.Mutex
@@ -225,7 +233,7 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 	hdr := a.Reserve(nvm.WordsPerLine)
 	metaOff := a.Reserve(alloc.MetaWords(cfg.Workers))
 	logOff := a.Reserve(extlog.RegionWords(cfg.LogSegWords, cfg.Workers))
-	txnOff := a.Reserve(extlog.IntentRegionWords(cfg.TxnSegWords, cfg.Workers))
+	txnOff := a.Reserve(extlog.RegionWords(cfg.TxnSegWords, cfg.Workers))
 	heapOff := a.Reserve(cfg.HeapWords)
 
 	mgr, status := epoch.OpenCoordinated(a, eOff, cfg.Committed)
@@ -235,13 +243,14 @@ func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 			"(Workers/LogSegWords/TxnSegWords fingerprint %#x, now %#x); reopen with the original Config", old, fp))
 	}
 	s := &Store{
-		arena:    a,
-		mgr:      mgr,
-		cfg:      cfg,
-		hdrOff:   hdr,
-		recLocks: make([]sync.Mutex, 1024),
-		versions: newVersionTable(heapOff, cfg.HeapWords),
-		phases:   cfg.Phases,
+		arena:     a,
+		mgr:       mgr,
+		cfg:       cfg,
+		transient: a.Config().Transient,
+		hdrOff:    hdr,
+		recLocks:  make([]sync.Mutex, 1024),
+		versions:  newVersionTable(heapOff, cfg.HeapWords),
+		phases:    cfg.Phases,
 	}
 	// Attribution reaches below the store: fences time themselves in the
 	// arena, allocations in the allocator (via alloc.New below), and the
@@ -370,12 +379,6 @@ func (s *Store) LimboDepth() int64 { return s.alloc.LimboDepth() }
 // the number of cache lines flushed.
 func (s *Store) Advance() int { return s.mgr.Advance() }
 
-// StartTicker advances epochs every interval (the paper uses 64 ms).
-func (s *Store) StartTicker(interval time.Duration) { s.mgr.StartTicker(interval) }
-
-// StopTicker stops the background ticker.
-func (s *Store) StopTicker() { s.mgr.StopTicker() }
-
 // Shutdown flushes everything and marks a clean shutdown.
 func (s *Store) Shutdown() { s.mgr.Shutdown() }
 
@@ -435,8 +438,11 @@ func (c rootCell) lazyRecover() {
 }
 
 // logCell captures the cell's undo state for the current epoch (first
-// touch only).
+// touch only; never on a transient store).
 func (c rootCell) logCell(cur uint64) {
+	if c.s.transient {
+		return
+	}
 	a := c.s.arena
 	if a.Load(c.off+tRootEpoch) != cur {
 		a.Store(c.off+tRootInCLL, a.Load(c.off+tRoot))

@@ -8,9 +8,17 @@ import (
 	"incll/internal/obs"
 )
 
-// Key slicing, identical to internal/masstree: each trie layer indexes an
-// 8-byte big-endian slice; kind 0..8 means the key ends here with that many
-// bytes, kindLayer means it continues in a next-layer tree.
+// Key slicing: each trie layer indexes up to 8 bytes of the key. A key is
+// reduced to (ikey, kind) per layer, where ikey is the big-endian 8-byte
+// slice (zero-padded) and kind encodes how much key remains:
+//
+//	kind 0..8:  the key ends in this layer with that many bytes
+//	kindLayer:  the key continues; the slot holds a next-layer tree
+//
+// Two distinct keys can share an ikey but differ in kind ("abc" vs
+// "abc\x00"); entries order by (ikey, kind), and kindLayer sorts after
+// kind 8 because any continued key is strictly longer than any key that
+// ends in this layer with the same 8 bytes.
 const kindLayer = 9
 
 func ikeyOf(k []byte) (uint64, uint8) {
@@ -303,6 +311,12 @@ readLeaf:
 // escape through the ChangeSink call, costing an allocation per Put.
 func (h Handle) Put(k []byte, v uint64) bool {
 	return h.PutBytes(k, AppendValueUint64(h.s.valueBufs[h.w].b[:0], v))
+}
+
+// PutLocked is Put under a caller-held epoch guard, or with no guard on a
+// store whose epochs never advance (the transient MT baseline).
+func (h Handle) PutLocked(k []byte, v uint64) bool {
+	return h.PutBytesLocked(k, AppendValueUint64(h.s.valueBufs[h.w].b[:0], v))
 }
 
 // PutBytes stores the byte value v (len ≤ MaxValueBytes) under k; reports

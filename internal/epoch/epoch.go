@@ -100,8 +100,6 @@ type Manager struct {
 	// one atomic load.
 	onCommit atomic.Pointer[[]func(committed uint64)]
 
-	ticker Ticker
-
 	advances atomic.Int64
 
 	// sealed is set when a reshard cutover retires this store (see Seal):
@@ -390,7 +388,6 @@ func (m *Manager) Advances() int64 { return m.advances.Load() }
 // Shutdown flushes everything and durably marks a clean shutdown. After
 // Shutdown the Manager must not be used.
 func (m *Manager) Shutdown() {
-	m.StopTicker()
 	m.world.Lock()
 	defer m.world.Unlock()
 	a, off := m.arena, m.off
@@ -406,22 +403,12 @@ func (m *Manager) Shutdown() {
 	m.fireCommit(m.current.Load())
 }
 
-// StartTicker advances epochs every interval from a background goroutine,
-// mirroring the paper's 64 ms timer. Stop with StopTicker or Shutdown.
-func (m *Manager) StartTicker(interval time.Duration) {
-	m.ticker.Start(interval, func() { m.Advance() })
-}
-
-// StopTicker stops the background ticker, if running.
-func (m *Manager) StopTicker() { m.ticker.Stop() }
-
 // Seal freezes the manager after a reshard cutover: the store it drives
 // was the donor of a completed topology change and its durable history
 // must not grow past the cutover epoch. Reads (Enter/Exit) keep working
 // against the frozen state; a later Prepare/Advance panics. Used by the
 // reshard cutover (see internal/shard.Store.Seal and DESIGN.md §13).
 func (m *Manager) Seal() {
-	m.StopTicker()
 	m.sealed.Store(true)
 }
 

@@ -203,9 +203,10 @@ func TestConcurrentWorkersAndAdvances(t *testing.T) {
 
 func TestTickerAdvances(t *testing.T) {
 	_, m, _ := newManager(t)
-	m.StartTicker(2 * time.Millisecond)
+	var tk Ticker
+	tk.Start(2*time.Millisecond, func() { m.Advance() })
 	time.Sleep(30 * time.Millisecond)
-	m.StopTicker()
+	tk.Stop()
 	if m.Advances() == 0 {
 		t.Fatal("ticker never advanced the epoch")
 	}
@@ -325,23 +326,25 @@ func TestTickerStartStopIdempotent(t *testing.T) {
 	// the established cadence), and a second Stop must not hang or panic —
 	// callers like DB.StartCheckpointer may be invoked twice.
 	_, m, _ := newManager(t)
-	m.StartTicker(2 * time.Millisecond)
-	m.StartTicker(1 * time.Millisecond) // no-op, keeps the first cadence
+	var tk Ticker
+	advance := func() { m.Advance() }
+	tk.Start(2*time.Millisecond, advance)
+	tk.Start(1*time.Millisecond, advance) // no-op, keeps the first cadence
 	time.Sleep(20 * time.Millisecond)
-	m.StopTicker()
+	tk.Stop()
 	n := m.Advances()
 	if n == 0 {
 		t.Fatal("ticker never advanced the epoch")
 	}
-	m.StopTicker() // idempotent
+	tk.Stop() // idempotent
 	time.Sleep(10 * time.Millisecond)
 	if m.Advances() != n {
 		t.Fatal("ticker kept running after Stop (double-Start leaked a goroutine)")
 	}
 	// Start/Stop cycles keep working after an idempotent no-op pair.
-	m.StartTicker(2 * time.Millisecond)
+	tk.Start(2*time.Millisecond, advance)
 	time.Sleep(10 * time.Millisecond)
-	m.StopTicker()
+	tk.Stop()
 	if m.Advances() == n {
 		t.Fatal("ticker did not restart after Stop")
 	}

@@ -3,11 +3,13 @@ package epoch
 import "time"
 
 // Ticker runs a callback on a fixed interval from a background goroutine —
-// the paper's 64 ms checkpoint timer, shared by the single-store manager,
-// the shard coordinator, and the transaction manager (each supplies its
-// own advance function). Zero value is ready. Start and Stop are
-// idempotent (a second Start while running is a no-op, as is Stop when
-// stopped), but they must not race each other from different goroutines.
+// the paper's 64 ms checkpoint timer. The transaction manager's
+// checkpointer (txn.Manager.StartTicker, which the façade's
+// DB.StartCheckpointer runs) is its one production owner; the figure
+// harness runs one over a bare store's Advance. Zero value is ready. Start
+// and Stop are idempotent (a second Start while running is a no-op, as is
+// Stop when stopped), but they must not race each other from different
+// goroutines.
 type Ticker struct {
 	stop chan struct{}
 	done chan struct{}

@@ -45,56 +45,87 @@ const (
 	MaxObjectWords = 256
 )
 
-// Log is an external undo log over a durable region, split into one
-// segment per writer thread.
-type Log struct {
+// region is the segment discipline the undo log and the intent log share:
+// a generation header line followed by one line-aligned segment per
+// writer, each appended to without cross-thread coordination. Every
+// writer's cursor resets at an epoch boundary (the global flush has just
+// made durable everything the epoch's records cover), and recovery retires
+// the generation so that records it replayed can never replay again.
+type region struct {
 	arena *nvm.Arena
 	mgr   *epoch.Manager
 
-	off      uint64 // region start: header line, then segments
-	segWords uint64
-	writers  []Writer
-
+	off        uint64 // region start: header line, then segments
+	segWords   uint64 // per-writer segment size, whole lines
 	generation uint64
+	segs       []*segment
+}
 
-	entries atomic.Int64 // entries appended (all writers, this execution)
-	words   atomic.Int64 // content words logged
+// segment is one writer's part of a region.
+type segment struct {
+	base   uint64 // first word
+	cursor uint64 // words appended this epoch
+}
+
+// lineWords rounds n words up to whole cache lines.
+func lineWords(n uint64) uint64 {
+	return (n + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
 }
 
 // RegionWords returns the region size needed for the given segment size
-// and writer count.
+// and writer count, for either log.
 func RegionWords(segWords uint64, writers int) uint64 {
-	seg := (segWords + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
-	return nvm.WordsPerLine + seg*uint64(writers)
+	return nvm.WordsPerLine + lineWords(segWords)*uint64(writers)
+}
+
+// attach lays the region out at off (RegionWords(segWords, writers)
+// words): seg(i) is writer i's segment. It reads the generation and resets
+// the cursors at every epoch boundary.
+func (r *region) attach(a *nvm.Arena, m *epoch.Manager, off, segWords uint64, writers int, seg func(i int) *segment) {
+	r.arena, r.mgr, r.off = a, m, off
+	r.segWords = lineWords(segWords)
+	r.generation = a.Load(off + hGeneration)
+	r.segs = make([]*segment, writers)
+	for i := range r.segs {
+		r.segs[i] = seg(i)
+		r.segs[i].base = off + nvm.WordsPerLine + uint64(i)*r.segWords
+	}
+	m.OnAdvance(func(uint64) {
+		for _, s := range r.segs {
+			s.cursor = 0
+		}
+	})
+}
+
+// retire durably bumps the generation, so no record of the old one can
+// be read again. The caller must first make the replayed state durable.
+func (r *region) retire() {
+	r.generation++
+	r.arena.Store(r.off+hGeneration, r.generation)
+	r.arena.Writeback(r.off)
+	r.arena.Fence()
+}
+
+// Log is an external undo log over a durable region, split into one
+// segment per writer thread.
+type Log struct {
+	region
+	writers []Writer
+
+	entries atomic.Int64 // entries appended (all writers, this execution)
+	words   atomic.Int64 // content words logged
 }
 
 // New attaches a log to the region at off (RegionWords(segWords, writers)
 // words). The caller must invoke Recover exactly once, after all durable
 // structures are attached but before mutators start.
 func New(a *nvm.Arena, m *epoch.Manager, off, segWords uint64, writers int) *Log {
-	seg := (segWords + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
-	l := &Log{
-		arena:      a,
-		mgr:        m,
-		off:        off,
-		segWords:   seg,
-		generation: a.Load(off + hGeneration),
-	}
-	l.writers = make([]Writer, writers)
-	for i := range l.writers {
-		l.writers[i] = Writer{log: l, base: off + nvm.WordsPerLine + uint64(i)*seg}
-	}
-	m.OnAdvance(func(uint64) { l.resetCursors() })
+	l := &Log{writers: make([]Writer, writers)}
+	l.attach(a, m, off, segWords, writers, func(i int) *segment {
+		l.writers[i].log = l
+		return &l.writers[i].segment
+	})
 	return l
-}
-
-// resetCursors discards the log at an epoch boundary: the global flush has
-// just committed everything the entries would undo. The entries themselves
-// stay in NVM but become unreachable garbage (their epochs are committed).
-func (l *Log) resetCursors() {
-	for i := range l.writers {
-		l.writers[i].cursor = 0
-	}
 }
 
 // Writer returns writer i's interface. Each concurrent mutator thread must
@@ -110,9 +141,8 @@ func (l *Log) ContentWords() int64 { return l.words.Load() }
 
 // Writer appends pre-images to one segment.
 type Writer struct {
-	log    *Log
-	base   uint64
-	cursor uint64
+	log *Log
+	segment
 }
 
 // LogObject captures the current contents of [nodeOff, nodeOff+words) as
@@ -152,10 +182,7 @@ func (w *Writer) LogObject(nodeOff, words uint64) bool {
 
 // entryWords returns the line-aligned footprint of an entry with the given
 // content size.
-func entryWords(words uint64) uint64 {
-	n := eContent + words
-	return (n + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
-}
+func entryWords(words uint64) uint64 { return lineWords(eContent + words) }
 
 // Recover applies every valid entry of the current generation whose epoch
 // failed: the pre-image is copied back over the object. It then flushes
@@ -169,11 +196,10 @@ func entryWords(words uint64) uint64 {
 func (l *Log) Recover() int {
 	a := l.arena
 	applied := 0
-	for i := range l.writers {
-		base := l.writers[i].base
+	for _, seg := range l.segs {
 		cursor := uint64(0)
 		for cursor < l.segWords {
-			e := base + cursor
+			e := seg.base + cursor
 			ep := a.Load(e + eEpoch)
 			node := a.Load(e + eNode)
 			meta := a.Load(e + eMeta)
@@ -200,10 +226,7 @@ func (l *Log) Recover() int {
 	}
 	// Make the repair durable, then retire this generation.
 	a.FlushAll()
-	l.generation++
-	a.Store(l.off+hGeneration, l.generation)
-	a.Writeback(l.off)
-	a.Fence()
+	l.retire()
 	return applied
 }
 

@@ -7,12 +7,12 @@
 // NVM can be replayed after the epoch it ran in is rolled back. The record
 // is durable before any of its writes is applied, so the replay covers
 // them all: a committed transaction's inline-value updates carry no undo
-// of their own. The two logs share the same segment discipline: one region
-// per arena, split into per-writer segments appended without any
-// cross-thread coordination, cursors reset at every epoch boundary (the
-// global flush makes applied writes durable, retiring the epoch's
-// intents), and a generation counter that recovery bumps so replayed
-// records can never replay twice.
+// of their own. The two logs share one segment discipline (region in
+// extlog.go): per-writer segments appended without any cross-thread
+// coordination, cursors reset at every epoch boundary (the global flush
+// makes applied writes durable, retiring the epoch's intents), and a
+// generation counter that recovery bumps so replayed records can never
+// replay twice.
 //
 // Record layout (header words, then content packed from word 6 on):
 //
@@ -98,14 +98,8 @@ type IntentRecord struct {
 // IntentLog is an intent region over one arena: a generation header line
 // followed by one segment per writer.
 type IntentLog struct {
-	arena *nvm.Arena
-	mgr   *epoch.Manager
-
-	off      uint64
-	segWords uint64
-	writers  []IntentWriter
-
-	generation uint64
+	region
+	writers []IntentWriter
 
 	appended atomic.Int64
 
@@ -117,39 +111,17 @@ type IntentLog struct {
 	Hook func(point string)
 }
 
-// IntentRegionWords returns the region size needed for the given per-writer
-// segment size and writer count.
-func IntentRegionWords(segWords uint64, writers int) uint64 {
-	return RegionWords(segWords, writers)
-}
-
 // NewIntentLog attaches an intent log to the region at off
-// (IntentRegionWords(segWords, writers) words). Like the undo log, cursors
+// (RegionWords(segWords, writers) words). Like the undo log, cursors
 // reset at every epoch boundary; the caller drives recovery (ScanIntents /
 // RetireIntents) after all stores are attached.
 func NewIntentLog(a *nvm.Arena, m *epoch.Manager, off, segWords uint64, writers int) *IntentLog {
-	seg := (segWords + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
-	l := &IntentLog{
-		arena:      a,
-		mgr:        m,
-		off:        off,
-		segWords:   seg,
-		generation: a.Load(off + hGeneration),
-	}
-	l.writers = make([]IntentWriter, writers)
-	for i := range l.writers {
-		l.writers[i] = IntentWriter{log: l, base: off + nvm.WordsPerLine + uint64(i)*seg}
-	}
-	m.OnAdvance(func(uint64) { l.resetCursors() })
+	l := &IntentLog{writers: make([]IntentWriter, writers)}
+	l.attach(a, m, off, segWords, writers, func(i int) *segment {
+		l.writers[i].log = l
+		return &l.writers[i].segment
+	})
 	return l
-}
-
-// resetCursors discards the log at an epoch boundary: the global flush has
-// just made every applied write durable, so the epoch's intents are spent.
-func (l *IntentLog) resetCursors() {
-	for i := range l.writers {
-		l.writers[i].cursor = 0
-	}
 }
 
 // Writer returns writer i's interface. A writer is not safe for concurrent
@@ -162,10 +134,9 @@ func (l *IntentLog) Appended() int64 { return l.appended.Load() }
 
 // IntentWriter appends intents to one segment.
 type IntentWriter struct {
-	log    *IntentLog
-	base   uint64
-	cursor uint64
-	buf    []byte // encodeIntent scratch, reused across appends
+	log *IntentLog
+	segment
+	buf []byte // encodeIntent scratch, reused across appends
 }
 
 // encodeIntent appends a write set's content to b: per op,
@@ -314,10 +285,7 @@ func (l *IntentLog) MarkCommitted(entry uint64) {
 
 // intentEntryWords returns the line-aligned footprint of a record with the
 // given content size in bytes.
-func intentEntryWords(content uint64) uint64 {
-	n := iContent + (content+7)/8
-	return (n + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
-}
+func intentEntryWords(content uint64) uint64 { return lineWords(iContent + (content+7)/8) }
 
 // ScanIntents decodes every checksum-valid record of the current
 // generation, in segment order per writer. A torn or stale record stops
@@ -327,11 +295,10 @@ func intentEntryWords(content uint64) uint64 {
 func (l *IntentLog) ScanIntents() []IntentRecord {
 	a := l.arena
 	var recs []IntentRecord
-	for i := range l.writers {
-		base := l.writers[i].base
+	for _, seg := range l.segs {
 		cursor := uint64(0)
 		for cursor < l.segWords {
-			e := base + cursor
+			e := seg.base + cursor
 			seq := a.Load(e + iSeq)
 			meta := a.Load(e + iMeta)
 			content := meta & 0xFFFFFFFF
@@ -373,9 +340,4 @@ func (l *IntentLog) ScanIntents() []IntentRecord {
 // recovery can never replay again. The caller must first make the replayed
 // state durable (a full checkpoint), exactly like Log.Recover's flush-
 // before-bump ordering.
-func (l *IntentLog) RetireIntents() {
-	l.generation++
-	l.arena.Store(l.off+hGeneration, l.generation)
-	l.arena.Writeback(l.off)
-	l.arena.Fence()
-}
+func (l *IntentLog) RetireIntents() { l.retire() }

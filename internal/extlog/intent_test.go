@@ -13,7 +13,7 @@ func intentFixture(t *testing.T, segWords uint64, writers int) (*nvm.Arena, *epo
 	t.Helper()
 	a := nvm.New(nvm.Config{Words: 1 << 16})
 	eOff := a.Reserve(epoch.HeaderWords)
-	off := a.Reserve(IntentRegionWords(segWords, writers))
+	off := a.Reserve(RegionWords(segWords, writers))
 	m, _ := epoch.Open(a, eOff)
 	return a, m, NewIntentLog(a, m, off, segWords, writers)
 }

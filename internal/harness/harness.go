@@ -1,9 +1,13 @@
 // Package harness builds and drives the four systems the paper evaluates —
-// MT (transient Masstree, heap allocation), MT+ (transient Masstree, pool
-// allocation + global epoch barrier), INCLL (the durable Masstree of this
-// repository), and LOGGING (INCLL with in-cache-line logging disabled) —
-// under the YCSB workloads of §6, and regenerates every figure of the
-// evaluation section.
+// MT (transient Masstree), MT+ (transient Masstree with the allocator's
+// epoch-based recycling and the global epoch barrier), INCLL (the durable
+// Masstree of this repository), and LOGGING (INCLL with in-cache-line
+// logging disabled) — under the YCSB workloads of §6, and regenerates every
+// figure of the evaluation section. All four run the one tree of
+// internal/core: MT and MT+ open it over a transient arena
+// (nvm.Config.Transient), which keeps no undo state and marks no line
+// dirty, so the overhead of INCLL over MT+ is the cost of persistence
+// alone.
 package harness
 
 import (
@@ -12,7 +16,7 @@ import (
 	"time"
 
 	"incll/internal/core"
-	"incll/internal/masstree"
+	"incll/internal/epoch"
 	"incll/internal/nvm"
 	"incll/internal/obs"
 	"incll/internal/ycsb"
@@ -22,10 +26,13 @@ import (
 type Mode int
 
 const (
-	// MT is unmodified transient Masstree with heap allocation.
+	// MT is transient Masstree: the core tree over a transient arena,
+	// driven through the guard-free entry points, with no epoch
+	// boundaries (freed memory is never reused).
 	MT Mode = iota
-	// MTPlus is transient Masstree with the pool allocator and the
-	// per-epoch global barrier (the paper's strengthened baseline).
+	// MTPlus is MT with the epoch guard and the checkpoint ticker (the
+	// paper's strengthened baseline): each boundary stops the world and
+	// splices the allocator's limbo for reuse, and flushes nothing.
 	MTPlus
 	// INCLL is the durable Masstree with In-Cache-Line Logging.
 	INCLL
@@ -122,7 +129,8 @@ type Result struct {
 	// latency.go). Scans count as one operation.
 	P50, P95, P99 time.Duration
 
-	// Durable-mode extras (zero for MT / MT+).
+	// Persistence counters. The transient modes log and flush nothing:
+	// MT+ counts only its boundaries (Advances) and their empty fences.
 	LoggedNodes  int64
 	InCLLPerm    int64
 	InCLLVal     int64
@@ -133,91 +141,21 @@ type Result struct {
 
 	// CheckpointSTW summarizes the measured phase's checkpoint
 	// stop-the-world windows — Prepare's world lock to Commit's unlock —
-	// in nanoseconds (durable modes; the preload commit is excluded).
+	// in nanoseconds (the preload commit is excluded; empty for MT).
 	CheckpointSTW obs.HistSnapshot
 
 	// Phases maps phase name to its sampled latency histogram over the
-	// measured phase, in nanoseconds (durable modes with attribution on;
-	// nil otherwise). See DESIGN.md §12.
+	// measured phase, in nanoseconds (nil with attribution off; empty for
+	// MT, whose guard-free entry points are not sample sites). See
+	// DESIGN.md §12.
 	Phases map[string]obs.HistSnapshot
 	// PhaseSampleEvery is the attribution sampling period the run used (0
 	// when attribution was off).
 	PhaseSampleEvery int
 }
 
-// Run executes one measurement: build, preload, run, collect.
-func Run(cfg RunConfig) Result {
-	cfg.setDefaults()
-	if cfg.Mode == MT || cfg.Mode == MTPlus {
-		return runTransient(cfg)
-	}
-	return runDurable(cfg)
-}
-
 // opValue derives a distinct value for each write.
 func opValue(thread, i int) uint64 { return uint64(thread)<<32 | uint64(i) }
-
-// ---- transient modes ----
-
-func runTransient(cfg RunConfig) Result {
-	var tr *masstree.Tree
-	var barrier *masstree.Barrier
-	if cfg.Mode == MTPlus {
-		barrier = masstree.NewBarrier()
-		pool := masstree.NewPool(cfg.Threads, barrier)
-		tr = masstree.NewWithPool(pool, barrier)
-	} else {
-		tr = masstree.New()
-	}
-
-	parallelLoad(cfg, func(w int, k uint64) {
-		tr.Handle(w).Put(masstree.EncodeUint64(k), k)
-	})
-
-	stopTick := make(chan struct{})
-	var tickDone sync.WaitGroup
-	if barrier != nil {
-		tickDone.Add(1)
-		go func() {
-			defer tickDone.Done()
-			t := time.NewTicker(cfg.EpochInterval)
-			defer t.Stop()
-			for {
-				select {
-				case <-t.C:
-					barrier.Advance()
-				case <-stopTick:
-					return
-				}
-			}
-		}()
-	}
-
-	elapsed, lats := runWorkers(cfg, func(w int, op ycsb.Op, i int) {
-		h := tr.Handle(w)
-		switch op.Kind {
-		case ycsb.OpPut:
-			h.Put(masstree.EncodeUint64(op.Key), opValue(w, i))
-		case ycsb.OpGet:
-			h.Get(masstree.EncodeUint64(op.Key))
-		case ycsb.OpScan:
-			h.Scan(masstree.EncodeUint64(op.Key), op.ScanLen, func([]byte, uint64) bool { return true })
-		}
-	})
-
-	close(stopTick)
-	tickDone.Wait()
-
-	ops := int64(cfg.Threads) * int64(cfg.OpsPerThread)
-	r := Result{
-		Config:     cfg,
-		Elapsed:    elapsed,
-		Ops:        ops,
-		Throughput: float64(ops) / elapsed.Seconds(),
-	}
-	fillLatencies(&r, lats)
-	return r
-}
 
 // fillPhases folds the attribution histograms into the result.
 func fillPhases(r *Result, phases *obs.PhaseSet) {
@@ -235,9 +173,7 @@ func fillLatencies(r *Result, h *latHist) {
 	r.P99 = h.percentile(99)
 }
 
-// ---- durable modes ----
-
-// SizeArena returns a generous arena size (words) for a durable run.
+// SizeArena returns a generous arena size (words) for a run.
 func SizeArena(cfg RunConfig) (arenaWords, heapWords, segWords uint64) {
 	if cfg.Workload == ycsb.E {
 		// YCSB-E's 5% inserts land above the preloaded keyspace and grow
@@ -256,13 +192,18 @@ func SizeArena(cfg RunConfig) (arenaWords, heapWords, segWords uint64) {
 	return
 }
 
-func runDurable(cfg RunConfig) Result {
+// Run executes one measurement: build, preload, run, collect. Every mode
+// runs this one path; MT differs only in its transient arena, its
+// guard-free point operations and its missing ticker, MT+ in its arena.
+func Run(cfg RunConfig) Result {
+	cfg.setDefaults()
 	arenaWords, heapWords, segWords := SizeArena(cfg)
 	a := nvm.New(nvm.Config{
 		Words:         arenaWords,
 		FenceDelay:    cfg.FenceDelay,
 		DirtyCapacity: cfg.DirtyCapacity,
 		Seed:          cfg.Seed,
+		Transient:     cfg.Mode == MT || cfg.Mode == MTPlus,
 	})
 	s, _ := core.Open(a, core.Config{
 		Workers:      cfg.Threads,
@@ -295,22 +236,32 @@ func runDurable(cfg RunConfig) Result {
 	// first scan — the pattern a real client uses: re-seek the same
 	// iterator per request instead of allocating one per scan.
 	iters := make([]*core.Iter, cfg.Threads)
-	s.StartTicker(cfg.EpochInterval)
+	var tick epoch.Ticker
+	if cfg.Mode != MT {
+		tick.Start(cfg.EpochInterval, func() { s.Advance() })
+	}
 	elapsed, lats := runWorkers(cfg, func(w int, op ycsb.Op, i int) {
 		h := s.Handle(w)
-		switch op.Kind {
-		case ycsb.OpPut:
-			h.Put(core.EncodeUint64(op.Key), opValue(w, i))
-		case ycsb.OpGet:
-			h.Get(core.EncodeUint64(op.Key))
-		case ycsb.OpScan:
+		k := core.EncodeUint64(op.Key)
+		switch {
+		case op.Kind == ycsb.OpScan:
 			if iters[w] == nil {
 				iters[w] = h.NewIter(core.IterOptions{}).(*core.Iter)
 			}
-			scan(iters[w], op)
+			scan(iters[w], k, op.ScanLen)
+		case cfg.Mode != MT:
+			if op.Kind == ycsb.OpPut {
+				h.Put(k, opValue(w, i))
+			} else {
+				h.Get(k)
+			}
+		case op.Kind == ycsb.OpPut:
+			h.PutLocked(k, opValue(w, i))
+		default:
+			h.GetLocked(k)
 		}
 	})
-	s.StopTicker()
+	tick.Stop()
 
 	as := a.Stats().Snapshot().Sub(as0)
 	ops := int64(cfg.Threads) * int64(cfg.OpsPerThread)
@@ -336,11 +287,11 @@ func runDurable(cfg RunConfig) Result {
 // scan runs one YCSB-E scan op through a worker's cursor, touching every
 // value. The loop breaks before the post-advance, so a satisfied scan
 // never pays a refill it will discard.
-func scan(it *core.Iter, op ycsb.Op) {
-	ok := it.SeekGE(core.EncodeUint64(op.Key))
+func scan(it *core.Iter, start []byte, length int) {
+	ok := it.SeekGE(start)
 	for n := 0; ok; {
 		_ = it.ValueUint64()
-		if n++; n >= op.ScanLen {
+		if n++; n >= length {
 			return
 		}
 		ok = it.Next()

@@ -7,10 +7,29 @@ import (
 	"sort"
 	"sync"
 	"testing"
+
+	"incll/internal/core"
 )
 
+// The tests drive a small tree through these single-worker shorthands
+// on worker 0's handle, and handles 0..7 where they run concurrently.
+
+func newTestTree() *Tree { return newTree(1 << 21) }
+
+func (t *Tree) Get(k []byte) (uint64, bool) { return t.Handle(0).Get(k) }
+func (t *Tree) Put(k []byte, v uint64) bool { return t.Handle(0).Put(k, v) }
+func (t *Tree) Delete(k []byte) bool        { return t.Handle(0).Delete(k) }
+func (t *Tree) Scan(start []byte, max int, fn func(k []byte, v uint64) bool) int {
+	return t.Handle(0).Scan(start, max, fn)
+}
+
+// Len counts the live keys with a full scan.
+func (t *Tree) Len() int { return t.Scan(nil, -1, func([]byte, uint64) bool { return true }) }
+
+var EncodeUint64 = core.EncodeUint64
+
 func TestPutGetSingle(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	if _, ok := tr.Get([]byte("missing")); ok {
 		t.Fatal("empty tree returned a value")
 	}
@@ -24,7 +43,7 @@ func TestPutGetSingle(t *testing.T) {
 }
 
 func TestPutOverwrite(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	tr.Put([]byte("k"), 1)
 	if tr.Put([]byte("k"), 2) {
 		t.Fatal("overwrite reported insert")
@@ -38,7 +57,7 @@ func TestPutOverwrite(t *testing.T) {
 }
 
 func TestDelete(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	tr.Put([]byte("a"), 1)
 	tr.Put([]byte("b"), 2)
 	if !tr.Delete([]byte("a")) {
@@ -59,7 +78,7 @@ func TestDelete(t *testing.T) {
 }
 
 func TestManyKeysForceSplits(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	const n = 10000
 	for i := 0; i < n; i++ {
 		tr.Put(EncodeUint64(uint64(i*7919%n)), uint64(i))
@@ -77,7 +96,7 @@ func TestManyKeysForceSplits(t *testing.T) {
 
 func TestSequentialInsertAscendingDescending(t *testing.T) {
 	for _, dir := range []string{"asc", "desc"} {
-		tr := New()
+		tr := newTestTree()
 		const n = 5000
 		for i := 0; i < n; i++ {
 			k := i
@@ -96,7 +115,7 @@ func TestSequentialInsertAscendingDescending(t *testing.T) {
 }
 
 func TestVariableLengthKeys(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	keys := []string{
 		"", "a", "ab", "abc", "abcd", "abcdefg", "abcdefgh", // within one slice
 		"abcdefghi", "abcdefghij", "abcdefgh12345678", "abcdefgh123456789", // layers
@@ -121,7 +140,7 @@ func TestVariableLengthKeys(t *testing.T) {
 }
 
 func TestLayerDelete(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	tr.Put([]byte("prefix--0123456789"), 1)
 	tr.Put([]byte("prefix--0123456780"), 2)
 	if !tr.Delete([]byte("prefix--0123456789")) {
@@ -136,7 +155,7 @@ func TestLayerDelete(t *testing.T) {
 }
 
 func TestScanAscendingOrder(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	const n = 3000
 	perm := rand.New(rand.NewSource(1)).Perm(n)
 	for _, i := range perm {
@@ -158,7 +177,7 @@ func TestScanAscendingOrder(t *testing.T) {
 }
 
 func TestScanFromStartKeyWithLimit(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	for i := 0; i < 100; i++ {
 		tr.Put(EncodeUint64(uint64(i)), uint64(i))
 	}
@@ -178,7 +197,7 @@ func TestScanFromStartKeyWithLimit(t *testing.T) {
 }
 
 func TestScanReconstructsKeys(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	keys := []string{"a", "ab", "abcdefgh", "abcdefghijk", "b", "prefix--0123456789"}
 	for i, k := range keys {
 		tr.Put([]byte(k), uint64(i))
@@ -201,7 +220,7 @@ func TestScanReconstructsKeys(t *testing.T) {
 }
 
 func TestScanStopsWhenFnReturnsFalse(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	for i := 0; i < 50; i++ {
 		tr.Put(EncodeUint64(uint64(i)), uint64(i))
 	}
@@ -217,7 +236,7 @@ func TestScanStopsWhenFnReturnsFalse(t *testing.T) {
 
 func TestAgainstReferenceModel(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		tr := New()
+		tr := newTestTree()
 		model := map[string]uint64{}
 		rng := rand.New(rand.NewSource(seed))
 		for step := 0; step < 20000; step++ {
@@ -244,30 +263,41 @@ func TestAgainstReferenceModel(t *testing.T) {
 	}
 }
 
+// TestMTPlusPoolVariant runs the tree as MT+ does: with epoch boundaries,
+// which flush nothing on the transient arena but splice the allocator's
+// limbo, so the heap values that overwrites free are reused and the heap
+// stops growing.
 func TestMTPlusPoolVariant(t *testing.T) {
-	b := NewBarrier()
-	p := NewPool(4, b)
-	tr := NewWithPool(p, b)
-	const n = 5000
-	for i := 0; i < n; i++ {
-		tr.Handle(i%4).Put(EncodeUint64(uint64(i)), uint64(i))
+	tr := newTestTree()
+	const n, rounds = 5000, 6
+	heapVal := func(i, round int) uint64 { return uint64(round+1)<<48 | uint64(i) } // ≥ 2^40: a heap block
+	var used uint64
+	for round := 0; round < rounds; round++ {
+		for i := 0; i < n; i++ {
+			tr.Handle(i%4).Put(EncodeUint64(uint64(i)), heapVal(i, round))
+		}
+		if lines := tr.s.Advance(); lines != 0 {
+			t.Fatalf("round %d: the boundary flushed %d lines", round, lines)
+		}
+		if d := tr.s.LimboDepth(); d != 0 {
+			t.Fatalf("round %d: %d objects still in limbo after the boundary", round, d)
+		}
+		switch {
+		case round == 1:
+			used = tr.s.HeapUsed()
+		case round > 1 && tr.s.HeapUsed() != used:
+			t.Fatalf("round %d: heap grew from %d to %d words: freed values are not reused", round, used, tr.s.HeapUsed())
+		}
 	}
-	b.Advance()
 	for i := 0; i < n; i++ {
-		// Overwrite to exercise buffer recycling.
-		tr.Handle(i%4).Put(EncodeUint64(uint64(i)), uint64(i)*2)
-	}
-	b.Advance()
-	for i := 0; i < n; i++ {
-		v, ok := tr.Get(EncodeUint64(uint64(i)))
-		if !ok || v != uint64(i)*2 {
+		if v, ok := tr.Get(EncodeUint64(uint64(i))); !ok || v != heapVal(i, rounds-1) {
 			t.Fatalf("key %d = %d,%v", i, v, ok)
 		}
 	}
 }
 
 func TestConcurrentDisjointWriters(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	const perG, gs = 4000, 8
 	var wg sync.WaitGroup
 	for g := 0; g < gs; g++ {
@@ -293,7 +323,7 @@ func TestConcurrentDisjointWriters(t *testing.T) {
 }
 
 func TestConcurrentReadersAndWriters(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	const n = 20000
 	for i := 0; i < n; i += 2 {
 		tr.Put(EncodeUint64(uint64(i)), uint64(i))
@@ -357,7 +387,7 @@ func TestConcurrentReadersAndWriters(t *testing.T) {
 }
 
 func TestConcurrentScansDuringInserts(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	for i := 0; i < 10000; i += 2 {
 		tr.Put(EncodeUint64(uint64(i)), uint64(i))
 	}
@@ -393,14 +423,14 @@ func TestConcurrentScansDuringInserts(t *testing.T) {
 }
 
 func TestEmptyTreeScan(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	if n := tr.Scan(nil, -1, func([]byte, uint64) bool { return true }); n != 0 {
 		t.Fatalf("empty scan visited %d", n)
 	}
 }
 
 func TestDeleteToEmptyAndReinsert(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	for i := 0; i < 200; i++ {
 		tr.Put(EncodeUint64(uint64(i)), uint64(i))
 	}
@@ -421,7 +451,7 @@ func TestDeleteToEmptyAndReinsert(t *testing.T) {
 }
 
 func TestKeysSharingIkeyDifferentLengths(t *testing.T) {
-	tr := New()
+	tr := newTestTree()
 	// All of these share the 8-byte slice "abc\0\0\0\0\0" prefix group
 	// or are prefixes of each other.
 	ks := [][]byte{
@@ -448,5 +478,96 @@ func TestKeysSharingIkeyDifferentLengths(t *testing.T) {
 		if bytes.Compare(got[i-1], got[i]) >= 0 {
 			t.Fatalf("scan order: %v before %v", got[i-1], got[i])
 		}
+	}
+}
+
+// TestTwoHandlesAgainstModel drives two handles at once, each over its
+// own residue class of a shared keyspace (so each has an exact model),
+// with puts, deletes and gets, and scans that must come back in strictly
+// ascending key order. At the end one scan must list exactly the union of
+// the models, in order.
+func TestTwoHandlesAgainstModel(t *testing.T) {
+	tr := New()
+	const keyspace, steps = 4000, 30000
+	models := make([]map[uint64]uint64, 2)
+	var wg sync.WaitGroup
+	errs := make(chan string, 2)
+	for g := range models {
+		models[g] = map[uint64]uint64{}
+		wg.Add(1)
+		go func(g int) {
+			defer wg.Done()
+			h, model := tr.Handle(g), models[g]
+			rng := rand.New(rand.NewSource(int64(g) + 1))
+			for step := 0; step < steps; step++ {
+				k := uint64(rng.Intn(keyspace/2)*2 + g)
+				key := EncodeUint64(k)
+				switch r := rng.Intn(20); {
+				case r < 8:
+					v := rng.Uint64() >> uint(rng.Intn(64)) // inline and heap values
+					_, had := model[k]
+					if inserted := h.Put(key, v); inserted == had {
+						errs <- fmt.Sprintf("handle %d: Put(%d) inserted=%v, model had it=%v", g, k, inserted, had)
+						return
+					}
+					model[k] = v
+				case r < 12:
+					_, had := model[k]
+					if removed := h.Delete(key); removed != had {
+						errs <- fmt.Sprintf("handle %d: Delete(%d) = %v, model had it=%v", g, k, removed, had)
+						return
+					}
+					delete(model, k)
+				case r < 19:
+					want, had := model[k]
+					if v, ok := h.Get(key); ok != had || v != want {
+						errs <- fmt.Sprintf("handle %d: Get(%d) = %d,%v, model %d,%v", g, k, v, ok, want, had)
+						return
+					}
+				default:
+					var prev []byte
+					bad := ""
+					h.Scan(key, 50, func(k []byte, _ uint64) bool {
+						if prev != nil && bytes.Compare(prev, k) >= 0 {
+							bad = fmt.Sprintf("handle %d: scan %x after %x", g, k, prev)
+							return false
+						}
+						prev = append(prev[:0], k...)
+						return true
+					})
+					if bad != "" {
+						errs <- bad
+						return
+					}
+				}
+			}
+		}(g)
+	}
+	wg.Wait()
+	select {
+	case e := <-errs:
+		t.Fatal(e)
+	default:
+	}
+	var want []uint64
+	for _, m := range models {
+		for k := range m {
+			want = append(want, k)
+		}
+	}
+	sort.Slice(want, func(i, j int) bool { return want[i] < want[j] })
+	i := 0
+	tr.Scan(nil, -1, func(k []byte, v uint64) bool {
+		if i >= len(want) || !bytes.Equal(k, EncodeUint64(want[i])) {
+			t.Fatalf("final scan position %d: key %x, want %d of %d", i, k, i, len(want))
+		}
+		if m := models[want[i]%2]; v != m[want[i]] {
+			t.Fatalf("final scan: key %d = %d, model %d", want[i], v, m[want[i]])
+		}
+		i++
+		return true
+	})
+	if i != len(want) {
+		t.Fatalf("final scan listed %d keys, models hold %d", i, len(want))
 	}
 }

@@ -98,6 +98,13 @@ type Config struct {
 	// Seed seeds the eviction victim selector. Crash policies carry their
 	// own seeds.
 	Seed int64
+
+	// Transient makes the arena plain DRAM: Store and CompareAndSwap mark
+	// no line dirty and there is no persistent image, so FlushAll and Crash
+	// find nothing to copy and LoadPersisted must not be called. A store
+	// opened over it skips its undo records (internal/core), which makes it
+	// the paper's transient Masstree baseline. DirtyCapacity is ignored.
+	Transient bool
 }
 
 // Arena is a simulated NVM region. All durable state of the system lives in
@@ -141,6 +148,7 @@ type Arena struct {
 
 	lines      int
 	evict      bool
+	transient  bool
 	dirtyCount atomic.Int64
 	capacity   int64
 
@@ -181,19 +189,22 @@ func New(cfg Config) *Arena {
 	nsummary := (lines + 63) / 64
 	nchunks := (nsummary + sweepChunk - 1) / sweepChunk
 	a := &Arena{
-		volatile: make([]uint64, words),
-		persist:  make([]uint64, words),
-		flags:    make([]uint32, lines),
-		summary:  make([]atomic.Uint64, nsummary),
-		chunks:   make([]atomic.Uint64, (nchunks+63)/64),
-		nchunks:  nchunks,
-		lines:    lines,
-		evict:    cfg.DirtyCapacity > 0,
-		capacity: int64(cfg.DirtyCapacity),
-		cfg:      cfg,
-		rng:      rand.New(rand.NewSource(cfg.Seed)),
+		volatile:  make([]uint64, words),
+		flags:     make([]uint32, lines),
+		summary:   make([]atomic.Uint64, nsummary),
+		chunks:    make([]atomic.Uint64, (nchunks+63)/64),
+		nchunks:   nchunks,
+		lines:     lines,
+		evict:     cfg.DirtyCapacity > 0,
+		transient: cfg.Transient,
+		capacity:  int64(cfg.DirtyCapacity),
+		cfg:       cfg,
+		rng:       rand.New(rand.NewSource(cfg.Seed)),
 		// Word 0 is never handed out: offset 0 means "null".
 		reserveOff: WordsPerLine,
+	}
+	if !cfg.Transient {
+		a.persist = make([]uint64, words)
 	}
 	adviseHuge(a.volatile)
 	adviseHuge(a.persist)
@@ -252,8 +263,13 @@ func (a *Arena) Load(off uint64) uint64 {
 
 // Store writes the word at off through the cache and marks its line dirty.
 // The store becomes durable only when the line is persisted (writeback +
-// fence, eviction, global flush, or a lucky crash).
+// fence, eviction, global flush, or a lucky crash). On a transient arena
+// it is a plain atomic store.
 func (a *Arena) Store(off uint64, v uint64) {
+	if a.transient {
+		atomic.StoreUint64(&a.volatile[off], v)
+		return
+	}
 	line := int(off / WordsPerLine)
 	if a.evict {
 		// Mark before and after the data store so a concurrent background
@@ -324,8 +340,11 @@ func andU64(x *atomic.Uint64, mask uint64) {
 
 // CompareAndSwap atomically replaces the word at off with new if it
 // currently holds old, marking the line dirty on success. Models a CPU
-// CAS on an NVM-backed location.
+// CAS on an NVM-backed location (a plain CAS on a transient arena).
 func (a *Arena) CompareAndSwap(off uint64, old, new uint64) bool {
+	if a.transient {
+		return atomic.CompareAndSwapUint64(&a.volatile[off], old, new)
+	}
 	line := int(off / WordsPerLine)
 	if a.evict {
 		a.markDirty(line)

@@ -81,7 +81,6 @@ func (s *Store) commitRecord(e uint64) {
 // needs no final checkpoint: its clean-shutdown mark commits the running
 // epoch by itself.
 func (s *Store) Shutdown() {
-	s.StopTicker()
 	if s.coord != nil {
 		s.Advance()
 	}
@@ -89,13 +88,3 @@ func (s *Store) Shutdown() {
 		sh.Shutdown()
 	}
 }
-
-// StartTicker advances global epochs every interval from a background
-// goroutine, like the paper's 64 ms timer but cluster-wide. The per-shard
-// tickers must stay off; the coordinator owns the cadence.
-func (s *Store) StartTicker(interval time.Duration) {
-	s.ticker.Start(interval, func() { s.Advance() })
-}
-
-// StopTicker stops the background ticker, if running.
-func (s *Store) StopTicker() { s.ticker.Stop() }

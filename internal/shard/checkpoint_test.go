@@ -52,12 +52,13 @@ func TestShutdownCleanRestart(t *testing.T) {
 func TestTickerAdvancesGlobally(t *testing.T) {
 	for _, shards := range []int{1, 2} {
 		s, _ := Open(testConfig(shards, 1))
-		s.StartTicker(2 * time.Millisecond)
+		var tk epoch.Ticker
+		tk.Start(2*time.Millisecond, func() { s.Advance() })
 		deadline := time.Now().Add(2 * time.Second)
 		for s.GlobalEpoch() < 3 && time.Now().Before(deadline) {
 			time.Sleep(time.Millisecond)
 		}
-		s.StopTicker()
+		tk.Stop()
 		if s.GlobalEpoch() < 3 {
 			t.Fatalf("shards %d: ticker advanced the global epoch only to %d", shards, s.GlobalEpoch())
 		}

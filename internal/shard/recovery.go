@@ -8,7 +8,6 @@ import "incll/internal/nvm"
 // coordinator arena crashes too, and the store becomes unusable until
 // Reopen. All handles must be quiescent.
 func (s *Store) SimulateCrash(persistFraction float64, seed int64) {
-	s.StopTicker()
 	s.crashArenas(persistFraction, seed)
 }
 
@@ -50,7 +49,6 @@ func (s *Store) CrashDuringAdvance(prepared, localCommits int, commitGlobal bool
 	if localCommits > 0 && !commitGlobal {
 		panic("shard: CrashDuringAdvance: local commit before the global record")
 	}
-	s.StopTicker()
 	s.advMu.Lock()
 	defer s.advMu.Unlock()
 	for i := 0; i < prepared; i++ {

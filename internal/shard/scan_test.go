@@ -14,6 +14,7 @@ import (
 	"time"
 
 	"incll/internal/core"
+	"incll/internal/epoch"
 )
 
 // TestScanWithEmptyShards routes every key to one shard and checks the
@@ -163,8 +164,10 @@ func TestScanConcurrentWithWritersAndTicks(t *testing.T) {
 	for i := uint64(0); i < keyspace; i++ {
 		s.Put(core.EncodeUint64(i), i&0xFFFF)
 	}
-	s.StartTicker(time.Millisecond)
+	var tk epoch.Ticker
+	tk.Start(time.Millisecond, func() { s.Advance() })
 	defer s.Shutdown()
+	defer tk.Stop()
 
 	iters := 30
 	if testing.Short() {

@@ -136,8 +136,6 @@ type Store struct {
 
 	advMu sync.Mutex // serializes global advances
 
-	ticker epoch.Ticker
-
 	trace *obs.Tracer // coordinator-record events (may be nil)
 }
 
@@ -268,7 +266,6 @@ func (s *Store) Topology() Topology {
 // durable history. Reads (and cursors opened before the cutover) keep
 // working against the frozen final state.
 func (s *Store) Seal() {
-	s.StopTicker()
 	for _, sh := range s.shards {
 		sh.Epochs().Seal()
 	}

@@ -198,11 +198,13 @@ func ExampleRoute() {
 
 func TestCoordinatorTickerStartStopIdempotent(t *testing.T) {
 	s, _ := Open(testConfig(2, 1))
-	s.StartTicker(2 * time.Millisecond)
-	s.StartTicker(1 * time.Millisecond) // no-op: the coordinator keeps its cadence
+	var tk epoch.Ticker
+	advance := func() { s.Advance() }
+	tk.Start(2*time.Millisecond, advance)
+	tk.Start(1*time.Millisecond, advance) // no-op: the coordinator keeps its cadence
 	time.Sleep(20 * time.Millisecond)
-	s.StopTicker()
-	s.StopTicker() // idempotent
+	tk.Stop()
+	tk.Stop() // idempotent
 	g := s.GlobalEpoch()
 	if g == 0 {
 		t.Fatal("coordinated ticker never committed a global epoch")

@@ -31,50 +31,6 @@ func (b *ShardSet) Add(s int) {
 	b.wide[s>>6] |= 1 << uint(s&63)
 }
 
-// Or folds o into b. Both sets must come from the same NewShardSet shape.
-func (b *ShardSet) Or(o ShardSet) {
-	if b.wide == nil {
-		b.word |= o.word
-		return
-	}
-	for i, w := range o.wide {
-		b.wide[i] |= w
-	}
-}
-
-// Contains reports whether shard s is in the set.
-func (b *ShardSet) Contains(s int) bool {
-	if b.wide == nil {
-		return b.word&(1<<uint(s)) != 0
-	}
-	return b.wide[s>>6]&(1<<uint(s&63)) != 0
-}
-
-// Empty reports whether the set has no shards.
-func (b *ShardSet) Empty() bool {
-	if b.wide == nil {
-		return b.word == 0
-	}
-	for _, w := range b.wide {
-		if w != 0 {
-			return false
-		}
-	}
-	return true
-}
-
-// Count returns the number of shards in the set.
-func (b *ShardSet) Count() int {
-	if b.wide == nil {
-		return bits.OnesCount64(b.word)
-	}
-	n := 0
-	for _, w := range b.wide {
-		n += bits.OnesCount64(w)
-	}
-	return n
-}
-
 // Min returns the lowest shard in the set — the transaction's home shard,
 // whose epoch stamps the intent record — or -1 if the set is empty.
 func (b *ShardSet) Min() int {

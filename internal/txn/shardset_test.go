@@ -27,15 +27,37 @@ func TestShardSetInlineStaysInline(t *testing.T) {
 		s := NewShardSet(64)
 		s.Add(0)
 		s.Add(63)
-		_ = s.Contains(17)
+		_ = s.Min()
 	})
 	if allocs != 0 {
 		t.Fatalf("inline ShardSet allocated %.1f times per use, want 0", allocs)
 	}
 }
 
+// members lists the set through ForEach, checking that it visits shards
+// in strictly ascending order and that Min names the first of them.
+func members(t *testing.T, set ShardSet) []int {
+	t.Helper()
+	var visited []int
+	set.ForEach(func(s int) {
+		if n := len(visited); n > 0 && s <= visited[n-1] {
+			t.Fatalf("ForEach not strictly ascending: %d after %v", s, visited)
+		}
+		visited = append(visited, s)
+	})
+	min := -1
+	if len(visited) > 0 {
+		min = visited[0]
+	}
+	if got := set.Min(); got != min {
+		t.Fatalf("Min = %d, ForEach's first member is %d", got, min)
+	}
+	return visited
+}
+
 // testShardSetAgainstModel drives one ShardSet shape against a map model
-// with randomized Add/Or and checks every query method agrees.
+// with randomized Adds and checks, after every Add, that ForEach lists
+// exactly the model's members in ascending order and Min names the lowest.
 func testShardSetAgainstModel(t *testing.T, shards int, seed int64) {
 	t.Helper()
 	rng := rand.New(rand.NewSource(seed))
@@ -43,56 +65,23 @@ func testShardSetAgainstModel(t *testing.T, shards int, seed int64) {
 	model := map[int]bool{}
 
 	for op := 0; op < 500; op++ {
-		if rng.Intn(4) == 0 {
-			other := NewShardSet(shards)
-			for i := 0; i < 3; i++ {
-				s := rng.Intn(shards)
-				other.Add(s)
-				model[s] = true
+		s := rng.Intn(shards)
+		set.Add(s)
+		model[s] = true
+
+		want := make([]int, 0, len(model))
+		for s := range model {
+			want = append(want, s)
+		}
+		sort.Ints(want)
+		got := members(t, set)
+		if len(got) != len(want) {
+			t.Fatalf("op %d: ForEach visited %v, model has %v", op, got, want)
+		}
+		for i := range got {
+			if got[i] != want[i] {
+				t.Fatalf("op %d: ForEach visited %v, model has %v", op, got, want)
 			}
-			set.Or(other)
-		} else {
-			s := rng.Intn(shards)
-			set.Add(s)
-			model[s] = true
-		}
-	}
-
-	var want []int
-	for s := range model {
-		want = append(want, s)
-	}
-	sort.Ints(want)
-
-	if got := set.Count(); got != len(want) {
-		t.Fatalf("Count = %d, model has %d", got, len(want))
-	}
-	if set.Empty() != (len(want) == 0) {
-		t.Fatalf("Empty = %v with %d members", set.Empty(), len(want))
-	}
-	min := -1
-	if len(want) > 0 {
-		min = want[0]
-	}
-	if got := set.Min(); got != min {
-		t.Fatalf("Min = %d, want %d", got, min)
-	}
-	for s := 0; s < shards; s++ {
-		if set.Contains(s) != model[s] {
-			t.Fatalf("Contains(%d) = %v, model says %v", s, set.Contains(s), model[s])
-		}
-	}
-	var visited []int
-	set.ForEach(func(s int) { visited = append(visited, s) })
-	if len(visited) != len(want) {
-		t.Fatalf("ForEach visited %d shards, want %d", len(visited), len(want))
-	}
-	for i := range visited {
-		if visited[i] != want[i] {
-			t.Fatalf("ForEach order: got %v, want ascending %v", visited, want)
-		}
-		if i > 0 && visited[i] <= visited[i-1] {
-			t.Fatalf("ForEach not strictly ascending at %d: %v", i, visited)
 		}
 	}
 }
@@ -116,10 +105,8 @@ func TestShardSetModelWide(t *testing.T) {
 func TestShardSetEmpty(t *testing.T) {
 	for _, shards := range []int{8, 200} {
 		s := NewShardSet(shards)
-		if !s.Empty() || s.Count() != 0 || s.Min() != -1 {
-			t.Fatalf("%d shards: empty set reports Empty=%v Count=%d Min=%d",
-				shards, s.Empty(), s.Count(), s.Min())
+		if m := members(t, s); len(m) != 0 || s.Min() != -1 {
+			t.Fatalf("%d shards: empty set lists %v, Min=%d", shards, m, s.Min())
 		}
-		s.ForEach(func(int) { t.Fatal("ForEach visited a member of the empty set") })
 	}
 }
