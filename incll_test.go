@@ -535,8 +535,10 @@ func TestFacadeUintAndByteViewsAgree(t *testing.T) {
 
 // TestSingleKeyAllocBudget pins the single-key path at zero allocations:
 // Get, and a Put of an inline uint64 (v < 2^40) over an existing key, on
-// DB and on a worker's Handle, at one shard and at four — in the epoch a
-// checkpoint just opened (first-touch undo captures) and after it.
+// DB and on a worker's Handle, and a worker's PutBytes of a 256-byte value
+// (a heap block) and AppendGet of it into a reused buffer, at one shard
+// and at four — in the epoch a checkpoint just opened (first-touch undo
+// captures) and after it.
 func TestSingleKeyAllocBudget(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		db, _ := Open(Options{Shards: shards, Workers: 2})
@@ -547,6 +549,7 @@ func TestSingleKeyAllocBudget(t *testing.T) {
 		}
 		h := db.Handle(1)
 		var sink uint64
+		big, buf := make([]byte, 256), make([]byte, 0, 256)
 		shapes := []struct {
 			name string
 			op   func(k []byte, v uint64)
@@ -555,6 +558,11 @@ func TestSingleKeyAllocBudget(t *testing.T) {
 			{"Handle.Put", func(k []byte, v uint64) { h.Put(k, v) }},
 			{"DB.Get", func(k []byte, _ uint64) { v, _ := db.Get(k); sink += v }},
 			{"Handle.Get", func(k []byte, _ uint64) { v, _ := h.Get(k); sink += v }},
+			{"Handle.PutBytes/256", func(k []byte, v uint64) {
+				binary.BigEndian.PutUint64(big, v) // Get reads v back
+				h.PutBytes(k, big)
+			}},
+			{"Handle.AppendGet/256", func(k []byte, _ uint64) { buf, _ = h.AppendGet(buf[:0], k); sink += uint64(len(buf)) }},
 		}
 		for _, sh := range shapes {
 			round := uint64(0)

@@ -110,13 +110,7 @@ func (h Handle) newValueWord(v []byte) uint64 {
 	h.s.stats.ValueHeapBytes.Add(h.w, int64(len(v)))
 	a := h.s.arena
 	a.Store(off, uint64(len(v)))
-	for i := 0; i < len(v); i += 8 {
-		var word uint64
-		for j := 0; j < 8 && i+j < len(v); j++ {
-			word |= uint64(v[i+j]) << (8 * uint(j))
-		}
-		a.Store(off+1+uint64(i/8), word)
-	}
+	a.StoreBytes(off+1, v) // private until the caller publishes off
 	return off
 }
 
@@ -129,14 +123,6 @@ func (h Handle) freeValueWord(vw uint64) {
 	}
 	n := h.s.arena.Load(vw)
 	h.ah.Free(vw, blockWords(n))
-}
-
-// valueLen returns the byte length behind a value word.
-func (h Handle) valueLen(vw uint64) int {
-	if vwIsInline(vw) {
-		return vwInlineLen(vw)
-	}
-	return int(h.s.arena.Load(vw))
 }
 
 // appendInlineValue appends an inline value word's bytes to dst. Unlike
@@ -158,14 +144,7 @@ func (h Handle) appendValue(dst []byte, vw uint64) []byte {
 		return appendInlineValue(dst, vw)
 	}
 	a := h.s.arena
-	n := int(a.Load(vw))
-	for i := 0; i < n; i += 8 {
-		word := a.Load(vw + 1 + uint64(i/8))
-		for j := 0; j < 8 && i+j < n; j++ {
-			dst = append(dst, byte(word>>(8*uint(j))))
-		}
-	}
-	return dst
+	return a.AppendBytes(dst, vw+1, int(a.Load(vw)))
 }
 
 // vwUint64 decodes a value word as the uint64 API sees it: the big-endian

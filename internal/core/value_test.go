@@ -2,8 +2,15 @@ package core
 
 import (
 	"bytes"
+	"encoding/binary"
+	"fmt"
 	"math/rand"
+	"sync"
+	"sync/atomic"
 	"testing"
+	"time"
+
+	"incll/internal/epoch"
 
 	"incll/internal/nvm"
 	"incll/internal/testutil"
@@ -240,6 +247,85 @@ func TestValueHeapNoLeakAcrossCrashRounds(t *testing.T) {
 		v, ok := s.GetBytes(EncodeUint64(i))
 		if !ok || len(v) != 1200 {
 			t.Fatalf("key %d lost after %d rounds (%d bytes, %v)", i, rounds, len(v), ok)
+		}
+	}
+}
+
+// TestValueHeapConcurrentReaders races readers against a writer that keeps
+// overwriting eight keys with 256-byte values across 1 ms epochs, so every
+// overwrite writes a fresh block with plain stores (nvm.Arena.StoreBytes)
+// and superseded blocks come back from the limbo lists to be written again.
+// Every read must return a whole value its writer wrote: the first eight
+// bytes name the key and round, the rest follow from them. Run it under
+// -race: a block read before its value word published it, or reused while
+// a guarded reader could still reach it, shows as a race or a torn value.
+func TestValueHeapConcurrentReaders(t *testing.T) {
+	const keys, minEpochs, minRounds = 8, 20, 200
+	a := nvm.New(nvm.Config{Words: testArenaWords})
+	cfg := testConfig()
+	cfg.Workers = 3
+	s, _ := Open(a, cfg)
+	value := func(k, round uint64) []byte {
+		return append(binary.BigEndian.AppendUint64(nil, round<<8|k), patternValue(round<<8|k, 248)...)
+	}
+	for k := uint64(0); k < keys; k++ {
+		s.PutBytes(EncodeUint64(k), value(k, 0))
+	}
+	epoch0 := s.Epochs().Current()
+	var tk epoch.Ticker
+	tk.Start(time.Millisecond, func() { s.Advance() })
+	defer tk.Stop()
+
+	var done atomic.Bool
+	var readers sync.WaitGroup
+	errs := make(chan error, 2)
+	for r := 1; r < 3; r++ {
+		readers.Add(1)
+		go func(r int) {
+			defer readers.Done()
+			h := s.Handle(r)
+			var buf []byte
+			for !done.Load() {
+				for k := uint64(0); k < keys; k++ {
+					var ok bool
+					buf, ok = h.AppendGet(buf[:0], EncodeUint64(k))
+					if !ok || len(buf) != 256 {
+						errs <- fmt.Errorf("reader %d: key %d read %d bytes, %v", r, k, len(buf), ok)
+						return
+					}
+					v := binary.BigEndian.Uint64(buf)
+					if v&0xFF != k || !bytes.Equal(buf, value(k, v>>8)) {
+						errs <- fmt.Errorf("reader %d: key %d read a torn value (round %d)", r, k, v>>8)
+						return
+					}
+				}
+			}
+		}(r)
+	}
+	h := s.Handle(0)
+	deadline := time.Now().Add(10 * time.Second)
+	round := uint64(0)
+	for round < minRounds || s.Epochs().Current()-epoch0 < minEpochs {
+		if time.Now().After(deadline) {
+			break
+		}
+		round++
+		for k := uint64(0); k < keys; k++ {
+			h.PutBytes(EncodeUint64(k), value(k, round))
+		}
+	}
+	done.Store(true)
+	readers.Wait()
+	close(errs)
+	for err := range errs {
+		t.Fatal(err)
+	}
+	if ep := s.Epochs().Current() - epoch0; round < minRounds || ep < minEpochs {
+		t.Fatalf("%d rounds in %d epochs before the deadline, want %d in %d", round, ep, minRounds, minEpochs)
+	}
+	for k := uint64(0); k < keys; k++ {
+		if v, ok := s.GetBytes(EncodeUint64(k)); !ok || !bytes.Equal(v, value(k, round)) {
+			t.Fatalf("key %d does not hold its last round's value", k)
 		}
 	}
 }

@@ -412,9 +412,6 @@ func (m *Manager) Seal() {
 	m.sealed.Store(true)
 }
 
-// Sealed reports whether Seal froze this manager.
-func (m *Manager) Sealed() bool { return m.sealed.Load() }
-
 // Quiesce runs f with the world stopped, without advancing the epoch.
 // Used by the crash-injection framework to take consistent snapshots.
 func (m *Manager) Quiesce(f func()) {

@@ -24,12 +24,14 @@
 package nvm
 
 import (
+	"encoding/binary"
 	"fmt"
 	"iter"
 	"math"
 	"math/bits"
 	"math/rand"
 	"runtime"
+	"slices"
 	"sync"
 	"sync/atomic"
 	"time"
@@ -99,18 +101,22 @@ type Config struct {
 	// own seeds.
 	Seed int64
 
-	// Transient makes the arena plain DRAM: Store and CompareAndSwap mark
-	// no line dirty and there is no persistent image, so FlushAll and Crash
-	// find nothing to copy and LoadPersisted must not be called. A store
-	// opened over it skips its undo records (internal/core), which makes it
-	// the paper's transient Masstree baseline. DirtyCapacity is ignored.
+	// Transient makes the arena plain DRAM: Store, StoreBytes and
+	// CompareAndSwap mark no line dirty and there is no persistent image,
+	// so FlushAll and Crash find nothing to copy and LoadPersisted must not
+	// be called. A store opened over it skips its undo records
+	// (internal/core), which makes it the paper's transient Masstree
+	// baseline. DirtyCapacity is ignored.
 	Transient bool
 }
 
 // Arena is a simulated NVM region. All durable state of the system lives in
 // one Arena and is accessed with Load and Store at word granularity.
 //
-// Concurrency: Load and Store are safe for concurrent use. Writeback must
+// Concurrency: Load and Store are safe for concurrent use. StoreBytes
+// writes with plain stores and is only for words no other goroutine reads
+// until the caller publishes them with a Store or CompareAndSwap (see
+// there); AppendBytes loads each word atomically. Writeback must
 // only be applied to lines the calling goroutine has exclusive write access
 // to, and the owner must not store to such a line again until a Fence has
 // drained it: Fence persists every worker's pending lines, not just the
@@ -195,7 +201,7 @@ func New(cfg Config) *Arena {
 		chunks:    make([]atomic.Uint64, (nchunks+63)/64),
 		nchunks:   nchunks,
 		lines:     lines,
-		evict:     cfg.DirtyCapacity > 0,
+		evict:     cfg.DirtyCapacity > 0 && !cfg.Transient,
 		transient: cfg.Transient,
 		capacity:  int64(cfg.DirtyCapacity),
 		cfg:       cfg,
@@ -248,13 +254,6 @@ func (a *Arena) ResetReservations() {
 	a.reserveOff = WordsPerLine
 }
 
-// Reserved reports how many words have been handed out by Reserve.
-func (a *Arena) Reserved() uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.reserveOff
-}
-
 // Load reads the word at off as the CPU would: through the cache, seeing
 // the most recent store.
 func (a *Arena) Load(off uint64) uint64 {
@@ -283,6 +282,77 @@ func (a *Arena) Store(off uint64, v uint64) {
 	}
 	atomic.StoreUint64(&a.volatile[off], v)
 	a.markDirty(line)
+}
+
+// StoreBytes writes b into the words from off on, packed little-endian
+// eight bytes per word with a zero-padded last word, and marks each line
+// it touches dirty once. Durability is as for Store.
+//
+// The words are written with plain stores, so StoreBytes is only for words
+// that no other goroutine reads until the caller publishes them with an
+// atomic Store or CompareAndSwap of another word: the publishing store
+// orders the plain ones before every reader that loads the published word.
+// A fresh value block meets this (internal/core): it is private until its
+// value word is stored into a leaf, and no Writeback is ever issued on a
+// heap line, so no Fence copies one while it is written. The same rule
+// lets the lines be marked before the words are written: nothing can
+// persist and clear a mark in between, and the marks' locked instructions
+// do not wait for the plain stores to drain. On an eviction arena
+// background eviction copies lines concurrently with the writer, so there
+// every word goes through Store's mark-before/store/mark-after protocol
+// instead.
+func (a *Arena) StoreBytes(off uint64, b []byte) {
+	words := (uint64(len(b)) + 7) / 8
+	if words == 0 {
+		return
+	}
+	if a.evict {
+		for i := uint64(0); i < words; i++ {
+			a.Store(off+i, packWord(b[8*i:]))
+		}
+		return
+	}
+	if !a.transient {
+		for line := off / WordsPerLine; line <= (off+words-1)/WordsPerLine; line++ {
+			a.markDirty(int(line))
+		}
+	}
+	dst := a.volatile[off : off+words]
+	full := len(b) / 8
+	for i := range full {
+		dst[i] = binary.LittleEndian.Uint64(b[8*i:])
+	}
+	if full < len(dst) {
+		dst[full] = packWord(b[8*full:])
+	}
+}
+
+// packWord packs the first min(len(b), 8) bytes of b little-endian into a
+// word, zero-padded.
+func packWord(b []byte) uint64 {
+	if len(b) >= 8 {
+		return binary.LittleEndian.Uint64(b)
+	}
+	var w [8]byte
+	copy(w[:], b)
+	return binary.LittleEndian.Uint64(w[:])
+}
+
+// AppendBytes appends n bytes read from the words from off on to dst,
+// unpacked as StoreBytes packs them, with one atomic load per word.
+func (a *Arena) AppendBytes(dst []byte, off uint64, n int) []byte {
+	dst = slices.Grow(dst, n)
+	for ; n >= 8; n -= 8 {
+		dst = binary.LittleEndian.AppendUint64(dst, atomic.LoadUint64(&a.volatile[off]))
+		off++
+	}
+	if n > 0 {
+		w := atomic.LoadUint64(&a.volatile[off])
+		for i := range n {
+			dst = append(dst, byte(w>>(8*uint(i))))
+		}
+	}
+	return dst
 }
 
 func (a *Arena) markDirty(line int) {
