@@ -35,6 +35,7 @@ import (
 	"sync"
 	"sync/atomic"
 	"time"
+	"unsafe"
 
 	"incll/internal/obs"
 )
@@ -128,7 +129,10 @@ type Config struct {
 // metadata, each fenced before its next store. FlushAll and Crash require
 // all mutators to be quiescent, which the epoch manager's global barrier
 // provides, and rely on it: they copy lines and clear line flags with plain
-// loads and stores. FlushAll is internally parallel (see there).
+// loads and stores. FlushAll is internally parallel, and on amd64 writes
+// the persistent image with non-temporal stores, fenced once per sweep
+// chunk before the chunk's flags are cleared; a chunk's first sweep uses
+// plain copies (see flushChunk).
 //
 // Dirty tracking is two summaries over the per-line flags. summary has one
 // bit per line and is exact at every quiescent point: a line with non-zero
@@ -151,6 +155,7 @@ type Arena struct {
 	summary  []atomic.Uint64 // one bit per line, grouped 64 lines/word
 	chunks   []atomic.Uint64 // one bit per sweepChunk summary words
 	nchunks  int
+	swept    []bool // per chunk: a FlushAll has written its persistent lines before
 
 	lines      int
 	evict      bool
@@ -195,11 +200,12 @@ func New(cfg Config) *Arena {
 	nsummary := (lines + 63) / 64
 	nchunks := (nsummary + sweepChunk - 1) / sweepChunk
 	a := &Arena{
-		volatile:  make([]uint64, words),
+		volatile:  lineAligned(words),
 		flags:     make([]uint32, lines),
 		summary:   make([]atomic.Uint64, nsummary),
 		chunks:    make([]atomic.Uint64, (nchunks+63)/64),
 		nchunks:   nchunks,
+		swept:     make([]bool, nchunks),
 		lines:     lines,
 		evict:     cfg.DirtyCapacity > 0 && !cfg.Transient,
 		transient: cfg.Transient,
@@ -210,12 +216,29 @@ func New(cfg Config) *Arena {
 		reserveOff: WordsPerLine,
 	}
 	if !cfg.Transient {
-		a.persist = make([]uint64, words)
+		a.persist = lineAligned(words)
 	}
 	adviseHuge(a.volatile)
 	adviseHuge(a.persist)
 	adviseHuge(a.flags)
 	return a
+}
+
+// lineAligned returns n zero words whose first word starts a 64-byte
+// line, so that one simulated line is one real cache line and the copy
+// kernel's 16-byte non-temporal stores are aligned. Go's allocator places
+// such slices on a line already, but does not promise it; only a slice it
+// misplaces is allocated again, padded by up to a line and cut to start on
+// one. The first allocation is kept as it is, so the heap places the
+// images exactly as an unpadded make would.
+func lineAligned(n uint64) []uint64 {
+	s := make([]uint64, n)
+	if uintptr(unsafe.Pointer(unsafe.SliceData(s)))%LineBytes == 0 {
+		return s
+	}
+	s = make([]uint64, n+WordsPerLine-1)
+	skip := (-uintptr(unsafe.Pointer(unsafe.SliceData(s))) % LineBytes) / 8
+	return s[skip : skip+uintptr(n) : skip+uintptr(n)]
 }
 
 // Size returns the arena size in words.
@@ -472,6 +495,8 @@ func (a *Arena) Fence() {
 	}
 	a.pendMu.Unlock()
 	if len(pend) > 0 {
+		// Other workers store while a Fence runs, so each line goes through
+		// persistLineLocked's atomic loads, not through the copy kernel.
 		a.mu.Lock()
 		for _, line := range pend {
 			if atomic.LoadUint32(&a.flags[line])&linePending != 0 {
@@ -490,7 +515,10 @@ func (a *Arena) Fence() {
 }
 
 // persistLineLocked copies one line volatile→persist and marks it clean.
-// Caller holds a.mu and guarantees no concurrent writer to this line.
+// Caller holds a.mu and guarantees no concurrent writer to this line. It
+// runs beside live mutators (Fence drains other workers' lines while they
+// store elsewhere), so it keeps atomic loads of the volatile image instead
+// of the copy kernel's plain ones.
 func (a *Arena) persistLineLocked(line int) {
 	base := uint64(line) * WordsPerLine
 	for i := uint64(0); i < WordsPerLine; i++ {
@@ -544,6 +572,8 @@ func (a *Arena) maybeEvict() {
 		if !atomic.CompareAndSwapUint32(&a.flags[line], lineDirty, lineFlushing) {
 			continue // pending or being rewritten; pick another victim
 		}
+		// Mutators run on: the line is read with atomic loads, as a racing
+		// store is detected by the flag CAS below, not by the copy kernel.
 		base := uint64(line) * WordsPerLine
 		var buf [WordsPerLine]uint64
 		for i := uint64(0); i < WordsPerLine; i++ {
@@ -687,22 +717,50 @@ func (a *Arena) flushChunks(limit int) int {
 }
 
 // flushChunk persists the dirty lines of summary words [lo, hi), at most
-// sweepChunk of them, and marks them clean. Mutators are quiesced, so lines
-// are bulk-copied without per-line atomics, and all of a chunk's copies
-// come before any of its flag clears: an atomic store is a full barrier,
-// and one between every two copies would hold the core to a single
-// outstanding DRAM miss.
+// sweepChunk of them, and marks them clean. It gathers the chunk's dirty
+// line numbers in one pass, copies them with one call of the copy kernel
+// (persistLines; copyLines on the chunk's first sweep), and only then
+// clears their flags: mutators are quiesced, so lines are copied without
+// per-line atomics, and an atomic store between two copies is a full
+// barrier that would hold the core to a single outstanding DRAM miss.
+//
+// On amd64 the kernel writes the persistent image with non-temporal stores,
+// which are weakly ordered; it ends with an SFENCE, so every copy of the
+// chunk is ordered before markClean, before a helper's WaitGroup.Done, and
+// so before FlushAll returns and the epoch header is written. The
+// persistent image is read only by Crash and LoadPersisted, both under
+// a.mu, which FlushAll holds throughout the sweep.
 func (a *Arena) flushChunk(lo, hi int) int {
+	var buf [sweepChunk * 64]uint32
 	n := 0
 	var groups uint64 // bit i: summary word lo+i has a dirty line
 	for line := range a.dirty(lo, hi) {
-		base := line * WordsPerLine
-		copy(a.persist[base:base+WordsPerLine], a.volatile[base:base+WordsPerLine])
+		buf[n] = uint32(line)
 		groups |= 1 << uint(line>>6-lo)
 		n++
 	}
+	if c := lo / sweepChunk; a.swept[c] {
+		persistLines(a.persist, a.volatile, buf[:n])
+	} else {
+		// The chunk's persistent pages have never been written, as in the
+		// first flush of a fresh arena: the operating system zero-fills
+		// each page on its first touch, which leaves the zeroed lines in
+		// the cache, where plain stores hit and non-temporal ones must
+		// first evict them.
+		copyLines(a.persist, a.volatile, buf[:n])
+		a.swept[c] = true
+	}
 	a.markClean(lo, groups)
 	return n
+}
+
+// copyLines copies line lines[i] of src into the same line of dst, for
+// every i, with one plain copy per line.
+func copyLines(dst, src []uint64, lines []uint32) {
+	for _, line := range lines {
+		base := int(line) * WordsPerLine
+		copy(dst[base:base+WordsPerLine], src[base:base+WordsPerLine])
+	}
 }
 
 // markClean clears the flags of every dirty line of the summary words
@@ -729,7 +787,9 @@ func (a *Arena) markClean(lo int, groups uint64) {
 //
 // A clean line has the same contents in both images by construction, so
 // reloading means restoring just the lines the policy drops: the cost is
-// linear in the dirty set, not in the arena.
+// linear in the dirty set, not in the arena. Both directions copy through
+// the cache, not with the copy kernel: the restored volatile lines are the
+// ones recovery reads next, and Crash is on no timed path.
 func (a *Arena) Crash(p Policy) {
 	a.mu.Lock()
 	defer a.mu.Unlock()

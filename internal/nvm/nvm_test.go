@@ -752,7 +752,8 @@ func BenchmarkFlushAllSparse(b *testing.B) {
 	for i := range offs {
 		offs[i] = uint64(1+rng.Intn(a.Lines()-1)) * WordsPerLine
 	}
-	for i := 0; b.Loop(); i++ {
+	b.ResetTimer()
+	for i := range b.N { // not b.Loop, see BenchmarkFlushAllScattered
 		b.StopTimer()
 		for _, off := range offs {
 			a.Store(off, uint64(i)+1)
@@ -761,3 +762,62 @@ func BenchmarkFlushAllSparse(b *testing.B) {
 		a.FlushAll()
 	}
 }
+
+// BenchmarkFlushAllScattered times a boundary whose dirty lines are
+// scattered over an arena far larger than the cache, each one a DRAM miss
+// as after an epoch of random updates: a 128 MiB walk evicts the lines
+// between iterations. churn is churn_bytes-shaped (5-line runs, 250 k
+// lines over 2^25 words), ycsb_a is ycsb_a-shaped (single lines, 50 k
+// lines over 2^24 words).
+func BenchmarkFlushAllScattered(b *testing.B) {
+	shapes := []struct {
+		name       string
+		words      uint64
+		lines, run int
+	}{
+		{"churn", 1 << 25, 250_000, 5},
+		{"ycsb_a", 1 << 24, 50_000, 1},
+	}
+	evict := make([]uint64, 128<<20/8)
+	for j := range evict { // real pages, not the shared zero page
+		evict[j] = uint64(j)
+	}
+	for _, sh := range shapes {
+		b.Run(sh.name, func(b *testing.B) {
+			a := New(Config{Words: sh.words})
+			rng := rand.New(rand.NewSource(1))
+			var offs []uint64
+			for len(offs) < sh.lines {
+				start := 1 + rng.Intn(a.Lines()-sh.run)
+				for i := range sh.run {
+					offs = append(offs, uint64(start+i)*WordsPerLine)
+				}
+			}
+			// Fault both images' pages in before timing.
+			for _, off := range offs {
+				a.Store(off, 1)
+			}
+			a.FlushAll()
+			persisted := 0
+			b.ResetTimer()
+			// A plain b.N loop: go1.24's b.Loop scales on the time since
+			// the last StartTimer alone, so a loop that stops its timer
+			// never reaches the benchmark time and runs on.
+			for i := range b.N {
+				b.StopTimer()
+				for _, off := range offs {
+					a.Store(off, uint64(i)+2)
+				}
+				for j := 0; j < len(evict); j += WordsPerLine {
+					sinkWord += evict[j]
+				}
+				b.StartTimer()
+				persisted += a.FlushAll()
+			}
+			b.StopTimer()
+			b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(persisted), "ns/line")
+		})
+	}
+}
+
+var sinkWord uint64
