@@ -131,8 +131,7 @@ type Config struct {
 // provides, and rely on it: they copy lines and clear line flags with plain
 // loads and stores. FlushAll is internally parallel, and on amd64 writes
 // the persistent image with non-temporal stores, fenced once per sweep
-// chunk before the chunk's flags are cleared; a chunk's first sweep uses
-// plain copies (see flushChunk).
+// chunk before the chunk's flags are cleared (see flushChunk).
 //
 // Dirty tracking is two summaries over the per-line flags. summary has one
 // bit per line and is exact at every quiescent point: a line with non-zero
@@ -155,7 +154,7 @@ type Arena struct {
 	summary  []atomic.Uint64 // one bit per line, grouped 64 lines/word
 	chunks   []atomic.Uint64 // one bit per sweepChunk summary words
 	nchunks  int
-	swept    []bool // per chunk: a FlushAll has written its persistent lines before
+	gather   []uint32 // FlushAll caller's chunk line numbers (helpers have their own)
 
 	lines      int
 	evict      bool
@@ -200,12 +199,11 @@ func New(cfg Config) *Arena {
 	nsummary := (lines + 63) / 64
 	nchunks := (nsummary + sweepChunk - 1) / sweepChunk
 	a := &Arena{
-		volatile:  lineAligned(words),
+		volatile:  make([]uint64, words),
 		flags:     make([]uint32, lines),
 		summary:   make([]atomic.Uint64, nsummary),
 		chunks:    make([]atomic.Uint64, (nchunks+63)/64),
 		nchunks:   nchunks,
-		swept:     make([]bool, nchunks),
 		lines:     lines,
 		evict:     cfg.DirtyCapacity > 0 && !cfg.Transient,
 		transient: cfg.Transient,
@@ -216,29 +214,22 @@ func New(cfg Config) *Arena {
 		reserveOff: WordsPerLine,
 	}
 	if !cfg.Transient {
-		a.persist = lineAligned(words)
+		a.persist = make([]uint64, words)
+		a.gather = make([]uint32, min(lines, sweepChunk*64))
+	}
+	// One simulated line must be one real cache line, and the copy
+	// kernel's 16-byte non-temporal stores fault on a misaligned
+	// destination. Go's allocator places both images on a 64-byte line
+	// for every arena size, but does not promise it.
+	for _, img := range [][]uint64{a.volatile, a.persist} {
+		if len(img) > 0 && uintptr(unsafe.Pointer(unsafe.SliceData(img)))%LineBytes != 0 {
+			panic("nvm: arena image does not start on a 64-byte line")
+		}
 	}
 	adviseHuge(a.volatile)
 	adviseHuge(a.persist)
 	adviseHuge(a.flags)
 	return a
-}
-
-// lineAligned returns n zero words whose first word starts a 64-byte
-// line, so that one simulated line is one real cache line and the copy
-// kernel's 16-byte non-temporal stores are aligned. Go's allocator places
-// such slices on a line already, but does not promise it; only a slice it
-// misplaces is allocated again, padded by up to a line and cut to start on
-// one. The first allocation is kept as it is, so the heap places the
-// images exactly as an unpadded make would.
-func lineAligned(n uint64) []uint64 {
-	s := make([]uint64, n)
-	if uintptr(unsafe.Pointer(unsafe.SliceData(s)))%LineBytes == 0 {
-		return s
-	}
-	s = make([]uint64, n+WordsPerLine-1)
-	skip := (-uintptr(unsafe.Pointer(unsafe.SliceData(s))) % LineBytes) / 8
-	return s[skip : skip+uintptr(n) : skip+uintptr(n)]
 }
 
 // Size returns the arena size in words.
@@ -668,7 +659,7 @@ func (a *Arena) dirty(lo, hi int) iter.Seq[int] {
 func (a *Arena) FlushAll() int {
 	a.mu.Lock()
 	a.sweepNext.Store(0)
-	n := a.flushChunks(flushAloneLines)
+	n := a.flushChunks(flushAloneLines, a.gather)
 	if a.nextMarked(int(a.sweepNext.Load())) < a.nchunks {
 		var (
 			helpers sync.WaitGroup
@@ -678,10 +669,10 @@ func (a *Arena) FlushAll() int {
 			helpers.Add(1)
 			go func() {
 				defer helpers.Done()
-				helped.Add(int64(a.flushChunks(math.MaxInt)))
+				helped.Add(int64(a.flushChunks(math.MaxInt, make([]uint32, sweepChunk*64))))
 			}()
 		}
-		n += a.flushChunks(math.MaxInt)
+		n += a.flushChunks(math.MaxInt, a.gather)
 		helpers.Wait() // every helper's copies happen before the return
 		n += int(helped.Load())
 	}
@@ -698,8 +689,9 @@ func (a *Arena) FlushAll() int {
 
 // flushChunks claims marked chunks from the sweep cursor and persists
 // their dirty lines until none is left or more than limit lines have been
-// persisted, and returns that number of lines.
-func (a *Arena) flushChunks(limit int) int {
+// persisted, and returns that number of lines. buf is the calling
+// goroutine's own gather buffer, long enough for any chunk's lines.
+func (a *Arena) flushChunks(limit int, buf []uint32) int {
 	n := 0
 	for n <= limit {
 		cur := a.sweepNext.Load()
@@ -711,18 +703,18 @@ func (a *Arena) flushChunks(limit int) int {
 			continue // another goroutine claimed past cur; look again
 		}
 		lo := c * sweepChunk
-		n += a.flushChunk(lo, min(lo+sweepChunk, len(a.summary)))
+		n += a.flushChunk(lo, min(lo+sweepChunk, len(a.summary)), buf)
 	}
 	return n
 }
 
 // flushChunk persists the dirty lines of summary words [lo, hi), at most
 // sweepChunk of them, and marks them clean. It gathers the chunk's dirty
-// line numbers in one pass, copies them with one call of the copy kernel
-// (persistLines; copyLines on the chunk's first sweep), and only then
-// clears their flags: mutators are quiesced, so lines are copied without
-// per-line atomics, and an atomic store between two copies is a full
-// barrier that would hold the core to a single outstanding DRAM miss.
+// line numbers into buf in one pass, copies them with one call of the copy
+// kernel (persistLines), and only then clears their flags: mutators are
+// quiesced, so lines are copied without per-line atomics, and an atomic
+// store between two copies is a full barrier that would hold the core to a
+// single outstanding DRAM miss.
 //
 // On amd64 the kernel writes the persistent image with non-temporal stores,
 // which are weakly ordered; it ends with an SFENCE, so every copy of the
@@ -730,8 +722,7 @@ func (a *Arena) flushChunks(limit int) int {
 // so before FlushAll returns and the epoch header is written. The
 // persistent image is read only by Crash and LoadPersisted, both under
 // a.mu, which FlushAll holds throughout the sweep.
-func (a *Arena) flushChunk(lo, hi int) int {
-	var buf [sweepChunk * 64]uint32
+func (a *Arena) flushChunk(lo, hi int, buf []uint32) int {
 	n := 0
 	var groups uint64 // bit i: summary word lo+i has a dirty line
 	for line := range a.dirty(lo, hi) {
@@ -739,28 +730,9 @@ func (a *Arena) flushChunk(lo, hi int) int {
 		groups |= 1 << uint(line>>6-lo)
 		n++
 	}
-	if c := lo / sweepChunk; a.swept[c] {
-		persistLines(a.persist, a.volatile, buf[:n])
-	} else {
-		// The chunk's persistent pages have never been written, as in the
-		// first flush of a fresh arena: the operating system zero-fills
-		// each page on its first touch, which leaves the zeroed lines in
-		// the cache, where plain stores hit and non-temporal ones must
-		// first evict them.
-		copyLines(a.persist, a.volatile, buf[:n])
-		a.swept[c] = true
-	}
+	persistLines(a.persist, a.volatile, buf[:n])
 	a.markClean(lo, groups)
 	return n
-}
-
-// copyLines copies line lines[i] of src into the same line of dst, for
-// every i, with one plain copy per line.
-func copyLines(dst, src []uint64, lines []uint32) {
-	for _, line := range lines {
-		base := int(line) * WordsPerLine
-		copy(dst[base:base+WordsPerLine], src[base:base+WordsPerLine])
-	}
 }
 
 // markClean clears the flags of every dirty line of the summary words

@@ -52,7 +52,10 @@ func TestPersistLinesMatchesCopy(t *testing.T) {
 			want.persist[i] = uint64(i) ^ 0x5a5a
 		}
 		persistLines(got.persist, src.volatile, tc.lines)
-		copyLines(want.persist, src.volatile, tc.lines)
+		for _, line := range tc.lines {
+			base := int(line) * WordsPerLine
+			copy(want.persist[base:base+WordsPerLine], src.volatile[base:base+WordsPerLine])
+		}
 		for w := range got.persist {
 			if got.persist[w] != want.persist[w] {
 				t.Fatalf("%s: word %d (line %d) = %#x, plain copy %#x", tc.name, w, w/WordsPerLine, got.persist[w], want.persist[w])
@@ -79,32 +82,5 @@ func TestImagesAreLineAligned(t *testing.T) {
 				t.Errorf("%d words: %s image has len %d cap %d", words, name, len(img), cap(img))
 			}
 		}
-	}
-}
-
-// A chunk's first sweep copies through the cache (its persistent pages
-// were just zero-filled, so their lines are cached); every later sweep of
-// it uses the copy kernel. A Crash does not count as a sweep.
-func TestFlushAllMarksSweptChunks(t *testing.T) {
-	const chunkLines = sweepChunk * 64
-	a := New(Config{Words: 3 * chunkLines * WordsPerLine})
-	a.Store(chunkLines*WordsPerLine, 1) // chunk 1
-	a.Crash(PersistAll)
-	if slices.Contains(a.swept, true) {
-		t.Fatalf("swept after a Crash: %v", a.swept)
-	}
-	a.Store(chunkLines*WordsPerLine, 2)
-	a.FlushAll()
-	if want := []bool{false, true, false}; !slices.Equal(a.swept, want) {
-		t.Fatalf("swept = %v after flushing chunk 1, want %v", a.swept, want)
-	}
-	a.Store(chunkLines*WordsPerLine+1, 3)
-	a.Store(2*chunkLines*WordsPerLine, 4) // chunk 2
-	a.FlushAll()
-	if want := []bool{false, true, true}; !slices.Equal(a.swept, want) {
-		t.Fatalf("swept = %v after flushing chunks 1 and 2, want %v", a.swept, want)
-	}
-	if w := imagesDiffer(a); w >= 0 {
-		t.Fatalf("images differ at word %d", w)
 	}
 }
