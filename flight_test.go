@@ -10,6 +10,7 @@ import (
 	"time"
 
 	"incll/internal/obs"
+	"incll/internal/testutil"
 )
 
 // TestPhaseAttributionEndToEnd drives every instrumented phase at 1-in-1
@@ -102,7 +103,7 @@ func checkFlightDump(t *testing.T, dir string) {
 		}
 		switch name {
 		case "metrics.prom":
-			if err := obs.CheckExposition(bytes.NewReader(b)); err != nil {
+			if err := testutil.CheckExposition(bytes.NewReader(b)); err != nil {
 				t.Fatalf("dumped exposition lint: %v", err)
 			}
 		case "metrics.json":

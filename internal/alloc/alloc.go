@@ -205,9 +205,6 @@ func (al *Allocator) classOff(shard, class int) uint64 {
 // use a distinct handle; handles are not safe for concurrent use.
 func (al *Allocator) Handle(i int) *Handle { return &al.shards[i] }
 
-// Shards returns the number of shards.
-func (al *Allocator) Shards() int { return al.numShards }
-
 // Used reports the words ever carved from the wilderness: the heap's
 // high-water mark. Recycling through the free lists keeps it flat, so a
 // monotonically growing Used under a steady workload means leaked objects.
@@ -232,9 +229,6 @@ func ClassFor(payloadWords uint64) int {
 	}
 	return -1
 }
-
-// ClassPayloadWords returns the payload capacity of class c.
-func ClassPayloadWords(c int) uint64 { return classWords[c] - headerWords }
 
 // spliceLimbo runs at every epoch boundary (world stopped): freed objects
 // from the finished epoch become allocatable, per Epoch-Based Reclamation.
@@ -507,22 +501,4 @@ func (h *Handle) freeTo(c int, obj uint64) {
 	al.storeNext(obj, limbo, cur)
 	a.Store(off+chLimbo, obj)
 	al.limbo.Add(1)
-}
-
-// FreeListLen walks shard s's class-c allocatable list; test helper.
-func (al *Allocator) FreeListLen(s, c int) int {
-	n := 0
-	for obj := al.arena.Load(al.classOff(s, c) + chHead); obj != 0; obj = al.loadNext(obj) {
-		n++
-	}
-	return n
-}
-
-// LimboLen walks shard s's class-c limbo list; test helper.
-func (al *Allocator) LimboLen(s, c int) int {
-	n := 0
-	for obj := al.arena.Load(al.classOff(s, c) + chLimbo); obj != 0; obj = al.loadNext(obj) {
-		n++
-	}
-	return n
 }

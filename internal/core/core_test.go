@@ -49,7 +49,7 @@ func verifyModel(t *testing.T, s *Store, model map[uint64]uint64, ctx string) {
 	// matching values.
 	var prev uint64
 	n := 0
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	for ok := it.First(); ok; ok = it.Next() {
 		ik, v := DecodeValue(it.Key()), it.ValueUint64()
@@ -70,7 +70,7 @@ func verifyModel(t *testing.T, s *Store, model map[uint64]uint64, ctx string) {
 // countKeys walks s with a cursor and returns the number of keys.
 func countKeys(s *Store) int {
 	n := 0
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	for ok := it.First(); ok; ok = it.Next() {
 		n++
 	}
@@ -155,7 +155,7 @@ func TestScanOrderAndLimit(t *testing.T) {
 	}
 	// A cursor seeked into the keyspace resumes there, in order.
 	var got []uint64
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	for ok := it.SeekGE(EncodeUint64(500)); ok && len(got) < 40; ok = it.Next() {
 		got = append(got, it.ValueUint64())
 	}

@@ -182,9 +182,6 @@ func (h Handle) NewIter(o IterOptions) Cursor {
 	return it
 }
 
-// NewIter opens a cursor on worker 0's handle.
-func (s *Store) NewIter(o IterOptions) Cursor { return s.handles[0].NewIter(o) }
-
 // collect is the tree walk's sink: it applies the terminating bound for
 // the fill direction and copies the entry into the batch arena (inline
 // values stay in their self-contained word instead). Bound once as

@@ -82,7 +82,7 @@ func collectRev(it Cursor) (keys, vals []string) {
 func TestIterReverseMatchesForwardReversed(t *testing.T) {
 	for seed := int64(1); seed <= 3; seed++ {
 		s, sorted, model := iterTestStore(t, seed, 1500)
-		it := s.NewIter(IterOptions{})
+		it := s.Handle(0).NewIter(IterOptions{})
 		fk, fv := collectFwd(it)
 		rk, rv := collectRev(it)
 		it.Close()
@@ -114,7 +114,7 @@ func TestIterSeekAndBounds(t *testing.T) {
 		rng.Read(k)
 		return string(k)
 	}
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	for trial := 0; trial < 200; trial++ {
 		p := pivot()
@@ -143,7 +143,7 @@ func TestIterSeekAndBounds(t *testing.T) {
 				want = append(want, k)
 			}
 		}
-		bit := s.NewIter(IterOptions{LowerBound: []byte(lo), UpperBound: []byte(hi)})
+		bit := s.Handle(0).NewIter(IterOptions{LowerBound: []byte(lo), UpperBound: []byte(hi)})
 		gotF, _ := collectFwd(bit)
 		gotR, _ := collectRev(bit)
 		bit.Close()
@@ -162,7 +162,7 @@ func TestIterSeekAndBounds(t *testing.T) {
 // and checks Prev/Next land on the model's neighbours from any position.
 func TestIterDirectionSwitch(t *testing.T) {
 	s, sorted, _ := iterTestStore(t, 5, 600)
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	rng := rand.New(rand.NewSource(7))
 	for trial := 0; trial < 100; trial++ {
@@ -223,7 +223,7 @@ func TestIterDoesNotBlockCheckpoint(t *testing.T) {
 	s.Advance()
 
 	adv0 := s.Epochs().Advances()
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	count := 0
 	for ok := it.First(); ok; ok = it.Next() {
@@ -254,7 +254,7 @@ func TestIterAcrossBatchBoundaries(t *testing.T) {
 	for i := 0; i < n; i += 2 {
 		s.Put(EncodeUint64(uint64(i)), 1)
 	}
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	var got []uint64
 	inserted := false
@@ -298,7 +298,7 @@ func TestIterUint64View(t *testing.T) {
 	for i, v := range vals {
 		s.Put(EncodeUint64(uint64(i)), v)
 	}
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	i := 0
 	for ok := it.First(); ok; ok = it.Next() {
@@ -317,14 +317,14 @@ func TestIterUint64View(t *testing.T) {
 func TestIterEdgeCases(t *testing.T) {
 	a := nvm.New(nvm.Config{Words: 1 << 22})
 	s, _ := Open(a, Config{Workers: 1, LogSegWords: 1 << 16, HeapWords: 1 << 20})
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	if it.First() || it.Last() || it.Next() || it.Prev() || it.Valid() {
 		t.Fatal("cursor over an empty store claims an entry")
 	}
 	it.Close()
 
 	s.Put(EncodeUint64(5), 5)
-	it = s.NewIter(IterOptions{})
+	it = s.Handle(0).NewIter(IterOptions{})
 	if !it.SeekGE(EncodeUint64(0)) || it.ValueUint64() != 5 {
 		t.Fatal("SeekGE below the only key missed it")
 	}
@@ -343,7 +343,7 @@ func TestIterEdgeCases(t *testing.T) {
 	it.Close()
 
 	// Disjoint bounds: nothing in range.
-	it = s.NewIter(IterOptions{LowerBound: EncodeUint64(10), UpperBound: EncodeUint64(20)})
+	it = s.Handle(0).NewIter(IterOptions{LowerBound: EncodeUint64(10), UpperBound: EncodeUint64(20)})
 	if it.First() || it.Last() {
 		t.Fatal("cursor outside the bounds claims an entry")
 	}

@@ -125,7 +125,7 @@ func TestScanDrivesLazyRecovery(t *testing.T) {
 	s2 := reopen(t, a, testConfig())
 	var prev uint64
 	count := 0
-	it := s2.NewIter(IterOptions{})
+	it := s2.Handle(0).NewIter(IterOptions{})
 	for ok := it.First(); ok; ok = it.Next() {
 		ik := DecodeValue(it.Key())
 		if ik%2 != 0 {

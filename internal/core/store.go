@@ -387,9 +387,6 @@ func (s *Store) Shutdown() { s.mgr.Shutdown() }
 // Get returns the value stored under k.
 func (s *Store) Get(k []byte) (uint64, bool) { return s.handles[0].Get(k) }
 
-// GetBytes returns a copy of the byte value stored under k.
-func (s *Store) GetBytes(k []byte) ([]byte, bool) { return s.handles[0].GetBytes(k) }
-
 // Put stores v under k; reports whether k was newly inserted.
 func (s *Store) Put(k []byte, v uint64) bool { return s.handles[0].Put(k, v) }
 

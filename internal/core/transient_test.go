@@ -54,7 +54,7 @@ func runStream(h Handle, w, round, keys int) {
 
 // walk lists a store's entries through a cursor, ascending or descending.
 func walk(s *Store, fwd bool) (keys, vals [][]byte) {
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	defer it.Close()
 	step, ok := it.Next, it.First()
 	if !fwd {

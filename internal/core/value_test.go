@@ -29,7 +29,7 @@ func TestBytesRoundTripAllSizes(t *testing.T) {
 		if !s.PutBytes(k, v) {
 			t.Fatalf("size %d: not inserted", n)
 		}
-		got, ok := s.GetBytes(k)
+		got, ok := s.Handle(0).GetBytes(k)
 		if !ok || !bytes.Equal(got, v) {
 			t.Fatalf("size %d: roundtrip mismatch (%d bytes, ok=%v)", n, len(got), ok)
 		}
@@ -43,19 +43,19 @@ func TestBytesRoundTripAllSizes(t *testing.T) {
 		if s.PutBytes(k, v) {
 			t.Fatalf("size %d: overwrite reported insert", n)
 		}
-		if got, _ := s.GetBytes(k); !bytes.Equal(got, v) {
+		if got, _ := s.Handle(0).GetBytes(k); !bytes.Equal(got, v) {
 			t.Fatalf("size %d: overwrite mismatch", n)
 		}
 	}
 	if !s.Delete(k) {
 		t.Fatal("delete failed")
 	}
-	if _, ok := s.GetBytes(k); ok {
+	if _, ok := s.Handle(0).GetBytes(k); ok {
 		t.Fatal("deleted key still present")
 	}
 	// A cursor walk returns every remaining value exactly.
 	seen := 0
-	it := s.NewIter(IterOptions{})
+	it := s.Handle(0).NewIter(IterOptions{})
 	for ok := it.First(); ok; ok = it.Next() {
 		i := deVK(it.Key())
 		if !bytes.Equal(it.Value(), patternValue(i, sizes[i])) {
@@ -142,7 +142,7 @@ func TestLargeValueCrashAtEveryOp(t *testing.T) {
 			}
 			s2 := reopen(t, a, testConfig())
 			for k, v := range committed {
-				got, ok := s2.GetBytes(EncodeUint64(k))
+				got, ok := s2.Handle(0).GetBytes(EncodeUint64(k))
 				if !ok {
 					t.Fatalf("point %d policy %d: committed key %d missing", points, policy, k)
 				}
@@ -188,7 +188,7 @@ func TestPropertyByteValuesCrashEqualsCommittedModel(t *testing.T) {
 		a.Crash(nvm.RandomPolicy(float64(seed%5)/4, seed))
 		s2 := reopen(t, a, testConfig())
 		for k, v := range committed {
-			got, ok := s2.GetBytes(EncodeUint64(k))
+			got, ok := s2.Handle(0).GetBytes(EncodeUint64(k))
 			if !ok || string(got) != v {
 				t.Fatalf("seed %d: key %d mismatch after recovery (ok=%v, %d vs %d bytes)",
 					seed, k, ok, len(got), len(v))
@@ -244,7 +244,7 @@ func TestValueHeapNoLeakAcrossCrashRounds(t *testing.T) {
 	}
 	// The committed values are still intact after the churn.
 	for i := uint64(0); i < keys; i++ {
-		v, ok := s.GetBytes(EncodeUint64(i))
+		v, ok := s.Handle(0).GetBytes(EncodeUint64(i))
 		if !ok || len(v) != 1200 {
 			t.Fatalf("key %d lost after %d rounds (%d bytes, %v)", i, rounds, len(v), ok)
 		}
@@ -324,7 +324,7 @@ func TestValueHeapConcurrentReaders(t *testing.T) {
 		t.Fatalf("%d rounds in %d epochs before the deadline, want %d in %d", round, ep, minRounds, minEpochs)
 	}
 	for k := uint64(0); k < keys; k++ {
-		if v, ok := s.GetBytes(EncodeUint64(k)); !ok || !bytes.Equal(v, value(k, round)) {
+		if v, ok := s.Handle(0).GetBytes(EncodeUint64(k)); !ok || !bytes.Equal(v, value(k, round)) {
 			t.Fatalf("key %d does not hold its last round's value", k)
 		}
 	}

@@ -182,7 +182,7 @@ func run(cfg Config, seed int64, trace *obs.Tracer) error {
 			}
 		}
 		working = maps.Clone(committed)
-		if err := verify(s, committed); err != nil {
+		if err := verify(s.Handle(0), committed); err != nil {
 			return fmt.Errorf("round %d: recovered state diverges: %w", round, err)
 		}
 	}
@@ -195,7 +195,7 @@ func run(cfg Config, seed int64, trace *obs.Tracer) error {
 	if info.Status != epoch.CleanRestart {
 		return fmt.Errorf("clean shutdown reopened with status %v", info.Status)
 	}
-	if err := verify(s, working); err != nil {
+	if err := verify(s.Handle(0), working); err != nil {
 		return fmt.Errorf("after clean shutdown: %w", err)
 	}
 	return nil
@@ -255,7 +255,7 @@ func runEpoch(s *shard.Store, cfg Config, m model, seed int64) {
 	wg.Wait()
 }
 
-// reader is what verify checks: a *shard.Store or an *incll.DB.
+// reader is what verify checks: a shard.Handle or an *incll.DB.
 type reader interface {
 	GetBytes(k []byte) ([]byte, bool)
 	NewIter(o core.IterOptions) core.Cursor

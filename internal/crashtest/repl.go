@@ -30,18 +30,20 @@ import (
 	"iter"
 	"maps"
 	"math/rand"
+	"net"
 	"strings"
 	"sync"
 	"sync/atomic"
+	"time"
 
 	"incll"
 	"incll/internal/crashpoint"
 	"incll/internal/epoch"
 )
 
-// ReplConfig parameterizes one replication crash campaign: RunRepl,
-// RunReplnet or RunReplnetPartition. Zero fields take the campaign's
-// defaults.
+// ReplConfig parameterizes one replication crash campaign: RunRepl, or
+// the networked campaigns of replnet_test.go. Zero fields take the
+// campaign's defaults.
 type ReplConfig struct {
 	// Shards is the primary's shard count; FollowerShards the followers'
 	// (0 = same — restores route by key, so they need not match).
@@ -64,11 +66,9 @@ type ReplConfig struct {
 	PersistFraction float64
 }
 
-// The campaigns' defaults for the fields that differ between them.
-var (
-	replDefaults    = ReplConfig{Shards: 1, KeysPerWorker: 400, OpsPerBurst: 500}
-	replnetDefaults = ReplConfig{Shards: 2, KeysPerWorker: 300, OpsPerBurst: 400}
-)
+// replDefaults are RunRepl's defaults for the fields that differ between
+// campaigns (replnet_test.go holds the networked campaigns' own).
+var replDefaults = ReplConfig{Shards: 1, KeysPerWorker: 400, OpsPerBurst: 500}
 
 // withDefaults fills c's zero fields from def and the shared defaults.
 func (c ReplConfig) withDefaults(def ReplConfig) ReplConfig {
@@ -426,9 +426,72 @@ func runRepl(cfg ReplConfig, seed int64) (err error) {
 // followLoopback serves db's replication stream on loopback and follows
 // it from this process: the in-process replica.
 func followLoopback(db *incll.DB, cfg ReplConfig) (*incll.Follower, error) {
-	rs, _, err := serveNet(db)
+	lis, err := net.Listen("tcp", "127.0.0.1:0")
 	if err != nil {
 		return nil, err
 	}
+	rs, err := serveRepl(db, lis)
+	if err != nil {
+		lis.Close()
+		return nil, err
+	}
 	return followNet(rs.Addr().String(), cfg, "replica")
+}
+
+// serveRepl serves db's replication stream on lis.
+func serveRepl(db *incll.DB, lis net.Listener) (*incll.ReplServer, error) {
+	return db.ServeReplication(lis, incll.ReplServerOptions{
+		Heartbeat: 20 * time.Millisecond,
+		DeadAfter: 10 * time.Second, // the networked campaigns cut conns themselves; no spurious deadline kills
+	})
+}
+
+// followNet starts a follower of addr with campaign-friendly timeouts.
+// The follower opens with the full worker count: a promoted follower
+// becomes the next round's primary and must serve every load handle.
+func followNet(addr string, cfg ReplConfig, id string) (*incll.Follower, error) {
+	return incll.FollowPrimary(addr, incll.FollowerOptions{
+		Options:      incll.Options{Shards: cfg.FollowerShards, Workers: cfg.Workers + 1},
+		ID:           id,
+		DeadAfter:    500 * time.Millisecond,
+		ReconnectMin: 5 * time.Millisecond,
+		ReconnectMax: 100 * time.Millisecond,
+		ReadyTimeout: 30 * time.Second,
+	})
+}
+
+// waitWatermarks blocks until every follower applied at least epoch e.
+func waitWatermarks(e uint64, fs ...*incll.Follower) error {
+	for _, f := range fs {
+		if err := f.WaitWatermark(e, 30*time.Second); err != nil {
+			return err
+		}
+	}
+	return nil
+}
+
+// waitDown blocks until the follower has noticed its primary is gone.
+func waitDown(f *incll.Follower) error {
+	deadline := time.Now().Add(30 * time.Second)
+	for time.Now().Before(deadline) {
+		if down, _ := f.Down(); down && !f.Connected() {
+			return nil
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	return errors.New("follower never observed the dead primary")
+}
+
+// checkExactPrefix verifies a quiesced follower holds the exact
+// committed state at its applied watermark.
+func checkExactPrefix(f *incll.Follower, ver *verifier, who string) error {
+	applied := f.AppliedEpoch()
+	want, ok := ver.at(applied)
+	if !ok {
+		return fmt.Errorf("%s applied epoch %d, which the verifier never saw (base..%d)", who, applied, ver.upTo)
+	}
+	if err := verify(f.DB(), want); err != nil {
+		return fmt.Errorf("%s is not the exact committed state at epoch %d: %w", who, applied, err)
+	}
+	return nil
 }

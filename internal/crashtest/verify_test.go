@@ -13,7 +13,8 @@ import (
 // from the model by one missing key, one extra key or one wrong value
 // must fail verify, or no campaign could fail either.
 func TestVerifyCatchesDivergence(t *testing.T) {
-	s, _ := shard.Open(shard.Config{Shards: 2, ArenaWords: 1 << 20})
+	st, _ := shard.Open(shard.Config{Shards: 2, ArenaWords: 1 << 20})
+	s := st.Handle(0)
 	stored := model{}
 	for i := 0; i < 50; i++ {
 		k, v := fmt.Sprintf("key/%03d", i), fmt.Sprintf("value %d", i)

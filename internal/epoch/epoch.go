@@ -411,11 +411,3 @@ func (m *Manager) Shutdown() {
 func (m *Manager) Seal() {
 	m.sealed.Store(true)
 }
-
-// Quiesce runs f with the world stopped, without advancing the epoch.
-// Used by the crash-injection framework to take consistent snapshots.
-func (m *Manager) Quiesce(f func()) {
-	m.world.Lock()
-	defer m.world.Unlock()
-	f()
-}

@@ -212,19 +212,6 @@ func TestTickerAdvances(t *testing.T) {
 	}
 }
 
-func TestQuiesceRunsStopped(t *testing.T) {
-	a, m, _ := newManager(t)
-	ran := false
-	m.Quiesce(func() {
-		ran = true
-		// While quiesced we can safely inspect the persistent image.
-		_ = a.DirtyLines()
-	})
-	if !ran {
-		t.Fatal("Quiesce did not run f")
-	}
-}
-
 func TestAdvanceCountsFlushedLines(t *testing.T) {
 	a, m, _ := newManager(t)
 	off := a.Reserve(1 << 10)

@@ -52,7 +52,6 @@ package extlog
 import (
 	"encoding/binary"
 	"math/bits"
-	"sync/atomic"
 
 	"incll/internal/epoch"
 	"incll/internal/nvm"
@@ -101,8 +100,6 @@ type IntentLog struct {
 	region
 	writers []IntentWriter
 
-	appended atomic.Int64
-
 	// Hook, when non-nil, is invoked once the record is stored and its
 	// content written back, at the end of AppendIntent ("intent-written"),
 	// and between MarkCommitted's header writeback and its fence
@@ -128,9 +125,6 @@ func NewIntentLog(a *nvm.Arena, m *epoch.Manager, off, segWords uint64, writers 
 // use: the transaction manager's per-worker commit lock keeps the commits
 // of one worker index — the only users of writer i — mutually exclusive.
 func (l *IntentLog) Writer(i int) *IntentWriter { return &l.writers[i] }
-
-// Appended returns the number of intents appended during this execution.
-func (l *IntentLog) Appended() int64 { return l.appended.Load() }
 
 // IntentWriter appends intents to one segment.
 type IntentWriter struct {
@@ -263,7 +257,6 @@ func (w *IntentWriter) AppendIntent(seq, epochNum, topoVer uint64, ops []IntentO
 		l.Hook("intent-written")
 	}
 	w.cursor += need
-	l.appended.Add(1)
 	return e, true
 }
 

@@ -85,12 +85,6 @@ type Config struct {
 	// emulated-latency experiments (Figures 3 and 8).
 	FenceDelay time.Duration
 
-	// FlushBaseCost and FlushLineCost model the cost of a global cache
-	// flush (wbinvd): FlushAll busy-waits FlushBaseCost plus FlushLineCost
-	// per persisted line, in addition to the real cost of copying.
-	FlushBaseCost time.Duration
-	FlushLineCost time.Duration
-
 	// DirtyCapacity, when > 0, bounds the number of dirty lines the
 	// "cache" may hold: crossing the bound triggers background eviction
 	// (write-back of a random dirty line), modelling the cache replacement
@@ -234,9 +228,6 @@ func New(cfg Config) *Arena {
 
 // Size returns the arena size in words.
 func (a *Arena) Size() uint64 { return uint64(len(a.volatile)) }
-
-// Lines returns the number of cache lines in the arena.
-func (a *Arena) Lines() int { return a.lines }
 
 // Config returns the configuration the arena was built with.
 func (a *Arena) Config() Config { return a.cfg }
@@ -683,7 +674,6 @@ func (a *Arena) FlushAll() int {
 	a.mu.Unlock()
 	a.stats.LinesPersisted.Add(int64(n))
 	a.stats.GlobalFlushes.Add(1)
-	spinWait(a.cfg.FlushBaseCost + time.Duration(n)*a.cfg.FlushLineCost)
 	return n
 }
 
@@ -790,25 +780,6 @@ func (a *Arena) Crash(p Policy) {
 	a.pending = a.pending[:0]
 	a.pendMu.Unlock()
 	a.stats.Crashes.Add(1)
-}
-
-// DirtyLines returns the number of lines that are not yet persistent.
-func (a *Arena) DirtyLines() int {
-	n := 0
-	for lo, hi := range a.marked() {
-		for range a.dirty(lo, hi) {
-			n++
-		}
-	}
-	return n
-}
-
-// LoadPersisted reads the word at off from the persistent image. Test and
-// validation helper; not part of the simulated machine's ISA.
-func (a *Arena) LoadPersisted(off uint64) uint64 {
-	a.mu.Lock()
-	defer a.mu.Unlock()
-	return a.persist[off]
 }
 
 // Stats returns the arena's counters.

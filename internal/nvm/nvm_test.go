@@ -264,16 +264,6 @@ func TestFenceDelayIsInjected(t *testing.T) {
 	}
 }
 
-func TestFlushCostModelIsInjected(t *testing.T) {
-	a := New(Config{Words: 1024, FlushBaseCost: 300 * time.Microsecond})
-	a.Store(8, 1)
-	t0 := time.Now()
-	a.FlushAll()
-	if el := time.Since(t0); el < 200*time.Microsecond {
-		t.Fatalf("FlushAll returned in %v, want >= ~300µs", el)
-	}
-}
-
 func TestStatsCounters(t *testing.T) {
 	a := newArena(t, 1024)
 	a.Store(8, 1)

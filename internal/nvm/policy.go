@@ -31,25 +31,3 @@ func RandomPolicy(p float64, seed int64) Policy {
 	rng := rand.New(rand.NewSource(seed))
 	return PolicyFunc(func(int) bool { return rng.Float64() < p })
 }
-
-// EvenOddPolicy persists exactly the even-numbered (phase 0) or
-// odd-numbered (phase 1) lines — a cheap adversary that tears every
-// multi-line object in half.
-func EvenOddPolicy(phase int) Policy {
-	return PolicyFunc(func(line int) bool { return line%2 == phase&1 })
-}
-
-// SubsetPolicy persists exactly those of lines whose bit is set in mask
-// (bit i stands for lines[i]) and gives every other dirty line the fixed
-// verdict rest. Stepping mask from 0 to 1<<len(lines)-1 enumerates every
-// crash outcome of a small protocol step instead of sampling them.
-func SubsetPolicy(lines []int, mask uint64, rest bool) Policy {
-	return PolicyFunc(func(line int) bool {
-		for i, l := range lines {
-			if l == line {
-				return mask>>uint(i)&1 != 0
-			}
-		}
-		return rest
-	})
-}

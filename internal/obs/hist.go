@@ -159,15 +159,6 @@ func (h *Histogram) Bins() []int64 {
 	return out
 }
 
-// BinsCount sums a bucket-count slice (the observation count of a window).
-func BinsCount(bins []int64) int64 {
-	var n int64
-	for _, b := range bins {
-		n += b
-	}
-	return n
-}
-
 // BinsQuantile returns the q-quantile (0 < q ≤ 1) of a bucket-count slice
 // as a representative bucket midpoint, or 0 when the slice is empty.
 // Negative counts (a racy delta) are treated as zero.

@@ -51,18 +51,3 @@ func (c *Counter) Load() int64 {
 	}
 	return sum
 }
-
-// Gauge is an instantaneous value (a level, not a rate): set, adjusted, and
-// read atomically. The zero value is ready to use.
-type Gauge struct {
-	v atomic.Int64
-}
-
-// Set replaces the gauge value.
-func (g *Gauge) Set(v int64) { g.v.Store(v) }
-
-// Add adjusts the gauge by n (n may be negative).
-func (g *Gauge) Add(n int64) { g.v.Add(n) }
-
-// Load returns the current value.
-func (g *Gauge) Load() int64 { return g.v.Load() }

@@ -5,8 +5,11 @@ import (
 	"fmt"
 	"strings"
 	"sync"
+	"sync/atomic"
 	"testing"
 	"time"
+
+	"incll/internal/testutil"
 )
 
 func TestCounterConcurrent(t *testing.T) {
@@ -29,15 +32,6 @@ func TestCounterConcurrent(t *testing.T) {
 	c.Add(-3, 5) // negative worker index must not panic
 	if got := c.Load(); got != workers*perWorker+5 {
 		t.Fatalf("Load()=%d want %d", got, workers*perWorker+5)
-	}
-}
-
-func TestGauge(t *testing.T) {
-	var g Gauge
-	g.Set(42)
-	g.Add(-2)
-	if got := g.Load(); got != 40 {
-		t.Fatalf("Load()=%d want 40", got)
 	}
 }
 
@@ -122,8 +116,8 @@ func buildTestRegistry() *Registry {
 	ops.Add(0, 10)
 	r.Counter("incll_test_ops_total", "Operations applied.", Labels("op", "put"), ops.Load)
 	r.Counter("incll_test_ops_total", "Operations applied.", Labels("op", "get"), func() int64 { return 3 })
-	var lag Gauge
-	lag.Set(2)
+	var lag atomic.Int64
+	lag.Store(2)
 	r.Gauge("incll_test_lag_epochs", "Replica lag in epochs.", "", lag.Load)
 	h := &Histogram{}
 	for i := 0; i < 100; i++ {
@@ -139,10 +133,10 @@ func TestRegistryPrometheusOutput(t *testing.T) {
 		t.Fatal(err)
 	}
 	out := buf.String()
-	if err := CheckExposition(strings.NewReader(out)); err != nil {
+	if err := testutil.CheckExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("lint failed: %v\n%s", err, out)
 	}
-	exp, err := ParseExposition(strings.NewReader(out))
+	exp, err := testutil.ParseExposition(strings.NewReader(out))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -182,57 +176,6 @@ func mustPanic(t *testing.T, what string, f func()) {
 		}
 	}()
 	f()
-}
-
-func TestLintCatchesViolations(t *testing.T) {
-	bad := map[string]string{
-		"no-type":        "foo_total 1\n",
-		"counter-suffix": "# TYPE foo counter\n# HELP foo h\nfoo 1\n",
-		"dup-series":     "# TYPE foo gauge\nfoo 1\nfoo 2\n",
-		"interleave":     "# TYPE a gauge\n# TYPE b gauge\na 1\nb 1\na{x=\"1\"} 2\n",
-		"no-inf":         "# TYPE h histogram\nh_bucket{le=\"1\"} 1\nh_sum 1\nh_count 1\n",
-		"bad-name":       "# TYPE 9x gauge\n9x 1\n",
-		"bad-value":      "# TYPE foo gauge\nfoo abc\n",
-		// A labeled family re-emitting HELP per label value: the classic
-		// per-peer registration bug the HELP-count rule exists for.
-		"dup-help": "# HELP g h\n# TYPE g gauge\n# HELP g h\ng{id=\"a\"} 1\ng{id=\"b\"} 2\n",
-		// Series of one family disagreeing on label keys.
-		"mixed-keys": "# HELP g h\n# TYPE g gauge\ng{a=\"x\",b=\"z\"} 1.5\ng 2\n",
-		// The reserved le label outside a histogram bucket.
-		"stray-le": "# HELP g h\n# TYPE g gauge\ng{le=\"1\"} 1\n",
-	}
-	for name, doc := range bad {
-		if err := CheckExposition(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: lint accepted bad exposition:\n%s", name, doc)
-		}
-	}
-	good := "# HELP g h\n# TYPE g gauge\ng{a=\"x\\\"y\",b=\"z\"} 1.5\ng{a=\"q\",b=\"r\"} 2\n" +
-		"# HELP s_seconds h\n# TYPE s_seconds histogram\n" +
-		"s_seconds_bucket{id=\"p1\",le=\"1\"} 1\ns_seconds_bucket{id=\"p1\",le=\"+Inf\"} 1\n" +
-		"s_seconds_sum{id=\"p1\"} 0.5\ns_seconds_count{id=\"p1\"} 1\n" +
-		"s_seconds_bucket{id=\"p2\",le=\"1\"} 0\ns_seconds_bucket{id=\"p2\",le=\"+Inf\"} 0\n" +
-		"s_seconds_sum{id=\"p2\"} 0\ns_seconds_count{id=\"p2\"} 0\n"
-	if err := CheckExposition(strings.NewReader(good)); err != nil {
-		t.Errorf("lint rejected good exposition: %v", err)
-	}
-}
-
-func TestParseLabelEscapes(t *testing.T) {
-	exp, err := ParseExposition(strings.NewReader(
-		"# TYPE m gauge\nm{k=\"a\\\\b\\\"c\\nd\"} 7 1234567890\n"))
-	if err != nil {
-		t.Fatal(err)
-	}
-	if len(exp.Samples) != 1 {
-		t.Fatalf("samples: %v", exp.Samples)
-	}
-	want := "a\\b\"c\nd"
-	if got := exp.Samples[0].Labels["k"]; got != want {
-		t.Fatalf("label k=%q want %q", got, want)
-	}
-	if exp.Samples[0].Value != 7 {
-		t.Fatalf("value=%v", exp.Samples[0].Value)
-	}
 }
 
 func TestLabelsHelper(t *testing.T) {

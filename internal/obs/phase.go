@@ -173,11 +173,6 @@ func (p *PhaseSet) End(w int, ph Phase) {
 	p.hists[ph].Record(phaseNow() - m)
 }
 
-// Active reports whether a sampled op is in flight on worker w.
-func (p *PhaseSet) Active(w int) bool {
-	return p != nil && p.slot(w).mark.Load() != 0
-}
-
 // Sampled is an independent 1-in-sampleEvery coin for sites that time
 // themselves (fence, alloc) rather than lapping an op's clock. Uses its
 // own per-slot counter so it never perturbs Begin's sampling phase.

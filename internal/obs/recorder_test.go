@@ -1,7 +1,6 @@
 package obs
 
 import (
-	"strings"
 	"sync/atomic"
 	"testing"
 	"time"
@@ -126,36 +125,6 @@ func TestRecorderCounterReset(t *testing.T) {
 	hist := r.History()
 	if _, ok := hist[1].Rates["r_reset_total"]; ok {
 		t.Fatalf("negative counter delta produced a rate: %v", hist[1].Rates)
-	}
-}
-
-func TestLintStrictConventions(t *testing.T) {
-	bad := map[string]string{
-		"no-help":         "# TYPE foo_total counter\nfoo_total 1\n",
-		"empty-help":      "# HELP foo_total \n# TYPE foo_total counter\nfoo_total 1\n",
-		"gauge-total":     "# HELP g_total h\n# TYPE g_total gauge\ng_total 1\n",
-		"ms-suffix":       "# HELP lat_ms h\n# TYPE lat_ms gauge\nlat_ms 1\n",
-		"counter-ms":      "# HELP lat_ms_total h\n# TYPE lat_ms_total counter\nlat_ms_total 1\n",
-		"kb-suffix":       "# HELP cap_kb h\n# TYPE cap_kb gauge\ncap_kb 1\n",
-		"hist-no-unit":    "# HELP h h\n# TYPE h histogram\nh_bucket{le=\"+Inf\"} 1\nh_sum 1\nh_count 1\n",
-		"hist-us-suffix":  "# HELP h_us h\n# TYPE h_us histogram\nh_us_bucket{le=\"+Inf\"} 1\nh_us_sum 1\nh_us_count 1\n",
-		"histogram-total": "# HELP h_seconds_total h\n# TYPE h_seconds_total histogram\nh_seconds_total_bucket{le=\"+Inf\"} 1\nh_seconds_total_sum 1\nh_seconds_total_count 1\n",
-	}
-	for name, doc := range bad {
-		if err := CheckExposition(strings.NewReader(doc)); err == nil {
-			t.Errorf("%s: strict lint accepted:\n%s", name, doc)
-		}
-	}
-	good := map[string]string{
-		"seconds-hist": "# HELP h_seconds h\n# TYPE h_seconds histogram\nh_seconds_bucket{le=\"+Inf\"} 1\nh_seconds_sum 1\nh_seconds_count 1\n",
-		"bytes-gauge":  "# HELP cap_bytes h\n# TYPE cap_bytes gauge\ncap_bytes 1\n",
-		"plain-total":  "# HELP ops_total h\n# TYPE ops_total counter\nops_total 1\n",
-		"ratio-hist":   "# HELP hit_ratio h\n# TYPE hit_ratio histogram\nhit_ratio_bucket{le=\"+Inf\"} 1\nhit_ratio_sum 1\nhit_ratio_count 1\n",
-	}
-	for name, doc := range good {
-		if err := CheckExposition(strings.NewReader(doc)); err != nil {
-			t.Errorf("%s: strict lint rejected good exposition: %v", name, err)
-		}
 	}
 }
 

@@ -202,24 +202,9 @@ func (c *Client) WaitReady(timeout time.Duration) error {
 // Connected reports whether a live session is currently streaming.
 func (c *Client) Connected() bool { return c.connected.Load() }
 
-// AppliedEpoch returns the follower's applied watermark: the last
-// released epoch fully applied and committed this session (the bootstrap
-// anchor right after a (re)connect).
-func (c *Client) AppliedEpoch() uint64 { return c.applied.Load() }
-
 // PrimaryReleased returns the primary's released horizon as last heard
 // (batches and heartbeats both advance it).
 func (c *Client) PrimaryReleased() uint64 { return c.released.Load() }
-
-// LagEpochs returns how many released epochs the follower still trails
-// the primary's last-heard horizon by.
-func (c *Client) LagEpochs() uint64 {
-	r, a := c.released.Load(), c.applied.Load()
-	if r > a {
-		return r - a
-	}
-	return 0
-}
 
 // Reconnects counts session ends (including failed dials): the number of
 // times the client has had to back off and retry.

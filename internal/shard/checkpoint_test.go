@@ -15,7 +15,7 @@ func TestAdvanceKeepsShardsInLockstep(t *testing.T) {
 			t.Fatalf("shards %d: fresh cluster at epoch %d / global %d", shards, s.Epoch(), s.GlobalEpoch())
 		}
 		for i := 0; i < 3; i++ {
-			s.Put(core.EncodeUint64(uint64(i)), uint64(i))
+			s.Handle(0).Put(core.EncodeUint64(uint64(i)), uint64(i))
 			s.Advance()
 		}
 		if s.Epoch() != 4 || s.GlobalEpoch() != 3 {
@@ -33,7 +33,7 @@ func TestShutdownCleanRestart(t *testing.T) {
 	for _, shards := range []int{1, 4} {
 		s, _ := Open(testConfig(shards, 1))
 		for i := uint64(0); i < 1000; i++ {
-			s.Put(core.EncodeUint64(i), i+1)
+			s.Handle(0).Put(core.EncodeUint64(i), i+1)
 		}
 		s.Shutdown()
 		s.crashArenas(0, 99) // total power loss after clean shutdown
@@ -42,7 +42,7 @@ func TestShutdownCleanRestart(t *testing.T) {
 			t.Fatalf("shards %d: status = %v, want clean-restart", shards, info.Status)
 		}
 		for i := uint64(0); i < 1000; i++ {
-			if v, ok := s2.Get(core.EncodeUint64(i)); !ok || v != i+1 {
+			if v, ok := s2.Handle(0).Get(core.EncodeUint64(i)); !ok || v != i+1 {
 				t.Fatalf("shards %d: key %d = %d,%v after clean restart", shards, i, v, ok)
 			}
 		}
@@ -74,7 +74,7 @@ func TestTickerAdvancesGlobally(t *testing.T) {
 func populate(t *testing.T, s *Store, n uint64, base uint64) {
 	t.Helper()
 	for i := uint64(0); i < n; i++ {
-		s.Put(core.EncodeUint64(i), base+i)
+		s.Handle(0).Put(core.EncodeUint64(i), base+i)
 	}
 	s.Advance()
 }
@@ -90,7 +90,7 @@ func verifyAll(t *testing.T, s *Store, n uint64, base uint64) {
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		if v, ok := s.Get(core.EncodeUint64(i)); !ok || v != base+i {
+		if v, ok := s.Handle(0).Get(core.EncodeUint64(i)); !ok || v != base+i {
 			t.Fatalf("key %d = %d,%v want %d", i, v, ok, base+i)
 		}
 	}
@@ -103,7 +103,7 @@ func TestCrashDuringPrepareRollsBackEveryShard(t *testing.T) {
 			s, _ := Open(testConfig(shards, 1))
 			populate(t, s, n, 1000) // committed at the global boundary
 			for i := uint64(0); i < n; i++ {
-				s.Put(core.EncodeUint64(i), 0xDEAD) // doomed epoch
+				s.Handle(0).Put(core.EncodeUint64(i), 0xDEAD) // doomed epoch
 			}
 			s.CrashDuringAdvance(prepared, 0, false, 0.5, int64(prepared)*31+7)
 			s2, info := s.Reopen()
@@ -127,7 +127,7 @@ func TestCrashAfterGlobalCommitKeepsEpochOnEveryShard(t *testing.T) {
 			s, _ := Open(testConfig(shards, 1))
 			populate(t, s, n, 1000)
 			for i := uint64(0); i < n; i++ {
-				s.Put(core.EncodeUint64(i), 5000+i) // epoch being committed
+				s.Handle(0).Put(core.EncodeUint64(i), 5000+i) // epoch being committed
 			}
 			// All shards prepared, global record landed, only a prefix of
 			// the local commits did. One shard has no global record: there

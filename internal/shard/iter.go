@@ -53,9 +53,6 @@ func (h Handle) NewIter(o core.IterOptions) core.Cursor {
 	return m
 }
 
-// NewIter opens a cluster cursor on worker 0's handles.
-func (s *Store) NewIter(o core.IterOptions) core.Cursor { return s.Handle(0).NewIter(o) }
-
 // settleMin picks the smallest valid head as the current entry.
 func (m *Iter) settleMin() bool {
 	m.fwd = true

@@ -35,15 +35,15 @@ func iterFixture(t *testing.T, shards int, n int, seed int64) (uni, multi *Store
 			rng.Read(k[8:])
 		}
 		if rng.Intn(8) == 0 {
-			uni.Delete(k)
-			multi.Delete(k)
+			uni.Handle(0).Delete(k)
+			multi.Handle(0).Delete(k)
 			delete(model, string(k))
 			continue
 		}
 		v := make([]byte, rng.Intn(48))
 		rng.Read(v)
-		uni.PutBytes(k, v)
-		multi.PutBytes(k, v)
+		uni.Handle(0).PutBytes(k, v)
+		multi.Handle(0).PutBytes(k, v)
 		model[string(k)] = string(v)
 	}
 	sorted = make([]string, 0, len(model))
@@ -79,8 +79,8 @@ func TestShardedIterMatchesUnsharded(t *testing.T) {
 	for _, shards := range []int{2, 4, 7} {
 		uni, multi, sorted, model := iterFixture(t, shards, 4000, int64(shards))
 		for _, fwd := range []bool{true, false} {
-			uit := uni.NewIter(core.IterOptions{})
-			mit := multi.NewIter(core.IterOptions{})
+			uit := uni.Handle(0).NewIter(core.IterOptions{})
+			mit := multi.Handle(0).NewIter(core.IterOptions{})
 			uk, uv := drain(uit, fwd)
 			mk, mv := drain(mit, fwd)
 			uit.Close()
@@ -118,8 +118,8 @@ func TestShardedIterSeeksAndBounds(t *testing.T) {
 		rng.Read(k)
 		return k
 	}
-	uit := uni.NewIter(core.IterOptions{})
-	mit := multi.NewIter(core.IterOptions{})
+	uit := uni.Handle(0).NewIter(core.IterOptions{})
+	mit := multi.Handle(0).NewIter(core.IterOptions{})
 	for trial := 0; trial < 150; trial++ {
 		p := pivot()
 		if ok, mok := uit.SeekGE(p), mit.SeekGE(p); ok != mok ||
@@ -148,8 +148,8 @@ func TestShardedIterSeeksAndBounds(t *testing.T) {
 		}
 		o := core.IterOptions{LowerBound: lo, UpperBound: hi}
 		for _, fwd := range []bool{true, false} {
-			u := uni.NewIter(o)
-			m := multi.NewIter(o)
+			u := uni.Handle(0).NewIter(o)
+			m := multi.Handle(0).NewIter(o)
 			uk, _ := drain(u, fwd)
 			mk, _ := drain(m, fwd)
 			u.Close()
@@ -173,10 +173,10 @@ func TestShardedIterCheckpointInterleaved(t *testing.T) {
 	s, _ := Open(testConfig(4, 1))
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
-		s.Put(core.EncodeUint64(i), i)
+		s.Handle(0).Put(core.EncodeUint64(i), i)
 	}
 	s.Advance()
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	count := uint64(0)
 	for ok := it.First(); ok; ok = it.Next() {

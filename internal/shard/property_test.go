@@ -113,7 +113,7 @@ func verifyShardModel(t *testing.T, s *Store, model map[uint64]uint64) {
 	}
 	count := 0
 	var prev []byte
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	for ok := it.First(); ok; ok = it.Next() {
 		kb, v := it.Key(), it.ValueUint64()
@@ -234,16 +234,16 @@ func runLargeValueCrashAtEveryOp(t *testing.T, shards int) {
 			committed := map[uint64][]byte{}
 			for i := uint64(0); i < keys; i++ {
 				v := pattern(i+500, 1500)
-				s.PutBytes(core.EncodeUint64(i), v)
+				s.Handle(0).PutBytes(core.EncodeUint64(i), v)
 				committed[i] = v
 			}
 			s.Advance()
 
 			for i, o := range script[:points] {
 				if o.del {
-					s.Delete(core.EncodeUint64(o.k))
+					s.Handle(0).Delete(core.EncodeUint64(o.k))
 				} else {
-					s.PutBytes(core.EncodeUint64(o.k), pattern(uint64(i)*131+o.k, o.n))
+					s.Handle(0).PutBytes(core.EncodeUint64(o.k), pattern(uint64(i)*131+o.k, o.n))
 				}
 			}
 			stand := false
@@ -270,7 +270,7 @@ func runLargeValueCrashAtEveryOp(t *testing.T, shards int) {
 				}
 			}
 			for k, v := range committed {
-				got, ok := s2.GetBytes(core.EncodeUint64(k))
+				got, ok := s2.Handle(0).GetBytes(core.EncodeUint64(k))
 				if !ok {
 					t.Fatalf("shards %d point %d policy %d: committed key %d missing", shards, points, policy, k)
 				}
@@ -280,7 +280,7 @@ func runLargeValueCrashAtEveryOp(t *testing.T, shards int) {
 				}
 			}
 			n := 0
-			it := s2.NewIter(core.IterOptions{})
+			it := s2.Handle(0).NewIter(core.IterOptions{})
 			for ok := it.First(); ok; ok = it.Next() {
 				k := decodeKey(it.Key())
 				if want, ok := committed[k]; !ok || !bytes.Equal(it.Value(), want) {

@@ -25,7 +25,7 @@ func TestScanWithEmptyShards(t *testing.T) {
 	var want []uint64
 	for i, n := uint64(0), 0; n < 50; i++ {
 		if Route(core.EncodeUint64(i), shards) == 2 {
-			s.Put(core.EncodeUint64(i), i)
+			s.Handle(0).Put(core.EncodeUint64(i), i)
 			want = append(want, i)
 			n++
 		}
@@ -36,7 +36,7 @@ func TestScanWithEmptyShards(t *testing.T) {
 		}
 	}
 	var got []uint64
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	for ok := it.First(); ok; ok = it.Next() {
 		got = append(got, it.ValueUint64())
@@ -63,10 +63,10 @@ func TestScanEarlyTermination(t *testing.T) {
 	s, _ := Open(testConfig(4, 1))
 	const n = 1000
 	for i := uint64(0); i < n; i++ {
-		s.Put(core.EncodeUint64(i), i)
+		s.Handle(0).Put(core.EncodeUint64(i), i)
 	}
 	steps := 0
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	for ok := it.First(); ok; ok = it.Next() {
 		if v := it.ValueUint64(); v != uint64(steps) {
 			t.Fatalf("step %d delivered %d", steps, v)
@@ -81,7 +81,7 @@ func TestScanEarlyTermination(t *testing.T) {
 	it.Close()
 
 	steps = 0
-	it = s.NewIter(core.IterOptions{})
+	it = s.Handle(0).NewIter(core.IterOptions{})
 	for ok := it.SeekGE(core.EncodeUint64(500)); ok && steps < 41; ok = it.Next() {
 		if v := it.ValueUint64(); v != 500+uint64(steps) {
 			t.Fatalf("step %d from the start key delivered %d", steps, v)
@@ -113,7 +113,7 @@ func TestScanInterleavedVariableLengthKeys(t *testing.T) {
 	}
 	shardsHit := map[int]bool{}
 	for i, k := range keys {
-		s.Put(k, uint64(i))
+		s.Handle(0).Put(k, uint64(i))
 		shardsHit[Route(k, shards)] = true
 	}
 	if len(shardsHit) < 2 {
@@ -132,7 +132,7 @@ func TestScanInterleavedVariableLengthKeys(t *testing.T) {
 	}
 
 	var got [][]byte
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	for ok := it.First(); ok; ok = it.Next() {
 		got = append(got, append([]byte(nil), it.Key()...))
@@ -162,7 +162,7 @@ func TestScanConcurrentWithWritersAndTicks(t *testing.T) {
 	s, _ := Open(testConfig(4, 3))
 	const keyspace = 1500
 	for i := uint64(0); i < keyspace; i++ {
-		s.Put(core.EncodeUint64(i), i&0xFFFF)
+		s.Handle(0).Put(core.EncodeUint64(i), i&0xFFFF)
 	}
 	var tk epoch.Ticker
 	tk.Start(time.Millisecond, func() { s.Advance() })

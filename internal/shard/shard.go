@@ -329,24 +329,6 @@ func (h Handle) PutBytes(k []byte, v []byte) bool { return h.s.route(k).Handle(h
 // Delete removes k; reports whether it was present.
 func (h Handle) Delete(k []byte) bool { return h.s.route(k).Handle(h.i).Delete(k) }
 
-// Convenience single-threaded API on worker 0's handle.
-
-// Get returns the value stored under k.
-func (s *Store) Get(k []byte) (uint64, bool) { return s.Handle(0).Get(k) }
-
-// GetBytes returns a copy of the byte value stored under k.
-func (s *Store) GetBytes(k []byte) ([]byte, bool) { return s.Handle(0).GetBytes(k) }
-
-// Put stores v under k; reports whether k was newly inserted.
-func (s *Store) Put(k []byte, v uint64) bool { return s.Handle(0).Put(k, v) }
-
-// PutBytes stores the byte value v under k; reports whether k was newly
-// inserted.
-func (s *Store) PutBytes(k []byte, v []byte) bool { return s.Handle(0).PutBytes(k, v) }
-
-// Delete removes k; reports whether it was present.
-func (s *Store) Delete(k []byte) bool { return s.Handle(0).Delete(k) }
-
 // Len sums the live-key counters across shards (transient; see
 // core.Store.Len).
 func (s *Store) Len() int {

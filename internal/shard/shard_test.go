@@ -49,12 +49,12 @@ func TestBasicOpsAcrossShards(t *testing.T) {
 	}
 	const n = 2000
 	for i := uint64(0); i < n; i++ {
-		if !s.Put(core.EncodeUint64(i), i*3) {
+		if !s.Handle(0).Put(core.EncodeUint64(i), i*3) {
 			t.Fatalf("key %d not newly inserted", i)
 		}
 	}
 	for i := uint64(0); i < n; i++ {
-		if v, ok := s.Get(core.EncodeUint64(i)); !ok || v != i*3 {
+		if v, ok := s.Handle(0).Get(core.EncodeUint64(i)); !ok || v != i*3 {
 			t.Fatalf("key %d = %d,%v want %d", i, v, ok, i*3)
 		}
 	}
@@ -67,10 +67,10 @@ func TestBasicOpsAcrossShards(t *testing.T) {
 			t.Fatalf("shard %d is empty after %d inserts", i, n)
 		}
 	}
-	if !s.Delete(core.EncodeUint64(7)) {
+	if !s.Handle(0).Delete(core.EncodeUint64(7)) {
 		t.Fatal("delete missed key 7")
 	}
-	if _, ok := s.Get(core.EncodeUint64(7)); ok {
+	if _, ok := s.Handle(0).Get(core.EncodeUint64(7)); ok {
 		t.Fatal("key 7 still present after delete")
 	}
 	if got := s.Len(); got != n-1 {
@@ -82,10 +82,10 @@ func TestMergedScanPreservesGlobalOrder(t *testing.T) {
 	s, _ := Open(testConfig(4, 1))
 	const n = 5000
 	for i := uint64(0); i < n; i++ {
-		s.Put(core.EncodeUint64(i), i)
+		s.Handle(0).Put(core.EncodeUint64(i), i)
 	}
 	var next uint64
-	it := s.NewIter(core.IterOptions{})
+	it := s.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	for ok := it.First(); ok; ok = it.Next() {
 		if v := it.ValueUint64(); v != next {
@@ -105,7 +105,7 @@ func TestMergedScanPreservesGlobalOrder(t *testing.T) {
 		t.Fatalf("walk from 1234 = %v", seen)
 	}
 	// An upper bound stops the merged walk: [100, 103) holds three keys.
-	bounded := s.NewIter(core.IterOptions{LowerBound: core.EncodeUint64(100), UpperBound: core.EncodeUint64(103)})
+	bounded := s.Handle(0).NewIter(core.IterOptions{LowerBound: core.EncodeUint64(100), UpperBound: core.EncodeUint64(103)})
 	defer bounded.Close()
 	seen = seen[:0]
 	for ok := bounded.First(); ok; ok = bounded.Next() {
@@ -142,7 +142,7 @@ func TestConcurrentWorkersOnDistinctHandles(t *testing.T) {
 
 func TestReopenWithDifferentShardCountPanics(t *testing.T) {
 	s, _ := Open(testConfig(4, 1))
-	s.Put(core.EncodeUint64(1), 1)
+	s.Handle(0).Put(core.EncodeUint64(1), 1)
 	s.Shutdown()
 	defer func() {
 		if recover() == nil {
@@ -158,10 +158,10 @@ func TestReopenWithDifferentShardCountPanics(t *testing.T) {
 func TestStatsAggregate(t *testing.T) {
 	s, _ := Open(testConfig(2, 1))
 	for i := uint64(0); i < 100; i++ {
-		s.Put(core.EncodeUint64(i), i)
+		s.Handle(0).Put(core.EncodeUint64(i), i)
 	}
 	for i := uint64(0); i < 50; i++ {
-		s.Get(core.EncodeUint64(i))
+		s.Handle(0).Get(core.EncodeUint64(i))
 	}
 	st := s.Stats()
 	if st.Puts.Load() != 100 || st.Gets.Load() != 50 {
@@ -176,7 +176,7 @@ func TestStatsAggregate(t *testing.T) {
 func TestSingleShardDegeneratesToOneStore(t *testing.T) {
 	s, _ := Open(testConfig(1, 1))
 	for i := uint64(0); i < 500; i++ {
-		s.Put(core.EncodeUint64(i), i)
+		s.Handle(0).Put(core.EncodeUint64(i), i)
 	}
 	s.Advance()
 	s.SimulateCrash(0.5, 11)
@@ -185,7 +185,7 @@ func TestSingleShardDegeneratesToOneStore(t *testing.T) {
 		t.Fatalf("status = %v", info.Status)
 	}
 	for i := uint64(0); i < 500; i++ {
-		if v, ok := s2.Get(core.EncodeUint64(i)); !ok || v != i {
+		if v, ok := s2.Handle(0).Get(core.EncodeUint64(i)); !ok || v != i {
 			t.Fatalf("key %d = %d,%v", i, v, ok)
 		}
 	}

@@ -1,5 +1,6 @@
-// Package testutil holds tiny helpers shared by the crash-consistency
-// test suites.
+// Package testutil holds helpers shared by the test suites: deterministic
+// payloads for the crash-consistency tests and a Prometheus exposition
+// linter for every test that scrapes /metrics. Only tests import it.
 package testutil
 
 // Pattern fills n bytes deterministically from seed (xorshift64), so the

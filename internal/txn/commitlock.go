@@ -6,6 +6,7 @@ import (
 	"time"
 
 	"incll/internal/obs"
+	"incll/internal/shard"
 )
 
 // lockStripes is the size of the key-granular commit lock table: a power
@@ -22,13 +23,11 @@ type paddedMutex struct {
 	_ [64 - 8]byte
 }
 
-// stripeOf hashes a key to its commit-lock stripe (FNV-1a, folded). It
-// depends on the key bytes alone: not on the topology, not on the process.
+// stripeOf hashes a key to its commit-lock stripe (shard.KeyHash, folded).
+// It depends on the key bytes alone: not on the topology, not on the
+// process.
 func stripeOf(k []byte) uint16 {
-	h := uint64(14695981039346656037)
-	for _, c := range k {
-		h = (h ^ uint64(c)) * 1099511628211
-	}
+	h := shard.KeyHash(k)
 	return uint16((h ^ h>>32) & (lockStripes - 1))
 }
 

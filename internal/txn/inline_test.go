@@ -44,14 +44,14 @@ func TestTxnOutgrowsInlineStorage(t *testing.T) {
 		if i == 3 {
 			want = []byte{33}
 		}
-		if v, ok := f.store.GetBytes(key(i)); !ok || !bytes.Equal(v, want) {
+		if v, ok := f.store.Handle(0).GetBytes(key(i)); !ok || !bytes.Equal(v, want) {
 			t.Fatalf("key %d = %x,%v, want %x", i, v, ok, want)
 		}
 	}
-	if _, ok := f.store.GetBytes(key(n - 1)); ok {
+	if _, ok := f.store.Handle(0).GetBytes(key(n - 1)); ok {
 		t.Fatal("deleted key survived")
 	}
-	if v, _ := f.store.GetBytes(key(n + 7)); string(v) != "x" {
+	if v, _ := f.store.Handle(0).GetBytes(key(n + 7)); string(v) != "x" {
 		t.Fatalf("unread key = %q", v)
 	}
 

@@ -20,7 +20,7 @@ import (
 func TestCommitExcludesExactlyKeySharers(t *testing.T) {
 	cluster, _ := shard.Open(shard.Config{Shards: 4, Workers: 3, ArenaWords: 1 << 20})
 	for k := uint64(0); k < 64; k++ {
-		cluster.Put(key(k), bankInitBal)
+		cluster.Handle(0).Put(key(k), bankInitBal)
 	}
 	cluster.Advance()
 	m := managerFor(cluster)
@@ -155,7 +155,7 @@ func TestKeyGranularCommitStress(t *testing.T) {
 			}
 			cluster, _ := shard.Open(shard.Config{Shards: 4, Workers: workers, ArenaWords: 1 << 21})
 			for k := uint64(0); k < bankAccounts; k++ {
-				cluster.Put(key(k), bankInitBal)
+				cluster.Handle(0).Put(key(k), bankInitBal)
 			}
 			cluster.Advance()
 			m := managerFor(cluster)
@@ -200,7 +200,7 @@ func TestKeyGranularCommitStress(t *testing.T) {
 
 			var sum uint64
 			for k := uint64(0); k < bankAccounts; k++ {
-				v, _ := cluster.Get(key(k))
+				v, _ := cluster.Handle(0).Get(key(k))
 				sum += v
 			}
 			if sum != bankAccounts*bankInitBal {

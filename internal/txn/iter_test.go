@@ -125,7 +125,7 @@ func TestTxnIterClusterOverlay(t *testing.T) {
 	m, _ := ForCluster(s)
 	rng := rand.New(rand.NewSource(23))
 	tx := m.Begin(0)
-	sorted, view := overlayModel(t, rng, func(k, v []byte) { s.PutBytes(k, v) }, tx)
+	sorted, view := overlayModel(t, rng, func(k, v []byte) { s.Handle(0).PutBytes(k, v) }, tx)
 	checkOverlay(t, tx, sorted, view, "cluster")
 }
 
@@ -139,7 +139,7 @@ func TestTxnIterCommitReflectsIteratedView(t *testing.T) {
 	if err := tx.Commit(); err != nil {
 		t.Fatalf("commit: %v", err)
 	}
-	it := f.store.NewIter(core.IterOptions{})
+	it := f.store.Handle(0).NewIter(core.IterOptions{})
 	defer it.Close()
 	i := 0
 	for ok := it.First(); ok; ok = it.Next() {

@@ -257,7 +257,7 @@ func TestPositionFallbacksRareOnTransfers(t *testing.T) {
 	)
 	cluster, _ := shard.Open(shard.Config{Shards: 4, Workers: workers, ArenaWords: 1 << 20})
 	for k := uint64(0); k < accounts; k++ {
-		cluster.Put(key(k), bankInitBal)
+		cluster.Handle(0).Put(key(k), bankInitBal)
 	}
 	cluster.Advance()
 	m := managerFor(cluster)

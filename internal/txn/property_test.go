@@ -75,14 +75,14 @@ func newShardBank(t *testing.T, shards int) *shardBank {
 	}
 	cluster, _ := shard.Open(cfg)
 	for k := uint64(0); k < bankAccounts; k++ {
-		cluster.Put(key(k), bankInitBal)
+		cluster.Handle(0).Put(key(k), bankInitBal)
 	}
 	cluster.Advance()
 	return &shardBank{cluster: cluster, m: managerFor(cluster), shards: shards}
 }
 
 func (b *shardBank) manager() *Manager           { return b.m }
-func (b *shardBank) get(k []byte) (uint64, bool) { return b.cluster.Get(k) }
+func (b *shardBank) get(k []byte) (uint64, bool) { return b.cluster.Handle(0).Get(k) }
 
 func (b *shardBank) transferKeys() [3]uint64 {
 	// Pick accounts so the write set spans at least two shards.
@@ -240,7 +240,7 @@ func TestPropertyBankTransferConcurrent(t *testing.T) {
 	)
 	cluster, _ := shard.Open(shard.Config{Shards: 4, Workers: workers, ArenaWords: 1 << 20})
 	for k := uint64(0); k < bankAccounts; k++ {
-		cluster.Put(key(k), bankInitBal)
+		cluster.Handle(0).Put(key(k), bankInitBal)
 	}
 	cluster.Advance()
 	m := managerFor(cluster)
@@ -289,7 +289,7 @@ func TestPropertyBankTransferConcurrent(t *testing.T) {
 
 		var sum uint64
 		for k := uint64(0); k < bankAccounts; k++ {
-			v, ok := cluster.Get(key(k))
+			v, ok := cluster.Handle(0).Get(key(k))
 			if !ok {
 				t.Fatalf("round %d: account %d missing", round, k)
 			}
@@ -442,9 +442,9 @@ func TestPropertyByteValueCommitCrashInjection(t *testing.T) {
 			}
 			replayed := f.crash(nvm.RandomPolicy(persist, int64(point)*7+int64(persist*10)))
 
-			g1, ok1 := f.store.GetBytes(key(1))
-			g2, ok2 := f.store.GetBytes(key(2))
-			g3, ok3 := f.store.GetBytes(key(3))
+			g1, ok1 := f.store.Handle(0).GetBytes(key(1))
+			g2, ok2 := f.store.Handle(0).GetBytes(key(2))
+			g3, ok3 := f.store.Handle(0).GetBytes(key(3))
 			isPre := ok1 && bytes.Equal(g1, pre1) && !ok2 && ok3 && bytes.Equal(g3, pre3)
 			isPost := ok1 && bytes.Equal(g1, post1) && ok2 && bytes.Equal(g2, post2) && !ok3
 			if !isPre && !isPost {

@@ -248,9 +248,6 @@ func New(cfg Config) (*Manager, int) {
 	return m, m.recover()
 }
 
-// TopoVersion returns the live topology's version.
-func (m *Manager) TopoVersion() uint64 { return m.topo.Load().version }
-
 // Cutover atomically replaces the manager's topology — the transaction
 // layer's half of a reshard cutover. It takes the commit guard
 // exclusively, so when fn runs no commit is in flight and no advance can
@@ -283,17 +280,6 @@ func (m *Manager) install(cfg Config) {
 
 // Stats returns the manager's counters.
 func (m *Manager) Stats() *Stats { return &m.stats }
-
-// SetHook installs the crash-injection test hook, invoked at every named
-// protocol point inside Commit (including the pre-fence points inside the
-// intent log). The hook stops the protocol by panicking with
-// InjectedCrash. Never use outside tests.
-func (m *Manager) SetHook(h func(point string)) {
-	m.hook = h
-	for _, s := range m.topo.Load().stores {
-		s.Intents().Hook = h
-	}
-}
 
 // Advance runs one cluster-wide epoch advance (a checkpoint), excluded
 // against in-flight commits by the commit guard. All checkpoints of a

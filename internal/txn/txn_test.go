@@ -255,7 +255,7 @@ func TestCrossShardCommitAndReplay(t *testing.T) {
 		t.Fatalf("replayed %d, want 1", replayed)
 	}
 	for i, k := range ks {
-		if v, ok := cluster.Get(k); !ok || v != uint64(100+i) {
+		if v, ok := cluster.Handle(0).Get(k); !ok || v != uint64(100+i) {
 			t.Fatalf("key %d = %d,%v after cross-shard recovery", i, v, ok)
 		}
 	}
@@ -306,8 +306,8 @@ func TestOversizeKeyPoisonsCommit(t *testing.T) {
 	if _, ok := f.store.Get(key(1)); ok {
 		t.Fatal("poisoned transaction applied a write")
 	}
-	if got := f.store.Intents().Appended(); got != 0 {
-		t.Fatalf("%d intent records written for a rejected key", got)
+	if recs := f.store.Intents().ScanIntents(); len(recs) != 0 {
+		t.Fatalf("%d intent records written for a rejected key", len(recs))
 	}
 }
 
@@ -322,8 +322,8 @@ func TestPutBytesOversizeFailsBeforeIntent(t *testing.T) {
 	if err := tx.Commit(); !errors.Is(err, core.ErrValueTooLarge) {
 		t.Fatalf("commit = %v, want ErrValueTooLarge", err)
 	}
-	if got := f.store.Intents().Appended(); got != 0 {
-		t.Fatalf("%d intent records written for a rejected value", got)
+	if recs := f.store.Intents().ScanIntents(); len(recs) != 0 {
+		t.Fatalf("%d intent records written for a rejected value", len(recs))
 	}
 	if _, ok := f.store.Get(key(1)); ok {
 		t.Fatal("poisoned transaction applied a write")

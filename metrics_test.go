@@ -11,21 +11,22 @@ import (
 	"time"
 
 	"incll/internal/obs"
+	"incll/internal/testutil"
 )
 
 // scrape renders and re-parses the DB's /metrics output, linting it on
 // the way: every test that reads a value also proves the exposition is
 // well-formed.
-func scrape(t *testing.T, db *DB) *obs.Exposition {
+func scrape(t *testing.T, db *DB) *testutil.Exposition {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := db.WriteMetrics(&buf); err != nil {
 		t.Fatalf("WriteMetrics: %v", err)
 	}
-	if err := obs.CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
+	if err := testutil.CheckExposition(bytes.NewReader(buf.Bytes())); err != nil {
 		t.Fatalf("exposition lint: %v", err)
 	}
-	exp, err := obs.ParseExposition(bytes.NewReader(buf.Bytes()))
+	exp, err := testutil.ParseExposition(bytes.NewReader(buf.Bytes()))
 	if err != nil {
 		t.Fatalf("parse exposition: %v", err)
 	}

@@ -13,7 +13,7 @@ import (
 	"testing"
 	"time"
 
-	"incll/internal/obs"
+	"incll/internal/testutil"
 )
 
 func TestPropagationTracingTwoFollowers(t *testing.T) {
@@ -80,10 +80,10 @@ func TestPropagationTracingTwoFollowers(t *testing.T) {
 	}
 	// The live two-peer exposition passes the linter: per-peer labeled
 	// families emit HELP once and keep consistent label keys.
-	if err := obs.CheckExposition(bytes.NewReader(scrape.Bytes())); err != nil {
+	if err := testutil.CheckExposition(bytes.NewReader(scrape.Bytes())); err != nil {
 		t.Fatalf("lint of live 2-peer scrape: %v", err)
 	}
-	exp, err := obs.ParseExposition(bytes.NewReader(scrape.Bytes()))
+	exp, err := testutil.ParseExposition(bytes.NewReader(scrape.Bytes()))
 	if err != nil {
 		t.Fatal(err)
 	}

@@ -10,7 +10,7 @@ import (
 	"testing"
 
 	"incll/internal/crashpoint"
-	"incll/internal/obs"
+	"incll/internal/testutil"
 )
 
 // reshardOpts sizes a small cluster that can host both donor and target
@@ -328,7 +328,7 @@ func TestReshardProgressAndMetrics(t *testing.T) {
 			t.Fatalf("metrics after reshard missing %q", want)
 		}
 	}
-	if err := obs.CheckExposition(strings.NewReader(out)); err != nil {
+	if err := testutil.CheckExposition(strings.NewReader(out)); err != nil {
 		t.Fatalf("post-reshard exposition fails promlint: %v", err)
 	}
 
