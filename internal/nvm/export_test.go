@@ -1,4 +1,4 @@
 package nvm
 
 // Lines returns the number of cache lines in the arena.
-func (a *Arena) Lines() int { return a.lines }
+func (a *Arena) Lines() int { return len(a.flags) }

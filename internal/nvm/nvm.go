@@ -150,7 +150,6 @@ type Arena struct {
 	nchunks  int
 	gather   []uint32 // FlushAll caller's chunk line numbers (helpers have their own)
 
-	lines      int
 	evict      bool
 	transient  bool
 	dirtyCount atomic.Int64
@@ -198,7 +197,6 @@ func New(cfg Config) *Arena {
 		summary:   make([]atomic.Uint64, nsummary),
 		chunks:    make([]atomic.Uint64, (nchunks+63)/64),
 		nchunks:   nchunks,
-		lines:     lines,
 		evict:     cfg.DirtyCapacity > 0 && !cfg.Transient,
 		transient: cfg.Transient,
 		capacity:  int64(cfg.DirtyCapacity),
