@@ -17,12 +17,14 @@
 //     *contents* never need logging — if the epoch fails, the object
 //     returns to the free list where its contents are irrelevant.
 //
-// The 16-byte header (§5.1): both header words pack a 44-bit pointer, a
-// 2-bit wrap counter, and 16 bits of the 32-bit epoch (the `next` word
-// carries the low half, the `nextInCLL` word the high half). Recovery
-// reconstructs the epoch only if the two counters match; mismatched
-// counters mean the crash interrupted the two-word update, in which case
-// `next` is restored from `nextInCLL` unconditionally.
+// The 16-byte header (§5.1) is the last two words of every object, so a
+// payload starts at the object's base and a value of whole lines fills
+// whole lines. Both header words pack a 44-bit pointer, a 2-bit wrap
+// counter, and 16 bits of the 32-bit epoch (the `next` word carries the low
+// half, the `nextInCLL` word the high half). Recovery reconstructs the
+// epoch only if the two counters match; mismatched counters mean the crash
+// interrupted the two-word update, in which case `next` is restored from
+// `nextInCLL` unconditionally.
 package alloc
 
 import (
@@ -44,24 +46,22 @@ import (
 // out-of-place byte values (core's PutBytes), up to ~8 KiB per value; the
 // intermediate line multiples (192, 384, 768) keep worst-case internal
 // fragmentation at 1.5× instead of 2× for the common KB-scale objects, and
-// 40 and 48 do the same between 32 and 64, where a 256-byte value (2 header
-// + 1 length + 32 payload = 35 words) would otherwise take a 64-word object.
+// 40 and 48 do the same between 32 and 64, where a 256-byte value (32
+// payload + 2 header = 34 words) would otherwise take a 64-word object.
 var classWords = []uint64{4, 8, 16, 32, 40, 48, 64, 128, 192, 256, 384, 512, 768, 1024}
 
 // NumClasses is the number of general size classes.
 const NumClasses = 14
 
-// The node class is special: tree nodes need (a) a cache-line-aligned
-// payload, because their layout assigns fields to specific lines, and
-// (b) a header that does not overlap the payload, because the tree
-// overwrites every payload word and would corrupt an embedded free-list
-// header. Node objects are therefore NodeClassWords long with the payload
-// a full line past the object base.
+// The node class is special: tree nodes need a cache-line-aligned payload
+// of five whole lines, because their layout assigns fields to specific
+// lines, and the tree overwrites every payload word. Node objects are
+// therefore NodeClassWords long, so the trailing header sits alone in a
+// sixth line.
 const (
-	nodeClass         = NumClasses // per-shard head index of the node class
-	totalClasses      = NumClasses + 1
-	NodeClassWords    = 48
-	nodePayloadOffset = 8
+	nodeClass      = NumClasses // per-shard head index of the node class
+	totalClasses   = NumClasses + 1
+	NodeClassWords = 48
 )
 
 func classSize(c int) uint64 {
@@ -70,6 +70,10 @@ func classSize(c int) uint64 {
 	}
 	return classWords[c]
 }
+
+// header returns the offset of class-c object obj's header: its last two
+// words.
+func header(c int, obj uint64) uint64 { return obj + classSize(c) - headerWords }
 
 const (
 	headerWords = 2 // next + nextInCLL
@@ -246,7 +250,7 @@ func (al *Allocator) spliceLimbo(newEpoch uint64) {
 			// any other epoch's first mutation.
 			tail := al.limboTail(s, c, limbo)
 			if head := a.Load(off + chHead); head != 0 {
-				al.storeNext(tail, head, newEpoch)
+				al.storeNext(c, tail, head, newEpoch)
 			}
 			al.logClassHeads(off, newEpoch)
 			a.Store(off+chHead, limbo)
@@ -267,7 +271,7 @@ func (al *Allocator) limboTail(s, c int, limbo uint64) uint64 {
 		return tail
 	}
 	tail := limbo
-	for next := al.loadNext(tail); next != 0; next = al.loadNext(tail) {
+	for next := al.loadNext(c, tail); next != 0; next = al.loadNext(c, tail) {
 		tail = next
 	}
 	return tail
@@ -325,28 +329,28 @@ func (al *Allocator) reconstructEpoch(next, inCLL uint64) (uint64, bool) {
 	return cand, true
 }
 
-// loadNext reads an object's free-list next pointer, lazily recovering the
-// header if it was last written in a failed or torn epoch.
-func (al *Allocator) loadNext(obj uint64) uint64 {
-	a := al.arena
-	next := a.Load(obj)
-	inCLL := a.Load(obj + 1)
+// loadNext reads class-c object obj's free-list next pointer, lazily
+// recovering the header if it was last written in a failed or torn epoch.
+func (al *Allocator) loadNext(c int, obj uint64) uint64 {
+	a, hdr := al.arena, header(c, obj)
+	next := a.Load(hdr)
+	inCLL := a.Load(hdr + 1)
 	e, ok := al.reconstructEpoch(next, inCLL)
 	if !ok || al.mgr.IsFailed(e) {
 		// Restore from the in-line undo copy. Persisting this repair is
 		// not required: if we crash again the same repair reapplies.
 		next = packHeader(headerPtr(inCLL), headerCounter(inCLL), headerEpoch16(next))
-		a.Store(obj, next)
+		a.Store(hdr, next)
 	}
 	return headerPtr(next)
 }
 
-// storeNext updates an object's next pointer in epoch cur, logging the old
-// value into the same cache line on the first touch of the epoch.
-func (al *Allocator) storeNext(obj, next, cur uint64) {
-	a := al.arena
-	oldNext := a.Load(obj)
-	oldInCLL := a.Load(obj + 1)
+// storeNext updates class-c object obj's next pointer in epoch cur, logging
+// the old value into the same cache line on the first touch of the epoch.
+func (al *Allocator) storeNext(c int, obj, next, cur uint64) {
+	a, hdr := al.arena, header(c, obj)
+	oldNext := a.Load(hdr)
+	oldInCLL := a.Load(hdr + 1)
 	e, ok := al.reconstructEpoch(oldNext, oldInCLL)
 	if !ok || al.mgr.IsFailed(e) {
 		oldNext = packHeader(headerPtr(oldInCLL), headerCounter(oldInCLL), headerEpoch16(oldNext))
@@ -355,11 +359,11 @@ func (al *Allocator) storeNext(obj, next, cur uint64) {
 	if e != cur { // first touch this epoch
 		ctr := (headerCounter(oldNext) + 1) & 3
 		// Undo copy first, then the mutation — same line, PCSO-ordered.
-		a.Store(obj+1, packHeader(headerPtr(oldNext), ctr, cur>>16&0xFFFF))
-		a.Store(obj, packHeader(next, ctr, cur&0xFFFF))
+		a.Store(hdr+1, packHeader(headerPtr(oldNext), ctr, cur>>16&0xFFFF))
+		a.Store(hdr, packHeader(next, ctr, cur&0xFFFF))
 		return
 	}
-	a.Store(obj, packHeader(next, headerCounter(oldNext), cur&0xFFFF))
+	a.Store(hdr, packHeader(next, headerCounter(oldNext), cur&0xFFFF))
 }
 
 // refill carves refillObjects objects of class c from the wilderness and
@@ -391,12 +395,13 @@ func (al *Allocator) refill(c int, cur uint64) uint64 {
 	// fails, the bump pointer rolls back and the contents are irrelevant.
 	for i := uint64(0); i < n; i++ {
 		obj := bump + i*size
+		hdr := header(c, obj)
 		next := uint64(0)
 		if i+1 < n {
 			next = obj + size
 		}
-		a.Store(obj+1, packHeader(0, 0, cur>>16&0xFFFF))
-		a.Store(obj, packHeader(next, 0, cur&0xFFFF))
+		a.Store(hdr+1, packHeader(0, 0, cur>>16&0xFFFF))
+		a.Store(hdr, packHeader(next, 0, cur&0xFFFF))
 	}
 	return bump
 }
@@ -419,8 +424,8 @@ type Handle struct {
 	_ [(64 - (16+8*totalClasses)%64) % 64]byte
 }
 
-// Alloc returns the payload offset of a fresh object able to hold
-// payloadWords words, or 0 if the heap is exhausted or the size exceeds
+// Alloc returns the offset of a fresh object whose first payloadWords
+// words are its payload, or 0 if the heap is exhausted or the size exceeds
 // the largest class. The fast path touches only cached NVM lines: no
 // write-back, no fence.
 func (h *Handle) Alloc(payloadWords uint64) uint64 {
@@ -432,32 +437,21 @@ func (h *Handle) Alloc(payloadWords uint64) uint64 {
 		t0 := time.Now()
 		defer func() { h.al.phases.Observe(obs.PhaseAlloc, time.Since(t0)) }()
 	}
-	obj := h.allocFrom(c)
-	if obj == 0 {
-		return 0
-	}
-	return obj + headerWords
+	return h.allocFrom(c)
 }
 
-// AllocNode returns a cache-line-aligned node payload of NodeWords-class
-// size, or 0 when the heap is exhausted.
+// AllocNode returns a cache-line-aligned node object of NodeClassWords
+// words, or 0 when the heap is exhausted.
 func (h *Handle) AllocNode() uint64 {
 	if h.al.phases.Sampled(h.shard) {
 		t0 := time.Now()
 		defer func() { h.al.phases.Observe(obs.PhaseAlloc, time.Since(t0)) }()
 	}
-	obj := h.allocFrom(nodeClass)
-	if obj == 0 {
-		return 0
-	}
-	return obj + nodePayloadOffset
+	return h.allocFrom(nodeClass)
 }
 
-// FreeNode returns a node payload obtained from AllocNode to the limbo
-// list.
-func (h *Handle) FreeNode(payload uint64) {
-	h.freeTo(nodeClass, payload-nodePayloadOffset)
-}
+// FreeNode returns a node obtained from AllocNode to the limbo list.
+func (h *Handle) FreeNode(obj uint64) { h.freeTo(nodeClass, obj) }
 
 func (h *Handle) allocFrom(c int) uint64 {
 	al, a := h.al, h.al.arena
@@ -472,21 +466,21 @@ func (h *Handle) allocFrom(c int) uint64 {
 		al.logClassHeads(off, cur)
 		a.Store(off+chHead, head)
 	}
-	next := al.loadNext(head)
+	next := al.loadNext(c, head)
 	al.logClassHeads(off, cur)
 	a.Store(off+chHead, next)
 	return head
 }
 
-// Free returns the object owning payload to this shard's limbo list; it
-// becomes allocatable at the next epoch boundary (EBR). payloadWords must
-// match the Alloc size (it selects the class).
-func (h *Handle) Free(payload uint64, payloadWords uint64) {
+// Free returns object obj to this shard's limbo list; it becomes
+// allocatable at the next epoch boundary (EBR). payloadWords must match the
+// Alloc size (it selects the class).
+func (h *Handle) Free(obj uint64, payloadWords uint64) {
 	c := ClassFor(payloadWords)
 	if c < 0 {
 		panic(fmt.Sprintf("alloc: Free of oversized payload (%d words)", payloadWords))
 	}
-	h.freeTo(c, payload-headerWords)
+	h.freeTo(c, obj)
 }
 
 func (h *Handle) freeTo(c int, obj uint64) {
@@ -498,7 +492,7 @@ func (h *Handle) freeTo(c int, obj uint64) {
 	if limbo == 0 {
 		h.tails[c] = obj
 	}
-	al.storeNext(obj, limbo, cur)
+	al.storeNext(c, obj, limbo, cur)
 	a.Store(off+chLimbo, obj)
 	al.limbo.Add(1)
 }

@@ -72,9 +72,9 @@ func TestClassFor(t *testing.T) {
 		class   int
 	}{
 		{1, 0}, {2, 0}, {3, 1}, {6, 1}, {7, 2}, {14, 2}, {30, 3},
-		// 33 payload words is a 256-byte value (length word + 32): the
+		// 32 payload words is a 256-byte value and 38 a 300-byte one: the
 		// 40-word class, not the 64-word one.
-		{31, 4}, {33, 4}, {38, 4}, {39, 5}, {46, 5}, {47, 6}, {62, 6}, {126, 7},
+		{31, 4}, {32, 4}, {38, 4}, {39, 5}, {46, 5}, {47, 6}, {62, 6}, {126, 7},
 		{127, 8}, {190, 8}, {254, 9}, {382, 10}, {1000, 13}, {1022, 13}, {1023, -1},
 	}
 	for _, c := range cases {
@@ -318,12 +318,12 @@ func TestReconstructEpochCounterMismatch(t *testing.T) {
 func TestTornHeaderRecoversFromInCLL(t *testing.T) {
 	f := newFixture(t, 1)
 	h := f.al.Handle(0)
-	p := h.Alloc(2)
-	obj := p - headerWords
+	obj := h.Alloc(2)
+	hdr := obj + classWords[0] - headerWords // the header trails the payload
 	// Manufacture a torn header: next has a bumped counter, inCLL is old.
-	inCLL := f.arena.Load(obj + 1)
-	f.arena.Store(obj, packHeader(12345*2, headerCounter(inCLL)+1, 0))
-	if got := f.al.loadNext(obj); got != headerPtr(inCLL) {
+	inCLL := f.arena.Load(hdr + 1)
+	f.arena.Store(hdr, packHeader(12345*2, headerCounter(inCLL)+1, 0))
+	if got := f.al.loadNext(0, obj); got != headerPtr(inCLL) {
 		t.Fatalf("torn header recovered to %d, want inCLL ptr %d", got, headerPtr(inCLL))
 	}
 }
@@ -385,8 +385,8 @@ func TestAllocNodeIsLineAlignedAndDisjoint(t *testing.T) {
 		if n%nvm.WordsPerLine != 0 {
 			t.Fatalf("node %d not cache-line aligned", n)
 		}
-		// Node payloads must not overlap each other or their headers.
-		for off := n; off < n+40; off++ {
+		// Nodes must not overlap each other, payload or header.
+		for off := n; off < n+NodeClassWords; off++ {
 			if seen[off] {
 				t.Fatalf("node word %d handed out twice", off)
 			}
@@ -395,35 +395,69 @@ func TestAllocNodeIsLineAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
-func TestNodeHeaderSurvivesPayloadWrites(t *testing.T) {
-	// The free-list header must live outside the node payload: writing
-	// every payload word and then freeing/re-splicing must not corrupt
-	// the list.
-	f := newFixture(t, 1)
-	h := f.al.Handle(0)
-	nodes := make([]uint64, 50)
-	for i := range nodes {
-		nodes[i] = h.AllocNode()
-		for w := uint64(0); w < 40; w++ {
-			f.arena.Store(nodes[i]+w, ^uint64(0)) // worst-case garbage
-		}
+func TestHeaderSurvivesPayloadWrites(t *testing.T) {
+	// Every class keeps its free-list header in its last two words, clear
+	// of the payload: objects whose every payload word is ^0 are freed and
+	// spliced, a doomed epoch reuses some (filling them again) and frees
+	// others, and a crash under any persist subset leaves the free and limbo
+	// lists and the committed live objects a partition of the carved heap.
+	policies := map[string]func(lines []int) nvm.Policy{
+		"subset-even-rest": func(l []int) nvm.Policy { return nvm.SubsetPolicy(l, 0x5555555555555555, true) },
+		"subset-odd":       func(l []int) nvm.Policy { return nvm.SubsetPolicy(l, 0xAAAAAAAAAAAAAAAA, false) },
+		"evenodd0":         func([]int) nvm.Policy { return nvm.EvenOddPolicy(0) },
+		"evenodd1":         func([]int) nvm.Policy { return nvm.EvenOddPolicy(1) },
 	}
-	for _, n := range nodes {
-		h.FreeNode(n)
-	}
-	f.mgr.Advance() // splice limbo
-	// Every node must come back exactly once.
-	back := map[uint64]int{}
-	for {
-		n := h.AllocNode()
-		if n == 0 {
-			break
-		}
-		back[n]++
-	}
-	for _, n := range nodes {
-		if back[n] != 1 {
-			t.Fatalf("node %d came back %d times", n, back[n])
+	for c := 0; c < totalClasses; c++ {
+		size := classSize(c)
+		for name, policy := range policies {
+			f := newFixture(t, 1)
+			fill := func(obj uint64) {
+				for w := uint64(0); w < size-headerWords; w++ {
+					f.arena.Store(obj+w, ^uint64(0)) // worst-case garbage
+				}
+			}
+			objs := make([]uint64, 12)
+			for i := range objs {
+				objs[i] = f.allocClass(0, c)
+				fill(objs[i])
+			}
+			for _, obj := range objs[:8] {
+				f.freeClass(0, c, obj)
+			}
+			f.mgr.Advance() // commit: objs[:8] spliced onto the free list
+			for i := 0; i < 4; i++ {
+				fill(f.allocClass(0, c))
+			}
+			var lines []int // the headers the doomed epoch reads or writes
+			for _, obj := range objs {
+				lines = append(lines, int(header(c, obj)/nvm.WordsPerLine))
+			}
+			for _, obj := range objs[8:] {
+				f.freeClass(0, c, obj)
+			}
+			f.arena.Crash(policy(lines))
+			f = f.rebuild()
+
+			carved := (f.arena.Load(f.al.wildOff+wBump) - f.al.heapOff) / size
+			owner := map[uint64]string{}
+			for what, list := range map[string][]uint64{
+				"live":  objs[8:],
+				"free":  f.al.list(0, c, chHead),
+				"limbo": f.al.list(0, c, chLimbo),
+			} {
+				for _, obj := range list {
+					if (obj-f.al.heapOff)%size != 0 || (obj-f.al.heapOff)/size >= carved {
+						t.Fatalf("class %d, %s: %s object %d is not a carved object", c, name, what, obj)
+					}
+					if prev, ok := owner[obj]; ok {
+						t.Fatalf("class %d, %s: object %d is both %s and %s", c, name, obj, prev, what)
+					}
+					owner[obj] = what
+				}
+			}
+			if uint64(len(owner)) != carved {
+				t.Fatalf("class %d, %s: %d objects accounted for, %d carved", c, name, len(owner), carved)
+			}
 		}
 	}
 }
@@ -478,14 +512,6 @@ func (al *Allocator) forgetTails() {
 	}
 }
 
-func (f *fixture) freeList(s, c int) []uint64 {
-	var objs []uint64
-	for obj := f.arena.Load(f.al.classOff(s, c) + chHead); obj != 0; obj = f.al.loadNext(obj) {
-		objs = append(objs, obj)
-	}
-	return objs
-}
-
 func (f *fixture) allocClass(s, c int) uint64 {
 	if c == nodeClass {
 		return f.al.Handle(s).AllocNode()
@@ -515,7 +541,7 @@ func sameFreeLists(t *testing.T, when string, fast, ref *fixture, want func(k cl
 			if n := fast.al.LimboLen(s, c) + ref.al.LimboLen(s, c); n != 0 {
 				t.Fatalf("%s: shard %d class %d: %d blocks left in limbo", when, s, c, n)
 			}
-			got, refList := fast.freeList(s, c), ref.freeList(s, c)
+			got, refList := fast.al.list(s, c, chHead), ref.al.list(s, c, chHead)
 			if want := want(classKey{s, c}); len(got) != want {
 				t.Fatalf("%s: shard %d class %d: %d free blocks, want %d", when, s, c, len(got), want)
 			}

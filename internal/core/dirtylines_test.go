@@ -213,3 +213,106 @@ func TestPropertyVersionSlotsInjective(t *testing.T) {
 		}
 	}
 }
+
+// MaxValueBytes fits a heap value word's length field, bits 31..43 of the
+// 44 the ValInCLL captures: otherwise this constant is negative and the
+// package does not compile.
+const _ uint64 = valInCLLMask>>vwLenShift - MaxValueBytes
+
+// valueBlockSizes are the byte lengths the value-block tests store: around
+// the inline bound, one line, four lines (churn_bytes' 256) and the largest.
+var valueBlockSizes = []int{6, 8, 9, 64, 65, 248, 256, 257, 300, MaxValueBytes}
+
+// heapDirty crashes s's arena, persisting nothing, and returns its dirty
+// heap lines outside the leaf at leafOff, sorted.
+func heapDirty(s *Store, leafOff uint64) []int {
+	heapLine := int(s.versions.heapOff / nvm.WordsPerLine)
+	leafLine := int(leafOff / nvm.WordsPerLine)
+	var dirty []int
+	s.Arena().Crash(nvm.PolicyFunc(func(line int) bool {
+		if line >= heapLine && (line < leafLine || line >= leafLine+NodeWords/nvm.WordsPerLine) {
+			dirty = append(dirty, line)
+		}
+		return false
+	}))
+	slices.Sort(dirty)
+	return dirty
+}
+
+// lineSpan returns the lines of the words [off, off+words).
+func lineSpan(off, words uint64) []int {
+	var lines []int
+	for l := off / nvm.WordsPerLine; l <= (off+words-1)/nvm.WordsPerLine; l++ {
+		lines = append(lines, int(l))
+	}
+	return lines
+}
+
+// valueBlock returns the heap block behind k's value word.
+func valueBlock(t *testing.T, h Handle, k []byte) (off uint64, n int) {
+	t.Helper()
+	vw, ok := h.layerGet(h.rootCell0(), k, nil)
+	if !ok || vwIsInline(vw) {
+		t.Fatalf("key %x: value word %#x is not a heap block", k, vw)
+	}
+	return vwBlock(vw)
+}
+
+// A fresh n-byte value dirties the lines its bytes fill and no other heap
+// line: the block's payload starts at the object's base and neither a
+// length word nor the allocator header is written. A 256-byte value is four
+// lines.
+func TestValueBlockDirtiesItsBytesLines(t *testing.T) {
+	for _, n := range valueBlockSizes {
+		_, s := newStore(t)
+		h := s.Handle(0)
+		s.PutBytes(EncodeUint64(0), patternValue(0, n)) // carves the class
+		s.Advance()
+		s.PutBytes(EncodeUint64(1), patternValue(1, n))
+		off, got := valueBlock(t, h, EncodeUint64(1))
+		if got != n {
+			t.Fatalf("%d bytes: the value word says %d", n, got)
+		}
+		dirty := heapDirty(s, h.rootCell0().root())
+		if want := lineSpan(off, blockWords(n)); !slices.Equal(dirty, want) || len(dirty) != (n+63)/64 {
+			t.Fatalf("%d bytes: heap lines %v dirty, want the block's %v (%d lines)", n, dirty, want, (n+63)/64)
+		}
+	}
+}
+
+// An overwrite in a later epoch frees the old block: that writes its
+// trailing header's line and none of its payload lines, which stay intact
+// for the ValInCLL's undo.
+func TestValueBlockOverwriteDirtiesOnlyTheOldHeader(t *testing.T) {
+	for _, n := range valueBlockSizes {
+		_, s := newStore(t)
+		h := s.Handle(0)
+		k := EncodeUint64(1)
+		s.PutBytes(k, patternValue(1, n))
+		s.Advance()
+		old, _ := valueBlock(t, h, k)
+		s.PutBytes(k, patternValue(2, n))
+		fresh, _ := valueBlock(t, h, k)
+		hdr := old + alloc.ClassPayloadWords(alloc.ClassFor(blockWords(n)))
+		want := append(lineSpan(fresh, blockWords(n)), lineSpan(hdr, 2)...)
+		slices.Sort(want)
+		want = slices.Compact(want) // sub-line classes share lines
+		if dirty := heapDirty(s, h.rootCell0().root()); !slices.Equal(dirty, want) {
+			t.Fatalf("%d bytes: heap lines %v dirty, want the new block's and the old header's %v", n, dirty, want)
+		}
+	}
+}
+
+// A heap value word survives the ValInCLL's 44-bit capture at both ends of
+// the offset and length ranges, and its inline tag stays clear.
+func TestValueBlockWordRoundTrip(t *testing.T) {
+	for _, off := range []uint64{2, 1<<31 - 2} {
+		for _, n := range []int{6, 255, MaxValueBytes} {
+			w := valInCLLWord(packValInCLL(heapVW(off, n), 3, 7))
+			if gotOff, gotN := vwBlock(w); gotOff != off || gotN != n || vwIsInline(w) {
+				t.Fatalf("offset %d, %d bytes: captured word %#x decodes to offset %d, %d bytes, inline %v",
+					off, n, w, gotOff, gotN, vwIsInline(w))
+			}
+		}
+	}
+}

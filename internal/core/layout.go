@@ -120,10 +120,9 @@ func loggedBit(w uint64) bool { return w&epLogged != 0 }
 // bits 4..47: the protected value word's low 44 bits, verbatim
 // bits 48..63: low 16 bits of the epoch the InCLL was written in
 //
-// The captured field holds the tagged value word of value.go — an inline
-// value (≤44 bits by construction) or a heap/anchor pointer (arena offsets
-// are far below 2^44 words, asserted in Open) — so the capture round-trips
-// every legal value word exactly.
+// The captured field holds a tagged value word of value.go — inline bytes,
+// a heap block's offset and length (Open bounds the arena at 2^31 words) or
+// an anchor pointer — all ≤44 bits, so the capture round-trips exactly.
 
 const (
 	invalidIdx   = 0xF

@@ -51,8 +51,8 @@ func (n nodeRef) touch() {
 // node-sized span of the heap. Nothing durable ever reads a version word —
 // it is a lock plus the counters optimistic readers validate against — and
 // in the arena every locked write would dirty the node's line 0 for it.
-// Node payloads are NodeClassWords apart at least, so no two nodes share a
-// slot, and each Open allocates a fresh, zeroed table: a lock held at a
+// Nodes are NodeClassWords apart at least, so no two nodes share a slot,
+// and each Open allocates a fresh, zeroed table: a lock held at a
 // crash is gone by construction.
 type versionTable struct {
 	heapOff uint64
@@ -66,7 +66,7 @@ func newVersionTable(heapOff, heapWords uint64) versionTable {
 	}
 }
 
-// slot returns the version word of the node whose payload is at off.
+// slot returns the version word of the node at off.
 func (t *versionTable) slot(off uint64) *atomic.Uint64 {
 	return &t.words[(off-t.heapOff)/alloc.NodeClassWords]
 }

@@ -223,12 +223,7 @@ func (s *Store) InstrumentPhases(ph *obs.PhaseSet) {
 // arena that carries a previous execution's state.
 func Open(a *nvm.Arena, cfg Config) (*Store, epoch.Status) {
 	cfg.setDefaults()
-	if a.Size() >= 1<<44 {
-		// The ValInCLL captures value words in 44 bits (see layout.go);
-		// a 128 TiB simulated arena is far beyond anything this process
-		// could host anyway.
-		panic("core: arena exceeds the 2^44-word value-word address space")
-	}
+	checkArenaSize(a.Size())
 	eOff := a.Reserve(epoch.HeaderWords)
 	hdr := a.Reserve(nvm.WordsPerLine)
 	metaOff := a.Reserve(alloc.MetaWords(cfg.Workers))

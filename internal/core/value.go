@@ -12,12 +12,12 @@ import (
 //   - bit 0 = 1: an inline value. Bits 1..3 carry the byte length (0..5)
 //     and bits 4..43 carry the bytes themselves, so the whole value lives
 //     in the leaf and Get never leaves the node's cache lines.
-//   - bit 0 = 0: the arena offset of a heap value block — a size-classed
-//     allocation whose first payload word is the byte length, followed by
-//     the bytes packed eight per word.
+//   - bit 0 = 0: a heap value block. Bits 0..30 carry its arena offset
+//     (even, so bit 0 is clear) and bits 31..43 its byte length; the
+//     size-classed block holds the bytes packed eight per word.
 //
 // Both forms fit the ValInCLL's 44-bit capture field (inline words by
-// construction, pointers because arena offsets are far below 2^44 words),
+// construction, heap words because Open bounds the arena at 2^31 words),
 // so an overwrite is always an out-of-place write plus a single-word value
 // swap that the existing InCLL/extlog undo machinery covers — no new fence
 // points. Crash-atomicity of the heap block itself follows from epoch-based
@@ -36,8 +36,8 @@ import (
 // capture budget.
 const MaxInlineBytes = 5
 
-// MaxValueBytes is the largest value PutBytes accepts: the payload of the
-// largest allocator size class minus the block's length word.
+// MaxValueBytes is the largest value PutBytes accepts. It fits the largest
+// allocator size class and the heap value word's 13-bit length field.
 const MaxValueBytes = 8168
 
 // MaxKeyBytes is the largest key the validated API paths accept. The tree
@@ -71,9 +71,17 @@ func ValidateKV(k, v []byte) error {
 }
 
 const (
-	vwInlineTag  = 1 // bit 0 of an inline value word
-	vwInlineData = 4 // bit offset of the first inline byte
+	vwInlineTag  = 1  // bit 0 of an inline value word
+	vwInlineData = 4  // bit offset of the first inline byte
+	vwLenShift   = 31 // first bit of a heap word's length; its offset is below
 )
+
+// checkArenaSize panics, for Open, on an arena with an offset of 2^31 or more.
+func checkArenaSize(words uint64) {
+	if words > 1<<vwLenShift {
+		panic("core: arena exceeds the 2^31-word value-word address space")
+	}
+}
 
 // vwIsInline reports whether a value word is an inline value (as opposed
 // to a heap-block or layer-anchor pointer).
@@ -90,9 +98,13 @@ func inlineVW(b []byte) uint64 {
 	return w
 }
 
-// blockWords returns the payload words a heap block for n value bytes
-// occupies: one length word plus the packed bytes.
-func blockWords(n uint64) uint64 { return 1 + (n+7)/8 }
+// blockWords returns the payload words of a heap block of n bytes.
+func blockWords(n int) uint64 { return uint64(n+7) / 8 }
+
+// heapVW packs a heap block's offset and byte length into a value word;
+// vwBlock unpacks them.
+func heapVW(off uint64, n int) uint64      { return off | uint64(n)<<vwLenShift }
+func vwBlock(w uint64) (off uint64, n int) { return w & (1<<vwLenShift - 1), int(w >> vwLenShift) }
 
 // newValueWord renders v as a value word: inline when it fits, otherwise
 // an out-of-place heap block (written before the word is published).
@@ -103,15 +115,13 @@ func (h Handle) newValueWord(v []byte) uint64 {
 	if len(v) > MaxValueBytes {
 		panic("core: value exceeds MaxValueBytes")
 	}
-	off := h.ah.Alloc(blockWords(uint64(len(v))))
+	off := h.ah.Alloc(blockWords(len(v)))
 	if off == 0 {
 		panic("core: durable heap exhausted (increase Config.HeapWords)")
 	}
 	h.s.stats.ValueHeapBytes.Add(h.w, int64(len(v)))
-	a := h.s.arena
-	a.Store(off, uint64(len(v)))
-	a.StoreBytes(off+1, v) // private until the caller publishes off
-	return off
+	h.s.arena.StoreBytes(off, v) // private until the caller publishes the word
+	return heapVW(off, len(v))
 }
 
 // freeValueWord returns a superseded value word's heap block to the limbo
@@ -121,8 +131,8 @@ func (h Handle) freeValueWord(vw uint64) {
 	if vwIsInline(vw) {
 		return
 	}
-	n := h.s.arena.Load(vw)
-	h.ah.Free(vw, blockWords(n))
+	off, n := vwBlock(vw)
+	h.ah.Free(off, blockWords(n))
 }
 
 // appendInlineValue appends an inline value word's bytes to dst. Unlike
@@ -143,8 +153,8 @@ func (h Handle) appendValue(dst []byte, vw uint64) []byte {
 	if vwIsInline(vw) {
 		return appendInlineValue(dst, vw)
 	}
-	a := h.s.arena
-	return a.AppendBytes(dst, vw+1, int(a.Load(vw)))
+	off, n := vwBlock(vw)
+	return h.s.arena.AppendBytes(dst, off, n)
 }
 
 // vwUint64 decodes a value word as the uint64 API sees it: the big-endian
@@ -158,14 +168,10 @@ func (h Handle) vwUint64(vw uint64) uint64 {
 		}
 		return v
 	}
-	a := h.s.arena
-	n := int(a.Load(vw))
-	if n > 8 {
-		n = 8
-	}
-	word := a.Load(vw + 1)
+	off, n := vwBlock(vw)
+	word := h.s.arena.Load(off)
 	var v uint64
-	for i := 0; i < n; i++ {
+	for i := 0; i < min(n, 8); i++ {
 		v = v<<8 | word>>(8*uint(i))&0xFF
 	}
 	return v

@@ -329,3 +329,20 @@ func TestValueHeapConcurrentReaders(t *testing.T) {
 		}
 	}
 }
+
+// Open refuses an arena with an offset that a heap value word cannot hold.
+// The bound is 2^31 words (16 GiB), so it is checked on the size alone: no
+// test builds an arena of that size.
+func TestValueBlockArenaBound(t *testing.T) {
+	const bound = 1 << 31
+	checkArenaSize(bound) // the last offset, 2^31 - 2, fits
+	if off, _ := vwBlock(heapVW(bound-2, MaxValueBytes)); off != bound-2 {
+		t.Fatalf("the last even offset of a 2^31-word arena decodes to %d", off)
+	}
+	defer func() {
+		if recover() == nil {
+			t.Fatal("a 2^31 + 8-word arena was accepted")
+		}
+	}()
+	checkArenaSize(bound + nvm.WordsPerLine)
+}

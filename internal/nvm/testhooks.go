@@ -29,7 +29,7 @@ func (a *Arena) LoadPersisted(off uint64) uint64 {
 // EvenOddPolicy persists exactly the even-numbered (phase 0) or
 // odd-numbered (phase 1) lines — a cheap adversary that tears every
 // multi-line object in half. alloc's TestCrashedLimboSplicesByWalk and
-// core's TestCrashManyPoliciesAndSeeds, TestAdversarialPersistOnlyValueLine
+// TestHeaderSurvivesPayloadWrites and core's TestCrashManyPoliciesAndSeeds, TestAdversarialPersistOnlyValueLine
 // and TestLargeValueCrashAtEveryOp crash with it.
 func EvenOddPolicy(phase int) Policy {
 	return PolicyFunc(func(line int) bool { return line%2 == phase&1 })
@@ -40,7 +40,8 @@ func EvenOddPolicy(phase int) Policy {
 // verdict rest. Stepping mask from 0 to 1<<len(lines)-1 enumerates every
 // crash outcome of a small protocol step instead of sampling them, as
 // core's TestEnumerate* tests and txn's TestEnumerateOneFenceRecordSubsets
-// and TestEnumerateTransferRecordSubsets do.
+// and TestEnumerateTransferRecordSubsets do; alloc's
+// TestHeaderSurvivesPayloadWrites persists fixed subsets of header lines.
 func SubsetPolicy(lines []int, mask uint64, rest bool) Policy {
 	return PolicyFunc(func(line int) bool {
 		for i, l := range lines {
