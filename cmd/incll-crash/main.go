@@ -36,6 +36,7 @@ func main() {
 	ops := flag.Int("ops", 800, "operations per worker per epoch")
 	persist := flag.Float64("persist", 0.5, "probability a dirty line survives each crash (0 = none survives)")
 	valueBytes := flag.Int("valuebytes", 0, "store random byte values up to this size (0 = uint64 values); exercises the value heap")
+	evict := flag.Int("evict", 0, "store campaign: dirty lines each shard's cache holds before background eviction persists one mid-epoch (0 = no eviction)")
 	repl := flag.Bool("repl", false, "run the replication campaign instead: crash the primary at every snapshot/stream protocol point under concurrent load")
 	replicaShards := flag.Int("replicashards", 0, "replication campaign: the follower's shard count (0 = same as -shards)")
 	reshard := flag.Bool("reshard", false, "run the resharding campaign instead: abort an online reshard at every protocol point under concurrent load, crash, and verify atomic cutover with zero lost or duplicated keys")
@@ -90,6 +91,7 @@ func main() {
 		OpsPerEpoch:     *ops,
 		PersistFraction: *persist,
 		ValueBytes:      *valueBytes,
+		DirtyCapacity:   *evict,
 	}
 	for seed := int64(0); seed < int64(*seeds); seed++ {
 		n, err := crashtest.Run(cfg, seed)

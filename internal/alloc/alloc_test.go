@@ -1,13 +1,14 @@
 package alloc
 
 import (
+	"cmp"
 	"fmt"
+	"maps"
 	"math/rand"
 	"slices"
 	"testing"
 	"testing/quick"
 	"time"
-	"unsafe"
 
 	"incll/internal/epoch"
 	"incll/internal/nvm"
@@ -22,16 +23,17 @@ type fixture struct {
 	heap  uint64
 }
 
-const testHeapWords = 1 << 16
+const testHeapWords = 1 << 17
 
 func build(a *nvm.Arena, shards int) *fixture {
 	// Deterministic layout: epoch header, then alloc meta, then heap.
 	// The same Reserve sequence re-derives it after a crash.
+	heapWords := min(testHeapWords, a.Size()/2)
 	eOff := a.Reserve(epoch.HeaderWords)
 	meta := a.Reserve(MetaWords(shards))
-	heap := a.Reserve(testHeapWords)
+	heap := a.Reserve(heapWords)
 	mgr, _ := epoch.Open(a, eOff)
-	al := New(a, mgr, meta, heap, testHeapWords, shards)
+	al := New(a, mgr, meta, heap, heapWords, shards)
 	return &fixture{arena: a, mgr: mgr, al: al, meta: meta, heap: heap}
 }
 
@@ -71,11 +73,14 @@ func TestClassFor(t *testing.T) {
 		payload uint64
 		class   int
 	}{
-		{1, 0}, {2, 0}, {3, 1}, {6, 1}, {7, 2}, {14, 2}, {30, 3},
+		{1, 0}, {4, 0}, {5, 1}, {8, 1}, {9, 2}, {16, 2}, {17, 3},
 		// 32 payload words is a 256-byte value and 38 a 300-byte one: the
-		// 40-word class, not the 64-word one.
-		{31, 4}, {32, 4}, {38, 4}, {39, 5}, {46, 5}, {47, 6}, {62, 6}, {126, 7},
-		{127, 8}, {190, 8}, {254, 9}, {382, 10}, {1000, 13}, {1022, 13}, {1023, -1},
+		// 32- and 40-word classes. Objects carry no header.
+		{32, 3}, {33, 4}, {38, 4}, {40, 4}, {41, 5}, {48, 5}, {49, 6}, {64, 6}, {128, 7},
+		{129, 8}, {192, 8}, {256, 9}, {384, 10}, {1000, 13}, {1024, 13}, {1025, -1},
+	}
+	if classWords[nodeClass] != NodeClassWords {
+		t.Fatalf("the node class holds %d-word objects, nodes are %d words", classWords[nodeClass], NodeClassWords)
 	}
 	for _, c := range cases {
 		if got := ClassFor(c.payload); got != c.class {
@@ -281,95 +286,50 @@ func TestShardsAreIndependent(t *testing.T) {
 	}
 }
 
-func TestHeaderPackingRoundTrip(t *testing.T) {
-	f := func(ptr uint64, ctr uint64, e uint64) bool {
-		ptr = ptr & (1<<44 - 1) << 1 // 2-word aligned, 45-bit range
-		w := packHeader(ptr, ctr, e)
-		return headerPtr(w) == ptr && headerCounter(w) == ctr&3 && headerEpoch16(w) == e&0xFFFF
-	}
-	if err := quick.Check(f, nil); err != nil {
-		t.Fatal(err)
-	}
-}
-
-func TestReconstructEpochCounterMismatch(t *testing.T) {
-	f := newFixture(t, 1)
-	// Advance so that epoch 5 is in the past.
-	for f.mgr.Current() < 6 {
-		f.mgr.Advance()
-	}
-	next := packHeader(16, 1, 0x0005)
-	inCLL := packHeader(32, 2, 0x0000) // different counter: torn
-	if _, ok := f.al.reconstructEpoch(next, inCLL); ok {
-		t.Fatal("mismatched counters must be reported as torn")
-	}
-	inCLL2 := packHeader(32, 1, 0x0000)
-	e, ok := f.al.reconstructEpoch(next, inCLL2)
-	if !ok || e != 5 {
-		t.Fatalf("reconstructed epoch = %d/%v, want 5/true", e, ok)
-	}
-	// A header claiming a future epoch is garbage and must read as torn.
-	future := packHeader(16, 1, 0x7FFF)
-	if _, ok := f.al.reconstructEpoch(future, inCLL2); ok {
-		t.Fatal("future epoch must be reported as torn")
-	}
-}
-
-func TestTornHeaderRecoversFromInCLL(t *testing.T) {
-	f := newFixture(t, 1)
-	h := f.al.Handle(0)
-	obj := h.Alloc(2)
-	hdr := obj + classWords[0] - headerWords // the header trails the payload
-	// Manufacture a torn header: next has a bumped counter, inCLL is old.
-	inCLL := f.arena.Load(hdr + 1)
-	f.arena.Store(hdr, packHeader(12345*2, headerCounter(inCLL)+1, 0))
-	if got := f.al.loadNext(0, obj); got != headerPtr(inCLL) {
-		t.Fatalf("torn header recovered to %d, want inCLL ptr %d", got, headerPtr(inCLL))
-	}
-}
-
 // Property: alternating churn with boundaries and crashes never loses or
-// duplicates objects: free-list + limbo + live set always partitions the
-// carved heap.
+// duplicates objects: free sets + limbo + offset pages + the live set
+// always tile the carved heap.
 func TestPropertyNoLeakNoDup(t *testing.T) {
-	fprop := func(seed int64) bool {
+	for seed := int64(0); seed < 10; seed++ {
 		f := newFixture(t, 1)
 		h := f.al.Handle(0)
 		rng := rand.New(rand.NewSource(seed))
-		live := map[uint64]bool{}
+		live := map[uint64]int{}
 		for step := 0; step < 300; step++ {
 			switch rng.Intn(10) {
 			case 0:
 				f.mgr.Advance()
 			case 1, 2, 3:
-				if len(live) > 0 {
-					for p := range live {
-						h.Free(p, 2)
-						delete(live, p)
-						break
-					}
+				for p := range live {
+					h.Free(p, 2)
+					delete(live, p)
+					break
 				}
 			default:
 				p := h.Alloc(2)
-				if p == 0 {
-					continue
+				if _, ok := live[p]; ok {
+					t.Fatalf("seed %d: object %d allocated twice", seed, p)
 				}
-				if live[p] {
-					return false // double allocation
-				}
-				live[p] = true
+				live[p] = 0
 			}
 		}
-		// Account: every object carved from the wilderness is either
-		// live, allocatable, or in limbo.
-		carved := (f.arena.Load(f.al.wildOff+wBump) - f.al.heapOff) / classWords[0]
-		total := uint64(len(live)) + uint64(f.al.FreeListLen(0, 0)) + uint64(f.al.LimboLen(0, 0))
-		return carved == total
+		f.checkTiling(t, fmt.Sprintf("seed %d", seed), live)
 	}
-	for seed := int64(0); seed < 10; seed++ {
-		if !fprop(seed) {
-			t.Fatalf("object accounting broken for seed %d", seed)
-		}
+}
+
+// Stack and run words round-trip their fields: a page below 2^31 words, a
+// count up to seven and, in the limbo word, a line-aligned bottom page.
+func TestStackWordRoundTrip(t *testing.T) {
+	f := func(page, tail uint64, n uint8) bool {
+		page &= 1<<31 - 1
+		tail &= (1<<31 - 1) &^ pageSlots
+		count := uint64(n) % (pageSlots + 1)
+		w := page | (tail|count)<<32
+		return stackPage(w) == page && stackCount(w) == count && limboTail(w) == tail &&
+			stackTop(w) == page|count<<32 && stackPage(stackTop(w)) == page
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
 	}
 }
 
@@ -395,24 +355,23 @@ func TestAllocNodeIsLineAlignedAndDisjoint(t *testing.T) {
 	}
 }
 
+// Payload writes cannot reach the free sets: objects carry no header, so an
+// object whose every word is ^0 is freed and spliced, a doomed epoch reuses
+// some (filling them again) and frees others, and a crash under any persist
+// subset of the objects' lines leaves the free sets, limbo and the
+// committed live objects a tiling of the carved heap.
 func TestHeaderSurvivesPayloadWrites(t *testing.T) {
-	// Every class keeps its free-list header in its last two words, clear
-	// of the payload: objects whose every payload word is ^0 are freed and
-	// spliced, a doomed epoch reuses some (filling them again) and frees
-	// others, and a crash under any persist subset leaves the free and limbo
-	// lists and the committed live objects a partition of the carved heap.
 	policies := map[string]func(lines []int) nvm.Policy{
 		"subset-even-rest": func(l []int) nvm.Policy { return nvm.SubsetPolicy(l, 0x5555555555555555, true) },
 		"subset-odd":       func(l []int) nvm.Policy { return nvm.SubsetPolicy(l, 0xAAAAAAAAAAAAAAAA, false) },
 		"evenodd0":         func([]int) nvm.Policy { return nvm.EvenOddPolicy(0) },
 		"evenodd1":         func([]int) nvm.Policy { return nvm.EvenOddPolicy(1) },
 	}
-	for c := 0; c < totalClasses; c++ {
-		size := classSize(c)
+	for c, size := range classWords {
 		for name, policy := range policies {
 			f := newFixture(t, 1)
 			fill := func(obj uint64) {
-				for w := uint64(0); w < size-headerWords; w++ {
+				for w := uint64(0); w < size; w++ {
 					f.arena.Store(obj+w, ^uint64(0)) // worst-case garbage
 				}
 			}
@@ -424,40 +383,20 @@ func TestHeaderSurvivesPayloadWrites(t *testing.T) {
 			for _, obj := range objs[:8] {
 				f.freeClass(0, c, obj)
 			}
-			f.mgr.Advance() // commit: objs[:8] spliced onto the free list
+			f.mgr.Advance() // commit: objs[:8] spliced onto the free stack
 			for i := 0; i < 4; i++ {
 				fill(f.allocClass(0, c))
 			}
-			var lines []int // the headers the doomed epoch reads or writes
+			var lines []int // the objects the doomed epoch writes or frees
 			for _, obj := range objs {
-				lines = append(lines, int(header(c, obj)/nvm.WordsPerLine))
+				lines = append(lines, lineSpan(obj, size)...)
 			}
 			for _, obj := range objs[8:] {
 				f.freeClass(0, c, obj)
 			}
 			f.arena.Crash(policy(lines))
 			f = f.rebuild()
-
-			carved := (f.arena.Load(f.al.wildOff+wBump) - f.al.heapOff) / size
-			owner := map[uint64]string{}
-			for what, list := range map[string][]uint64{
-				"live":  objs[8:],
-				"free":  f.al.list(0, c, chHead),
-				"limbo": f.al.list(0, c, chLimbo),
-			} {
-				for _, obj := range list {
-					if (obj-f.al.heapOff)%size != 0 || (obj-f.al.heapOff)/size >= carved {
-						t.Fatalf("class %d, %s: %s object %d is not a carved object", c, name, what, obj)
-					}
-					if prev, ok := owner[obj]; ok {
-						t.Fatalf("class %d, %s: object %d is both %s and %s", c, name, obj, prev, what)
-					}
-					owner[obj] = what
-				}
-			}
-			if uint64(len(owner)) != carved {
-				t.Fatalf("class %d, %s: %d objects accounted for, %d carved", c, name, len(owner), carved)
-			}
+			f.checkTiling(t, fmt.Sprintf("class %d, %s", c, name), liveOf(c, objs[8:]))
 		}
 	}
 }
@@ -492,25 +431,7 @@ func TestNodeAllocCrashRollback(t *testing.T) {
 	}
 }
 
-// ---- the boundary splice: recorded tail vs the walk ----
-
-// Handles sit side by side in Allocator.shards and each worker writes its
-// own tails on every first free of an epoch: a handle must fill whole
-// cache lines or neighbours false-share.
-func TestHandleFillsWholeCacheLines(t *testing.T) {
-	if sz := unsafe.Sizeof(Handle{}); sz%nvm.LineBytes != 0 {
-		t.Fatalf("Handle is %d bytes, not a multiple of the %d-byte cache line: fix its padding", sz, nvm.LineBytes)
-	}
-}
-
-// forgetTails makes the next splice find every limbo tail by walking, as
-// every splice did before tails were recorded: the reference the O(1)
-// splice is compared with.
-func (al *Allocator) forgetTails() {
-	for s := range al.shards {
-		al.shards[s].tails = [totalClasses]uint64{}
-	}
-}
+// ---- offset pages: the tiling invariant, splices, cuts and lines ----
 
 func (f *fixture) allocClass(s, c int) uint64 {
 	if c == nodeClass {
@@ -527,64 +448,114 @@ func (f *fixture) freeClass(s, c int, p uint64) {
 	f.al.Handle(s).Free(p, ClassPayloadWords(c))
 }
 
-var spliceTestClasses = []int{0, 3, 4, 5, 7, nodeClass} // 4, 32, 40, 48, 128 words and the node class
+// liveOf maps each of objs to class c.
+func liveOf(c int, objs []uint64) map[uint64]int {
+	live := map[uint64]int{}
+	for _, obj := range objs {
+		live[obj] = c
+	}
+	return live
+}
 
-// classKey names one (shard, class) pair of free and limbo lists.
-type classKey struct{ s, c int }
+// lineSpan returns the lines of the words [off, off+words).
+func lineSpan(off, words uint64) []int {
+	var lines []int
+	for l := off / nvm.WordsPerLine; l <= (off+words-1)/nvm.WordsPerLine; l++ {
+		lines = append(lines, int(l))
+	}
+	return lines
+}
 
-// sameFreeLists fails the test unless both fixtures hold the same free
-// lists, block for block, empty limbo lists, and want(k) free blocks.
-func sameFreeLists(t *testing.T, when string, fast, ref *fixture, want func(k classKey) int) {
+// checkTiling fails the test unless the objects every (shard, class) holds
+// — free (stack and carved run), in limbo, or as offset pages — and live
+// (object → class) tile the carved heap exactly: no object is lost and
+// none is held twice.
+func (f *fixture) checkTiling(t testing.TB, when string, live map[uint64]int) {
 	t.Helper()
-	for s := 0; s < fast.al.Shards(); s++ {
-		for _, c := range spliceTestClasses {
-			if n := fast.al.LimboLen(s, c) + ref.al.LimboLen(s, c); n != 0 {
-				t.Fatalf("%s: shard %d class %d: %d blocks left in limbo", when, s, c, n)
-			}
-			got, refList := fast.al.list(s, c, chHead), ref.al.list(s, c, chHead)
-			if want := want(classKey{s, c}); len(got) != want {
-				t.Fatalf("%s: shard %d class %d: %d free blocks, want %d", when, s, c, len(got), want)
-			}
-			if !slices.Equal(got, refList) {
-				t.Fatalf("%s: shard %d class %d: free list %v, walking reference %v", when, s, c, got, refList)
-			}
+	type span struct {
+		off  uint64
+		c    int
+		what string
+	}
+	var spans []span
+	add := func(what string, c int, objs []uint64) {
+		for _, obj := range objs {
+			spans = append(spans, span{obj, c, what})
 		}
+	}
+	for s := 0; s < f.al.Shards(); s++ {
+		for c := range classWords {
+			add("free", c, f.al.free(s, c))
+			add("limbo", c, f.al.limboObjs(s, c))
+			add("page", pageClass, f.al.pages(s, c))
+		}
+	}
+	for obj, c := range live {
+		add("live", c, []uint64{obj})
+	}
+	slices.SortFunc(spans, func(a, b span) int { return cmp.Compare(a.off, b.off) })
+	end, prev := f.al.heapOff, span{what: "the heap's start"}
+	for _, sp := range spans {
+		if sp.off < end {
+			t.Fatalf("%s: %s class-%d object %d overlaps %s object %d", when, sp.what, sp.c, sp.off, prev.what, prev.off)
+		}
+		if sp.off > end {
+			t.Fatalf("%s: words %d..%d, after %s object %d, are held by nobody", when, end, sp.off, prev.what, prev.off)
+		}
+		end, prev = sp.off+classWords[sp.c], sp
+	}
+	if bump := f.arena.Load(f.al.wildOff + wBump); end != bump {
+		t.Fatalf("%s: objects tile the heap to %d, the wilderness starts at %d", when, end, bump)
 	}
 }
 
-// Randomized multi-epoch churn over two handles and several classes: after
-// every boundary the spliced free lists equal, block for block, those of a
-// twin allocator that walks to every tail, limbo is empty, and free + live
-// blocks account for everything carved.
+var spliceTestClasses = []int{0, pageClass, 3, nodeClass, 5, 7} // 4, 8, 32, 40 (nodes), 48 and 128 words
+
+// classKey names one (shard, class) pair of stacks.
+type classKey struct{ s, c int }
+
+// Randomized multi-epoch churn over two handles and several classes, the
+// page class among them: before every boundary each limbo's links lead
+// from its top page down to the bottom page its word records, and after
+// every boundary limbo is empty and free + live tile everything carved.
 func TestSpliceTailMatchesWalk(t *testing.T) {
 	for seed := int64(0); seed < 5; seed++ {
-		fast, ref := newFixture(t, 2), newFixture(t, 2)
+		f := newFixture(t, 2)
 		rng := rand.New(rand.NewSource(seed))
-		live, carved := map[classKey][]uint64{}, map[classKey]int{}
+		live := map[classKey][]uint64{}
 		boundaries := 0
 		for step := 0; step < 4000; step++ {
 			k := classKey{rng.Intn(2), spliceTestClasses[rng.Intn(len(spliceTestClasses))]}
 			switch r := rng.Intn(40); {
 			case r == 0:
-				ref.al.forgetTails()
-				fast.mgr.Advance()
-				ref.mgr.Advance()
+				for s := 0; s < 2; s++ {
+					for _, c := range spliceTestClasses {
+						limbo := f.arena.Load(f.al.classOff(s, c) + chLimbo)
+						_, pages := f.al.stack(limbo, 0)
+						if limbo != 0 && pages[len(pages)-1] != limboTail(limbo) {
+							t.Fatalf("seed %d step %d: shard %d class %d: limbo walks to page %d, its word records %d",
+								seed, step, s, c, pages[len(pages)-1], limboTail(limbo))
+						}
+					}
+				}
+				f.mgr.Advance()
 				boundaries++
-				sameFreeLists(t, fmt.Sprintf("seed %d boundary %d", seed, boundaries), fast, ref,
-					func(k classKey) int { return carved[k] - len(live[k]) })
+				all := map[uint64]int{}
+				for k, objs := range live {
+					maps.Copy(all, liveOf(k.c, objs))
+					if n := f.al.LimboLen(k.s, k.c); n != 0 {
+						t.Fatalf("seed %d boundary %d: shard %d class %d: %d objects left in limbo", seed, boundaries, k.s, k.c, n)
+					}
+				}
+				f.checkTiling(t, fmt.Sprintf("seed %d boundary %d", seed, boundaries), all)
 			case r < 20 && len(live[k]) > 0:
 				i := rng.Intn(len(live[k]))
-				p := live[k][i]
-				live[k] = append(live[k][:i], live[k][i+1:]...)
-				fast.freeClass(k.s, k.c, p)
-				ref.freeClass(k.s, k.c, p)
+				f.freeClass(k.s, k.c, live[k][i])
+				live[k] = slices.Delete(live[k], i, i+1)
 			default:
-				if fast.al.FreeListLen(k.s, k.c) == 0 {
-					carved[k] += int(refillCount(classSize(k.c)))
-				}
-				p, q := fast.allocClass(k.s, k.c), ref.allocClass(k.s, k.c)
-				if p == 0 || p != q {
-					t.Fatalf("seed %d step %d: alloc gave %d, walking reference %d", seed, step, p, q)
+				p := f.allocClass(k.s, k.c)
+				if p == 0 {
+					t.Fatalf("seed %d step %d: heap exhausted", seed, step)
 				}
 				live[k] = append(live[k], p)
 			}
@@ -597,18 +568,12 @@ func TestSpliceTailMatchesWalk(t *testing.T) {
 
 // doomedSplice drives f through: 30 allocations and 10 frees per (shard,
 // class); a boundary; 10 more frees; a second boundary, whose splice runs
-// in the epoch that is about to fail; 5 doomed frees and a doomed
-// allocation. With walk set, every splice finds its tail by walking. It
-// returns, per (shard, class), the blocks live as of the last commit and
-// the number carved.
-func doomedSplice(f *fixture, walk bool) (live map[classKey][]uint64, carved map[classKey]int) {
-	live, carved = map[classKey][]uint64{}, map[classKey]int{}
-	advance := func() {
-		if walk {
-			f.al.forgetTails()
-		}
-		f.mgr.Advance()
-	}
+// in the epoch that is about to fail and writes each limbo bottom page's
+// link; 5 doomed frees and 20 doomed allocations, which drain the spliced
+// pages and follow those links. It returns the objects live as of the last
+// commit.
+func doomedSplice(f *fixture) map[uint64]int {
+	live := map[classKey][]uint64{}
 	each := func(do func(k classKey)) {
 		for s := 0; s < f.al.Shards(); s++ {
 			for _, c := range spliceTestClasses {
@@ -626,56 +591,218 @@ func doomedSplice(f *fixture, walk bool) (live map[classKey][]uint64, carved map
 		for i := 0; i < 30; i++ {
 			live[k] = append(live[k], f.allocClass(k.s, k.c))
 		}
-		carved[k] = f.al.FreeListLen(k.s, k.c) + 30
 		free(k, 10)
 	})
-	advance()
+	f.mgr.Advance()
 	each(func(k classKey) { free(k, 10) })
-	advance()
+	f.mgr.Advance()
+	committed := map[uint64]int{}
+	for k, objs := range live {
+		maps.Copy(committed, liveOf(k.c, objs))
+	}
 	each(func(k classKey) {
-		committed := live[k]
 		free(k, 5)
-		f.allocClass(k.s, k.c)
-		live[k] = committed
+		for i := 0; i < 20; i++ {
+			f.allocClass(k.s, k.c)
+		}
 	})
-	return live, carved
+	return committed
 }
 
-// A crash forgets every recorded tail. The limbo that survives it — the
-// frees of the last committed epoch, whose splice the failed epoch undoes,
-// the tail's header still carrying that epoch's link into the free list —
-// is spliced by New's walk, header repair included, onto the same free
-// lists whether the run before the crash spliced by tail or by walk.
-func TestCrashedLimboSplicesByWalk(t *testing.T) {
+// A crash that fails a splice epoch rolls the splice back but not the link
+// it wrote into the limbo's bottom page. Recovery finds that page in the
+// limbo word, not by following links, and splices again: limbo is empty,
+// free + committed live tile the carved heap, and the recovered allocator
+// splices the next boundary's frees the same way.
+func TestCrashedSpliceRedoneFromLimboTail(t *testing.T) {
 	policies := map[string]func() nvm.Policy{
-		"all":     func() nvm.Policy { return nvm.PersistAll },
-		"none":    func() nvm.Policy { return nvm.PersistNone },
-		"evenodd": func() nvm.Policy { return nvm.EvenOddPolicy(0) },
-		"random1": func() nvm.Policy { return nvm.RandomPolicy(0.5, 1) },
-		"random2": func() nvm.Policy { return nvm.RandomPolicy(0.5, 2) },
+		"all":      func() nvm.Policy { return nvm.PersistAll },
+		"none":     func() nvm.Policy { return nvm.PersistNone },
+		"evenodd0": func() nvm.Policy { return nvm.EvenOddPolicy(0) },
+		"evenodd1": func() nvm.Policy { return nvm.EvenOddPolicy(1) },
+		"random1":  func() nvm.Policy { return nvm.RandomPolicy(0.5, 1) },
+		"random2":  func() nvm.Policy { return nvm.RandomPolicy(0.5, 2) },
 	}
 	for name, policy := range policies {
-		fast, ref := newFixture(t, 2), newFixture(t, 2)
-		live, carved := doomedSplice(fast, false)
-		doomedSplice(ref, true)
-		fast.arena.Crash(policy())
-		ref.arena.Crash(policy())
-		fast, ref = fast.rebuild(), ref.rebuild()
-		sameFreeLists(t, name+": after reopen", fast, ref,
-			func(k classKey) int { return carved[k] - len(live[k]) })
-
-		// The recovered allocator records tails again.
-		for k, ps := range live {
-			for _, p := range ps {
-				fast.freeClass(k.s, k.c, p)
-				ref.freeClass(k.s, k.c, p)
+		f := newFixture(t, 2)
+		live := doomedSplice(f)
+		f.arena.Crash(policy())
+		f = f.rebuild()
+		for s := 0; s < 2; s++ {
+			for _, c := range spliceTestClasses {
+				if n := f.al.LimboLen(s, c); n != 0 {
+					t.Fatalf("%s: shard %d class %d: %d objects left in limbo after reopen", name, s, c, n)
+				}
 			}
 		}
-		ref.al.forgetTails()
-		fast.mgr.Advance()
-		ref.mgr.Advance()
-		sameFreeLists(t, name+": after the next boundary", fast, ref,
-			func(k classKey) int { return carved[k] })
+		f.checkTiling(t, name+": after reopen", live)
+		for p, c := range live {
+			f.freeClass(0, c, p) // shard 0 takes back every object
+		}
+		f.mgr.Advance()
+		f.checkTiling(t, name+": after the next boundary", nil)
+	}
+}
+
+// A page's slots past its durable count hold whatever a failed epoch or an
+// earlier use left there. Planting live offsets in every such slot of the
+// free stack's top page and of the limbo's pages, then crashing with every
+// line persisted, must hand none of them out: recovery trusts the counts.
+func TestTornPageCountIgnoresSlotsPastIt(t *testing.T) {
+	for _, persist := range []nvm.Policy{nvm.PersistAll, nvm.PersistNone, nvm.EvenOddPolicy(0), nvm.EvenOddPolicy(1)} {
+		f := newFixture(t, 1)
+		const c = 3
+		var objs []uint64
+		for i := 0; i < 20; i++ {
+			objs = append(objs, f.allocClass(0, c))
+		}
+		for _, obj := range objs[:3] {
+			f.freeClass(0, c, obj)
+		}
+		f.mgr.Advance() // commit: a free page holding 3 offsets
+		live := liveOf(c, objs[3:])
+		for _, obj := range objs[3:5] { // doomed: a limbo page holding 2
+			f.freeClass(0, c, obj)
+		}
+		off := f.al.classOff(0, c)
+		for _, w := range []uint64{f.arena.Load(off + chFree), f.arena.Load(off + chLimbo)} {
+			for i := stackCount(w); i < pageSlots; i++ {
+				f.arena.Store(stackPage(w)+1+i, objs[5+i]) // a live object
+			}
+		}
+		f.arena.Crash(persist)
+		f = f.rebuild()
+		f.checkTiling(t, "after the crash", live)
+		for range 3 + 64 - 20 {
+			if obj := f.allocClass(0, c); live[obj] == c {
+				t.Fatalf("live object %d handed out from a slot past its page's count", obj)
+			}
+		}
+	}
+}
+
+// Seventy frees in one epoch dirty the class-head line, ⌈70/7⌉ offset
+// pages and the page class's head line: no line of a freed object.
+func TestSeventyFreesShareTheirPageLines(t *testing.T) {
+	f := newFixture(t, 1)
+	const frees, c = 70, 3
+	objs := make([]uint64, frees)
+	for i := range objs {
+		objs[i] = f.allocClass(0, c)
+	}
+	f.allocClass(0, pageClass) // carves the page class's run
+	f.mgr.Advance()
+	for _, obj := range objs {
+		f.freeClass(0, c, obj)
+	}
+	freed := map[int]bool{}
+	for _, obj := range objs {
+		for _, l := range lineSpan(obj, classWords[c]) {
+			freed[l] = true
+		}
+	}
+	head := int(f.al.classOff(0, c) / nvm.WordsPerLine)
+	var dirty []int
+	f.arena.Crash(nvm.PolicyFunc(func(line int) bool {
+		if line != head {
+			dirty = append(dirty, line)
+		}
+		if freed[line] {
+			t.Errorf("line %d of a freed object is dirty", line)
+		}
+		return false
+	}))
+	if want := (frees+pageSlots-1)/pageSlots + 1; len(dirty) > want {
+		t.Fatalf("%d frees dirtied %d lines besides the class head, want at most %d: %v", frees, len(dirty), want, dirty)
+	}
+}
+
+// cutRun builds, on an eviction arena that CutAfter can cut, a committed
+// state with a two-page free stack and a carved run, then runs the page
+// protocol cut after its k-th store (0: run to the end): in epoch E, eight
+// frees (appends and two new limbo pages) and three allocations (pops, one
+// draining a page into the page class's limbo); the boundary, whose
+// splice links each limbo's bottom page to its free stack; in the splice
+// epoch E+1, nine allocations that drain the spliced pages and follow the
+// links, and two frees. It returns the fixture, E, the objects live at E's
+// start and at its end, and whether the k-th store came.
+func cutRun(k int64) (f *fixture, e uint64, atStart, atEnd map[uint64]int, cut bool) {
+	f = build(nvm.New(nvm.Config{Words: 1 << 13, DirtyCapacity: 1 << 20}), 1)
+	const c = 3
+	var objs []uint64
+	for i := 0; i < 24; i++ {
+		objs = append(objs, f.allocClass(0, c))
+	}
+	for _, obj := range objs[:9] {
+		f.freeClass(0, c, obj)
+	}
+	f.mgr.Advance()
+	e = f.mgr.Current()
+	live := liveOf(c, objs[9:])
+	atStart = maps.Clone(live)
+	defer func() {
+		f.arena.CutAfter(0)
+		if r := recover(); r != nil {
+			if r != nvm.ErrCut {
+				panic(r)
+			}
+			cut = true
+		}
+	}()
+	f.arena.CutAfter(k)
+	for _, obj := range objs[9:17] {
+		f.freeClass(0, c, obj)
+		delete(live, obj)
+	}
+	for i := 0; i < 3; i++ {
+		live[f.allocClass(0, c)] = c
+	}
+	atEnd = maps.Clone(live)
+	f.mgr.Advance()
+	for i := 0; i < 9; i++ {
+		live[f.allocClass(0, c)] = c
+	}
+	f.freeClass(0, c, objs[17])
+	f.freeClass(0, c, objs[18])
+	return f, e, atStart, atEnd, false
+}
+
+// The offset-page protocol cut after every one of its stores, each cut
+// crossed with every subset of the lines dirty there and with both
+// even/odd phases: recovery leaves free + limbo + pages + the live objects
+// of the last committed epoch a tiling of the carved heap.
+func TestEnumeratePageCuts(t *testing.T) {
+	k := int64(1)
+	for ; ; k++ {
+		f, _, _, _, cut := cutRun(k)
+		if !cut {
+			break
+		}
+		var lines []int
+		f.arena.Crash(nvm.PolicyFunc(func(line int) bool {
+			lines = append(lines, line)
+			return false
+		}))
+		if len(lines) > 10 {
+			t.Fatalf("cut %d: %d dirty lines, more than the enumeration covers", k, len(lines))
+		}
+		policies := []nvm.Policy{nvm.EvenOddPolicy(0), nvm.EvenOddPolicy(1)}
+		for mask := uint64(0); mask < 1<<len(lines); mask++ {
+			policies = append(policies, nvm.SubsetPolicy(lines, mask, false))
+		}
+		for i, p := range policies {
+			f, e, atStart, atEnd, _ := cutRun(k)
+			f.arena.Crash(p)
+			f = f.rebuild()
+			live := atEnd
+			if f.mgr.IsFailed(e) {
+				live = atStart
+			}
+			f.checkTiling(t, fmt.Sprintf("cut after store %d, policy %d of lines %v", k, i, lines), live)
+		}
+	}
+	if k < 50 {
+		t.Fatalf("the protocol made only %d stores", k-1)
 	}
 }
 

@@ -1,20 +1,59 @@
 package alloc
 
+import "incll/internal/nvm"
+
 // Shards returns the number of shards.
 func (al *Allocator) Shards() int { return al.numShards }
 
-// list walks the shard s class-c list whose head is word which of the class
-// head line (chHead or chLimbo).
-func (al *Allocator) list(s, c int, which uint64) []uint64 {
-	var objs []uint64
-	for obj := al.arena.Load(al.classOff(s, c) + which); obj != 0; obj = al.loadNext(c, obj) {
-		objs = append(objs, obj)
+// stack walks the stack whose word is w down to the page stop (0: to the
+// end of the links) and returns the offsets it holds and its pages. A walk
+// longer than the heap has lines stops there: the links form a cycle.
+func (al *Allocator) stack(w, stop uint64) (objs, pages []uint64) {
+	for w != 0 && len(pages) <= int(al.heapEnd/nvm.WordsPerLine) {
+		page := stackPage(w)
+		pages = append(pages, page)
+		for i := uint64(1); i <= stackCount(w); i++ {
+			objs = append(objs, al.arena.Load(page+i))
+		}
+		if page == stop {
+			break
+		}
+		w = al.arena.Load(page + pageLink)
+	}
+	return objs, pages
+}
+
+// free returns shard s's class-c allocatable objects: the free stack's
+// offsets, then the carved run's objects.
+func (al *Allocator) free(s, c int) []uint64 {
+	off := al.classOff(s, c)
+	objs, _ := al.stack(al.arena.Load(off+chFree), 0)
+	run := al.arena.Load(off + chRun)
+	for i := uint64(0); i < run>>32; i++ {
+		objs = append(objs, stackPage(run)+i*classWords[c])
 	}
 	return objs
 }
 
-// FreeListLen walks shard s's class-c allocatable list.
-func (al *Allocator) FreeListLen(s, c int) int { return len(al.list(s, c, chHead)) }
+// limboObjs returns shard s's class-c limbo offsets, walking from the top
+// page to the bottom page the limbo word names.
+func (al *Allocator) limboObjs(s, c int) []uint64 {
+	limbo := al.arena.Load(al.classOff(s, c) + chLimbo)
+	objs, _ := al.stack(limbo, limboTail(limbo))
+	return objs
+}
 
-// LimboLen walks shard s's class-c limbo list.
-func (al *Allocator) LimboLen(s, c int) int { return len(al.list(s, c, chLimbo)) }
+// pages returns the offset pages shard s's class-c stacks occupy.
+func (al *Allocator) pages(s, c int) []uint64 {
+	off := al.classOff(s, c)
+	limbo := al.arena.Load(off + chLimbo)
+	_, free := al.stack(al.arena.Load(off+chFree), 0)
+	_, lim := al.stack(limbo, limboTail(limbo))
+	return append(free, lim...)
+}
+
+// FreeListLen counts shard s's class-c allocatable objects.
+func (al *Allocator) FreeListLen(s, c int) int { return len(al.free(s, c)) }
+
+// LimboLen counts shard s's class-c limbo offsets.
+func (al *Allocator) LimboLen(s, c int) int { return len(al.limboObjs(s, c)) }

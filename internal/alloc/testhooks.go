@@ -2,9 +2,8 @@ package alloc
 
 // Hooks for other packages' tests; production code never calls them.
 
-// ClassPayloadWords returns the payload capacity of class c, which is also
-// the offset of a class-c object's header. core's
+// ClassPayloadWords returns the payload capacity of class c: its whole
+// size, since objects carry no header. core's
 // TestPropertyVersionSlotsInjective sizes its values to fill a class
-// exactly, and TestValueBlockOverwriteDirtiesOnlyTheOldHeader finds a freed
-// block's header with it.
-func ClassPayloadWords(c int) uint64 { return classWords[c] - headerWords }
+// exactly.
+func ClassPayloadWords(c int) uint64 { return classWords[c] }

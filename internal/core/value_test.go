@@ -5,6 +5,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -259,8 +260,15 @@ func TestValueHeapNoLeakAcrossCrashRounds(t *testing.T) {
 // bytes name the key and round, the rest follow from them. Run it under
 // -race: a block read before its value word published it, or reused while
 // a guarded reader could still reach it, shows as a race or a torn value.
+//
+// Boundaries are paced by work as well as by the ticker: every
+// roundsPerEpoch rounds the writer waits for the next boundary. A round
+// frees eight 32-word blocks, and a block freed in one epoch is reused only
+// after the next boundary, so the rounds between two boundaries carve at
+// most about 2 × roundsPerEpoch × 256 words: 512 rounds keep that under a
+// quarter of the 2^20-word heap however far the ticker falls behind.
 func TestValueHeapConcurrentReaders(t *testing.T) {
-	const keys, minEpochs, minRounds = 8, 20, 200
+	const keys, minEpochs, minRounds, roundsPerEpoch = 8, 20, 200, 512
 	a := nvm.New(nvm.Config{Words: testArenaWords})
 	cfg := testConfig()
 	cfg.Workers = 3
@@ -308,6 +316,11 @@ func TestValueHeapConcurrentReaders(t *testing.T) {
 	for round < minRounds || s.Epochs().Current()-epoch0 < minEpochs {
 		if time.Now().After(deadline) {
 			break
+		}
+		if round%roundsPerEpoch == roundsPerEpoch-1 {
+			for e := s.Epochs().Current(); s.Epochs().Current() == e && time.Now().Before(deadline); {
+				runtime.Gosched()
+			}
 		}
 		round++
 		for k := uint64(0); k < keys; k++ {

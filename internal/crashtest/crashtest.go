@@ -20,6 +20,7 @@ import (
 
 	"incll/internal/core"
 	"incll/internal/epoch"
+	"incll/internal/nvm"
 	"incll/internal/obs"
 	"incll/internal/shard"
 )
@@ -50,6 +51,12 @@ type Config struct {
 	// up to this many bytes (exercising the value heap: inline values,
 	// out-of-place blocks, class churn). 0 stores small uint64 values.
 	ValueBytes int
+	// DirtyCapacity, when > 0, bounds the dirty lines each shard's cache
+	// holds (nvm.Config.DirtyCapacity): past it, background eviction
+	// persists a random dirty line mid-epoch with whatever it holds at
+	// that moment, as a real cache's replacement traffic does. 0 disables
+	// eviction.
+	DirtyCapacity int
 }
 
 func (c *Config) setDefaults() {
@@ -137,6 +144,7 @@ func run(cfg Config, seed int64, trace *obs.Tracer) error {
 		Shards:     cfg.Shards,
 		Workers:    cfg.Workers,
 		ArenaWords: cfg.ArenaWords / uint64(cfg.Shards),
+		NVM:        nvm.Config{DirtyCapacity: cfg.DirtyCapacity, Seed: seed},
 		Trace:      trace,
 	})
 	if info.Status != epoch.FreshStart {

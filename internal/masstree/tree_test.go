@@ -266,10 +266,12 @@ func TestAgainstReferenceModel(t *testing.T) {
 // TestMTPlusPoolVariant runs the tree as MT+ does: with epoch boundaries,
 // which flush nothing on the transient arena but splice the allocator's
 // limbo, so the heap values that overwrites free are reused and the heap
-// stops growing.
+// stops growing. It stops two boundaries after the first overwrites: the
+// offset pages that record the frees come from their own class, and a page
+// drained in an epoch is allocatable only after that epoch's boundary.
 func TestMTPlusPoolVariant(t *testing.T) {
 	tr := newTestTree()
-	const n, rounds = 5000, 6
+	const n, rounds, steady = 5000, 8, 3
 	heapVal := func(i, round int) uint64 { return uint64(round+1)<<48 | uint64(i) } // ≥ 2^40: a heap block
 	var used uint64
 	for round := 0; round < rounds; round++ {
@@ -283,9 +285,9 @@ func TestMTPlusPoolVariant(t *testing.T) {
 			t.Fatalf("round %d: %d objects still in limbo after the boundary", round, d)
 		}
 		switch {
-		case round == 1:
+		case round == steady:
 			used = tr.s.HeapUsed()
-		case round > 1 && tr.s.HeapUsed() != used:
+		case round > steady && tr.s.HeapUsed() != used:
 			t.Fatalf("round %d: heap grew from %d to %d words: freed values are not reused", round, used, tr.s.HeapUsed())
 		}
 	}

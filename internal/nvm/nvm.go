@@ -154,6 +154,7 @@ type Arena struct {
 	transient  bool
 	dirtyCount atomic.Int64
 	capacity   int64
+	cut        atomic.Int64 // eviction arena: stores left before a test's cut (CutAfter); 0 none
 
 	cfg Config
 
@@ -280,6 +281,9 @@ func (a *Arena) Store(off uint64, v uint64) {
 		a.markDirty(line)
 		atomic.StoreUint64(&a.volatile[off], v)
 		a.markDirty(line)
+		if a.cut.Load() > 0 && a.cut.Add(-1) == 0 {
+			panic(ErrCut)
+		}
 		a.maybeEvict()
 		return
 	}

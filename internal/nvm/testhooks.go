@@ -1,5 +1,7 @@
 package nvm
 
+import "errors"
+
 // Hooks for other packages' tests. They are not part of the simulated
 // machine, and production code never calls them.
 
@@ -52,3 +54,13 @@ func SubsetPolicy(lines []int, mask uint64, rest bool) Policy {
 		return rest
 	})
 }
+
+// ErrCut is what a Store cut by CutAfter panics with.
+var ErrCut = errors.New("nvm: store sequence cut")
+
+// CutAfter makes the n-th Store from now on an eviction arena
+// (DirtyCapacity > 0) write its word and then panic with ErrCut, so a
+// deterministic protocol can be cut after each of its stores in turn and
+// crashed there; n = 0 disarms. alloc's TestEnumeratePageCuts cuts its
+// offset-page protocol after every store.
+func (a *Arena) CutAfter(n int64) { a.cut.Store(n) }
