@@ -4,6 +4,7 @@ import (
 	"encoding/binary"
 	"fmt"
 	"math/rand"
+	"runtime"
 	"sync"
 	"sync/atomic"
 	"testing"
@@ -592,8 +593,15 @@ func TestConcurrentWorkersWithTicker(t *testing.T) {
 // read must see all ten stable keys in order, each with a value its writer
 // wrote, never older than one the same reader saw before; the final state
 // must equal the model.
+//
+// Boundaries are paced by work as well as by the ticker: every
+// roundsPerEpoch rounds a writer waits for the next boundary. A round
+// frees at most four 4-word blocks (and 4/7 of an offset page), and a block
+// is reused only after the boundary that follows its free, so however far
+// the ticker falls behind, three writers carve at most a fifth of the
+// 2^20-word heap between two boundaries.
 func TestRelocationConcurrentReaders(t *testing.T) {
-	const keys, churnKeys, minEpochs, minMoves = 10, 2, 40, 40
+	const keys, churnKeys, minEpochs, minMoves, roundsPerEpoch = 10, 2, 40, 40, 1024
 	a := nvm.New(nvm.Config{Words: testArenaWords})
 	cfg := testConfig()
 	cfg.Workers = 5
@@ -634,6 +642,11 @@ func TestRelocationConcurrentReaders(t *testing.T) {
 			r := uint64(0)
 			for !stop.Load() {
 				r++
+				if r%roundsPerEpoch == 0 {
+					for e := s.Epochs().Current(); s.Epochs().Current() == e && !stop.Load() && time.Now().Before(deadline); {
+						runtime.Gosched()
+					}
+				}
 				if w == 2 {
 					for k := uint64(keys); k < keys+churnKeys; k++ {
 						h.Delete(EncodeUint64(k))

@@ -30,9 +30,10 @@ func (a *Arena) LoadPersisted(off uint64) uint64 {
 
 // EvenOddPolicy persists exactly the even-numbered (phase 0) or
 // odd-numbered (phase 1) lines — a cheap adversary that tears every
-// multi-line object in half. alloc's TestCrashedLimboSplicesByWalk and
-// TestHeaderSurvivesPayloadWrites and core's TestCrashManyPoliciesAndSeeds, TestAdversarialPersistOnlyValueLine
-// and TestLargeValueCrashAtEveryOp crash with it.
+// multi-line object in half. alloc's TestCrashedSpliceRedoneFromLimboTail,
+// TestHeaderSurvivesPayloadWrites and TestEnumeratePageCuts and core's
+// TestCrashManyPoliciesAndSeeds, TestAdversarialPersistOnlyValueLine and
+// TestLargeValueCrashAtEveryOp crash with it.
 func EvenOddPolicy(phase int) Policy {
 	return PolicyFunc(func(line int) bool { return line%2 == phase&1 })
 }
@@ -43,7 +44,9 @@ func EvenOddPolicy(phase int) Policy {
 // crash outcome of a small protocol step instead of sampling them, as
 // core's TestEnumerate* tests and txn's TestEnumerateOneFenceRecordSubsets
 // and TestEnumerateTransferRecordSubsets do; alloc's
-// TestHeaderSurvivesPayloadWrites persists fixed subsets of header lines.
+// TestEnumeratePageCuts crosses every subset with every store of its
+// protocol, and TestHeaderSurvivesPayloadWrites persists fixed subsets of
+// object lines.
 func SubsetPolicy(lines []int, mask uint64, rest bool) Policy {
 	return PolicyFunc(func(line int) bool {
 		for i, l := range lines {
