@@ -23,7 +23,7 @@ type fixture struct {
 	heap  uint64
 }
 
-const testHeapWords = 1 << 17
+const testHeapWords = 1 << 16
 
 func build(a *nvm.Arena, shards int) *fixture {
 	// Deterministic layout: epoch header, then alloc meta, then heap.
@@ -165,15 +165,17 @@ func TestHeapExhaustionReturnsZero(t *testing.T) {
 	a := nvm.New(nvm.Config{Words: 1 << 14})
 	eOff := a.Reserve(epoch.HeaderWords)
 	meta := a.Reserve(MetaWords(1))
-	heap := a.Reserve(256) // tiny heap: 64 class-0 objects
+	// A 1024-word heap: the page reserve of one shard's 28 stacks and the
+	// pool's two takes about 550 words, the rest holds ~90 class-0 objects.
+	heap := a.Reserve(1024)
 	mgr, _ := epoch.Open(a, eOff)
-	al := New(a, mgr, meta, heap, 256, 1)
+	al := New(a, mgr, meta, heap, 1024, 1)
 	h := al.Handle(0)
 	n := 0
 	for h.Alloc(2) != 0 {
 		n++
 		if n > 10000 {
-			t.Fatal("allocation never exhausted a 2 KiB heap")
+			t.Fatal("allocation never exhausted an 8 KiB heap")
 		}
 	}
 	if n == 0 {
@@ -318,15 +320,29 @@ func TestPropertyNoLeakNoDup(t *testing.T) {
 }
 
 // Stack and run words round-trip their fields: a page below 2^31 words, a
-// count up to seven and, in the limbo word, a line-aligned bottom page.
+// count up to fourteen and, in the limbo word, a line-aligned bottom page.
+// A page's slots round-trip two 32-bit offsets per word.
 func TestStackWordRoundTrip(t *testing.T) {
 	f := func(page, tail uint64, n uint8) bool {
 		page &= 1<<31 - 1
-		tail &= (1<<31 - 1) &^ pageSlots
+		tail &= (1<<31 - 1) &^ (pageWords - 1)
 		count := uint64(n) % (pageSlots + 1)
-		w := page | (tail|count)<<32
+		w := limboWord(page|count<<32, tail)
 		return stackPage(w) == page && stackCount(w) == count && limboTail(w) == tail &&
 			stackTop(w) == page|count<<32 && stackPage(stackTop(w)) == page
+	}
+	if err := quick.Check(f, nil); err != nil {
+		t.Fatal(err)
+	}
+	al := newFixture(t, 1).al
+	page := al.heapOff
+	for i := uint64(1); i <= pageSlots; i++ {
+		al.setSlot(page, i, 1<<31-i)
+	}
+	for i := uint64(1); i <= pageSlots; i++ {
+		if got := al.slot(page, i); got != 1<<31-i {
+			t.Fatalf("slot %d = %d, want %d", i, got, 1<<31-i)
+		}
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
@@ -467,9 +483,11 @@ func lineSpan(off, words uint64) []int {
 }
 
 // checkTiling fails the test unless the objects every (shard, class) holds
-// — free (stack and carved run), in limbo, or as offset pages — and live
+// — free (stack and carved run), in limbo, or as offset pages —, the page
+// pool's pages — free, idle in its limbo, or its own stacks' — and live
 // (object → class) tile the carved heap exactly: no object is lost and
-// none is held twice.
+// none is held twice. Every stack's pages below its top must be full, as
+// the page reserve assumes.
 func (f *fixture) checkTiling(t testing.TB, when string, live map[uint64]int) {
 	t.Helper()
 	type span struct {
@@ -485,9 +503,19 @@ func (f *fixture) checkTiling(t testing.TB, when string, live map[uint64]int) {
 	}
 	for s := 0; s < f.al.Shards(); s++ {
 		for c := range classWords {
-			add("free", c, f.al.free(s, c))
-			add("limbo", c, f.al.limboObjs(s, c))
-			add("page", pageClass, f.al.pages(s, c))
+			off := f.al.classOff(s, c)
+			add("free", c, f.al.freeAt(off, classWords[c]))
+			add("limbo", c, f.al.limboAt(off))
+			add("page", poolClass, f.al.pagesAt(off))
+		}
+	}
+	add("free page", poolClass, f.al.freeAt(f.al.poolOff, pageWords))
+	add("idle page", poolClass, f.al.limboAt(f.al.poolOff))
+	add("pool page", poolClass, f.al.pagesAt(f.al.poolOff))
+	for off := f.al.metaOff; off <= f.al.poolOff; off += nvm.WordsPerLine {
+		limbo := f.arena.Load(off + chLimbo)
+		if off != f.al.wildOff && (f.al.partialBelowTop(f.arena.Load(off+chFree), 0) || f.al.partialBelowTop(limbo, limboTail(limbo))) {
+			t.Fatalf("%s: head line %d: a stack has a partial page below its top", when, off)
 		}
 	}
 	for obj, c := range live {
@@ -502,14 +530,24 @@ func (f *fixture) checkTiling(t testing.TB, when string, live map[uint64]int) {
 		if sp.off > end {
 			t.Fatalf("%s: words %d..%d, after %s object %d, are held by nobody", when, end, sp.off, prev.what, prev.off)
 		}
-		end, prev = sp.off+classWords[sp.c], sp
+		end, prev = sp.off+sizeOf(sp.c), sp
 	}
 	if bump := f.arena.Load(f.al.wildOff + wBump); end != bump {
 		t.Fatalf("%s: objects tile the heap to %d, the wilderness starts at %d", when, end, bump)
 	}
 }
 
-var spliceTestClasses = []int{0, pageClass, 3, nodeClass, 5, 7} // 4, 8, 32, 40 (nodes), 48 and 128 words
+// poolClass stands for the page pool's objects in a tiling.
+const poolClass = -1
+
+func sizeOf(c int) uint64 {
+	if c == poolClass {
+		return pageWords
+	}
+	return classWords[c]
+}
+
+var spliceTestClasses = []int{0, 1, 3, nodeClass, 5, 7} // 4, 8, 32, 40 (nodes), 48 and 128 words
 
 // classKey names one (shard, class) pair of stacks.
 type classKey struct{ s, c int }
@@ -666,8 +704,8 @@ func TestTornPageCountIgnoresSlotsPastIt(t *testing.T) {
 		}
 		off := f.al.classOff(0, c)
 		for _, w := range []uint64{f.arena.Load(off + chFree), f.arena.Load(off + chLimbo)} {
-			for i := stackCount(w); i < pageSlots; i++ {
-				f.arena.Store(stackPage(w)+1+i, objs[5+i]) // a live object
+			for i := stackCount(w) + 1; i <= pageSlots; i++ {
+				f.al.setSlot(stackPage(w), i, objs[4+i]) // a live object
 			}
 		}
 		f.arena.Crash(persist)
@@ -681,8 +719,8 @@ func TestTornPageCountIgnoresSlotsPastIt(t *testing.T) {
 	}
 }
 
-// Seventy frees in one epoch dirty the class-head line, ⌈70/7⌉ offset
-// pages and the page class's head line: no line of a freed object.
+// Seventy frees in one epoch dirty the class-head line, ⌈70/14⌉ offset
+// pages and the page pool's head line: no line of a freed object.
 func TestSeventyFreesShareTheirPageLines(t *testing.T) {
 	f := newFixture(t, 1)
 	const frees, c = 70, 3
@@ -690,8 +728,9 @@ func TestSeventyFreesShareTheirPageLines(t *testing.T) {
 	for i := range objs {
 		objs[i] = f.allocClass(0, c)
 	}
-	f.allocClass(0, pageClass) // carves the page class's run
-	f.mgr.Advance()
+	f.freeClass(0, 1, f.allocClass(0, 1)) // carves the page pool's run
+	f.mgr.Advance()                       // splices that free
+	f.mgr.Advance()                       // splices nothing
 	for _, obj := range objs {
 		f.freeClass(0, c, obj)
 	}
@@ -717,29 +756,44 @@ func TestSeventyFreesShareTheirPageLines(t *testing.T) {
 	}
 }
 
+// epochEnd is the set of live objects (object → class) at an epoch's end.
+type epochEnd struct {
+	e    uint64
+	live map[uint64]int
+}
+
 // cutRun builds, on an eviction arena that CutAfter can cut, a committed
-// state with a two-page free stack and a carved run, then runs the page
-// protocol cut after its k-th store (0: run to the end): in epoch E, eight
-// frees (appends and two new limbo pages) and three allocations (pops, one
-// draining a page into the page class's limbo); the boundary, whose
-// splice links each limbo's bottom page to its free stack; in the splice
-// epoch E+1, nine allocations that drain the spliced pages and follow the
-// links, and two frees. It returns the fixture, E, the objects live at E's
-// start and at its end, and whether the k-th store came.
-func cutRun(k int64) (f *fixture, e uint64, atStart, atEnd map[uint64]int, cut bool) {
+// state whose class-3 free stack holds two pages (6 on top of 14 offsets)
+// beside a carved run, then runs the page protocol cut after its k-th
+// store (0: run to the end). Each epoch allocates, then frees:
+//   - E: eight pops, draining the top page into the pool's limbo; ten
+//     frees, appending to a new limbo page;
+//   - E's splice: the limbo's top (10) fills the free stack's top (12) and
+//     its link names that page;
+//   - E+1: eleven pops drain the spliced top page, whose pool-limbo page
+//     pops the pool's last free page and records it beside; two frees;
+//   - E+1's splice: the free stack's top (11) empties into the limbo's top
+//     (2) and drains;
+//   - E+2: three pops and a free, then its splice.
+//
+// It returns the fixture, the live objects at the end of every epoch that
+// ended before the cut (the setup epoch first), and whether the cut came.
+func cutRun(k int64) (f *fixture, ends []epochEnd, cut bool) {
 	f = build(nvm.New(nvm.Config{Words: 1 << 13, DirtyCapacity: 1 << 20}), 1)
 	const c = 3
 	var objs []uint64
-	for i := 0; i < 24; i++ {
+	for i := 0; i < 40; i++ {
 		objs = append(objs, f.allocClass(0, c))
 	}
-	for _, obj := range objs[:9] {
+	for _, obj := range objs[:20] {
 		f.freeClass(0, c, obj)
 	}
-	f.mgr.Advance()
-	e = f.mgr.Current()
-	live := liveOf(c, objs[9:])
-	atStart = maps.Clone(live)
+	live := liveOf(c, objs[20:])
+	end := func() {
+		ends = append(ends, epochEnd{f.mgr.Current(), maps.Clone(live)})
+		f.mgr.Advance()
+	}
+	end()
 	defer func() {
 		f.arena.CutAfter(0)
 		if r := recover(); r != nil {
@@ -750,21 +804,20 @@ func cutRun(k int64) (f *fixture, e uint64, atStart, atEnd map[uint64]int, cut b
 		}
 	}()
 	f.arena.CutAfter(k)
-	for _, obj := range objs[9:17] {
-		f.freeClass(0, c, obj)
-		delete(live, obj)
+	step := func(pops int, frees []uint64) {
+		for range pops {
+			live[f.allocClass(0, c)] = c
+		}
+		for _, obj := range frees {
+			f.freeClass(0, c, obj)
+			delete(live, obj)
+		}
+		end()
 	}
-	for i := 0; i < 3; i++ {
-		live[f.allocClass(0, c)] = c
-	}
-	atEnd = maps.Clone(live)
-	f.mgr.Advance()
-	for i := 0; i < 9; i++ {
-		live[f.allocClass(0, c)] = c
-	}
-	f.freeClass(0, c, objs[17])
-	f.freeClass(0, c, objs[18])
-	return f, e, atStart, atEnd, false
+	step(8, objs[20:30])
+	step(11, objs[30:32])
+	step(3, objs[32:33])
+	return f, ends, false
 }
 
 // The offset-page protocol cut after every one of its stores, each cut
@@ -774,7 +827,7 @@ func cutRun(k int64) (f *fixture, e uint64, atStart, atEnd map[uint64]int, cut b
 func TestEnumeratePageCuts(t *testing.T) {
 	k := int64(1)
 	for ; ; k++ {
-		f, _, _, _, cut := cutRun(k)
+		f, _, cut := cutRun(k)
 		if !cut {
 			break
 		}
@@ -791,18 +844,81 @@ func TestEnumeratePageCuts(t *testing.T) {
 			policies = append(policies, nvm.SubsetPolicy(lines, mask, false))
 		}
 		for i, p := range policies {
-			f, e, atStart, atEnd, _ := cutRun(k)
+			f, ends, _ := cutRun(k)
 			f.arena.Crash(p)
 			f = f.rebuild()
-			live := atEnd
-			if f.mgr.IsFailed(e) {
-				live = atStart
+			last := len(ends) - 1
+			for f.mgr.IsFailed(ends[last].e) {
+				last--
 			}
-			f.checkTiling(t, fmt.Sprintf("cut after store %d, policy %d of lines %v", k, i, lines), live)
+			f.checkTiling(t, fmt.Sprintf("cut after store %d, policy %d of lines %v", k, i, lines), ends[last].live)
 		}
 	}
-	if k < 50 {
+	if k < 100 {
 		t.Fatalf("the protocol made only %d stores", k-1)
+	}
+}
+
+// fill allocates round-robin over shards and classes until every class
+// fails, and returns what it got.
+func (f *fixture) fill(shards int, classes []int) map[classKey][]uint64 {
+	live := map[classKey][]uint64{}
+	for failed := 0; failed < shards*len(classes); {
+		failed = 0
+		for s := range shards {
+			for _, c := range classes {
+				if p := f.allocClass(s, c); p != 0 {
+					live[classKey{s, c}] = append(live[classKey{s, c}], p)
+				} else {
+					failed++
+				}
+			}
+		}
+	}
+	return live
+}
+
+// A free cannot fail. Fill a heap until every allocation fails, free all
+// of it in one epoch on the other shard, and after the boundary fill it
+// again — popping every page the first frees filled, which then idle in
+// the pool's limbo — and free all of it in that same epoch: the worst case
+// the page reserve is sized for. Every state must tile, a crash must roll
+// back to a tiling, and a boundary must make the space allocatable again.
+func TestFreeNeverFailsOnAFullHeap(t *testing.T) {
+	for _, classes := range [][]int{{0}, {1}, {0, 1, 3, nodeClass}, {13, 0}} {
+		f := build(nvm.New(nvm.Config{Words: 1 << 15}), 2)
+		name := fmt.Sprint(classes)
+		freeAll := func(live map[classKey][]uint64) {
+			for k, objs := range live {
+				for _, p := range objs {
+					f.freeClass(1-k.s, k.c, p)
+				}
+			}
+		}
+		first := f.fill(2, classes)
+		freeAll(first)
+		f.checkTiling(t, name+": first fill freed", nil)
+		f.mgr.Advance()
+		second := f.fill(2, classes)
+		if n, m := len(slices.Concat(slices.Collect(maps.Values(first))...)), len(slices.Concat(slices.Collect(maps.Values(second))...)); m < n {
+			t.Fatalf("%s: the second fill got %d objects, the first %d", name, m, n)
+		}
+		f.mgr.Advance()
+		freeAll(second)
+		f.checkTiling(t, name+": second fill freed", nil)
+		committed := map[uint64]int{}
+		for k, objs := range second {
+			maps.Copy(committed, liveOf(k.c, objs))
+		}
+		f.arena.Crash(nvm.RandomPolicy(0.5, int64(len(classes))))
+		f = f.rebuild()
+		f.checkTiling(t, name+": after the crash", committed)
+		freeAll(second)
+		f.mgr.Advance()
+		f.checkTiling(t, name+": after the boundary", nil)
+		if third := f.fill(2, classes); len(third) == 0 {
+			t.Fatalf("%s: nothing allocatable after the boundary", name)
+		}
 	}
 }
 

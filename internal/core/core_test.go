@@ -596,7 +596,7 @@ func TestConcurrentWorkersWithTicker(t *testing.T) {
 //
 // Boundaries are paced by work as well as by the ticker: every
 // roundsPerEpoch rounds a writer waits for the next boundary. A round
-// frees at most four 4-word blocks (and 4/7 of an offset page), and a block
+// frees at most four 4-word blocks (and 2/7 of an offset page), and a block
 // is reused only after the boundary that follows its free, so however far
 // the ticker falls behind, three writers carve at most a fifth of the
 // 2^20-word heap between two boundaries.

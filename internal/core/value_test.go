@@ -359,3 +359,40 @@ func TestValueBlockArenaBound(t *testing.T) {
 	}()
 	checkArenaSize(bound + nvm.WordsPerLine)
 }
+
+// A full heap does not stop deletes. Keys with heap values fill half a
+// small heap and raw blocks the rest, until the allocator refuses even the
+// smallest class; then every key is deleted — half in one epoch, the rest
+// a few per epoch across boundaries — and, once the boundaries have made
+// the space allocatable, every key is inserted again.
+func TestDeleteOnAFullHeap(t *testing.T) {
+	a := nvm.New(nvm.Config{Words: 1 << 20})
+	s, _ := Open(a, Config{Workers: 2, LogSegWords: 1 << 12, HeapWords: 1 << 16})
+	h := s.Handle(0)
+	val := bytes.Repeat([]byte{7}, 100)
+	var keys [][]byte
+	for i := 0; s.HeapUsed() < 1<<15; i++ {
+		keys = append(keys, fmt.Appendf(nil, "key%05d", i))
+		h.PutBytes(keys[i], val)
+	}
+	for s.alloc.Handle(1).Alloc(1) != 0 {
+	}
+	for i, k := range keys {
+		if !h.Delete(k) {
+			t.Fatalf("key %q was not there to delete", k)
+		}
+		if i >= len(keys)/2 && i%16 == 0 {
+			s.Advance()
+		}
+	}
+	s.Advance()
+	s.Advance()
+	for _, k := range keys {
+		h.PutBytes(k, val)
+	}
+	for _, k := range keys {
+		if v, ok := h.GetBytes(k); !ok || !bytes.Equal(v, val) {
+			t.Fatalf("key %q lost its value after the full heap", k)
+		}
+	}
+}

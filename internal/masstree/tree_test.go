@@ -266,9 +266,10 @@ func TestAgainstReferenceModel(t *testing.T) {
 // TestMTPlusPoolVariant runs the tree as MT+ does: with epoch boundaries,
 // which flush nothing on the transient arena but splice the allocator's
 // limbo, so the heap values that overwrites free are reused and the heap
-// stops growing. It stops two boundaries after the first overwrites: the
-// offset pages that record the frees come from their own class, and a page
-// drained in an epoch is allocatable only after that epoch's boundary.
+// stops growing. It stops two boundaries after the first overwrites reuse
+// freed values: those pops drain the offset pages that recorded the frees,
+// a page drained in an epoch is reusable only after its boundary, and the
+// pages recording the drained pages lag one boundary more.
 func TestMTPlusPoolVariant(t *testing.T) {
 	tr := newTestTree()
 	const n, rounds, steady = 5000, 8, 3
