@@ -926,7 +926,10 @@ func TestFreeNeverFailsOnAFullHeap(t *testing.T) {
 // (EvCheckpointPrepare's duration) and the boundary work — the OnAdvance
 // callbacks, this package's splice among them, and the commit hooks
 // (EvCheckpointCommit's argument). On a free-heavy run the two account for
-// the window.
+// the window. Each block is written once, as a client writes its object:
+// a free writes no line of the block, so without that the flush would hold
+// only the offset pages, a window of a few microseconds in which the
+// boundary's fences alone exceed a tenth.
 func TestCheckpointTraceSplitsTheWindow(t *testing.T) {
 	f := newFixture(t, 1)
 	tr := obs.NewTracer(0)
@@ -937,6 +940,7 @@ func TestCheckpointTraceSplitsTheWindow(t *testing.T) {
 		ps := make([]uint64, blocks)
 		for i := range ps {
 			ps[i] = h.Alloc(ClassPayloadWords(1)) // one block per cache line
+			f.arena.Store(ps[i], uint64(i))
 		}
 		for _, p := range ps {
 			h.Free(p, ClassPayloadWords(1))
