@@ -97,21 +97,11 @@ func newServer(n int) *server {
 }
 
 // storeOptions sizes every store the node opens for the given shard and
-// worker counts. Each shard's heap is 2^24/shards words, with as much again
-// for headers and allocator metadata, and on top of both each worker's log
-// and intent segments, which Open reserves per worker: an arena of fixed
-// size would run out at start-up on a machine with many cores.
+// worker counts: each shard's heap is 2^24/shards words, and Open sizes
+// the arena around it, each worker's log and intent segments included, so
+// a machine with many cores does not run out at start-up.
 func storeOptions(shards, workers int) incll.Options {
-	shards = max(shards, 1)
-	o := incll.Options{
-		Shards: shards, Workers: workers, HeapWords: (1 << 24) / uint64(shards),
-		LogSegWords: 1 << 20, TxnSegWords: 1 << 14,
-	}
-	if shards > 1 {
-		o.LogSegWords, o.TxnSegWords = 1<<16, 1<<12
-	}
-	o.ArenaWords = 2*o.HeapWords + uint64(workers)*(o.LogSegWords+o.TxnSegWords)
-	return o
+	return incll.Options{Shards: shards, Workers: workers, HeapWords: (1 << 24) / uint64(max(shards, 1))}
 }
 
 // write runs f on a worker handle of db that no other request holds,

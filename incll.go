@@ -89,8 +89,8 @@ import (
 // MaxShards is the largest supported Options.Shards. Clusters beyond 64
 // shards leave the transaction manager's one-word shard-set fast path and
 // pay a small per-commit allocation for the widened bitset; the ceiling
-// itself only bounds resource sizing (per-shard arenas are floored at
-// minShardArenaWords, so very large counts multiply memory).
+// itself only bounds resource sizing (the default per-shard heap is
+// floored at 2^17 words, so very large counts multiply memory).
 const MaxShards = 4096
 
 // ErrTooManyShards reports Options.Shards above MaxShards. Open panics
@@ -114,15 +114,12 @@ var (
 	ErrKeyTooLarge = core.ErrKeyTooLarge
 )
 
-// minShardArenaWords floors the shard-divided default arena size so a
-// large shard count cannot underflow the per-shard regions.
-const minShardArenaWords = 1 << 18
-
 // Options sizes and parameterizes a DB.
 type Options struct {
 	// ArenaWords is the simulated NVM size of each shard's arena in 8-byte
-	// words (default 2^24, i.e. 128 MiB of simulated NVM, divided across
-	// the shards when Shards > 1).
+	// words (default: exactly the heap plus the regions every shard
+	// reserves beside it — its headers, allocator metadata, and each
+	// worker's log and intent segments).
 	ArenaWords uint64
 	// Workers is the number of concurrent worker threads that will use
 	// Handle(i) (default 1).
@@ -132,7 +129,9 @@ type Options struct {
 	// one shard checkpoints through a two-phase coordinated commit; one
 	// shard commits through its own epoch header, with no coordinator.
 	Shards int
-	// HeapWords is the durable heap region size (default: half the arena).
+	// HeapWords is the durable heap region size (default: half the arena
+	// when ArenaWords is set, else 2^23 words divided across the shards,
+	// at least 2^17 per shard).
 	HeapWords uint64
 	// LogSegWords is the per-worker external log segment (default 2^20,
 	// or 2^16 when Shards > 1).
@@ -183,24 +182,8 @@ func (o *Options) setDefaults() {
 	if o.Shards <= 0 {
 		o.Shards = 1
 	}
-	if o.ArenaWords == 0 {
-		o.ArenaWords = 1 << 24
-		if o.Shards > 1 {
-			// Keep the default cluster footprint near the single-store
-			// default by splitting it across shards, but never divide the
-			// per-shard arena below a floor that still fits the epoch
-			// header, allocator metadata, log segments, and a usable heap.
-			o.ArenaWords = (1 << 24) / uint64(o.Shards)
-			if o.ArenaWords < minShardArenaWords {
-				o.ArenaWords = minShardArenaWords
-			}
-		}
-	}
 	if o.Workers <= 0 {
 		o.Workers = 1
-	}
-	if o.HeapWords == 0 {
-		o.HeapWords = o.ArenaWords / 2
 	}
 	if o.LogSegWords == 0 {
 		o.LogSegWords = 1 << 20
@@ -213,6 +196,21 @@ func (o *Options) setDefaults() {
 		if o.Shards > 1 {
 			o.TxnSegWords = 1 << 12
 		}
+	}
+	if o.ArenaWords == 0 {
+		// The default heap splits 2^23 words across the shards, never below
+		// 2^17 per shard, and the arena holds exactly that heap and the
+		// regions Open reserves beside it, which grow with the workers.
+		if o.HeapWords == 0 {
+			o.HeapWords = max((1<<23)/uint64(o.Shards), 1<<17)
+		}
+		o.ArenaWords = core.ArenaWords(core.Config{
+			Workers: o.Workers, LogSegWords: o.LogSegWords,
+			TxnSegWords: o.TxnSegWords, HeapWords: o.HeapWords,
+		})
+	}
+	if o.HeapWords == 0 {
+		o.HeapWords = o.ArenaWords / 2
 	}
 	if o.EpochInterval == 0 {
 		o.EpochInterval = 64 * time.Millisecond

@@ -447,14 +447,36 @@ func TestOpenBeyond64ShardsAndCrashRecover(t *testing.T) {
 	db.Close()
 }
 
-func TestOptionsShardedArenaDefaultHasFloor(t *testing.T) {
-	// The shard-divided ArenaWords default must not underflow to a size
-	// that cannot hold the per-shard regions.
-	var o Options
-	o.Shards = 64
-	o.setDefaults()
-	if o.ArenaWords < minShardArenaWords {
-		t.Fatalf("default ArenaWords = %d below floor %d", o.ArenaWords, minShardArenaWords)
+// TestDefaultArenaFitsWorkers: the default arena holds the default heap and
+// every worker's log and intent segments, so shapes whose segments once
+// overflowed a fixed default arena open, write, checkpoint, crash, and
+// recover exactly the committed state.
+func TestDefaultArenaFitsWorkers(t *testing.T) {
+	for _, o := range []Options{{Workers: 8}, {Shards: 64, Workers: 2}} {
+		db, _ := Open(o)
+		for i := uint64(0); i < 500; i++ {
+			db.Handle(int(i)%o.Workers).Put(Key(i), i)
+		}
+		db.Checkpoint()
+		for i := uint64(0); i < 500; i += 7 {
+			db.Handle(int(i)%o.Workers).Put(Key(i), i+1000) // doomed: no checkpoint follows
+		}
+		db.SimulateCrash(0.5, 52)
+		db, info := db.Reopen()
+		if info.Status != epoch.CrashRecovered {
+			t.Fatalf("%+v: status %v after a crash", o, info.Status)
+		}
+		n := uint64(0)
+		for k, v := range db.All() {
+			if DecodeValue(k) != n || DecodeValue(v) != n {
+				t.Fatalf("%+v: entry %d = (%d, %d) after recovery", o, n, DecodeValue(k), DecodeValue(v))
+			}
+			n++
+		}
+		if n != 500 {
+			t.Fatalf("%+v: %d keys after recovery, want 500", o, n)
+		}
+		db.Close()
 	}
 }
 

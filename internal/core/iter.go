@@ -6,9 +6,8 @@ import (
 )
 
 // Cursor is the bidirectional iterator surface every layer of the system
-// shares: the core store implements it over the durable Masstree, the
-// shard layer as a k-way merge of per-shard cursors, the transaction
-// layer as an overlay of pending writes, and the façade re-exports it.
+// shares: the core store implements it over the durable Masstree, Merge
+// composes several cursors into one, and the façade re-exports it.
 //
 // A cursor is not a snapshot: it observes committed and in-flight writes
 // much like the callback scans, but — unlike them — it never holds the

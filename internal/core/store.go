@@ -213,6 +213,24 @@ func (s *Store) InstrumentPhases(ph *obs.PhaseSet) {
 	s.mgr.InstrumentPhases(ph)
 }
 
+// ArenaWords returns the smallest arena Open fits cfg in: the null line an
+// arena keeps at offset 0, then every region Open reserves (the epoch
+// header, the store header line, allocator metadata, each worker's log and
+// intent segments, and the heap), each rounded up to whole lines as
+// nvm.Arena.Reserve rounds it.
+func ArenaWords(cfg Config) uint64 {
+	cfg.setDefaults()
+	n := uint64(nvm.WordsPerLine)
+	for _, w := range []uint64{
+		epoch.HeaderWords, nvm.WordsPerLine, alloc.MetaWords(cfg.Workers),
+		extlog.RegionWords(cfg.LogSegWords, cfg.Workers),
+		extlog.RegionWords(cfg.TxnSegWords, cfg.Workers), cfg.HeapWords,
+	} {
+		n += (w + nvm.WordsPerLine - 1) / nvm.WordsPerLine * nvm.WordsPerLine
+	}
+	return n
+}
+
 // Open attaches a Store to the arena, reserving (or re-deriving, after a
 // restart) its regions, and performs full recovery: epoch analysis, root
 // and allocator head repair, external-log replay. Nodes are then repaired

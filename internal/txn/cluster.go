@@ -8,7 +8,20 @@ import (
 // ForStore assembles a Manager over one unsharded store and runs intent
 // recovery, returning the number of transactions replayed.
 func ForStore(s *core.Store) (*Manager, int) {
-	return New(Config{Stores: []*core.Store{s}})
+	return New(storeConfig(s))
+}
+
+// storeConfig is the Manager Config for one unsharded store: every key
+// routes to it, and its own advance and cursor are the cluster's.
+func storeConfig(s *core.Store) Config {
+	return Config{
+		Stores:  []*core.Store{s},
+		Route:   func([]byte) int { return 0 },
+		Advance: s.Advance,
+		NewIter: func(w int, o core.IterOptions) core.Cursor {
+			return s.Handle(w).NewIter(o)
+		},
+	}
 }
 
 // ForCluster assembles a Manager over a sharded cluster — its per-shard

@@ -165,7 +165,8 @@ func TestPositionFallbackAcrossCutover(t *testing.T) {
 		v, _ := tx.Get(key(k))
 		tx.Put(key(k), v+1)
 	}
-	next := Config{Stores: []*core.Store{f.store}, TopoVersion: 2}
+	next := storeConfig(f.store)
+	next.TopoVersion = 2
 	if err := f.m.Cutover(next, func() (bool, error) { return true, nil }); err != nil {
 		t.Fatal(err)
 	}

@@ -105,7 +105,8 @@ var (
 // releasing its locks without touching NVM again.
 type InjectedCrash struct{ Point string }
 
-// Config assembles a Manager over one store or a sharded cluster.
+// Config assembles a Manager over one store or a sharded cluster. Every
+// field but TopoVersion is required; ForStore and ClusterConfig fill them.
 type Config struct {
 	// Stores is the shard list (length 1 for an unsharded store). Clusters
 	// of up to 64 shards use the one-word inline ShardSet fast path;
@@ -115,9 +116,9 @@ type Config struct {
 	// TopoVersion is the topology version the stores belong to (stamped
 	// into every intent record); 0 means 1, the first topology.
 	TopoVersion uint64
-	// Route maps a key to its shard index; nil means a single store. Must
-	// be the cluster's real router (shard.Route) so recovery re-applies
-	// every write on the shard that owns it.
+	// Route maps a key to its shard index. Must be the cluster's real
+	// router (shard.Route) so recovery re-applies every write on the shard
+	// that owns it.
 	Route func(k []byte) int
 	// Advance runs one cluster-wide epoch advance and returns the number
 	// of lines flushed — core.Store.Advance for one store, the coordinated
@@ -125,8 +126,7 @@ type Config struct {
 	// commit guard; callers must go through Manager.Advance from then on.
 	Advance func() int
 	// NewIter opens a cursor over the whole (possibly sharded) store for
-	// worker w — the sharded merge cursor for a cluster. nil derives a
-	// single-store cursor from Stores[0].
+	// worker w — the sharded merge cursor for a cluster.
 	NewIter func(worker int, o core.IterOptions) core.Cursor
 }
 
@@ -213,17 +213,6 @@ func newTopoState(cfg Config) *topoState {
 	}
 	if st.version == 0 {
 		st.version = 1
-	}
-	if st.route == nil {
-		st.route = func([]byte) int { return 0 }
-	}
-	if st.advance == nil {
-		st.advance = cfg.Stores[0].Advance
-	}
-	if st.iter == nil {
-		st.iter = func(w int, o core.IterOptions) core.Cursor {
-			return cfg.Stores[0].Handle(w).NewIter(o)
-		}
 	}
 	return st
 }

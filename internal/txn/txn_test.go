@@ -30,7 +30,7 @@ func newSingle(t *testing.T) *singleFixture {
 		},
 	}
 	f.store, _ = core.Open(f.arena, f.cfg)
-	f.m, _ = New(Config{Stores: []*core.Store{f.store}})
+	f.m, _ = ForStore(f.store)
 	return f
 }
 
@@ -41,7 +41,7 @@ func (f *singleFixture) crash(p nvm.Policy) int {
 	f.arena.ResetReservations()
 	f.store, _ = core.Open(f.arena, f.cfg)
 	var replayed int
-	f.m, replayed = New(Config{Stores: []*core.Store{f.store}})
+	f.m, replayed = ForStore(f.store)
 	return replayed
 }
 
@@ -193,7 +193,7 @@ func TestTooLargeWriteSet(t *testing.T) {
 	arena := nvm.New(nvm.Config{Words: 1 << 21})
 	cfg := core.Config{Workers: 1, LogSegWords: 1 << 14, TxnSegWords: 2 * nvm.WordsPerLine, HeapWords: 1 << 20}
 	s, _ := core.Open(arena, cfg)
-	m, _ := New(Config{Stores: []*core.Store{s}})
+	m, _ := ForStore(s)
 	tx := m.Begin(0)
 	for i := uint64(0); i < 64; i++ {
 		tx.Put(key(i), i)
@@ -207,7 +207,7 @@ func TestFullSegmentRetriesAfterAdvance(t *testing.T) {
 	arena := nvm.New(nvm.Config{Words: 1 << 21})
 	cfg := core.Config{Workers: 1, LogSegWords: 1 << 14, TxnSegWords: nvm.WordsPerLine, HeapWords: 1 << 20}
 	s, _ := core.Open(arena, cfg)
-	m, _ := New(Config{Stores: []*core.Store{s}})
+	m, _ := ForStore(s)
 	for i := uint64(0); i < 5; i++ { // each fills the one-line segment
 		tx := m.Begin(0)
 		tx.Put(key(i), i)
